@@ -1,9 +1,10 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
 Smith normal form with unimodular transforms, cokernel invariants,
-surjections onto cyclic groups, and fraction-free computations (rank,
-determinants, maximal-minor gcd) for presentation matrices over
-Z[s, s^-1].
+surjections onto cyclic groups, a modular determinant kernel for linear
+pencils sX - Y (characteristic polynomials included), and fraction-free
+computations (rank, determinants, maximal-minor gcd) for presentation
+matrices over Z[s, s^-1].
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 from . import laurent
 from .errors import MinorLimitError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _binpow
 
 DEFAULT_MAX_MINORS = 100_000
 
@@ -109,14 +110,7 @@ class IntMatrix:
             raise ValueError("powers need a square matrix")
         if n < 0:
             raise ValueError("negative matrix powers not supported")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binpow(self, n, IntMatrix.__mul__, IntMatrix.identity(self.rows))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -319,19 +313,158 @@ def surjection_onto_cyclic(a: IntMatrix, r: int) -> tuple[int, ...] | None:
 
 
 def char_poly(h: IntMatrix) -> LaurentPoly:
-    """det(sI - H) for an integer matrix, exactly (Faddeev-LeVerrier)."""
+    """det(sI - H) for an integer matrix, exactly (modular pencil kernel)."""
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = h.rows
-    cs = [1]
-    mk = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = h * mk
-        ck = -am.trace() // k
-        cs.append(ck)
-        mk = am + IntMatrix.identity(n) * ck
-    # cs[k] is the coefficient of s^(n-k)
-    return LaurentPoly(0, list(reversed(cs)))
+    return _pencil_det(None, h.to_rows())
+
+
+# -- determinants of linear pencils --------------------------------------------
+#
+# det(sX - Y) for integer matrices X, Y is found modulo a fixed sequence of
+# word-sized primes and lifted by the Chinese remainder theorem.  Modulo p,
+# det(sX - Y) = det(X) * det(sI - X^-1 Y), and the characteristic polynomial
+# of X^-1 Y comes from its Hessenberg form.  No coefficient exceeds
+# prod_i sum_j (|x_ij| + |y_ij|) in absolute value (bound the Leibniz
+# expansion term by term), so primes are added until their product exceeds
+# twice that bound, and symmetric residues then give the coefficients.
+
+# Miller-Rabin with these bases is deterministic for every n < 3.3 * 10^24.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES: list[int] = []  # the kernel's primes, descending from 2^61 - 1
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The k-th prime (from 0) below 2^61, counting down from 2^61 - 1."""
+    while len(_PRIMES) <= k:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[k]
+
+
+def _inverse_times_mod(x: list[list[int]], y: list[list[int]],
+                       p: int) -> tuple[list[list[int]], int] | None:
+    """(X^-1 Y mod p, det X mod p) by Gauss-Jordan elimination; None when
+    X is singular modulo p."""
+    n = len(x)
+    a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        rk = a[k] = [v * inv % p for v in a[k]]
+        for i in range(n):
+            u = a[i][k]
+            if u and i != k:
+                a[i] = [(v - u * w) % p for v, w in zip(a[i], rk)]
+    return [r[n:] for r in a], det
+
+
+def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
+    """det(sI - H) mod p, ascending coefficients; H is overwritten.
+
+    H is brought to upper Hessenberg form by similarity transforms, whose
+    characteristic polynomials p_0, ..., p_n obey a short recurrence
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for r in h:
+                r[m], r[piv] = r[piv], r[m]
+        inv = pow(h[m][m - 1], -1, p)
+        rm = h[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                # row_i -= u * row_m, then col_m += u * col_i: a similarity
+                h[i] = [(v - u * w) % p for v, w in zip(h[i], rm)]
+                for r in h:
+                    r[m] = (r[m] + u * r[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        nxt = [0] + prev
+        diag = h[m][m]
+        for k, c in enumerate(prev):
+            nxt[k] -= diag * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            u = t * h[i][m] % p
+            for k, c in enumerate(polys[i]):
+                nxt[k] -= u * c
+        polys.append([c % p for c in nxt])
+    return polys[n]
+
+
+def _pencil_det(x: list[list[int]] | None, y: list[list[int]]) -> LaurentPoly | None:
+    """det(sX - Y) exactly, X = None standing for the identity.
+
+    Returns None when X is singular modulo one of the primes used, which
+    always happens when det X = 0.
+    """
+    n = len(y)
+    bound = 1
+    for i in range(n):
+        bound *= sum(map(abs, y[i])) + (1 if x is None else sum(map(abs, x[i])))
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    k = 0
+    while modulus <= 2 * bound:
+        p = _prime(k)
+        k += 1
+        if x is None:
+            m, scale = [[v % p for v in r] for r in y], 1
+        else:
+            solved = _inverse_times_mod(x, y, p)
+            if solved is None:
+                return None
+            m, scale = solved
+        residues = _char_poly_mod(m, p)
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r * scale - c) * inv % p)
+                  for c, r in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    return LaurentPoly(0, [c - modulus if c > half else c for c in coeffs])
 
 
 # -- matrices over Z[s, s^-1] --------------------------------------------------
@@ -381,9 +514,25 @@ class LambdaMatrix:
         return LambdaMatrix(self.rows, len(cols), ents)
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by fraction-free elimination over Z[s, s^-1]."""
+        """Exact determinant.
+
+        A linear pencil sX - Y (every entry in span{1, s}) goes through the
+        modular pencil kernel; any other matrix, and a pencil whose X is
+        singular modulo a kernel prime, by fraction-free elimination over
+        Z[s, s^-1].
+        """
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
+        if all(p.low >= 0 and p.low + len(p.coeffs) <= 2 for p in self.entries):
+            n = self.rows
+            c = [(0,) * p.low + p.coeffs + (0, 0) for p in self.entries]
+            x = [[e[1] for e in c[i * n : (i + 1) * n]] for i in range(n)]
+            y = [[-e[0] for e in c[i * n : (i + 1) * n]] for i in range(n)]
+            if x == IntMatrix.identity(n).to_rows():
+                x = None
+            d = _pencil_det(x, y)
+            if d is not None:
+                return d
         return _det_lambda(self.to_rows())
 
     def __mul__(self, other: "LambdaMatrix") -> "LambdaMatrix":

@@ -9,6 +9,7 @@ from typing import Iterable, Iterator
 
 from .errors import WordLengthError
 from .exactla import IntMatrix
+from .laurent import _binpow
 
 MAX_WORD_LETTERS = 10**7
 
@@ -86,14 +87,7 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = Word.identity()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binpow(base, abs(n), Word.__mul__, Word.identity())
 
     def exponent_sums(self, rank: int) -> list[int]:
         sums = [0] * rank
@@ -147,14 +141,7 @@ class FreeEndo:
         """d-fold composition; d = 0 gives the identity endomorphism."""
         if d < 0:
             raise ValueError("negative powers are not defined for endomorphisms")
-        result = FreeEndo.identity(self.rank)
-        base = self
-        while d:
-            if d & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            d >>= 1
-        return result
+        return _binpow(self, d, FreeEndo.compose, FreeEndo.identity(self.rank))
 
     def abelianization_matrix(self) -> IntMatrix:
         """n x n exponent-sum matrix; column j abelianizes images[j]."""

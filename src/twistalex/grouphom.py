@@ -12,6 +12,7 @@ from typing import Iterable, Union
 from .errors import InvariantError, ParseError, SizeLimitError
 from .exactla import IntMatrix
 from .freegrp import Word
+from .laurent import _binpow
 
 CLOSURE_BOUND = 10**6
 REGULAR_REP_BOUND = 10**4
@@ -55,14 +56,7 @@ class Perm:
 
     def __pow__(self, n: int) -> "Perm":
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = Perm.identity(self.degree)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binpow(base, abs(n), Perm.__mul__, Perm.identity(self.degree))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""

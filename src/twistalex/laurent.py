@@ -15,6 +15,23 @@ from typing import Iterator
 from .errors import ParseError
 
 
+def _binpow(base, n: int, mul, one):
+    """``base`` to the power n >= 0 under the associative product ``mul``,
+    by square-and-multiply; ``one`` is the answer for n = 0.
+
+    Squares only while higher bits of n remain, so no product beyond the
+    answer's own factors is ever formed.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = mul(base, base)
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class LaurentPoly:
     """An element of Z[s, s^-1].
@@ -148,14 +165,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of general polynomials are not in the ring")
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binpow(self, n, LaurentPoly.__mul__, ONE)
 
     def evaluate(self, z: complex) -> complex:
         """Evaluate at a nonzero complex number (numeric cross-checks only)."""

@@ -43,15 +43,25 @@ def evaluate_fibred_obstruction(p: LambdaMatrix,
     """Evaluate the three conclusions on a presentation matrix (rows are
     generators, columns relations).
 
-    Torsionness is decided by the rank over the fraction field; delta is
-    the gcd of the maximal minors; principality is only ever asserted for
-    square presentations (the sufficient condition the fibred computation
-    produces), never decided in general.
+    Torsionness is decided by the rank over the fraction field, which is
+    full as soon as delta, the gcd of the maximal minors, is nonzero;
+    principality is only ever asserted for square presentations (the
+    sufficient condition the fibred computation produces), never decided
+    in general.
     """
     n = p.rows
     reasons: list[str] = []
 
-    rank = rank_over_fractions(p)
+    cap_error: MinorLimitError | None = None
+    try:
+        delta = maximal_minor_gcd(p, max_minors=max_minors).delta
+    except MinorLimitError as e:
+        cap_error = e
+        delta = laurent.ZERO
+
+    # A nonzero maximal minor already proves full rank n (n > m and a
+    # fired cap both leave delta = 0), so elimination runs only otherwise.
+    rank = n if not delta.is_zero else rank_over_fractions(p)
     torsion = "yes" if rank == n else "no"
     if torsion == "yes":
         reasons.append(f"(1) torsion: presentation has full rank {n}")
@@ -64,15 +74,9 @@ def evaluate_fibred_obstruction(p: LambdaMatrix,
     else:
         reasons.append("(2) undetermined: non-square presentation, principality not decided")
 
-    capped = False
-    try:
-        delta = maximal_minor_gcd(p, max_minors=max_minors).delta
-    except MinorLimitError as e:
-        capped = True
-        delta = laurent.ZERO
-        reasons.append(f"(3) undetermined: {e}")
-    if capped:
+    if cap_error is not None:
         monic = "undefined"
+        reasons.append(f"(3) undetermined: {cap_error}")
     elif delta.is_zero:
         monic = "undefined"
         reasons.append("(3) undefined: delta = 0")

@@ -192,6 +192,20 @@ class TestReportCommand:
         assert "minors" in out
 
 
+    def test_minor_cap_zero_on_square_input(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\ns-1 1\n0 s+1\n")
+        monkeypatch.setenv("TWIST_MAX_MINORS", "0")
+        code, out, _ = run(capsys, "report", "--presentation", str(path), "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "delta": "0", "monic": "undefined", "principal": "yes", "torsion": "yes",
+            "verdict": "inconclusive",
+            "reasons": ["(1) torsion: presentation has full rank 2",
+                        "(2) principal: presentation matrix is square",
+                        "(3) undetermined: would enumerate 1 minors, above the cap of 0"]}
+
+
 class TestUsageErrors:
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "seifert", "--fixture", "nonsense", "--d", "2")

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from twistalex import exactla
 from twistalex.errors import MinorLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, adjugate, char_poly,
-                               cokernel_invariants, maximal_minor_gcd,
+from twistalex.exactla import (IntMatrix, LambdaMatrix, _det_lambda, adjugate,
+                               char_poly, cokernel_invariants, maximal_minor_gcd,
                                rank_over_fractions, si_minus,
                                smith_normal_form, surjection_onto_cyclic)
 from twistalex.laurent import LaurentPoly, ZERO, canonicalize, parse_laurent
@@ -161,13 +162,80 @@ class TestSurjectionOntoCyclic:
                 assert candidates
 
 
+def faddeev_leverrier(h: IntMatrix) -> LaurentPoly:
+    """det(sI - H) by the Faddeev-LeVerrier recurrence, an oracle independent
+    of the modular kernel and of elimination."""
+    n = h.rows
+    cs = [1]
+    mk = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        am = h * mk
+        ck = -am.trace() // k
+        cs.append(ck)
+        mk = am + IntMatrix.identity(n) * ck
+    # cs[k] is the coefficient of s^(n-k)
+    return LaurentPoly(0, list(reversed(cs)))
+
+
+def leibniz_det(m: LambdaMatrix) -> LaurentPoly:
+    """Permutation expansion of a Laurent determinant, independent of elimination."""
+    n = m.rows
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = LaurentPoly.const(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * m.at(i, perm[i])
+        total = total + term
+    return total
+
+
+def pencil(x, y) -> LambdaMatrix:
+    """sX - Y from integer row lists."""
+    return LambdaMatrix.from_rows(
+        [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)])
+
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant +-1, from elementary row moves."""
+    x = IntMatrix.identity(n).to_rows()
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-3, 3)
+            x[i] = [a + k * b for a, b in zip(x[i], x[j])]
+    if n and rng.random() < 0.5:
+        x[0] = [-a for a in x[0]]
+    return x
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Counts the fraction-free fallback behind LambdaMatrix.det."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _det_lambda(rows)
+
+    monkeypatch.setattr(exactla, "_det_lambda", counted)
+    return calls
+
+
 class TestCharPoly:
     def test_matches_lambda_determinant(self):
         rng = random.Random(3)
         for _ in range(25):
-            n = rng.randint(0, 5)
+            n = rng.randint(0, 6)
             h = random_matrix(rng, n, n, -4, 4)
-            assert char_poly(h) == si_minus(h).det()
+            assert char_poly(h) == _det_lambda(si_minus(h).to_rows()) == faddeev_leverrier(h)
+
+    def test_huge_entries_need_several_primes(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            h = random_matrix(rng, n, n, -2**72, 2**72)
+            assert char_poly(h) == _det_lambda(si_minus(h).to_rows()) == faddeev_leverrier(h)
 
     def test_constant_term_is_det(self):
         rng = random.Random(4)
@@ -175,6 +243,99 @@ class TestCharPoly:
             n = rng.randint(1, 5)
             h = random_matrix(rng, n, n, -4, 4)
             assert char_poly(h).coefficient(0) == (-1) ** n * brute_det(h)
+
+
+class TestPencilDeterminant:
+    def test_sizes_zero_and_one(self, bareiss_calls):
+        assert char_poly(IntMatrix(0, 0, ())) == LaurentPoly.const(1)
+        assert LambdaMatrix(0, 0, ()).det() == LaurentPoly.const(1)
+        assert char_poly(IntMatrix.from_rows([[7]])) == P("s - 7")
+        assert pencil([[3]], [[5]]).det() == P("3s - 5")
+        assert pencil([[0]], [[0]]).det() == ZERO
+        assert bareiss_calls == []
+
+    def test_identity_x(self, bareiss_calls):
+        rng = random.Random(41)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            y = random_matrix(rng, n, n, -5, 5).to_rows()
+            m = pencil(IntMatrix.identity(n).to_rows(), y)
+            assert m.det() == leibniz_det(m) == _det_lambda(m.to_rows())
+        assert bareiss_calls == []
+
+    def test_unimodular_x(self, bareiss_calls):
+        rng = random.Random(43)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            x = unimodular(rng, n)
+            y = random_matrix(rng, n, n, -5, 5).to_rows()
+            m = pencil(x, y)
+            assert m.det() == leibniz_det(m) == _det_lambda(m.to_rows())
+        assert bareiss_calls == []
+
+    def test_huge_entries(self, bareiss_calls):
+        rng = random.Random(47)
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            x = unimodular(rng, n)
+            y = random_matrix(rng, n, n, -2**75, 2**75).to_rows()
+            m = pencil(x, y)
+            assert m.det() == _det_lambda(m.to_rows())
+        assert bareiss_calls == []
+
+    def test_singular_x_with_zero_determinant(self, bareiss_calls):
+        rng = random.Random(53)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            x = random_matrix(rng, n, n, -4, 4).to_rows()
+            y = random_matrix(rng, n, n, -4, 4).to_rows()
+            x[1], y[1] = list(x[0]), list(y[0])  # equal rows: det(sX - Y) = 0
+            assert pencil(x, y).det() == ZERO
+        assert len(bareiss_calls) == 10
+
+    def test_singular_x_with_nonzero_determinant(self, bareiss_calls):
+        rng = random.Random(59)
+        done = 0
+        while done < 10:
+            n = rng.randint(2, 4)
+            x = random_matrix(rng, n, n, -4, 4).to_rows()
+            x[-1] = [0] * n  # det X = 0 over Q
+            m = pencil(x, random_matrix(rng, n, n, -4, 4).to_rows())
+            expected = leibniz_det(m)
+            if expected.is_zero:
+                continue
+            assert m.det() == expected
+            done += 1
+        assert len(bareiss_calls) == 10
+
+    def test_x_singular_modulo_first_prime_falls_back(self, bareiss_calls):
+        p = exactla._prime(0)
+        rng = random.Random(61)
+        for _ in range(5):
+            n = rng.randint(2, 4)
+            u = IntMatrix.from_rows(unimodular(rng, n))
+            x = (u * IntMatrix.from_rows(
+                [[p if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]))
+            assert abs(x.det()) == p
+            m = pencil(x.to_rows(), random_matrix(rng, n, n, -4, 4).to_rows())
+            assert m.det() == leibniz_det(m)
+        assert len(bareiss_calls) == 5
+
+    def test_non_pencils_keep_elimination(self, bareiss_calls):
+        m = LambdaMatrix.from_rows([[P("s^2"), P("1")], [P("s^-1"), P("s")]])
+        assert m.det() == leibniz_det(m) == P("s^3 - s^-1")
+        assert len(bareiss_calls) == 1
+
+    def test_prime_sequence(self):
+        sieve = [n for n in range(2, 2000) if all(n % q for q in range(2, int(n**0.5) + 1))]
+        assert [n for n in range(2000) if exactla._is_prime(n)] == sieve
+        # strong pseudoprimes to several small bases, and Carmichael numbers
+        for n in (561, 41041, 3215031751, 3825123056546413051):
+            assert not exactla._is_prime(n)
+        primes = [exactla._prime(k) for k in range(4)]
+        assert primes[0] == 2**61 - 1
+        assert primes == sorted(set(primes), reverse=True)
+        assert all(exactla._is_prime(q) for q in primes)
 
 
 class TestLambdaMatrix:

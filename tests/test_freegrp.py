@@ -111,6 +111,21 @@ class TestPower:
         assert h.power(4) == h.power(2).power(2)
         assert h.power(5) == h.compose(h.power(4))
 
+    def test_no_square_past_the_answer(self):
+        # x -> x^2: f^16 has 2^16 letters, while f^32 would pass the letter cap
+        doubling = FreeEndo(1, [Word(((0, 2),))])
+        assert doubling.power(16).images == (Word(((0, 2**16),)),)
+        w = Word(((0, 10**7 // 2 + 1),))  # its square would pass the cap too
+        assert w ** 1 == w and w ** -1 == w.inverse()
+
+    def test_word_powers_match_repeated_products(self):
+        w = Word([(0, 1), (1, -2), (0, 1)])
+        for n in range(-6, 7):
+            expected = Word.identity()
+            for _ in range(abs(n)):
+                expected = expected * (w if n > 0 else w.inverse())
+            assert w ** n == expected
+
 
 class TestAbelianization:
     def test_trefoil(self):

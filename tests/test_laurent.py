@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.errors import ParseError
-from twistalex.laurent import (LaurentPoly, S, ZERO, canonicalize,
+from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
                                divexact, divides, gcd, is_monic,
                                parse_laurent, resultant_with_cyclotomic,
                                to_text)
@@ -186,3 +186,26 @@ class TestText:
     def test_round_trip(self, p):
         assert parse_laurent(to_text(p)) == p
         assert parse_laurent(to_text(p, compact=True)) == p
+
+
+class TestBinpow:
+    def test_product_count_and_value(self):
+        for n in range(70):
+            calls = []
+
+            def mul(a, b):
+                calls.append((a, b))
+                return a * b
+
+            assert _binpow(3, n, mul, 1) == 3 ** n
+            # one square per bit below the top, one product per extra set bit
+            expected = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+            assert len(calls) == expected
+
+    def test_polynomial_powers(self):
+        p = P("s - 2 + s^-1")
+        acc = P("1")
+        for n in range(6):
+            assert p ** n == acc
+            acc = acc * p
+

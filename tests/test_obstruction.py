@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
+from twistalex import obstruction
 from twistalex.cover import twisted_invariants
-from twistalex.exactla import LambdaMatrix, adjugate, si_minus
+from twistalex.exactla import LambdaMatrix, adjugate, rank_over_fractions, si_minus
 from twistalex.fixtures import load_fixture
 from twistalex.grouphom import FiniteHom, cyclic
 from twistalex.laurent import ZERO, divides, parse_laurent
@@ -68,6 +71,66 @@ class TestEvaluate:
         ]
         for m in cases:
             assert evaluate_fibred_obstruction(m).verdict != CONSISTENT
+
+
+class TestRankShortcut:
+    """The rank comes from the minors when one is nonzero; elimination runs
+    only for a zero gcd, n > m, or a fired minor cap.  Reasons, verdicts
+    and exit codes are those of always eliminating."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append((p.rows, p.cols))
+            return rank_over_fractions(p)
+
+        monkeypatch.setattr(obstruction, "rank_over_fractions", counted)
+        return calls
+
+    CASES = {
+        "square-singular": (
+            [["s-1", "s-1"], ["s-1", "s-1"]], None, NOT_FIBRED, 2,
+            ("(1) FAILS: rank 1 < 2 generators, module is not torsion",
+             "(2) principal: presentation matrix is square",
+             "(3) undefined: delta = 0")),
+        "non-square-zero-minors": (
+            [["s", "1", "s+1"], ["2s", "2", "2s+2"]], None, NOT_FIBRED, 2,
+            ("(1) FAILS: rank 1 < 2 generators, module is not torsion",
+             "(2) undetermined: non-square presentation, principality not decided",
+             "(3) undefined: delta = 0")),
+        "more-generators-than-relations": (
+            [["s-1", "0"], ["0", "s-1"], ["1", "1"]], None, NOT_FIBRED, 2,
+            ("(1) FAILS: rank 2 < 3 generators, module is not torsion",
+             "(2) undetermined: non-square presentation, principality not decided",
+             "(3) undefined: delta = 0")),
+        "square-minor-cap-zero": (
+            [["s-1", "1"], ["0", "s+1"]], 0, INCONCLUSIVE, 3,
+            ("(1) torsion: presentation has full rank 2",
+             "(2) principal: presentation matrix is square",
+             "(3) undetermined: would enumerate 1 minors, above the cap of 0")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_zero_gcd_cases_still_eliminate(self, name, eliminations):
+        rows, cap, verdict, exit_code, reasons = self.CASES[name]
+        p = LambdaMatrix.from_rows([[P(e) for e in r] for r in rows])
+        kwargs = {} if cap is None else {"max_minors": cap}
+        report = evaluate_fibred_obstruction(p, **kwargs)
+        assert report.verdict == verdict
+        assert report.reasons == reasons
+        assert report.exit_code == exit_code
+        assert eliminations == [(p.rows, p.cols)]
+
+    def test_nonzero_gcd_skips_elimination(self, eliminations):
+        for m in (trefoil_presentation(),
+                  LambdaMatrix.from_rows([[P("s - 1"), P("s")]]),
+                  LambdaMatrix.from_rows([[P("2s - 2")]])):
+            report = evaluate_fibred_obstruction(m)
+            assert report.torsion == "yes"
+            assert report.reasons[0] == f"(1) torsion: presentation has full rank {m.rows}"
+        assert eliminations == []
 
 
 class TestAnnihilatorSpotCheck:
