@@ -4,7 +4,7 @@ arithmetic, with the three-part fibredness obstruction."""
 from .laurent import (LaurentPoly, canonicalize, divexact, divides, gcd,
                       is_monic, parse_laurent, resultant_with_cyclotomic,
                       to_text)
-from .exactla import (IntMatrix, LambdaMatrix, SmithDecomposition,
+from .exactla import (IntMatrix, LambdaMatrix, SmithForm,
                       CokernelInvariants, ElementaryIdeal, adjugate,
                       char_poly, cokernel_invariants, maximal_minor_gcd,
                       rank_over_fractions, si_minus, smith_normal_form,
@@ -20,8 +20,9 @@ from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
 from .cover import (CoverGraph, TwistedInvariants,
                     branched_cover_homology_from_monodromy, build_cover,
                     lift_action_matrix, twisted_invariants)
-from .seifert import (CharacterJump, MonodromyPower, ResultantCheck,
-                      SeifertMatrix, alexander_polynomial, branched_homology,
+from .seifert import (BranchedCover, CharacterJump, MonodromyPower,
+                      ResultantCheck, SeifertMatrix, alexander_polynomial,
+                      branched_cover, branched_homology,
                       branched_presentation, character_jump,
                       monodromy_power_presentation, random_seifert_matrix,
                       resultant_order_check)

@@ -12,18 +12,19 @@ import sys
 
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
-from .errors import SizeLimitError, TwistError
+from .errors import InternalError, SizeLimitError, TwistError
 from .exactla import DEFAULT_MAX_MINORS
 from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction
-from .seifert import (SeifertMatrix, alexander_polynomial, branched_homology,
-                      character_jump, random_seifert_matrix,
+from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
+                      branched_homology, random_seifert_matrix,
                       resultant_order_check)
 
 EX_USAGE = 64
 EX_TOOBIG = 65
+EX_SOFTWARE = 70
 
 _INLINE_ALPHA = re.compile(r"Z/\d+:")
 
@@ -147,12 +148,14 @@ def _cmd_seifert(args) -> int:
     s = parse_inputs("seifert", path=args.file, fixture=args.fixture)
     if args.d is None and args.sweep is None:
         raise TwistError("give --d and/or --sweep")
+    if args.r is not None and args.d is None:
+        raise TwistError("--r needs --d: the character lives on the d-fold branched cover")
     alex = alexander_polynomial(s)
     lines = [f"alexander = {to_text(alex, var='t')}"]
     payload: dict = {"alexander": to_text(alex, var="t")}
     if args.d is not None:
-        hom = branched_homology(s, args.d)
-        check = resultant_order_check(s, args.d)
+        cover = branched_cover(s, args.d, args.r)
+        hom, check, jump = cover.homology, cover.check, cover.jump
         lines.append(
             f"H1 = {hom.group_text()}; resultant = {check.resultant}; "
             f"agree = {_bool_text(check.agree)}")
@@ -164,7 +167,6 @@ def _cmd_seifert(args) -> int:
             "agree": check.agree,
         })
         if args.r is not None:
-            jump = character_jump(s, args.d, args.r)
             if jump is None:
                 lines.append(f"no surjection onto Z/{args.r}")
                 payload["character_jump"] = None
@@ -367,6 +369,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EX_USAGE
     try:
         return args.func(args)
+    except InternalError as e:
+        print(f"twist: internal error: {e}", file=sys.stderr)
+        return EX_SOFTWARE
     except SizeLimitError as e:
         print(f"twist: size limit: {e}", file=sys.stderr)
         return EX_TOOBIG

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import laurent
-from .errors import CompatibilityError, NonSurjectiveError
+from .errors import CompatibilityError, InternalError, NonSurjectiveError
 from .exactla import (IntMatrix, LambdaMatrix, CokernelInvariants, char_poly,
                       cokernel_invariants, si_minus)
 from .freegrp import FreeEndo, Word, check_compatibility
@@ -118,7 +118,9 @@ def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
             edge_source[edge_target[v][g]][g] = v
     basis = tuple(sorted(
         (v, g) for v in range(order) for g in range(rank) if (v, g) not in tree_edges))
-    assert len(basis) == rank * order - order + 1
+    if len(basis) != rank * order - order + 1:
+        raise InternalError(f"spanning tree leaves {len(basis)} edges, "
+                            f"expected {rank * order - order + 1}")
     return CoverGraph(
         rank=rank,
         alpha=alpha,
@@ -162,7 +164,8 @@ def lift_action_matrix(cover: CoverGraph, f: FreeEndo) -> IntMatrix:
                 if k is not None:
                     vec[k] -= 1
                 cur = prev
-        assert cur == 0, "image of a kernel word did not close up at the basepoint"
+        if cur != 0:
+            raise InternalError("image of a kernel word did not close up at the basepoint")
         columns.append(vec)
     return IntMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 

@@ -25,6 +25,11 @@ class InvariantError(TwistError):
     """An input violates a structural invariant (e.g. det(S - S^T) != +-1)."""
 
 
+class InternalError(TwistError):
+    """An invariant broke inside a computation: a fault in the program, not
+    in its input."""
+
+
 class SizeLimitError(TwistError):
     """A computation exceeded a configured desk-scale bound."""
 

@@ -1,10 +1,10 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
-Smith normal form with unimodular transforms, cokernel invariants,
-surjections onto cyclic groups, a modular determinant kernel for linear
-pencils sX - Y (characteristic polynomials included), and fraction-free
-computations (rank, determinants, maximal-minor gcd) for presentation
-matrices over Z[s, s^-1].
+Smith normal form (with the left transform modulo r on request), cokernel
+invariants, surjections onto cyclic groups, a modular determinant kernel
+for linear pencils sX - Y (characteristic polynomials included), and
+fraction-free computations (rank, determinants, maximal-minor gcd) for
+presentation matrices over Z[s, s^-1].
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 
 from . import laurent
 from .errors import MinorLimitError
-from .laurent import LaurentPoly, _binpow
+from .laurent import LaurentPoly, _binpow, _crt_lift, _primes
 
 DEFAULT_MAX_MINORS = 100_000
 
@@ -147,111 +147,126 @@ class IntMatrix:
 
 
 @dataclasses.dataclass(frozen=True)
-class SmithDecomposition:
-    """U * A * V = D with U, V unimodular and D = diag(d) padded with zeros.
+class SmithForm:
+    """The Smith normal form diagonal d of a matrix A with ``rows`` rows:
+    U * A * V = diag(d), padded with zeros, for some unimodular U and V.
 
-    The diagonal is nonnegative, nonzero entries divide their successors,
-    and zeros come last.
+    d has min(rows, cols) entries; they are nonnegative, nonzero entries
+    divide their successors, and zeros come last.  When a modulus r was
+    asked for, ``u`` is that U with its entries reduced modulo r.
     """
 
     d: tuple[int, ...]
-    u: IntMatrix
-    v: IntMatrix
-    original_shape: tuple[int, int]
+    rows: int
+    r: int | None = None
+    u: IntMatrix | None = None
 
-    def diagonal_matrix(self) -> IntMatrix:
-        rows, cols = self.original_shape
-        m = [[0] * cols for _ in range(rows)]
-        for k, dk in enumerate(self.d):
-            m[k][k] = dk
-        return IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, ())
+    def cokernel(self) -> CokernelInvariants:
+        """Invariant factors != 1 and free rank of coker(A)."""
+        nonzero = [x for x in self.d if x]
+        return CokernelInvariants(torsion=tuple(x for x in nonzero if x > 1),
+                                  free_rank=self.rows - len(nonzero))
+
+    def character(self) -> tuple[int, ...] | None:
+        """A character on the row generators of coker(A) surjecting onto
+        Z_r, or None iff no surjection exists.
+
+        Generator i has coordinates U[:, i] with respect to the
+        diagonalized relations, and coordinate j there has order d_j
+        (0 meaning infinite).
+        """
+        r = self.r
+        if r is None:
+            raise ValueError("the character needs the Smith form taken with a modulus r")
+        diag = list(self.d) + [0] * (self.rows - len(self.d))
+        # gcd(0, r) == r: free generators carry full weight
+        weights = [(r // math.gcd(dj, r)) % r for dj in diag]
+        if math.gcd(r, *weights) != 1:
+            return None
+        u = self.u
+        return tuple(sum(w * u.at(j, i) for j, w in enumerate(weights)) % r
+                     for i in range(self.rows))
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms; deterministic for a fixed input.
+def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
+    """Smith normal form diagonal; with r, also the left transform U mod r.
 
     Pivots are chosen as the nonzero entry of minimal absolute value in the
     working submatrix (ties: lowest row, then lowest column), which keeps
-    intermediate entries small and the output reproducible.
+    intermediate entries small and the output reproducible.  Neither the
+    right transform nor an integer U is built: U only ever receives row
+    operations, so it is carried modulo r.
     """
     rows, cols = a.rows, a.cols
     m = a.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    u = None if r is None else [[int(i == j) % r for j in range(rows)] for i in range(rows)]
 
-    def row_addmul(i: int, j: int, q: int) -> None:
+    # At step k, rows and columns before k are zero off the diagonal, so
+    # operations on the working matrix only touch the trailing submatrix.
+    def row_addmul(i: int, j: int, q: int, k: int) -> None:
         # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_addmul(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for r in m:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
+        m[i][k:] = [x - q * y for x, y in zip(m[i][k:], m[j][k:])]
+        if u is not None:
+            qr = q % r
+            u[i] = [(x - qr * y) % r for x, y in zip(u[i], u[j])]
 
     def find_pivot(k: int) -> tuple[int, int] | None:
-        best = None
+        best, best_abs = None, 0
         for i in range(k, rows):
-            for j in range(k, cols):
-                x = m[i][j]
-                if x and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+            row = m[i]
+            low = min(map(abs, filter(None, row[k:])), default=0)
+            if low and (not best_abs or low < best_abs):
+                j = next(j for j in range(k, cols) if abs(row[j]) == low)
+                best, best_abs = (i, j), low
         return best
 
     for k in range(min(rows, cols)):
-        while True:
-            piv = find_pivot(k)
-            if piv is None:
-                break
+        piv = find_pivot(k)
+        while piv is not None:
             i, j = piv
             if i != k:
                 m[k], m[i] = m[i], m[k]
-                u[k], u[i] = u[i], u[k]
+                if u is not None:
+                    u[k], u[i] = u[i], u[k]
             if j != k:
-                for r in m:
-                    r[k], r[j] = r[j], r[k]
-                for r in v:
-                    r[k], r[j] = r[j], r[k]
+                for row in m[k:]:
+                    row[k], row[j] = row[j], row[k]
             pivot = m[k][k]
             clean = True
             for i in range(k + 1, rows):
                 if m[i][k]:
-                    row_addmul(i, k, m[i][k] // pivot)
+                    row_addmul(i, k, m[i][k] // pivot, k)
                     if m[i][k]:
                         clean = False
+            # col_j -= q * col_k, on the rows where col_k is nonzero
+            touched = [row for row in m[k:] if row[k]]
             for j in range(k + 1, cols):
                 if m[k][j]:
-                    col_addmul(j, k, m[k][j] // pivot)
+                    q = m[k][j] // pivot
+                    for row in touched:
+                        row[j] -= q * row[k]
                     if m[k][j]:
                         clean = False
-            if not clean:
-                continue
-            # Ensure the pivot divides every remaining entry before moving on.
-            fixed = True
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if m[i][j] % pivot:
-                        row_addmul(k, i, -1)
-                        fixed = False
-                        break
-                if not fixed:
+            if clean:
+                # Ensure the pivot divides every remaining entry before moving on.
+                bad = next((i for i in range(k + 1, rows)
+                            if any(x % pivot for x in m[i][k + 1:])), None)
+                if bad is None:
                     break
-            if fixed:
-                break
-        if find_pivot(k) is None:
+                row_addmul(k, bad, -1, k)
+            piv = find_pivot(k)
+        if piv is None:
             break
 
+    d = []
     for k in range(min(rows, cols)):
         if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-            u[k] = [-x for x in u[k]]
-
-    d = tuple(m[k][k] for k in range(min(rows, cols)))
-    u_m = IntMatrix(rows, rows, [x for r in u for x in r])
-    v_m = IntMatrix(cols, cols, [x for r in v for x in r])
-    return SmithDecomposition(d=d, u=u_m, v=v_m, original_shape=(rows, cols))
+            m[k][k] = -m[k][k]
+            if u is not None:
+                u[k] = [-x % r for x in u[k]]
+        d.append(m[k][k])
+    u_m = None if u is None else IntMatrix(rows, rows, [x for row in u for x in row])
+    return SmithForm(d=tuple(d), rows=rows, r=r, u=u_m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,34 +297,16 @@ class CokernelInvariants:
 
 def cokernel_invariants(a: IntMatrix) -> CokernelInvariants:
     """Invariant factors != 1 and free rank of the cokernel of A."""
-    snf = smith_normal_form(a)
-    nonzero = [x for x in snf.d if x]
-    torsion = tuple(x for x in nonzero if x > 1)
-    return CokernelInvariants(torsion=torsion, free_rank=a.rows - len(nonzero))
+    return smith_normal_form(a).cokernel()
 
 
 def surjection_onto_cyclic(a: IntMatrix, r: int) -> tuple[int, ...] | None:
-    """A character on the row generators of coker(A) surjecting onto Z_r.
-
-    Built from the left Smith transform: generator i has coordinates
-    U[:, i] with respect to the diagonalized relations, and coordinate j
-    there has order d_j (0 meaning infinite).  Returns None iff no
-    surjection exists.
-    """
+    """A character on the row generators of coker(A) surjecting onto Z_r,
+    built from the left Smith transform modulo r.  Returns None iff no
+    surjection exists."""
     if r < 2:
         raise ValueError("cyclic target must have order >= 2")
-    snf = smith_normal_form(a)
-    diag = list(snf.d) + [0] * (a.rows - len(snf.d))
-    weights = []
-    for dj in diag:
-        mj = math.gcd(dj, r)  # gcd(0, r) == r: free generators carry full weight
-        weights.append((r // mj) % r)
-    if math.gcd(r, *weights) != 1:
-        return None
-    chi = []
-    for i in range(a.rows):
-        chi.append(sum(w * snf.u.at(j, i) for j, w in enumerate(weights)) % r)
-    return tuple(chi)
+    return smith_normal_form(a, r).character()
 
 
 def char_poly(h: IntMatrix) -> LaurentPoly:
@@ -321,51 +318,11 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
 
 # -- determinants of linear pencils --------------------------------------------
 #
-# det(sX - Y) for integer matrices X, Y is found modulo a fixed sequence of
-# word-sized primes and lifted by the Chinese remainder theorem.  Modulo p,
-# det(sX - Y) = det(X) * det(sI - X^-1 Y), and the characteristic polynomial
-# of X^-1 Y comes from its Hessenberg form.  No coefficient exceeds
-# prod_i sum_j (|x_ij| + |y_ij|) in absolute value (bound the Leibniz
-# expansion term by term), so primes are added until their product exceeds
-# twice that bound, and symmetric residues then give the coefficients.
-
-# Miller-Rabin with these bases is deterministic for every n < 3.3 * 10^24.
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMES: list[int] = []  # the kernel's primes, descending from 2^61 - 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(k: int) -> int:
-    """The k-th prime (from 0) below 2^61, counting down from 2^61 - 1."""
-    while len(_PRIMES) <= k:
-        q = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
-        while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[k]
-
+# det(sX - Y) for integer matrices X, Y is found modulo the CRT primes of
+# laurent._crt_lift.  Modulo p, det(sX - Y) = det(X) * det(sI - X^-1 Y), and
+# the characteristic polynomial of X^-1 Y comes from its Hessenberg form.  No
+# coefficient exceeds prod_i sum_j (|x_ij| + |y_ij|) in absolute value (bound
+# the Leibniz expansion term by term).
 
 def _inverse_times_mod(x: list[list[int]], y: list[list[int]],
                        p: int) -> tuple[list[list[int]], int] | None:
@@ -445,26 +402,20 @@ def _pencil_det(x: list[list[int]] | None, y: list[list[int]]) -> LaurentPoly | 
     bound = 1
     for i in range(n):
         bound *= sum(map(abs, y[i])) + (1 if x is None else sum(map(abs, x[i])))
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    k = 0
-    while modulus <= 2 * bound:
-        p = _prime(k)
-        k += 1
-        if x is None:
-            m, scale = [[v % p for v in r] for r in y], 1
-        else:
-            solved = _inverse_times_mod(x, y, p)
-            if solved is None:
-                return None
-            m, scale = solved
-        residues = _char_poly_mod(m, p)
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r * scale - c) * inv % p)
-                  for c, r in zip(coeffs, residues)]
-        modulus *= p
-    half = modulus // 2
-    return LaurentPoly(0, [c - modulus if c > half else c for c in coeffs])
+
+    def residues():
+        for p in _primes():
+            if x is None:
+                m, scale = [[v % p for v in r] for r in y], 1
+            else:
+                solved = _inverse_times_mod(x, y, p)
+                if solved is None:
+                    return
+                m, scale = solved
+            yield p, [c * scale % p for c in _char_poly_mod(m, p)]
+
+    coeffs = _crt_lift(bound, n + 1, residues())
+    return None if coeffs is None else LaurentPoly(0, coeffs)
 
 
 # -- matrices over Z[s, s^-1] --------------------------------------------------

@@ -328,7 +328,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, [c * x for x in a])
 
 
-# -- resultants ---------------------------------------------------------------
+# -- integer determinants -----------------------------------------------------
 
 
 def _det_int(rows: list[list[int]]) -> int:
@@ -357,31 +357,157 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+# -- modular arithmetic ---------------------------------------------------------
+#
+# Exact integers too large to compute directly (determinants, resultants) are
+# found modulo a fixed sequence of word-sized primes and lifted by the Chinese
+# remainder theorem.  _crt_lift is the one CRT loop: it stops as soon as the
+# modulus exceeds twice a bound on the answer, so symmetric residues are the
+# answer itself.
+
+# Miller-Rabin with these bases is deterministic for every n < 3.3 * 10^24.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES: list[int] = []  # the CRT primes, descending from 2^61 - 1
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The k-th prime (from 0) below 2^61, counting down from 2^61 - 1."""
+    while len(_PRIMES) <= k:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[k]
+
+
+def _primes() -> Iterator[int]:
+    """_prime(0), _prime(1), ... without end."""
+    k = 0
+    while True:
+        yield _prime(k)
+        k += 1
+
+
+def _crt_lift(bound: int, length: int, residues) -> list[int] | None:
+    """The ``length`` integers v_i, all |v_i| <= bound, from ``residues``:
+    an iterator of (prime, [v_i mod prime]) pairs over distinct primes.
+
+    Draws pairs until the product of their primes exceeds 2 * bound, then
+    returns the symmetric residues; returns None if the iterator runs out
+    first.
+    """
+    values = [0] * length
+    modulus = 1
+    while modulus <= 2 * bound:
+        pair = next(residues, None)
+        if pair is None:
+            return None
+        p, rs = pair
+        inv = pow(modulus, -1, p)
+        values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, rs)]
+        modulus *= p
+    half = modulus // 2
+    return [v - modulus if v > half else v for v in values]
+
+
+# -- resultants ---------------------------------------------------------------
+
+
+def _polymod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f over Z/p, ascending coefficients, trimmed; f[-1] is a unit."""
+    a = list(a)
+    n = len(f) - 1
+    inv = pow(f[-1], -1, p)
+    low = f[:n]
+    for k in range(len(a) - 1, n - 1, -1):
+        q = a[k] * inv % p
+        if q:  # a -= q t^(k-n) f, which clears a[k]
+            a[k - n : k] = [x - q * y for x, y in zip(a[k - n : k], low)]
+    return _trim([x % p for x in a[:n]])
+
+
+def _mulmod(x: list[int], y: list[int], f: list[int], p: int) -> list[int]:
+    """x * y mod f over Z/p."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            prod[i : i + len(y)] = [c + xi * yj for c, yj in zip(prod[i : i + len(y)], y)]
+    return _polymod(prod, f, p)
+
+
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p by the Euclidean algorithm over Z/p; a and b are
+    trimmed ascending coefficient lists of degree >= 0 with units on top.
+
+    Res(a, b) = (-1)^(deg a deg b) Res(b, a), and with a = qb + c,
+    Res(b, a) = lc(b)^(deg a - deg c) Res(b, c).
+    """
+    res = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        c = _polymod(a, b, p)
+        if not c:
+            return 0
+        if m * n % 2:
+            res = -res
+        res = res * pow(b[-1], m - (len(c) - 1), p) % p
+        a, b = b, c
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
 def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     """|Res(p^, t^d - 1)| over Z, where p^ is the polynomial-part associate of p.
 
     Equals the absolute value of the product of p over all d-th roots of
-    unity, computed exactly via a Sylvester determinant.
+    unity.  Modulo each CRT prime that does not divide the leading
+    coefficient, t^d is reduced modulo p^ by square-and-multiply and the
+    resultant is finished by the Euclidean algorithm; the product over roots
+    of unity is at most ||p||_1^d in absolute value.
     """
     if p.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
     if d < 1:
         raise ValueError("d must be a positive integer")
     f = list(p.coeffs)  # associate with lowest exponent 0
-    n = len(f) - 1
-    if n == 0:
+    if len(f) == 1:
         return abs(f[0]) ** d
-    g = [-1] + [0] * (d - 1) + [1]  # t^d - 1, ascending
-    size = n + d
-    fd = f[::-1]
-    gd = g[::-1]
-    rows = []
-    for i in range(d):
-        rows.append([0] * i + fd + [0] * (d - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gd + [0] * (n - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return abs(_det_int(rows))
+
+    def residues():
+        for q in _primes():
+            if f[-1] % q == 0:
+                continue
+            fq = [c % q for c in f]
+            h = _binpow(_polymod([0, 1], fq, q), d,
+                        lambda x, y: _mulmod(x, y, fq, q), None) or [0]  # t^d mod f
+            g = _trim([(h[0] - 1) % q] + h[1:])  # (t^d - 1) mod f
+            # Res(f, t^d - 1) = lc(f)^(d - deg g) Res(f, g)
+            res = pow(fq[-1], d - len(g) + 1, q) * _resultant_mod(fq, g, q) if g else 0
+            yield q, [res % q]
+
+    return abs(_crt_lift(sum(map(abs, f)) ** d, 1, residues())[0])
 
 
 # -- text form ----------------------------------------------------------------

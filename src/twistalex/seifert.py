@@ -11,7 +11,8 @@ import random
 from . import laurent
 from .errors import InvariantError
 from .exactla import (CokernelInvariants, IntMatrix, LambdaMatrix,
-                      cokernel_invariants, surjection_onto_cyclic)
+                      cokernel_invariants, smith_normal_form,
+                      surjection_onto_cyclic)
 from .laurent import LaurentPoly
 
 
@@ -107,10 +108,7 @@ def resultant_order_check(s: SeifertMatrix, d: int) -> ResultantCheck:
     resultant over the d-th roots of unity."""
     if d < 2:
         raise ValueError("needs d >= 2")
-    hom = branched_homology(s, d)
-    snf_order = hom.order if hom.order is not None else 0
-    res = laurent.resultant_with_cyclotomic(alexander_polynomial(s), d)
-    return ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
+    return branched_cover(s, d).check
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,11 +160,13 @@ def character_jump(s: SeifertMatrix, d: int, r: int) -> CharacterJump | None:
     """
     if d < 2 or r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
-    pres = branched_presentation(s, d)
-    chi = surjection_onto_cyclic(pres, r)
+    return _character_jump(surjection_onto_cyclic(branched_presentation(s, d), r),
+                           s.size, d, r)
+
+
+def _character_jump(chi, m: int, d: int, r: int) -> CharacterJump | None:
     if chi is None:
         return None
-    m = s.size
     sheets = tuple(tuple(chi[j * m + i] for i in range(m)) for j in range(d - 1))
 
     def find_jump():
@@ -185,6 +185,32 @@ def character_jump(s: SeifertMatrix, d: int, r: int) -> CharacterJump | None:
     i, j, diff = found
     order = r // math.gcd(diff % r, r)
     return CharacterJump(character=sheets, jump=(i, j), order=order)
+
+
+@dataclasses.dataclass(frozen=True)
+class BranchedCover:
+    """H1 of the d-fold branched cyclic cover, its resultant cross-check,
+    and, when a target order r was given, the character jump onto Z_r
+    (None when there is no surjection onto Z_r, or no r)."""
+
+    homology: CokernelInvariants
+    check: ResultantCheck
+    jump: CharacterJump | None
+
+
+def branched_cover(s: SeifertMatrix, d: int, r: int | None = None) -> BranchedCover:
+    """branched_homology, resultant_order_check and, for r, character_jump
+    at once, from a single Smith elimination of the branched presentation."""
+    pres = branched_presentation(s, d)
+    if r is not None and r < 2:
+        raise ValueError("needs d >= 2 and r >= 2")
+    smith = smith_normal_form(pres, r)
+    hom = smith.cokernel()
+    snf_order = hom.order if hom.order is not None else 0
+    res = laurent.resultant_with_cyclotomic(alexander_polynomial(s), d)
+    check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
+    jump = None if r is None else _character_jump(smith.character(), s.size, d, r)
+    return BranchedCover(homology=hom, check=check, jump=jump)
 
 
 def random_seifert_matrix(size: int, rng: random.Random, spread: int = 2) -> SeifertMatrix:

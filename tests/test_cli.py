@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistalex import formats
+from twistalex import cover, exactla, formats, seifert
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -117,6 +117,36 @@ class TestSeifertCommand:
         assert code == 0
         assert "alexander = 1" in out
         assert "H1 = 0; resultant = 1; agree = false" not in out
+
+
+    def test_r_without_d_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                             "--sweep", "3", "--r", "5")
+        assert code == 64 and out == ""
+        assert "--r needs --d" in err
+
+    def test_one_smith_elimination_per_job(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(a, r=None):
+            calls.append((a.rows, r))
+            return smith(a, r)
+
+        smith = exactla.smith_normal_form
+        for module in (exactla, seifert):  # every binding the pipeline reaches
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+        code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                           "--d", "3", "--r", "2", "--json")
+        payload = json.loads(raw)
+        assert code == 0 and payload["h1_order"] == 16 and payload["character_jump"]
+        assert calls == [(4, 2)]
+
+        for argv, message in ((("--d", "2", "--r", "1"), "needs d >= 2 and r >= 2"),
+                              (("--d", "1", "--r", "2"), "branched presentation needs d >= 2"),
+                              (("--d", "1"), "branched presentation needs d >= 2")):
+            code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                                 *argv, "--json")
+            assert (code, out, err) == (64, "", f"twist: error: {message}\n")
 
 
 class TestResultantCommand:
@@ -235,6 +265,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "homcheck", "--presentation", str(pres),
                            "--hom", str(hom))
         assert code == 65
+
+
+    def test_internal_fault_exits_70(self, capsys, monkeypatch):
+        # With the compatibility check bypassed, an alpha whose kernel the
+        # map does not preserve lifts kernel words to open paths, which the
+        # lift's own check reports as a broken invariant.
+        monkeypatch.setattr(cover, "check_compatibility", lambda f, alpha: True)
+        code, out, err = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
+                             "--d", "1", "--alpha", "Z/3:x=1,y=0")
+        assert code == 70 and out == ""
+        assert err.startswith("twist: internal error: ") and "did not close up" in err
 
 
 class TestSelftest:

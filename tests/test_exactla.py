@@ -2,15 +2,20 @@ import itertools
 import math
 import random
 
-import pytest
+from typing import NamedTuple
 
-from twistalex import exactla
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistalex import exactla, laurent
 from twistalex.errors import MinorLimitError
 from twistalex.exactla import (IntMatrix, LambdaMatrix, _det_lambda, adjugate,
                                char_poly, cokernel_invariants, maximal_minor_gcd,
                                rank_over_fractions, si_minus,
                                smith_normal_form, surjection_onto_cyclic)
 from twistalex.laurent import LaurentPoly, ZERO, canonicalize, parse_laurent
+from twistalex.seifert import branched_presentation, random_seifert_matrix
 
 
 def P(text):
@@ -38,6 +43,108 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9) -> IntMatrix:
     return IntMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
 
 
+class Smith(NamedTuple):
+    d: tuple[int, ...]
+    u: IntMatrix
+    v: IntMatrix
+
+    def diagonal_matrix(self) -> IntMatrix:
+        rows, cols = self.u.rows, self.v.cols
+        return IntMatrix(rows, cols, [self.d[i] if i == j and i < len(self.d) else 0
+                                      for i in range(rows) for j in range(cols)])
+
+
+def smith_with_transforms(a: IntMatrix) -> Smith:
+    """Smith normal form with both integer transforms, U * A * V = D: the
+    transform-tracking elimination that smith_normal_form replaced, kept as
+    its oracle.  It makes the same pivot choices and the same operations on
+    the working matrix, over every row and column."""
+    rows, cols = a.rows, a.cols
+    m = a.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+
+    def row_addmul(i: int, j: int, q: int) -> None:
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_addmul(i: int, j: int, q: int) -> None:
+        for r in m:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def find_pivot(k: int) -> tuple[int, int] | None:
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                x = m[i][j]
+                if x and (best is None or abs(x) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    for k in range(min(rows, cols)):
+        while True:
+            piv = find_pivot(k)
+            if piv is None:
+                break
+            i, j = piv
+            if i != k:
+                m[k], m[i] = m[i], m[k]
+                u[k], u[i] = u[i], u[k]
+            if j != k:
+                for r in m:
+                    r[k], r[j] = r[j], r[k]
+                for r in v:
+                    r[k], r[j] = r[j], r[k]
+            pivot = m[k][k]
+            clean = True
+            for i in range(k + 1, rows):
+                if m[i][k]:
+                    row_addmul(i, k, m[i][k] // pivot)
+                    if m[i][k]:
+                        clean = False
+            for j in range(k + 1, cols):
+                if m[k][j]:
+                    col_addmul(j, k, m[k][j] // pivot)
+                    if m[k][j]:
+                        clean = False
+            if not clean:
+                continue
+            fixed = True
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if m[i][j] % pivot:
+                        row_addmul(k, i, -1)
+                        fixed = False
+                        break
+                if not fixed:
+                    break
+            if fixed:
+                break
+        if find_pivot(k) is None:
+            break
+
+    for k in range(min(rows, cols)):
+        if m[k][k] < 0:
+            m[k] = [-x for x in m[k]]
+            u[k] = [-x for x in u[k]]
+
+    d = tuple(m[k][k] for k in range(min(rows, cols)))
+    return Smith(d, IntMatrix(rows, rows, [x for r in u for x in r]),
+                 IntMatrix(cols, cols, [x for r in v for x in r]))
+
+
+def character_from_transform(d, u: IntMatrix, r: int):
+    """The character of SmithForm.character, read off an integer U."""
+    diag = list(d) + [0] * (u.rows - len(d))
+    weights = [(r // math.gcd(dj, r)) % r for dj in diag]
+    if math.gcd(r, *weights) != 1:
+        return None
+    return tuple(sum(w * u.at(j, i) for j, w in enumerate(weights)) % r
+                 for i in range(u.rows))
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         assert smith_normal_form(IntMatrix.identity(3)).d == (1, 1, 1)
@@ -52,16 +159,19 @@ class TestSmithNormalForm:
 
     def test_empty_shapes(self):
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
-            snf = smith_normal_form(IntMatrix.zeros(rows, cols))
-            assert snf.d == ()
-            assert snf.u.rows == rows and snf.v.cols == cols
+            snf = smith_normal_form(IntMatrix.zeros(rows, cols), 5)
+            assert snf.d == () and snf.rows == rows
+            assert snf.u == IntMatrix.identity(rows)
+            oracle = smith_with_transforms(IntMatrix.zeros(rows, cols))
+            assert oracle.u.rows == rows and oracle.v.cols == cols
 
     def test_reconstruction_on_random_matrices(self):
+        # U * A * V = D for the oracle; the fast routine must match its diagonal
         rng = random.Random(11)
         for _ in range(120):
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             a = random_matrix(rng, rows, cols)
-            snf = smith_normal_form(a)
+            snf = smith_with_transforms(a)
             assert snf.u * a * snf.v == snf.diagonal_matrix()
             assert abs(brute_det(snf.u) if rows <= 6 else snf.u.det()) == 1
             assert abs(brute_det(snf.v) if cols <= 6 else snf.v.det()) == 1
@@ -71,10 +181,81 @@ class TestSmithNormalForm:
             assert list(d[:len(nonzero)]) == nonzero, "zeros must come last"
             for x, y in zip(nonzero, nonzero[1:]):
                 assert y % x == 0
+            assert smith_normal_form(a).d == d
 
     def test_deterministic(self):
         a = IntMatrix.from_rows([[6, 4, 2], [4, 8, 0], [2, 0, 10]])
         assert smith_normal_form(a) == smith_normal_form(a)
+        assert smith_normal_form(a, 6) == smith_normal_form(a, 6)
+
+    def test_no_transform_without_modulus(self):
+        snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+        assert snf.u is None and snf.r is None and snf.d == (2, 4)
+        with pytest.raises(ValueError):
+            snf.character()
+
+
+MODULI = (2, 3, 4, 6, 12, 2**61 - 1)
+
+
+def oracle_agrees(a: IntMatrix, r: int) -> None:
+    """smith_normal_form(a, r) against the transform oracle: the same
+    diagonal, U mod r, and character onto Z/r."""
+    fast = smith_normal_form(a, r)
+    slow = smith_with_transforms(a)
+    assert fast.d == slow.d
+    assert fast.u == IntMatrix(a.rows, a.rows, [x % r for x in slow.u.entries])
+    assert fast.character() == character_from_transform(slow.d, slow.u, r)
+    assert surjection_onto_cyclic(a, r) == fast.character()
+
+
+class TestSmithAgainstOracle:
+    def test_random_shapes(self):
+        rng = random.Random(71)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            a = random_matrix(rng, rows, cols, *rng.choice(((-3, 3), (-9, 9), (-200, 200))))
+            oracle_agrees(a, rng.choice(MODULI))
+
+    def test_square_rectangular_zero_and_empty(self):
+        rng = random.Random(73)
+        shapes = [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)]
+        for r in MODULI:
+            for rows, cols in shapes:
+                oracle_agrees(random_matrix(rng, rows, cols), r)
+                oracle_agrees(IntMatrix.zeros(rows, cols), r)
+            for rows, cols in ((0, 0), (0, 4), (4, 0)):
+                oracle_agrees(IntMatrix.zeros(rows, cols), r)
+
+    def test_singular(self):
+        rng = random.Random(79)
+        for r in MODULI:
+            for n in (2, 3, 5):
+                rows = random_matrix(rng, n, n).to_rows()
+                q = rng.randint(-3, 3)
+                rows[-1] = [x + q * y for x, y in zip(rows[0], rows[-2])]  # det = 0
+                a = IntMatrix.from_rows(rows)
+                assert smith_normal_form(a).d[-1] == 0
+                oracle_agrees(a, r)
+                oracle_agrees(a.transpose(), r)
+
+    def test_branched_presentations(self):
+        # the Seifert pipeline's own matrices, diagonals with many factors
+        rng = random.Random(83)
+        for _ in range(6):
+            s = random_seifert_matrix(rng.choice((2, 4)), rng)
+            a = branched_presentation(s, rng.randint(2, 5))
+            for r in MODULI:
+                oracle_agrees(a, r)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda rows: st.integers(0, 5).flatmap(
+               lambda cols: st.lists(st.integers(-12, 12), min_size=rows * cols,
+                                     max_size=rows * cols).map(
+                   lambda ents: IntMatrix(rows, cols, ents)))),
+           st.sampled_from(MODULI))
+    def test_hypothesis(self, a, r):
+        oracle_agrees(a, r)
 
 
 class TestCokernel:
@@ -309,7 +490,7 @@ class TestPencilDeterminant:
         assert len(bareiss_calls) == 10
 
     def test_x_singular_modulo_first_prime_falls_back(self, bareiss_calls):
-        p = exactla._prime(0)
+        p = laurent._prime(0)
         rng = random.Random(61)
         for _ in range(5):
             n = rng.randint(2, 4)
@@ -328,14 +509,14 @@ class TestPencilDeterminant:
 
     def test_prime_sequence(self):
         sieve = [n for n in range(2, 2000) if all(n % q for q in range(2, int(n**0.5) + 1))]
-        assert [n for n in range(2000) if exactla._is_prime(n)] == sieve
+        assert [n for n in range(2000) if laurent._is_prime(n)] == sieve
         # strong pseudoprimes to several small bases, and Carmichael numbers
         for n in (561, 41041, 3215031751, 3825123056546413051):
-            assert not exactla._is_prime(n)
-        primes = [exactla._prime(k) for k in range(4)]
+            assert not laurent._is_prime(n)
+        primes = [laurent._prime(k) for k in range(4)]
         assert primes[0] == 2**61 - 1
         assert primes == sorted(set(primes), reverse=True)
-        assert all(exactla._is_prime(q) for q in primes)
+        assert all(laurent._is_prime(q) for q in primes)
 
 
 class TestLambdaMatrix:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistalex import laurent
 from twistalex.errors import ParseError
-from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
+from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, _det_int, canonicalize,
                                divexact, divides, gcd, is_monic,
                                parse_laurent, resultant_with_cyclotomic,
                                to_text)
@@ -120,6 +121,123 @@ class TestIsMonic:
     @given(nonzero_polys, nonzero_polys)
     def test_multiplicative(self, p, q):
         assert is_monic(p * q) == (is_monic(p) and is_monic(q))
+
+
+def sylvester(a: list[int], b: list[int]) -> int:
+    """Res(a, b) for ascending coefficient lists of degrees m, n >= 1, as
+    the Bareiss determinant of the (m + n)-square Sylvester matrix."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return _det_int(rows)
+
+
+def sylvester_resultant(p: LaurentPoly, d: int) -> int:
+    """|Res(p^, t^d - 1)| from the Sylvester determinant: the elimination
+    resultant_with_cyclotomic replaced, kept as its oracle."""
+    f = list(p.coeffs)
+    if len(f) == 1:
+        return abs(f[0]) ** d
+    return abs(sylvester(f, [-1] + [0] * (d - 1) + [1]))
+
+
+@pytest.fixture
+def resultant_primes(monkeypatch):
+    """The primes at which resultant_with_cyclotomic runs a Euclidean resultant."""
+    used = []
+
+    def recorded(a, b, p):
+        used.append(p)
+        return euclid(a, b, p)
+
+    euclid = laurent._resultant_mod
+    monkeypatch.setattr(laurent, "_resultant_mod", recorded)
+    return used
+
+
+class TestResultantAgainstSylvester:
+    def test_random(self):
+        rng = random.Random(89)
+        for _ in range(150):
+            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(1, 8))]
+            p = LaurentPoly(rng.randint(-4, 4), coeffs)
+            if p.is_zero:
+                continue
+            d = rng.randint(1, 14)
+            assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d)
+
+    def test_degree_one_cover(self):
+        # d = 1: |Res(p, t - 1)| = |p(1)|
+        for text in ("t^2 - 3t + 1", "2t^3 - t + 5", "t - 1", "7"):
+            p = P(text)
+            assert resultant_with_cyclotomic(p, 1) == sylvester_resultant(p, 1) == abs(p.evaluate(1))
+
+    def test_constant(self):
+        for c in (1, -1, 3, -5, 2**40):
+            for d in (1, 2, 7):
+                p = LaurentPoly.const(c)
+                assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d) == abs(c) ** d
+
+    def test_common_root_with_t_d_minus_1(self):
+        rng = random.Random(97)
+        for _ in range(30):
+            d = rng.randint(1, 12)
+            k = rng.choice([m for m in range(1, d + 1) if d % m == 0])
+            cyclotomic_factor = LaurentPoly(0, [-1] + [0] * (k - 1) + [1])  # t^k - 1 divides t^d - 1
+            other = LaurentPoly(0, [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
+            p = cyclotomic_factor * other
+            assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d) == 0
+
+    def test_negative_low_exponent(self):
+        rng = random.Random(101)
+        for _ in range(30):
+            coeffs = [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(4)] + [rng.randint(1, 9)]
+            d = rng.randint(2, 9)
+            shifted = LaurentPoly(rng.randint(-6, -1), coeffs)
+            assert (resultant_with_cyclotomic(shifted, d)
+                    == resultant_with_cyclotomic(LaurentPoly(0, coeffs), d)
+                    == sylvester_resultant(shifted, d))
+
+    def test_leading_coefficient_divisible_by_first_prime(self, resultant_primes):
+        q = laurent._prime(0)
+        rng = random.Random(103)
+        for _ in range(10):
+            p = LaurentPoly(0, [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [q])
+            d = rng.randint(1, 9)
+            assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d)
+        assert resultant_primes and q not in resultant_primes
+        assert laurent._prime(1) in resultant_primes
+
+    def test_huge_coefficients_need_many_primes(self, resultant_primes):
+        rng = random.Random(107)
+        for _ in range(10):
+            coeffs = [rng.randint(2**70 - 2**20, 2**70) * rng.choice((-1, 1))
+                      for _ in range(rng.randint(2, 5))]
+            d = rng.randint(2, 9)
+            p = LaurentPoly(0, coeffs)
+            del resultant_primes[:]
+            assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d)
+            assert len(resultant_primes) > d  # over 70 bits a root of unity, 61 a prime
+
+    def test_euclid_mod_p_keeps_the_sign(self):
+        # the CRT lift needs the signed resultant at every prime
+        rng = random.Random(113)
+        for q in (10007, laurent._prime(0)):
+            for _ in range(60):
+                a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)]
+                b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)]
+                got = laurent._resultant_mod([c % q for c in a], [c % q for c in b], q)
+                assert got == sylvester(a, b) % q
+
+    def test_bound_covers_products_over_roots_of_unity(self):
+        # the result never exceeds ||p||_1^d, so the prime count always suffices
+        rng = random.Random(109)
+        for _ in range(40):
+            p = LaurentPoly(0, [rng.choice((-1, 1)) * rng.randint(0, 3) for _ in range(6)] + [1])
+            d = rng.randint(1, 10)
+            value = resultant_with_cyclotomic(p, d)
+            assert value == sylvester_resultant(p, d)
+            assert value <= sum(map(abs, p.coeffs)) ** d
 
 
 class TestResultant:

@@ -8,7 +8,8 @@ from twistalex.exactla import IntMatrix
 from twistalex.fixtures import load_fixture
 from twistalex.laurent import LaurentPoly, parse_laurent
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial,
-                               branched_homology, branched_presentation,
+                               branched_cover, branched_homology,
+                               branched_presentation,
                                character_jump, monodromy_power_presentation,
                                random_seifert_matrix, resultant_order_check)
 
@@ -197,6 +198,25 @@ class TestCharacterJump:
                 right = jump.character[j][i - 1] if j <= d - 2 else 0
                 assert (left - right) % r != 0
                 found += 1
+
+
+class TestBranchedCover:
+    def test_matches_the_separate_pipelines(self):
+        rng = random.Random(6)
+        for _ in range(15):
+            s = random_seifert_matrix(rng.choice((2, 4)), rng)
+            d = rng.randint(2, 5)
+            for r in (None, 2, 3, 5, 6):
+                cover = branched_cover(s, d, r)
+                assert cover.homology == branched_homology(s, d)
+                assert cover.check == resultant_order_check(s, d)
+                assert cover.jump == (None if r is None else character_jump(s, d, r))
+
+    def test_rejects_small_d_and_r(self):
+        with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
+            branched_cover(TREFOIL, 1, 1)
+        with pytest.raises(ValueError, match="needs d >= 2 and r >= 2"):
+            branched_cover(TREFOIL, 2, 1)
 
 
 def _prime_factors(n: int) -> set[int]:
