@@ -19,7 +19,7 @@ from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
                        verify_homomorphism)
 from .cover import (CoverGraph, TwistedInvariants,
                     branched_cover_homology_from_monodromy, build_cover,
-                    lift_action_matrix, twisted_invariants)
+                    lift_power_matrix, twisted_invariants)
 from .seifert import (BranchedCover, CharacterJump, MonodromyPower,
                       ResultantCheck, SeifertMatrix, alexander_polynomial,
                       branched_cover, branched_homology,

@@ -154,7 +154,7 @@ def _cmd_seifert(args) -> int:
     lines = [f"alexander = {to_text(alex, var='t')}"]
     payload: dict = {"alexander": to_text(alex, var="t")}
     if args.d is not None:
-        cover = branched_cover(s, args.d, args.r)
+        cover = branched_cover(s, args.d, args.r, alex)
         hom, check, jump = cover.homology, cover.check, cover.jump
         lines.append(
             f"H1 = {hom.group_text()}; resultant = {check.resultant}; "

@@ -5,9 +5,9 @@ The cover of the one-vertex graph with n loops attached to a surjection
 alpha onto a finite group G has vertex set G and an edge g -> g*alpha(x_i)
 for every vertex g and loop x_i.  Loops at the base lift to edge paths;
 the first homology of the cover is free on the edges outside a spanning
-tree.  A compatible monodromy power fixes every vertex of the cover, and
-its action on basis cycles is read off by spelling image words as edge
-paths and recording the non-tree edges they cross.
+tree.  A compatible monodromy power fixes every vertex of the cover; its
+action on basis cycles is a product of chain maps, one per factor of the
+power, each spelling f's own short images as edge paths.
 """
 
 from __future__ import annotations
@@ -15,12 +15,20 @@ from __future__ import annotations
 import dataclasses
 
 from . import laurent
-from .errors import CompatibilityError, InternalError, NonSurjectiveError
+from .errors import (CompatibilityError, InternalError, LiftSizeError,
+                     NonSurjectiveError)
 from .exactla import (IntMatrix, LambdaMatrix, CokernelInvariants, char_poly,
                       cokernel_invariants, si_minus)
-from .freegrp import FreeEndo, Word, check_compatibility
+from .freegrp import FreeEndo, check_compatibility
 from .grouphom import FiniteHom, generated_subgroup_order
 from .laurent import LaurentPoly
+
+# Cap on the work of the chain-map product in lift_power_matrix, counted in
+# inner-loop operations: each of the d steps is charged an upper bound on
+# its operations times the 64-bit limbs of its largest entry.  The
+# figure-eight map at d = 100 over Z/25 spends about 8e5; a run that
+# reaches the cap takes a few seconds.
+MAX_LIFT_WORK = 2 * 10**7
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -28,17 +36,17 @@ class CoverGraph:
     """The regular cover of an n-loop bouquet attached to alpha.
 
     Vertices are group elements in discovery order (identity first); the
-    spanning tree is grown from the identity in generator-index order.
-    The homology basis is the sorted list of non-tree edges (vertex index,
-    generator index).
+    spanning tree is grown from the identity in generator-index order, and
+    ``tree[v]`` is the tree edge (vertex index, generator index) that
+    enters v (None at the identity).  The homology basis is the sorted list
+    of non-tree edges.
     """
 
     rank: int
     alpha: FiniteHom
     vertices: tuple
     edge_target: tuple[tuple[int, ...], ...]
-    edge_source: tuple[tuple[int, ...], ...]
-    tree_words: tuple[Word, ...]
+    tree: tuple[tuple[int, int] | None, ...]
     basis: tuple[tuple[int, int], ...]
 
     @property
@@ -48,17 +56,6 @@ class CoverGraph:
     @property
     def h1_rank(self) -> int:
         return len(self.basis)
-
-    def basis_index(self, vertex: int, gen: int) -> int | None:
-        try:
-            return self.basis.index((vertex, gen))
-        except ValueError:
-            return None
-
-    def schreier_word(self, vertex: int, gen: int) -> Word:
-        """The loop class of an edge: tree word in, the edge, tree word out."""
-        head = self.edge_target[vertex][gen]
-        return self.tree_words[vertex] * Word.generator(gen) * self.tree_words[head].inverse()
 
 
 def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
@@ -79,8 +76,7 @@ def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
     gens = [alpha.images[i] for i in range(rank)]
     vertices = [target.identity]
     index = {target.identity: 0}
-    tree_words: list[Word] = [Word.identity()]
-    tree_edges: set[tuple[int, int]] = set()
+    parent: list[tuple[int, int] | None] = [None]
 
     if tree == "bfs":
         cursor = 0
@@ -91,8 +87,7 @@ def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
                 if w not in index:
                     index[w] = len(vertices)
                     vertices.append(w)
-                    tree_words.append(tree_words[cursor] * Word.generator(g))
-                    tree_edges.add((cursor, g))
+                    parent.append((cursor, g))
             cursor += 1
     else:
         stack = [0]
@@ -104,18 +99,14 @@ def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
                 if w not in index:
                     index[w] = len(vertices)
                     vertices.append(w)
-                    tree_words.append(tree_words[vi] * Word.generator(g))
-                    tree_edges.add((vi, g))
+                    parent.append((vi, g))
                     stack.append(index[w])
 
     order = len(vertices)
     edge_target = tuple(
         tuple(index[target.mul(vertices[v], gens[g])] for g in range(rank))
         for v in range(order))
-    edge_source = [[0] * rank for _ in range(order)]
-    for v in range(order):
-        for g in range(rank):
-            edge_source[edge_target[v][g]][g] = v
+    tree_edges = set(parent[1:])
     basis = tuple(sorted(
         (v, g) for v in range(order) for g in range(rank) if (v, g) not in tree_edges))
     if len(basis) != rank * order - order + 1:
@@ -126,48 +117,119 @@ def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
         alpha=alpha,
         vertices=tuple(vertices),
         edge_target=edge_target,
-        edge_source=tuple(tuple(r) for r in edge_source),
-        tree_words=tuple(tree_words),
+        tree=tuple(parent),
         basis=basis,
     )
 
 
-def lift_action_matrix(cover: CoverGraph, f: FreeEndo) -> IntMatrix:
-    """Matrix of the lift of f fixing the identity vertex, on the H1 basis.
+def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
+    """Matrix of the lift of f^d fixing the identity vertex, on the H1 basis.
 
-    Column k is the homology class of the image of the k-th basis cycle:
-    the image loop word is spelled as an edge path from the identity
-    vertex, tree edges contributing nothing and each non-tree edge its
-    basis vector.
+    Edge (v, i) of a Cayley graph on G has index v*n + i.  With a_k =
+    alpha . f^k, the chain map Phi_k sends edge (v, i) of the Cayley graph
+    of (G, a_k) to the edge chain of the path that f(x_i) spells from v in
+    the Cayley graph of (G, a_(k-1)); that path ends at v*a_k(x_i).  So
+    Phi_1 ... Phi_d carries the edge chain of a word w's path to that of
+    f^d(w), and f^d is never expanded.  Column k is the image of the k-th
+    basis cycle tree(v) + e_(v,g) - tree(head), read on the non-tree edges.
+    Free reduction cancels only an edge crossed against its reverse, so
+    this is the matrix that spelling each word f^d(w) edge by edge gives.
     """
     if f.rank != cover.rank:
         raise ValueError("rank mismatch between endomorphism and cover")
-    if not check_compatibility(f, cover.alpha):
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    n, order = cover.rank, cover.group_order
+    columns = [_basis_cycle(cover, v, g) for v, g in cover.basis]
+    # Operations of one step, per limb of the largest entry: pushing every
+    # column through Phi_k, building Phi_k, and the step's fixed cost.
+    step = (len(columns) + 1) * order * (n + sum(len(w) for w in f.images)) + 100
+    if d * step > MAX_LIFT_WORK:
+        raise LiftSizeError(f"lifting f^{d} needs at least {d * step} units of "
+                            f"chain work, above the cap of {MAX_LIFT_WORK}")
+    if not check_compatibility(f, cover.alpha, d):
         raise CompatibilityError(
             "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift")
-    basis_idx = {edge: k for k, edge in enumerate(cover.basis)}
-    n = cover.h1_rank
-    columns = []
-    for (v, g) in cover.basis:
-        word = f(cover.schreier_word(v, g))
-        vec = [0] * n
-        cur = 0
-        for gen, sign in word.letters():
-            if sign > 0:
-                k = basis_idx.get((cur, gen))
-                if k is not None:
-                    vec[k] += 1
-                cur = cover.edge_target[cur][gen]
-            else:
-                prev = cover.edge_source[cur][gen]
-                k = basis_idx.get((prev, gen))
-                if k is not None:
-                    vec[k] -= 1
-                cur = prev
-        if cur != 0:
-            raise InternalError("image of a kernel word did not close up at the basepoint")
-        columns.append(vec)
-    return IntMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+    homs = [cover.alpha]
+    for _ in range(d - 1):
+        homs.append(homs[-1].precompose(f))
+    index = {x: k for k, x in enumerate(cover.vertices)}
+    work = 0
+    for hom in reversed(homs):  # Phi_d first: a_(d-1), ..., a_0
+        phi = _chain_map(f, hom, cover.vertices, index)
+        columns = [_push(phi, c) for c in columns]
+        top = max((max(max(c), -min(c)) for c in columns), default=0)
+        work += step * (1 + top.bit_length() // 64)
+        if work > MAX_LIFT_WORK:
+            raise LiftSizeError(f"lifting f^{d}: chain work passed the cap of "
+                                f"{MAX_LIFT_WORK} with entries of "
+                                f"{top.bit_length()} bits")
+    for c in columns:
+        _check_closed(cover, c)
+    return IntMatrix.from_rows([[c[v * n + g] for c in columns] for v, g in cover.basis])
+
+
+def _basis_cycle(cover: CoverGraph, v: int, g: int) -> list[int]:
+    """Edge chain tree(v) + e_(v,g) - tree(head) of a basis cycle."""
+    n = cover.rank
+    chain = [0] * (n * cover.group_order)
+    chain[v * n + g] += 1
+    for u, sign in ((v, 1), (cover.edge_target[v][g], -1)):
+        while cover.tree[u] is not None:
+            u, h = cover.tree[u]
+            chain[u * n + h] += sign
+    return chain
+
+
+def _chain_map(f: FreeEndo, hom: FiniteHom, vertices, index) -> list[tuple]:
+    """Phi for f over hom: for each edge v*n + i, the edges that the path
+    f(x_i) spells from v in the Cayley graph of (G, hom) crosses forwards,
+    and those it crosses backwards."""
+    target = hom.target
+    n = f.rank
+    forward = [[index[target.mul(x, a)] for a in hom.images] for x in vertices]
+    inverses = [target.inv(a) for a in hom.images]
+    backward = [[index[target.mul(x, a)] for a in inverses] for x in vertices]
+    phi = []
+    for v in range(len(vertices)):
+        for word in f.images:
+            plus, minus = [], []
+            u = v
+            for j, e in word.blocks:
+                for _ in range(abs(e)):
+                    if e > 0:
+                        plus.append(u * n + j)
+                        u = forward[u][j]
+                    else:
+                        u = backward[u][j]
+                        minus.append(u * n + j)
+            phi.append((plus, minus))
+    return phi
+
+
+def _push(phi: list[tuple], chain: list[int]) -> list[int]:
+    out = [0] * len(chain)
+    for edge, x in enumerate(chain):
+        if x:
+            plus, minus = phi[edge]
+            for image in plus:
+                out[image] += x
+            for image in minus:
+                out[image] -= x
+    return out
+
+
+def _check_closed(cover: CoverGraph, chain: list[int]) -> None:
+    """An image of a cycle must be a cycle: zero boundary at every vertex."""
+    n = cover.rank
+    boundary = [0] * cover.group_order
+    for edge, x in enumerate(chain):
+        if x:
+            v, g = divmod(edge, n)
+            boundary[v] -= x
+            boundary[cover.edge_target[v][g]] += x
+    if any(boundary):
+        raise InternalError("image of a basis cycle did not close up at the basepoint")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,13 +249,12 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
     """Compute the invariants of the d-fold cover data (f, alpha).
 
     Only the d-th power of the monodromy needs to be compatible with
-    alpha, so the power is taken first and lifted once.
+    alpha; it is lifted as a product of d chain maps.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    fd = f.power(d)
     cover = build_cover(f.rank, alpha, tree=tree)
-    h = lift_action_matrix(cover, fd)
+    h = lift_power_matrix(cover, f, d)
     delta = laurent.canonicalize(char_poly(h))
     return TwistedInvariants(
         h_matrix=h,

@@ -38,6 +38,11 @@ class WordLengthError(SizeLimitError):
     """A free-group word grew past the letter cap (runaway monodromy power)."""
 
 
+class LiftSizeError(SizeLimitError):
+    """The chain-map product lifting a monodromy power passed its work cap
+    (a huge power, or entries whose bit length keeps growing)."""
+
+
 class MinorLimitError(SizeLimitError):
     """Maximal-minor enumeration would exceed the combination cap."""
 

@@ -123,13 +123,17 @@ class FreeEndo:
         return cls(rank, [Word.generator(i) for i in range(rank)])
 
     def __call__(self, w: Word) -> Word:
-        """Apply to a word: substitute images, then freely reduce."""
+        """Apply to a word: substitute every image, then freely reduce once."""
         if w.max_generator() >= self.rank:
             raise ValueError("word uses a generator outside the rank")
-        result = Word.identity()
-        for g, e in w.blocks:
-            result = result * self.images[g] ** e
-        return result
+
+        def blocks():
+            for g, e in w.blocks:
+                image = self.images[g] if e > 0 else self.images[g].inverse()
+                for _ in range(abs(e)):
+                    yield from image.blocks
+
+        return Word(blocks())
 
     def compose(self, other: "FreeEndo") -> "FreeEndo":
         """self after other: (self.compose(other))(w) == self(other(w))."""
@@ -150,17 +154,18 @@ class FreeEndo:
         return IntMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
-def check_compatibility(f: FreeEndo, alpha) -> bool:
-    """True iff alpha(f(x_i)) == alpha(x_i) for every generator.
+def check_compatibility(f: FreeEndo, alpha, d: int = 1) -> bool:
+    """True iff alpha(f^d(x_i)) == alpha(x_i) for every generator.
 
-    This is the lifting hypothesis for covers: f descends to the cover
+    This is the lifting hypothesis for covers: f^d descends to the cover
     attached to alpha exactly when it holds (both sides are homomorphisms,
-    so checking generators suffices).
+    so checking generators suffices).  alpha . f^k is read off f's own
+    images under alpha . f^(k-1), so f^d is never expanded.
     """
-    for i in range(f.rank):
-        if alpha.evaluate(f.images[i]) != alpha.evaluate(Word.generator(i)):
-            return False
-    return True
+    beta = alpha
+    for _ in range(d):
+        beta = beta.precompose(f)
+    return beta.images == alpha.images
 
 
 def random_nielsen_automorphism(rank: int, moves: int, rng: random.Random) -> FreeEndo:

@@ -260,6 +260,11 @@ class FiniteHom:
             acc = self.target.mul(acc, self.target.pow(self.images[g], e))
         return acc
 
+    def precompose(self, f) -> "FiniteHom":
+        """This homomorphism after the endomorphism f of its source: the
+        images of f's generator images."""
+        return FiniteHom(self.rank, self.target, [self.evaluate(w) for w in f.images])
+
     def is_surjective(self) -> bool:
         return generated_subgroup_order(self) == self.target.order
 

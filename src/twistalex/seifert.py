@@ -198,16 +198,20 @@ class BranchedCover:
     jump: CharacterJump | None
 
 
-def branched_cover(s: SeifertMatrix, d: int, r: int | None = None) -> BranchedCover:
+def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
+                   alexander: LaurentPoly | None = None) -> BranchedCover:
     """branched_homology, resultant_order_check and, for r, character_jump
-    at once, from a single Smith elimination of the branched presentation."""
+    at once, from a single Smith elimination of the branched presentation.
+    ``alexander`` is alexander_polynomial(s), when the caller has it."""
     pres = branched_presentation(s, d)
     if r is not None and r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
     smith = smith_normal_form(pres, r)
     hom = smith.cokernel()
     snf_order = hom.order if hom.order is not None else 0
-    res = laurent.resultant_with_cyclotomic(alexander_polynomial(s), d)
+    if alexander is None:
+        alexander = alexander_polynomial(s)
+    res = laurent.resultant_with_cyclotomic(alexander, d)
     check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
     jump = None if r is None else _character_jump(smith.character(), s.size, d, r)
     return BranchedCover(homology=hom, check=check, jump=jump)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistalex import cover, exactla, formats, seifert
+from twistalex import cli, cover, exactla, formats, seifert
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -66,9 +66,28 @@ class TestMonodromyCommand:
         mono = tmp_path / "squares.txt"
         mono.write_text("generators: x\nx -> x x\n")
         code, _, err = run(capsys, "monodromy", "--file", str(mono),
-                           "--d", "40", "--alpha", "Z/1:x=0")
+                           "--d", "30000", "--alpha", "Z/1:x=0")
         assert code == 65
         assert "size limit" in err
+
+    def test_doubling_map_is_exact_at_d_40(self, capsys, tmp_path):
+        mono = tmp_path / "squares.txt"
+        mono.write_text("generators: x\nx -> x x\n")
+        code, raw, _ = run(capsys, "monodromy", "--file", str(mono),
+                           "--d", "40", "--alpha", "Z/1:x=0", "--json")
+        payload = json.loads(raw)
+        assert code == 0
+        assert payload["h"] == [[2**40]]
+        assert payload["delta"] == f"s - {2**40}"
+
+    def test_figure_eight_d16(self, capsys, tmp_path):
+        mono = tmp_path / "figure8.txt"
+        mono.write_text("generators: x y\nx -> x y\ny -> y x y\n")
+        code, raw, _ = run(capsys, "monodromy", "--file", str(mono),
+                           "--d", "16", "--alpha", "Z/21:x=0,y=1", "--json")
+        payload = json.loads(raw)
+        assert code == 0 and payload["h1_rank"] == 22
+        assert payload["monic"] == "yes" and payload["verdict"] == "consistent-with-fibred"
 
 
 class TestSeifertCommand:
@@ -147,6 +166,23 @@ class TestSeifertCommand:
             code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                                  *argv, "--json")
             assert (code, out, err) == (64, "", f"twist: error: {message}\n")
+
+    def test_one_alexander_polynomial_per_job(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s.size)
+            return alexander(s)
+
+        alexander = seifert.alexander_polynomial
+        for module in (cli, seifert):  # every binding the pipeline reaches
+            monkeypatch.setattr(module, "alexander_polynomial", counted)
+        code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                           "--d", "3", "--r", "2", "--sweep", "4", "--json")
+        payload = json.loads(raw)
+        assert code == 0 and payload["alexander"] == "t^2 - 3t + 1"
+        assert payload["resultant"] == 16 and payload["sweep"]["3"] == 16
+        assert calls == [2]
 
 
 class TestResultantCommand:
@@ -271,7 +307,7 @@ class TestUsageErrors:
         # With the compatibility check bypassed, an alpha whose kernel the
         # map does not preserve lifts kernel words to open paths, which the
         # lift's own check reports as a broken invariant.
-        monkeypatch.setattr(cover, "check_compatibility", lambda f, alpha: True)
+        monkeypatch.setattr(cover, "check_compatibility", lambda f, alpha, d: True)
         code, out, err = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                              "--d", "1", "--alpha", "Z/3:x=1,y=0")
         assert code == 70 and out == ""

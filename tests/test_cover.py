@@ -2,20 +2,76 @@ import random
 
 import pytest
 
+from twistalex import cover as cover_module
 from twistalex.cover import (branched_cover_homology_from_monodromy,
-                             build_cover, lift_action_matrix,
+                             build_cover, lift_power_matrix,
                              twisted_invariants)
-from twistalex.errors import CompatibilityError, NonSurjectiveError
+from twistalex.errors import (CompatibilityError, InternalError,
+                              LiftSizeError, NonSurjectiveError)
 from twistalex.exactla import IntMatrix, char_poly, rank_over_fractions
 from twistalex.fixtures import load_fixture
 from twistalex.freegrp import (FreeEndo, Word, check_compatibility,
                                random_nielsen_automorphism)
-from twistalex.grouphom import FiniteHom, cyclic
+from twistalex.grouphom import FiniteHom, cyclic, generated_subgroup_order
 from twistalex.laurent import canonicalize, is_monic, parse_laurent
 
 
 def P(text):
     return parse_laurent(text)
+
+
+# -- the word-walking lift, kept as the oracle for lift_power_matrix ----------
+
+def tree_word(cover, v: int) -> Word:
+    """The word spelled by the tree path from the identity vertex to v."""
+    gens = []
+    while cover.tree[v] is not None:
+        v, g = cover.tree[v]
+        gens.append(g)
+    return Word((g, 1) for g in reversed(gens))
+
+
+def schreier_word(cover, vertex: int, gen: int) -> Word:
+    """The loop class of an edge: tree word in, the edge, tree word out."""
+    head = cover.edge_target[vertex][gen]
+    return tree_word(cover, vertex) * Word.generator(gen) * tree_word(cover, head).inverse()
+
+
+def lift_action_matrix(cover, f: FreeEndo) -> IntMatrix:
+    """Matrix of the lift of f fixing the identity vertex, on the H1 basis.
+
+    Column k is the homology class of the image of the k-th basis cycle:
+    the image loop word is spelled as an edge path from the identity
+    vertex, tree edges contributing nothing and each non-tree edge its
+    basis vector.
+    """
+    if not check_compatibility(f, cover.alpha):
+        raise CompatibilityError("no lift")
+    edge_source = [[0] * cover.rank for _ in range(cover.group_order)]
+    for v, heads in enumerate(cover.edge_target):
+        for g, w in enumerate(heads):
+            edge_source[w][g] = v
+    basis_idx = {edge: k for k, edge in enumerate(cover.basis)}
+    n = cover.h1_rank
+    columns = []
+    for (v, g) in cover.basis:
+        vec = [0] * n
+        cur = 0
+        for gen, sign in f(schreier_word(cover, v, g)).letters():
+            if sign > 0:
+                k = basis_idx.get((cur, gen))
+                if k is not None:
+                    vec[k] += 1
+                cur = cover.edge_target[cur][gen]
+            else:
+                prev = edge_source[cur][gen]
+                k = basis_idx.get((prev, gen))
+                if k is not None:
+                    vec[k] -= 1
+                cur = prev
+        assert cur == 0, "image of a kernel word did not close up"
+        columns.append(vec)
+    return IntMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 
 
 def trefoil():
@@ -72,7 +128,7 @@ class TestBuildCover:
         cover = build_cover(2, alpha)
         assert cover.group_order == 60
         assert cover.h1_rank == 61
-        h = lift_action_matrix(cover, FreeEndo.identity(2))
+        h = lift_power_matrix(cover, FreeEndo.identity(2), 1)
         assert h == IntMatrix.identity(61)
 
     def test_rank_bookkeeping_random(self):
@@ -93,24 +149,26 @@ class TestLiftActionMatrix:
         # basis differs from the worked example's, so the basis-invariant
         # characteristic polynomial is the anchor
         cover = build_cover(2, z3_alpha())
-        h = lift_action_matrix(cover, trefoil().power(2))
+        h = lift_power_matrix(cover, trefoil(), 2)
         assert canonicalize(char_poly(h)) == P("s^4 - s^3 - s + 1")
         assert h.det() == 1
 
     def test_identity_endomorphism(self):
         cover = build_cover(2, z3_alpha())
-        h = lift_action_matrix(cover, FreeEndo.identity(2))
+        h = lift_power_matrix(cover, FreeEndo.identity(2), 1)
         assert h == IntMatrix.identity(4)
 
     def test_trivial_cover_gives_abelianization(self):
         cover = build_cover(2, FiniteHom(2, cyclic(1), [0, 0]))
-        h = lift_action_matrix(cover, trefoil())
+        h = lift_power_matrix(cover, trefoil(), 1)
         assert h == IntMatrix.from_rows([[0, 1], [-1, 1]])
 
     def test_incompatible_raises(self):
         cover = build_cover(2, z3_alpha())
         with pytest.raises(CompatibilityError):
-            lift_action_matrix(cover, trefoil())
+            lift_power_matrix(cover, trefoil(), 1)
+        with pytest.raises(CompatibilityError):
+            lift_power_matrix(cover, trefoil(), 3)
 
 
 class TestTwistedInvariants:
@@ -175,10 +233,10 @@ class TestStructuralProperties:
         base = twisted_invariants(f, d, alpha)
         fd = f.power(d)
         for edge in cover.basis[:3]:
-            w = cover.schreier_word(*edge)
+            w = schreier_word(cover, *edge)
             assert alpha.evaluate(w) == 0  # kernel word
             twisted = FreeEndo(2, [w * img * w.inverse() for img in fd.images])
-            h = lift_action_matrix(cover, twisted)
+            h = lift_power_matrix(cover, twisted, 1)
             assert canonicalize(char_poly(h)) == base.delta
 
     def test_nielsen_automorphism_suite(self):
@@ -207,3 +265,113 @@ class TestStructuralProperties:
             inv = twisted_invariants(f, d, alpha)
             t = f.power(d).abelianization_matrix()
             assert inv.delta == canonicalize(char_poly(t))
+
+
+def figure_eight():
+    return FreeEndo(2, [Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1), (1, 1)))])
+
+
+def random_endomorphism(rank, rng):
+    """Random generator images of length 0..4: as a rule not an automorphism."""
+    return FreeEndo(rank, [Word((rng.randrange(rank), rng.choice((1, -1)))
+                                for _ in range(rng.randint(0, 4)))
+                           for _ in range(rank)])
+
+
+class TestChainLiftAgainstWordLift:
+    """lift_power_matrix against the word-walking oracle on f^d: the same
+    matrix, entry for entry, in the same basis."""
+
+    @staticmethod
+    def assert_same_lift(f, d, alpha):
+        for tree in ("bfs", "dfs"):
+            cover = build_cover(f.rank, alpha, tree=tree)
+            assert lift_power_matrix(cover, f, d) == lift_action_matrix(cover, f.power(d))
+
+    def test_nielsen_automorphisms_cyclic_targets(self):
+        rng = random.Random(11)
+        cases = {2: 0, 3: 0}
+        for _ in range(30):
+            rank = rng.choice((2, 3))
+            f = random_nielsen_automorphism(rank, rng.randint(1, 8), rng)
+            for d in range(1, 6):
+                for alpha in compatible_cyclic_alphas(f, d, 5 if rank == 2 else 3)[-3:]:
+                    self.assert_same_lift(f, d, alpha)
+                    cases[rank] += 1
+        assert min(cases.values()) >= 40
+
+    def test_permutation_target_a5(self):
+        s5 = load_fixture("paper-s5")
+        images = s5.hom.images
+        alpha = FiniteHom(2, s5.hom.target, [images[0], images[4]])  # (1 3 2), (1 4 5)
+        assert generated_subgroup_order(alpha) == 60
+        rng = random.Random(12)
+        powers = []
+        while len(powers) < 6:
+            f = random_nielsen_automorphism(2, rng.randint(2, 6), rng)
+            d = next((d for d in range(2, 6) if check_compatibility(f, alpha, d)), None)
+            if d is not None:
+                self.assert_same_lift(f, d, alpha)
+                powers.append(d)
+        assert max(powers) >= 3
+
+    def test_endomorphisms_that_are_not_automorphisms(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 25:
+            rank = rng.choice((2, 3))
+            f = random_endomorphism(rank, rng)
+            if f.abelianization_matrix().det() in (1, -1):
+                continue
+            d = rng.randint(2, 4)
+            for alpha in compatible_cyclic_alphas(f, d, 4)[-2:]:
+                if alpha.target.order > 1:
+                    self.assert_same_lift(f, d, alpha)
+                    checked += 1
+
+    def test_a_generator_with_trivial_image(self):
+        f = FreeEndo(2, [Word.identity(), Word(((1, 1), (0, -2), (1, 1)))])
+        for alpha in compatible_cyclic_alphas(f, 3, 6):
+            self.assert_same_lift(f, 3, alpha)
+
+    def test_figure_eight_d100(self):
+        # far past what expanding f^100 could reach: independent checks only
+        inv = twisted_invariants(figure_eight(), 100, FiniteHom(2, cyclic(11), [0, 1]))
+        h = inv.h_matrix
+        assert h.rows == 12
+        assert max(abs(x) for x in h.entries).bit_length() > 130
+        assert h.det() in (1, -1)
+        assert is_monic(inv.delta) and inv.delta.degree == 12
+
+
+class TestLiftChecks:
+    def test_rejects_d_below_one(self):
+        with pytest.raises(ValueError, match="positive"):
+            lift_power_matrix(build_cover(2, z3_alpha()), FreeEndo.identity(2), 0)
+
+    def test_work_cap_fails_fast_on_a_huge_power(self, monkeypatch):
+        def unreachable(f, alpha, d):  # d steps of it would not end
+            raise AssertionError("the cap must fire before any O(d) work")
+
+        monkeypatch.setattr(cover_module, "check_compatibility", unreachable)
+        cover = build_cover(2, z3_alpha())
+        with pytest.raises(LiftSizeError, match="above the cap"):
+            lift_power_matrix(cover, trefoil(), 10**12)
+
+    def test_work_cap_on_entry_growth(self):
+        doubling = FreeEndo(1, [Word(((0, 2),))])
+        cover = build_cover(1, FiniteHom(1, cyclic(1), [0]))
+        assert lift_power_matrix(cover, doubling, 40) == IntMatrix.from_rows([[2**40]])
+        with pytest.raises(LiftSizeError, match="bits"):
+            lift_power_matrix(cover, doubling, 30000)
+
+    def test_figure_eight_d100_is_well_inside_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cover_module, "MAX_LIFT_WORK", cover_module.MAX_LIFT_WORK // 20)
+        twisted_invariants(figure_eight(), 100, FiniteHom(2, cyclic(25), [0, 1]))
+
+    def test_open_image_chain_is_an_internal_error(self, monkeypatch):
+        # alpha . f != alpha: the basis cycles of the alpha cover are no
+        # cycles of the alpha . f cover, and their images do not close up
+        monkeypatch.setattr(cover_module, "check_compatibility", lambda f, alpha, d: True)
+        with pytest.raises(InternalError, match="did not close up"):
+            twisted_invariants(trefoil(), 1, FiniteHom(2, cyclic(3), [1, 0]))

@@ -85,6 +85,18 @@ class TestApply:
             v = Word(random_letters(rng, 2, 12))
             assert h(u * v) == h(u) * h(v)
 
+    def test_matches_product_by_product(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            rank = rng.choice((2, 3))
+            f = FreeEndo(rank, [Word(random_letters(rng, rank, rng.randint(0, 6)))
+                                for _ in range(rank)])
+            w = Word(random_letters(rng, rank, rng.randint(0, 20)))
+            expected = Word.identity()
+            for g, e in w.blocks:  # re-reduce the accumulated word at every product
+                expected = expected * f.images[g] ** e
+            assert f(w) == expected
+
     def test_out_of_range_generator(self):
         h = trefoil_monodromy()
         with pytest.raises(ValueError):
@@ -181,6 +193,20 @@ class TestCompatibility:
                 sum(chi[i] * m.at(i, j) for i in range(rank)) % r == 0
                 for j in range(rank))
             assert check_compatibility(f.power(d), alpha) == algebraic
+
+    def test_power_argument_matches_the_expanded_power(self):
+        rng = random.Random(10)
+        hits = 0
+        for _ in range(60):
+            rank = rng.choice((2, 3))
+            f = random_nielsen_automorphism(rank, rng.randint(1, 6), rng)
+            d = rng.randint(1, 5)
+            r = rng.randint(2, 5)
+            alpha = FiniteHom(rank, cyclic(r), [rng.randrange(r) for _ in range(rank)])
+            expected = check_compatibility(f.power(d), alpha)
+            assert check_compatibility(f, alpha, d) == expected
+            hits += expected
+        assert 0 < hits < 60
 
 
 class TestNielsenAutomorphisms:
