@@ -5,18 +5,15 @@ from .laurent import (LaurentPoly, canonicalize, divexact, divides, gcd,
                       is_monic, parse_laurent, resultant_with_cyclotomic,
                       to_text)
 from .exactla import (IntMatrix, LambdaMatrix, SmithForm,
-                      CokernelInvariants, ElementaryIdeal, adjugate,
-                      char_poly, cokernel_invariants, maximal_minor_gcd,
-                      rank_over_fractions, si_minus, smith_normal_form,
-                      surjection_onto_cyclic)
+                      CokernelInvariants, char_poly, cokernel_invariants,
+                      maximal_minor_gcd, rank_over_fractions, si_minus,
+                      smith_normal_form, surjection_onto_cyclic)
 from .freegrp import (FreeEndo, Word, check_compatibility,
                       random_nielsen_automorphism)
 from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
                        Presentation, alternating, cyclic,
                        generated_subgroup_order, perm_from_cycle_text,
-                       perm_to_cycle_text, regular_matrix,
-                       regular_representation_dimension, symmetric,
-                       verify_homomorphism)
+                       perm_to_cycle_text, symmetric, verify_homomorphism)
 from .cover import (CoverGraph, TwistedInvariants,
                     branched_cover_homology_from_monodromy, build_cover,
                     lift_power_matrix, twisted_invariants)
@@ -27,8 +24,7 @@ from .seifert import (BranchedCover, CharacterJump, MonodromyPower,
                       monodromy_power_presentation, random_seifert_matrix,
                       resultant_order_check)
 from .obstruction import (CONSISTENT, INCONCLUSIVE, NOT_FIBRED,
-                          ObstructionReport, annihilator_consequence,
-                          evaluate_fibred_obstruction)
+                          ObstructionReport, evaluate_fibred_obstruction)
 from .fixtures import FIXTURE_NAMES, load_fixture
 
 __version__ = "0.1.0"

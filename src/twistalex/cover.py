@@ -241,7 +241,6 @@ class TwistedInvariants:
     h_matrix: IntMatrix
     presentation: LambdaMatrix
     delta: LaurentPoly
-    ideal_generators: tuple[LaurentPoly, ...]
 
 
 def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
@@ -260,7 +259,6 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
         h_matrix=h,
         presentation=si_minus(h),
         delta=delta,
-        ideal_generators=(delta,),
     )
 
 

@@ -2,9 +2,9 @@
 
 Smith normal form (with the left transform modulo r on request), cokernel
 invariants, surjections onto cyclic groups, a modular determinant kernel
-for linear pencils sX - Y (characteristic polynomials included), and
-fraction-free computations (rank, determinants, maximal-minor gcd) for
-presentation matrices over Z[s, s^-1].
+for linear pencils sX - Y (characteristic polynomials included), and one
+fraction-free elimination kernel that gives rank and determinant over Z
+and over Z[s, s^-1] (maximal-minor gcds build on it).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import math
 
 from . import laurent
-from .errors import MinorLimitError
+from .errors import InternalError, MinorLimitError
 from .laurent import LaurentPoly, _binpow, _crt_lift, _primes
 
 DEFAULT_MAX_MINORS = 100_000
@@ -121,7 +121,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        return laurent._det_int(self.to_rows())
+        return _bareiss(self.to_rows(), 1, _divexact_int)[1]
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1, via the adjugate."""
@@ -136,11 +136,61 @@ class IntMatrix:
         for i in range(n):
             for j in range(n):
                 minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-                adj[i][j] = (-1) ** (i + j) * laurent._det_int(minor)
+                adj[i][j] = (-1) ** (i + j) * _bareiss(minor, 1, _divexact_int)[1]
         return IntMatrix.from_rows([[d * x for x in r] for r in adj])
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
+
+
+# -- fraction-free elimination --------------------------------------------------
+
+
+def _bareiss(rows: list[list], one, div) -> tuple[int, object]:
+    """(rank, det) of a matrix over an exact domain, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).
+
+    ``one`` is the ring's unit and ``div(a, b)`` the exact quotient, which
+    raises ValueError when b does not divide a.  Pivots are taken down each
+    column in row order; a column with no pivot left is skipped.  Every
+    division is exact by Sylvester's identity, so an inexact one is a fault
+    in the program.  det is the signed last pivot when the matrix is square
+    and of full rank, and zero otherwise (1 for the empty matrix).
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    m = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, one
+    try:
+        for k in range(m):
+            if rank == n:
+                break
+            piv = next((i for i in range(rank, n) if a[i][k]), None)
+            if piv is None:
+                continue
+            if piv != rank:
+                a[rank], a[piv] = a[piv], a[rank]
+                sign = -sign
+            top = a[rank]
+            p = top[k]
+            for row in a[rank + 1:]:
+                x = row[k]
+                for j in range(k + 1, m):
+                    row[j] = div(row[j] * p - x * top[j], prev)
+            prev = p
+            rank += 1
+    except ValueError as exc:
+        raise InternalError(f"inexact division in fraction-free elimination: {exc}") from exc
+    if rank < n or n != m:
+        return rank, one - one
+    return rank, prev if sign > 0 else -prev
+
+
+def _divexact_int(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError(f"{b} does not divide {a}")
+    return q
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -445,10 +495,6 @@ class LambdaMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, [x for r in rows for x in r])
 
-    @classmethod
-    def from_int_matrix(cls, a: IntMatrix) -> "LambdaMatrix":
-        return cls(a.rows, a.cols, [LaurentPoly.const(x) for x in a.entries])
-
     def at(self, i: int, j: int) -> LaurentPoly:
         return self.entries[i * self.cols + j]
 
@@ -484,19 +530,7 @@ class LambdaMatrix:
             d = _pencil_det(x, y)
             if d is not None:
                 return d
-        return _det_lambda(self.to_rows())
-
-    def __mul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = laurent.ZERO
-                for k in range(self.cols):
-                    acc = acc + self.at(i, k) * other.at(k, j)
-                out.append(acc)
-        return LambdaMatrix(self.rows, other.cols, out)
+        return _bareiss(self.to_rows(), laurent.ONE, laurent.divexact)[1]
 
 
 def si_minus(h: IntMatrix) -> LambdaMatrix:
@@ -514,76 +548,14 @@ def si_minus(h: IntMatrix) -> LambdaMatrix:
     return LambdaMatrix(n, n, ents)
 
 
-def _det_lambda(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return laurent.ONE
-    sign = 1
-    prev = laurent.ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return laurent.ZERO
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = laurent.divexact(a[i][j] * piv - a[i][k] * a[k][j], prev)
-            a[i][k] = laurent.ZERO
-        prev = piv
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
 def rank_over_fractions(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]."""
-    a = p.to_rows()
-    rows, cols = p.rows, p.cols
-    rank = 0
-    prev = laurent.ONE
-    while rank < rows and rank < cols:
-        # find a pivot anywhere in the remaining submatrix
-        piv_pos = None
-        for i in range(rank, rows):
-            for j in range(rank, cols):
-                if not a[i][j].is_zero:
-                    piv_pos = (i, j)
-                    break
-            if piv_pos:
-                break
-        if piv_pos is None:
-            break
-        i, j = piv_pos
-        if i != rank:
-            a[rank], a[i] = a[i], a[rank]
-        if j != rank:
-            for r in a:
-                r[rank], r[j] = r[j], r[rank]
-        piv = a[rank][rank]
-        for i2 in range(rank + 1, rows):
-            for j2 in range(rank + 1, cols):
-                a[i2][j2] = laurent.divexact(a[i2][j2] * piv - a[i2][rank] * a[rank][j2], prev)
-            a[i2][rank] = laurent.ZERO
-        prev = piv
-        rank += 1
-    return rank
+    return _bareiss(p.to_rows(), laurent.ONE, laurent.divexact)[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class ElementaryIdeal:
-    """gcd of the maximal minors (canonical form) plus the raw generator set."""
-
-    delta: LaurentPoly
-    minors: tuple[LaurentPoly, ...]
-
-
-def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> ElementaryIdeal:
-    """Gcd of all n x n minors of an n x m matrix with n <= m.
+def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> LaurentPoly:
+    """Gcd of all n x n minors of an n x m matrix with n <= m, in canonical
+    form.
 
     Follows the convention that a matrix with more generators than
     relations (n > m) has zero ideal and zero gcd.  Enumeration is capped
@@ -592,31 +564,12 @@ def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> 
     """
     n, m = p.rows, p.cols
     if n > m:
-        return ElementaryIdeal(delta=laurent.ZERO, minors=())
+        return laurent.ZERO
     count = math.comb(m, n)
     if count > max_minors:
         raise MinorLimitError(
             f"would enumerate {count} minors, above the cap of {max_minors}")
-    minors = []
     g = laurent.ZERO
     for cols in itertools.combinations(range(m), n):
-        d = p.submatrix_cols(cols).det()
-        minors.append(d)
-        g = laurent.gcd(g, d)
-    delta = laurent.canonicalize(g)
-    return ElementaryIdeal(delta=delta, minors=tuple(minors))
-
-
-def adjugate(p: LambdaMatrix) -> LambdaMatrix:
-    """Adjugate of a square Laurent matrix: adj(P) * P = det(P) * I."""
-    if not p.is_square:
-        raise ValueError("adjugate needs a square matrix")
-    n = p.rows
-    rows = p.to_rows()
-    out = [[laurent.ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            c = _det_lambda(minor)
-            out[i][j] = -c if (i + j) % 2 else c
-    return LambdaMatrix.from_rows(out)
+        g = laurent.gcd(g, p.submatrix_cols(cols).det())
+    return laurent.canonicalize(g)

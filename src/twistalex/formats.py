@@ -144,29 +144,6 @@ def _parse_shape_header(lines, what: str) -> tuple[int, int]:
         raise ParseError("first line must be 'rows cols'", lineno) from None
 
 
-def parse_int_matrix(text: str) -> IntMatrix:
-    """Format: ``rows cols`` header, then row-major whitespace-separated ints."""
-    lines = list(_nonblank_lines(text))
-    rows, cols = _parse_shape_header(lines, "matrix")
-    entries = []
-    for lineno, line in lines[1:]:
-        for tok in line.split():
-            try:
-                entries.append(int(tok))
-            except ValueError:
-                raise ParseError(f"malformed integer {tok!r}", lineno) from None
-    if len(entries) != rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
-    return IntMatrix(rows, cols, entries)
-
-
-def format_int_matrix(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_lambda_matrix(text: str) -> LambdaMatrix:
     """Same shape header, entries as compact polynomial tokens like ``s^2-s+1``."""
     lines = list(_nonblank_lines(text))

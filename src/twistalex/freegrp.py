@@ -56,10 +56,6 @@ class Word:
     def generator(cls, i: int, exp: int = 1) -> "Word":
         return cls(((i, exp),))
 
-    @classmethod
-    def from_letters(cls, letters: Iterable[tuple[int, int]]) -> "Word":
-        return cls(letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.blocks

@@ -1,6 +1,5 @@
 """Finite permutation and cyclic groups, homomorphisms from finitely
-presented groups by generator assignment, relation verification, and
-regular representations."""
+presented groups by generator assignment, and relation verification."""
 
 from __future__ import annotations
 
@@ -10,12 +9,10 @@ import math
 from typing import Iterable, Union
 
 from .errors import InvariantError, ParseError, SizeLimitError
-from .exactla import IntMatrix
 from .freegrp import Word
 from .laurent import _binpow
 
 CLOSURE_BOUND = 10**6
-REGULAR_REP_BOUND = 10**4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,9 +262,6 @@ class FiniteHom:
         images of f's generator images."""
         return FiniteHom(self.rank, self.target, [self.evaluate(w) for w in f.images])
 
-    def is_surjective(self) -> bool:
-        return generated_subgroup_order(self) == self.target.order
-
 
 @dataclasses.dataclass(frozen=True, init=False)
 class Presentation:
@@ -316,24 +310,3 @@ def generated_subgroup_order(hom: FiniteHom, bound: int = CLOSURE_BOUND) -> int:
         frontier = nxt
     return len(seen)
 
-
-def regular_representation_dimension(target: Target) -> int:
-    """Rank of the free module the regular representation acts on: |G|."""
-    return target.order
-
-
-def regular_matrix(target: Target, g, bound: int = REGULAR_REP_BOUND) -> IntMatrix:
-    """|G| x |G| permutation matrix of left multiplication by g."""
-    if target.order > bound:
-        raise SizeLimitError(
-            f"target order {target.order} exceeds the matrix bound {bound}")
-    if not target.contains(g):
-        raise InvariantError(f"{g} does not lie in {target.name()}")
-    elems = target.elements()
-    index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
-    ents = [0] * (n * n)
-    for j, x in enumerate(elems):
-        i = index[target.mul(g, x)]
-        ents[i * n + j] = 1
-    return IntMatrix(n, n, ents)

@@ -328,35 +328,6 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, [c * x for x in a])
 
 
-# -- integer determinants -----------------------------------------------------
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
 # -- modular arithmetic ---------------------------------------------------------
 #
 # Exact integers too large to compute directly (determinants, resultants) are

@@ -54,7 +54,7 @@ def evaluate_fibred_obstruction(p: LambdaMatrix,
 
     cap_error: MinorLimitError | None = None
     try:
-        delta = maximal_minor_gcd(p, max_minors=max_minors).delta
+        delta = maximal_minor_gcd(p, max_minors=max_minors)
     except MinorLimitError as e:
         cap_error = e
         delta = laurent.ZERO
@@ -103,15 +103,3 @@ def evaluate_fibred_obstruction(p: LambdaMatrix,
         reasons=tuple(reasons),
     )
 
-
-def annihilator_consequence(report: ObstructionReport, group_order: int | None) -> bool:
-    """Whether a monic annihilator is compatible with the module surjecting
-    onto (group) tensor Z[s, s^-1].
-
-    A nontrivial group tensored with the Laurent ring is never annihilated
-    by a nonzero monic polynomial (and a free abelian factor admits no
-    nonzero annihilator at all), so False means the obstruction fires: a
-    report claiming a monic annihilator contradicts the surjection, and
-    the knot cannot be fibred.  ``group_order`` of None means infinite.
-    """
-    return group_order == 1

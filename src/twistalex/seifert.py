@@ -31,7 +31,7 @@ class SeifertMatrix:
         if not matrix.is_square:
             raise InvariantError("Seifert matrix must be square")
         d = (matrix - matrix.transpose()).det()
-        if d not in (1, -1) and matrix.rows > 0:
+        if d not in (1, -1):
             raise InvariantError(
                 f"det(S - S^T) = {d}; a knot Seifert matrix needs a unit")
         object.__setattr__(self, "matrix", matrix)
@@ -126,12 +126,11 @@ def monodromy_power_presentation(s: SeifertMatrix, n: int) -> MonodromyPower:
     if n < 2:
         raise ValueError("needs n >= 2")
     m = s.matrix
-    det = m.det() if m.rows else 1
+    det = m.det()
     if det not in (1, -1):
         raise InvariantError(f"det(S) = {det}; need a unimodular Seifert matrix")
     h = m.inverse_unimodular() * m.transpose()
-    size = h.rows
-    d = (h ** n - IntMatrix.identity(size)).det() if size else 1
+    d = (h ** n - IntMatrix.identity(h.rows)).det()
     return MonodromyPower(h=h, n=n, det_power_minus_identity=d)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistalex import cli, cover, exactla, formats, seifert
+from twistalex import cli, cover, exactla, formats, laurent, seifert
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -312,6 +312,20 @@ class TestUsageErrors:
                              "--d", "1", "--alpha", "Z/3:x=1,y=0")
         assert code == 70 and out == ""
         assert err.startswith("twist: internal error: ") and "did not close up" in err
+
+    def test_inexact_elimination_exits_70(self, capsys, tmp_path, monkeypatch):
+        # A non-pencil determinant takes fraction-free elimination, whose
+        # divisions are exact by construction: a failing one is a fault in
+        # the program, not bad input.
+        def inexact(p, g):
+            raise ValueError(f"{g} does not divide {p} in Z[s, s^-1]")
+
+        monkeypatch.setattr(laurent, "divexact", inexact)
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\ns^2-1 s\n1 s^2+1\n")
+        code, out, err = run(capsys, "report", "--presentation", str(path))
+        assert code == 70 and out == ""
+        assert err.startswith("twist: internal error: inexact division")
 
 
 class TestSelftest:

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
-from twistalex.errors import MinorLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, _det_lambda, adjugate,
+from twistalex.errors import InternalError, MinorLimitError
+from twistalex.exactla import (IntMatrix, LambdaMatrix, _bareiss, _divexact_int,
                                char_poly, cokernel_invariants, maximal_minor_gcd,
                                rank_over_fractions, si_minus,
                                smith_normal_form, surjection_onto_cyclic)
-from twistalex.laurent import LaurentPoly, ZERO, canonicalize, parse_laurent
+from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
 from twistalex.seifert import branched_presentation, random_seifert_matrix
 
 
@@ -390,16 +390,23 @@ def unimodular(rng, n):
     return x
 
 
+def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
+    """A Laurent determinant by fraction-free elimination alone."""
+    return _bareiss(m.to_rows(), ONE, laurent.divexact)[1]
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """Counts the fraction-free fallback behind LambdaMatrix.det."""
+    """Counts the fraction-free fallback behind LambdaMatrix.det (Laurent
+    eliminations only; integer determinants share the kernel)."""
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return _det_lambda(rows)
+    def counted(rows, one, div):
+        if isinstance(one, LaurentPoly):
+            calls.append(len(rows))
+        return _bareiss(rows, one, div)
 
-    monkeypatch.setattr(exactla, "_det_lambda", counted)
+    monkeypatch.setattr(exactla, "_bareiss", counted)
     return calls
 
 
@@ -409,14 +416,14 @@ class TestCharPoly:
         for _ in range(25):
             n = rng.randint(0, 6)
             h = random_matrix(rng, n, n, -4, 4)
-            assert char_poly(h) == _det_lambda(si_minus(h).to_rows()) == faddeev_leverrier(h)
+            assert char_poly(h) == bareiss_det(si_minus(h)) == faddeev_leverrier(h)
 
     def test_huge_entries_need_several_primes(self):
         rng = random.Random(29)
         for _ in range(10):
             n = rng.randint(1, 5)
             h = random_matrix(rng, n, n, -2**72, 2**72)
-            assert char_poly(h) == _det_lambda(si_minus(h).to_rows()) == faddeev_leverrier(h)
+            assert char_poly(h) == bareiss_det(si_minus(h)) == faddeev_leverrier(h)
 
     def test_constant_term_is_det(self):
         rng = random.Random(4)
@@ -441,7 +448,7 @@ class TestPencilDeterminant:
             n = rng.randint(1, 4)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(IntMatrix.identity(n).to_rows(), y)
-            assert m.det() == leibniz_det(m) == _det_lambda(m.to_rows())
+            assert m.det() == leibniz_det(m) == bareiss_det(m)
         assert bareiss_calls == []
 
     def test_unimodular_x(self, bareiss_calls):
@@ -451,7 +458,7 @@ class TestPencilDeterminant:
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(x, y)
-            assert m.det() == leibniz_det(m) == _det_lambda(m.to_rows())
+            assert m.det() == leibniz_det(m) == bareiss_det(m)
         assert bareiss_calls == []
 
     def test_huge_entries(self, bareiss_calls):
@@ -461,7 +468,7 @@ class TestPencilDeterminant:
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -2**75, 2**75).to_rows()
             m = pencil(x, y)
-            assert m.det() == _det_lambda(m.to_rows())
+            assert m.det() == bareiss_det(m)
         assert bareiss_calls == []
 
     def test_singular_x_with_zero_determinant(self, bareiss_calls):
@@ -522,28 +529,23 @@ class TestPencilDeterminant:
 class TestLambdaMatrix:
     def test_minor_gcd_of_row(self):
         m = LambdaMatrix.from_rows([[P("s - 1"), P("s^2 - 1")]])
-        assert maximal_minor_gcd(m).delta == P("s - 1")
+        assert maximal_minor_gcd(m) == P("s - 1")
 
     def test_trefoil_presentation_delta(self):
         h = IntMatrix.from_rows([[1, 0, -1, -1], [0, 1, -1, -1],
                                  [1, 1, -1, -1], [0, 0, -1, 0]])
-        ideal = maximal_minor_gcd(si_minus(h))
-        assert ideal.delta == P("s^4 - s^3 - s + 1")
-        assert len(ideal.minors) == 1
+        assert maximal_minor_gcd(si_minus(h)) == P("s^4 - s^3 - s + 1")
 
     def test_two_by_three_minors(self):
         m = LambdaMatrix.from_rows([
             [P("s - 1"), ZERO, ZERO],
             [ZERO, P("s - 1"), ZERO],
         ])
-        ideal = maximal_minor_gcd(m)
-        assert ideal.delta == P("s^2 - 2s + 1")
-        assert sorted(map(str, ideal.minors)) == ["0", "0", "s^2 - 2s + 1"]
+        assert maximal_minor_gcd(m) == P("s^2 - 2s + 1")
 
     def test_more_generators_than_relations(self):
         m = LambdaMatrix.from_rows([[P("s")], [P("1")]])
-        ideal = maximal_minor_gcd(m)
-        assert ideal.delta == ZERO and ideal.minors == ()
+        assert maximal_minor_gcd(m) == ZERO
 
     def test_square_gcd_is_canonical_determinant(self):
         rng = random.Random(9)
@@ -553,7 +555,7 @@ class TestLambdaMatrix:
                                 [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
                     for _ in range(n * n)]
             m = LambdaMatrix(n, n, ents)
-            assert maximal_minor_gcd(m).delta == canonicalize(m.det())
+            assert maximal_minor_gcd(m) == canonicalize(m.det())
 
     def test_minor_cap(self):
         m = LambdaMatrix.from_rows([[P("s"), P("1"), P("s"), P("1")],
@@ -580,16 +582,123 @@ class TestRankOverFractions:
         m = LambdaMatrix.from_rows([row, row])
         assert rank_over_fractions(m) == 1
 
+    def test_square_singular_with_zero_leading_column(self):
+        # the zero column is skipped; it does not end the elimination
+        for rows in ([[ZERO, ONE], [ZERO, ONE]], [[ZERO, P("s")], [ZERO, P("s - 1")]]):
+            assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 1
 
-class TestAdjugate:
-    def test_cofactor_identity(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            h = random_matrix(rng, n, n, -3, 3)
-            p = si_minus(h)
-            prod = adjugate(p) * p
-            det = p.det()
-            for i in range(n):
-                for j in range(n):
-                    assert prod.at(i, j) == (det if i == j else ZERO)
+
+def minor_rank(rows, ncols, det) -> int:
+    """Largest k with a nonzero k x k minor, each minor taken by ``det``."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if det([[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def random_int(rng) -> int:
+    return rng.choice((0, rng.randint(-5, 5), rng.randint(-5, 5)))
+
+
+def random_laurent(rng) -> LaurentPoly:
+    if rng.random() < 0.2:
+        return ZERO
+    return LaurentPoly(rng.randint(-1, 1), [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))])
+
+
+def random_rows(rng, rows, cols, entry, zero):
+    """A random rows x cols matrix: dense, of rank below min(rows, cols) (a
+    product through a narrower middle), with its leading columns zero, or
+    with a zero top-left entry (the first pivot needs a row swap)."""
+    shape = rng.choice(("dense", "low", "zero-lead", "swap"))
+    if shape == "low" and rows and cols:
+        k = rng.randint(0, min(rows, cols) - 1)
+        b = [[entry(rng) for _ in range(k)] for _ in range(rows)]
+        c = [[entry(rng) for _ in range(cols)] for _ in range(k)]
+        out = []
+        for i in range(rows):
+            row = []
+            for j in range(cols):
+                acc = zero
+                for t in range(k):
+                    acc = acc + b[i][t] * c[t][j]
+                row.append(acc)
+            out.append(row)
+        return out
+    out = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if shape == "zero-lead" and cols:
+        lead = rng.randint(1, max(1, cols - 1))
+        for row in out:
+            row[:lead] = [zero] * lead
+    if shape == "swap" and rows and cols:
+        out[0][0] = zero
+    return out
+
+
+class TestBareissKernel:
+    """The one fraction-free kernel against Leibniz expansion, over Z and
+    over Z[s, s^-1]."""
+
+    RINGS = {
+        "Z": (1, _divexact_int, random_int, 0,
+              lambda rows: brute_det(IntMatrix.from_rows(rows))),
+        "Laurent": (ONE, laurent.divexact, random_laurent, ZERO,
+                    lambda rows: leibniz_det(LambdaMatrix.from_rows(rows))),
+    }
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_against_leibniz(self, ring):
+        one, div, entry, zero, det = self.RINGS[ring]
+        rng = random.Random(71)
+        shapes = [(r, c) for r in range(5) for c in range(5) if r == c or r < 4]
+        for rows, cols in shapes * 20:
+            m = random_rows(rng, rows, cols, entry, zero)
+            rank, d = _bareiss(m, one, div)
+            assert rank == minor_rank(m, cols, det)
+            if rows == cols:
+                assert d == det(m)
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_row_swaps_flip_the_sign(self, ring):
+        one, div, _, zero, det = self.RINGS[ring]
+        two = one + one
+        for m, expected in (([[zero, one], [one, zero]], -one),
+                            ([[zero, one, zero], [zero, zero, one], [one, zero, zero]], one),
+                            ([[zero, zero, one], [zero, one, zero], [one, zero, zero]], -one),
+                            ([[zero, two, one], [one, one, zero], [zero, one, one]], -one)):
+            assert _bareiss(m, one, div) == (len(m), expected)
+            assert det(m) == expected
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_empty_shapes(self, ring):
+        one, div, _, zero, _ = self.RINGS[ring]
+        assert _bareiss([], one, div) == (0, one)
+        for k in (1, 3):
+            assert _bareiss([[] for _ in range(k)], one, div) == (0, zero)
+        assert IntMatrix(0, 0, ()).det() == 1
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            assert rank_over_fractions(LambdaMatrix(rows, cols, ())) == 0
+
+    def test_public_callers_use_the_kernel(self):
+        rng = random.Random(73)
+        for _ in range(20):
+            n = rng.randint(0, 4)
+            a = random_matrix(rng, n, n, -6, 6)
+            assert a.det() == brute_det(a)
+            m = LambdaMatrix.from_rows(random_rows(rng, n, n + 1, random_laurent, ZERO))
+            assert rank_over_fractions(m) == minor_rank(
+                m.to_rows(), m.cols, lambda rows: leibniz_det(LambdaMatrix.from_rows(rows)))
+
+    def test_inexact_division_over_z_is_internal_error(self):
+        with pytest.raises(ValueError):
+            _divexact_int(7, 2)
+        # a wrong unit makes the first division inexact: 1 / 2
+        with pytest.raises(InternalError, match="inexact division"):
+            _bareiss([[1, 1], [1, 2]], 2, _divexact_int)
+
+    def test_inexact_division_over_laurent_is_internal_error(self):
+        # a wrong unit makes the first division inexact: (s^2 - 1) / 2
+        with pytest.raises(InternalError, match="inexact division"):
+            _bareiss([[P("s"), ONE], [ONE, P("s")]], LaurentPoly.const(2), laurent.divexact)

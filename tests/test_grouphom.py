@@ -8,9 +8,7 @@ from twistalex.freegrp import Word
 from twistalex.grouphom import (FiniteHom, Perm, Presentation, alternating,
                                 cyclic, generated_subgroup_order,
                                 perm_from_cycle_text, perm_to_cycle_text,
-                                regular_matrix,
-                                regular_representation_dimension, symmetric,
-                                verify_homomorphism)
+                                symmetric, verify_homomorphism)
 
 
 def C(text, degree=5) -> Perm:
@@ -125,34 +123,6 @@ class TestSubgroupOrder:
         hom = FiniteHom(1, symmetric(10), [Perm.identity(10)])
         with pytest.raises(SizeLimitError):
             generated_subgroup_order(hom)
-
-
-class TestRegularRepresentation:
-    def test_cyclic_dimension_and_generator(self):
-        z3 = cyclic(3)
-        assert regular_representation_dimension(z3) == 3
-        m = regular_matrix(z3, 1)
-        assert m.to_rows() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-
-    def test_identity_element(self):
-        z6 = cyclic(6)
-        assert regular_matrix(z6, 0) == regular_matrix(z6, 0).__class__.identity(6)
-
-    def test_a5_dimension(self):
-        assert regular_representation_dimension(alternating(5)) == 60
-
-    def test_homomorphism_property(self):
-        rng = random.Random(7)
-        for target in (cyclic(6), symmetric(3)):
-            elements = target.elements()
-            for _ in range(15):
-                g, h = rng.choice(elements), rng.choice(elements)
-                assert (regular_matrix(target, g) * regular_matrix(target, h)
-                        == regular_matrix(target, target.mul(g, h)))
-
-    def test_bound(self):
-        with pytest.raises(SizeLimitError):
-            regular_matrix(alternating(8), Perm.identity(8))
 
 
 class TestTargets:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from twistalex import laurent
 from twistalex.errors import ParseError
-from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, _det_int, canonicalize,
+from twistalex.exactla import IntMatrix
+from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
                                divexact, divides, gcd, is_monic,
                                parse_laurent, resultant_with_cyclotomic,
                                to_text)
@@ -129,7 +130,7 @@ def sylvester(a: list[int], b: list[int]) -> int:
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    return _det_int(rows)
+    return IntMatrix.from_rows(rows).det()
 
 
 def sylvester_resultant(p: LaurentPoly, d: int) -> int:

@@ -4,12 +4,11 @@ import pytest
 
 from twistalex import obstruction
 from twistalex.cover import twisted_invariants
-from twistalex.exactla import LambdaMatrix, adjugate, rank_over_fractions, si_minus
+from twistalex.exactla import LambdaMatrix, rank_over_fractions
 from twistalex.fixtures import load_fixture
 from twistalex.grouphom import FiniteHom, cyclic
-from twistalex.laurent import ZERO, divides, parse_laurent
+from twistalex.laurent import ZERO, parse_laurent
 from twistalex.obstruction import (CONSISTENT, INCONCLUSIVE, NOT_FIBRED,
-                                   annihilator_consequence,
                                    evaluate_fibred_obstruction)
 
 
@@ -133,30 +132,6 @@ class TestRankShortcut:
         assert eliminations == []
 
 
-class TestAnnihilatorSpotCheck:
-    def test_delta_annihilates_square_presentations(self):
-        # adj(P) * P = det(P) * I, and delta generates the same ideal as det
-        p = trefoil_presentation()
-        det = p.det()
-        prod = adjugate(p) * p
-        for i in range(p.rows):
-            for j in range(p.cols):
-                assert prod.at(i, j) == (det if i == j else ZERO)
-        delta = evaluate_fibred_obstruction(p).delta
-        assert divides(delta, det) and divides(det, delta)
-
-    def test_random_pencils(self):
-        from twistalex.exactla import IntMatrix
-        rng = random.Random(1)
-        for _ in range(8):
-            n = rng.randint(1, 3)
-            h = IntMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
-            p = si_minus(h)
-            prod = adjugate(p) * p
-            det = p.det()
-            assert all(prod.at(i, i) == det for i in range(n))
-
-
 class TestFibredInputsAreConsistent:
     def test_every_monodromy_report_is_consistent(self):
         # genuine fibred data satisfies all three conclusions
@@ -180,17 +155,3 @@ class TestFibredInputsAreConsistent:
             assert report.verdict == CONSISTENT
             assert report.delta == inv.delta
             checked += 1
-
-
-class TestAnnihilatorConsequence:
-    def test_nontrivial_finite_group_fires(self):
-        report = evaluate_fibred_obstruction(trefoil_presentation())
-        assert annihilator_consequence(report, 5) is False
-
-    def test_trivial_group_is_unobstructed(self):
-        report = evaluate_fibred_obstruction(trefoil_presentation())
-        assert annihilator_consequence(report, 1) is True
-
-    def test_infinite_group_fires(self):
-        report = evaluate_fibred_obstruction(trefoil_presentation())
-        assert annihilator_consequence(report, None) is False
