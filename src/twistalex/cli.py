@@ -9,6 +9,7 @@ import os
 import random
 import re
 import sys
+import traceback
 
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
@@ -378,6 +379,10 @@ def main(argv=None) -> int:
     except (TwistError, ValueError, OSError) as e:
         print(f"twist: error: {e}", file=sys.stderr)
         return EX_USAGE
+    except Exception as e:  # any other exception is a fault in the program
+        print(f"twist: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

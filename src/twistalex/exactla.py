@@ -2,9 +2,10 @@
 
 Smith normal form (with the left transform modulo r on request), cokernel
 invariants, surjections onto cyclic groups, a modular determinant kernel
-for linear pencils sX - Y (characteristic polynomials included), and one
-fraction-free elimination kernel that gives rank and determinant over Z
-and over Z[s, s^-1] (maximal-minor gcds build on it).
+for linear pencils sX - Y (characteristic polynomials included), a modular
+evaluation kernel that gives every maximal minor of a Laurent matrix at
+once (maximal-minor gcds build on it), and one fraction-free elimination
+kernel that gives rank and determinant over Z and over Z[s, s^-1].
 """
 
 from __future__ import annotations
@@ -374,27 +375,45 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
 # coefficient exceeds prod_i sum_j (|x_ij| + |y_ij|) in absolute value (bound
 # the Leibniz expansion term by term).
 
-def _inverse_times_mod(x: list[list[int]], y: list[list[int]],
-                       p: int) -> tuple[list[list[int]], int] | None:
-    """(X^-1 Y mod p, det X mod p) by Gauss-Jordan elimination; None when
-    X is singular modulo p."""
-    n = len(x)
-    a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Bring A, entries reduced mod p, to reduced row-echelon form in place
+    by Gauss-Jordan elimination; returns (pivot columns, det).
+
+    Pivots are taken down each column in row order, and a column with no
+    pivot left is skipped.  When there is a pivot in every row, det is the
+    determinant of the input's pivot columns mod p.
+    """
+    n = len(a)
+    pivots, det = [], 1
+    for k in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][k]), None)
         if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             det = -det
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        rk = a[k] = [v * inv % p for v in a[k]]
+        det = det * a[r][k] % p
+        inv = pow(a[r][k], -1, p)
+        rk = a[r] = [v * inv % p for v in a[r]]
         for i in range(n):
             u = a[i][k]
-            if u and i != k:
+            if u and i != r:
                 a[i] = [(v - u * w) % p for v, w in zip(a[i], rk)]
+        pivots.append(k)
+    return pivots, det
+
+
+def _inverse_times_mod(x: list[list[int]], y: list[list[int]],
+                       p: int) -> tuple[list[list[int]], int] | None:
+    """(X^-1 Y mod p, det X mod p); None when X is singular modulo p."""
+    n = len(x)
+    a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
+    pivots, det = _rref_mod(a, p)
+    if pivots != list(range(n)):
+        return None
     return [r[n:] for r in a], det
 
 
@@ -505,11 +524,6 @@ class LambdaMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def submatrix_cols(self, cols) -> "LambdaMatrix":
-        cols = list(cols)
-        ents = [self.at(i, j) for i in range(self.rows) for j in cols]
-        return LambdaMatrix(self.rows, len(cols), ents)
-
     def det(self) -> LaurentPoly:
         """Exact determinant.
 
@@ -558,9 +572,11 @@ def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> 
     form.
 
     Follows the convention that a matrix with more generators than
-    relations (n > m) has zero ideal and zero gcd.  Enumeration is capped
+    relations (n > m) has zero ideal and zero gcd.  The minors are capped
     at ``max_minors`` column choices; beyond that a MinorLimitError is
-    raised (a desk-scale guard, overridable via TWIST_MAX_MINORS in the CLI).
+    raised before any work (a desk-scale guard, overridable via
+    TWIST_MAX_MINORS in the CLI).  A square matrix has one minor, its
+    determinant; a wide one has all its minors from one evaluation kernel.
     """
     n, m = p.rows, p.cols
     if n > m:
@@ -569,7 +585,114 @@ def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> 
     if count > max_minors:
         raise MinorLimitError(
             f"would enumerate {count} minors, above the cap of {max_minors}")
+    if n == m:
+        return laurent.canonicalize(p.det())
     g = laurent.ZERO
-    for cols in itertools.combinations(range(m), n):
-        g = laurent.gcd(g, p.submatrix_cols(cols).det())
+    for minor in _maximal_minors(p):
+        g = laurent.gcd(g, minor)
     return laurent.canonicalize(g)
+
+
+# -- maximal minors by evaluation ---------------------------------------------
+#
+# All C(m, n) maximal minors of an n x m Laurent matrix A at once.  Row i
+# times s^-low_i has polynomial entries of degree <= span_i, so every minor
+# is s^(sum_i low_i) times a polynomial of degree <= D = sum_i span_i, whose
+# coefficients are bounded by prod_i sum_j |a_ij|_1 (bound the Leibniz
+# expansion term by term).  Modulo each CRT prime, A is evaluated at
+# s = 0..D and reduced once per point to reduced row-echelon form E = L A.
+# With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
+# C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
+# the rows T whose pivot is not in C to the bottom and the columns C \ P to
+# the right leaves +-det E[T, C \ P]: over all C, exactly the square minors
+# of E's non-pivot columns.  One inverse Vandermonde per prime interpolates
+# every minor from its D + 1 values.
+
+def _maximal_minors(p: LambdaMatrix) -> list[LaurentPoly]:
+    """The n x n minors of an n x m matrix with n <= m, exactly, in the
+    order of itertools.combinations(range(m), n)."""
+    n, m = p.rows, p.cols
+    count = math.comb(m, n)
+    rows = p.to_rows()
+    lows = [min((e.low for e in row if e), default=0) for row in rows]
+    polys = [[(0,) * (e.low - low) + e.coeffs if e else () for e in row]
+             for row, low in zip(rows, lows)]
+    bound = math.prod(sum(sum(map(abs, e)) for e in row) for row in polys)
+    if not bound:  # a zero row
+        return [laurent.ZERO] * count
+    points = sum(max(map(len, row)) for row in polys) - n + 1  # D + 1
+    plans: dict[tuple[int, ...], list] = {}  # pivot columns -> _minor_plan
+
+    def residues():
+        for q in _primes():
+            # row c holds the powers of s = c, which also evaluate A there
+            vandermonde = [[pow(c, k, q) for k in range(points)] for c in range(points)]
+            values = []
+            for powers in vandermonde:
+                a = [[sum(x * w for x, w in zip(e, powers)) % q for e in row]
+                     for row in polys]
+                values.append(_minors_mod(a, m, q, plans))
+            coeffs, _ = _inverse_times_mod(vandermonde, values, q)
+            yield q, [v for minor in zip(*coeffs) for v in minor]
+
+    flat = _crt_lift(bound, count * points, residues())
+    shift = sum(lows)
+    return [LaurentPoly(shift, flat[i:i + points]) for i in range(0, count * points, points)]
+
+
+def _minors_mod(a: list[list[int]], m: int, q: int, plans: dict) -> list[int]:
+    """The maximal minors of the n x m matrix A mod q, A overwritten; the
+    plan for each set of pivot columns is kept in ``plans``."""
+    n = len(a)
+    pivots, d = _rref_mod(a, q)
+    if len(pivots) < n:
+        return [0] * math.comb(m, n)
+    key = tuple(pivots)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _minor_plan(key, m)
+    free = [j for j in range(m) if j not in key]
+    small = _square_minors([[row[j] for j in free] for row in a], q)
+    return [sign * d * small[t, k] % q for sign, t, k in plan]
+
+
+def _minor_plan(pivots: tuple[int, ...], m: int) -> list[tuple[int, tuple, tuple]]:
+    """For each column set C, in combinations order: (sign, T, K) with the
+    minor on C equal to sign * d * det E[T, K], K indexing the non-pivot
+    columns."""
+    n = len(pivots)
+    free = {j: k for k, j in enumerate(j for j in range(m) if j not in pivots)}
+    plan = []
+    for cols in itertools.combinations(range(m), n):
+        chosen = set(cols)
+        t = tuple(i for i, j in enumerate(pivots) if j not in chosen)
+        k = tuple(free[j] for j in cols if j in free)
+        moves = (_to_end_parity(t, n)
+                 + _to_end_parity([i for i, j in enumerate(cols) if j in free], n))
+        plan.append((-1 if moves & 1 else 1, t, k))
+    return plan
+
+
+def _to_end_parity(positions, size: int) -> int:
+    """Transpositions, mod 2, that move the ascending ``positions`` of
+    range(size) to its end in order."""
+    t = len(positions)
+    return sum(size - t + i - at for i, at in enumerate(positions)) & 1
+
+
+def _square_minors(f: list[list[int]], q: int) -> dict[tuple[tuple, tuple], int]:
+    """Every square minor of F mod q, keyed by (rows, columns), each by
+    Laplace expansion along its first row over the minors one size down."""
+    n, w = len(f), len(f[0]) if f else 0
+    minors = {((), ()): 1}
+    for t in range(1, min(n, w) + 1):
+        for rs in itertools.combinations(range(n), t):
+            top, rest = f[rs[0]], rs[1:]
+            for cs in itertools.combinations(range(w), t):
+                v = 0
+                for k, j in enumerate(cs):
+                    if top[j]:
+                        sub = top[j] * minors[rest, cs[:k] + cs[k + 1:]]
+                        v = v - sub if k & 1 else v + sub
+                minors[rs, cs] = v % q
+    return minors

@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# Every hypothesis test draws its examples from a seed fixed by the test
+# itself, so a failure on one machine reproduces on any other.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
 _acceptance_results = []
 
 

@@ -249,6 +249,32 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--presentation", str(path))
         assert code == 3 and "verdict = inconclusive" in out
 
+    def test_no_generators_keeps_its_output(self, capsys, tmp_path):
+        # 0 x 3: one maximal minor, the empty determinant 1, and full rank 0
+        path = tmp_path / "m.txt"
+        path.write_text("0 3\n")
+        code, out, _ = run(capsys, "report", "--presentation", str(path))
+        assert code == 3
+        assert out.splitlines() == [
+            "torsion = yes", "principal = unknown", "monic = yes", "delta = 1",
+            "verdict = inconclusive",
+            "  (1) torsion: presentation has full rank 0",
+            "  (2) undetermined: non-square presentation, principality not decided",
+            "  (3) monic: delta = 1"]
+
+    def test_zero_row_takes_the_rank_route(self, capsys, tmp_path):
+        # every minor vanishes (coefficient bound 0), so the rank decides
+        path = tmp_path / "m.txt"
+        path.write_text("2 3\ns-1 1 s\n0 0 0\n")
+        code, out, _ = run(capsys, "report", "--presentation", str(path), "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "delta": "0", "monic": "undefined", "principal": "unknown", "torsion": "no",
+            "verdict": "NOT-fibred-certificate",
+            "reasons": ["(1) FAILS: rank 1 < 2 generators, module is not torsion",
+                        "(2) undetermined: non-square presentation, principality not decided",
+                        "(3) undefined: delta = 0"]}
+
     def test_minor_cap_env_override(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.txt"
         path.write_text("2 4\ns 0 0 0\n0 s 0 0\n")
@@ -312,6 +338,28 @@ class TestUsageErrors:
                              "--d", "1", "--alpha", "Z/3:x=1,y=0")
         assert code == 70 and out == ""
         assert err.startswith("twist: internal error: ") and "did not close up" in err
+
+    def test_unexpected_exception_exits_70(self, capsys, tmp_path, monkeypatch):
+        # an exception no handler names is a fault in the program
+        def broken(p):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(exactla, "_maximal_minors", broken)
+        path = tmp_path / "m.txt"
+        path.write_text("2 3\ns-1 1 s\n1 s 0\n")
+        code, out, err = run(capsys, "report", "--presentation", str(path))
+        assert code == 70 and out == ""
+        assert err.startswith("twist: internal error: IndexError: list index out of range\n")
+        assert "Traceback" in err
+
+    def test_malformed_minor_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # a ValueError still reads as bad input
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\ns-1 s\n")
+        monkeypatch.setenv("TWIST_MAX_MINORS", "many")
+        code, out, err = run(capsys, "report", "--presentation", str(path))
+        assert code == 64 and out == ""
+        assert err.startswith("twist: error: invalid literal for int()")
 
     def test_inexact_elimination_exits_70(self, capsys, tmp_path, monkeypatch):
         # A non-pencil determinant takes fraction-free elimination, whose

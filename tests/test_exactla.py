@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError
 from twistalex.exactla import (IntMatrix, LambdaMatrix, _bareiss, _divexact_int,
-                               char_poly, cokernel_invariants, maximal_minor_gcd,
-                               rank_over_fractions, si_minus,
+                               _maximal_minors, char_poly, cokernel_invariants,
+                               maximal_minor_gcd, rank_over_fractions, si_minus,
                                smith_normal_form, surjection_onto_cyclic)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
 from twistalex.seifert import branched_presentation, random_seifert_matrix
@@ -563,6 +563,111 @@ class TestLambdaMatrix:
         with pytest.raises(MinorLimitError):
             maximal_minor_gcd(m, max_minors=5)
         maximal_minor_gcd(m, max_minors=6)  # exactly C(4, 2)
+
+
+def enumerated_minors(m: LambdaMatrix) -> list[LaurentPoly]:
+    """Every maximal minor, one LambdaMatrix.det per column set in
+    combinations order: the route the evaluation kernel replaced, kept as
+    its oracle."""
+    rows = m.to_rows()
+    return [LambdaMatrix(m.rows, m.rows, [r[j] for r in rows for j in cols]).det()
+            for cols in itertools.combinations(range(m.cols), m.rows)]
+
+
+def enumerated_gcd(m: LambdaMatrix) -> LaurentPoly:
+    g = ZERO
+    for minor in enumerated_minors(m):
+        g = laurent.gcd(g, minor)
+    return canonicalize(g)
+
+
+HUGE = st.integers(2**70 - 2**8, 2**70 + 2**8) | st.integers(-2**70 - 2**8, -2**70 + 2**8)
+
+
+@st.composite
+def wide_matrices(draw, n):
+    """An n x m Laurent matrix, n < m <= n + 4: general entries with
+    negative exponents and zeros, pencils sX - Y, pencils whose X has
+    dependent rows (every square block of X singular), or entries near
+    2^70, so the lift needs several primes; sometimes with a row repeated."""
+    m = draw(st.integers(n + 1, n + 4))
+    kind = draw(st.sampled_from(("laurent", "pencil", "singular-x", "huge")))
+    coeff = HUGE | st.just(0) if kind == "huge" else st.integers(-3, 3)
+    if kind in ("laurent", "huge"):
+        entry = st.builds(LaurentPoly, st.integers(-2, 2), st.lists(coeff, max_size=3))
+        rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    else:
+        x = [[draw(coeff) for _ in range(m)] for _ in range(n)]
+        if kind == "singular-x":
+            k = draw(st.integers(-2, 2))
+            x[-1] = [k * v for v in x[0]]
+        rows = [[LaurentPoly(0, (draw(coeff), v)) for v in xr] for xr in x]
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return LambdaMatrix.from_rows(rows)
+
+
+def refuse_laurent_elimination(monkeypatch):
+    """Makes any Laurent determinant or fraction-free elimination fail."""
+    def refuse(*args):
+        raise AssertionError("the evaluation kernel took a Laurent determinant")
+
+    monkeypatch.setattr(exactla.LambdaMatrix, "det", refuse)
+    monkeypatch.setattr(exactla, "_bareiss", refuse)
+
+
+class TestMaximalMinors:
+    """The evaluation kernel behind maximal_minor_gcd for n < m, against
+    one Laurent determinant per column set."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_against_enumeration(self, n, data):
+        m = data.draw(wide_matrices(n))
+        assert _maximal_minors(m) == enumerated_minors(m)
+        gcd = enumerated_gcd(m)
+        assert maximal_minor_gcd(m) == gcd
+        rows = m.to_rows()
+        if any(rows.count(r) > 1 for r in rows):
+            assert gcd == ZERO
+
+    def test_repeated_row_gives_zero(self):
+        row = [P("s - 1"), P("s^-1"), P("2s + 3"), ZERO]
+        m = LambdaMatrix.from_rows([row, [P("1"), P("s"), P("s^2"), P("s^-2")], row])
+        assert _maximal_minors(m) == [ZERO] * 4 == enumerated_minors(m)
+        assert maximal_minor_gcd(m) == ZERO
+
+    def test_pivot_columns_change_between_points(self):
+        # at s = 0 the first column vanishes, so the pivots move right
+        m = LambdaMatrix.from_rows([[P("s"), P("1"), ZERO, P("s^2 + 1")],
+                                    [ZERO, P("s"), P("1"), P("-s")]])
+        assert _maximal_minors(m) == enumerated_minors(m)
+        assert maximal_minor_gcd(m) == enumerated_gcd(m) == ONE
+
+    def test_no_rows_has_one_minor(self, monkeypatch):
+        refuse_laurent_elimination(monkeypatch)
+        for m in (1, 3):
+            assert _maximal_minors(LambdaMatrix(0, m, ())) == [ONE]
+            assert maximal_minor_gcd(LambdaMatrix(0, m, ())) == ONE
+
+    def test_zero_row_gives_zero(self, monkeypatch):
+        refuse_laurent_elimination(monkeypatch)
+        m = LambdaMatrix.from_rows([[P("s - 1"), ONE, P("s")], [ZERO, ZERO, ZERO]])
+        assert _maximal_minors(m) == [ZERO] * 3
+        assert maximal_minor_gcd(m) == ZERO
+
+    def test_no_laurent_determinant_or_elimination(self, monkeypatch):
+        rng = random.Random(79)
+        cases = []
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            m = LambdaMatrix.from_rows(random_rows(rng, n, n + rng.randint(1, 3),
+                                                   random_laurent, ZERO))
+            cases.append((m, enumerated_gcd(m)))
+        refuse_laurent_elimination(monkeypatch)
+        for m, gcd in cases:
+            assert maximal_minor_gcd(m) == gcd
 
 
 class TestRankOverFractions:
