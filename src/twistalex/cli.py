@@ -17,7 +17,7 @@ from .errors import InternalError, SizeLimitError, TwistError
 from .exactla import DEFAULT_MAX_MINORS
 from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
-from .laurent import resultant_with_cyclotomic, to_text
+from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction
 from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
                       branched_homology, random_seifert_matrix,
@@ -73,7 +73,15 @@ def parse_inputs(kind: str, *, path: str | None = None, fixture: str | None = No
 
 def _max_minors() -> int:
     value = os.environ.get("TWIST_MAX_MINORS")
-    return int(value) if value else DEFAULT_MAX_MINORS
+    if not value:
+        return DEFAULT_MAX_MINORS
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise TwistError(f"TWIST_MAX_MINORS must be a nonnegative integer, got {value!r}")
+    return cap
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -108,6 +116,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_monodromy(args) -> int:
+    max_minors = _max_minors()
     fx = parse_inputs("monodromy", path=args.file, fixture=args.fixture)
     if _INLINE_ALPHA.match(args.alpha):
         alpha = formats.parse_inline_alpha(args.alpha, fx.names)
@@ -115,7 +124,7 @@ def _cmd_monodromy(args) -> int:
         with open(args.alpha, encoding="utf-8") as fh:
             alpha, _ = formats.parse_hom(fh.read(), fx.names)
     inv = twisted_invariants(fx.endo, args.d, alpha, tree=args.tree)
-    report = evaluate_fibred_obstruction(inv.presentation, max_minors=_max_minors())
+    report = evaluate_fibred_obstruction(inv.presentation, max_minors=max_minors)
     h_rows = inv.h_matrix.to_rows()
     lines = [
         f"group order = {alpha.target.order}",
@@ -181,12 +190,9 @@ def _cmd_seifert(args) -> int:
                     "order": jump.order,
                 }
     if args.sweep is not None:
-        sweep = {}
-        for d in range(2, args.sweep + 1):
-            rd = resultant_with_cyclotomic(alex, d)
-            sweep[d] = rd
-            lines.append(f"R_{d} = {rd}")
-        payload["sweep"] = {str(d): v for d, v in sweep.items()}
+        sweep = cyclotomic_resultants(alex, args.sweep)
+        lines.extend(f"R_{d} = {rd}" for d, rd in sweep.items())
+        payload["sweep"] = {str(d): rd for d, rd in sweep.items()}
     _emit(args, lines, payload)
     return 0
 
@@ -204,13 +210,9 @@ def _cmd_resultant(args) -> int:
         lines.append(f"R_{args.d} = {rd}")
         payload["resultant"] = {str(args.d): rd}
     else:
-        dmax = args.sweep if args.sweep is not None else 30
-        sweep = {}
-        for d in range(2, dmax + 1):
-            rd = resultant_with_cyclotomic(p, d)
-            sweep[str(d)] = rd
-            lines.append(f"R_{d} = {rd}")
-        payload["resultant"] = sweep
+        sweep = cyclotomic_resultants(p, args.sweep if args.sweep is not None else 30)
+        lines.extend(f"R_{d} = {rd}" for d, rd in sweep.items())
+        payload["resultant"] = {str(d): rd for d, rd in sweep.items()}
     _emit(args, lines, payload)
     return 0
 

@@ -1,11 +1,12 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
-Smith normal form (with the left transform modulo r on request), cokernel
-invariants, surjections onto cyclic groups, a modular determinant kernel
-for linear pencils sX - Y (characteristic polynomials included), a modular
-evaluation kernel that gives every maximal minor of a Laurent matrix at
-once (maximal-minor gcds build on it), and one fraction-free elimination
-kernel that gives rank and determinant over Z and over Z[s, s^-1].
+Smith normal form (with the left transform's row operations modulo r on
+request), cokernel invariants, surjections onto cyclic groups, a modular
+determinant kernel for linear pencils sX - Y (characteristic polynomials
+included), a modular evaluation kernel that gives every maximal minor of a
+Laurent matrix at once (maximal-minor gcds build on it), and one
+fraction-free elimination kernel that gives rank and determinant over Z
+and over Z[s, s^-1].
 """
 
 from __future__ import annotations
@@ -204,13 +205,17 @@ class SmithForm:
 
     d has min(rows, cols) entries; they are nonnegative, nonzero entries
     divide their successors, and zeros come last.  When a modulus r was
-    asked for, ``u`` is that U with its entries reduced modulo r.
+    asked for, U = N * E_t * ... * E_1 is kept as its row operations modulo
+    r, in order: ``ops`` holds (i, j, q) for row_i -= q row_j and (i, j,
+    None) for a swap of rows i and j, and ``negated`` the rows of the sign
+    matrix N that are -1.
     """
 
     d: tuple[int, ...]
     rows: int
     r: int | None = None
-    u: IntMatrix | None = None
+    ops: tuple[tuple[int, int, int | None], ...] = ()
+    negated: tuple[int, ...] = ()
 
     def cokernel(self) -> CokernelInvariants:
         """Invariant factors != 1 and free rank of coker(A)."""
@@ -234,32 +239,44 @@ class SmithForm:
         weights = [(r // math.gcd(dj, r)) % r for dj in diag]
         if math.gcd(r, *weights) != 1:
             return None
-        u = self.u
-        return tuple(sum(w * u.at(j, i) for j, w in enumerate(weights)) % r
-                     for i in range(self.rows))
+        return self._times_u(weights)
+
+    def _times_u(self, w: list[int]) -> tuple[int, ...]:
+        """w^T U mod r, by replaying the row operations backwards on w."""
+        r = self.r
+        v = list(w)
+        for k in self.negated:
+            v[k] = -v[k]
+        for i, j, q in reversed(self.ops):
+            if q is None:
+                v[i], v[j] = v[j], v[i]
+            else:  # w^T (I - q e_i e_j^T) = w^T - q w_i e_j^T
+                v[j] = (v[j] - q * v[i]) % r
+        return tuple(x % r for x in v)
 
 
 def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
-    """Smith normal form diagonal; with r, also the left transform U mod r.
+    """Smith normal form diagonal; with r, also the left transform U mod r,
+    as its log of row operations.
 
     Pivots are chosen as the nonzero entry of minimal absolute value in the
     working submatrix (ties: lowest row, then lowest column), which keeps
     intermediate entries small and the output reproducible.  Neither the
-    right transform nor an integer U is built: U only ever receives row
-    operations, so it is carried modulo r.
+    right transform nor U itself is built: U only ever receives row
+    operations, so the operations are logged modulo r and replayed on the
+    one covector that SmithForm.character needs.
     """
     rows, cols = a.rows, a.cols
     m = a.to_rows()
-    u = None if r is None else [[int(i == j) % r for j in range(rows)] for i in range(rows)]
+    ops = None if r is None else []
 
     # At step k, rows and columns before k are zero off the diagonal, so
     # operations on the working matrix only touch the trailing submatrix.
     def row_addmul(i: int, j: int, q: int, k: int) -> None:
         # row_i -= q * row_j
         m[i][k:] = [x - q * y for x, y in zip(m[i][k:], m[j][k:])]
-        if u is not None:
-            qr = q % r
-            u[i] = [(x - qr * y) % r for x, y in zip(u[i], u[j])]
+        if ops is not None and q % r:  # an operation that is the identity mod r is left out
+            ops.append((i, j, q % r))
 
     def find_pivot(k: int) -> tuple[int, int] | None:
         best, best_abs = None, 0
@@ -269,6 +286,8 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
             if low and (not best_abs or low < best_abs):
                 j = next(j for j in range(k, cols) if abs(row[j]) == low)
                 best, best_abs = (i, j), low
+                if low == 1:  # no later row can beat it: ties go to the lowest row
+                    break
         return best
 
     for k in range(min(rows, cols)):
@@ -277,8 +296,8 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
             i, j = piv
             if i != k:
                 m[k], m[i] = m[i], m[k]
-                if u is not None:
-                    u[k], u[i] = u[i], u[k]
+                if ops is not None:
+                    ops.append((k, i, None))
             if j != k:
                 for row in m[k:]:
                     row[k], row[j] = row[j], row[k]
@@ -299,7 +318,10 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
                     if m[k][j]:
                         clean = False
             if clean:
-                # Ensure the pivot divides every remaining entry before moving on.
+                # Ensure the pivot divides every remaining entry before
+                # moving on; a unit pivot divides everything.
+                if pivot in (1, -1):
+                    break
                 bad = next((i for i in range(k + 1, rows)
                             if any(x % pivot for x in m[i][k + 1:])), None)
                 if bad is None:
@@ -309,15 +331,12 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
         if piv is None:
             break
 
-    d = []
-    for k in range(min(rows, cols)):
-        if m[k][k] < 0:
-            m[k][k] = -m[k][k]
-            if u is not None:
-                u[k] = [-x % r for x in u[k]]
-        d.append(m[k][k])
-    u_m = None if u is None else IntMatrix(rows, rows, [x for row in u for x in row])
-    return SmithForm(d=tuple(d), rows=rows, r=r, u=u_m)
+    diag = [m[k][k] for k in range(min(rows, cols))]
+    d = tuple(map(abs, diag))
+    if r is None:
+        return SmithForm(d=d, rows=rows)
+    negated = tuple(k for k, x in enumerate(diag) if x < 0)
+    return SmithForm(d=d, rows=rows, r=r, ops=tuple(ops), negated=negated)
 
 
 @dataclasses.dataclass(frozen=True)

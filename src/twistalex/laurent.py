@@ -9,7 +9,9 @@ value has exactly one representation (zero is ``low=0, coeffs=()``).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from typing import Iterator
 
 from .errors import ParseError
@@ -479,6 +481,69 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
             yield q, [res % q]
 
     return abs(_crt_lift(sum(map(abs, f)) ** d, 1, residues())[0])
+
+
+def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
+    """{d: resultant_with_cyclotomic(p, d)} for d = 2..dmax, in one pass.
+
+    Modulo each CRT prime that does not divide the leading coefficient lc,
+    the roots lambda_i of p^ / lc have power sums s_m from Newton's
+    identities and the linear recurrence.  For each d, s_d, s_2d, ...,
+    s_nd are the power sums of the lambda_i^d, whose elementary symmetric
+    functions e_k follow from Newton's identities again (dividing by
+    k <= n, which the 61-bit primes exceed); then
+    Res(p^, t^d - 1) = (-1)^n lc^d sum_k (-1)^k e_k.  Each d draws primes
+    until its own bound ||p||_1^d is covered, as resultant_with_cyclotomic
+    does.
+    """
+    if dmax < 2:
+        return {}
+    if p.is_zero:
+        raise ValueError("resultant of the zero polynomial is undefined")
+    f = list(p.coeffs)
+    n = len(f) - 1
+    if not n:
+        return {d: abs(f[0]) ** d for d in range(2, dmax + 1)}
+    norm = sum(map(abs, f))
+
+    def sweep_mod(q: int, dmin: int) -> dict[int, int]:
+        lc = f[-1] % q
+        inv = pow(lc, -1, q)
+        c = [x * inv % q for x in f]  # monic: c[n] = 1
+        s = [n]  # s[m] = sum_i lambda_i^m
+        for m in range(1, n * dmax + 1):
+            # s_m = -(sum_(k < m, k <= n) c_(n-k) s_(m-k) + m c_(n-m) if m <= n)
+            if m <= n:
+                acc = sum(map(operator.mul, c[n - m + 1:n], s[1:m])) + m * c[n - m]
+            else:
+                acc = sum(map(operator.mul, c[:n], s[m - n:m]))
+            s.append(-acc % q)
+        inverses = [pow(k, -1, q) for k in range(1, n + 1)]
+        out = {}
+        for d in range(dmin, dmax + 1):
+            # k e_k = sum_(i <= k) (-1)^(i-1) e_(k-i) s_(id)
+            signed = [-s[i * d] if i % 2 == 0 else s[i * d] for i in range(1, n + 1)]
+            e = [1]  # the elementary symmetric functions of the lambda_i^d
+            for k in range(1, n + 1):
+                e.append(sum(map(operator.mul, reversed(e), signed)) * inverses[k - 1] % q)
+            total = sum(e[::2]) - sum(e[1::2])
+            out[d] = pow(lc, d, q) * total % q
+        return out
+
+    usable = (q for q in _primes() if f[-1] % q)
+    swept: list[tuple[int, dict[int, int]]] = []  # (prime, {d: residue}), shared by every d
+
+    def residues(d: int):
+        # d rises from call to call, so a prime first drawn for this d
+        # holds the residues of every later d as well.
+        for k in itertools.count():
+            if k == len(swept):
+                q = next(usable)
+                swept.append((q, sweep_mod(q, d)))
+            q, rs = swept[k]
+            yield q, [rs[d]]
+
+    return {d: abs(_crt_lift(norm ** d, 1, residues(d))[0]) for d in range(2, dmax + 1)}
 
 
 # -- text form ----------------------------------------------------------------

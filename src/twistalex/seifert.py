@@ -9,11 +9,15 @@ import math
 import random
 
 from . import laurent
-from .errors import InvariantError
+from .errors import InvariantError, SizeLimitError
 from .exactla import (CokernelInvariants, IntMatrix, LambdaMatrix,
                       cokernel_invariants, smith_normal_form,
                       surjection_onto_cyclic)
 from .laurent import LaurentPoly
+
+# Rows of the largest block presentation built; its Smith elimination
+# grows entries over Z, and n(d - 1) rows past this are beyond desk scale.
+MAX_PRESENTATION_ROWS = 1000
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -61,30 +65,27 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
     subdiagonal -S, with d - 1 block rows.
 
     Generators are ordered sheet-major: block row j holds the meridians
-    gamma_{1j} .. gamma_{mj} of sheet j.
+    gamma_{1j} .. gamma_{mj} of sheet j.  More than MAX_PRESENTATION_ROWS
+    rows raise SizeLimitError before anything is allocated.
     """
     if d < 2:
         raise ValueError("branched presentation needs d >= 2")
     m = s.matrix
     n = m.rows
-    sym = m + m.transpose()
-    neg_t = -m.transpose()
-    neg = -m
     size = n * (d - 1)
+    if size > MAX_PRESENTATION_ROWS:
+        raise SizeLimitError(
+            f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
+            f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
     rows = [[0] * size for _ in range(size)]
-    for jb in range(d - 1):
-        for ib in range(d - 1):
-            if jb == ib:
-                block = sym
-            elif ib == jb + 1:
-                block = neg
-            elif ib == jb - 1:
-                block = neg_t
-            else:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    rows[ib * n + i][jb * n + j] = block.at(i, j)
+    # (block row - block column, block): diagonal, subdiagonal, superdiagonal
+    blocks = ((0, m + m.transpose()), (1, -m), (-1, -m.transpose()))
+    for jb in range(d - 1 if n else 0):  # the unknot (n = 0) has no blocks
+        for offset, block in blocks:
+            ib = jb + offset
+            if 0 <= ib < d - 1:
+                for i in range(n):
+                    rows[ib * n + i][jb * n : (jb + 1) * n] = block.row(i)
     return IntMatrix(size, size, [x for r in rows for x in r])
 
 

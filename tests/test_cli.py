@@ -197,6 +197,19 @@ class TestResultantCommand:
         code, out, _ = run(capsys, "resultant", "--poly", "t^2-t+1", "--d", "2")
         assert code == 0 and "R_2 = 3" in out
 
+    def test_sweeps_take_no_per_degree_resultant(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a sweep takes no per-degree resultant")
+
+        monkeypatch.setattr(laurent, "_resultant_mod", forbidden)
+        monkeypatch.setattr(laurent, "_binpow", forbidden)
+        code, raw, _ = run(capsys, "resultant", "--poly", "t^2-3t+1", "--sweep", "6", "--json")
+        assert code == 0
+        assert json.loads(raw)["resultant"] == {"2": 5, "3": 16, "4": 45, "5": 121, "6": 320}
+        code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                           "--sweep", "4", "--json")
+        assert code == 0 and json.loads(raw)["sweep"] == {"2": 5, "3": 16, "4": 45}
+
 
 class TestHomcheckCommand:
     def test_s5_fixture_exact_line(self, capsys):
@@ -319,6 +332,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "seifert", "--file", str(path), "--d", "2")
         assert code == 64 and "det(S - S^T)" in err
 
+    def test_huge_branched_cover_exits_65(self, capsys):
+        code, out, err = run(capsys, "seifert", "--fixture", "trefoil-seifert",
+                             "--d", "1000000")
+        assert code == 65 and out == ""
+        assert err == ("twist: size limit: the 1000000-fold branched presentation of a "
+                       "2x2 Seifert matrix has 1999998 rows, above the cap of 1000\n")
+
     def test_closure_bound_exits_65(self, capsys, tmp_path):
         hom = tmp_path / "big.txt"
         hom.write_text("target: S10\na = (1 2)\n")
@@ -356,10 +376,12 @@ class TestUsageErrors:
         # a ValueError still reads as bad input
         path = tmp_path / "m.txt"
         path.write_text("1 2\ns-1 s\n")
-        monkeypatch.setenv("TWIST_MAX_MINORS", "many")
-        code, out, err = run(capsys, "report", "--presentation", str(path))
-        assert code == 64 and out == ""
-        assert err.startswith("twist: error: invalid literal for int()")
+        for value in ("many", "-1"):
+            monkeypatch.setenv("TWIST_MAX_MINORS", value)
+            code, out, err = run(capsys, "report", "--presentation", str(path))
+            assert (code, out, err) == (
+                64, "", f"twist: error: TWIST_MAX_MINORS must be a nonnegative integer, "
+                        f"got '{value}'\n")
 
     def test_inexact_elimination_exits_70(self, capsys, tmp_path, monkeypatch):
         # A non-pencil determinant takes fraction-free elimination, whose

@@ -135,6 +135,14 @@ def smith_with_transforms(a: IntMatrix) -> Smith:
                  IntMatrix(cols, cols, [x for r in v for x in r]))
 
 
+def u_from_log(snf) -> IntMatrix:
+    """U mod r, row i rebuilt by replaying the Smith form's row-operation
+    log on the unit covector e_i."""
+    n = snf.rows
+    return IntMatrix.from_rows([snf._times_u([int(i == j) for j in range(n)])
+                                for i in range(n)])
+
+
 def character_from_transform(d, u: IntMatrix, r: int):
     """The character of SmithForm.character, read off an integer U."""
     diag = list(d) + [0] * (u.rows - len(d))
@@ -161,7 +169,8 @@ class TestSmithNormalForm:
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
             snf = smith_normal_form(IntMatrix.zeros(rows, cols), 5)
             assert snf.d == () and snf.rows == rows
-            assert snf.u == IntMatrix.identity(rows)
+            assert snf.ops == () and snf.negated == ()
+            assert u_from_log(snf) == IntMatrix.identity(rows)
             oracle = smith_with_transforms(IntMatrix.zeros(rows, cols))
             assert oracle.u.rows == rows and oracle.v.cols == cols
 
@@ -190,7 +199,7 @@ class TestSmithNormalForm:
 
     def test_no_transform_without_modulus(self):
         snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-        assert snf.u is None and snf.r is None and snf.d == (2, 4)
+        assert snf.ops == () and snf.negated == () and snf.r is None and snf.d == (2, 4)
         with pytest.raises(ValueError):
             snf.character()
 
@@ -204,7 +213,7 @@ def oracle_agrees(a: IntMatrix, r: int) -> None:
     fast = smith_normal_form(a, r)
     slow = smith_with_transforms(a)
     assert fast.d == slow.d
-    assert fast.u == IntMatrix(a.rows, a.rows, [x % r for x in slow.u.entries])
+    assert u_from_log(fast) == IntMatrix(a.rows, a.rows, [x % r for x in slow.u.entries])
     assert fast.character() == character_from_transform(slow.d, slow.u, r)
     assert surjection_onto_cyclic(a, r) == fast.character()
 
@@ -247,6 +256,20 @@ class TestSmithAgainstOracle:
             a = branched_presentation(s, rng.randint(2, 5))
             for r in MODULI:
                 oracle_agrees(a, r)
+
+    @pytest.mark.parametrize("r", (2, 3, 6))
+    def test_non_unit_pivots(self, r):
+        # diag(2, 3): the clean pivot 2 does not divide 3, so the fix-up
+        # adds row 1 to row 0, the only operation that ever writes row 0
+        # here.  [[2, 4], [6, 8]]: the pivot 2 divides what is left.
+        for rows, d, fix_up in (([[2, 0], [0, 3]], (1, 6), True),
+                                ([[2, 4], [6, 8]], (2, 4), False)):
+            a = IntMatrix.from_rows(rows)
+            snf = smith_normal_form(a, r)
+            assert snf.d == d
+            assert any(i == 0 and q is not None for i, _, q in snf.ops) == fix_up
+            oracle_agrees(a, r)
+            oracle_agrees(a.transpose(), r)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda rows: st.integers(0, 5).flatmap(

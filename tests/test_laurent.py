@@ -10,9 +10,9 @@ from twistalex import laurent
 from twistalex.errors import ParseError
 from twistalex.exactla import IntMatrix
 from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
-                               divexact, divides, gcd, is_monic,
-                               parse_laurent, resultant_with_cyclotomic,
-                               to_text)
+                               cyclotomic_resultants, divexact, divides, gcd,
+                               is_monic, parse_laurent,
+                               resultant_with_cyclotomic, to_text)
 
 
 def P(text):
@@ -239,6 +239,44 @@ class TestResultantAgainstSylvester:
             value = resultant_with_cyclotomic(p, d)
             assert value == sylvester_resultant(p, d)
             assert value <= sum(map(abs, p.coeffs)) ** d
+
+
+def per_degree(p: LaurentPoly, dmax: int) -> dict[int, int]:
+    """The sweep as one resultant_with_cyclotomic call per d: the oracle of
+    cyclotomic_resultants."""
+    return {d: resultant_with_cyclotomic(p, d) for d in range(2, dmax + 1)}
+
+
+class TestCyclotomicResultants:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(-4, 4), st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=9),
+           st.booleans(), st.integers(1, 40))
+    def test_against_per_degree(self, low, coeffs, lc_on_first_prime, dmax):
+        if lc_on_first_prime:
+            coeffs[-1] = (coeffs[-1] or 1) * (2**61 - 1)
+        p = LaurentPoly(low, coeffs)
+        if p.is_zero:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                per_degree(p, max(dmax, 2))
+            with pytest.raises(ValueError, match="zero polynomial"):
+                cyclotomic_resultants(p, max(dmax, 2))
+        else:
+            assert cyclotomic_resultants(p, dmax) == per_degree(p, dmax)
+
+    def test_leading_coefficient_on_first_prime(self):
+        q = laurent._prime(0)
+        for text in ("t^2 - 3t + 1", "2t^3 - t + 5", "t - 1"):
+            p = P(text) * q
+            assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
+
+    def test_known_values_zero_and_short_sweeps(self):
+        # trefoil: H1 of the d-fold branched covers has order 3, 4, 3, 1, 0 (infinite)
+        assert cyclotomic_resultants(P("t^2 - t + 1"), 6) == {2: 3, 3: 4, 4: 3, 5: 1, 6: 0}
+        with pytest.raises(ValueError, match="resultant of the zero polynomial is undefined"):
+            cyclotomic_resultants(ZERO, 2)
+        # like the per-degree loop, an empty range computes nothing
+        for dmax in (-3, 0, 1):
+            assert cyclotomic_resultants(ZERO, dmax) == {} == per_degree(ZERO, dmax)
 
 
 class TestResultant:

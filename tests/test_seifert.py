@@ -3,7 +3,8 @@ import random
 import pytest
 
 from twistalex.cover import branched_cover_homology_from_monodromy
-from twistalex.errors import InvariantError
+from twistalex import seifert
+from twistalex.errors import InvariantError, SizeLimitError
 from twistalex.exactla import IntMatrix
 from twistalex.fixtures import load_fixture
 from twistalex.laurent import LaurentPoly, parse_laurent
@@ -86,6 +87,18 @@ class TestBranchedPresentation:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             branched_presentation(TREFOIL, 1)
+
+    def test_row_cap(self, monkeypatch):
+        assert seifert.MAX_PRESENTATION_ROWS == 1000
+        assert branched_presentation(TREFOIL, 400).rows == 798
+        # fails before any allocation, naming n, d and the cap
+        with pytest.raises(SizeLimitError, match=r"1000000-fold .* 2x2 .* cap of 1000"):
+            branched_presentation(TREFOIL, 10**6)
+        monkeypatch.setattr(seifert, "MAX_PRESENTATION_ROWS", 6)
+        assert branched_presentation(TREFOIL, 4).rows == 6
+        with pytest.raises(SizeLimitError, match="8 rows, above the cap of 6"):
+            branched_presentation(TREFOIL, 5)
+        assert branched_presentation(UNKNOT, 10**6).rows == 0
 
 
 class TestBranchedHomology:
