@@ -4,9 +4,9 @@ arithmetic, with the three-part fibredness obstruction."""
 from .laurent import (LaurentPoly, canonicalize, cyclotomic_resultants,
                       divexact, divides, gcd, is_monic, parse_laurent,
                       resultant_with_cyclotomic, to_text)
-from .exactla import (IntMatrix, LambdaMatrix, SmithForm,
+from .exactla import (IntMatrix, LambdaMatrix, Pencil, SmithForm,
                       CokernelInvariants, char_poly, cokernel_invariants,
-                      maximal_minor_gcd, rank_over_fractions, si_minus,
+                      maximal_minor_gcd, rank_over_fractions,
                       smith_normal_form, surjection_onto_cyclic)
 from .freegrp import (FreeEndo, Word, check_compatibility,
                       random_nielsen_automorphism)

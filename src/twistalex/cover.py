@@ -17,8 +17,7 @@ import dataclasses
 from . import laurent
 from .errors import (CompatibilityError, InternalError, LiftSizeError,
                      NonSurjectiveError)
-from .exactla import (IntMatrix, LambdaMatrix, CokernelInvariants, char_poly,
-                      cokernel_invariants, si_minus)
+from .exactla import IntMatrix, CokernelInvariants, Pencil, cokernel_invariants
 from .freegrp import FreeEndo, check_compatibility
 from .grouphom import FiniteHom, generated_subgroup_order
 from .laurent import LaurentPoly
@@ -236,10 +235,11 @@ def _check_closed(cover: CoverGraph, chain: list[int]) -> None:
 class TwistedInvariants:
     """Twisted Alexander data of a fibred monodromy over a finite cover:
     the action H of s on the cover's first homology, the square
-    presentation sI - H, and delta = det(sI - H) in canonical form."""
+    presentation sI - H as an integer pencil, and delta = det(sI - H) in
+    canonical form, from the pencil's one determinant."""
 
     h_matrix: IntMatrix
-    presentation: LambdaMatrix
+    presentation: Pencil
     delta: LaurentPoly
 
 
@@ -254,11 +254,11 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
         raise ValueError("d must be a positive integer")
     cover = build_cover(f.rank, alpha, tree=tree)
     h = lift_power_matrix(cover, f, d)
-    delta = laurent.canonicalize(char_poly(h))
+    presentation = Pencil(None, h.to_rows())
     return TwistedInvariants(
         h_matrix=h,
-        presentation=si_minus(h),
-        delta=delta,
+        presentation=presentation,
+        delta=laurent.canonicalize(presentation.det()),
     )
 
 

@@ -3,15 +3,16 @@
 Smith normal form (with the left transform's row operations modulo r on
 request), cokernel invariants, surjections onto cyclic groups, a modular
 determinant kernel for linear pencils sX - Y (characteristic polynomials
-included), a modular evaluation kernel that gives every maximal minor of a
-Laurent matrix at once (maximal-minor gcds build on it), and one
-fraction-free elimination kernel that gives rank and determinant over Z
-and over Z[s, s^-1].
+included) and an integer pencil type that keeps its determinant, a modular
+evaluation kernel that gives every maximal minor of a Laurent matrix at
+once (maximal-minor gcds build on it), and one fraction-free elimination
+kernel that gives rank and determinant over Z and over Z[s, s^-1].
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -546,10 +547,9 @@ class LambdaMatrix:
     def det(self) -> LaurentPoly:
         """Exact determinant.
 
-        A linear pencil sX - Y (every entry in span{1, s}) goes through the
-        modular pencil kernel; any other matrix, and a pencil whose X is
-        singular modulo a kernel prime, by fraction-free elimination over
-        Z[s, s^-1].
+        A linear pencil sX - Y (every entry in span{1, s}) is handed to
+        Pencil; any other matrix goes through fraction-free elimination
+        over Z[s, s^-1].
         """
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
@@ -560,33 +560,81 @@ class LambdaMatrix:
             y = [[-e[0] for e in c[i * n : (i + 1) * n]] for i in range(n)]
             if x == IntMatrix.identity(n).to_rows():
                 x = None
-            d = _pencil_det(x, y)
-            if d is not None:
-                return d
+            return Pencil(x, y).det()
         return _bareiss(self.to_rows(), laurent.ONE, laurent.divexact)[1]
 
 
-def si_minus(h: IntMatrix) -> LambdaMatrix:
-    """The presentation pencil sI - H as a LambdaMatrix."""
-    if not h.is_square:
-        raise ValueError("sI - H needs a square matrix")
-    n = h.rows
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            p = LaurentPoly.const(-h.at(i, j))
-            if i == j:
-                p = p + laurent.S
-            ents.append(p)
-    return LambdaMatrix(n, n, ents)
+@dataclasses.dataclass(frozen=True, init=False)
+class Pencil:
+    """The square integer pencil sX - Y over Z[s, s^-1], kept as the integer
+    rows of X and Y; X = None stands for the identity.
+
+    The determinant is taken once, by the modular pencil kernel, and kept.
+    Only when X is singular modulo a kernel prime (always so when det X =
+    0) is the pencil expanded into Laurent entries, and then fraction-free
+    elimination gives determinant and rank together.  The rank is n
+    whenever the determinant is nonzero, so for X = None it takes no work.
+    """
+
+    x: tuple[tuple[int, ...], ...] | None
+    y: tuple[tuple[int, ...], ...]
+
+    def __init__(self, x, y):
+        y = tuple(map(tuple, y))
+        n = len(y)
+        if x is not None:
+            x = tuple(map(tuple, x))
+        if any(len(r) != n for r in y) or x is not None and (
+                len(x) != n or any(len(r) != n for r in x)):
+            raise ValueError("a pencil needs square X and Y of one size")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def rows(self) -> int:
+        return len(self.y)
+
+    @property
+    def cols(self) -> int:
+        return len(self.y)
+
+    @property
+    def is_square(self) -> bool:
+        return True
+
+    def det(self) -> LaurentPoly:
+        """det(sX - Y), exactly."""
+        d = self._kernel_det
+        return self._eliminated[1] if d is None else d
+
+    def rank(self) -> int:
+        """Rank over the field of fractions of Z[s, s^-1]."""
+        # det(sI - Y) is monic of degree n, and a nonzero det is a nonzero
+        # maximal minor: either way the rank is full.
+        if self.x is None or self._kernel_det:
+            return self.rows
+        return self._eliminated[0]
+
+    @functools.cached_property
+    def _kernel_det(self) -> LaurentPoly | None:
+        return _pencil_det(self.x, self.y)
+
+    @functools.cached_property
+    def _eliminated(self) -> tuple[int, LaurentPoly]:
+        rows = [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)]
+                for xr, yr in zip(self.x, self.y)]
+        return _bareiss(rows, laurent.ONE, laurent.divexact)
 
 
-def rank_over_fractions(p: LambdaMatrix) -> int:
+def rank_over_fractions(p: LambdaMatrix | Pencil) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]."""
+    if isinstance(p, Pencil):
+        return p.rank()
     return _bareiss(p.to_rows(), laurent.ONE, laurent.divexact)[0]
 
 
-def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> LaurentPoly:
+def maximal_minor_gcd(p: LambdaMatrix | Pencil,
+                      max_minors: int = DEFAULT_MAX_MINORS) -> LaurentPoly:
     """Gcd of all n x n minors of an n x m matrix with n <= m, in canonical
     form.
 
@@ -595,7 +643,8 @@ def maximal_minor_gcd(p: LambdaMatrix, max_minors: int = DEFAULT_MAX_MINORS) -> 
     at ``max_minors`` column choices; beyond that a MinorLimitError is
     raised before any work (a desk-scale guard, overridable via
     TWIST_MAX_MINORS in the CLI).  A square matrix has one minor, its
-    determinant; a wide one has all its minors from one evaluation kernel.
+    determinant (a Pencil's kept one); a wide one has all its minors from
+    one evaluation kernel.
     """
     n, m = p.rows, p.cols
     if n > m:

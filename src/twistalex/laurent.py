@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Iterator
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimitError
 
 
 def _binpow(base, n: int, mul, one):
@@ -408,6 +408,22 @@ def _crt_lift(bound: int, length: int, residues) -> list[int] | None:
 
 # -- resultants ---------------------------------------------------------------
 
+# Cap on the bit length of the CRT bound ||p||_1^d of a resultant with
+# t^d - 1.  Every admitted result has at most 2467 decimal digits, so it
+# prints under Python's default 4300-digit limit; the whole sweep of
+# t^2 - 3t + 1 up to the cap (d = 3528) takes about 8 s on a 2-vCPU
+# x86-64 host.
+MAX_RESULTANT_BITS = 8192
+
+
+def _check_resultant_bound(norm: int, d: int) -> None:
+    """Raise SizeLimitError when norm^d has more than MAX_RESULTANT_BITS bits."""
+    bits = d * math.log2(norm)
+    if bits > MAX_RESULTANT_BITS:
+        raise SizeLimitError(
+            f"the resultant with t^{d} - 1 is bounded by ||p||_1^{d}, about "
+            f"{math.ceil(bits)} bits, above the cap of {MAX_RESULTANT_BITS} bits")
+
 
 def _polymod(a: list[int], f: list[int], p: int) -> list[int]:
     """a mod f over Z/p, ascending coefficients, trimmed; f[-1] is a unit."""
@@ -458,13 +474,16 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     unity.  Modulo each CRT prime that does not divide the leading
     coefficient, t^d is reduced modulo p^ by square-and-multiply and the
     resultant is finished by the Euclidean algorithm; the product over roots
-    of unity is at most ||p||_1^d in absolute value.
+    of unity is at most ||p||_1^d in absolute value.  A bound of more than
+    MAX_RESULTANT_BITS bits raises SizeLimitError before any prime is drawn.
     """
     if p.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
     if d < 1:
         raise ValueError("d must be a positive integer")
     f = list(p.coeffs)  # associate with lowest exponent 0
+    norm = sum(map(abs, f))
+    _check_resultant_bound(norm, d)
     if len(f) == 1:
         return abs(f[0]) ** d
 
@@ -480,7 +499,7 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
             res = pow(fq[-1], d - len(g) + 1, q) * _resultant_mod(fq, g, q) if g else 0
             yield q, [res % q]
 
-    return abs(_crt_lift(sum(map(abs, f)) ** d, 1, residues())[0])
+    return abs(_crt_lift(norm ** d, 1, residues())[0])
 
 
 def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
@@ -494,7 +513,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     k <= n, which the 61-bit primes exceed); then
     Res(p^, t^d - 1) = (-1)^n lc^d sum_k (-1)^k e_k.  Each d draws primes
     until its own bound ||p||_1^d is covered, as resultant_with_cyclotomic
-    does.
+    does, and the bound at dmax is capped as there.
     """
     if dmax < 2:
         return {}
@@ -502,9 +521,10 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
         raise ValueError("resultant of the zero polynomial is undefined")
     f = list(p.coeffs)
     n = len(f) - 1
+    norm = sum(map(abs, f))
+    _check_resultant_bound(norm, dmax)
     if not n:
         return {d: abs(f[0]) ** d for d in range(2, dmax + 1)}
-    norm = sum(map(abs, f))
 
     def sweep_mod(q: int, dmin: int) -> dict[int, int]:
         lc = f[-1] % q

@@ -13,8 +13,8 @@ from typing import Literal
 
 from . import laurent
 from .errors import MinorLimitError
-from .exactla import (DEFAULT_MAX_MINORS, LambdaMatrix, maximal_minor_gcd,
-                      rank_over_fractions)
+from .exactla import (DEFAULT_MAX_MINORS, LambdaMatrix, Pencil,
+                      maximal_minor_gcd, rank_over_fractions)
 from .laurent import LaurentPoly
 
 CONSISTENT = "consistent-with-fibred"
@@ -38,7 +38,7 @@ class ObstructionReport:
         return EXIT_CODES[self.verdict]
 
 
-def evaluate_fibred_obstruction(p: LambdaMatrix,
+def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil,
                                 max_minors: int = DEFAULT_MAX_MINORS) -> ObstructionReport:
     """Evaluate the three conclusions on a presentation matrix (rows are
     generators, columns relations).

@@ -10,7 +10,7 @@ import random
 
 from . import laurent
 from .errors import InvariantError, SizeLimitError
-from .exactla import (CokernelInvariants, IntMatrix, LambdaMatrix,
+from .exactla import (CokernelInvariants, IntMatrix, Pencil,
                       cokernel_invariants, smith_normal_form,
                       surjection_onto_cyclic)
 from .laurent import LaurentPoly
@@ -51,12 +51,7 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     The 0x0 matrix gives 1 (unknot convention).
     """
     m = s.matrix
-    n = m.rows
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            ents.append(LaurentPoly.from_dict({1: m.at(i, j), 0: -m.at(j, i)}))
-    return laurent.canonicalize(LambdaMatrix(n, n, ents).det())
+    return laurent.canonicalize(Pencil(m.to_rows(), m.transpose().to_rows()).det())
 
 
 def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:

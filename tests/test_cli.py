@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistalex import cli, cover, exactla, formats, laurent, seifert
+from twistalex import cli, cover, exactla, formats, laurent, obstruction, seifert
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -88,6 +88,59 @@ class TestMonodromyCommand:
         payload = json.loads(raw)
         assert code == 0 and payload["h1_rank"] == 22
         assert payload["monic"] == "yes" and payload["verdict"] == "consistent-with-fibred"
+
+
+    def test_one_pencil_determinant_per_job(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(x, y):
+            calls.append(len(y))
+            return pencil_det(x, y)
+
+        pencil_det = exactla._pencil_det
+        for module in (exactla, cover, obstruction, cli):  # every binding the pipeline reaches
+            if getattr(module, "_pencil_det", None) is pencil_det:
+                monkeypatch.setattr(module, "_pencil_det", counted)
+        code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
+                           "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
+        assert code == 0 and json.loads(raw)["verdict"] == "consistent-with-fibred"
+        assert calls == [4]
+        mono = tmp_path / "figure8.txt"
+        mono.write_text("generators: x y\nx -> x y\ny -> y x y\n")
+        code, raw, _ = run(capsys, "monodromy", "--file", str(mono),
+                           "--d", "16", "--alpha", "Z/21:x=0,y=1", "--json")
+        assert code == 0 and json.loads(raw)["monic"] == "yes"
+        assert calls == [4, 22]
+
+    def test_minor_cap_zero_keeps_its_output(self, capsys, monkeypatch):
+        # the cap still fires on the one square minor, and the rank of
+        # sI - H is full with no Laurent elimination
+        def refuse(*args):
+            raise AssertionError("Laurent elimination on sI - H")
+
+        reports = []
+
+        def recorded(p, max_minors):
+            reports.append(evaluate(p, max_minors=max_minors))
+            return reports[-1]
+
+        evaluate = cli.evaluate_fibred_obstruction
+        monkeypatch.setattr(cli, "evaluate_fibred_obstruction", recorded)
+        monkeypatch.setattr(exactla, "_bareiss", refuse)
+        monkeypatch.setattr(laurent, "divexact", refuse)
+        monkeypatch.setenv("TWIST_MAX_MINORS", "0")
+        code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
+                           "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
+        assert code == 0
+        assert raw == (
+            '{"delta": "s^4 - s^3 - s + 1", "group_order": 3, "h": [[1, 0, -1, -1], '
+            '[0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]], "h1_rank": 4, '
+            '"monic": "undefined", "principal": "yes", "torsion": "yes", '
+            '"verdict": "inconclusive"}\n')
+        assert reports[0].reasons == (
+            "(1) torsion: presentation has full rank 4",
+            "(2) principal: presentation matrix is square",
+            "(3) undetermined: would enumerate 1 minors, above the cap of 0")
 
 
 class TestSeifertCommand:
@@ -209,6 +262,31 @@ class TestResultantCommand:
         code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
                            "--sweep", "4", "--json")
         assert code == 0 and json.loads(raw)["sweep"] == {"2": 5, "3": 16, "4": 45}
+
+
+    def test_huge_bound_exits_65(self, capsys, monkeypatch):
+        # The CRT bound ||p||_1^d = 5^d passes 2^8192 at d = 3529; at
+        # d = 10400 the answer, once computed, did not print (exit 64).
+        def refuse():
+            raise AssertionError("a prime was drawn")
+
+        monkeypatch.setattr(laurent, "_primes", refuse)
+        for argv in (("--d", "10400"), ("--d", "3529"), ("--sweep", "100000")):
+            code, out, err = run(capsys, "resultant", "--poly", "t^2-3t+1", *argv)
+            d = argv[1]
+            assert (code, out) == (65, "")
+            assert err.startswith(f"twist: size limit: the resultant with t^{d} - 1 is bounded "
+                                  f"by ||p||_1^{d}, about ")
+            assert err.endswith("bits, above the cap of 8192 bits\n")
+        code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                             "--sweep", "3529")
+        assert (code, out) == (65, "") and "cap of 8192 bits" in err
+
+    def test_largest_admitted_degree_prints(self, capsys):
+        code, raw, _ = run(capsys, "resultant", "--poly", "t^2-3t+1", "--d", "3528", "--json")
+        assert code == 0
+        value = json.loads(raw)["resultant"]["3528"]
+        assert 0 < value <= 5**3528 < 2**8192
 
 
 class TestHomcheckCommand:

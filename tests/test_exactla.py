@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, _bareiss, _divexact_int,
+from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _bareiss, _divexact_int,
                                _maximal_minors, char_poly, cokernel_invariants,
-                               maximal_minor_gcd, rank_over_fractions, si_minus,
+                               maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form, surjection_onto_cyclic)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
-from twistalex.seifert import branched_presentation, random_seifert_matrix
+from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_presentation,
+                              random_seifert_matrix)
 
 
 def P(text):
@@ -400,6 +401,12 @@ def pencil(x, y) -> LambdaMatrix:
         [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)])
 
 
+def si_minus(h: IntMatrix) -> LambdaMatrix:
+    """sI - H with Laurent entries: the expansion that Pencil never builds,
+    kept as its oracle."""
+    return pencil(IntMatrix.identity(h.rows).to_rows(), h.to_rows())
+
+
 def unimodular(rng, n):
     """A random integer matrix of determinant +-1, from elementary row moves."""
     x = IntMatrix.identity(n).to_rows()
@@ -714,6 +721,124 @@ class TestRankOverFractions:
         # the zero column is skipped; it does not end the elimination
         for rows in ([[ZERO, ONE], [ZERO, ONE]], [[ZERO, P("s")], [ZERO, P("s - 1")]]):
             assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 1
+
+
+def seifert_pencil(s: IntMatrix) -> LambdaMatrix:
+    """tS - S^T with Laurent entries: the expansion that alexander_polynomial
+    no longer builds, kept as its oracle."""
+    return pencil(s.to_rows(), s.transpose().to_rows())
+
+
+def singular_seifert(rng, k: int) -> IntMatrix:
+    """A 2k + 2 square Seifert matrix with det S = 0: a random Seifert
+    matrix summed with [[0, 1], [0, 0]], then congruent by a unimodular P."""
+    base = random_seifert_matrix(2 * k, rng).matrix.to_rows() if k else []
+    n = 2 * k + 2
+    rows = [r + [0, 0] for r in base] + [[0] * (n - 2) + [0, 1], [0] * n]
+    q = IntMatrix.from_rows(unimodular(rng, n))
+    return q * IntMatrix.from_rows(rows) * q.transpose()
+
+
+@st.composite
+def integer_pencils(draw):
+    """(kind, X rows or None, Y rows) of an n x n pencil sX - Y: X the identity,
+    X unimodular, X singular (tS - S^T of a Seifert matrix with det S = 0),
+    X and Y sharing a repeated row (det 0, rank < n), or X unimodular and
+    Y near 2^70, so the lift needs several primes.  n runs from 0 to 5."""
+    kind = draw(st.sampled_from(("identity", "unimodular", "seifert", "dependent", "huge")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "seifert":
+        s = singular_seifert(rng, draw(st.integers(0, 2)))
+        return kind, s.to_rows(), s.transpose().to_rows()
+    n = draw(st.integers(0, 5))
+    entry = HUGE if kind == "huge" else st.integers(-4, 4)
+    y = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "identity":
+        return kind, None, y
+    if kind == "dependent":
+        x = random_matrix(rng, n, n, -4, 4).to_rows()
+        if n > 1:
+            i = draw(st.integers(1, n - 1))
+            x[i], y[i] = list(x[0]), list(y[0])
+        return kind, x, y
+    return kind, unimodular(rng, n), y
+
+
+def laurent_pencil(x, y) -> LambdaMatrix:
+    """sX - Y with Laurent entries, X = None standing for the identity."""
+    return si_minus(IntMatrix.from_rows(y)) if x is None else pencil(x, y)
+
+
+class TestPencil:
+    """The integer pencil sX - Y against fraction-free elimination over
+    Z[s, s^-1] on its Laurent expansion."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(integer_pencils())
+    def test_against_laurent_elimination(self, case):
+        kind, x, y = case
+        p = Pencil(x, y)
+        rank, det = _bareiss(laurent_pencil(x, y).to_rows(), ONE, laurent.divexact)
+        assert (p.rows, p.cols, p.is_square) == (len(y), len(y), True)
+        assert p.det() == det
+        assert p.rank() == rank_over_fractions(p) == rank
+        assert maximal_minor_gcd(p) == canonicalize(det)
+        if kind == "seifert":
+            assert alexander_polynomial(SeifertMatrix(x)) == canonicalize(det)
+
+    def test_sizes_zero_and_one(self):
+        for x, y, det, rank in ((None, [], ONE, 0), ([], [], ONE, 0),
+                                (None, [[7]], P("s - 7"), 1), ([[3]], [[5]], P("3s - 5"), 1),
+                                ([[0]], [[3]], P("-3"), 1), ([[0]], [[0]], ZERO, 0)):
+            p = Pencil(x, y)
+            assert (p.det(), p.rank(), p.rows) == (det, rank, len(y))
+            assert (rank, det) == _bareiss(laurent_pencil(x, y).to_rows(), ONE, laurent.divexact)
+
+    def test_determinant_is_taken_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append(len(y))
+            return pencil_det(x, y)
+
+        pencil_det = exactla._pencil_det
+        monkeypatch.setattr(exactla, "_pencil_det", counted)
+        h = [[1, 0, -1, -1], [0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]]
+        p = Pencil(None, h)
+        assert p.rank() == 4 and calls == []  # monic of degree n: full rank, no work
+        assert p.det() == p.det() == P("s^4 - s^3 - s + 1")
+        assert maximal_minor_gcd(p) == p.det() and rank_over_fractions(p) == 4
+        assert calls == [4]
+
+    def test_no_laurent_elimination_unless_x_is_singular(self, bareiss_calls):
+        rng = random.Random(127)
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            y = random_matrix(rng, n, n, -5, 5).to_rows()
+            for x in (None, unimodular(rng, n)):
+                p = Pencil(x, y)
+                assert p.rank() == n and not p.det().is_zero
+        assert bareiss_calls == []
+        p = Pencil(singular_seifert(rng, 1).to_rows(), singular_seifert(rng, 1).to_rows())
+        p.det(), p.rank(), p.det()
+        assert bareiss_calls == [4]  # determinant and rank from one elimination
+
+    def test_alexander_polynomial_of_a_singular_seifert_matrix(self, bareiss_calls):
+        s = singular_seifert(random.Random(131), 2)
+        assert s.det() == 0
+        assert alexander_polynomial(SeifertMatrix(s)) == canonicalize(
+            bareiss_det(seifert_pencil(s)))
+        assert bareiss_calls == [6]
+
+    def test_shape_checks(self):
+        for x, y in ((None, [[1, 2]]), ([[1]], [[1, 2], [3, 4]]), ([[1, 2]], [[1]])):
+            with pytest.raises(ValueError, match="square X and Y"):
+                Pencil(x, y)
+
+    def test_equal_pencils_compare_equal(self):
+        a, b = Pencil(None, [[1, 2], [3, 4]]), Pencil(None, ((1, 2), (3, 4)))
+        a.det()
+        assert a == b and hash(a) == hash(b)
 
 
 def minor_rank(rows, ncols, det) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex import laurent
-from twistalex.errors import ParseError
+from twistalex.errors import ParseError, SizeLimitError
 from twistalex.exactla import IntMatrix
 from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
                                cyclotomic_resultants, divexact, divides, gcd,
@@ -277,6 +277,49 @@ class TestCyclotomicResultants:
         # like the per-degree loop, an empty range computes nothing
         for dmax in (-3, 0, 1):
             assert cyclotomic_resultants(ZERO, dmax) == {} == per_degree(ZERO, dmax)
+
+
+class TestResultantCap:
+    """The CRT bound ||p||_1^d is capped at MAX_RESULTANT_BITS bits, for one
+    d and for a sweep (at dmax), before any prime is drawn."""
+
+    @pytest.fixture
+    def no_primes(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a prime was drawn")
+
+        monkeypatch.setattr(laurent, "_primes", refuse)
+
+    def test_cap_fits_the_default_integer_print_limit(self):
+        assert len(str(2**laurent.MAX_RESULTANT_BITS)) <= 4300
+
+    def test_over_the_cap_draws_no_prime(self, no_primes):
+        cap = laurent.MAX_RESULTANT_BITS
+        for p, d in ((P("t^2 - 3t + 1"), 3529), (P("t^2 - 3t + 1"), 10**6),
+                     (LaurentPoly.const(2), cap + 1), (P("2t - 1"), 6000),
+                     (LaurentPoly(-3, (2**70, 1)), 118)):
+            bits = math.ceil(d * math.log2(sum(map(abs, p.coeffs))))
+            message = (f"the resultant with t^{d} - 1 is bounded by ||p||_1^{d}, about "
+                       f"{bits} bits, above the cap of {cap} bits")
+            with pytest.raises(SizeLimitError) as info:
+                resultant_with_cyclotomic(p, d)
+            assert str(info.value) == message
+            with pytest.raises(SizeLimitError) as info:
+                cyclotomic_resultants(p, d)
+            assert str(info.value) == message
+
+    def test_at_the_cap(self):
+        cap = laurent.MAX_RESULTANT_BITS
+        two = LaurentPoly.const(2)  # ||p||_1^d = 2^d: exactly d bits
+        assert resultant_with_cyclotomic(two, cap) == 2**cap
+        assert cyclotomic_resultants(two, cap)[cap] == 2**cap
+        value = resultant_with_cyclotomic(P("t^2 - 3t + 1"), 3528)
+        assert 0 < value < 2**cap and len(str(value)) <= 4300
+
+    def test_units_have_no_cap(self, no_primes):
+        for c in (1, -1):
+            assert resultant_with_cyclotomic(LaurentPoly.const(c), 10**9) == 1
+            assert cyclotomic_resultants(LaurentPoly(4, (c,)), 50) == dict.fromkeys(range(2, 51), 1)
 
 
 class TestResultant:
