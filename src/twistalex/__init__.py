@@ -7,7 +7,7 @@ from .laurent import (LaurentPoly, canonicalize, cyclotomic_resultants,
 from .exactla import (IntMatrix, LambdaMatrix, Pencil, SmithForm,
                       CokernelInvariants, char_poly, cokernel_invariants,
                       maximal_minor_gcd, rank_over_fractions,
-                      smith_normal_form, surjection_onto_cyclic)
+                      smith_normal_form)
 from .freegrp import (FreeEndo, Word, check_compatibility,
                       random_nielsen_automorphism)
 from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,

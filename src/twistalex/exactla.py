@@ -1,12 +1,13 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
 Smith normal form (with the left transform's row operations modulo r on
-request), cokernel invariants, surjections onto cyclic groups, a modular
+request), cokernel invariants, characters onto cyclic groups, a modular
 determinant kernel for linear pencils sX - Y (characteristic polynomials
 included) and an integer pencil type that keeps its determinant, a modular
 evaluation kernel that gives every maximal minor of a Laurent matrix at
 once (maximal-minor gcds build on it), and one fraction-free elimination
-kernel that gives rank and determinant over Z and over Z[s, s^-1].
+kernel that gives rank and determinant over Z and over Z[s, s^-1], and the
+inverse of a unimodular integer matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 
 from . import laurent
 from .errors import InternalError, MinorLimitError
@@ -70,7 +72,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
+                         [x for j in range(self.cols) for x in self.entries[j::self.cols]])
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -93,12 +95,10 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols,
+                         [sum(map(operator.mul, self.row(i), c))
+                          for i in range(self.rows) for c in cols])
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -127,20 +127,18 @@ class IntMatrix:
         return _bareiss(self.to_rows(), 1, _divexact_int)[1]
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1, via the adjugate."""
-        d = self.det()
+        """Inverse of a matrix with determinant +-1, by one fraction-free
+        Gauss-Jordan solve of [A | I].  The solve ends at [p I | p A^-1],
+        where p = +-det A is its last pivot."""
+        if not self.is_square:
+            raise ValueError("inverse needs a square matrix")
+        n = self.rows
+        a = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+        pivots, sign, p = _eliminate(a, 1, _divexact_int, jordan=True)
+        d = sign * p if pivots == list(range(n)) else 0
         if d not in (1, -1):
             raise ValueError(f"matrix has determinant {d}, not a unit")
-        n = self.rows
-        if n == 0:
-            return self
-        rows = self.to_rows()
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-                adj[i][j] = (-1) ** (i + j) * _bareiss(minor, 1, _divexact_int)[1]
-        return IntMatrix.from_rows([[d * x for x in r] for r in adj])
+        return IntMatrix(n, n, [p * x for r in a for x in r[n:]])
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
@@ -151,21 +149,39 @@ class IntMatrix:
 
 def _bareiss(rows: list[list], one, div) -> tuple[int, object]:
     """(rank, det) of a matrix over an exact domain, by fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968).
+    elimination (_eliminate).
+
+    det is the signed last pivot when the matrix is square and of full
+    rank, and zero otherwise (1 for the empty matrix).
+    """
+    a = [list(r) for r in rows]
+    pivots, sign, last = _eliminate(a, one, div)
+    rank = len(pivots)
+    if rank < len(a) or len(a) != (len(a[0]) if a else 0):
+        return rank, one - one
+    return rank, last if sign > 0 else -last
+
+
+def _eliminate(a: list[list], one, div, jordan: bool = False) -> tuple[list[int], int, object]:
+    """Fraction-free elimination of A in place (Bareiss, Math. Comp. 22,
+    1968); returns (pivot columns, sign of the row permutation, last pivot).
 
     ``one`` is the ring's unit and ``div(a, b)`` the exact quotient, which
     raises ValueError when b does not divide a.  Pivots are taken down each
-    column in row order; a column with no pivot left is skipped.  Every
-    division is exact by Sylvester's identity, so an inexact one is a fault
-    in the program.  det is the signed last pivot when the matrix is square
-    and of full rank, and zero otherwise (1 for the empty matrix).
+    column in row order; a column with no pivot left is skipped.  Each step
+    rewrites the rows below the pivot, and with ``jordan`` the rows above it
+    as well (fraction-free Gauss-Jordan), so that a square block of full
+    rank ends as the last pivot times the identity.  Only the columns right
+    of a pivot column are rewritten: the entries left at and below it are
+    stale.  Every division is exact by Sylvester's identity, so an inexact
+    one is a fault in the program.
     """
-    a = [list(r) for r in rows]
     n = len(a)
     m = len(a[0]) if a else 0
-    rank, sign, prev = 0, 1, one
+    pivots, sign, prev = [], 1, one
     try:
         for k in range(m):
+            rank = len(pivots)
             if rank == n:
                 break
             piv = next((i for i in range(rank, n) if a[i][k]), None)
@@ -176,17 +192,15 @@ def _bareiss(rows: list[list], one, div) -> tuple[int, object]:
                 sign = -sign
             top = a[rank]
             p = top[k]
-            for row in a[rank + 1:]:
+            for row in (a[:rank] if jordan else []) + a[rank + 1:]:
                 x = row[k]
                 for j in range(k + 1, m):
                     row[j] = div(row[j] * p - x * top[j], prev)
             prev = p
-            rank += 1
+            pivots.append(k)
     except ValueError as exc:
         raise InternalError(f"inexact division in fraction-free elimination: {exc}") from exc
-    if rank < n or n != m:
-        return rank, one - one
-    return rank, prev if sign > 0 else -prev
+    return pivots, sign, prev
 
 
 def _divexact_int(a: int, b: int) -> int:
@@ -369,15 +383,6 @@ class CokernelInvariants:
 def cokernel_invariants(a: IntMatrix) -> CokernelInvariants:
     """Invariant factors != 1 and free rank of the cokernel of A."""
     return smith_normal_form(a).cokernel()
-
-
-def surjection_onto_cyclic(a: IntMatrix, r: int) -> tuple[int, ...] | None:
-    """A character on the row generators of coker(A) surjecting onto Z_r,
-    built from the left Smith transform modulo r.  Returns None iff no
-    surjection exists."""
-    if r < 2:
-        raise ValueError("cyclic target must have order >= 2")
-    return smith_normal_form(a, r).character()
 
 
 def char_poly(h: IntMatrix) -> LaurentPoly:

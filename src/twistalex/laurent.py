@@ -513,7 +513,8 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     k <= n, which the 61-bit primes exceed); then
     Res(p^, t^d - 1) = (-1)^n lc^d sum_k (-1)^k e_k.  Each d draws primes
     until its own bound ||p||_1^d is covered, as resultant_with_cyclotomic
-    does, and the bound at dmax is capped as there.
+    does, and the bound at dmax is capped as there, with ||p||_1 taken as at
+    least 2: a unit p has bound 1, but a sweep still prints dmax - 1 lines.
     """
     if dmax < 2:
         return {}
@@ -522,7 +523,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     f = list(p.coeffs)
     n = len(f) - 1
     norm = sum(map(abs, f))
-    _check_resultant_bound(norm, dmax)
+    _check_resultant_bound(max(norm, 2), dmax)
     if not n:
         return {d: abs(f[0]) ** d for d in range(2, dmax + 1)}
 

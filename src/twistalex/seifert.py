@@ -1,22 +1,24 @@
 """Seifert-matrix pipelines: the classical Alexander polynomial, branched
-cyclic-cover homology via the block presentation, the monodromy-power
-presentation H^n - I, resultant consistency, and character jumps."""
+cyclic-cover homology, resultant consistency and character jumps from
+Seifert's 2g x 2g presentation, the monodromy-power presentation H^n - I,
+and the block presentation of the branched cover, which serves as their
+independent oracle."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import random
 
 from . import laurent
-from .errors import InvariantError, SizeLimitError
-from .exactla import (CokernelInvariants, IntMatrix, Pencil,
-                      cokernel_invariants, smith_normal_form,
-                      surjection_onto_cyclic)
+from .errors import InternalError, InvariantError, SizeLimitError
+from .exactla import CokernelInvariants, IntMatrix, Pencil, smith_normal_form
 from .laurent import LaurentPoly
 
-# Rows of the largest block presentation built; its Smith elimination
-# grows entries over Z, and n(d - 1) rows past this are beyond desk scale.
+# Rows of the largest block presentation of a branched cover, n(d - 1) for
+# an n x n Seifert matrix.  A character on the cover has one value per
+# row, and past this size a cover is beyond desk scale.
 MAX_PRESENTATION_ROWS = 1000
 
 
@@ -54,6 +56,18 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     return laurent.canonicalize(Pencil(m.to_rows(), m.transpose().to_rows()).det())
 
 
+def _check_cover_size(n: int, d: int) -> None:
+    """The checks every branched cover of degree d of an n x n Seifert
+    matrix passes first: d >= 2, and n(d - 1) rows within the cap."""
+    if d < 2:
+        raise ValueError("branched presentation needs d >= 2")
+    size = n * (d - 1)
+    if size > MAX_PRESENTATION_ROWS:
+        raise SizeLimitError(
+            f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
+            f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
+
+
 def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
     """The block-tridiagonal presentation matrix of H1 of the d-fold
     branched cyclic cover: diagonal blocks S + S^T, superdiagonal -S^T,
@@ -61,17 +75,13 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
 
     Generators are ordered sheet-major: block row j holds the meridians
     gamma_{1j} .. gamma_{mj} of sheet j.  More than MAX_PRESENTATION_ROWS
-    rows raise SizeLimitError before anything is allocated.
+    rows raise SizeLimitError before anything is allocated.  No pipeline
+    eliminates it: it is the oracle of branched_cover.
     """
-    if d < 2:
-        raise ValueError("branched presentation needs d >= 2")
     m = s.matrix
     n = m.rows
+    _check_cover_size(n, d)
     size = n * (d - 1)
-    if size > MAX_PRESENTATION_ROWS:
-        raise SizeLimitError(
-            f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
-            f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
     rows = [[0] * size for _ in range(size)]
     # (block row - block column, block): diagonal, subdiagonal, superdiagonal
     blocks = ((0, m + m.transpose()), (1, -m), (-1, -m.transpose()))
@@ -86,7 +96,7 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
 
 def branched_homology(s: SeifertMatrix, d: int) -> CokernelInvariants:
     """Invariant factors of H1 of the d-fold branched cyclic cover."""
-    return cokernel_invariants(branched_presentation(s, d))
+    return branched_cover(s, d).homology
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,13 +165,10 @@ def character_jump(s: SeifertMatrix, d: int, r: int) -> CharacterJump | None:
     """
     if d < 2 or r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
-    return _character_jump(surjection_onto_cyclic(branched_presentation(s, d), r),
-                           s.size, d, r)
+    return branched_cover(s, d, r).jump
 
 
 def _character_jump(chi, m: int, d: int, r: int) -> CharacterJump | None:
-    if chi is None:
-        return None
     sheets = tuple(tuple(chi[j * m + i] for i in range(m)) for j in range(d - 1))
 
     def find_jump():
@@ -196,20 +203,88 @@ class BranchedCover:
 def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
                    alexander: LaurentPoly | None = None) -> BranchedCover:
     """branched_homology, resultant_order_check and, for r, character_jump
-    at once, from a single Smith elimination of the branched presentation.
-    ``alexander`` is alexander_polynomial(s), when the caller has it."""
-    pres = branched_presentation(s, d)
+    at once, from one Smith elimination of Seifert's presentation.
+    ``alexander`` is alexander_polynomial(s), when the caller has it.
+
+    With A = S - S^T (unimodular) and Gamma = A^-1 S, H1 of the d-fold
+    branched cyclic cover is coker M for the n x n matrix
+    M = Gamma^d - (Gamma - I)^d (H. Seifert, Math. Ann. 110, 1935).  A
+    character x with M x = 0 (mod r) is pushed to the sheet meridians
+    (_push_character).
+    """
+    m = s.matrix
+    n = m.rows
+    _check_cover_size(n, d)
     if r is not None and r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
-    smith = smith_normal_form(pres, r)
+    gamma = (m - m.transpose()).inverse_unimodular() * m
+    shifted = gamma - IntMatrix.identity(n)
+    # coker M^T and coker M have the same invariant factors
+    smith = smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
     hom = smith.cokernel()
     snf_order = hom.order if hom.order is not None else 0
     if alexander is None:
         alexander = alexander_polynomial(s)
     res = laurent.resultant_with_cyclotomic(alexander, d)
     check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
-    jump = None if r is None else _character_jump(smith.character(), s.size, d, r)
+    jump = None
+    if r is not None:
+        x = smith.character()
+        if x is not None:
+            jump = _character_jump(_push_character(m, gamma, x, d, r), n, d, r)
     return BranchedCover(homology=hom, check=check, jump=jump)
+
+
+def _push_character(m: IntMatrix, gamma: IntMatrix, x, d: int,
+                    r: int) -> tuple[int, ...]:
+    """The character on the sheet meridians (sheet-major, as in
+    branched_presentation) that x, with M x = 0 (mod r) and onto Z_r,
+    stands for, checked against every relation.
+
+    Let c_j be the values on sheet j, with c_0 = c_d = 0, and
+    e_j = c_j - c_(j+1).  Column block j of c^T P = 0 reads
+    S^T e_j = S e_(j-1), that is (Gamma - I) e_j = Gamma e_(j-1), which
+    e_j = Gamma^j (Gamma - I)^(d-1-j) x solves for j = 0..d-1; the e_j sum
+    to M x = 0, so c_0 = c_d.  t^(d-1) and (t - 1)^(d-1) generate the unit
+    ideal of Z[t], so c = 0 (mod p) would force x = 0 (mod p): c is onto
+    Z_r.  Before it is returned, c is checked to kill every column of P,
+    block by block, and to be onto; a failure is a fault in the program.
+    """
+    n = m.rows
+    g = [[v % r for v in gamma.row(i)] for i in range(n)]
+    b = [[(v - (i == j)) % r for j, v in enumerate(row)] for i, row in enumerate(g)]
+
+    def apply(a, v):
+        return [sum(map(operator.mul, row, v)) % r for row in a]
+
+    def spread(lo: int, hi: int, y: list[int]) -> list[list[int]]:
+        # [Gamma^(j-lo) (Gamma - I)^(hi-1-j) y for j = lo..hi-1], splitting
+        # the range in halves: O(d log d) products in all
+        if hi - lo == 1:
+            return [y]
+        mid = (lo + hi) // 2
+        left = right = y
+        for _ in range(hi - mid):
+            left = apply(b, left)
+        for _ in range(mid - lo):
+            right = apply(g, right)
+        return spread(lo, mid, left) + spread(mid, hi, right)
+
+    e = spread(0, d, list(x))
+    c = [[0] * n]  # c_d, then c_j = c_(j+1) + e_j down to c_1
+    for j in range(d - 1, 0, -1):
+        c.append([(u + v) % r for u, v in zip(c[-1], e[j])])
+    c.append([0] * n)  # c_0
+    c.reverse()
+    # column block j of c^T P: (S + S^T) c_j - S^T c_(j+1) - S c_(j-1)
+    rows, cols = m.to_rows(), m.transpose().to_rows()
+    sc = [apply(rows, cj) for cj in c]
+    stc = [apply(cols, cj) for cj in c]
+    flat = tuple(v for cj in c[1:d] for v in cj)
+    if any((sc[j][i] + stc[j][i] - stc[j + 1][i] - sc[j - 1][i]) % r
+           for j in range(1, d) for i in range(n)) or math.gcd(r, *flat) != 1:
+        raise InternalError(f"the character pushed to the {d}-fold cover fails its check mod {r}")
+    return flat
 
 
 def random_seifert_matrix(size: int, rng: random.Random, spread: int = 2) -> SeifertMatrix:

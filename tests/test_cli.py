@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -211,7 +212,7 @@ class TestSeifertCommand:
                            "--d", "3", "--r", "2", "--json")
         payload = json.loads(raw)
         assert code == 0 and payload["h1_order"] == 16 and payload["character_jump"]
-        assert calls == [(4, 2)]
+        assert calls == [(2, 2)]
 
         for argv, message in ((("--d", "2", "--r", "1"), "needs d >= 2 and r >= 2"),
                               (("--d", "1", "--r", "2"), "branched presentation needs d >= 2"),
@@ -219,6 +220,31 @@ class TestSeifertCommand:
             code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                                  *argv, "--json")
             assert (code, out, err) == (64, "", f"twist: error: {message}\n")
+
+    def test_no_smith_elimination_of_the_block_presentation(self, capsys, monkeypatch, tmp_path):
+        # an 8x8 Seifert matrix at d = 11 has an 80-row block presentation;
+        # only Seifert's 8x8 presentation may reach Smith elimination
+        calls = []
+
+        def counted(a, r=None):
+            calls.append(a.rows)
+            return smith(a, r)
+
+        smith = exactla.smith_normal_form
+        for module in (exactla, seifert):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+        path = tmp_path / "s8.txt"
+        path.write_text(formats.format_seifert(seifert.random_seifert_matrix(8, random.Random(7))))
+        for r, surjects in (("43", True), ("2", False)):
+            code, raw, _ = run(capsys, "seifert", "--file", str(path), "--d", "11",
+                               "--r", r, "--json")
+            payload = json.loads(raw)
+            assert code == 0
+            assert payload["h1"] == "Z/80489846420252834134789 + Z/80489846420252834134789"
+            assert (payload["character_jump"] is not None) == surjects
+            if surjects:
+                assert len(payload["character_jump"]["character"]) == 10
+        assert calls and max(calls) <= 8
 
     def test_one_alexander_polynomial_per_job(self, capsys, monkeypatch):
         calls = []
@@ -280,6 +306,21 @@ class TestResultantCommand:
             assert err.endswith("bits, above the cap of 8192 bits\n")
         code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                              "--sweep", "3529")
+        assert (code, out) == (65, "") and "cap of 8192 bits" in err
+
+    def test_unit_sweep_exits_65(self, capsys, tmp_path):
+        # ||p||_1 = 1 bounds each resultant by 1, but the sweep itself is capped
+        for poly in ("1", "t^3"):
+            code, out, err = run(capsys, "resultant", "--poly", poly, "--sweep", "8192")
+            assert code == 0 and len([l for l in out.splitlines() if l.startswith("R_")]) == 8191
+            for n in ("8193", "1000000000"):
+                code, out, err = run(capsys, "resultant", "--poly", poly, "--sweep", n)
+                assert (code, out) == (65, "")
+                assert err == (f"twist: size limit: the resultant with t^{n} - 1 is bounded by "
+                               f"||p||_1^{n}, about {n} bits, above the cap of 8192 bits\n")
+        path = tmp_path / "unknot.txt"
+        path.write_text("0\n")
+        code, out, err = run(capsys, "seifert", "--file", str(path), "--sweep", "8193")
         assert (code, out) == (65, "") and "cap of 8192 bits" in err
 
     def test_largest_admitted_degree_prints(self, capsys):

@@ -13,7 +13,7 @@ from twistalex.errors import InternalError, MinorLimitError
 from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _bareiss, _divexact_int,
                                _maximal_minors, char_poly, cokernel_invariants,
                                maximal_minor_gcd, rank_over_fractions,
-                               smith_normal_form, surjection_onto_cyclic)
+                               smith_normal_form)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_presentation,
                               random_seifert_matrix)
@@ -152,6 +152,15 @@ def character_from_transform(d, u: IntMatrix, r: int):
         return None
     return tuple(sum(w * u.at(j, i) for j, w in enumerate(weights)) % r
                  for i in range(u.rows))
+
+
+def surjection_onto_cyclic(a: IntMatrix, r: int) -> tuple[int, ...] | None:
+    """A character on the row generators of coker(A) surjecting onto Z_r,
+    built from the left Smith transform modulo r; None iff no surjection
+    exists.  It pins SmithForm.character on arbitrary presentations."""
+    if r < 2:
+        raise ValueError("cyclic target must have order >= 2")
+    return smith_normal_form(a, r).character()
 
 
 class TestSmithNormalForm:
@@ -418,6 +427,67 @@ def unimodular(rng, n):
     if n and rng.random() < 0.5:
         x[0] = [-a for a in x[0]]
     return x
+
+
+def adjugate_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a matrix with determinant +-1 from its n^2 cofactor
+    determinants: the route that IntMatrix.inverse_unimodular replaced,
+    kept as its oracle."""
+    d = m.det()
+    if d not in (1, -1):
+        raise ValueError(f"matrix has determinant {d}, not a unit")
+    n = m.rows
+    rows = m.to_rows()
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+            adj[i][j] = (-1) ** (i + j) * _bareiss(minor, 1, _divexact_int)[1]
+    return IntMatrix(n, n, [d * x for r in adj for x in r])
+
+
+class TestInverseUnimodular:
+    """The one-solve inverse against the cofactor adjugate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**32), st.sampled_from(("unit", "any", "singular")))
+    def test_against_adjugate(self, n, seed, kind):
+        rng = random.Random(seed)
+        big = 2**40
+        if kind == "unit":
+            # upper unitriangular with entries up to 2^40, times row moves
+            upper = [[int(i == j) if j <= i else rng.randint(-big, big) for j in range(n)]
+                     for i in range(n)]
+            m = IntMatrix.from_rows(unimodular(rng, n)) * IntMatrix.from_rows(upper)
+        else:
+            m = random_matrix(rng, n, n, -big, big)
+            if kind == "singular" and n:
+                rows = m.to_rows()
+                rows[-1] = [2 * x for x in rows[0]] if n > 1 else [0]
+                m = IntMatrix.from_rows(rows)
+        try:
+            expected = adjugate_inverse(m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                m.inverse_unimodular()
+            assert str(info.value) == str(exc)
+            assert kind != "unit"
+            return
+        inv = m.inverse_unimodular()
+        assert inv == expected
+        assert inv * m == m * inv == IntMatrix.identity(n)
+
+    def test_fixed_cases(self):
+        assert IntMatrix(0, 0, ()).inverse_unimodular() == IntMatrix(0, 0, ())
+        assert IntMatrix.from_rows([[-1]]).inverse_unimodular() == IntMatrix.from_rows([[-1]])
+        # a zero leading entry forces a row swap
+        m = IntMatrix.from_rows([[0, 1], [1, 3]])
+        assert m.inverse_unimodular() == IntMatrix.from_rows([[-3, 1], [1, 0]])
+        for rows, det in (([[2]], 2), ([[1, 2], [2, 4]], 0), ([[0, 0], [0, 0]], 0)):
+            with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
+                IntMatrix.from_rows(rows).inverse_unimodular()
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, 3).inverse_unimodular()
 
 
 def bareiss_det(m: LambdaMatrix) -> LaurentPoly:

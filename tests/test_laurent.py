@@ -316,6 +316,19 @@ class TestResultantCap:
         value = resultant_with_cyclotomic(P("t^2 - 3t + 1"), 3528)
         assert 0 < value < 2**cap and len(str(value)) <= 4300
 
+    def test_unit_sweeps_are_capped_at_dmax(self, no_primes):
+        # ||p||_1 = 1 bounds no resultant, but a sweep makes dmax - 1 of them:
+        # its norm is floored at 2, so dmax itself is the bit count
+        cap = laurent.MAX_RESULTANT_BITS
+        for p in (LaurentPoly.const(1), LaurentPoly.const(-1), LaurentPoly(-7, (-1,))):
+            assert cyclotomic_resultants(p, cap) == dict.fromkeys(range(2, cap + 1), 1)
+            for dmax in (cap + 1, 10**9):
+                with pytest.raises(SizeLimitError) as info:
+                    cyclotomic_resultants(p, dmax)
+                assert str(info.value) == (
+                    f"the resultant with t^{dmax} - 1 is bounded by ||p||_1^{dmax}, about "
+                    f"{dmax} bits, above the cap of {cap} bits")
+
     def test_units_have_no_cap(self, no_primes):
         for c in (1, -1):
             assert resultant_with_cyclotomic(LaurentPoly.const(c), 10**9) == 1

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalex.cover import branched_cover_homology_from_monodromy
 from twistalex import seifert
-from twistalex.errors import InvariantError, SizeLimitError
-from twistalex.exactla import IntMatrix
+from twistalex.errors import InternalError, InvariantError, SizeLimitError
+from twistalex.exactla import IntMatrix, smith_normal_form
 from twistalex.fixtures import load_fixture
-from twistalex.laurent import LaurentPoly, parse_laurent
-from twistalex.seifert import (SeifertMatrix, alexander_polynomial,
+from twistalex.laurent import LaurentPoly, parse_laurent, resultant_with_cyclotomic
+from twistalex.seifert import (ResultantCheck, SeifertMatrix, alexander_polynomial,
                                branched_cover, branched_homology,
                                branched_presentation,
                                character_jump, monodromy_power_presentation,
@@ -230,6 +233,95 @@ class TestBranchedCover:
             branched_cover(TREFOIL, 1, 1)
         with pytest.raises(ValueError, match="needs d >= 2 and r >= 2"):
             branched_cover(TREFOIL, 2, 1)
+
+
+# Rows of the largest block presentation the oracle eliminates: its Smith
+# form grows entries over Z, so larger ones would slow the suite down.
+ORACLE_ROWS = 80
+
+
+def against_block_oracle(s: SeifertMatrix, d: int, r: int) -> bool:
+    """branched_cover(s, d, r) against smith_normal_form of the block
+    presentation P: equal invariants and order check, a surjection onto Z_r
+    exactly when the oracle finds one, and then a character that kills
+    every column of P mod r and is onto.  Returns whether one exists."""
+    pres = branched_presentation(s, d)
+    oracle = smith_normal_form(pres, r)
+    hom = oracle.cokernel()
+    order = hom.order if hom.order is not None else 0
+    resultant = resultant_with_cyclotomic(alexander_polynomial(s), d)
+    cover = branched_cover(s, d, r)
+    assert cover.homology == hom
+    assert cover.check == ResultantCheck(order, resultant, order == resultant)
+    assert (cover.jump is None) == (oracle.character() is None)
+    if cover.jump is None:
+        return False
+    assert len(cover.jump.character) == d - 1
+    chi = [x for row in cover.jump.character for x in row]
+    assert all(0 <= x < r for x in chi) and math.gcd(r, *chi) == 1
+    for j in range(pres.cols):
+        assert sum(chi[i] * pres.at(i, j) for i in range(pres.rows)) % r == 0
+    return True
+
+
+def _small_prime_factors(n: int, below: int = 1000) -> list[int]:
+    return [p for p in range(2, below) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+class TestBranchedCoverAgainstBlockOracle:
+    """Seifert's n x n presentation, with the character pushed to the
+    sheets, against the Smith form of the block presentation."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from((0, 2, 4, 6, 8)), st.integers(0, 2**32), st.data())
+    def test_against_block_oracle(self, size, seed, data):
+        s = random_seifert_matrix(size, random.Random(seed))
+        d = data.draw(st.integers(2, min(30, 1 + ORACLE_ROWS // size) if size else 30))
+        top = max(branched_homology(s, d).torsion, default=1)
+        # half the time r divides the largest invariant factor (prime or
+        # composite, so Z_r is a quotient), else r is small and may not be
+        onto = [p ** k for p in _small_prime_factors(top) for k in (1, 2) if top % p ** k == 0]
+        onto += [top] if top > 1 else []
+        small = [2, 3, 4, 5, 6, 9, 12, 25]
+        r = data.draw(st.sampled_from(onto if onto and data.draw(st.booleans()) else small))
+        against_block_oracle(s, d, r)
+
+    def test_seeded_sweep_reaches_every_case(self):
+        # every size up to 8 and d up to 30 (within ORACLE_ROWS), r prime
+        # and composite, with and without a surjection
+        rng = random.Random(97)
+        seen = set()
+        for size in (0, 2, 4, 6, 8):
+            for d in sorted({2, 3, min(30, 1 + ORACLE_ROWS // size) if size else 30}):
+                s = random_seifert_matrix(size, rng)
+                top = max(branched_homology(s, d).torsion, default=1)
+                primes = _small_prime_factors(top)
+                for r in {2, 3, 4, 6, *primes[:2], *(p * p for p in primes[:1])}:
+                    onto = against_block_oracle(s, d, r)
+                    seen.add((all(r % p for p in range(2, math.isqrt(r) + 1)), onto))
+                if top > 1:
+                    assert against_block_oracle(s, d, top)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_certificate_refuses_a_wrong_character(self):
+        # x = (1, 0) is not killed by M = Gamma^2 - (Gamma - I)^2 mod 3
+        # for the trefoil, so its push fails the check
+        m = TREFOIL.matrix
+        gamma = (m - m.transpose()).inverse_unimodular() * m
+        with pytest.raises(InternalError, match="fails its check mod 3"):
+            seifert._push_character(m, gamma, (1, 0), 2, 3)
+        x = smith_normal_form((gamma ** 2 - (gamma - IntMatrix.identity(2)) ** 2).transpose(),
+                              3).character()
+        assert (seifert._push_character(m, gamma, x, 2, 3),) == (
+            branched_cover(TREFOIL, 2, 3).jump.character)
+
+    def test_cap_and_argument_order(self):
+        with pytest.raises(SizeLimitError, match=r"the 1000000-fold branched presentation of "
+                                                 r"a 2x2 Seifert matrix has 1999998 rows"):
+            branched_cover(TREFOIL, 10**6, 1)
+        with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
+            branched_cover(TREFOIL, 1)
+        assert branched_cover(UNKNOT, 10**6, 5).homology.is_trivial
 
 
 def _prime_factors(n: int) -> set[int]:
