@@ -13,7 +13,8 @@ import random
 
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError
-from .exactla import CokernelInvariants, IntMatrix, Pencil, smith_normal_form
+from .exactla import (CokernelInvariants, IntMatrix, Pencil, SmithForm,
+                      smith_normal_form)
 from .laurent import LaurentPoly
 
 # Rows of the largest block presentation of a branched cover, n(d - 1) for
@@ -96,7 +97,7 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
 
 def branched_homology(s: SeifertMatrix, d: int) -> CokernelInvariants:
     """Invariant factors of H1 of the d-fold branched cyclic cover."""
-    return branched_cover(s, d).homology
+    return _cover_smith(s, d, None)[1].cokernel()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,7 +166,8 @@ def character_jump(s: SeifertMatrix, d: int, r: int) -> CharacterJump | None:
     """
     if d < 2 or r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
-    return branched_cover(s, d, r).jump
+    gamma, smith = _cover_smith(s, d, r)
+    return _cover_jump(s.matrix, gamma, smith, d, r)
 
 
 def _character_jump(chi, m: int, d: int, r: int) -> CharacterJump | None:
@@ -210,8 +212,25 @@ def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
     branched cyclic cover is coker M for the n x n matrix
     M = Gamma^d - (Gamma - I)^d (H. Seifert, Math. Ann. 110, 1935).  A
     character x with M x = 0 (mod r) is pushed to the sheet meridians
-    (_push_character).
+    (_push_character).  branched_homology and character_jump share the
+    Smith elimination but take no resultant: its bound ||Delta||_1^d can
+    pass laurent.MAX_RESULTANT_BITS where H1 itself is small.
     """
+    gamma, smith = _cover_smith(s, d, r)
+    hom = smith.cokernel()
+    snf_order = hom.order if hom.order is not None else 0
+    if alexander is None:
+        alexander = alexander_polynomial(s)
+    res = laurent.resultant_with_cyclotomic(alexander, d)
+    check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
+    jump = None if r is None else _cover_jump(s.matrix, gamma, smith, d, r)
+    return BranchedCover(homology=hom, check=check, jump=jump)
+
+
+def _cover_smith(s: SeifertMatrix, d: int,
+                 r: int | None) -> tuple[IntMatrix, SmithForm]:
+    """Gamma = (S - S^T)^-1 S and the Smith form (with a character onto
+    Z_r, for r) of M^T, M = Gamma^d - (Gamma - I)^d."""
     m = s.matrix
     n = m.rows
     _check_cover_size(n, d)
@@ -220,19 +239,17 @@ def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
     gamma = (m - m.transpose()).inverse_unimodular() * m
     shifted = gamma - IntMatrix.identity(n)
     # coker M^T and coker M have the same invariant factors
-    smith = smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
-    hom = smith.cokernel()
-    snf_order = hom.order if hom.order is not None else 0
-    if alexander is None:
-        alexander = alexander_polynomial(s)
-    res = laurent.resultant_with_cyclotomic(alexander, d)
-    check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
-    jump = None
-    if r is not None:
-        x = smith.character()
-        if x is not None:
-            jump = _character_jump(_push_character(m, gamma, x, d, r), n, d, r)
-    return BranchedCover(homology=hom, check=check, jump=jump)
+    return gamma, smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
+
+
+def _cover_jump(m: IntMatrix, gamma: IntMatrix, smith: SmithForm, d: int,
+                r: int) -> CharacterJump | None:
+    """The character jump of a character x of the Smith form onto Z_r,
+    pushed to the sheet meridians; None when there is no such x."""
+    x = smith.character()
+    if x is None:
+        return None
+    return _character_jump(_push_character(m, gamma, x, d, r), m.rows, d, r)
 
 
 def _push_character(m: IntMatrix, gamma: IntMatrix, x, d: int,

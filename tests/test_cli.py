@@ -451,6 +451,16 @@ class TestUsageErrors:
         code, _, err = run(capsys, "seifert", "--file", str(path), "--d", "2")
         assert code == 64 and "det(S - S^T)" in err
 
+    def test_resultant_over_the_cap_exits_65(self, capsys, tmp_path):
+        # H1 of this cover is small enough, but `twist seifert --d` prints
+        # the resultant, whose bound ||Delta||_1^80 is over the cap
+        path = tmp_path / "big.txt"
+        path.write_text(f"2\n{2**60} 1\n0 {2**60}\n")
+        code, out, err = run(capsys, "seifert", "--file", str(path), "--d", "80")
+        assert (code, out) == (65, "")
+        assert err == ("twist: size limit: the resultant with t^80 - 1 is bounded by "
+                       "||p||_1^80, about 9760 bits, above the cap of 8192 bits\n")
+
     def test_huge_branched_cover_exits_65(self, capsys):
         code, out, err = run(capsys, "seifert", "--fixture", "trefoil-seifert",
                              "--d", "1000000")

@@ -269,6 +269,47 @@ class TestCyclotomicResultants:
             p = P(text) * q
             assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
 
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        """The moduli the sweep draws, in order."""
+        drawn = []
+        packed = laurent._sweep_moduli
+
+        def recording(lc):
+            for q in packed(lc):
+                drawn.append(q)
+                yield q
+
+        monkeypatch.setattr(laurent, "_sweep_moduli", recording)
+        return drawn
+
+    def test_moduli_skip_primes_of_the_leading_coefficient(self, moduli):
+        # the first nine primes divide lc: they span the first modulus and
+        # one prime of the second, so the first modulus drawn is primes 9..16
+        lc = math.prod(laurent._prime(k) for k in range(9))
+        for coeffs in ((5, -3, lc), (1, 0, -7, 2 * lc)):
+            p = LaurentPoly(0, coeffs)
+            moduli.clear()
+            assert cyclotomic_resultants(p, 12) == per_degree(p, 12)
+            assert moduli[0] == math.prod(laurent._prime(k) for k in range(9, 17))
+            assert all(math.gcd(q, lc) == 1 for q in moduli)
+
+    def test_bound_over_several_moduli(self, moduli):
+        # ||p||_1^25 has about 1800 bits: four moduli of about 488 bits
+        p = LaurentPoly(-2, (2**70 + 3, -5, 2**70 - 1, 7))
+        assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
+        assert len(moduli) >= 3
+        assert len(set(moduli)) == len(moduli)
+        assert all(q.bit_length() > laurent._SWEEP_PACK * 60 for q in moduli)
+
+    def test_sweep_up_to_the_cap(self):
+        # the largest sweep of t^2 - 3t + 1 under MAX_RESULTANT_BITS
+        p = P("t^2 - 3t + 1")
+        sweep = cyclotomic_resultants(p, 3528)
+        assert list(sweep) == list(range(2, 3529))
+        for d in (2, 1000, 3527, 3528):
+            assert sweep[d] == resultant_with_cyclotomic(p, d)
+
     def test_known_values_zero_and_short_sweeps(self):
         # trefoil: H1 of the d-fold branched covers has order 3, 4, 3, 1, 0 (infinite)
         assert cyclotomic_resultants(P("t^2 - t + 1"), 6) == {2: 3, 3: 4, 4: 3, 5: 1, 6: 0}

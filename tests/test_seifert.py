@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,27 @@ class TestBranchedCover:
                 assert cover.homology == branched_homology(s, d)
                 assert cover.check == resultant_order_check(s, d)
                 assert cover.jump == (None if r is None else character_jump(s, d, r))
+
+    def test_homology_and_jump_take_no_resultant(self):
+        # S = [[a, 1], [0, a]] has Delta = a^2 t^2 - (2a^2 - 1) t + a^2, whose
+        # roots have product 1 and sum x = (2a^2 - 1) / a^2, so H1 of the
+        # d-fold cover has order a^(2d) (2 - V_d), V_d = x V_(d-1) - V_(d-2).
+        # At a = 2^60, d = 80 that is 9493 bits, but ||Delta||_1^80 has
+        # about 9760, above the resultant cap: only the check may raise.
+        a, d = 2**60, 80
+        s = SeifertMatrix([[a, 1], [0, a]])
+        x = Fraction(2 * a * a - 1, a * a)
+        v = [Fraction(2), x]
+        for _ in range(d - 1):
+            v.append(x * v[-1] - v[-2])
+        order = a ** (2 * d) * (2 - v[d])
+        assert order.denominator == 1 and order.numerator.bit_length() == 9493
+        assert branched_homology(s, d).order == order
+        jump = character_jump(s, d, 3)
+        assert jump is not None and jump.order == 3
+        for call in (lambda: resultant_order_check(s, d), lambda: branched_cover(s, d, 3)):
+            with pytest.raises(SizeLimitError, match="about 9760 bits, above the cap"):
+                call()
 
     def test_rejects_small_d_and_r(self):
         with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
