@@ -1,9 +1,9 @@
 """Twisted Alexander invariants of fibred knots over exact integer
 arithmetic, with the three-part fibredness obstruction."""
 
-from .laurent import (LaurentPoly, canonicalize, cyclotomic_resultants,
-                      divexact, divides, gcd, is_monic, parse_laurent,
-                      resultant_with_cyclotomic, to_text)
+from .laurent import (LaurentPoly, canonicalize, cyclotomic_resultants, gcd,
+                      is_monic, parse_laurent, resultant_with_cyclotomic,
+                      to_text)
 from .exactla import (IntMatrix, LambdaMatrix, Pencil, SmithForm,
                       CokernelInvariants, char_poly, cokernel_invariants,
                       maximal_minor_gcd, rank_over_fractions,

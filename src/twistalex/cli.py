@@ -4,6 +4,7 @@ report and selftest subcommands over the built-in fixtures or input files."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fix
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction
-from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
+from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover, check_cover,
                       branched_homology, random_seifert_matrix,
                       resultant_order_check)
 
@@ -164,7 +165,11 @@ def _cmd_seifert(args) -> int:
     lines = [f"alexander = {to_text(alex, var='t')}"]
     payload: dict = {"alexander": to_text(alex, var="t")}
     if args.d is not None:
-        cover = branched_cover(s, args.d, args.r, alex)
+        check_cover(s.matrix.rows, args.d, args.r)
+    # the cover reads R_d from the sweep when d <= SWEEP
+    sweep = {} if args.sweep is None else cyclotomic_resultants(alex, args.sweep)
+    if args.d is not None:
+        cover = branched_cover(s, args.d, args.r, alex, resultant=sweep.get(args.d))
         hom, check, jump = cover.homology, cover.check, cover.jump
         lines.append(
             f"H1 = {hom.group_text()}; resultant = {check.resultant}; "
@@ -190,7 +195,6 @@ def _cmd_seifert(args) -> int:
                     "order": jump.order,
                 }
     if args.sweep is not None:
-        sweep = cyclotomic_resultants(alex, args.sweep)
         lines.extend(f"R_{d} = {rd}" for d, rd in sweep.items())
         payload["sweep"] = {str(d): rd for d, rd in sweep.items()}
     _emit(args, lines, payload)
@@ -313,6 +317,7 @@ def _add_source_args(p, with_file=True):
         p.add_argument("--file", help="input file path")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="twist",
                      description="Twisted Alexander invariants and the fibredness obstruction")

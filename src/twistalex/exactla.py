@@ -1,13 +1,14 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
-Smith normal form (with the left transform's row operations modulo r on
-request), cokernel invariants, characters onto cyclic groups, a modular
-determinant kernel for linear pencils sX - Y (characteristic polynomials
-included) and an integer pencil type that keeps its determinant, a modular
-evaluation kernel that gives every maximal minor of a Laurent matrix at
-once (maximal-minor gcds build on it), and one fraction-free elimination
-kernel that gives rank and determinant over Z and over Z[s, s^-1], and the
-inverse of a unimodular integer matrix.
+Over Z: Smith normal form (with the left transform's row operations modulo
+r on request), cokernel invariants, characters onto cyclic groups, and one
+fraction-free elimination loop, which gives determinants and the inverse
+of a unimodular matrix.  Over Z[s, s^-1]: a modular determinant kernel for
+linear pencils sX - Y (characteristic polynomials included), an integer
+pencil type that keeps its determinant, and a modular evaluation kernel
+that gives every maximal minor of a Laurent matrix at once.  Every other
+Laurent determinant, the rank over the field of fractions and the
+maximal-minor gcds come from that evaluation kernel.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        return _bareiss(self.to_rows(), 1, _divexact_int)[1]
+        pivots, sign, last = _eliminate(self.to_rows())
+        return sign * last if len(pivots) == self.rows else 0
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1, by one fraction-free
@@ -134,7 +136,7 @@ class IntMatrix:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
         a = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        pivots, sign, p = _eliminate(a, 1, _divexact_int, jordan=True)
+        pivots, sign, p = _eliminate(a, jordan=True)
         d = sign * p if pivots == list(range(n)) else 0
         if d not in (1, -1):
             raise ValueError(f"matrix has determinant {d}, not a unit")
@@ -147,38 +149,22 @@ class IntMatrix:
 # -- fraction-free elimination --------------------------------------------------
 
 
-def _bareiss(rows: list[list], one, div) -> tuple[int, object]:
-    """(rank, det) of a matrix over an exact domain, by fraction-free
-    elimination (_eliminate).
+def _eliminate(a: list[list[int]], jordan: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of the integer matrix A in place (Bareiss,
+    Math. Comp. 22, 1968); returns (pivot columns, sign of the row
+    permutation, last pivot).
 
-    det is the signed last pivot when the matrix is square and of full
-    rank, and zero otherwise (1 for the empty matrix).
-    """
-    a = [list(r) for r in rows]
-    pivots, sign, last = _eliminate(a, one, div)
-    rank = len(pivots)
-    if rank < len(a) or len(a) != (len(a[0]) if a else 0):
-        return rank, one - one
-    return rank, last if sign > 0 else -last
-
-
-def _eliminate(a: list[list], one, div, jordan: bool = False) -> tuple[list[int], int, object]:
-    """Fraction-free elimination of A in place (Bareiss, Math. Comp. 22,
-    1968); returns (pivot columns, sign of the row permutation, last pivot).
-
-    ``one`` is the ring's unit and ``div(a, b)`` the exact quotient, which
-    raises ValueError when b does not divide a.  Pivots are taken down each
-    column in row order; a column with no pivot left is skipped.  Each step
-    rewrites the rows below the pivot, and with ``jordan`` the rows above it
-    as well (fraction-free Gauss-Jordan), so that a square block of full
-    rank ends as the last pivot times the identity.  Only the columns right
-    of a pivot column are rewritten: the entries left at and below it are
-    stale.  Every division is exact by Sylvester's identity, so an inexact
-    one is a fault in the program.
+    Pivots are taken down each column in row order; a column with no pivot
+    left is skipped.  Each step rewrites the rows below the pivot, and with
+    ``jordan`` the rows above it as well (fraction-free Gauss-Jordan), so
+    that a square block of full rank ends as the last pivot times the
+    identity.  Only the columns right of a pivot column are rewritten: the
+    entries left at and below it are stale.  Every division is exact by
+    Sylvester's identity, so an inexact one is a fault in the program.
     """
     n = len(a)
     m = len(a[0]) if a else 0
-    pivots, sign, prev = [], 1, one
+    pivots, sign, prev = [], 1, 1
     try:
         for k in range(m):
             rank = len(pivots)
@@ -195,7 +181,7 @@ def _eliminate(a: list[list], one, div, jordan: bool = False) -> tuple[list[int]
             for row in (a[:rank] if jordan else []) + a[rank + 1:]:
                 x = row[k]
                 for j in range(k + 1, m):
-                    row[j] = div(row[j] * p - x * top[j], prev)
+                    row[j] = _divexact_int(row[j] * p - x * top[j], prev)
             prev = p
             pivots.append(k)
     except ValueError as exc:
@@ -431,17 +417,6 @@ def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
     return pivots, det
 
 
-def _inverse_times_mod(x: list[list[int]], y: list[list[int]],
-                       p: int) -> tuple[list[list[int]], int] | None:
-    """(X^-1 Y mod p, det X mod p); None when X is singular modulo p."""
-    n = len(x)
-    a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
-    pivots, det = _rref_mod(a, p)
-    if pivots != list(range(n)):
-        return None
-    return [r[n:] for r in a], det
-
-
 def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
     """det(sI - H) mod p, ascending coefficients; H is overwritten.
 
@@ -501,11 +476,12 @@ def _pencil_det(x: list[list[int]] | None, y: list[list[int]]) -> LaurentPoly | 
         for p in _primes():
             if x is None:
                 m, scale = [[v % p for v in r] for r in y], 1
-            else:
-                solved = _inverse_times_mod(x, y, p)
-                if solved is None:
+            else:  # [X | Y] -> [I | X^-1 Y], scale = det X
+                a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
+                pivots, scale = _rref_mod(a, p)
+                if pivots != list(range(n)):
                     return
-                m, scale = solved
+                m = [r[n:] for r in a]
             yield p, [c * scale % p for c in _char_poly_mod(m, p)]
 
     coeffs = _crt_lift(bound, n + 1, residues())
@@ -553,8 +529,8 @@ class LambdaMatrix:
         """Exact determinant.
 
         A linear pencil sX - Y (every entry in span{1, s}) is handed to
-        Pencil; any other matrix goes through fraction-free elimination
-        over Z[s, s^-1].
+        Pencil; any other matrix is its own one maximal minor, from the
+        evaluation kernel.
         """
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
@@ -566,7 +542,7 @@ class LambdaMatrix:
             if x == IntMatrix.identity(n).to_rows():
                 x = None
             return Pencil(x, y).det()
-        return _bareiss(self.to_rows(), laurent.ONE, laurent.divexact)[1]
+        return _maximal_minors(self)[0]
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -576,9 +552,9 @@ class Pencil:
 
     The determinant is taken once, by the modular pencil kernel, and kept.
     Only when X is singular modulo a kernel prime (always so when det X =
-    0) is the pencil expanded into Laurent entries, and then fraction-free
-    elimination gives determinant and rank together.  The rank is n
-    whenever the determinant is nonzero, so for X = None it takes no work.
+    0) does it come from the evaluation kernel on the Laurent entries
+    instead.  The rank is n whenever the determinant is nonzero, so for
+    X = None it takes no work; otherwise it is taken by evaluation.
     """
 
     x: tuple[tuple[int, ...], ...] | None
@@ -607,35 +583,34 @@ class Pencil:
     def is_square(self) -> bool:
         return True
 
+    def to_rows(self) -> list[list[LaurentPoly]]:
+        """The Laurent entries of sX - Y."""
+        x = self.x if self.x is not None else IntMatrix.identity(self.rows).to_rows()
+        return [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, self.y)]
+
     def det(self) -> LaurentPoly:
         """det(sX - Y), exactly."""
-        d = self._kernel_det
-        return self._eliminated[1] if d is None else d
+        return self._det
 
     def rank(self) -> int:
         """Rank over the field of fractions of Z[s, s^-1]."""
         # det(sI - Y) is monic of degree n, and a nonzero det is a nonzero
         # maximal minor: either way the rank is full.
-        if self.x is None or self._kernel_det:
+        if self.x is None or self._det:
             return self.rows
-        return self._eliminated[0]
+        return _evaluation_rank(self)
 
     @functools.cached_property
-    def _kernel_det(self) -> LaurentPoly | None:
-        return _pencil_det(self.x, self.y)
-
-    @functools.cached_property
-    def _eliminated(self) -> tuple[int, LaurentPoly]:
-        rows = [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)]
-                for xr, yr in zip(self.x, self.y)]
-        return _bareiss(rows, laurent.ONE, laurent.divexact)
+    def _det(self) -> LaurentPoly:
+        d = _pencil_det(self.x, self.y)
+        return _maximal_minors(self)[0] if d is None else d
 
 
 def rank_over_fractions(p: LambdaMatrix | Pencil) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]."""
     if isinstance(p, Pencil):
         return p.rank()
-    return _bareiss(p.to_rows(), laurent.ONE, laurent.divexact)[0]
+    return _evaluation_rank(p)
 
 
 def maximal_minor_gcd(p: LambdaMatrix | Pencil,
@@ -666,51 +641,111 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil,
     return laurent.canonicalize(g)
 
 
-# -- maximal minors by evaluation ---------------------------------------------
+# -- maximal minors and rank by evaluation ------------------------------------
 #
 # All C(m, n) maximal minors of an n x m Laurent matrix A at once.  Row i
 # times s^-low_i has polynomial entries of degree <= span_i, so every minor
-# is s^(sum_i low_i) times a polynomial of degree <= D = sum_i span_i, whose
-# coefficients are bounded by prod_i sum_j |a_ij|_1 (bound the Leibniz
-# expansion term by term).  Modulo each CRT prime, A is evaluated at
-# s = 0..D and reduced once per point to reduced row-echelon form E = L A.
+# is s^(sum_i low_i) times a polynomial of degree <= D = sum_i span_i.  On
+# the unit circle |a_ij| <= |a_ij|_1, so by Hadamard's inequality no
+# coefficient of any minor exceeds sqrt(prod_i sum_j |a_ij|_1^2), each row
+# factor being at least 1 once zero rows are gone.  Modulo each CRT prime,
+# A is evaluated at s = 0..D and reduced once per point to reduced
+# row-echelon form E = L A.
 # With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
 # C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
 # the rows T whose pivot is not in C to the bottom and the columns C \ P to
 # the right leaves +-det E[T, C \ P]: over all C, exactly the square minors
-# of E's non-pivot columns.  One inverse Vandermonde per prime interpolates
-# every minor from its D + 1 values.
+# of E's non-pivot columns.  Newton's divided differences on the nodes
+# 0..D interpolate each minor from its D + 1 values in O(D^2), and so does
+# evaluating A at every node.  A square matrix has one maximal minor, its
+# determinant, and a single row is its own list of minors.
+#
+# The rank over the field of fractions is the largest rank of A, zero rows
+# dropped, modulo a CRT prime at s = 0..D, over primes until their product
+# exceeds the same bound.  No evaluation raises the rank.  If A has rank r,
+# some r x r minor is nonzero, one of its coefficients survives one of
+# those primes, and being of degree <= D it is nonzero at one of the D + 1
+# points.
 
-def _maximal_minors(p: LambdaMatrix) -> list[LaurentPoly]:
-    """The n x n minors of an n x m matrix with n <= m, exactly, in the
-    order of itertools.combinations(range(m), n)."""
-    n, m = p.rows, p.cols
-    count = math.comb(m, n)
-    rows = p.to_rows()
+def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
+    """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
+    on every minor's coefficients (0 if a row is zero), D + 1) for A's rows."""
     lows = [min((e.low for e in row if e), default=0) for row in rows]
     polys = [[(0,) * (e.low - low) + e.coeffs if e else () for e in row]
              for row, low in zip(rows, lows)]
-    bound = math.prod(sum(sum(map(abs, e)) for e in row) for row in polys)
+    norms = [sum(sum(map(abs, e)) ** 2 for e in row) for row in polys]
+    bound = math.isqrt(math.prod(norms)) + 1 if all(norms) else 0
+    points = sum(max(map(len, row)) for row in polys) - len(rows) + 1  # D + 1
+    return sum(lows), polys, bound, points
+
+
+def _evaluate_mod(polys: list[list[tuple]], c: int, q: int) -> list[list[int]]:
+    """The polynomial matrix at s = c mod q."""
+    powers = [1] * max((len(e) for row in polys for e in row), default=0)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * c % q
+    return [[sum(map(operator.mul, e, powers)) % q for e in row] for row in polys]
+
+
+def _interpolate_mod(values, q: int) -> list[int]:
+    """Ascending coefficients mod a prime q > len(values) of the polynomial
+    of degree < len(values) with values[c] at s = c, in O(len(values)^2): its
+    Newton form on the nodes 0, 1, ... (forward differences at 0 over k!)."""
+    newton, inv = [], 1
+    for k in range(len(values)):
+        if k:
+            inv = inv * pow(k, -1, q) % q
+        newton.append(values[0] * inv % q)
+        values = [(b - a) % q for a, b in zip(values, values[1:])]
+    poly: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):  # poly = poly * (s - k) + newton[k]
+        poly = [(a - k * b) % q for a, b in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + newton[k]) % q
+    return poly
+
+
+def _maximal_minors(p: LambdaMatrix | Pencil) -> list[LaurentPoly]:
+    """The n x n minors of an n x m matrix with n <= m, exactly, in the
+    order of itertools.combinations(range(m), n)."""
+    n, m = p.rows, p.cols
+    if n == 1:  # a row is its own list of minors
+        return p.to_rows()[0]
+    count = math.comb(m, n)
+    shift, polys, bound, points = _normalised(p.to_rows())
     if not bound:  # a zero row
         return [laurent.ZERO] * count
-    points = sum(max(map(len, row)) for row in polys) - n + 1  # D + 1
     plans: dict[tuple[int, ...], list] = {}  # pivot columns -> _minor_plan
 
     def residues():
         for q in _primes():
-            # row c holds the powers of s = c, which also evaluate A there
-            vandermonde = [[pow(c, k, q) for k in range(points)] for c in range(points)]
-            values = []
-            for powers in vandermonde:
-                a = [[sum(x * w for x, w in zip(e, powers)) % q for e in row]
-                     for row in polys]
-                values.append(_minors_mod(a, m, q, plans))
-            coeffs, _ = _inverse_times_mod(vandermonde, values, q)
-            yield q, [v for minor in zip(*coeffs) for v in minor]
+            minors = list(zip(*(_minors_mod(_evaluate_mod(polys, c, q), m, q, plans)
+                                for c in range(points))))
+            if len(minors) <= points:
+                yield q, [v for minor in minors for v in _interpolate_mod(minor, q)]
+            else:  # fewer nodes: interpolate the unit vectors, the inverse Vandermonde
+                w = list(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
+                               for k in range(points))))
+                yield q, [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
 
     flat = _crt_lift(bound, count * points, residues())
-    shift = sum(lows)
     return [LaurentPoly(shift, flat[i:i + points]) for i in range(0, count * points, points)]
+
+
+def _evaluation_rank(p: LambdaMatrix | Pencil) -> int:
+    """Rank of P over the field of fractions of Z[s, s^-1], by evaluation;
+    it returns as soon as the rank is full."""
+    rows = [row for row in p.to_rows() if any(row)]
+    full = min(len(rows), p.cols)
+    _, polys, bound, points = _normalised(rows)
+    rank, modulus = 0, 1
+    for q in _primes():
+        for c in range(points):
+            rank = max(rank, len(_rref_mod(_evaluate_mod(polys, c, q), q)[0]))
+            if rank == full:
+                return rank
+        modulus *= q
+        if modulus > bound:
+            return rank
 
 
 def _minors_mod(a: list[list[int]], m: int, q: int, plans: dict) -> list[int]:

@@ -215,7 +215,7 @@ def is_monic(p: LaurentPoly) -> bool:
     return bool(p.coeffs) and abs(p.coeffs[0]) == 1 and abs(p.coeffs[-1]) == 1
 
 
-# -- division -----------------------------------------------------------------
+# -- gcd ----------------------------------------------------------------------
 #
 # Helpers below work on plain coefficient lists in ascending order with no
 # leading-zero guarantees beyond what callers maintain.
@@ -225,51 +225,6 @@ def _trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _try_div(f: list[int], g: list[int]) -> list[int] | None:
-    """Quotient of f by g in Z[x] when the division is exact, else None."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    lg = g[-1]
-    while len(f) >= len(g):
-        c, r = divmod(f[-1], lg)
-        if r:
-            return None
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        _trim(f)
-        if not f:
-            break
-    return q if not f else None
-
-
-def divides(g: LaurentPoly, p: LaurentPoly) -> bool:
-    """True iff g divides p in Z[s, s^-1]."""
-    if g.is_zero:
-        return p.is_zero
-    if p.is_zero:
-        return True
-    return _try_div(list(p.coeffs), list(g.coeffs)) is not None
-
-
-def divexact(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient p / g; raises ValueError if g does not divide p."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero:
-        return ZERO
-    q = _try_div(list(p.coeffs), list(g.coeffs))
-    if q is None:
-        raise ValueError(f"{g} does not divide {p} in Z[s, s^-1]")
-    return LaurentPoly(p.low - g.low, q)
-
-
-# -- gcd ----------------------------------------------------------------------
 
 
 def _content(f: list[int]) -> int:

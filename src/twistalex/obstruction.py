@@ -60,7 +60,7 @@ def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil,
         delta = laurent.ZERO
 
     # A nonzero maximal minor already proves full rank n (n > m and a
-    # fired cap both leave delta = 0), so elimination runs only otherwise.
+    # fired cap both leave delta = 0), so the rank is taken only otherwise.
     rank = n if not delta.is_zero else rank_over_fractions(p)
     torsion = "yes" if rank == n else "no"
     if torsion == "yes":

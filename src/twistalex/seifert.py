@@ -57,9 +57,10 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     return laurent.canonicalize(Pencil(m.to_rows(), m.transpose().to_rows()).det())
 
 
-def _check_cover_size(n: int, d: int) -> None:
+def check_cover(n: int, d: int, r: int | None = None) -> None:
     """The checks every branched cover of degree d of an n x n Seifert
-    matrix passes first: d >= 2, and n(d - 1) rows within the cap."""
+    matrix (with a character onto Z_r, for r) passes first: d >= 2, n(d - 1)
+    rows within the cap, and r >= 2."""
     if d < 2:
         raise ValueError("branched presentation needs d >= 2")
     size = n * (d - 1)
@@ -67,6 +68,8 @@ def _check_cover_size(n: int, d: int) -> None:
         raise SizeLimitError(
             f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
             f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
+    if r is not None and r < 2:
+        raise ValueError("needs d >= 2 and r >= 2")
 
 
 def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
@@ -81,7 +84,7 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
     """
     m = s.matrix
     n = m.rows
-    _check_cover_size(n, d)
+    check_cover(n, d)
     size = n * (d - 1)
     rows = [[0] * size for _ in range(size)]
     # (block row - block column, block): diagonal, subdiagonal, superdiagonal
@@ -203,10 +206,12 @@ class BranchedCover:
 
 
 def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
-                   alexander: LaurentPoly | None = None) -> BranchedCover:
+                   alexander: LaurentPoly | None = None,
+                   resultant: int | None = None) -> BranchedCover:
     """branched_homology, resultant_order_check and, for r, character_jump
     at once, from one Smith elimination of Seifert's presentation.
-    ``alexander`` is alexander_polynomial(s), when the caller has it.
+    ``alexander`` is alexander_polynomial(s) and ``resultant`` is
+    resultant_with_cyclotomic(alexander, d), when the caller has them.
 
     With A = S - S^T (unimodular) and Gamma = A^-1 S, H1 of the d-fold
     branched cyclic cover is coker M for the n x n matrix
@@ -219,10 +224,11 @@ def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
     gamma, smith = _cover_smith(s, d, r)
     hom = smith.cokernel()
     snf_order = hom.order if hom.order is not None else 0
-    if alexander is None:
-        alexander = alexander_polynomial(s)
-    res = laurent.resultant_with_cyclotomic(alexander, d)
-    check = ResultantCheck(snf_order=snf_order, resultant=res, agree=snf_order == res)
+    if resultant is None:
+        if alexander is None:
+            alexander = alexander_polynomial(s)
+        resultant = laurent.resultant_with_cyclotomic(alexander, d)
+    check = ResultantCheck(snf_order=snf_order, resultant=resultant, agree=snf_order == resultant)
     jump = None if r is None else _cover_jump(s.matrix, gamma, smith, d, r)
     return BranchedCover(homology=hom, check=check, jump=jump)
 
@@ -233,9 +239,7 @@ def _cover_smith(s: SeifertMatrix, d: int,
     Z_r, for r) of M^T, M = Gamma^d - (Gamma - I)^d."""
     m = s.matrix
     n = m.rows
-    _check_cover_size(n, d)
-    if r is not None and r < 2:
-        raise ValueError("needs d >= 2 and r >= 2")
+    check_cover(n, d, r)
     gamma = (m - m.transpose()).inverse_unimodular() * m
     shifted = gamma - IntMatrix.identity(n)
     # coker M^T and coker M have the same invariant factors

@@ -1,0 +1,97 @@
+"""Fraction-free elimination over any exact domain, and exact division in
+Z[s, s^-1]: the route by which Laurent determinants and ranks were once
+computed, kept as the test oracle of the evaluation kernel."""
+
+from __future__ import annotations
+
+from twistalex.errors import InternalError
+from twistalex.laurent import ZERO, LaurentPoly, _trim
+
+
+def try_div(f: list[int], g: list[int]) -> list[int] | None:
+    """Quotient of f by g in Z[x] when the division is exact, else None."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    lg = g[-1]
+    while len(f) >= len(g):
+        c, r = divmod(f[-1], lg)
+        if r:
+            return None
+        k = len(f) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            f[k + i] -= c * b
+        _trim(f)
+        if not f:
+            break
+    return q if not f else None
+
+
+def divides(g: LaurentPoly, p: LaurentPoly) -> bool:
+    """True iff g divides p in Z[s, s^-1]."""
+    if g.is_zero:
+        return p.is_zero
+    if p.is_zero:
+        return True
+    return try_div(list(p.coeffs), list(g.coeffs)) is not None
+
+
+def divexact(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Exact quotient p / g; raises ValueError if g does not divide p."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero:
+        return ZERO
+    q = try_div(list(p.coeffs), list(g.coeffs))
+    if q is None:
+        raise ValueError(f"{g} does not divide {p} in Z[s, s^-1]")
+    return LaurentPoly(p.low - g.low, q)
+
+
+def divexact_int(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError(f"{b} does not divide {a}")
+    return q
+
+
+def bareiss(rows: list[list], one, div) -> tuple[int, object]:
+    """(rank, det) of a matrix over an exact domain, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).
+
+    ``one`` is the ring's unit and ``div(a, b)`` the exact quotient, which
+    raises ValueError when b does not divide a.  Pivots are taken down each
+    column in row order; a column with no pivot left is skipped.  det is the
+    signed last pivot when the matrix is square and of full rank, and zero
+    otherwise (1 for the empty matrix).  An inexact division raises
+    InternalError.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    m = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, one
+    try:
+        for k in range(m):
+            if rank == n:
+                break
+            piv = next((i for i in range(rank, n) if a[i][k]), None)
+            if piv is None:
+                continue
+            if piv != rank:
+                a[rank], a[piv] = a[piv], a[rank]
+                sign = -sign
+            top = a[rank]
+            p = top[k]
+            for row in a[rank + 1:]:
+                x = row[k]
+                for j in range(k + 1, m):
+                    row[j] = div(row[j] * p - x * top[j], prev)
+            prev = p
+            rank += 1
+    except ValueError as exc:
+        raise InternalError(f"inexact division in fraction-free elimination: {exc}") from exc
+    if rank < n or n != m:
+        return rank, one - one
+    return rank, prev if sign > 0 else -prev

@@ -115,9 +115,9 @@ class TestMonodromyCommand:
 
     def test_minor_cap_zero_keeps_its_output(self, capsys, monkeypatch):
         # the cap still fires on the one square minor, and the rank of
-        # sI - H is full with no Laurent elimination
+        # sI - H is full with no work by the evaluation kernel
         def refuse(*args):
-            raise AssertionError("Laurent elimination on sI - H")
+            raise AssertionError("evaluation kernel on sI - H")
 
         reports = []
 
@@ -127,8 +127,8 @@ class TestMonodromyCommand:
 
         evaluate = cli.evaluate_fibred_obstruction
         monkeypatch.setattr(cli, "evaluate_fibred_obstruction", recorded)
-        monkeypatch.setattr(exactla, "_bareiss", refuse)
-        monkeypatch.setattr(laurent, "divexact", refuse)
+        monkeypatch.setattr(exactla, "_maximal_minors", refuse)
+        monkeypatch.setattr(exactla, "_evaluation_rank", refuse)
         monkeypatch.setenv("TWIST_MAX_MINORS", "0")
         code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                            "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
@@ -219,6 +219,28 @@ class TestSeifertCommand:
                               (("--d", "1"), "branched presentation needs d >= 2")):
             code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                                  *argv, "--json")
+            assert (code, out, err) == (64, "", f"twist: error: {message}\n")
+
+    def test_resultant_is_read_from_the_sweep(self, capsys, monkeypatch):
+        # with 2 <= d <= SWEEP the sweep holds R_d, so no single-d resultant
+        # is taken, and the output is that of the two separate runs
+        expected = {}
+        for argv in (("--d", "3", "--r", "2"), ("--sweep", "6")):
+            code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert", *argv, "--json")
+            expected.update(json.loads(raw))
+
+        def refuse(*args):
+            raise AssertionError("R_d taken apart from the sweep")
+
+        monkeypatch.setattr(laurent, "resultant_with_cyclotomic", refuse)
+        code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                           "--d", "3", "--r", "2", "--sweep", "6", "--json")
+        assert code == 0 and json.loads(raw) == expected
+        # a sweep over its cap does not hide bad cover arguments
+        for argv, message in ((("--d", "2", "--r", "1"), "needs d >= 2 and r >= 2"),
+                              (("--d", "1"), "branched presentation needs d >= 2")):
+            code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                                 *argv, "--sweep", "100000")
             assert (code, out, err) == (64, "", f"twist: error: {message}\n")
 
     def test_no_smith_elimination_of_the_block_presentation(self, capsys, monkeypatch, tmp_path):
@@ -375,6 +397,16 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--presentation", str(path))
         assert code == 0 and "verdict = consistent-with-fibred" in out
 
+    def test_high_degree_square_presentations(self, capsys, tmp_path):
+        # a single row is its own minor; a 2 x 2 one is interpolated on
+        # D + 1 = 601 nodes
+        for text, delta in (("1 1\ns^2000-1\n", "s^2000 - 1"),
+                            ("2 2\ns^300-1 s\n1 s^300+1\n", "s^600 - s - 1")):
+            path = tmp_path / "m.txt"
+            path.write_text(text)
+            code, out, _ = run(capsys, "report", "--presentation", str(path))
+            assert code == 0 and f"delta = {delta}" in out.splitlines()
+
     def test_inconclusive_exit_3(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2\ns-1 s\n")
@@ -512,17 +544,15 @@ class TestUsageErrors:
                 64, "", f"twist: error: TWIST_MAX_MINORS must be a nonnegative integer, "
                         f"got '{value}'\n")
 
-    def test_inexact_elimination_exits_70(self, capsys, tmp_path, monkeypatch):
-        # A non-pencil determinant takes fraction-free elimination, whose
-        # divisions are exact by construction: a failing one is a fault in
-        # the program, not bad input.
-        def inexact(p, g):
-            raise ValueError(f"{g} does not divide {p} in Z[s, s^-1]")
+    def test_inexact_elimination_exits_70(self, capsys, monkeypatch):
+        # det(S - S^T) of a Seifert matrix takes fraction-free elimination,
+        # whose divisions are exact by construction: a failing one is a
+        # fault in the program, not bad input.
+        def inexact(a, b):
+            raise ValueError(f"{b} does not divide {a}")
 
-        monkeypatch.setattr(laurent, "divexact", inexact)
-        path = tmp_path / "m.txt"
-        path.write_text("2 2\ns^2-1 s\n1 s^2+1\n")
-        code, out, err = run(capsys, "report", "--presentation", str(path))
+        monkeypatch.setattr(exactla, "_divexact_int", inexact)
+        code, out, err = run(capsys, "seifert", "--fixture", "trefoil-seifert", "--d", "3")
         assert code == 70 and out == ""
         assert err.startswith("twist: internal error: inexact division")
 

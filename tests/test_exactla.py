@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _bareiss, _divexact_int,
+from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _divexact_int,
                                _maximal_minors, char_poly, cokernel_invariants,
                                maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_presentation,
                               random_seifert_matrix)
+
+from bareiss_oracle import bareiss, divexact, divexact_int
 
 
 def P(text):
@@ -442,7 +444,7 @@ def adjugate_inverse(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         for j in range(n):
             minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-            adj[i][j] = (-1) ** (i + j) * _bareiss(minor, 1, _divexact_int)[1]
+            adj[i][j] = (-1) ** (i + j) * bareiss(minor, 1, divexact_int)[1]
     return IntMatrix(n, n, [d * x for r in adj for x in r])
 
 
@@ -491,22 +493,22 @@ class TestInverseUnimodular:
 
 
 def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
-    """A Laurent determinant by fraction-free elimination alone."""
-    return _bareiss(m.to_rows(), ONE, laurent.divexact)[1]
+    """A Laurent determinant by the fraction-free oracle alone."""
+    return bareiss(m.to_rows(), ONE, divexact)[1]
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
-    """Counts the fraction-free fallback behind LambdaMatrix.det (Laurent
-    eliminations only; integer determinants share the kernel)."""
+def kernel_calls(monkeypatch):
+    """Counts, by size, the calls of the evaluation kernel: the route of
+    LambdaMatrix.det off the pencil path and of Pencil.det with singular X."""
     calls = []
 
-    def counted(rows, one, div):
-        if isinstance(one, LaurentPoly):
-            calls.append(len(rows))
-        return _bareiss(rows, one, div)
+    def counted(p):
+        calls.append(p.rows)
+        return maximal_minors(p)
 
-    monkeypatch.setattr(exactla, "_bareiss", counted)
+    maximal_minors = exactla._maximal_minors
+    monkeypatch.setattr(exactla, "_maximal_minors", counted)
     return calls
 
 
@@ -534,24 +536,24 @@ class TestCharPoly:
 
 
 class TestPencilDeterminant:
-    def test_sizes_zero_and_one(self, bareiss_calls):
+    def test_sizes_zero_and_one(self, kernel_calls):
         assert char_poly(IntMatrix(0, 0, ())) == LaurentPoly.const(1)
         assert LambdaMatrix(0, 0, ()).det() == LaurentPoly.const(1)
         assert char_poly(IntMatrix.from_rows([[7]])) == P("s - 7")
         assert pencil([[3]], [[5]]).det() == P("3s - 5")
         assert pencil([[0]], [[0]]).det() == ZERO
-        assert bareiss_calls == []
+        assert kernel_calls == []
 
-    def test_identity_x(self, bareiss_calls):
+    def test_identity_x(self, kernel_calls):
         rng = random.Random(41)
         for _ in range(20):
             n = rng.randint(1, 4)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(IntMatrix.identity(n).to_rows(), y)
             assert m.det() == leibniz_det(m) == bareiss_det(m)
-        assert bareiss_calls == []
+        assert kernel_calls == []
 
-    def test_unimodular_x(self, bareiss_calls):
+    def test_unimodular_x(self, kernel_calls):
         rng = random.Random(43)
         for _ in range(30):
             n = rng.randint(1, 4)
@@ -559,9 +561,9 @@ class TestPencilDeterminant:
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(x, y)
             assert m.det() == leibniz_det(m) == bareiss_det(m)
-        assert bareiss_calls == []
+        assert kernel_calls == []
 
-    def test_huge_entries(self, bareiss_calls):
+    def test_huge_entries(self, kernel_calls):
         rng = random.Random(47)
         for _ in range(10):
             n = rng.randint(2, 6)
@@ -569,9 +571,9 @@ class TestPencilDeterminant:
             y = random_matrix(rng, n, n, -2**75, 2**75).to_rows()
             m = pencil(x, y)
             assert m.det() == bareiss_det(m)
-        assert bareiss_calls == []
+        assert kernel_calls == []
 
-    def test_singular_x_with_zero_determinant(self, bareiss_calls):
+    def test_singular_x_with_zero_determinant(self, kernel_calls):
         rng = random.Random(53)
         for _ in range(10):
             n = rng.randint(2, 4)
@@ -579,9 +581,9 @@ class TestPencilDeterminant:
             y = random_matrix(rng, n, n, -4, 4).to_rows()
             x[1], y[1] = list(x[0]), list(y[0])  # equal rows: det(sX - Y) = 0
             assert pencil(x, y).det() == ZERO
-        assert len(bareiss_calls) == 10
+        assert len(kernel_calls) == 10
 
-    def test_singular_x_with_nonzero_determinant(self, bareiss_calls):
+    def test_singular_x_with_nonzero_determinant(self, kernel_calls):
         rng = random.Random(59)
         done = 0
         while done < 10:
@@ -594,9 +596,9 @@ class TestPencilDeterminant:
                 continue
             assert m.det() == expected
             done += 1
-        assert len(bareiss_calls) == 10
+        assert len(kernel_calls) == 10
 
-    def test_x_singular_modulo_first_prime_falls_back(self, bareiss_calls):
+    def test_x_singular_modulo_first_prime_falls_back(self, kernel_calls):
         p = laurent._prime(0)
         rng = random.Random(61)
         for _ in range(5):
@@ -607,12 +609,12 @@ class TestPencilDeterminant:
             assert abs(x.det()) == p
             m = pencil(x.to_rows(), random_matrix(rng, n, n, -4, 4).to_rows())
             assert m.det() == leibniz_det(m)
-        assert len(bareiss_calls) == 5
+        assert len(kernel_calls) == 5
 
-    def test_non_pencils_keep_elimination(self, bareiss_calls):
+    def test_non_pencils_take_the_evaluation_kernel(self, kernel_calls):
         m = LambdaMatrix.from_rows([[P("s^2"), P("1")], [P("s^-1"), P("s")]])
-        assert m.det() == leibniz_det(m) == P("s^3 - s^-1")
-        assert len(bareiss_calls) == 1
+        assert m.det() == leibniz_det(m) == bareiss_det(m) == P("s^3 - s^-1")
+        assert kernel_calls == [2]
 
     def test_prime_sequence(self):
         sieve = [n for n in range(2, 2000) if all(n % q for q in range(2, int(n**0.5) + 1))]
@@ -666,11 +668,11 @@ class TestLambdaMatrix:
 
 
 def enumerated_minors(m: LambdaMatrix) -> list[LaurentPoly]:
-    """Every maximal minor, one LambdaMatrix.det per column set in
-    combinations order: the route the evaluation kernel replaced, kept as
-    its oracle."""
+    """Every maximal minor, one fraction-free oracle determinant per column
+    set in combinations order: the route the evaluation kernel replaced,
+    kept as its oracle."""
     rows = m.to_rows()
-    return [LambdaMatrix(m.rows, m.rows, [r[j] for r in rows for j in cols]).det()
+    return [bareiss([[r[j] for j in cols] for r in rows], ONE, divexact)[1]
             for cols in itertools.combinations(range(m.cols), m.rows)]
 
 
@@ -707,13 +709,13 @@ def wide_matrices(draw, n):
     return LambdaMatrix.from_rows(rows)
 
 
-def refuse_laurent_elimination(monkeypatch):
-    """Makes any Laurent determinant or fraction-free elimination fail."""
+def refuse_laurent_determinants(monkeypatch):
+    """Makes any Laurent determinant fail."""
     def refuse(*args):
         raise AssertionError("the evaluation kernel took a Laurent determinant")
 
     monkeypatch.setattr(exactla.LambdaMatrix, "det", refuse)
-    monkeypatch.setattr(exactla, "_bareiss", refuse)
+    monkeypatch.setattr(exactla.Pencil, "det", refuse)
 
 
 class TestMaximalMinors:
@@ -746,13 +748,13 @@ class TestMaximalMinors:
         assert maximal_minor_gcd(m) == enumerated_gcd(m) == ONE
 
     def test_no_rows_has_one_minor(self, monkeypatch):
-        refuse_laurent_elimination(monkeypatch)
+        refuse_laurent_determinants(monkeypatch)
         for m in (1, 3):
             assert _maximal_minors(LambdaMatrix(0, m, ())) == [ONE]
             assert maximal_minor_gcd(LambdaMatrix(0, m, ())) == ONE
 
     def test_zero_row_gives_zero(self, monkeypatch):
-        refuse_laurent_elimination(monkeypatch)
+        refuse_laurent_determinants(monkeypatch)
         m = LambdaMatrix.from_rows([[P("s - 1"), ONE, P("s")], [ZERO, ZERO, ZERO]])
         assert _maximal_minors(m) == [ZERO] * 3
         assert maximal_minor_gcd(m) == ZERO
@@ -765,7 +767,7 @@ class TestMaximalMinors:
             m = LambdaMatrix.from_rows(random_rows(rng, n, n + rng.randint(1, 3),
                                                    random_laurent, ZERO))
             cases.append((m, enumerated_gcd(m)))
-        refuse_laurent_elimination(monkeypatch)
+        refuse_laurent_determinants(monkeypatch)
         for m, gcd in cases:
             assert maximal_minor_gcd(m) == gcd
 
@@ -840,7 +842,7 @@ def laurent_pencil(x, y) -> LambdaMatrix:
 
 
 class TestPencil:
-    """The integer pencil sX - Y against fraction-free elimination over
+    """The integer pencil sX - Y against the fraction-free oracle over
     Z[s, s^-1] on its Laurent expansion."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -848,7 +850,7 @@ class TestPencil:
     def test_against_laurent_elimination(self, case):
         kind, x, y = case
         p = Pencil(x, y)
-        rank, det = _bareiss(laurent_pencil(x, y).to_rows(), ONE, laurent.divexact)
+        rank, det = bareiss(laurent_pencil(x, y).to_rows(), ONE, divexact)
         assert (p.rows, p.cols, p.is_square) == (len(y), len(y), True)
         assert p.det() == det
         assert p.rank() == rank_over_fractions(p) == rank
@@ -862,7 +864,7 @@ class TestPencil:
                                 ([[0]], [[3]], P("-3"), 1), ([[0]], [[0]], ZERO, 0)):
             p = Pencil(x, y)
             assert (p.det(), p.rank(), p.rows) == (det, rank, len(y))
-            assert (rank, det) == _bareiss(laurent_pencil(x, y).to_rows(), ONE, laurent.divexact)
+            assert (rank, det) == bareiss(laurent_pencil(x, y).to_rows(), ONE, divexact)
 
     def test_determinant_is_taken_once(self, monkeypatch):
         calls = []
@@ -880,7 +882,7 @@ class TestPencil:
         assert maximal_minor_gcd(p) == p.det() and rank_over_fractions(p) == 4
         assert calls == [4]
 
-    def test_no_laurent_elimination_unless_x_is_singular(self, bareiss_calls):
+    def test_no_laurent_elimination_unless_x_is_singular(self, kernel_calls):
         rng = random.Random(127)
         for _ in range(10):
             n = rng.randint(1, 5)
@@ -888,17 +890,18 @@ class TestPencil:
             for x in (None, unimodular(rng, n)):
                 p = Pencil(x, y)
                 assert p.rank() == n and not p.det().is_zero
-        assert bareiss_calls == []
+        assert kernel_calls == []
         p = Pencil(singular_seifert(rng, 1).to_rows(), singular_seifert(rng, 1).to_rows())
         p.det(), p.rank(), p.det()
-        assert bareiss_calls == [4]  # determinant and rank from one elimination
+        assert not p.det().is_zero
+        assert kernel_calls == [4]  # the determinant, once; a nonzero one gives the rank
 
-    def test_alexander_polynomial_of_a_singular_seifert_matrix(self, bareiss_calls):
+    def test_alexander_polynomial_of_a_singular_seifert_matrix(self, kernel_calls):
         s = singular_seifert(random.Random(131), 2)
         assert s.det() == 0
         assert alexander_polynomial(SeifertMatrix(s)) == canonicalize(
             bareiss_det(seifert_pencil(s)))
-        assert bareiss_calls == [6]
+        assert kernel_calls == [6]
 
     def test_shape_checks(self):
         for x, y in ((None, [[1, 2]]), ([[1]], [[1, 2], [3, 4]]), ([[1, 2]], [[1]])):
@@ -961,13 +964,13 @@ def random_rows(rng, rows, cols, entry, zero):
 
 
 class TestBareissKernel:
-    """The one fraction-free kernel against Leibniz expansion, over Z and
-    over Z[s, s^-1]."""
+    """The fraction-free oracle against Leibniz expansion, over Z and over
+    Z[s, s^-1]."""
 
     RINGS = {
-        "Z": (1, _divexact_int, random_int, 0,
+        "Z": (1, divexact_int, random_int, 0,
               lambda rows: brute_det(IntMatrix.from_rows(rows))),
-        "Laurent": (ONE, laurent.divexact, random_laurent, ZERO,
+        "Laurent": (ONE, divexact, random_laurent, ZERO,
                     lambda rows: leibniz_det(LambdaMatrix.from_rows(rows))),
     }
 
@@ -978,7 +981,7 @@ class TestBareissKernel:
         shapes = [(r, c) for r in range(5) for c in range(5) if r == c or r < 4]
         for rows, cols in shapes * 20:
             m = random_rows(rng, rows, cols, entry, zero)
-            rank, d = _bareiss(m, one, div)
+            rank, d = bareiss(m, one, div)
             assert rank == minor_rank(m, cols, det)
             if rows == cols:
                 assert d == det(m)
@@ -991,15 +994,15 @@ class TestBareissKernel:
                             ([[zero, one, zero], [zero, zero, one], [one, zero, zero]], one),
                             ([[zero, zero, one], [zero, one, zero], [one, zero, zero]], -one),
                             ([[zero, two, one], [one, one, zero], [zero, one, one]], -one)):
-            assert _bareiss(m, one, div) == (len(m), expected)
+            assert bareiss(m, one, div) == (len(m), expected)
             assert det(m) == expected
 
     @pytest.mark.parametrize("ring", sorted(RINGS))
     def test_empty_shapes(self, ring):
         one, div, _, zero, _ = self.RINGS[ring]
-        assert _bareiss([], one, div) == (0, one)
+        assert bareiss([], one, div) == (0, one)
         for k in (1, 3):
-            assert _bareiss([[] for _ in range(k)], one, div) == (0, zero)
+            assert bareiss([[] for _ in range(k)], one, div) == (0, zero)
         assert IntMatrix(0, 0, ()).det() == 1
         for rows, cols in ((0, 3), (3, 0), (0, 0)):
             assert rank_over_fractions(LambdaMatrix(rows, cols, ())) == 0
@@ -1009,19 +1012,129 @@ class TestBareissKernel:
         for _ in range(20):
             n = rng.randint(0, 4)
             a = random_matrix(rng, n, n, -6, 6)
-            assert a.det() == brute_det(a)
+            assert a.det() == brute_det(a) == bareiss(a.to_rows(), 1, divexact_int)[1]
             m = LambdaMatrix.from_rows(random_rows(rng, n, n + 1, random_laurent, ZERO))
             assert rank_over_fractions(m) == minor_rank(
                 m.to_rows(), m.cols, lambda rows: leibniz_det(LambdaMatrix.from_rows(rows)))
 
-    def test_inexact_division_over_z_is_internal_error(self):
+    def test_inexact_division_over_z_is_internal_error(self, monkeypatch):
         with pytest.raises(ValueError):
             _divexact_int(7, 2)
         # a wrong unit makes the first division inexact: 1 / 2
         with pytest.raises(InternalError, match="inexact division"):
-            _bareiss([[1, 1], [1, 2]], 2, _divexact_int)
+            bareiss([[1, 1], [1, 2]], 2, divexact_int)
+        # the one integer loop, made to divide by twice the true divisor
+        monkeypatch.setattr(exactla, "_divexact_int", lambda a, b: _divexact_int(a, 2 * b))
+        for call in (IntMatrix.from_rows([[1, 1], [1, 2]]).det,
+                     IntMatrix.from_rows([[1, 1], [1, 2]]).inverse_unimodular):
+            with pytest.raises(InternalError, match="inexact division"):
+                call()
 
     def test_inexact_division_over_laurent_is_internal_error(self):
         # a wrong unit makes the first division inexact: (s^2 - 1) / 2
         with pytest.raises(InternalError, match="inexact division"):
-            _bareiss([[P("s"), ONE], [ONE, P("s")]], LaurentPoly.const(2), laurent.divexact)
+            bareiss([[P("s"), ONE], [ONE, P("s")]], LaurentPoly.const(2), divexact)
+
+
+@st.composite
+def laurent_matrices(draw, square=False):
+    """An n x m Laurent matrix for the evaluation kernel against the
+    oracle: dense, of rank below min(n, m) (a product through a narrower
+    middle), with a zero row, a pencil sX - Y with singular X (its last
+    row a multiple of the first), or with two-term entries of degree up to
+    40.  n runs from 0 to 5 (to 3 for the high degrees) and, unless
+    square, m from 0 to 6, so the empty matrix and n > m both occur."""
+    kind = draw(st.sampled_from(("dense", "low", "zero-row", "singular-x", "high")))
+    coeff = st.integers(-3, 3)
+    n = draw(st.integers(0, 3 if kind == "high" else 5))
+    m = n if square or kind == "singular-x" else draw(st.integers(0, 6))
+
+    def entry():
+        if kind == "high":
+            return sum((LaurentPoly.monomial(draw(st.integers(-2, 40))) * draw(coeff)
+                        for _ in range(2)), ZERO)
+        return LaurentPoly(draw(st.integers(-2, 2)),
+                           [draw(coeff) for _ in range(draw(st.integers(0, 3)))])
+
+    if kind == "singular-x":
+        x = [[draw(coeff) for _ in range(n)] for _ in range(n)]
+        if n:
+            k = draw(st.integers(-2, 2))
+            x[-1] = [k * v for v in x[0]]
+        return LambdaMatrix.from_rows([[LaurentPoly(0, (-draw(coeff), v)) for v in xr]
+                                       for xr in x])
+    if kind == "low" and n and m:
+        k = draw(st.integers(0, min(n, m) - 1))
+        b = [[entry() for _ in range(k)] for _ in range(n)]
+        c = [[entry() for _ in range(m)] for _ in range(k)]
+        return LambdaMatrix.from_rows([[sum((b[i][t] * c[t][j] for t in range(k)), ZERO)
+                                        for j in range(m)] for i in range(n)])
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    if kind == "zero-row" and n:
+        rows[draw(st.integers(0, n - 1))] = [ZERO] * m
+    return LambdaMatrix(n, m, [e for r in rows for e in r])
+
+
+class TestHighDegree:
+    """Square matrices whose entries have high degree, and the interpolation
+    on the nodes 0..D that their determinants take."""
+
+    def test_interpolation_inverts_evaluation(self):
+        rng = random.Random(5)
+        q = laurent._prime(0)
+        for length in (1, 2, 3, 10, 64):
+            coeffs = [rng.randrange(q) for _ in range(length)]
+            values = [sum(a * c ** k for k, a in enumerate(coeffs)) % q for c in range(length)]
+            assert exactla._interpolate_mod(values, q) == coeffs
+
+    def test_sparse_entries_of_high_degree(self):
+        m = LambdaMatrix.from_rows([[P("s^300-1"), P("s")], [ONE, P("s^300+1")]])
+        assert m.det() == P("s^600-s-1") == bareiss(m.to_rows(), ONE, divexact)[1]
+        wide = LambdaMatrix.from_rows([[P("s^200"), P("1"), P("s^-3+2")],
+                                       [P("2"), P("s^150-s"), P("s")]])
+        rows = wide.to_rows()
+        assert _maximal_minors(wide) == [
+            bareiss([[r[i], r[j]] for r in rows], ONE, divexact)[1]
+            for i, j in itertools.combinations(range(3), 2)]
+
+    def test_a_row_is_its_own_list_of_minors(self):
+        row = [P("s^2000-1"), ZERO, P("2s^-3")]
+        assert _maximal_minors(LambdaMatrix.from_rows([row])) == row
+        assert LambdaMatrix.from_rows([row[:1]]).det() == row[0]
+
+
+class TestEvaluationAgainstBareiss:
+    """Differential pairs: the evaluation kernel's rank and determinant
+    against the fraction-free oracle over Z[s, s^-1]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(laurent_matrices())
+    def test_rank(self, m):
+        rank = bareiss(m.to_rows(), ONE, divexact)[0]
+        assert rank_over_fractions(m) == exactla._evaluation_rank(m) == rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_matrices(square=True))
+    def test_determinant(self, m):
+        det = bareiss(m.to_rows(), ONE, divexact)[1]
+        assert m.det() == _maximal_minors(m)[0] == det
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_matrices())
+    def test_maximal_minors(self, m):
+        if m.rows > m.cols:
+            return
+        rows = m.to_rows()
+        assert _maximal_minors(m) == [
+            bareiss([[r[j] for j in cols] for r in rows], ONE, divexact)[1]
+            for cols in itertools.combinations(range(m.cols), m.rows)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_pencils())
+    def test_pencils(self, case):
+        _, x, y = case
+        p = Pencil(x, y)
+        rank, det = bareiss(p.to_rows(), ONE, divexact)
+        assert p.to_rows() == laurent_pencil(x, y).to_rows()
+        assert exactla._evaluation_rank(p) == rank
+        assert _maximal_minors(p) == [det]

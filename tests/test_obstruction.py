@@ -73,9 +73,9 @@ class TestEvaluate:
 
 
 class TestRankShortcut:
-    """The rank comes from the minors when one is nonzero; elimination runs
+    """The rank comes from the minors when one is nonzero; it is taken
     only for a zero gcd, n > m, or a fired minor cap.  Reasons, verdicts
-    and exit codes are those of always eliminating."""
+    and exit codes are those of always taking it."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
