@@ -17,12 +17,9 @@ from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
 from .cover import (CoverGraph, TwistedInvariants,
                     branched_cover_homology_from_monodromy, build_cover,
                     lift_power_matrix, twisted_invariants)
-from .seifert import (BranchedCover, CharacterJump, MonodromyPower,
-                      ResultantCheck, SeifertMatrix, alexander_polynomial,
-                      branched_cover, branched_homology,
-                      branched_presentation, character_jump,
-                      monodromy_power_presentation, random_seifert_matrix,
-                      resultant_order_check)
+from .seifert import (BranchedCover, CharacterJump, SeifertMatrix,
+                      alexander_polynomial, branched_cover,
+                      random_seifert_matrix)
 from .obstruction import (CONSISTENT, INCONCLUSIVE, NOT_FIBRED,
                           ObstructionReport, evaluate_fibred_obstruction)
 from .fixtures import FIXTURE_NAMES, load_fixture

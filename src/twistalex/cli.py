@@ -20,9 +20,8 @@ from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fix
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction
-from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover, check_cover,
-                      branched_homology, random_seifert_matrix,
-                      resultant_order_check)
+from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
+                      random_seifert_matrix)
 
 EX_USAGE = 64
 EX_TOOBIG = 65
@@ -155,6 +154,13 @@ def _bool_text(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _order_check(s: SeifertMatrix, d: int) -> tuple[int, int]:
+    """The order of H1 of the d-fold branched cover of s (0 when infinite)
+    and R_d, which must agree."""
+    return (branched_cover(s, d).homology.order or 0,
+            resultant_with_cyclotomic(alexander_polynomial(s), d))
+
+
 def _cmd_seifert(args) -> int:
     s = parse_inputs("seifert", path=args.file, fixture=args.fixture)
     if args.d is None and args.sweep is None:
@@ -164,22 +170,23 @@ def _cmd_seifert(args) -> int:
     alex = alexander_polynomial(s)
     lines = [f"alexander = {to_text(alex, var='t')}"]
     payload: dict = {"alexander": to_text(alex, var="t")}
-    if args.d is not None:
-        check_cover(s.matrix.rows, args.d, args.r)
-    # the cover reads R_d from the sweep when d <= SWEEP
+    # the cover's argument checks come before the sweep's cap
+    cover = None if args.d is None else branched_cover(s, args.d, args.r)
     sweep = {} if args.sweep is None else cyclotomic_resultants(alex, args.sweep)
-    if args.d is not None:
-        cover = branched_cover(s, args.d, args.r, alex, resultant=sweep.get(args.d))
-        hom, check, jump = cover.homology, cover.check, cover.jump
+    if cover is not None:
+        hom, jump = cover.homology, cover.jump
+        order = hom.order or 0  # R_d = 0 exactly when H1 is infinite
+        # R_d is read from the sweep when d <= SWEEP
+        resultant = sweep[args.d] if args.d in sweep else resultant_with_cyclotomic(alex, args.d)
+        agree = order == resultant
         lines.append(
-            f"H1 = {hom.group_text()}; resultant = {check.resultant}; "
-            f"agree = {_bool_text(check.agree)}")
+            f"H1 = {hom.group_text()}; resultant = {resultant}; agree = {_bool_text(agree)}")
         payload.update({
             "d": args.d,
             "h1": hom.group_text(),
-            "h1_order": check.snf_order,
-            "resultant": check.resultant,
-            "agree": check.agree,
+            "h1_order": order,
+            "resultant": resultant,
+            "agree": agree,
         })
         if args.r is not None:
             if jump is None:
@@ -275,14 +282,13 @@ def _cmd_selftest(args) -> int:
                    f"H1 = {mono_h1.group_text()}"))
 
     s = load_fixture("trefoil-seifert")
-    seifert_h1 = branched_homology(s, 2)
+    seifert_h1 = branched_cover(s, 2).homology
     checks.append(("trefoil branched H1 (seifert)", seifert_h1.group_text() == "Z/3",
                    f"H1 = {seifert_h1.group_text()}"))
 
-    f8 = load_fixture("figure8-seifert")
-    check = resultant_order_check(f8, 2)
-    checks.append(("figure8 d=2 order", (check.snf_order, check.resultant) == (5, 5),
-                   f"order = {check.snf_order}, resultant = {check.resultant}"))
+    order, resultant = _order_check(load_fixture("figure8-seifert"), 2)
+    checks.append(("figure8 d=2 order", (order, resultant) == (5, 5),
+                   f"order = {order}, resultant = {resultant}"))
 
     s5 = load_fixture("paper-s5")
     failures = verify_homomorphism(s5.hom, s5.presentation)
@@ -292,9 +298,9 @@ def _cmd_selftest(args) -> int:
 
     for i in range(3):
         rs = random_seifert_matrix(rng.choice((2, 4)), rng)
-        rc = resultant_order_check(rs, rng.randint(2, 5))
-        checks.append((f"random seifert agreement #{i + 1}", rc.agree,
-                       f"order = {rc.snf_order}, resultant = {rc.resultant}"))
+        order, resultant = _order_check(rs, rng.randint(2, 5))
+        checks.append((f"random seifert agreement #{i + 1}", order == resultant,
+                       f"order = {order}, resultant = {resultant}"))
 
     lines = []
     ok = 0

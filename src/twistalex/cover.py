@@ -254,7 +254,7 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
         raise ValueError("d must be a positive integer")
     cover = build_cover(f.rank, alpha, tree=tree)
     h = lift_power_matrix(cover, f, d)
-    presentation = Pencil(None, h.to_rows())
+    presentation = Pencil(h)
     return TwistedInvariants(
         h_matrix=h,
         presentation=presentation,

@@ -3,12 +3,11 @@
 Over Z: Smith normal form (with the left transform's row operations modulo
 r on request), cokernel invariants, characters onto cyclic groups, and one
 fraction-free elimination loop, which gives determinants and the inverse
-of a unimodular matrix.  Over Z[s, s^-1]: a modular determinant kernel for
-linear pencils sX - Y (characteristic polynomials included), an integer
-pencil type that keeps its determinant, and a modular evaluation kernel
-that gives every maximal minor of a Laurent matrix at once.  Every other
-Laurent determinant, the rank over the field of fractions and the
-maximal-minor gcds come from that evaluation kernel.
+of a unimodular matrix.  Over Z[s, s^-1]: a modular characteristic
+polynomial det(sI - H), the pencil type sI - H that keeps it, and a modular
+evaluation kernel that gives every maximal minor of a Laurent matrix at
+once.  Every other Laurent determinant, the rank over the field of fractions
+and the maximal-minor gcds come from that evaluation kernel.
 """
 
 from __future__ import annotations
@@ -372,49 +371,18 @@ def cokernel_invariants(a: IntMatrix) -> CokernelInvariants:
 
 
 def char_poly(h: IntMatrix) -> LaurentPoly:
-    """det(sI - H) for an integer matrix, exactly (modular pencil kernel)."""
+    """det(sI - H) for an integer matrix, exactly.
+
+    Modulo each CRT prime of laurent._crt_lift, H is brought to Hessenberg
+    form (_char_poly_mod).  No coefficient exceeds prod_i (1 + sum_j |h_ij|)
+    in absolute value (bound the Leibniz expansion term by term).
+    """
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    return _pencil_det(None, h.to_rows())
-
-
-# -- determinants of linear pencils --------------------------------------------
-#
-# det(sX - Y) for integer matrices X, Y is found modulo the CRT primes of
-# laurent._crt_lift.  Modulo p, det(sX - Y) = det(X) * det(sI - X^-1 Y), and
-# the characteristic polynomial of X^-1 Y comes from its Hessenberg form.  No
-# coefficient exceeds prod_i sum_j (|x_ij| + |y_ij|) in absolute value (bound
-# the Leibniz expansion term by term).
-
-def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
-    """Bring A, entries reduced mod p, to reduced row-echelon form in place
-    by Gauss-Jordan elimination; returns (pivot columns, det).
-
-    Pivots are taken down each column in row order, and a column with no
-    pivot left is skipped.  When there is a pivot in every row, det is the
-    determinant of the input's pivot columns mod p.
-    """
-    n = len(a)
-    pivots, det = [], 1
-    for k in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if a[i][k]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det = det * a[r][k] % p
-        inv = pow(a[r][k], -1, p)
-        rk = a[r] = [v * inv % p for v in a[r]]
-        for i in range(n):
-            u = a[i][k]
-            if u and i != r:
-                a[i] = [(v - u * w) % p for v, w in zip(a[i], rk)]
-        pivots.append(k)
-    return pivots, det
+    rows = h.to_rows()
+    bound = math.prod(sum(map(abs, r)) + 1 for r in rows)
+    residues = ((p, _char_poly_mod([[v % p for v in r] for r in rows], p)) for p in _primes())
+    return LaurentPoly(0, _crt_lift(bound, h.rows + 1, residues))
 
 
 def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
@@ -461,33 +429,6 @@ def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _pencil_det(x: list[list[int]] | None, y: list[list[int]]) -> LaurentPoly | None:
-    """det(sX - Y) exactly, X = None standing for the identity.
-
-    Returns None when X is singular modulo one of the primes used, which
-    always happens when det X = 0.
-    """
-    n = len(y)
-    bound = 1
-    for i in range(n):
-        bound *= sum(map(abs, y[i])) + (1 if x is None else sum(map(abs, x[i])))
-
-    def residues():
-        for p in _primes():
-            if x is None:
-                m, scale = [[v % p for v in r] for r in y], 1
-            else:  # [X | Y] -> [I | X^-1 Y], scale = det X
-                a = [[v % p for v in xr + yr] for xr, yr in zip(x, y)]
-                pivots, scale = _rref_mod(a, p)
-                if pivots != list(range(n)):
-                    return
-                m = [r[n:] for r in a]
-            yield p, [c * scale % p for c in _char_poly_mod(m, p)]
-
-    coeffs = _crt_lift(bound, n + 1, residues())
-    return None if coeffs is None else LaurentPoly(0, coeffs)
-
-
 # -- matrices over Z[s, s^-1] --------------------------------------------------
 
 
@@ -528,88 +469,52 @@ class LambdaMatrix:
     def det(self) -> LaurentPoly:
         """Exact determinant.
 
-        A linear pencil sX - Y (every entry in span{1, s}) is handed to
-        Pencil; any other matrix is its own one maximal minor, from the
-        evaluation kernel.
+        sI - Y (s minus an integer on the diagonal, integers elsewhere) is
+        char_poly(Y); any other matrix is its own one maximal minor, from
+        the evaluation kernel.
         """
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        if all(p.low >= 0 and p.low + len(p.coeffs) <= 2 for p in self.entries):
-            n = self.rows
-            c = [(0,) * p.low + p.coeffs + (0, 0) for p in self.entries]
-            x = [[e[1] for e in c[i * n : (i + 1) * n]] for i in range(n)]
-            y = [[-e[0] for e in c[i * n : (i + 1) * n]] for i in range(n)]
-            if x == IntMatrix.identity(n).to_rows():
-                x = None
-            return Pencil(x, y).det()
+        n = self.rows
+        if all(p.low >= 0 and p.degree <= 1 and p.coefficient(1) == (k % (n + 1) == 0)
+               for k, p in enumerate(self.entries)):  # k % (n + 1) == 0 on the diagonal
+            return char_poly(IntMatrix(n, n, [-p.coefficient(0) for p in self.entries]))
         return _maximal_minors(self)[0]
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True)
 class Pencil:
-    """The square integer pencil sX - Y over Z[s, s^-1], kept as the integer
-    rows of X and Y; X = None stands for the identity.
+    """The square pencil sI - H over Z[s, s^-1], kept as the integer matrix H.
 
-    The determinant is taken once, by the modular pencil kernel, and kept.
-    Only when X is singular modulo a kernel prime (always so when det X =
-    0) does it come from the evaluation kernel on the Laurent entries
-    instead.  The rank is n whenever the determinant is nonzero, so for
-    X = None it takes no work; otherwise it is taken by evaluation.
+    Its determinant, char_poly(H), is taken once and kept; being monic of
+    degree n, it makes the rank n.
     """
 
-    x: tuple[tuple[int, ...], ...] | None
-    y: tuple[tuple[int, ...], ...]
+    h: IntMatrix
 
-    def __init__(self, x, y):
-        y = tuple(map(tuple, y))
-        n = len(y)
-        if x is not None:
-            x = tuple(map(tuple, x))
-        if any(len(r) != n for r in y) or x is not None and (
-                len(x) != n or any(len(r) != n for r in x)):
-            raise ValueError("a pencil needs square X and Y of one size")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    def __post_init__(self):
+        if not self.h.is_square:
+            raise ValueError("a pencil sI - H needs a square H")
 
     @property
     def rows(self) -> int:
-        return len(self.y)
+        return self.h.rows
 
-    @property
-    def cols(self) -> int:
-        return len(self.y)
-
-    @property
-    def is_square(self) -> bool:
-        return True
-
-    def to_rows(self) -> list[list[LaurentPoly]]:
-        """The Laurent entries of sX - Y."""
-        x = self.x if self.x is not None else IntMatrix.identity(self.rows).to_rows()
-        return [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, self.y)]
+    cols = rows
 
     def det(self) -> LaurentPoly:
-        """det(sX - Y), exactly."""
+        """det(sI - H), exactly."""
         return self._det
-
-    def rank(self) -> int:
-        """Rank over the field of fractions of Z[s, s^-1]."""
-        # det(sI - Y) is monic of degree n, and a nonzero det is a nonzero
-        # maximal minor: either way the rank is full.
-        if self.x is None or self._det:
-            return self.rows
-        return _evaluation_rank(self)
 
     @functools.cached_property
     def _det(self) -> LaurentPoly:
-        d = _pencil_det(self.x, self.y)
-        return _maximal_minors(self)[0] if d is None else d
+        return char_poly(self.h)
 
 
 def rank_over_fractions(p: LambdaMatrix | Pencil) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]."""
-    if isinstance(p, Pencil):
-        return p.rank()
+    if isinstance(p, Pencil):  # det(sI - H) is monic of degree n
+        return p.rows
     return _evaluation_rank(p)
 
 
@@ -679,6 +584,37 @@ def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     return sum(lows), polys, bound, points
 
 
+def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Bring A, entries reduced mod p, to reduced row-echelon form in place
+    by Gauss-Jordan elimination; returns (pivot columns, det).
+
+    Pivots are taken down each column in row order, and a column with no
+    pivot left is skipped.  When there is a pivot in every row, det is the
+    determinant of the input's pivot columns mod p.
+    """
+    n = len(a)
+    pivots, det = [], 1
+    for k in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][k]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det = det * a[r][k] % p
+        inv = pow(a[r][k], -1, p)
+        rk = a[r] = [v * inv % p for v in a[r]]
+        for i in range(n):
+            u = a[i][k]
+            if u and i != r:
+                a[i] = [(v - u * w) % p for v, w in zip(a[i], rk)]
+        pivots.append(k)
+    return pivots, det
+
+
 def _evaluate_mod(polys: list[list[tuple]], c: int, q: int) -> list[list[int]]:
     """The polynomial matrix at s = c mod q."""
     powers = [1] * max((len(e) for row in polys for e in row), default=0)
@@ -704,7 +640,7 @@ def _interpolate_mod(values, q: int) -> list[int]:
     return poly
 
 
-def _maximal_minors(p: LambdaMatrix | Pencil) -> list[LaurentPoly]:
+def _maximal_minors(p: LambdaMatrix) -> list[LaurentPoly]:
     """The n x n minors of an n x m matrix with n <= m, exactly, in the
     order of itertools.combinations(range(m), n)."""
     n, m = p.rows, p.cols
@@ -731,7 +667,7 @@ def _maximal_minors(p: LambdaMatrix | Pencil) -> list[LaurentPoly]:
     return [LaurentPoly(shift, flat[i:i + points]) for i in range(0, count * points, points)]
 
 
-def _evaluation_rank(p: LambdaMatrix | Pencil) -> int:
+def _evaluation_rank(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1], by evaluation;
     it returns as soon as the rank is full."""
     rows = [row for row in p.to_rows() if any(row)]

@@ -88,14 +88,6 @@ class LaurentPoly:
         """Highest exponent; -1 stands in for the zero polynomial."""
         return self.low + len(self.coeffs) - 1 if self.coeffs else -1
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def trailing(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def coefficient(self, exp: int) -> int:
         i = exp - self.low
         if 0 <= i < len(self.coeffs):
@@ -339,21 +331,18 @@ def _primes() -> Iterator[int]:
         k += 1
 
 
-def _crt_lift(bound: int, length: int, residues) -> list[int] | None:
+def _crt_lift(bound: int, length: int, residues) -> list[int]:
     """The ``length`` integers v_i, all |v_i| <= bound, from ``residues``:
-    an iterator of (prime, [v_i mod prime]) pairs over distinct primes.
+    an endless iterator of (prime, [v_i mod prime]) pairs over distinct
+    primes.
 
     Draws pairs until the product of their primes exceeds 2 * bound, then
-    returns the symmetric residues; returns None if the iterator runs out
-    first.
+    returns the symmetric residues.
     """
     values = [0] * length
     modulus = 1
     while modulus <= 2 * bound:
-        pair = next(residues, None)
-        if pair is None:
-            return None
-        p, rs = pair
+        p, rs = next(residues)
         inv = pow(modulus, -1, p)
         values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, rs)]
         modulus *= p

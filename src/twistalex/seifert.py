@@ -1,20 +1,20 @@
-"""Seifert-matrix pipelines: the classical Alexander polynomial, branched
-cyclic-cover homology, resultant consistency and character jumps from
-Seifert's 2g x 2g presentation, the monodromy-power presentation H^n - I,
-and the block presentation of the branched cover, which serves as their
-independent oracle."""
+"""Seifert-matrix pipelines, both from Seifert's Gamma = (S - S^T)^-1 S:
+the classical Alexander polynomial, and the homology of the branched cyclic
+covers with, on request, a character onto Z_r and its jump between
+sheets."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import operator
 import random
 
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError
-from .exactla import (CokernelInvariants, IntMatrix, Pencil, SmithForm,
-                      smith_normal_form)
+from .exactla import CokernelInvariants, IntMatrix, char_poly, smith_normal_form
 from .laurent import LaurentPoly
 
 # Rows of the largest block presentation of a branched cover, n(d - 1) for
@@ -47,17 +47,30 @@ class SeifertMatrix:
     def size(self) -> int:
         return self.matrix.rows
 
+    @functools.cached_property
+    def gamma(self) -> IntMatrix:
+        """Seifert's Gamma = A^-1 S, A = S - S^T (unimodular), so that
+        tS - S^T = A (I + (t - 1) Gamma)."""
+        m = self.matrix
+        return (m - m.transpose()).inverse_unimodular() * m
+
 
 def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     """Classical Alexander polynomial det(tS - S^T), canonicalized.
 
-    The 0x0 matrix gives 1 (unknot convention).
+    As det A = +-1, it is det(I + (t - 1) Gamma) = sum_k c_k (1 - t)^(n - k)
+    up to sign, for char_poly(Gamma) = sum_k c_k s^k.  The 0x0 matrix gives
+    1 (unknot convention).
     """
-    m = s.matrix
-    return laurent.canonicalize(Pencil(m.to_rows(), m.transpose().to_rows()).det())
+    chi = char_poly(s.gamma)
+    delta: list[int] = []  # ascending coefficients in t
+    for k in range(s.size + 1):  # Horner's rule: delta = delta (1 - t) + c_k
+        delta = [a - b for a, b in zip(delta + [0], [0] + delta)]
+        delta[0] += chi.coefficient(k)
+    return laurent.canonicalize(LaurentPoly(0, delta))
 
 
-def check_cover(n: int, d: int, r: int | None = None) -> None:
+def _check_cover(n: int, d: int, r: int | None = None) -> None:
     """The checks every branched cover of degree d of an n x n Seifert
     matrix (with a character onto Z_r, for r) passes first: d >= 2, n(d - 1)
     rows within the cap, and r >= 2."""
@@ -70,78 +83,6 @@ def check_cover(n: int, d: int, r: int | None = None) -> None:
             f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
     if r is not None and r < 2:
         raise ValueError("needs d >= 2 and r >= 2")
-
-
-def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
-    """The block-tridiagonal presentation matrix of H1 of the d-fold
-    branched cyclic cover: diagonal blocks S + S^T, superdiagonal -S^T,
-    subdiagonal -S, with d - 1 block rows.
-
-    Generators are ordered sheet-major: block row j holds the meridians
-    gamma_{1j} .. gamma_{mj} of sheet j.  More than MAX_PRESENTATION_ROWS
-    rows raise SizeLimitError before anything is allocated.  No pipeline
-    eliminates it: it is the oracle of branched_cover.
-    """
-    m = s.matrix
-    n = m.rows
-    check_cover(n, d)
-    size = n * (d - 1)
-    rows = [[0] * size for _ in range(size)]
-    # (block row - block column, block): diagonal, subdiagonal, superdiagonal
-    blocks = ((0, m + m.transpose()), (1, -m), (-1, -m.transpose()))
-    for jb in range(d - 1 if n else 0):  # the unknot (n = 0) has no blocks
-        for offset, block in blocks:
-            ib = jb + offset
-            if 0 <= ib < d - 1:
-                for i in range(n):
-                    rows[ib * n + i][jb * n : (jb + 1) * n] = block.row(i)
-    return IntMatrix(size, size, [x for r in rows for x in r])
-
-
-def branched_homology(s: SeifertMatrix, d: int) -> CokernelInvariants:
-    """Invariant factors of H1 of the d-fold branched cyclic cover."""
-    return _cover_smith(s, d, None)[1].cokernel()
-
-
-@dataclasses.dataclass(frozen=True)
-class ResultantCheck:
-    """Both sides of the order formula: the group order from Smith normal
-    form (0 encodes an infinite group) and |Res(Delta(t), t^d - 1)|."""
-
-    snf_order: int
-    resultant: int
-    agree: bool
-
-
-def resultant_order_check(s: SeifertMatrix, d: int) -> ResultantCheck:
-    """Compare branched-cover homology order against the Alexander-polynomial
-    resultant over the d-th roots of unity."""
-    if d < 2:
-        raise ValueError("needs d >= 2")
-    return branched_cover(s, d).check
-
-
-@dataclasses.dataclass(frozen=True)
-class MonodromyPower:
-    """H = S^-1 S^T together with det(H^n - I) for the requested power."""
-
-    h: IntMatrix
-    n: int
-    det_power_minus_identity: int
-
-
-def monodromy_power_presentation(s: SeifertMatrix, n: int) -> MonodromyPower:
-    """For a nonsingular unimodular S, H^n - I presents H1 of the n-fold
-    branched cover, where H = S^-1 S^T."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    m = s.matrix
-    det = m.det()
-    if det not in (1, -1):
-        raise InvariantError(f"det(S) = {det}; need a unimodular Seifert matrix")
-    h = m.inverse_unimodular() * m.transpose()
-    d = (h ** n - IntMatrix.identity(h.rows)).det()
-    return MonodromyPower(h=h, n=n, det_power_minus_identity=d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,115 +99,61 @@ class CharacterJump:
     order: int
 
 
-def character_jump(s: SeifertMatrix, d: int, r: int) -> CharacterJump | None:
-    """Find a surjection of the branched-cover homology onto Z_r and the
-    first adjacent character jump.
-
-    The meridian family has sheets j = 1..d-1; adjacent unpadded pairs
-    (j, j+1) are scanned first, and the absent sheet d is treated as
-    carrying the zero character, which is the only comparison available
-    when d = 2.  Returns None iff no surjection onto Z_r exists.
-    """
-    if d < 2 or r < 2:
-        raise ValueError("needs d >= 2 and r >= 2")
-    gamma, smith = _cover_smith(s, d, r)
-    return _cover_jump(s.matrix, gamma, smith, d, r)
-
-
-def _character_jump(chi, m: int, d: int, r: int) -> CharacterJump | None:
+def _character_jump(chi, m: int, d: int, r: int) -> CharacterJump:
+    """The first jump of the character chi, onto Z_r, on the meridians of
+    sheets 1..d-1: adjacent pairs (j, j+1) first, then sheet d - 1 against
+    the absent sheet d, which carries 0 and is the only comparison when
+    d = 2.  chi is onto, so some value is nonzero and a jump exists."""
     sheets = tuple(tuple(chi[j * m + i] for i in range(m)) for j in range(d - 1))
-
-    def find_jump():
-        for i in range(m):
-            for j in range(d - 2):
-                if sheets[j][i] != sheets[j + 1][i]:
-                    return i + 1, j + 1, sheets[j][i] - sheets[j + 1][i]
-        for i in range(m):  # pad with the absent sheet d (value 0)
-            if sheets[d - 2][i] != 0:
-                return i + 1, d - 1, sheets[d - 2][i]
-        return None
-
-    found = find_jump()
-    if found is None:  # unreachable for a genuine surjection; defensive
-        return None
-    i, j, diff = found
+    adjacent = ((i, j, sheets[j][i] - sheets[j + 1][i]) for i in range(m) for j in range(d - 2))
+    last = ((i, d - 2, sheets[d - 2][i]) for i in range(m))
+    i, j, diff = next(jump for jump in itertools.chain(adjacent, last) if jump[2])
     order = r // math.gcd(diff % r, r)
-    return CharacterJump(character=sheets, jump=(i, j), order=order)
+    return CharacterJump(character=sheets, jump=(i + 1, j + 1), order=order)
 
 
 @dataclasses.dataclass(frozen=True)
 class BranchedCover:
-    """H1 of the d-fold branched cyclic cover, its resultant cross-check,
-    and, when a target order r was given, the character jump onto Z_r
-    (None when there is no surjection onto Z_r, or no r)."""
+    """H1 of the d-fold branched cyclic cover and, when a target order r
+    was given, the character jump onto Z_r (None when there is no
+    surjection onto Z_r, or no r)."""
 
     homology: CokernelInvariants
-    check: ResultantCheck
     jump: CharacterJump | None
 
 
-def branched_cover(s: SeifertMatrix, d: int, r: int | None = None,
-                   alexander: LaurentPoly | None = None,
-                   resultant: int | None = None) -> BranchedCover:
-    """branched_homology, resultant_order_check and, for r, character_jump
-    at once, from one Smith elimination of Seifert's presentation.
-    ``alexander`` is alexander_polynomial(s) and ``resultant`` is
-    resultant_with_cyclotomic(alexander, d), when the caller has them.
+def branched_cover(s: SeifertMatrix, d: int, r: int | None = None) -> BranchedCover:
+    """H1 of the d-fold branched cyclic cover and, for r, a character onto
+    Z_r with its jump, from one Smith elimination.
 
-    With A = S - S^T (unimodular) and Gamma = A^-1 S, H1 of the d-fold
-    branched cyclic cover is coker M for the n x n matrix
-    M = Gamma^d - (Gamma - I)^d (H. Seifert, Math. Ann. 110, 1935).  A
-    character x with M x = 0 (mod r) is pushed to the sheet meridians
-    (_push_character).  branched_homology and character_jump share the
-    Smith elimination but take no resultant: its bound ||Delta||_1^d can
-    pass laurent.MAX_RESULTANT_BITS where H1 itself is small.
+    H1 is coker M for the n x n matrix M = Gamma^d - (Gamma - I)^d
+    (H. Seifert, Math. Ann. 110, 1935); coker M^T has the same invariant
+    factors, and its Smith form gives a character x with M x = 0 (mod r),
+    which is pushed to the sheet meridians (_push_character).
     """
-    gamma, smith = _cover_smith(s, d, r)
-    hom = smith.cokernel()
-    snf_order = hom.order if hom.order is not None else 0
-    if resultant is None:
-        if alexander is None:
-            alexander = alexander_polynomial(s)
-        resultant = laurent.resultant_with_cyclotomic(alexander, d)
-    check = ResultantCheck(snf_order=snf_order, resultant=resultant, agree=snf_order == resultant)
-    jump = None if r is None else _cover_jump(s.matrix, gamma, smith, d, r)
-    return BranchedCover(homology=hom, check=check, jump=jump)
-
-
-def _cover_smith(s: SeifertMatrix, d: int,
-                 r: int | None) -> tuple[IntMatrix, SmithForm]:
-    """Gamma = (S - S^T)^-1 S and the Smith form (with a character onto
-    Z_r, for r) of M^T, M = Gamma^d - (Gamma - I)^d."""
-    m = s.matrix
-    n = m.rows
-    check_cover(n, d, r)
-    gamma = (m - m.transpose()).inverse_unimodular() * m
+    n = s.size
+    _check_cover(n, d, r)
+    gamma = s.gamma
     shifted = gamma - IntMatrix.identity(n)
-    # coker M^T and coker M have the same invariant factors
-    return gamma, smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
-
-
-def _cover_jump(m: IntMatrix, gamma: IntMatrix, smith: SmithForm, d: int,
-                r: int) -> CharacterJump | None:
-    """The character jump of a character x of the Smith form onto Z_r,
-    pushed to the sheet meridians; None when there is no such x."""
-    x = smith.character()
-    if x is None:
-        return None
-    return _character_jump(_push_character(m, gamma, x, d, r), m.rows, d, r)
+    smith = smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
+    x = None if r is None else smith.character()
+    jump = None if x is None else _character_jump(
+        _push_character(s.matrix, gamma, x, d, r), n, d, r)
+    return BranchedCover(homology=smith.cokernel(), jump=jump)
 
 
 def _push_character(m: IntMatrix, gamma: IntMatrix, x, d: int,
                     r: int) -> tuple[int, ...]:
-    """The character on the sheet meridians (sheet-major, as in
-    branched_presentation) that x, with M x = 0 (mod r) and onto Z_r,
-    stands for, checked against every relation.
+    """The character on the sheet meridians that x, with M x = 0 (mod r)
+    and onto Z_r, stands for, checked against every relation.
 
-    Let c_j be the values on sheet j, with c_0 = c_d = 0, and
-    e_j = c_j - c_(j+1).  Column block j of c^T P = 0 reads
-    S^T e_j = S e_(j-1), that is (Gamma - I) e_j = Gamma e_(j-1), which
-    e_j = Gamma^j (Gamma - I)^(d-1-j) x solves for j = 0..d-1; the e_j sum
-    to M x = 0, so c_0 = c_d.  t^(d-1) and (t - 1)^(d-1) generate the unit
+    The meridians gamma_{ij} of sheets j = 1..d-1 are ordered sheet-major
+    and presented by the block-tridiagonal P: diagonal blocks S + S^T,
+    superdiagonal -S^T, subdiagonal -S.  Let c_j be the values on sheet j,
+    with c_0 = c_d = 0, and e_j = c_j - c_(j+1).  Column block j of
+    c^T P = 0 reads S^T e_j = S e_(j-1), that is
+    (Gamma - I) e_j = Gamma e_(j-1), which e_j = Gamma^j (Gamma - I)^(d-1-j) x
+    solves for j = 0..d-1; the e_j sum to M x = 0, so c_0 = c_d.  t^(d-1) and (t - 1)^(d-1) generate the unit
     ideal of Z[t], so c = 0 (mod p) would force x = 0 (mod p): c is onto
     Z_r.  Before it is returned, c is checked to kill every column of P,
     block by block, and to be onto; a failure is a fault in the program.

@@ -94,14 +94,14 @@ class TestMonodromyCommand:
     def test_one_pencil_determinant_per_job(self, capsys, monkeypatch, tmp_path):
         calls = []
 
-        def counted(x, y):
-            calls.append(len(y))
-            return pencil_det(x, y)
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
 
-        pencil_det = exactla._pencil_det
+        char_poly = exactla.char_poly
         for module in (exactla, cover, obstruction, cli):  # every binding the pipeline reaches
-            if getattr(module, "_pencil_det", None) is pencil_det:
-                monkeypatch.setattr(module, "_pencil_det", counted)
+            if getattr(module, "char_poly", None) is char_poly:
+                monkeypatch.setattr(module, "char_poly", counted)
         code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                            "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
         assert code == 0 and json.loads(raw)["verdict"] == "consistent-with-fibred"
@@ -232,7 +232,8 @@ class TestSeifertCommand:
         def refuse(*args):
             raise AssertionError("R_d taken apart from the sweep")
 
-        monkeypatch.setattr(laurent, "resultant_with_cyclotomic", refuse)
+        for module in (laurent, cli):  # every binding the pipeline reaches
+            monkeypatch.setattr(module, "resultant_with_cyclotomic", refuse)
         code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
                            "--d", "3", "--r", "2", "--sweep", "6", "--json")
         assert code == 0 and json.loads(raw) == expected
@@ -267,6 +268,37 @@ class TestSeifertCommand:
             if surjects:
                 assert len(payload["character_jump"]["character"]) == 10
         assert calls and max(calls) <= 8
+
+    def test_one_gamma_per_job(self, capsys, monkeypatch):
+        # Gamma = (S - S^T)^-1 S is taken once and gives both Delta, as
+        # char_poly(Gamma) in 1 - t, and the cover; no Laurent determinant
+        m = load_fixture("figure8-seifert").matrix
+        gamma = (m - m.transpose()).inverse_unimodular() * m
+        inverses, polys = [], []
+
+        def counted_inverse(m):
+            inverses.append(m.rows)
+            return inverse(m)
+
+        def counted_char_poly(h):
+            polys.append(h)
+            return char_poly(h)
+
+        def refuse(*args):
+            raise AssertionError("evaluation kernel in a Seifert job")
+
+        inverse, char_poly = exactla.IntMatrix.inverse_unimodular, exactla.char_poly
+        monkeypatch.setattr(exactla.IntMatrix, "inverse_unimodular", counted_inverse)
+        for module in (exactla, seifert):  # every binding the pipeline reaches
+            if getattr(module, "char_poly", None) is char_poly:
+                monkeypatch.setattr(module, "char_poly", counted_char_poly)
+        monkeypatch.setattr(exactla, "_maximal_minors", refuse)
+        code, raw, _ = run(capsys, "seifert", "--fixture", "figure8-seifert",
+                           "--d", "3", "--r", "2", "--sweep", "5", "--json")
+        payload = json.loads(raw)
+        assert code == 0 and payload["alexander"] == "t^2 - 3t + 1"
+        assert payload["h1_order"] == payload["resultant"] == 16
+        assert inverses == [2] and polys == [gamma]
 
     def test_one_alexander_polynomial_per_job(self, capsys, monkeypatch):
         calls = []

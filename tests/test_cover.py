@@ -175,7 +175,7 @@ class TestTwistedInvariants:
     def test_trefoil_worked_example(self):
         inv = twisted_invariants(trefoil(), 2, z3_alpha())
         assert inv.delta == P("s^4 - s^3 - s + 1")
-        assert inv.presentation.is_square and inv.presentation.rows == 4
+        assert inv.presentation.h == inv.h_matrix and inv.presentation.rows == 4
 
     def test_classical_specialization(self):
         # d = 1, trivial G: delta is the classical Alexander polynomial

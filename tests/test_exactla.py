@@ -15,10 +15,10 @@ from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _divexact_int,
                                maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
-from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_presentation,
-                              random_seifert_matrix)
+from twistalex.seifert import SeifertMatrix, alexander_polynomial, random_seifert_matrix
 
 from bareiss_oracle import bareiss, divexact, divexact_int
+from seifert_oracle import branched_presentation
 
 
 def P(text):
@@ -414,7 +414,7 @@ def pencil(x, y) -> LambdaMatrix:
 
 def si_minus(h: IntMatrix) -> LambdaMatrix:
     """sI - H with Laurent entries: the expansion that Pencil never builds,
-    kept as its oracle."""
+    kept as its oracle (its det() is char_poly(H) again)."""
     return pencil(IntMatrix.identity(h.rows).to_rows(), h.to_rows())
 
 
@@ -500,7 +500,7 @@ def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts, by size, the calls of the evaluation kernel: the route of
-    LambdaMatrix.det off the pencil path and of Pencil.det with singular X."""
+    LambdaMatrix.det for every square matrix but sI - Y."""
     calls = []
 
     def counted(p):
@@ -540,9 +540,12 @@ class TestPencilDeterminant:
         assert char_poly(IntMatrix(0, 0, ())) == LaurentPoly.const(1)
         assert LambdaMatrix(0, 0, ()).det() == LaurentPoly.const(1)
         assert char_poly(IntMatrix.from_rows([[7]])) == P("s - 7")
+        assert pencil([[1]], [[7]]).det() == P("s - 7")
+        assert kernel_calls == []
+        # a 1 x 1 sX - Y with X != 1 is its own one minor
         assert pencil([[3]], [[5]]).det() == P("3s - 5")
         assert pencil([[0]], [[0]]).det() == ZERO
-        assert kernel_calls == []
+        assert kernel_calls == [1, 1]
 
     def test_identity_x(self, kernel_calls):
         rng = random.Random(41)
@@ -555,23 +558,29 @@ class TestPencilDeterminant:
 
     def test_unimodular_x(self, kernel_calls):
         rng = random.Random(43)
+        evaluated = 0
         for _ in range(30):
             n = rng.randint(1, 4)
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(x, y)
             assert m.det() == leibniz_det(m) == bareiss_det(m)
-        assert kernel_calls == []
+            evaluated += x != IntMatrix.identity(n).to_rows()
+        assert len(kernel_calls) == evaluated >= 25  # X != I takes the evaluation kernel
 
     def test_huge_entries(self, kernel_calls):
         rng = random.Random(47)
+        evaluated = 0
         for _ in range(10):
             n = rng.randint(2, 6)
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -2**75, 2**75).to_rows()
             m = pencil(x, y)
             assert m.det() == bareiss_det(m)
-        assert kernel_calls == []
+            h = IntMatrix.from_rows(y)
+            assert si_minus(h).det() == char_poly(h) == bareiss_det(si_minus(h))
+            evaluated += x != IntMatrix.identity(n).to_rows()
+        assert len(kernel_calls) == evaluated >= 8  # X != I only
 
     def test_singular_x_with_zero_determinant(self, kernel_calls):
         rng = random.Random(53)
@@ -842,19 +851,24 @@ def laurent_pencil(x, y) -> LambdaMatrix:
 
 
 class TestPencil:
-    """The integer pencil sX - Y against the fraction-free oracle over
-    Z[s, s^-1] on its Laurent expansion."""
+    """Pencils sX - Y as Laurent matrices, and sI - H as a Pencil, against
+    the fraction-free oracle over Z[s, s^-1] on the Laurent expansion."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(integer_pencils())
     def test_against_laurent_elimination(self, case):
         kind, x, y = case
-        p = Pencil(x, y)
-        rank, det = bareiss(laurent_pencil(x, y).to_rows(), ONE, divexact)
-        assert (p.rows, p.cols, p.is_square) == (len(y), len(y), True)
-        assert p.det() == det
-        assert p.rank() == rank_over_fractions(p) == rank
-        assert maximal_minor_gcd(p) == canonicalize(det)
+        m = laurent_pencil(x, y)
+        rank, det = bareiss(m.to_rows(), ONE, divexact)
+        assert m.det() == det
+        assert rank_over_fractions(m) == rank
+        assert maximal_minor_gcd(m) == canonicalize(det)
+        if x is None:
+            p = Pencil(IntMatrix.from_rows(y))
+            assert (p.rows, p.cols) == (len(y), len(y))
+            assert p.det() == det
+            assert rank_over_fractions(p) == rank == len(y)
+            assert maximal_minor_gcd(p) == canonicalize(det)
         if kind == "seifert":
             assert alexander_polynomial(SeifertMatrix(x)) == canonicalize(det)
 
@@ -862,56 +876,80 @@ class TestPencil:
         for x, y, det, rank in ((None, [], ONE, 0), ([], [], ONE, 0),
                                 (None, [[7]], P("s - 7"), 1), ([[3]], [[5]], P("3s - 5"), 1),
                                 ([[0]], [[3]], P("-3"), 1), ([[0]], [[0]], ZERO, 0)):
-            p = Pencil(x, y)
-            assert (p.det(), p.rank(), p.rows) == (det, rank, len(y))
-            assert (rank, det) == bareiss(laurent_pencil(x, y).to_rows(), ONE, divexact)
+            m = laurent_pencil(x, y)
+            assert (m.det(), rank_over_fractions(m)) == (det, rank)
+            assert (rank, det) == bareiss(m.to_rows(), ONE, divexact)
+            if x is None:
+                p = Pencil(IntMatrix.from_rows(y))
+                assert (p.det(), rank_over_fractions(p), p.rows) == (det, rank, len(y))
 
     def test_determinant_is_taken_once(self, monkeypatch):
         calls = []
 
-        def counted(x, y):
-            calls.append(len(y))
-            return pencil_det(x, y)
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
 
-        pencil_det = exactla._pencil_det
-        monkeypatch.setattr(exactla, "_pencil_det", counted)
-        h = [[1, 0, -1, -1], [0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]]
-        p = Pencil(None, h)
-        assert p.rank() == 4 and calls == []  # monic of degree n: full rank, no work
+        monkeypatch.setattr(exactla, "char_poly", counted)
+        h = IntMatrix.from_rows([[1, 0, -1, -1], [0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]])
+        p = Pencil(h)
+        assert rank_over_fractions(p) == 4 and calls == []  # monic of degree n: full rank
         assert p.det() == p.det() == P("s^4 - s^3 - s + 1")
-        assert maximal_minor_gcd(p) == p.det() and rank_over_fractions(p) == 4
+        assert maximal_minor_gcd(p) == p.det()
         assert calls == [4]
 
-    def test_no_laurent_elimination_unless_x_is_singular(self, kernel_calls):
+    def test_evaluation_only_when_x_is_not_the_identity(self, kernel_calls):
+        # sI - Y, as a Pencil or as a Laurent matrix, is char_poly(Y); a
+        # square sX - Y with X != I is one call of the evaluation kernel
         rng = random.Random(127)
         for _ in range(10):
             n = rng.randint(1, 5)
-            y = random_matrix(rng, n, n, -5, 5).to_rows()
-            for x in (None, unimodular(rng, n)):
-                p = Pencil(x, y)
-                assert p.rank() == n and not p.det().is_zero
+            y = random_matrix(rng, n, n, -5, 5)
+            p = Pencil(y)
+            assert rank_over_fractions(p) == n and not p.det().is_zero
+            assert si_minus(y).det() == p.det()
         assert kernel_calls == []
-        p = Pencil(singular_seifert(rng, 1).to_rows(), singular_seifert(rng, 1).to_rows())
-        p.det(), p.rank(), p.det()
-        assert not p.det().is_zero
-        assert kernel_calls == [4]  # the determinant, once; a nonzero one gives the rank
+        x = unimodular(rng, 3)
+        assert x != IntMatrix.identity(3).to_rows()
+        m = pencil(x, random_matrix(rng, 3, 3, -5, 5).to_rows())
+        assert m.det() == bareiss_det(m)
+        assert kernel_calls == [3]
 
     def test_alexander_polynomial_of_a_singular_seifert_matrix(self, kernel_calls):
+        # Gamma = (S - S^T)^-1 S exists whatever det S is: no evaluation
         s = singular_seifert(random.Random(131), 2)
         assert s.det() == 0
         assert alexander_polynomial(SeifertMatrix(s)) == canonicalize(
             bareiss_det(seifert_pencil(s)))
-        assert kernel_calls == [6]
+        assert kernel_calls == []
 
     def test_shape_checks(self):
-        for x, y in ((None, [[1, 2]]), ([[1]], [[1, 2], [3, 4]]), ([[1, 2]], [[1]])):
-            with pytest.raises(ValueError, match="square X and Y"):
-                Pencil(x, y)
+        for h in (IntMatrix.from_rows([[1, 2]]), IntMatrix.zeros(2, 1)):
+            with pytest.raises(ValueError, match="square H"):
+                Pencil(h)
 
     def test_equal_pencils_compare_equal(self):
-        a, b = Pencil(None, [[1, 2], [3, 4]]), Pencil(None, ((1, 2), (3, 4)))
+        a = Pencil(IntMatrix.from_rows([[1, 2], [3, 4]]))
+        b = Pencil(IntMatrix.from_rows(((1, 2), (3, 4))))
         a.det()
         assert a == b and hash(a) == hash(b)
+
+
+class TestAlexanderByGamma:
+    """alexander_polynomial, from char_poly(Gamma) in 1 - t, against the
+    fraction-free determinant of tS - S^T."""
+
+    def test_against_bareiss(self):
+        rng = random.Random(139)
+        cases = [IntMatrix(0, 0, ())]  # the unknot
+        for k in range(6):  # sizes 0..10
+            cases += [random_seifert_matrix(2 * k, rng).matrix for _ in range(5)]
+            if k < 5:  # det S = 0, sizes 2..10
+                cases += [singular_seifert(rng, k) for _ in range(3)]
+        assert sum(m.det() == 0 for m in cases) >= 15
+        for m in cases:
+            assert alexander_polynomial(SeifertMatrix(m)) == canonicalize(
+                bareiss_det(seifert_pencil(m)))
 
 
 def minor_rank(rows, ncols, det) -> int:
@@ -1133,8 +1171,7 @@ class TestEvaluationAgainstBareiss:
     @given(integer_pencils())
     def test_pencils(self, case):
         _, x, y = case
-        p = Pencil(x, y)
-        rank, det = bareiss(p.to_rows(), ONE, divexact)
-        assert p.to_rows() == laurent_pencil(x, y).to_rows()
-        assert exactla._evaluation_rank(p) == rank
-        assert _maximal_minors(p) == [det]
+        m = laurent_pencil(x, y)
+        rank, det = bareiss(m.to_rows(), ONE, divexact)
+        assert exactla._evaluation_rank(m) == rank
+        assert _maximal_minors(m) == [det]

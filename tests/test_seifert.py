@@ -12,11 +12,11 @@ from twistalex.errors import InternalError, InvariantError, SizeLimitError
 from twistalex.exactla import IntMatrix, smith_normal_form
 from twistalex.fixtures import load_fixture
 from twistalex.laurent import LaurentPoly, parse_laurent, resultant_with_cyclotomic
-from twistalex.seifert import (ResultantCheck, SeifertMatrix, alexander_polynomial,
-                               branched_cover, branched_homology,
-                               branched_presentation,
-                               character_jump, monodromy_power_presentation,
-                               random_seifert_matrix, resultant_order_check)
+from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
+                               random_seifert_matrix)
+
+from seifert_oracle import (branched_presentation, monodromy_power_presentation,
+                            order_and_resultant)
 
 
 def P(text):
@@ -107,48 +107,46 @@ class TestBranchedPresentation:
 
 class TestBranchedHomology:
     def test_trefoil_double(self):
-        inv = branched_homology(TREFOIL, 2)
+        inv = branched_cover(TREFOIL, 2).homology
         assert inv.torsion == (3,) and inv.order == 3
 
     def test_figure8_double(self):
-        inv = branched_homology(FIG8, 2)
+        inv = branched_cover(FIG8, 2).homology
         assert inv.torsion == (5,) and inv.order == 5
 
     def test_unknot(self):
         for d in (2, 3, 5):
-            assert branched_homology(UNKNOT, d).is_trivial
+            assert branched_cover(UNKNOT, d).homology.is_trivial
 
     def test_matches_monodromy_pipeline_on_trefoil(self):
         h = load_fixture("trefoil-monodromy").endo
-        assert (branched_homology(TREFOIL, 2).torsion
+        assert (branched_cover(TREFOIL, 2).homology.torsion
                 == branched_cover_homology_from_monodromy(h, 2).torsion)
 
 
 class TestResultantOrderCheck:
     def test_trefoil_double(self):
-        check = resultant_order_check(TREFOIL, 2)
-        assert (check.snf_order, check.resultant, check.agree) == (3, 3, True)
+        assert order_and_resultant(TREFOIL, 2) == (3, 3)
 
     def test_figure8_triple(self):
-        check = resultant_order_check(FIG8, 3)
-        assert check.agree and check.snf_order == check.resultant > 0
+        order, resultant = order_and_resultant(FIG8, 3)
+        assert order == resultant > 0
 
     def test_trivial_alexander(self):
         for d in range(2, 11):
-            check = resultant_order_check(UNKNOT, d)
-            assert (check.snf_order, check.resultant, check.agree) == (1, 1, True)
+            assert order_and_resultant(UNKNOT, d) == (1, 1)
 
     def test_infinite_homology_encoded_as_zero(self):
         # trefoil 6-fold branched cover has infinite H1; resultant vanishes
-        check = resultant_order_check(TREFOIL, 6)
-        assert (check.snf_order, check.resultant, check.agree) == (0, 0, True)
+        assert order_and_resultant(TREFOIL, 6) == (0, 0)
 
     def test_random_agreement(self):
         rng = random.Random(2)
         for _ in range(20):
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             for d in range(2, 7):
-                assert resultant_order_check(s, d).agree
+                order, resultant = order_and_resultant(s, d)
+                assert order == resultant
 
 
 class TestMonodromyPower:
@@ -180,17 +178,17 @@ class TestMonodromyPower:
 
 class TestCharacterJump:
     def test_trefoil_d2_r3(self):
-        jump = character_jump(TREFOIL, 2, 3)
+        jump = branched_cover(TREFOIL, 2, 3).jump
         assert jump is not None
         assert jump.order == 3
         assert jump.jump[1] == 1
 
     def test_none_for_trivial_homology(self):
-        assert character_jump(UNKNOT, 2, 2) is None
-        assert character_jump(TREFOIL, 2, 2) is None  # Z/3 has no Z/2 quotient
+        assert branched_cover(UNKNOT, 2, 2).jump is None
+        assert branched_cover(TREFOIL, 2, 2).jump is None  # Z/3 has no Z/2 quotient
 
     def test_figure8_d2_r5(self):
-        jump = character_jump(FIG8, 2, 5)
+        jump = branched_cover(FIG8, 2, 5).jump
         assert jump is not None and jump.order == 5
 
     def test_character_kills_relations_and_jumps(self):
@@ -199,11 +197,11 @@ class TestCharacterJump:
         while found < 30:
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             d = rng.choice((2, 3))
-            hom = branched_homology(s, d)
+            hom = branched_cover(s, d).homology
             if hom.order in (None, 1):
                 continue
             for r in sorted({p for t in hom.torsion for p in _prime_factors(t)}):
-                jump = character_jump(s, d, r)
+                jump = branched_cover(s, d, r).jump
                 assert jump is not None
                 pres = branched_presentation(s, d)
                 flat = [x for row in jump.character for x in row]
@@ -219,15 +217,17 @@ class TestCharacterJump:
 
 class TestBranchedCover:
     def test_matches_the_separate_pipelines(self):
+        # H1 against the block presentation and the resultant, whatever r
         rng = random.Random(6)
         for _ in range(15):
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             d = rng.randint(2, 5)
+            hom = smith_normal_form(branched_presentation(s, d)).cokernel()
+            assert order_and_resultant(s, d) == (hom.order or 0,) * 2
             for r in (None, 2, 3, 5, 6):
                 cover = branched_cover(s, d, r)
-                assert cover.homology == branched_homology(s, d)
-                assert cover.check == resultant_order_check(s, d)
-                assert cover.jump == (None if r is None else character_jump(s, d, r))
+                assert cover.homology == hom
+                assert r is not None or cover.jump is None
 
     def test_homology_and_jump_take_no_resultant(self):
         # S = [[a, 1], [0, a]] has Delta = a^2 t^2 - (2a^2 - 1) t + a^2, whose
@@ -243,12 +243,11 @@ class TestBranchedCover:
             v.append(x * v[-1] - v[-2])
         order = a ** (2 * d) * (2 - v[d])
         assert order.denominator == 1 and order.numerator.bit_length() == 9493
-        assert branched_homology(s, d).order == order
-        jump = character_jump(s, d, 3)
-        assert jump is not None and jump.order == 3
-        for call in (lambda: resultant_order_check(s, d), lambda: branched_cover(s, d, 3)):
-            with pytest.raises(SizeLimitError, match="about 9760 bits, above the cap"):
-                call()
+        cover = branched_cover(s, d, 3)
+        assert cover.homology.order == order
+        assert cover.jump is not None and cover.jump.order == 3
+        with pytest.raises(SizeLimitError, match="about 9760 bits, above the cap"):
+            order_and_resultant(s, d)
 
     def test_rejects_small_d_and_r(self):
         with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
@@ -264,17 +263,16 @@ ORACLE_ROWS = 80
 
 def against_block_oracle(s: SeifertMatrix, d: int, r: int) -> bool:
     """branched_cover(s, d, r) against smith_normal_form of the block
-    presentation P: equal invariants and order check, a surjection onto Z_r
+    presentation P: equal invariants, whose order is R_d, a surjection onto Z_r
     exactly when the oracle finds one, and then a character that kills
     every column of P mod r and is onto.  Returns whether one exists."""
     pres = branched_presentation(s, d)
     oracle = smith_normal_form(pres, r)
     hom = oracle.cokernel()
     order = hom.order if hom.order is not None else 0
-    resultant = resultant_with_cyclotomic(alexander_polynomial(s), d)
+    assert resultant_with_cyclotomic(alexander_polynomial(s), d) == order
     cover = branched_cover(s, d, r)
     assert cover.homology == hom
-    assert cover.check == ResultantCheck(order, resultant, order == resultant)
     assert (cover.jump is None) == (oracle.character() is None)
     if cover.jump is None:
         return False
@@ -299,7 +297,7 @@ class TestBranchedCoverAgainstBlockOracle:
     def test_against_block_oracle(self, size, seed, data):
         s = random_seifert_matrix(size, random.Random(seed))
         d = data.draw(st.integers(2, min(30, 1 + ORACLE_ROWS // size) if size else 30))
-        top = max(branched_homology(s, d).torsion, default=1)
+        top = max(branched_cover(s, d).homology.torsion, default=1)
         # half the time r divides the largest invariant factor (prime or
         # composite, so Z_r is a quotient), else r is small and may not be
         onto = [p ** k for p in _small_prime_factors(top) for k in (1, 2) if top % p ** k == 0]
@@ -316,7 +314,7 @@ class TestBranchedCoverAgainstBlockOracle:
         for size in (0, 2, 4, 6, 8):
             for d in sorted({2, 3, min(30, 1 + ORACLE_ROWS // size) if size else 30}):
                 s = random_seifert_matrix(size, rng)
-                top = max(branched_homology(s, d).torsion, default=1)
+                top = max(branched_cover(s, d).homology.torsion, default=1)
                 primes = _small_prime_factors(top)
                 for r in {2, 3, 4, 6, *primes[:2], *(p * p for p in primes[:1])}:
                     onto = against_block_oracle(s, d, r)
