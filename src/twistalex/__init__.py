@@ -8,8 +8,7 @@ from .exactla import (IntMatrix, LambdaMatrix, Pencil, SmithForm,
                       CokernelInvariants, char_poly, cokernel_invariants,
                       maximal_minor_gcd, rank_over_fractions,
                       smith_normal_form)
-from .freegrp import (FreeEndo, Word, check_compatibility,
-                      random_nielsen_automorphism)
+from .freegrp import FreeEndo, Word
 from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
                        Presentation, alternating, cyclic,
                        generated_subgroup_order, perm_from_cycle_text,

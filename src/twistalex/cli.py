@@ -123,7 +123,7 @@ def _cmd_monodromy(args) -> int:
     else:
         with open(args.alpha, encoding="utf-8") as fh:
             alpha, _ = formats.parse_hom(fh.read(), fx.names)
-    inv = twisted_invariants(fx.endo, args.d, alpha, tree=args.tree)
+    inv = twisted_invariants(fx.endo, args.d, alpha)
     report = evaluate_fibred_obstruction(inv.presentation, max_minors=max_minors)
     h_rows = inv.h_matrix.to_rows()
     lines = [
@@ -334,7 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True, help="covering degree")
     p.add_argument("--alpha", required=True,
                    help="surjection: inline Z/r:x=a,y=b or a homomorphism file")
-    p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_monodromy)
 

@@ -5,9 +5,12 @@ The cover of the one-vertex graph with n loops attached to a surjection
 alpha onto a finite group G has vertex set G and an edge g -> g*alpha(x_i)
 for every vertex g and loop x_i.  Loops at the base lift to edge paths;
 the first homology of the cover is free on the edges outside a spanning
-tree.  A compatible monodromy power fixes every vertex of the cover; its
-action on basis cycles is a product of chain maps, one per factor of the
-power, each spelling f's own short images as edge paths.
+tree.  One breadth-first closure of the images gives the vertices, the
+tree and the check that alpha is onto.  A compatible monodromy power
+fixes every vertex of the cover; one chain of homomorphisms
+alpha . f^k, k = 0..d, gives the compatibility check (its last member is
+alpha again) and the action on basis cycles, a product of chain maps, one
+per factor of the power, each spelling f's own short images as edge paths.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from . import laurent
 from .errors import (CompatibilityError, InternalError, LiftSizeError,
                      NonSurjectiveError)
 from .exactla import IntMatrix, CokernelInvariants, Pencil, cokernel_invariants
-from .freegrp import FreeEndo, check_compatibility
-from .grouphom import FiniteHom, generated_subgroup_order
+from .freegrp import FreeEndo
+from .grouphom import FiniteHom, _closure
 from .laurent import LaurentPoly
 
 # Cap on the work of the chain-map product in lift_power_matrix, counted in
@@ -34,11 +37,11 @@ MAX_LIFT_WORK = 2 * 10**7
 class CoverGraph:
     """The regular cover of an n-loop bouquet attached to alpha.
 
-    Vertices are group elements in discovery order (identity first); the
-    spanning tree is grown from the identity in generator-index order, and
-    ``tree[v]`` is the tree edge (vertex index, generator index) that
-    enters v (None at the identity).  The homology basis is the sorted list
-    of non-tree edges.
+    Vertices are group elements in breadth-first discovery order from the
+    identity, generators in index order; the spanning tree is that of the
+    search, and ``tree[v]`` is the tree edge (vertex index, generator
+    index) that enters v (None at the identity).  The homology basis is
+    the sorted list of non-tree edges.
     """
 
     rank: int
@@ -57,54 +60,19 @@ class CoverGraph:
         return len(self.basis)
 
 
-def build_cover(rank: int, alpha: FiniteHom, tree: str = "bfs") -> CoverGraph:
-    """Construct the cover attached to a surjective alpha.
-
-    ``tree`` selects the deterministic spanning-tree traversal ("bfs" or
-    "dfs"); any choice changes the induced matrices by conjugation only.
-    """
+def build_cover(rank: int, alpha: FiniteHom) -> CoverGraph:
+    """Construct the cover attached to alpha from one breadth-first closure
+    of the images, which also shows alpha is onto (it reaches all of G)."""
     if alpha.rank != rank:
         raise ValueError(f"alpha has rank {alpha.rank}, expected {rank}")
+    vertices, index, parent = _closure(alpha)
     target = alpha.target
-    if generated_subgroup_order(alpha) != target.order:
+    order = len(vertices)
+    if order != target.order:
         raise NonSurjectiveError(
             f"images generate a proper subgroup of {target.name()}; cover would be disconnected")
-    if tree not in ("bfs", "dfs"):
-        raise ValueError(f"unknown tree order {tree!r}")
-
-    gens = [alpha.images[i] for i in range(rank)]
-    vertices = [target.identity]
-    index = {target.identity: 0}
-    parent: list[tuple[int, int] | None] = [None]
-
-    if tree == "bfs":
-        cursor = 0
-        while cursor < len(vertices):
-            v = vertices[cursor]
-            for g in range(rank):
-                w = target.mul(v, gens[g])
-                if w not in index:
-                    index[w] = len(vertices)
-                    vertices.append(w)
-                    parent.append((cursor, g))
-            cursor += 1
-    else:
-        stack = [0]
-        while stack:
-            vi = stack.pop()
-            v = vertices[vi]
-            for g in reversed(range(rank)):
-                w = target.mul(v, gens[g])
-                if w not in index:
-                    index[w] = len(vertices)
-                    vertices.append(w)
-                    parent.append((vi, g))
-                    stack.append(index[w])
-
-    order = len(vertices)
     edge_target = tuple(
-        tuple(index[target.mul(vertices[v], gens[g])] for g in range(rank))
-        for v in range(order))
+        tuple(index[target.mul(x, a)] for a in alpha.images) for x in vertices)
     tree_edges = set(parent[1:])
     basis = tuple(sorted(
         (v, g) for v in range(order) for g in range(rank) if (v, g) not in tree_edges))
@@ -146,15 +114,13 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     if d * step > MAX_LIFT_WORK:
         raise LiftSizeError(f"lifting f^{d} needs at least {d * step} units of "
                             f"chain work, above the cap of {MAX_LIFT_WORK}")
-    if not check_compatibility(f, cover.alpha, d):
+    homs = _alpha_chain(f, cover.alpha, d)
+    if homs[-1].images != cover.alpha.images:
         raise CompatibilityError(
             "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift")
-    homs = [cover.alpha]
-    for _ in range(d - 1):
-        homs.append(homs[-1].precompose(f))
     index = {x: k for k, x in enumerate(cover.vertices)}
     work = 0
-    for hom in reversed(homs):  # Phi_d first: a_(d-1), ..., a_0
+    for hom in reversed(homs[:-1]):  # Phi_d first: a_(d-1), ..., a_0
         phi = _chain_map(f, hom, cover.vertices, index)
         columns = [_push(phi, c) for c in columns]
         top = max((max(max(c), -min(c)) for c in columns), default=0)
@@ -166,6 +132,16 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     for c in columns:
         _check_closed(cover, c)
     return IntMatrix.from_rows([[c[v * n + g] for c in columns] for v, g in cover.basis])
+
+
+def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
+    """a_k = alpha . f^k for k = 0..d, each read off f's own images under
+    a_(k-1), so f^d is never expanded.  f^d lifts exactly when a_d = alpha
+    (both are homomorphisms, so generators suffice)."""
+    chain = [alpha]
+    for _ in range(d):
+        chain.append(chain[-1].precompose(f))
+    return chain
 
 
 def _basis_cycle(cover: CoverGraph, v: int, g: int) -> list[int]:
@@ -243,8 +219,7 @@ class TwistedInvariants:
     delta: LaurentPoly
 
 
-def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
-                       tree: str = "bfs") -> TwistedInvariants:
+def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom) -> TwistedInvariants:
     """Compute the invariants of the d-fold cover data (f, alpha).
 
     Only the d-th power of the monodromy needs to be compatible with
@@ -252,7 +227,7 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom,
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    cover = build_cover(f.rank, alpha, tree=tree)
+    cover = build_cover(f.rank, alpha)
     h = lift_power_matrix(cover, f, d)
     presentation = Pencil(h)
     return TwistedInvariants(

@@ -53,15 +53,11 @@ def format_word(w: Word, names: list[str]) -> str:
     return " ".join(names[g] + (f"^{e}" if e != 1 else "") for g, e in w.blocks)
 
 
-# -- monodromy files ---------------------------------------------------------
-
-
-def parse_monodromy(text: str) -> tuple[FreeEndo, list[str]]:
-    """Format: a ``generators: x y ...`` line, then one ``x -> image`` line
-    per generator."""
-    lines = list(_nonblank_lines(text))
+def _parse_generators(lines, what: str) -> tuple[list[str], dict[str, int]]:
+    """The ``generators: x y ...`` line a monodromy or presentation file
+    starts with: distinct names, and each name's index."""
     if not lines or not lines[0][1].startswith("generators:"):
-        raise ParseError("monodromy file must start with a 'generators:' line",
+        raise ParseError(f"{what} file must start with a 'generators:' line",
                          lines[0][0] if lines else 1)
     lineno, header = lines[0]
     names = header[len("generators:"):].split()
@@ -69,7 +65,17 @@ def parse_monodromy(text: str) -> tuple[FreeEndo, list[str]]:
         raise ParseError("malformed generator names", lineno)
     if len(set(names)) != len(names):
         raise ParseError("duplicate generator names", lineno)
-    index = {n: i for i, n in enumerate(names)}
+    return names, {n: i for i, n in enumerate(names)}
+
+
+# -- monodromy files ---------------------------------------------------------
+
+
+def parse_monodromy(text: str) -> tuple[FreeEndo, list[str]]:
+    """Format: a ``generators: x y ...`` line, then one ``x -> image`` line
+    per generator."""
+    lines = list(_nonblank_lines(text))
+    names, index = _parse_generators(lines, "monodromy")
     images: dict[int, Word] = {}
     for lineno, line in lines[1:]:
         lhs, arrow, rhs = line.partition("->")
@@ -268,14 +274,7 @@ def parse_presentation(text: str) -> tuple[Presentation, list[str]]:
     """Format: a ``generators:`` line, then ``relator: <word>`` lines with
     relators written to evaluate to the identity."""
     lines = list(_nonblank_lines(text))
-    if not lines or not lines[0][1].startswith("generators:"):
-        raise ParseError("presentation file must start with a 'generators:' line",
-                         lines[0][0] if lines else 1)
-    lineno, header = lines[0]
-    names = header[len("generators:"):].split()
-    if not names or any(not _NAME_RE.match(n) for n in names):
-        raise ParseError("malformed generator names", lineno)
-    index = {n: i for i, n in enumerate(names)}
+    names, index = _parse_generators(lines, "presentation")
     relators = []
     for lineno, line in lines[1:]:
         key, colon, rhs = line.partition(":")

@@ -292,21 +292,27 @@ def verify_homomorphism(hom: FiniteHom, pres: Presentation) -> tuple[int, ...]:
 
 
 def generated_subgroup_order(hom: FiniteHom, bound: int = CLOSURE_BOUND) -> int:
-    """Order of the subgroup generated by the images (breadth-first closure)."""
-    if hom.target.order > bound:
-        raise SizeLimitError(
-            f"target order {hom.target.order} exceeds the closure bound {bound}")
-    gens = list(hom.images)
-    seen = {hom.target.identity}
-    frontier = [hom.target.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = hom.target.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    """Order of the subgroup generated by the images."""
+    return len(_closure(hom, bound)[0])
 
+
+def _closure(hom: FiniteHom, bound: int = CLOSURE_BOUND) -> tuple[list, dict, list]:
+    """Breadth-first closure of the identity under right multiplication by
+    the generator images: the elements in discovery order (identity first),
+    their indices, and for each element the (element index, generator
+    index) edge that first reached it (None at the identity)."""
+    target = hom.target
+    if target.order > bound:
+        raise SizeLimitError(
+            f"target order {target.order} exceeds the closure bound {bound}")
+    elements = [target.identity]
+    index = {target.identity: 0}
+    parent: list[tuple[int, int] | None] = [None]
+    for k, x in enumerate(elements):  # also visits the elements appended below
+        for g, a in enumerate(hom.images):
+            y = target.mul(x, a)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                parent.append((k, g))
+    return elements, index, parent

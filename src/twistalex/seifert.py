@@ -6,7 +6,6 @@ sheets."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import operator
@@ -25,34 +24,34 @@ MAX_PRESENTATION_ROWS = 1000
 
 @dataclasses.dataclass(frozen=True, init=False)
 class SeifertMatrix:
-    """An integer Seifert matrix S; for a knot, det(S - S^T) must be a unit.
+    """An integer Seifert matrix S; for a knot, A = S - S^T must be
+    unimodular.  ``gamma`` is Seifert's Gamma = A^-1 S, so that
+    tS - S^T = A (I + (t - 1) Gamma), taken at construction by the one
+    solve of [A | I] that also shows det A = +-1.
 
     The empty 0x0 matrix stands for the unknot.
     """
 
     matrix: IntMatrix
+    gamma: IntMatrix = dataclasses.field(repr=False, compare=False)
 
     def __init__(self, matrix):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix.from_rows(matrix)
         if not matrix.is_square:
             raise InvariantError("Seifert matrix must be square")
-        d = (matrix - matrix.transpose()).det()
-        if d not in (1, -1):
+        a = matrix - matrix.transpose()
+        try:
+            inverse = a.inverse_unimodular()
+        except ValueError:  # det A is not a unit: take it for the message
             raise InvariantError(
-                f"det(S - S^T) = {d}; a knot Seifert matrix needs a unit")
+                f"det(S - S^T) = {a.det()}; a knot Seifert matrix needs a unit") from None
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "gamma", inverse * matrix)
 
     @property
     def size(self) -> int:
         return self.matrix.rows
-
-    @functools.cached_property
-    def gamma(self) -> IntMatrix:
-        """Seifert's Gamma = A^-1 S, A = S - S^T (unimodular), so that
-        tS - S^T = A (I + (t - 1) Gamma)."""
-        m = self.matrix
-        return (m - m.transpose()).inverse_unimodular() * m
 
 
 def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:

@@ -15,7 +15,6 @@ from twistalex.cover import (branched_cover_homology_from_monodromy,
 from twistalex.exactla import (IntMatrix, LambdaMatrix, char_poly,
                                rank_over_fractions)
 from twistalex.fixtures import load_fixture
-from twistalex.freegrp import check_compatibility, random_nielsen_automorphism
 from twistalex.grouphom import (FiniteHom, cyclic, generated_subgroup_order,
                                 verify_homomorphism)
 from twistalex.laurent import ZERO, canonicalize, is_monic, parse_laurent
@@ -24,6 +23,7 @@ from twistalex.seifert import branched_cover, random_seifert_matrix
 
 from seifert_oracle import (branched_presentation, monodromy_power_presentation,
                             order_and_resultant)
+from word_oracle import compatible, power, random_automorphism
 
 
 def P(text):
@@ -91,7 +91,7 @@ def test_criterion_3_fibred_property_suite():
                        for j in range(rank)):
                     continue
                 alpha = FiniteHom(rank, cyclic(r), list(chi))
-                assert check_compatibility(fd, alpha)
+                assert compatible(fd, alpha)
                 out.append(alpha)
         return out
 
@@ -99,9 +99,9 @@ def test_criterion_3_fibred_property_suite():
         rng = random.Random(20020626)
         for _ in range(200):
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 8), rng)
+            f = random_automorphism(rank, rng.randint(1, 8), rng)
             for d in (1, 2, 3):
-                fd = f.power(d)
+                fd = power(f, d)
                 for alpha in compatible_alphas(fd, rank):
                     inv = twisted_invariants(f, d, alpha)
                     assert is_monic(inv.delta), f"non-monic delta {inv.delta}"

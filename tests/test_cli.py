@@ -271,10 +271,12 @@ class TestSeifertCommand:
 
     def test_one_gamma_per_job(self, capsys, monkeypatch):
         # Gamma = (S - S^T)^-1 S is taken once and gives both Delta, as
-        # char_poly(Gamma) in 1 - t, and the cover; no Laurent determinant
+        # char_poly(Gamma) in 1 - t, and the cover; no Laurent determinant.
+        # Its one solve of [A | I] is the job's one fraction-free
+        # elimination: it also shows det A = +-1.
         m = load_fixture("figure8-seifert").matrix
         gamma = (m - m.transpose()).inverse_unimodular() * m
-        inverses, polys = [], []
+        inverses, polys, eliminations = [], [], []
 
         def counted_inverse(m):
             inverses.append(m.rows)
@@ -284,11 +286,17 @@ class TestSeifertCommand:
             polys.append(h)
             return char_poly(h)
 
+        def counted_eliminate(a, jordan=False):
+            eliminations.append((len(a), jordan))
+            return eliminate(a, jordan)
+
         def refuse(*args):
             raise AssertionError("evaluation kernel in a Seifert job")
 
         inverse, char_poly = exactla.IntMatrix.inverse_unimodular, exactla.char_poly
+        eliminate = exactla._eliminate
         monkeypatch.setattr(exactla.IntMatrix, "inverse_unimodular", counted_inverse)
+        monkeypatch.setattr(exactla, "_eliminate", counted_eliminate)
         for module in (exactla, seifert):  # every binding the pipeline reaches
             if getattr(module, "char_poly", None) is char_poly:
                 monkeypatch.setattr(module, "char_poly", counted_char_poly)
@@ -299,6 +307,7 @@ class TestSeifertCommand:
         assert code == 0 and payload["alexander"] == "t^2 - 3t + 1"
         assert payload["h1_order"] == payload["resultant"] == 16
         assert inverses == [2] and polys == [gamma]
+        assert eliminations == [(2, True)]
 
     def test_one_alexander_polynomial_per_job(self, capsys, monkeypatch):
         calls = []
@@ -503,6 +512,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, "seifert", "--d", "2")
         assert code == 64
 
+    @pytest.mark.parametrize("kind, body", [("monodromy", "a -> a\n"),
+                                            ("presentation", "relator: a a^-1\n")],
+                             ids=["monodromy", "presentation"])
+    def test_duplicate_generator_names(self, capsys, tmp_path, kind, body):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("generators: a a\n" + body)
+        hom = tmp_path / "hom.txt"
+        hom.write_text("target: Z/3\na = 1\n")
+        if kind == "monodromy":
+            argv = ["monodromy", "--file", str(path), "--d", "1", "--alpha", "Z/3:a=1"]
+        else:
+            argv = ["homcheck", "--presentation", str(path), "--hom", str(hom)]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == "twist: error: duplicate generator names (line 1)\n"
+
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 1\nx -1\n")
@@ -546,7 +571,9 @@ class TestUsageErrors:
         # With the compatibility check bypassed, an alpha whose kernel the
         # map does not preserve lifts kernel words to open paths, which the
         # lift's own check reports as a broken invariant.
-        monkeypatch.setattr(cover, "check_compatibility", lambda f, alpha, d: True)
+        chain = cover._alpha_chain  # its last member is alpha: the check passes
+        monkeypatch.setattr(cover, "_alpha_chain",
+                            lambda f, alpha, d: chain(f, alpha, d)[:-1] + [alpha])
         code, out, err = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                              "--d", "1", "--alpha", "Z/3:x=1,y=0")
         assert code == 70 and out == ""

@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from twistalex import cover as cover_module
 from twistalex.cover import (branched_cover_homology_from_monodromy,
@@ -10,10 +14,13 @@ from twistalex.errors import (CompatibilityError, InternalError,
                               LiftSizeError, NonSurjectiveError)
 from twistalex.exactla import IntMatrix, char_poly, rank_over_fractions
 from twistalex.fixtures import load_fixture
-from twistalex.freegrp import (FreeEndo, Word, check_compatibility,
-                               random_nielsen_automorphism)
-from twistalex.grouphom import FiniteHom, cyclic, generated_subgroup_order
+from twistalex.freegrp import FreeEndo, Word
+from twistalex.grouphom import (FiniteHom, alternating, cyclic,
+                                generated_subgroup_order)
 from twistalex.laurent import canonicalize, is_monic, parse_laurent
+
+from word_oracle import (apply, compatible, identity, inverse, power, product,
+                         random_automorphism)
 
 
 def P(text):
@@ -34,19 +41,19 @@ def tree_word(cover, v: int) -> Word:
 def schreier_word(cover, vertex: int, gen: int) -> Word:
     """The loop class of an edge: tree word in, the edge, tree word out."""
     head = cover.edge_target[vertex][gen]
-    return tree_word(cover, vertex) * Word.generator(gen) * tree_word(cover, head).inverse()
+    return product(tree_word(cover, vertex), Word.generator(gen),
+                   inverse(tree_word(cover, head)))
 
 
 def lift_action_matrix(cover, f: FreeEndo) -> IntMatrix:
-    """Matrix of the lift of f fixing the identity vertex, on the H1 basis.
+    """Matrix of the lift of f fixing the identity vertex, on the H1 basis,
+    for f compatible with the cover's alpha.
 
     Column k is the homology class of the image of the k-th basis cycle:
     the image loop word is spelled as an edge path from the identity
     vertex, tree edges contributing nothing and each non-tree edge its
     basis vector.
     """
-    if not check_compatibility(f, cover.alpha):
-        raise CompatibilityError("no lift")
     edge_source = [[0] * cover.rank for _ in range(cover.group_order)]
     for v, heads in enumerate(cover.edge_target):
         for g, w in enumerate(heads):
@@ -57,18 +64,19 @@ def lift_action_matrix(cover, f: FreeEndo) -> IntMatrix:
     for (v, g) in cover.basis:
         vec = [0] * n
         cur = 0
-        for gen, sign in f(schreier_word(cover, v, g)).letters():
-            if sign > 0:
-                k = basis_idx.get((cur, gen))
-                if k is not None:
-                    vec[k] += 1
-                cur = cover.edge_target[cur][gen]
-            else:
-                prev = edge_source[cur][gen]
-                k = basis_idx.get((prev, gen))
-                if k is not None:
-                    vec[k] -= 1
-                cur = prev
+        for gen, e in apply(f, schreier_word(cover, v, g)).blocks:
+            for _ in range(abs(e)):
+                if e > 0:
+                    k = basis_idx.get((cur, gen))
+                    if k is not None:
+                        vec[k] += 1
+                    cur = cover.edge_target[cur][gen]
+                else:
+                    prev = edge_source[cur][gen]
+                    k = basis_idx.get((prev, gen))
+                    if k is not None:
+                        vec[k] -= 1
+                    cur = prev
         assert cur == 0, "image of a kernel word did not close up"
         columns.append(vec)
     return IntMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
@@ -84,17 +92,14 @@ def z3_alpha():
 
 def compatible_cyclic_alphas(f: FreeEndo, d: int, max_order: int):
     """All surjective cyclic characters compatible with f^d, orders 1..max_order."""
-    import itertools
-    import math
-
-    fd = f.power(d)
+    fd = power(f, d)
     out = []
     for r in range(1, max_order + 1):
         for chi in itertools.product(range(r), repeat=f.rank):
             if math.gcd(r, *chi) != 1:
                 continue
             alpha = FiniteHom(f.rank, cyclic(r), list(chi))
-            if check_compatibility(fd, alpha):
+            if compatible(fd, alpha):
                 out.append(alpha)
     return out
 
@@ -128,7 +133,7 @@ class TestBuildCover:
         cover = build_cover(2, alpha)
         assert cover.group_order == 60
         assert cover.h1_rank == 61
-        h = lift_power_matrix(cover, FreeEndo.identity(2), 1)
+        h = lift_power_matrix(cover, identity(2), 1)
         assert h == IntMatrix.identity(61)
 
     def test_rank_bookkeeping_random(self):
@@ -137,7 +142,6 @@ class TestBuildCover:
             n = rng.randint(1, 3)
             r = rng.randint(1, 5)
             chi = [rng.randrange(r) for _ in range(n)]
-            import math
             if math.gcd(r, *chi) != 1:
                 continue
             cover = build_cover(n, FiniteHom(n, cyclic(r), chi))
@@ -155,7 +159,7 @@ class TestLiftActionMatrix:
 
     def test_identity_endomorphism(self):
         cover = build_cover(2, z3_alpha())
-        h = lift_power_matrix(cover, FreeEndo.identity(2), 1)
+        h = lift_power_matrix(cover, identity(2), 1)
         assert h == IntMatrix.identity(4)
 
     def test_trivial_cover_gives_abelianization(self):
@@ -183,7 +187,7 @@ class TestTwistedInvariants:
         assert inv.delta == P("s^2 - s + 1")
 
     def test_identity_monodromy(self):
-        inv = twisted_invariants(FreeEndo.identity(1), 1, FiniteHom(1, cyclic(1), [0]))
+        inv = twisted_invariants(identity(1), 1, FiniteHom(1, cyclic(1), [0]))
         assert inv.delta == P("s - 1")
 
     def test_delta_matches_minor_gcd_route(self):
@@ -209,20 +213,6 @@ class TestBranchedHomologyFromMonodromy:
 
 
 class TestStructuralProperties:
-    def test_dfs_tree_changes_h_by_conjugation_only(self):
-        rng = random.Random(2)
-        cases = 0
-        while cases < 12:
-            f = random_nielsen_automorphism(2, rng.randint(1, 8), rng)
-            d = rng.randint(1, 3)
-            alphas = compatible_cyclic_alphas(f, d, 4)
-            for alpha in alphas[:2]:
-                bfs = twisted_invariants(f, d, alpha, tree="bfs")
-                dfs = twisted_invariants(f, d, alpha, tree="dfs")
-                assert bfs.delta == dfs.delta
-                assert bfs.h_matrix.trace() == dfs.h_matrix.trace()
-                cases += 1
-
     def test_inner_twist_invariance(self):
         # conjugating f^d by a kernel word does not change delta
         f = trefoil()
@@ -230,11 +220,11 @@ class TestStructuralProperties:
         d = 2
         cover = build_cover(2, alpha)
         base = twisted_invariants(f, d, alpha)
-        fd = f.power(d)
+        fd = power(f, d)
         for edge in cover.basis[:3]:
             w = schreier_word(cover, *edge)
             assert alpha.evaluate(w) == 0  # kernel word
-            twisted = FreeEndo(2, [w * img * w.inverse() for img in fd.images])
+            twisted = FreeEndo(2, [product(w, img, inverse(w)) for img in fd.images])
             h = lift_power_matrix(cover, twisted, 1)
             assert canonicalize(char_poly(h)) == base.delta
 
@@ -243,7 +233,7 @@ class TestStructuralProperties:
         checked = 0
         for _ in range(40):
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 8), rng)
+            f = random_automorphism(rank, rng.randint(1, 8), rng)
             d = rng.randint(1, 3)
             for alpha in compatible_cyclic_alphas(f, d, 4):
                 inv = twisted_invariants(f, d, alpha)
@@ -258,11 +248,11 @@ class TestStructuralProperties:
         rng = random.Random(4)
         for _ in range(15):
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 6), rng)
+            f = random_automorphism(rank, rng.randint(1, 6), rng)
             d = rng.randint(1, 3)
             alpha = FiniteHom(rank, cyclic(1), [0] * rank)
             inv = twisted_invariants(f, d, alpha)
-            t = f.power(d).abelianization_matrix()
+            t = power(f, d).abelianization_matrix()
             assert inv.delta == canonicalize(char_poly(t))
 
 
@@ -283,16 +273,15 @@ class TestChainLiftAgainstWordLift:
 
     @staticmethod
     def assert_same_lift(f, d, alpha):
-        for tree in ("bfs", "dfs"):
-            cover = build_cover(f.rank, alpha, tree=tree)
-            assert lift_power_matrix(cover, f, d) == lift_action_matrix(cover, f.power(d))
+        cover = build_cover(f.rank, alpha)
+        assert lift_power_matrix(cover, f, d) == lift_action_matrix(cover, power(f, d))
 
     def test_nielsen_automorphisms_cyclic_targets(self):
         rng = random.Random(11)
         cases = {2: 0, 3: 0}
         for _ in range(30):
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 8), rng)
+            f = random_automorphism(rank, rng.randint(1, 8), rng)
             for d in range(1, 6):
                 for alpha in compatible_cyclic_alphas(f, d, 5 if rank == 2 else 3)[-3:]:
                     self.assert_same_lift(f, d, alpha)
@@ -307,8 +296,8 @@ class TestChainLiftAgainstWordLift:
         rng = random.Random(12)
         powers = []
         while len(powers) < 6:
-            f = random_nielsen_automorphism(2, rng.randint(2, 6), rng)
-            d = next((d for d in range(2, 6) if check_compatibility(f, alpha, d)), None)
+            f = random_automorphism(2, rng.randint(2, 6), rng)
+            d = next((d for d in range(2, 6) if compatible(f, alpha, d)), None)
             if d is not None:
                 self.assert_same_lift(f, d, alpha)
                 powers.append(d)
@@ -343,16 +332,55 @@ class TestChainLiftAgainstWordLift:
         assert is_monic(inv.delta) and inv.delta.degree == 12
 
 
+A5 = alternating(5)
+A5_ELEMENTS = A5.elements()
+
+
+class TestChainLiftFuzz:
+    """Hypothesis pair: lift_power_matrix against the word oracle, for
+    random automorphisms of rank 2-3, cyclic and A5 targets and d = 1..6.
+    The lift refuses f^d exactly when alpha(f^d(x_i)) != alpha(x_i) for
+    some generator, and otherwise gives the oracle's matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32), st.booleans(), st.data())
+    def test_against_word_oracle(self, rank, seed, a5, data):
+        rng = random.Random(seed)
+        f = random_automorphism(rank, rng.randint(1, 8), rng)
+        if a5:
+            images = data.draw(st.lists(st.sampled_from(A5_ELEMENTS),
+                                        min_size=rank, max_size=rank))
+            alpha = FiniteHom(rank, A5, images)
+            assume(generated_subgroup_order(alpha) == 60)
+        else:
+            r = data.draw(st.integers(1, 6))
+            chi = data.draw(st.lists(st.integers(0, r - 1), min_size=rank, max_size=rank))
+            assume(math.gcd(r, *chi) == 1)
+            alpha = FiniteHom(rank, cyclic(r), chi)
+        powers = [power(f, d) for d in range(1, 7)]
+        lifts = [d for d, fd in enumerate(powers, start=1) if compatible(fd, alpha)]
+        # lean towards a power that lifts, which a random one rarely does
+        d = data.draw(st.sampled_from(lifts) if lifts and data.draw(st.booleans())
+                      else st.integers(1, 6))
+        event(f"{alpha.target.name()} {'lifts' if d in lifts else 'refused'}")
+        cover = build_cover(rank, alpha)
+        if d in lifts:
+            assert lift_power_matrix(cover, f, d) == lift_action_matrix(cover, powers[d - 1])
+        else:
+            with pytest.raises(CompatibilityError):
+                lift_power_matrix(cover, f, d)
+
+
 class TestLiftChecks:
     def test_rejects_d_below_one(self):
         with pytest.raises(ValueError, match="positive"):
-            lift_power_matrix(build_cover(2, z3_alpha()), FreeEndo.identity(2), 0)
+            lift_power_matrix(build_cover(2, z3_alpha()), identity(2), 0)
 
     def test_work_cap_fails_fast_on_a_huge_power(self, monkeypatch):
         def unreachable(f, alpha, d):  # d steps of it would not end
             raise AssertionError("the cap must fire before any O(d) work")
 
-        monkeypatch.setattr(cover_module, "check_compatibility", unreachable)
+        monkeypatch.setattr(cover_module, "_alpha_chain", unreachable)
         cover = build_cover(2, z3_alpha())
         with pytest.raises(LiftSizeError, match="above the cap"):
             lift_power_matrix(cover, trefoil(), 10**12)
@@ -371,6 +399,8 @@ class TestLiftChecks:
     def test_open_image_chain_is_an_internal_error(self, monkeypatch):
         # alpha . f != alpha: the basis cycles of the alpha cover are no
         # cycles of the alpha . f cover, and their images do not close up
-        monkeypatch.setattr(cover_module, "check_compatibility", lambda f, alpha, d: True)
+        chain = cover_module._alpha_chain  # its last member is alpha: the check passes
+        monkeypatch.setattr(cover_module, "_alpha_chain",
+                            lambda f, alpha, d: chain(f, alpha, d)[:-1] + [alpha])
         with pytest.raises(InternalError, match="did not close up"):
             twisted_invariants(trefoil(), 1, FiniteHom(2, cyclic(3), [1, 0]))

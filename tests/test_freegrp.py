@@ -1,12 +1,17 @@
+"""Words and endomorphisms of twistalex.freegrp, and the word oracle of
+tests/word_oracle.py that the lift's differential tests read f^d from."""
+
 import random
 
 import pytest
 
 from twistalex.errors import WordLengthError
 from twistalex.exactla import IntMatrix
-from twistalex.freegrp import (FreeEndo, Word, check_compatibility,
-                               random_nielsen_automorphism)
+from twistalex.freegrp import FreeEndo, Word
 from twistalex.grouphom import FiniteHom, cyclic
+
+from word_oracle import (apply, compatible, identity, inverse, power, product,
+                         random_automorphism)
 
 
 def trefoil_monodromy() -> FreeEndo:
@@ -38,16 +43,15 @@ class TestWord:
 
     def test_inverse(self):
         w = Word([(0, 1), (1, -2)])
-        assert (w * w.inverse()).is_identity
-        assert (w.inverse() * w).is_identity
+        assert product(w, inverse(w)).is_identity
+        assert product(inverse(w), w).is_identity
 
     def test_no_adjacent_inverse_pairs(self):
         rng = random.Random(1)
         for _ in range(50):
             w = Word(random_letters(rng, 3, 30))
-            expanded = list(w.letters())
-            for a, b in zip(expanded, expanded[1:]):
-                assert not (a[0] == b[0] and a[1] == -b[1])
+            assert all(e for _, e in w.blocks)
+            assert all(a[0] != b[0] for a, b in zip(w.blocks, w.blocks[1:]))
 
     def test_reduction_is_confluent(self):
         rng = random.Random(2)
@@ -66,16 +70,16 @@ class TestWord:
 class TestApply:
     def test_trefoil_on_x(self):
         h = trefoil_monodromy()
-        assert h(Word.generator(0)) == Word(((1, -1),))
+        assert apply(h, Word.generator(0)) == Word(((1, -1),))
 
     def test_empty_word(self):
         h = trefoil_monodromy()
-        assert h(Word.identity()).is_identity
+        assert apply(h, Word.identity()).is_identity
 
     def test_trefoil_on_xy(self):
         # substitute: y^-1 * (x y) = y^-1 x y
         h = trefoil_monodromy()
-        assert h(Word([(0, 1), (1, 1)])) == Word([(1, -1), (0, 1), (1, 1)])
+        assert apply(h, Word([(0, 1), (1, 1)])) == Word([(1, -1), (0, 1), (1, 1)])
 
     def test_homomorphism_law(self):
         rng = random.Random(3)
@@ -83,7 +87,7 @@ class TestApply:
         for _ in range(40):
             u = Word(random_letters(rng, 2, 12))
             v = Word(random_letters(rng, 2, 12))
-            assert h(u * v) == h(u) * h(v)
+            assert apply(h, product(u, v)) == product(apply(h, u), apply(h, v))
 
     def test_matches_product_by_product(self):
         rng = random.Random(9)
@@ -94,49 +98,34 @@ class TestApply:
             w = Word(random_letters(rng, rank, rng.randint(0, 20)))
             expected = Word.identity()
             for g, e in w.blocks:  # re-reduce the accumulated word at every product
-                expected = expected * f.images[g] ** e
-            assert f(w) == expected
+                image = f.images[g] if e > 0 else inverse(f.images[g])
+                expected = product(expected, *[image] * abs(e))
+            assert apply(f, w) == expected
 
     def test_out_of_range_generator(self):
-        h = trefoil_monodromy()
         with pytest.raises(ValueError):
-            h(Word.generator(5))
+            FreeEndo(2, [Word.generator(5), Word.generator(1)])
 
 
 class TestPower:
     def test_trefoil_square_matches_worked_example(self):
-        h2 = trefoil_monodromy().power(2)
+        h2 = power(trefoil_monodromy(), 2)
         # x -> y^-1 x^-1 and y -> y^-1 x y
         assert h2.images[0] == Word([(1, -1), (0, -1)])
         assert h2.images[1] == Word([(1, -1), (0, 1), (1, 1)])
 
     def test_power_one_is_unchanged(self):
         h = trefoil_monodromy()
-        assert h.power(1) == h
+        assert power(h, 1) == h
 
     def test_power_zero_is_identity(self):
         h = trefoil_monodromy()
-        assert h.power(0) == FreeEndo.identity(2)
+        assert power(h, 0) == identity(2)
 
     def test_power_is_associative(self):
         h = trefoil_monodromy()
-        assert h.power(4) == h.power(2).power(2)
-        assert h.power(5) == h.compose(h.power(4))
-
-    def test_no_square_past_the_answer(self):
-        # x -> x^2: f^16 has 2^16 letters, while f^32 would pass the letter cap
-        doubling = FreeEndo(1, [Word(((0, 2),))])
-        assert doubling.power(16).images == (Word(((0, 2**16),)),)
-        w = Word(((0, 10**7 // 2 + 1),))  # its square would pass the cap too
-        assert w ** 1 == w and w ** -1 == w.inverse()
-
-    def test_word_powers_match_repeated_products(self):
-        w = Word([(0, 1), (1, -2), (0, 1)])
-        for n in range(-6, 7):
-            expected = Word.identity()
-            for _ in range(abs(n)):
-                expected = expected * (w if n > 0 else w.inverse())
-            assert w ** n == expected
+        assert power(h, 4) == power(power(h, 2), 2)
+        assert power(h, 5) == FreeEndo(2, [apply(h, w) for w in power(h, 4).images])
 
 
 class TestAbelianization:
@@ -145,43 +134,43 @@ class TestAbelianization:
         assert t == IntMatrix.from_rows([[0, 1], [-1, 1]])
 
     def test_identity(self):
-        assert FreeEndo.identity(3).abelianization_matrix() == IntMatrix.identity(3)
+        assert identity(3).abelianization_matrix() == IntMatrix.identity(3)
 
     def test_square(self):
         h = trefoil_monodromy()
-        t2 = h.power(2).abelianization_matrix()
+        t2 = power(h, 2).abelianization_matrix()
         assert t2 == IntMatrix.from_rows([[-1, 1], [-1, 0]])
         assert t2 == h.abelianization_matrix() ** 2
 
     def test_functorial_on_random_powers(self):
         rng = random.Random(4)
         for _ in range(20):
-            f = random_nielsen_automorphism(rng.choice((2, 3)), rng.randint(1, 6), rng)
+            f = random_automorphism(rng.choice((2, 3)), rng.randint(1, 6), rng)
             t = f.abelianization_matrix()
             for d in range(1, 6):
-                assert f.power(d).abelianization_matrix() == t ** d
+                assert power(f, d).abelianization_matrix() == t ** d
 
 
 class TestCompatibility:
     def test_trefoil_square_with_z3(self):
         alpha = FiniteHom(2, cyclic(3), [1, 1])
         h = trefoil_monodromy()
-        assert check_compatibility(h.power(2), alpha)
+        assert compatible(h, alpha, 2)
 
     def test_identity_with_anything(self):
         alpha = FiniteHom(2, cyclic(5), [2, 3])
-        assert check_compatibility(FreeEndo.identity(2), alpha)
+        assert compatible(identity(2), alpha)
 
     def test_trefoil_first_power_fails(self):
         alpha = FiniteHom(2, cyclic(3), [1, 1])
-        assert not check_compatibility(trefoil_monodromy(), alpha)
+        assert not compatible(trefoil_monodromy(), alpha)
 
     def test_matches_abelianized_criterion_for_cyclic_targets(self):
         # alpha . f^d = alpha  iff  chi * (T^d - I) = 0 mod r
         rng = random.Random(6)
         for _ in range(40):
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 6), rng)
+            f = random_automorphism(rank, rng.randint(1, 6), rng)
             d = rng.randint(1, 3)
             r = rng.randint(2, 4)
             chi = [rng.randrange(r) for _ in range(rank)]
@@ -192,26 +181,12 @@ class TestCompatibility:
             algebraic = all(
                 sum(chi[i] * m.at(i, j) for i in range(rank)) % r == 0
                 for j in range(rank))
-            assert check_compatibility(f.power(d), alpha) == algebraic
-
-    def test_power_argument_matches_the_expanded_power(self):
-        rng = random.Random(10)
-        hits = 0
-        for _ in range(60):
-            rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 6), rng)
-            d = rng.randint(1, 5)
-            r = rng.randint(2, 5)
-            alpha = FiniteHom(rank, cyclic(r), [rng.randrange(r) for _ in range(rank)])
-            expected = check_compatibility(f.power(d), alpha)
-            assert check_compatibility(f, alpha, d) == expected
-            hits += expected
-        assert 0 < hits < 60
+            assert compatible(f, alpha, d) == algebraic
 
 
 class TestNielsenAutomorphisms:
     def test_abelianization_is_unimodular(self):
         rng = random.Random(8)
         for _ in range(50):
-            f = random_nielsen_automorphism(rng.choice((2, 3)), rng.randint(0, 8), rng)
+            f = random_automorphism(rng.choice((2, 3)), rng.randint(0, 8), rng)
             assert f.abelianization_matrix().det() in (1, -1)

@@ -10,6 +10,8 @@ from twistalex.grouphom import (FiniteHom, Perm, Presentation, alternating,
                                 perm_from_cycle_text, perm_to_cycle_text,
                                 symmetric, verify_homomorphism)
 
+from word_oracle import inverse, product
+
 
 def C(text, degree=5) -> Perm:
     return perm_from_cycle_text(text, degree)
@@ -77,7 +79,7 @@ class TestEvaluate:
         hom = phi0()
         for _ in range(20):
             w = Word([(rng.randrange(12), rng.choice((1, -1))) for _ in range(10)])
-            assert hom.evaluate(w * w.inverse()) == Perm.identity(5)
+            assert hom.evaluate(product(w, inverse(w))) == Perm.identity(5)
 
 
 class TestVerifyHomomorphism:

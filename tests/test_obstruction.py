@@ -135,12 +135,12 @@ class TestRankShortcut:
 class TestFibredInputsAreConsistent:
     def test_every_monodromy_report_is_consistent(self):
         # genuine fibred data satisfies all three conclusions
-        from twistalex.freegrp import check_compatibility, random_nielsen_automorphism
+        from word_oracle import compatible, random_automorphism
         rng = random.Random(12)
         checked = 0
         while checked < 25:
             rank = rng.choice((2, 3))
-            f = random_nielsen_automorphism(rank, rng.randint(1, 6), rng)
+            f = random_automorphism(rank, rng.randint(1, 6), rng)
             d = rng.randint(1, 3)
             r = rng.randint(1, 4)
             chi = [rng.randrange(r) for _ in range(rank)]
@@ -148,7 +148,7 @@ class TestFibredInputsAreConsistent:
             if math.gcd(r, *chi) != 1:
                 continue
             alpha = FiniteHom(rank, cyclic(r), chi)
-            if not check_compatibility(f.power(d), alpha):
+            if not compatible(f, alpha, d):
                 continue
             inv = twisted_invariants(f, d, alpha)
             report = evaluate_fibred_obstruction(inv.presentation)
