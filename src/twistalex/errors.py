@@ -35,7 +35,7 @@ class SizeLimitError(TwistError):
 
 
 class WordLengthError(SizeLimitError):
-    """A free-group word grew past the letter cap (runaway monodromy power)."""
+    """A free-group word, as parsed, has more letters than the cap."""
 
 
 class LiftSizeError(SizeLimitError):

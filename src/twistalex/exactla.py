@@ -7,7 +7,8 @@ of a unimodular matrix.  Over Z[s, s^-1]: a modular characteristic
 polynomial det(sI - H), the pencil type sI - H that keeps it, and a modular
 evaluation kernel that gives every maximal minor of a Laurent matrix at
 once.  Every other Laurent determinant, the rank over the field of fractions
-and the maximal-minor gcds come from that evaluation kernel.
+and the maximal-minor gcds come from that evaluation kernel, the gcds after
+the unit entries +-s^k have been pivoted away.
 """
 
 from __future__ import annotations
@@ -527,9 +528,10 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil,
     relations (n > m) has zero ideal and zero gcd.  The minors are capped
     at ``max_minors`` column choices; beyond that a MinorLimitError is
     raised before any work (a desk-scale guard, overridable via
-    TWIST_MAX_MINORS in the CLI).  A square matrix has one minor, its
-    determinant (a Pencil's kept one); a wide one has all its minors from
-    one evaluation kernel.
+    TWIST_MAX_MINORS in the CLI); the cap counts the input's minors, not
+    those left after the unit pivots.  A square matrix has one minor, its
+    determinant (a Pencil's kept one); a wide one loses its unit pivots
+    (_unit_reduced) and the rest come from one evaluation kernel.
     """
     n, m = p.rows, p.cols
     if n > m:
@@ -541,9 +543,50 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil,
     if n == m:
         return laurent.canonicalize(p.det())
     g = laurent.ZERO
-    for minor in _maximal_minors(p):
+    for minor in _maximal_minors(_unit_reduced(p)):
         g = laurent.gcd(g, minor)
     return laurent.canonicalize(g)
+
+
+def _is_unit(e: LaurentPoly) -> bool:
+    return len(e.coeffs) == 1 and e.coeffs[0] in (1, -1)
+
+
+def _unit_reduced(p: LambdaMatrix) -> LambdaMatrix:
+    """P with its unit pivots eliminated, still n' x m' with n' < m'; its
+    maximal minors generate the same ideal as P's (the Fitting ideal of
+    coker P, Eisenbud, Commutative Algebra, section 20), so their gcd is
+    the same.
+
+    While an entry u = +-s^k is left, the one at (i, j) with the least
+    (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
+    column, clears its column: every other row r loses a_rj u^-1 times
+    row i.  Row i and column j are then dropped.  These row operations have
+    determinant 1, so each maximal minor of the result on columns C is
+    +-u^-1 times the minor on C and j; column operations by u, which would
+    clear row i without touching the other rows, bring P's other minors
+    into the same ideal.
+    """
+    rows = p.to_rows()
+    cols = p.cols
+    while rows:
+        row_nz = [sum(map(bool, row)) - 1 for row in rows]
+        col_nz = [sum(map(bool, col)) - 1 for col in zip(*rows)]
+        pivot = min(((row_nz[i] * col_nz[j], i, j)
+                     for i, row in enumerate(rows) for j, e in enumerate(row) if _is_unit(e)),
+                    default=None)
+        if pivot is None:
+            break
+        _, i, j = pivot
+        top = rows.pop(i)
+        u = top.pop(j)
+        minus_inverse = LaurentPoly(-u.low, (-u.coeffs[0],))  # -(+-s^k)^-1 = -+s^-k
+        for row in rows:
+            factor = row.pop(j) * minus_inverse
+            if factor:
+                row[:] = [e + factor * t if t else e for e, t in zip(row, top)]
+        cols -= 1
+    return LambdaMatrix(len(rows), cols, [e for row in rows for e in row])
 
 
 # -- maximal minors and rank by evaluation ------------------------------------

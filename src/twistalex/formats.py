@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, WordLengthError
 from .exactla import IntMatrix, LambdaMatrix
-from .freegrp import FreeEndo, Word
+from .freegrp import MAX_WORD_LETTERS, FreeEndo, Word
 from .grouphom import (CyclicTarget, FiniteHom, Perm, Presentation,
                        alternating, cyclic, perm_from_cycle_text,
                        perm_to_cycle_text, symmetric)
@@ -44,7 +44,15 @@ def parse_word(text: str, names: dict[str, int], line: int | None = None) -> Wor
         else:
             exp = 1
         letters.append((names[name], exp))
-    return Word(letters)
+    try:
+        return Word(letters)
+    except WordLengthError:
+        shown = " ".join(text.split())
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        where = "" if line is None else f" (line {line})"
+        raise WordLengthError(f"the input word {shown!r}{where} has more than "
+                              f"{MAX_WORD_LETTERS} letters") from None
 
 
 def format_word(w: Word, names: list[str]) -> str:

@@ -37,8 +37,7 @@ def _reduce_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
             stack.append([g, e])
             total += abs(e)
         if total > MAX_WORD_LETTERS:
-            raise WordLengthError(
-                f"word grew past {MAX_WORD_LETTERS} letters; monodromy power too large")
+            raise WordLengthError(f"word has more than {MAX_WORD_LETTERS} letters")
     return tuple((g, e) for g, e in stack)
 
 

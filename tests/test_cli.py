@@ -71,6 +71,15 @@ class TestMonodromyCommand:
         assert code == 65
         assert "size limit" in err
 
+    def test_long_input_word_exits_65_naming_it(self, capsys, tmp_path):
+        mono = tmp_path / "long.txt"
+        mono.write_text("generators: x y\nx -> x^10000001\ny -> y\n")
+        code, out, err = run(capsys, "monodromy", "--file", str(mono),
+                             "--d", "1", "--alpha", "Z/1:x=0,y=0")
+        assert (code, out) == (65, "")
+        assert err == ("twist: size limit: the input word 'x^10000001' (line 2) "
+                       "has more than 10000000 letters\n")
+
     def test_doubling_map_is_exact_at_d_40(self, capsys, tmp_path):
         mono = tmp_path / "squares.txt"
         mono.write_text("generators: x\nx -> x x\n")

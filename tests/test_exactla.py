@@ -781,6 +781,102 @@ class TestMaximalMinors:
             assert maximal_minor_gcd(m) == gcd
 
 
+@st.composite
+def unit_rich_matrices(draw, n):
+    """An n x m Laurent matrix, n < m <= n + 3, with entries +-s^k planted
+    among small general ones and zeros, then mixed by row operations
+    row_r += f row_i, so that some units come back only as fill-in of the
+    reduction."""
+    m = draw(st.integers(n + 1, n + 3))
+    unit = st.builds(LaurentPoly, st.integers(-2, 2), st.sampled_from(((1,), (-1,))))
+    general = st.builds(LaurentPoly, st.integers(-1, 1),
+                        st.lists(st.integers(-2, 2), max_size=2))
+    rows = [[draw(unit | general | st.just(ZERO)) for _ in range(m)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, n))):
+        r, i = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if r != i:
+            f = draw(general)
+            rows[r] = [a + f * b for a, b in zip(rows[r], rows[i])]
+    return LambdaMatrix.from_rows(rows)
+
+
+def record_kernel_inputs(monkeypatch) -> list[LambdaMatrix]:
+    """The matrices _maximal_minors receives from here on."""
+    seen = []
+    kernel = exactla._maximal_minors
+
+    def recorded(p):
+        seen.append(p)
+        return kernel(p)
+
+    monkeypatch.setattr(exactla, "_maximal_minors", recorded)
+    return seen
+
+
+def trefoil_block_presentation() -> LambdaMatrix:
+    """[A | AQ] with A = sS - S^T for S the block sum of two trefoil
+    Seifert matrices, the shape of the bench's fibred presentations."""
+    t = [[-1, 1], [0, -1]]
+    s = [[t[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)] for i in range(4)]
+    q = [[1, -2], [0, 1], [2, 0], [-1, 1]]
+    a = [[LaurentPoly(0, (-s[j][i], s[i][j])) for j in range(4)] for i in range(4)]
+    return LambdaMatrix.from_rows(
+        [row + [sum((row[j] * q[j][c] for j in range(4)), ZERO) for c in range(2)]
+         for row in a])
+
+
+class TestUnitPivots:
+    """The unit-pivot reduction ahead of the evaluation kernel, against the
+    enumerated gcd of the unreduced matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_against_enumeration(self, n, data):
+        m = data.draw(unit_rich_matrices(n))
+        reduced = exactla._unit_reduced(m)
+        assert reduced.cols - reduced.rows == m.cols - m.rows
+        assert not any(map(exactla._is_unit, reduced.entries))
+        assert maximal_minor_gcd(m) == enumerated_gcd(m)
+
+    def test_fill_in_unit_reduces_to_no_rows(self, monkeypatch):
+        # the only unit is the 1 at (0, 0); clearing its column leaves a
+        # 1 at (1, 1), which takes the last row
+        m = LambdaMatrix.from_rows([[ONE, P("s + 1"), P("2")],
+                                    [P("2"), P("2s + 3"), P("3s")]])
+        seen = record_kernel_inputs(monkeypatch)
+        assert maximal_minor_gcd(m) == ONE == enumerated_gcd(m)
+        assert [(p.rows, p.cols) for p in seen] == [(0, 1)]
+
+    def test_reduces_to_one_row(self, monkeypatch):
+        m = LambdaMatrix.from_rows([[ONE, P("s"), P("2"), P("s + 1")],
+                                    [P("2s"), P("2"), P("3"), P("5")]])
+        seen = record_kernel_inputs(monkeypatch)
+        assert maximal_minor_gcd(m) == enumerated_gcd(m)
+        assert seen == [LambdaMatrix.from_rows([[P("-2s^2 + 2"), P("-4s + 3"),
+                                                 P("-2s^2 - 2s + 5")]])]
+
+    def test_reduces_to_a_zero_row(self, monkeypatch):
+        m = LambdaMatrix.from_rows([[ONE, P("s"), P("2")],
+                                    [P("s"), P("s^2"), P("2s")]])
+        seen = record_kernel_inputs(monkeypatch)
+        assert maximal_minor_gcd(m) == ZERO == enumerated_gcd(m)
+        assert seen == [LambdaMatrix.from_rows([[ZERO, ZERO]])]
+
+    def test_no_unit_reaches_the_kernel_unreduced(self, monkeypatch):
+        m = LambdaMatrix.from_rows([[P("s - 1"), P("2"), P("s + 1")],
+                                    [P("2s"), P("s^2 + 1"), P("3")]])
+        seen = record_kernel_inputs(monkeypatch)
+        assert maximal_minor_gcd(m) == enumerated_gcd(m)
+        assert seen == [m]
+
+    def test_trefoil_block_presentation(self, monkeypatch):
+        m = trefoil_block_presentation()
+        seen = record_kernel_inputs(monkeypatch)
+        assert maximal_minor_gcd(m) == P("s^4 - 2s^3 + 3s^2 - 2s + 1") == enumerated_gcd(m)
+        assert [(p.rows, p.cols) for p in seen] == [(2, 4)]
+
+
 class TestRankOverFractions:
     def test_pencil_is_full_rank(self):
         rng = random.Random(13)
