@@ -5,9 +5,8 @@ from .laurent import (LaurentPoly, canonicalize, cyclotomic_resultants, gcd,
                       is_monic, parse_laurent, resultant_with_cyclotomic,
                       to_text)
 from .exactla import (IntMatrix, LambdaMatrix, Pencil, SmithForm,
-                      CokernelInvariants, char_poly, cokernel_invariants,
-                      maximal_minor_gcd, rank_over_fractions,
-                      smith_normal_form)
+                      CokernelInvariants, char_poly, maximal_minor_gcd,
+                      rank_over_fractions, smith_normal_form)
 from .freegrp import FreeEndo, Word
 from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
                        Presentation, alternating, cyclic,

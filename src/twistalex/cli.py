@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -15,7 +14,6 @@ import traceback
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
 from .errors import InternalError, SizeLimitError, TwistError
-from .exactla import DEFAULT_MAX_MINORS
 from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
@@ -40,8 +38,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_inputs(kind: str, *, path: str | None = None, fixture: str | None = None):
     """Resolve an input either from a built-in fixture or from a file.
 
-    ``kind`` is one of "monodromy", "seifert", "presentation", "hom",
-    "lambda-matrix"; the returned payload is typed accordingly.
+    ``kind`` is one of "monodromy" and "seifert", "homcheck" (fixtures
+    only), "presentation" and "lambda-matrix" (files only); the returned
+    payload is typed accordingly.
     """
     if (path is None) == (fixture is None):
         raise ValueError("exactly one of path or fixture must be given")
@@ -66,22 +65,7 @@ def parse_inputs(kind: str, *, path: str | None = None, fixture: str | None = No
         return formats.parse_lambda_matrix(text)
     if kind == "presentation":
         return formats.parse_presentation(text)
-    if kind == "hom":
-        return formats.parse_hom(text)
     raise ValueError(f"unknown input kind {kind!r}")
-
-
-def _max_minors() -> int:
-    value = os.environ.get("TWIST_MAX_MINORS")
-    if not value:
-        return DEFAULT_MAX_MINORS
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise TwistError(f"TWIST_MAX_MINORS must be a nonnegative integer, got {value!r}")
-    return cap
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -116,7 +100,6 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_monodromy(args) -> int:
-    max_minors = _max_minors()
     fx = parse_inputs("monodromy", path=args.file, fixture=args.fixture)
     if _INLINE_ALPHA.match(args.alpha):
         alpha = formats.parse_inline_alpha(args.alpha, fx.names)
@@ -124,7 +107,7 @@ def _cmd_monodromy(args) -> int:
         with open(args.alpha, encoding="utf-8") as fh:
             alpha, _ = formats.parse_hom(fh.read(), fx.names)
     inv = twisted_invariants(fx.endo, args.d, alpha)
-    report = evaluate_fibred_obstruction(inv.presentation, max_minors=max_minors)
+    report = evaluate_fibred_obstruction(inv.presentation)
     h_rows = inv.h_matrix.to_rows()
     lines = [
         f"group order = {alpha.target.order}",
@@ -260,7 +243,7 @@ def _cmd_homcheck(args) -> int:
 
 def _cmd_report(args) -> int:
     p = parse_inputs("lambda-matrix", path=args.presentation)
-    report = evaluate_fibred_obstruction(p, max_minors=_max_minors())
+    report = evaluate_fibred_obstruction(p)
     _emit(args, _report_lines(report), _report_payload(report))
     return report.exit_code
 
@@ -275,8 +258,8 @@ def _cmd_selftest(args) -> int:
     delta_text = to_text(inv.delta)
     checks.append(("trefoil-monodromy delta", delta_text == "s^4 - s^3 - s + 1",
                    f"delta = {delta_text}"))
-    checks.append(("trefoil-monodromy det(H)", inv.h_matrix.det() == 1,
-                   f"det = {inv.h_matrix.det()}"))
+    det_h = inv.h_matrix.det()
+    checks.append(("trefoil-monodromy det(H)", det_h == 1, f"det = {det_h}"))
     mono_h1 = branched_cover_homology_from_monodromy(fx.endo, 2)
     checks.append(("trefoil branched H1 (monodromy)", mono_h1.group_text() == "Z/3",
                    f"H1 = {mono_h1.group_text()}"))

@@ -20,7 +20,7 @@ import dataclasses
 from . import laurent
 from .errors import (CompatibilityError, InternalError, LiftSizeError,
                      NonSurjectiveError)
-from .exactla import IntMatrix, CokernelInvariants, Pencil, cokernel_invariants
+from .exactla import IntMatrix, CokernelInvariants, Pencil, smith_normal_form
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, _closure
 from .laurent import LaurentPoly
@@ -244,4 +244,4 @@ def branched_cover_homology_from_monodromy(f: FreeEndo, d: int) -> CokernelInvar
         raise ValueError("d must be a positive integer")
     t = f.abelianization_matrix()
     n = t.rows
-    return cokernel_invariants(t ** d - IntMatrix.identity(n))
+    return smith_normal_form(t ** d - IntMatrix.identity(n)).cokernel()

@@ -1,14 +1,15 @@
 """Exact integer linear algebra and Laurent-matrix tools.
 
 Over Z: Smith normal form (with the left transform's row operations modulo
-r on request), cokernel invariants, characters onto cyclic groups, and one
-fraction-free elimination loop, which gives determinants and the inverse
-of a unimodular matrix.  Over Z[s, s^-1]: a modular characteristic
-polynomial det(sI - H), the pencil type sI - H that keeps it, and a modular
-evaluation kernel that gives every maximal minor of a Laurent matrix at
-once.  Every other Laurent determinant, the rank over the field of fractions
-and the maximal-minor gcds come from that evaluation kernel, the gcds after
-the unit entries +-s^k have been pivoted away.
+r on request), cokernel invariants and characters onto cyclic groups.  A
+modular characteristic polynomial det(sI - H) gives the determinant of an
+integer matrix as well as that of the pencil type sI - H, which keeps it.
+Over Z[s, s^-1], a modular evaluation kernel gives every maximal minor of a
+Laurent matrix at once.  Every other Laurent determinant, the rank over the
+field of fractions and the maximal-minor gcds come from that kernel, the
+gcds after the unit entries +-s^k have been pivoted away.  The kernel's
+Gauss-Jordan step modulo a prime, lifted by the Chinese remainder theorem,
+also inverts a unimodular integer matrix.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import math
 import operator
 
 from . import laurent
-from .errors import InternalError, MinorLimitError
+from .errors import MinorLimitError
 from .laurent import LaurentPoly, _binpow, _crt_lift, _primes
 
-DEFAULT_MAX_MINORS = 100_000
+# A desk-scale cap on the maximal minors that maximal_minor_gcd enumerates.
+MAX_MINORS = 100_000
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -54,10 +56,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -75,23 +73,13 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows,
                          [x for j in range(self.cols) for x in self.entries[j::self.cols]])
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.entries, other.entries)])
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols,
                          [a - b for a, b in zip(self.entries, other.entries)])
 
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [other * a for a in self.entries])
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -101,14 +89,6 @@ class IntMatrix:
                          [sum(map(operator.mul, self.row(i), c))
                           for i in range(self.rows) for c in cols])
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __neg__(self) -> "IntMatrix":
-        return self * -1
-
     def __pow__(self, n: int) -> "IntMatrix":
         if not self.is_square:
             raise ValueError("powers need a square matrix")
@@ -116,84 +96,45 @@ class IntMatrix:
             raise ValueError("negative matrix powers not supported")
         return _binpow(self, n, IntMatrix.__mul__, IntMatrix.identity(self.rows))
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ValueError("trace needs a square matrix")
-        return sum(self.at(i, i) for i in range(self.rows))
-
     def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant, (-1)^n times the constant term of char_poly."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        pivots, sign, last = _eliminate(self.to_rows())
-        return sign * last if len(pivots) == self.rows else 0
+        return (-1) ** self.rows * char_poly(self).coefficient(0)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1, by one fraction-free
-        Gauss-Jordan solve of [A | I].  The solve ends at [p I | p A^-1],
-        where p = +-det A is its last pivot."""
+        """Inverse of a matrix with determinant +-1.
+
+        Modulo each CRT prime p, [A | I] is brought to reduced row-echelon
+        form (_rref_mod), which ends at [I | A^-1] with det A alongside; a
+        pivot missing from the left block means p divides det A, so A is no
+        unit.  By Hadamard's inequality |det A| <= sqrt(prod_i ||row_i||^2),
+        and so is every cofactor once det A != 0, each row norm being at
+        least 1; when det A = +-1 the entries of A^-1 are cofactors up to
+        sign, so all n^2 + 1 values lift under that bound.
+        """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        pivots, sign, p = _eliminate(a, jordan=True)
-        d = sign * p if pivots == list(range(n)) else 0
+        rows = self.to_rows()
+        bound = math.isqrt(math.prod(sum(x * x for x in r) for r in rows)) + 1
+
+        def residues():
+            for p in _primes():
+                a = [[x % p for x in r] + [int(i == j) for j in range(n)]
+                     for i, r in enumerate(rows)]
+                pivots, d = _rref_mod(a, p)
+                if pivots != list(range(n)):
+                    raise ValueError(f"matrix has determinant {self.det()}, not a unit")
+                yield p, [d] + [x for r in a for x in r[n:]]
+
+        d, *inverse = _crt_lift(bound, n * n + 1, residues())
         if d not in (1, -1):
             raise ValueError(f"matrix has determinant {d}, not a unit")
-        return IntMatrix(n, n, [p * x for r in a for x in r[n:]])
+        return IntMatrix(n, n, inverse)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
-
-
-# -- fraction-free elimination --------------------------------------------------
-
-
-def _eliminate(a: list[list[int]], jordan: bool = False) -> tuple[list[int], int, int]:
-    """Fraction-free elimination of the integer matrix A in place (Bareiss,
-    Math. Comp. 22, 1968); returns (pivot columns, sign of the row
-    permutation, last pivot).
-
-    Pivots are taken down each column in row order; a column with no pivot
-    left is skipped.  Each step rewrites the rows below the pivot, and with
-    ``jordan`` the rows above it as well (fraction-free Gauss-Jordan), so
-    that a square block of full rank ends as the last pivot times the
-    identity.  Only the columns right of a pivot column are rewritten: the
-    entries left at and below it are stale.  Every division is exact by
-    Sylvester's identity, so an inexact one is a fault in the program.
-    """
-    n = len(a)
-    m = len(a[0]) if a else 0
-    pivots, sign, prev = [], 1, 1
-    try:
-        for k in range(m):
-            rank = len(pivots)
-            if rank == n:
-                break
-            piv = next((i for i in range(rank, n) if a[i][k]), None)
-            if piv is None:
-                continue
-            if piv != rank:
-                a[rank], a[piv] = a[piv], a[rank]
-                sign = -sign
-            top = a[rank]
-            p = top[k]
-            for row in (a[:rank] if jordan else []) + a[rank + 1:]:
-                x = row[k]
-                for j in range(k + 1, m):
-                    row[j] = _divexact_int(row[j] * p - x * top[j], prev)
-            prev = p
-            pivots.append(k)
-    except ValueError as exc:
-        raise InternalError(f"inexact division in fraction-free elimination: {exc}") from exc
-    return pivots, sign, prev
-
-
-def _divexact_int(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError(f"{b} does not divide {a}")
-    return q
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -366,11 +307,6 @@ class CokernelInvariants:
         return " + ".join(parts)
 
 
-def cokernel_invariants(a: IntMatrix) -> CokernelInvariants:
-    """Invariant factors != 1 and free rank of the cokernel of A."""
-    return smith_normal_form(a).cokernel()
-
-
 def char_poly(h: IntMatrix) -> LaurentPoly:
     """det(sI - H) for an integer matrix, exactly.
 
@@ -519,17 +455,15 @@ def rank_over_fractions(p: LambdaMatrix | Pencil) -> int:
     return _evaluation_rank(p)
 
 
-def maximal_minor_gcd(p: LambdaMatrix | Pencil,
-                      max_minors: int = DEFAULT_MAX_MINORS) -> LaurentPoly:
+def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
     """Gcd of all n x n minors of an n x m matrix with n <= m, in canonical
     form.
 
     Follows the convention that a matrix with more generators than
     relations (n > m) has zero ideal and zero gcd.  The minors are capped
-    at ``max_minors`` column choices; beyond that a MinorLimitError is
-    raised before any work (a desk-scale guard, overridable via
-    TWIST_MAX_MINORS in the CLI); the cap counts the input's minors, not
-    those left after the unit pivots.  A square matrix has one minor, its
+    at MAX_MINORS column choices; beyond that a MinorLimitError is raised
+    before any work.  The cap counts the input's minors, not those left
+    after the unit pivots.  A square matrix has one minor, its
     determinant (a Pencil's kept one); a wide one loses its unit pivots
     (_unit_reduced) and the rest come from one evaluation kernel.
     """
@@ -537,9 +471,9 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil,
     if n > m:
         return laurent.ZERO
     count = math.comb(m, n)
-    if count > max_minors:
+    if count > MAX_MINORS:
         raise MinorLimitError(
-            f"would enumerate {count} minors, above the cap of {max_minors}")
+            f"would enumerate {count} minors, above the cap of {MAX_MINORS}")
     if n == m:
         return laurent.canonicalize(p.det())
     g = laurent.ZERO

@@ -13,8 +13,7 @@ from typing import Literal
 
 from . import laurent
 from .errors import MinorLimitError
-from .exactla import (DEFAULT_MAX_MINORS, LambdaMatrix, Pencil,
-                      maximal_minor_gcd, rank_over_fractions)
+from .exactla import LambdaMatrix, Pencil, maximal_minor_gcd, rank_over_fractions
 from .laurent import LaurentPoly
 
 CONSISTENT = "consistent-with-fibred"
@@ -38,8 +37,7 @@ class ObstructionReport:
         return EXIT_CODES[self.verdict]
 
 
-def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil,
-                                max_minors: int = DEFAULT_MAX_MINORS) -> ObstructionReport:
+def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil) -> ObstructionReport:
     """Evaluate the three conclusions on a presentation matrix (rows are
     generators, columns relations).
 
@@ -54,7 +52,7 @@ def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil,
 
     cap_error: MinorLimitError | None = None
     try:
-        delta = maximal_minor_gcd(p, max_minors=max_minors)
+        delta = maximal_minor_gcd(p)
     except MinorLimitError as e:
         cap_error = e
         delta = laurent.ZERO

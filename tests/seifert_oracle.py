@@ -30,13 +30,15 @@ def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
     size = n * (d - 1)
     rows = [[0] * size for _ in range(size)]
     # (block row - block column, block): diagonal, subdiagonal, superdiagonal
-    blocks = ((0, m + m.transpose()), (1, -m), (-1, -m.transpose()))
+    sr, tr = m.to_rows(), m.transpose().to_rows()
+    blocks = ((0, [[a + b for a, b in zip(u, v)] for u, v in zip(sr, tr)]),
+              (1, [[-a for a in u] for u in sr]), (-1, [[-a for a in v] for v in tr]))
     for jb in range(d - 1 if n else 0):  # the unknot (n = 0) has no blocks
         for offset, block in blocks:
             ib = jb + offset
             if 0 <= ib < d - 1:
                 for i in range(n):
-                    rows[ib * n + i][jb * n : (jb + 1) * n] = block.row(i)
+                    rows[ib * n + i][jb * n : (jb + 1) * n] = block[i]
     return IntMatrix(size, size, [x for r in rows for x in r])
 
 

@@ -130,15 +130,15 @@ class TestMonodromyCommand:
 
         reports = []
 
-        def recorded(p, max_minors):
-            reports.append(evaluate(p, max_minors=max_minors))
+        def recorded(p):
+            reports.append(evaluate(p))
             return reports[-1]
 
         evaluate = cli.evaluate_fibred_obstruction
         monkeypatch.setattr(cli, "evaluate_fibred_obstruction", recorded)
         monkeypatch.setattr(exactla, "_maximal_minors", refuse)
         monkeypatch.setattr(exactla, "_evaluation_rank", refuse)
-        monkeypatch.setenv("TWIST_MAX_MINORS", "0")
+        monkeypatch.setattr(exactla, "MAX_MINORS", 0)
         code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                            "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
         assert code == 0
@@ -281,8 +281,8 @@ class TestSeifertCommand:
     def test_one_gamma_per_job(self, capsys, monkeypatch):
         # Gamma = (S - S^T)^-1 S is taken once and gives both Delta, as
         # char_poly(Gamma) in 1 - t, and the cover; no Laurent determinant.
-        # Its one solve of [A | I] is the job's one fraction-free
-        # elimination: it also shows det A = +-1.
+        # Its one solve of [A | I] also shows det A = +-1: reduced modulo one
+        # CRT prime, as the entries are small, and by no other elimination.
         m = load_fixture("figure8-seifert").matrix
         gamma = (m - m.transpose()).inverse_unimodular() * m
         inverses, polys, eliminations = [], [], []
@@ -295,17 +295,17 @@ class TestSeifertCommand:
             polys.append(h)
             return char_poly(h)
 
-        def counted_eliminate(a, jordan=False):
-            eliminations.append((len(a), jordan))
-            return eliminate(a, jordan)
+        def counted_rref(a, p):
+            eliminations.append((len(a), len(a[0])))
+            return rref(a, p)
 
         def refuse(*args):
             raise AssertionError("evaluation kernel in a Seifert job")
 
         inverse, char_poly = exactla.IntMatrix.inverse_unimodular, exactla.char_poly
-        eliminate = exactla._eliminate
+        rref = exactla._rref_mod
         monkeypatch.setattr(exactla.IntMatrix, "inverse_unimodular", counted_inverse)
-        monkeypatch.setattr(exactla, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(exactla, "_rref_mod", counted_rref)
         for module in (exactla, seifert):  # every binding the pipeline reaches
             if getattr(module, "char_poly", None) is char_poly:
                 monkeypatch.setattr(module, "char_poly", counted_char_poly)
@@ -316,7 +316,7 @@ class TestSeifertCommand:
         assert code == 0 and payload["alexander"] == "t^2 - 3t + 1"
         assert payload["h1_order"] == payload["resultant"] == 16
         assert inverses == [2] and polys == [gamma]
-        assert eliminations == [(2, True)]
+        assert eliminations == [(2, 4)]
 
     def test_one_alexander_polynomial_per_job(self, capsys, monkeypatch):
         calls = []
@@ -492,7 +492,7 @@ class TestReportCommand:
     def test_minor_cap_env_override(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.txt"
         path.write_text("2 4\ns 0 0 0\n0 s 0 0\n")
-        monkeypatch.setenv("TWIST_MAX_MINORS", "1")
+        monkeypatch.setattr(exactla, "MAX_MINORS", 1)
         code, out, _ = run(capsys, "report", "--presentation", str(path))
         assert code == 3
         assert "minors" in out
@@ -501,7 +501,7 @@ class TestReportCommand:
     def test_minor_cap_zero_on_square_input(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.txt"
         path.write_text("2 2\ns-1 1\n0 s+1\n")
-        monkeypatch.setenv("TWIST_MAX_MINORS", "0")
+        monkeypatch.setattr(exactla, "MAX_MINORS", 0)
         code, out, _ = run(capsys, "report", "--presentation", str(path), "--json")
         assert code == 3
         assert json.loads(out) == {
@@ -600,29 +600,6 @@ class TestUsageErrors:
         assert code == 70 and out == ""
         assert err.startswith("twist: internal error: IndexError: list index out of range\n")
         assert "Traceback" in err
-
-    def test_malformed_minor_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        # a ValueError still reads as bad input
-        path = tmp_path / "m.txt"
-        path.write_text("1 2\ns-1 s\n")
-        for value in ("many", "-1"):
-            monkeypatch.setenv("TWIST_MAX_MINORS", value)
-            code, out, err = run(capsys, "report", "--presentation", str(path))
-            assert (code, out, err) == (
-                64, "", f"twist: error: TWIST_MAX_MINORS must be a nonnegative integer, "
-                        f"got '{value}'\n")
-
-    def test_inexact_elimination_exits_70(self, capsys, monkeypatch):
-        # det(S - S^T) of a Seifert matrix takes fraction-free elimination,
-        # whose divisions are exact by construction: a failing one is a
-        # fault in the program, not bad input.
-        def inexact(a, b):
-            raise ValueError(f"{b} does not divide {a}")
-
-        monkeypatch.setattr(exactla, "_divexact_int", inexact)
-        code, out, err = run(capsys, "seifert", "--fixture", "trefoil-seifert", "--d", "3")
-        assert code == 70 and out == ""
-        assert err.startswith("twist: internal error: inexact division")
 
 
 class TestSelftest:

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _divexact_int,
-                               _maximal_minors, char_poly, cokernel_invariants,
-                               maximal_minor_gcd, rank_over_fractions,
+from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _maximal_minors,
+                               char_poly, maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form)
-from twistalex.laurent import LaurentPoly, ONE, ZERO, canonicalize, parse_laurent
+from twistalex.laurent import LaurentPoly, ONE, ZERO, _prime, canonicalize, parse_laurent
 from twistalex.seifert import SeifertMatrix, alexander_polynomial, random_seifert_matrix
 
 from bareiss_oracle import bareiss, divexact, divexact_int
@@ -44,6 +43,10 @@ def brute_det(m: IntMatrix) -> int:
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9) -> IntMatrix:
     return IntMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+
+
+def zeros(rows, cols) -> IntMatrix:
+    return IntMatrix(rows, cols, [0] * (rows * cols))
 
 
 class Smith(NamedTuple):
@@ -175,15 +178,15 @@ class TestSmithNormalForm:
         assert snf.d == (1, 3)
 
     def test_zero_matrix(self):
-        assert smith_normal_form(IntMatrix.zeros(2, 3)).d == (0, 0)
+        assert smith_normal_form(zeros(2, 3)).d == (0, 0)
 
     def test_empty_shapes(self):
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
-            snf = smith_normal_form(IntMatrix.zeros(rows, cols), 5)
+            snf = smith_normal_form(zeros(rows, cols), 5)
             assert snf.d == () and snf.rows == rows
             assert snf.ops == () and snf.negated == ()
             assert u_from_log(snf) == IntMatrix.identity(rows)
-            oracle = smith_with_transforms(IntMatrix.zeros(rows, cols))
+            oracle = smith_with_transforms(zeros(rows, cols))
             assert oracle.u.rows == rows and oracle.v.cols == cols
 
     def test_reconstruction_on_random_matrices(self):
@@ -244,9 +247,9 @@ class TestSmithAgainstOracle:
         for r in MODULI:
             for rows, cols in shapes:
                 oracle_agrees(random_matrix(rng, rows, cols), r)
-                oracle_agrees(IntMatrix.zeros(rows, cols), r)
+                oracle_agrees(zeros(rows, cols), r)
             for rows, cols in ((0, 0), (0, 4), (4, 0)):
-                oracle_agrees(IntMatrix.zeros(rows, cols), r)
+                oracle_agrees(zeros(rows, cols), r)
 
     def test_singular(self):
         rng = random.Random(79)
@@ -295,23 +298,23 @@ class TestSmithAgainstOracle:
 
 class TestCokernel:
     def test_trefoil_block(self):
-        inv = cokernel_invariants(IntMatrix.from_rows([[-2, 1], [1, -2]]))
+        inv = smith_normal_form(IntMatrix.from_rows([[-2, 1], [1, -2]])).cokernel()
         assert inv.torsion == (3,) and inv.free_rank == 0
         assert inv.order == 3
         assert inv.group_text() == "Z/3"
 
     def test_identity_gives_trivial_group(self):
         for n in (1, 2, 5):
-            inv = cokernel_invariants(IntMatrix.identity(n))
+            inv = smith_normal_form(IntMatrix.identity(n)).cokernel()
             assert inv.is_trivial and inv.order == 1
             assert inv.group_text() == "0"
 
     def test_divisor_chaining(self):
-        inv = cokernel_invariants(IntMatrix.from_rows([[3, 0], [0, 5]]))
+        inv = smith_normal_form(IntMatrix.from_rows([[3, 0], [0, 5]])).cokernel()
         assert inv.torsion == (15,)
 
     def test_free_rank(self):
-        inv = cokernel_invariants(IntMatrix.zeros(2, 3))
+        inv = smith_normal_form(zeros(2, 3)).cokernel()
         assert inv.free_rank == 2 and inv.order is None
         assert inv.group_text() == "Z + Z"
 
@@ -324,7 +327,7 @@ class TestCokernel:
             d = brute_det(a)
             if d == 0:
                 continue
-            assert cokernel_invariants(a).order == abs(d)
+            assert smith_normal_form(a).cokernel().order == abs(d)
             done += 1
 
 
@@ -386,9 +389,10 @@ def faddeev_leverrier(h: IntMatrix) -> LaurentPoly:
     mk = IntMatrix.identity(n)
     for k in range(1, n + 1):
         am = h * mk
-        ck = -am.trace() // k
+        ck = -sum(am.at(i, i) for i in range(n)) // k
         cs.append(ck)
-        mk = am + IntMatrix.identity(n) * ck
+        mk = IntMatrix.from_rows([[x + ck * (i == j) for j, x in enumerate(am.row(i))]
+                                  for i in range(n)])
     # cs[k] is the coefficient of s^(n-k)
     return LaurentPoly(0, list(reversed(cs)))
 
@@ -433,9 +437,9 @@ def unimodular(rng, n):
 
 def adjugate_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant +-1 from its n^2 cofactor
-    determinants: the route that IntMatrix.inverse_unimodular replaced,
-    kept as its oracle."""
-    d = m.det()
+    determinants, all by the fraction-free oracle: the route that
+    IntMatrix.inverse_unimodular replaced, kept as its oracle."""
+    d = bareiss(m.to_rows(), 1, divexact_int)[1]
     if d not in (1, -1):
         raise ValueError(f"matrix has determinant {d}, not a unit")
     n = m.rows
@@ -446,6 +450,29 @@ def adjugate_inverse(m: IntMatrix) -> IntMatrix:
             minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
             adj[i][j] = (-1) ** (i + j) * bareiss(minor, 1, divexact_int)[1]
     return IntMatrix(n, n, [d * x for r in adj for x in r])
+
+
+class TestIntDeterminant:
+    """IntMatrix.det, from char_poly, against the fraction-free oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**32), st.sampled_from(("any", "singular")))
+    def test_against_bareiss(self, n, seed, kind):
+        rng = random.Random(seed)
+        big = 2**72  # several CRT primes
+        m = random_matrix(rng, n, n, -big, big)
+        if kind == "singular" and n:
+            rows = m.to_rows()
+            # a combination of two rows, which are one row when n = 2
+            rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[n - 2])] if n > 1 else [0]
+            m = IntMatrix.from_rows(rows)
+        det = bareiss(m.to_rows(), 1, divexact_int)[1]
+        assert m.det() == det
+        assert kind != "singular" or n == 0 or det == 0
+
+    def test_shape_check(self):
+        with pytest.raises(ValueError, match="determinant needs a square matrix"):
+            zeros(2, 3).det()
 
 
 class TestInverseUnimodular:
@@ -489,7 +516,27 @@ class TestInverseUnimodular:
             with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
                 IntMatrix.from_rows(rows).inverse_unimodular()
         with pytest.raises(ValueError):
-            IntMatrix.zeros(2, 3).inverse_unimodular()
+            zeros(2, 3).inverse_unimodular()
+
+    def test_a_prime_divisor_of_det_exits_at_that_prime(self, monkeypatch):
+        # det A = 0 modulo a CRT prime: that reduction misses a pivot and
+        # raises with the exact det, before any later prime or the lift
+        primes = []
+
+        def counted(a, p):
+            primes.append(p)
+            return rref(a, p)
+
+        rref = exactla._rref_mod
+        monkeypatch.setattr(exactla, "_rref_mod", counted)
+        p0, p1 = _prime(0), _prime(1)
+        for rows, det, reduced in (([[p0]], p0, [p0]),
+                                   ([[p0, 0], [0, p1]], p0 * p1, [p0]),
+                                   ([[p1]], p1, [p0, p1])):
+            primes.clear()
+            with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
+                IntMatrix.from_rows(rows).inverse_unimodular()
+            assert primes == reduced
 
 
 def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
@@ -668,12 +715,14 @@ class TestLambdaMatrix:
             m = LambdaMatrix(n, n, ents)
             assert maximal_minor_gcd(m) == canonicalize(m.det())
 
-    def test_minor_cap(self):
+    def test_minor_cap(self, monkeypatch):
         m = LambdaMatrix.from_rows([[P("s"), P("1"), P("s"), P("1")],
                                     [P("1"), P("s"), P("1"), P("s")]])
+        monkeypatch.setattr(exactla, "MAX_MINORS", 5)
         with pytest.raises(MinorLimitError):
-            maximal_minor_gcd(m, max_minors=5)
-        maximal_minor_gcd(m, max_minors=6)  # exactly C(4, 2)
+            maximal_minor_gcd(m)
+        monkeypatch.setattr(exactla, "MAX_MINORS", 6)  # exactly C(4, 2)
+        maximal_minor_gcd(m)
 
 
 def enumerated_minors(m: LambdaMatrix) -> list[LaurentPoly]:
@@ -1020,7 +1069,7 @@ class TestPencil:
         assert kernel_calls == []
 
     def test_shape_checks(self):
-        for h in (IntMatrix.from_rows([[1, 2]]), IntMatrix.zeros(2, 1)):
+        for h in (IntMatrix.from_rows([[1, 2]]), zeros(2, 1)):
             with pytest.raises(ValueError, match="square H"):
                 Pencil(h)
 
@@ -1151,18 +1200,12 @@ class TestBareissKernel:
             assert rank_over_fractions(m) == minor_rank(
                 m.to_rows(), m.cols, lambda rows: leibniz_det(LambdaMatrix.from_rows(rows)))
 
-    def test_inexact_division_over_z_is_internal_error(self, monkeypatch):
+    def test_inexact_oracle_division_over_z_is_internal_error(self):
         with pytest.raises(ValueError):
-            _divexact_int(7, 2)
+            divexact_int(7, 2)
         # a wrong unit makes the first division inexact: 1 / 2
         with pytest.raises(InternalError, match="inexact division"):
             bareiss([[1, 1], [1, 2]], 2, divexact_int)
-        # the one integer loop, made to divide by twice the true divisor
-        monkeypatch.setattr(exactla, "_divexact_int", lambda a, b: _divexact_int(a, 2 * b))
-        for call in (IntMatrix.from_rows([[1, 1], [1, 2]]).det,
-                     IntMatrix.from_rows([[1, 1], [1, 2]]).inverse_unimodular):
-            with pytest.raises(InternalError, match="inexact division"):
-                call()
 
     def test_inexact_division_over_laurent_is_internal_error(self):
         # a wrong unit makes the first division inexact: (s^2 - 1) / 2

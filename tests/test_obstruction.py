@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistalex import obstruction
+from twistalex import exactla, obstruction
 from twistalex.cover import twisted_invariants
 from twistalex.exactla import LambdaMatrix, rank_over_fractions
 from twistalex.fixtures import load_fixture
@@ -54,9 +54,10 @@ class TestEvaluate:
         assert report.verdict == INCONCLUSIVE
         assert report.exit_code == 3
 
-    def test_minor_cap_gives_inconclusive(self):
+    def test_minor_cap_gives_inconclusive(self, monkeypatch):
         rows = [[P("s"), ZERO, ZERO, ZERO], [ZERO, P("s"), ZERO, ZERO]]
-        report = evaluate_fibred_obstruction(LambdaMatrix.from_rows(rows), max_minors=1)
+        monkeypatch.setattr(exactla, "MAX_MINORS", 1)
+        report = evaluate_fibred_obstruction(LambdaMatrix.from_rows(rows))
         assert report.verdict == INCONCLUSIVE
         assert report.monic == "undefined"
         assert any("minors" in r for r in report.reasons)
@@ -112,11 +113,12 @@ class TestRankShortcut:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_zero_gcd_cases_still_eliminate(self, name, eliminations):
+    def test_zero_gcd_cases_still_eliminate(self, name, eliminations, monkeypatch):
         rows, cap, verdict, exit_code, reasons = self.CASES[name]
         p = LambdaMatrix.from_rows([[P(e) for e in r] for r in rows])
-        kwargs = {} if cap is None else {"max_minors": cap}
-        report = evaluate_fibred_obstruction(p, **kwargs)
+        if cap is not None:
+            monkeypatch.setattr(exactla, "MAX_MINORS", cap)
+        report = evaluate_fibred_obstruction(p)
         assert report.verdict == verdict
         assert report.reasons == reasons
         assert report.exit_code == exit_code

@@ -80,11 +80,11 @@ class TestBranchedPresentation:
         m = branched_presentation(FIG8, 3)
         assert (m.rows, m.cols) == (4, 4)
         s = FIG8.matrix
-        sym = s + s.transpose()
         for i in range(2):
             for j in range(2):
-                assert m.at(i, j) == sym.at(i, j)  # diagonal block
-                assert m.at(i + 2, j + 2) == sym.at(i, j)
+                sym = s.at(i, j) + s.at(j, i)
+                assert m.at(i, j) == sym  # diagonal block
+                assert m.at(i + 2, j + 2) == sym
                 assert m.at(i, j + 2) == -s.at(j, i)  # superdiagonal: -S^T
                 assert m.at(i + 2, j) == -s.at(i, j)  # subdiagonal: -S
 
