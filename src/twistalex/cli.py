@@ -105,7 +105,7 @@ def _cmd_monodromy(args) -> int:
         alpha = formats.parse_inline_alpha(args.alpha, fx.names)
     else:
         with open(args.alpha, encoding="utf-8") as fh:
-            alpha, _ = formats.parse_hom(fh.read(), fx.names)
+            alpha = formats.parse_hom(fh.read(), fx.names)
     inv = twisted_invariants(fx.endo, args.d, alpha)
     report = evaluate_fibred_obstruction(inv.presentation)
     h_rows = inv.h_matrix.to_rows()
@@ -220,7 +220,7 @@ def _cmd_homcheck(args) -> int:
             raise TwistError("give --fixture, or both --presentation and --hom")
         pres, names = parse_inputs("presentation", path=args.presentation)
         with open(args.hom, encoding="utf-8") as fh:
-            hom, _ = formats.parse_hom(fh.read(), names)
+            hom = formats.parse_hom(fh.read(), names)
     failures = verify_homomorphism(hom, pres)
     order = generated_subgroup_order(hom)
     surjective = order == hom.target.order

@@ -6,8 +6,8 @@ alpha onto a finite group G has vertex set G and an edge g -> g*alpha(x_i)
 for every vertex g and loop x_i.  Loops at the base lift to edge paths;
 the first homology of the cover is free on the edges outside a spanning
 tree.  One breadth-first closure of the images gives the vertices, the
-tree and the check that alpha is onto.  A compatible monodromy power
-fixes every vertex of the cover; one chain of homomorphisms
+edges, the tree and the check that alpha is onto.  A compatible monodromy
+power fixes every vertex of the cover; one chain of homomorphisms
 alpha . f^k, k = 0..d, gives the compatibility check (its last member is
 alpha again) and the action on basis cycles, a product of chain maps, one
 per factor of the power, each spelling f's own short images as edge paths.
@@ -65,14 +65,12 @@ def build_cover(rank: int, alpha: FiniteHom) -> CoverGraph:
     of the images, which also shows alpha is onto (it reaches all of G)."""
     if alpha.rank != rank:
         raise ValueError(f"alpha has rank {alpha.rank}, expected {rank}")
-    vertices, index, parent = _closure(alpha)
+    vertices, parent, edge_target = _closure(alpha)
     target = alpha.target
     order = len(vertices)
     if order != target.order:
         raise NonSurjectiveError(
             f"images generate a proper subgroup of {target.name()}; cover would be disconnected")
-    edge_target = tuple(
-        tuple(index[target.mul(x, a)] for a in alpha.images) for x in vertices)
     tree_edges = set(parent[1:])
     basis = tuple(sorted(
         (v, g) for v in range(order) for g in range(rank) if (v, g) not in tree_edges))
@@ -83,7 +81,7 @@ def build_cover(rank: int, alpha: FiniteHom) -> CoverGraph:
         rank=rank,
         alpha=alpha,
         vertices=tuple(vertices),
-        edge_target=edge_target,
+        edge_target=tuple(edge_target),
         tree=tuple(parent),
         basis=basis,
     )

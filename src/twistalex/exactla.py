@@ -28,6 +28,14 @@ from .laurent import LaurentPoly, _binpow, _crt_lift, _primes
 MAX_MINORS = 100_000
 
 
+class NonUnitError(ValueError):
+    """A matrix to invert whose determinant ``det`` is not +-1."""
+
+    def __init__(self, det: int):
+        super().__init__(f"matrix has determinant {det}, not a unit")
+        self.det = det
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class IntMatrix:
     """Immutable integer matrix, row-major, arbitrary-precision entries."""
@@ -111,7 +119,8 @@ class IntMatrix:
         unit.  By Hadamard's inequality |det A| <= sqrt(prod_i ||row_i||^2),
         and so is every cofactor once det A != 0, each row norm being at
         least 1; when det A = +-1 the entries of A^-1 are cofactors up to
-        sign, so all n^2 + 1 values lift under that bound.
+        sign, so all n^2 + 1 values lift under that bound.  A matrix that is
+        no unit raises NonUnitError with its exact determinant.
         """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
@@ -125,16 +134,13 @@ class IntMatrix:
                      for i, r in enumerate(rows)]
                 pivots, d = _rref_mod(a, p)
                 if pivots != list(range(n)):
-                    raise ValueError(f"matrix has determinant {self.det()}, not a unit")
+                    raise NonUnitError(self.det())
                 yield p, [d] + [x for r in a for x in r[n:]]
 
         d, *inverse = _crt_lift(bound, n * n + 1, residues())
         if d not in (1, -1):
-            raise ValueError(f"matrix has determinant {d}, not a unit")
+            raise NonUnitError(d)
         return IntMatrix(n, n, inverse)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
 
 
 # -- Smith normal form ---------------------------------------------------------

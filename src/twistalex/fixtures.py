@@ -98,7 +98,7 @@ def load_fixture(name: str):
         return formats.parse_seifert(FIGURE8_SEIFERT)
     if name == "paper-s5":
         pres, names = formats.parse_presentation(S5_PRESENTATION)
-        hom, _ = formats.parse_hom(S5_HOM, names)
+        hom = formats.parse_hom(S5_HOM, names)
         return HomCheckFixture(presentation=pres, hom=hom, names=names)
     raise UnknownFixtureError(
         f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

@@ -1,7 +1,8 @@
-"""Text formats for monodromies, matrices, homomorphisms and presentations.
+"""Parsers for the input formats: monodromies, Seifert and Laurent
+matrices, homomorphisms and presentations.
 
-Every parser round-trips with the matching formatter, and errors carry the
-offending line.
+The program reads these formats and never writes them back; errors carry
+the offending line.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import re
 from .errors import ParseError, WordLengthError
 from .exactla import IntMatrix, LambdaMatrix
 from .freegrp import MAX_WORD_LETTERS, FreeEndo, Word
-from .grouphom import (CyclicTarget, FiniteHom, Perm, Presentation,
-                       alternating, cyclic, perm_from_cycle_text,
-                       perm_to_cycle_text, symmetric)
-from .laurent import parse_laurent, to_text
+from .grouphom import (CyclicTarget, FiniteHom, Presentation, alternating,
+                       cyclic, perm_from_cycle_text, symmetric)
+from .laurent import parse_laurent
 from .seifert import SeifertMatrix
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
@@ -53,12 +53,6 @@ def parse_word(text: str, names: dict[str, int], line: int | None = None) -> Wor
         where = "" if line is None else f" (line {line})"
         raise WordLengthError(f"the input word {shown!r}{where} has more than "
                               f"{MAX_WORD_LETTERS} letters") from None
-
-
-def format_word(w: Word, names: list[str]) -> str:
-    if w.is_identity:
-        return ""
-    return " ".join(names[g] + (f"^{e}" if e != 1 else "") for g, e in w.blocks)
 
 
 def _parse_generators(lines, what: str) -> tuple[list[str], dict[str, int]]:
@@ -102,13 +96,6 @@ def parse_monodromy(text: str) -> tuple[FreeEndo, list[str]]:
     return endo, names
 
 
-def format_monodromy(endo: FreeEndo, names: list[str]) -> str:
-    out = ["generators: " + " ".join(names)]
-    for i, w in enumerate(endo.images):
-        out.append(f"{names[i]} -> {format_word(w, names)}".rstrip())
-    return "\n".join(out) + "\n"
-
-
 # -- matrix files ------------------------------------------------------------
 
 
@@ -138,13 +125,6 @@ def parse_seifert(text: str) -> SeifertMatrix:
     return SeifertMatrix(IntMatrix.from_rows(rows))
 
 
-def format_seifert(s: SeifertMatrix) -> str:
-    lines = [str(s.size)]
-    for i in range(s.size):
-        lines.append(" ".join(str(x) for x in s.matrix.row(i)))
-    return "\n".join(lines) + "\n"
-
-
 def _parse_shape_header(lines, what: str) -> tuple[int, int]:
     if not lines:
         raise ParseError(f"empty {what} file", 1)
@@ -171,14 +151,6 @@ def parse_lambda_matrix(text: str) -> LambdaMatrix:
     return LambdaMatrix(rows, cols, entries)
 
 
-def format_lambda_matrix(m: LambdaMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(
-            to_text(m.at(i, j), compact=True) for j in range(m.cols)))
-    return "\n".join(lines) + "\n"
-
-
 # -- homomorphism and presentation files --------------------------------------
 
 
@@ -197,13 +169,9 @@ def _parse_target(text: str, lineno: int | None = None):
     return alternating(degree) if m.group(1) == "A" else symmetric(degree)
 
 
-def parse_hom(text: str, names: list[str] | None = None) -> tuple[FiniteHom, list[str]]:
+def parse_hom(text: str, names: list[str]) -> FiniteHom:
     """Format: a ``target: A5`` line, then ``a = (1 3 2)`` (or ``a = 4`` for
-    cyclic targets) per generator.
-
-    When ``names`` is given, generators must match it; otherwise they are
-    taken in file order.
-    """
+    cyclic targets) for each generator in ``names``, in any order."""
     lines = list(_nonblank_lines(text))
     if not lines or not lines[0][1].startswith("target:"):
         raise ParseError("homomorphism file must start with a 'target:' line",
@@ -211,7 +179,6 @@ def parse_hom(text: str, names: list[str] | None = None) -> tuple[FiniteHom, lis
     lineno, header = lines[0]
     target = _parse_target(header[len("target:"):], lineno)
     seen: dict[str, object] = {}
-    order: list[str] = []
     for lineno, line in lines[1:]:
         name, eq, rhs = line.partition("=")
         if not eq:
@@ -231,27 +198,13 @@ def parse_hom(text: str, names: list[str] | None = None) -> tuple[FiniteHom, lis
         else:
             value = perm_from_cycle_text(rhs, target.degree, lineno)
         seen[name] = value
-        order.append(name)
-    if names is None:
-        names = order
     missing = [n for n in names if n not in seen]
     if missing:
         raise ParseError(f"missing value for generator(s): {', '.join(missing)}")
-    extra = [n for n in order if n not in names]
+    extra = [n for n in seen if n not in names]
     if extra:
         raise ParseError(f"unexpected generator(s): {', '.join(extra)}")
-    hom = FiniteHom(len(names), target, [seen[n] for n in names])
-    return hom, list(names)
-
-
-def format_hom(hom: FiniteHom, names: list[str]) -> str:
-    lines = [f"target: {hom.target.name()}"]
-    for name, img in zip(names, hom.images):
-        if isinstance(img, Perm):
-            lines.append(f"{name} = {perm_to_cycle_text(img)}")
-        else:
-            lines.append(f"{name} = {img}")
-    return "\n".join(lines) + "\n"
+    return FiniteHom(len(names), target, [seen[n] for n in names])
 
 
 def parse_inline_alpha(text: str, names: list[str]) -> FiniteHom:
@@ -290,10 +243,3 @@ def parse_presentation(text: str) -> tuple[Presentation, list[str]]:
             raise ParseError("expected 'relator: <word>' line", lineno)
         relators.append(parse_word(rhs, index, lineno))
     return Presentation(len(names), relators), names
-
-
-def format_presentation(pres: Presentation, names: list[str]) -> str:
-    lines = ["generators: " + " ".join(names)]
-    for rel in pres.relators:
-        lines.append(f"relator: {format_word(rel, names)}")
-    return "\n".join(lines) + "\n"

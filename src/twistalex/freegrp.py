@@ -59,10 +59,6 @@ class Word:
     def generator(cls, i: int, exp: int = 1) -> "Word":
         return cls(((i, exp),))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.blocks
-
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.blocks)
 
@@ -74,11 +70,6 @@ class Word:
         for g, e in self.blocks:
             sums[g] += e
         return sums
-
-    def __str__(self) -> str:
-        if not self.blocks:
-            return "1"
-        return " ".join(f"x{g}" + (f"^{e}" if e != 1 else "") for g, e in self.blocks)
 
 
 @dataclasses.dataclass(frozen=True, init=False)

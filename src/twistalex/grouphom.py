@@ -37,9 +37,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
     def __mul__(self, other: "Perm") -> "Perm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
@@ -291,28 +288,34 @@ def verify_homomorphism(hom: FiniteHom, pres: Presentation) -> tuple[int, ...]:
     return tuple(failures)
 
 
-def generated_subgroup_order(hom: FiniteHom, bound: int = CLOSURE_BOUND) -> int:
+def generated_subgroup_order(hom: FiniteHom) -> int:
     """Order of the subgroup generated by the images."""
-    return len(_closure(hom, bound)[0])
+    return len(_closure(hom)[0])
 
 
-def _closure(hom: FiniteHom, bound: int = CLOSURE_BOUND) -> tuple[list, dict, list]:
+def _closure(hom: FiniteHom) -> tuple[list, list, list]:
     """Breadth-first closure of the identity under right multiplication by
     the generator images: the elements in discovery order (identity first),
-    their indices, and for each element the (element index, generator
-    index) edge that first reached it (None at the identity)."""
+    for each element the (element index, generator index) edge that first
+    reached it (None at the identity), and for each element the indices of
+    its products with the images, in generator order."""
     target = hom.target
-    if target.order > bound:
+    if target.order > CLOSURE_BOUND:
         raise SizeLimitError(
-            f"target order {target.order} exceeds the closure bound {bound}")
+            f"target order {target.order} exceeds the closure bound {CLOSURE_BOUND}")
     elements = [target.identity]
     index = {target.identity: 0}
     parent: list[tuple[int, int] | None] = [None]
+    products: list[tuple[int, ...]] = []
     for k, x in enumerate(elements):  # also visits the elements appended below
+        row = []
         for g, a in enumerate(hom.images):
             y = target.mul(x, a)
-            if y not in index:
-                index[y] = len(elements)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
                 elements.append(y)
                 parent.append((k, g))
-    return elements, index, parent
+            row.append(j)
+        products.append(tuple(row))
+    return elements, parent, products

@@ -549,7 +549,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
 # -- text form ----------------------------------------------------------------
 
 
-def to_text(p: LaurentPoly, var: str = "s", compact: bool = False) -> str:
+def to_text(p: LaurentPoly, var: str = "s") -> str:
     """Render with descending exponents, e.g. ``s^4 - s^3 - s + 1``."""
     if p.is_zero:
         return "0"
@@ -562,23 +562,21 @@ def to_text(p: LaurentPoly, var: str = "s", compact: bool = False) -> str:
             body = ("" if mag == 1 else str(mag)) + var + ("" if exp == 1 else f"^{exp}")
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
-        elif compact:
-            parts.append(("-" if c < 0 else "+") + body)
         else:
             parts.append((" - " if c < 0 else " + ") + body)
     return "".join(parts)
 
 
-def parse_laurent(text: str, var: str | None = None, line: int | None = None) -> LaurentPoly:
+def parse_laurent(text: str, line: int | None = None) -> LaurentPoly:
     """Parse polynomial text such as ``s^4 - s^3 + 2s^-1`` or ``t^2-3t+1``.
 
     Whitespace-insensitive (all whitespace is discarded before parsing, so
-    reported columns refer to the compacted text); a single variable letter
-    is allowed, enforced to equal ``var`` when given.
+    reported columns refer to the compacted text); any one variable letter
+    is allowed, the same throughout.
     """
     text = "".join(text.split())
     terms: dict[int, int] = {}
-    seen_var = var
+    seen_var = None
     i = 0
     n = len(text)
     any_term = False

@@ -13,7 +13,8 @@ import random
 
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError
-from .exactla import CokernelInvariants, IntMatrix, char_poly, smith_normal_form
+from .exactla import (CokernelInvariants, IntMatrix, NonUnitError, char_poly,
+                      smith_normal_form)
 from .laurent import LaurentPoly
 
 # Rows of the largest block presentation of a branched cover, n(d - 1) for
@@ -43,9 +44,9 @@ class SeifertMatrix:
         a = matrix - matrix.transpose()
         try:
             inverse = a.inverse_unimodular()
-        except ValueError:  # det A is not a unit: take it for the message
+        except NonUnitError as e:
             raise InvariantError(
-                f"det(S - S^T) = {a.det()}; a knot Seifert matrix needs a unit") from None
+                f"det(S - S^T) = {e.det}; a knot Seifert matrix needs a unit") from None
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "gamma", inverse * matrix)
 
@@ -194,15 +195,16 @@ def _push_character(m: IntMatrix, gamma: IntMatrix, x, d: int,
     return flat
 
 
-def random_seifert_matrix(size: int, rng: random.Random, spread: int = 2) -> SeifertMatrix:
-    """A random valid Seifert matrix: symmetric noise plus the standard
-    symplectic upper part, twisted by a random unimodular congruence."""
+def random_seifert_matrix(size: int, rng: random.Random) -> SeifertMatrix:
+    """A random valid Seifert matrix: symmetric noise in -2..2 plus the
+    standard symplectic upper part, twisted by a random unimodular
+    congruence."""
     if size % 2:
         raise ValueError("size must be even")
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            v = rng.randint(-spread, spread)
+            v = rng.randint(-2, 2)
             rows[i][j] += v
             if j != i:
                 rows[j][i] += v

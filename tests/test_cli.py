@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from twistalex import cli, cover, exactla, formats, laurent, obstruction, seifert
+from twistalex import (cli, cover, exactla, fixtures, formats, laurent, obstruction,
+                       seifert)
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -42,8 +43,7 @@ class TestMonodromyCommand:
 
     def test_monodromy_from_files(self, capsys, tmp_path):
         mono = tmp_path / "mono.txt"
-        mono.write_text(formats.format_monodromy(
-            load_fixture("trefoil-monodromy").endo, ["x", "y"]))
+        mono.write_text(fixtures.TREFOIL_MONODROMY)
         hom = tmp_path / "alpha.txt"
         hom.write_text("target: Z/3\nx = 1\ny = 1\n")
         code, out, _ = run(capsys, "monodromy", "--file", str(mono),
@@ -188,7 +188,7 @@ class TestSeifertCommand:
 
     def test_seifert_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
-        path.write_text(formats.format_seifert(load_fixture("trefoil-seifert")))
+        path.write_text(fixtures.TREFOIL_SEIFERT)
         code, out, _ = run(capsys, "seifert", "--file", str(path), "--d", "2")
         assert code == 0 and "H1 = Z/3; resultant = 3; agree = true" in out
 
@@ -266,7 +266,8 @@ class TestSeifertCommand:
         for module in (exactla, seifert):
             monkeypatch.setattr(module, "smith_normal_form", counted)
         path = tmp_path / "s8.txt"
-        path.write_text(formats.format_seifert(seifert.random_seifert_matrix(8, random.Random(7))))
+        rows = seifert.random_seifert_matrix(8, random.Random(7)).matrix.to_rows()
+        path.write_text("8\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
         for r, surjects in (("43", True), ("2", False)):
             code, raw, _ = run(capsys, "seifert", "--file", str(path), "--d", "11",
                                "--r", r, "--json")
@@ -409,11 +410,10 @@ class TestHomcheckCommand:
         assert out.strip() == "relations: 14/14 ok; image order = 60 (surjective)"
 
     def test_files(self, capsys, tmp_path):
-        fx = load_fixture("paper-s5")
         pres = tmp_path / "p.txt"
-        pres.write_text(formats.format_presentation(fx.presentation, fx.names))
+        pres.write_text(fixtures.S5_PRESENTATION)
         hom = tmp_path / "h.txt"
-        hom.write_text(formats.format_hom(fx.hom, fx.names))
+        hom.write_text(fixtures.S5_HOM)
         code, out, _ = run(capsys, "homcheck", "--presentation", str(pres),
                            "--hom", str(hom))
         assert code == 0 and "relations: 14/14 ok" in out
@@ -489,7 +489,7 @@ class TestReportCommand:
                         "(2) undetermined: non-square presentation, principality not decided",
                         "(3) undefined: delta = 0"]}
 
-    def test_minor_cap_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_minor_cap_of_one_gives_inconclusive(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.txt"
         path.write_text("2 4\ns 0 0 0\n0 s 0 0\n")
         monkeypatch.setattr(exactla, "MAX_MINORS", 1)
@@ -628,33 +628,6 @@ class TestParseInputs:
         path.write_text("2 2\ns-1 0\n0 s^2-1\n")
         m = parse_inputs("lambda-matrix", path=str(path))
         assert m.rows == 2 and m.cols == 2
-
-    def test_round_trips(self, tmp_path):
-        fx = load_fixture("paper-s5")
-        text = formats.format_presentation(fx.presentation, fx.names)
-        pres2, names2 = formats.parse_presentation(text)
-        assert pres2 == fx.presentation and names2 == fx.names
-
-        hom_text = formats.format_hom(fx.hom, fx.names)
-        hom2, _ = formats.parse_hom(hom_text, fx.names)
-        assert hom2 == fx.hom
-
-        mono = load_fixture("trefoil-monodromy")
-        mono_text = formats.format_monodromy(mono.endo, mono.names)
-        endo2, names2 = formats.parse_monodromy(mono_text)
-        assert endo2 == mono.endo and names2 == mono.names
-
-        s = load_fixture("figure8-seifert")
-        assert formats.parse_seifert(formats.format_seifert(s)).matrix == s.matrix
-
-    def test_lambda_matrix_round_trip(self):
-        from twistalex.exactla import LambdaMatrix
-        from twistalex.laurent import parse_laurent
-        m = LambdaMatrix.from_rows([
-            [parse_laurent("s^2-s+1"), parse_laurent("-2s^-1")],
-            [parse_laurent("0"), parse_laurent("7")],
-        ])
-        assert formats.parse_lambda_matrix(formats.format_lambda_matrix(m)) == m
 
     def test_word_parse_error_has_location(self):
         with pytest.raises(ParseError) as exc:

@@ -5,7 +5,7 @@ import pytest
 from twistalex.errors import InvariantError, SizeLimitError
 from twistalex.fixtures import load_fixture
 from twistalex.freegrp import Word
-from twistalex.grouphom import (FiniteHom, Perm, Presentation, alternating,
+from twistalex.grouphom import (FiniteHom, Perm, Presentation, _closure, alternating,
                                 cyclic, generated_subgroup_order,
                                 perm_from_cycle_text, perm_to_cycle_text,
                                 symmetric, verify_homomorphism)
@@ -125,6 +125,23 @@ class TestSubgroupOrder:
         hom = FiniteHom(1, symmetric(10), [Perm.identity(10)])
         with pytest.raises(SizeLimitError):
             generated_subgroup_order(hom)
+
+
+class TestClosure:
+    @pytest.mark.parametrize("target, images", [
+        (cyclic(7), [3, 5]),
+        (symmetric(3), [C("(12)", 3), C("(123)", 3)]),
+        (alternating(4), [C("(234)", 4), C("(124)", 4)]),
+        (alternating(5), [C("(12345)"), C("(123)")]),
+    ], ids=["Z7", "S3", "A4", "A5"])
+    def test_product_rows(self, target, images):
+        # each element's row holds the indices of its products with the
+        # images, and the edge that first reached an element is in its row
+        elements, parent, products = _closure(FiniteHom(len(images), target, images))
+        index = {x: k for k, x in enumerate(elements)}
+        assert len(elements) == target.order
+        assert products == [tuple(index[target.mul(x, a)] for a in images) for x in elements]
+        assert all(products[k][g] == j for j, (k, g) in enumerate(parent[1:], start=1))
 
 
 class TestTargets:

@@ -421,7 +421,7 @@ class TestText:
 
     def test_variable_letter(self):
         assert to_text(P("t^2-3t+1"), var="t") == "t^2 - 3t + 1"
-        assert to_text(P("s^2 - 1"), var="t", compact=True) == "t^2-1"
+        assert to_text(P("s^2 - 1"), var="t") == "t^2 - 1"
 
     def test_parse_compact_and_spaced(self):
         assert P("t^2-3t+1") == LaurentPoly(0, (1, -3, 1))
@@ -441,7 +441,6 @@ class TestText:
     @given(polys)
     def test_round_trip(self, p):
         assert parse_laurent(to_text(p)) == p
-        assert parse_laurent(to_text(p, compact=True)) == p
 
 
 class TestBinpow:

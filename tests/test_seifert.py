@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.cover import branched_cover_homology_from_monodromy
-from twistalex import seifert
+from twistalex import exactla, seifert
 from twistalex.errors import InternalError, InvariantError, SizeLimitError
 from twistalex.exactla import IntMatrix, smith_normal_form
 from twistalex.fixtures import load_fixture
-from twistalex.laurent import LaurentPoly, parse_laurent, resultant_with_cyclotomic
+from twistalex.laurent import LaurentPoly, _prime, parse_laurent, resultant_with_cyclotomic
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
                                random_seifert_matrix)
 
@@ -40,6 +40,25 @@ class TestSeifertMatrix:
             SeifertMatrix([[1, 2], [0, 1]])
         with pytest.raises(InvariantError):
             SeifertMatrix([[1, 2, 3], [0, 1, 2]])
+
+    def test_non_unit_det_is_not_taken_twice(self, monkeypatch):
+        # the inverse's error carries det(S - S^T): a det lifted with the
+        # inverse costs no char_poly, one that a CRT prime divides costs one
+        calls = []
+
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
+
+        char_poly = exactla.char_poly
+        monkeypatch.setattr(exactla, "char_poly", counted)
+        p = _prime(0)
+        for rows, det, count in (([[1, 2], [0, 1]], 4, 0), ([[0, p], [0, 0]], p * p, 1)):
+            calls.clear()
+            with pytest.raises(InvariantError) as info:
+                SeifertMatrix(rows)
+            assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
+            assert len(calls) == count
 
 
 class TestAlexanderPolynomial:
