@@ -11,11 +11,17 @@ power fixes every vertex of the cover; one chain of homomorphisms
 alpha . f^k, k = 0..d, gives the compatibility check (its last member is
 alpha again) and the action on basis cycles, a product of chain maps, one
 per factor of the power, each spelling f's own short images as edge paths.
+The chain maps commute with left translation by G, so only the images of
+the n edges at the identity are pushed through them, as n integer vectors
+of length |G| each (the rows of f^d's Fox matrix over Z[G]); the columns
+of H are assembled from those images by translation along the tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 
 from . import laurent
 from .errors import (CompatibilityError, InternalError, LiftSizeError,
@@ -26,10 +32,15 @@ from .grouphom import FiniteHom, _closure
 from .laurent import LaurentPoly
 
 # Cap on the work of the chain-map product in lift_power_matrix, counted in
-# inner-loop operations: each of the d steps is charged an upper bound on
-# its operations times the 64-bit limbs of its largest entry.  The
-# figure-eight map at d = 100 over Z/25 spends about 8e5; a run that
-# reaches the cap takes a few seconds.
+# inner-loop operations: each of the d steps is charged the cost of pushing
+# every basis cycle through it, times the 64-bit limbs of the largest entry
+# of the pushed chains.  A step pushes only n chains, about n * |G| * (the
+# letters of f's images) operations, so the charge is a conservative bound,
+# kept so that the set of refused inputs does not change with the route.
+# The translation table and the tree images, n * |G|^2 entries, are charged
+# up front too; that refuses more only when n = 1, where a step's charge is
+# linear in |G|.
+# The figure-eight map at d = 100 over Z/25 spends about 8e5.
 MAX_LIFT_WORK = 2 * 10**7
 
 
@@ -90,46 +101,53 @@ def build_cover(rank: int, alpha: FiniteHom) -> CoverGraph:
 def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     """Matrix of the lift of f^d fixing the identity vertex, on the H1 basis.
 
-    Edge (v, i) of a Cayley graph on G has index v*n + i.  With a_k =
-    alpha . f^k, the chain map Phi_k sends edge (v, i) of the Cayley graph
-    of (G, a_k) to the edge chain of the path that f(x_i) spells from v in
-    the Cayley graph of (G, a_(k-1)); that path ends at v*a_k(x_i).  So
-    Phi_1 ... Phi_d carries the edge chain of a word w's path to that of
-    f^d(w), and f^d is never expanded.  Column k is the image of the k-th
-    basis cycle tree(v) + e_(v,g) - tree(head), read on the non-tree edges.
-    Free reduction cancels only an edge crossed against its reverse, so
-    this is the matrix that spelling each word f^d(w) edge by edge gives.
+    With a_k = alpha . f^k, the chain map Phi_k sends edge (v, i) of the
+    Cayley graph of (G, a_k) to the edge chain of the path that f(x_i)
+    spells from v in the Cayley graph of (G, a_(k-1)); that path ends at
+    v*a_k(x_i).  So Phi_1 ... Phi_d carries the edge chain of a word w's
+    path to that of f^d(w), and f^d is never expanded.  Every Phi_k
+    commutes with left translation by G, so the product is fixed by the
+    images c_i of the n edges (1, i), which grow one factor at a time on
+    the right: c_i <- sum of +-u.c_j over the letters x_j^(+-1) that
+    f(x_i) crosses at vertex u.  Column k of H is the image of the k-th
+    basis cycle tree(v) + e_(v,g) - tree(head), read on the non-tree
+    edges.  Free reduction cancels only an edge crossed against its
+    reverse, so this is the matrix that spelling each word f^d(w) edge by
+    edge gives.
     """
     if f.rank != cover.rank:
         raise ValueError("rank mismatch between endomorphism and cover")
     if d < 1:
         raise ValueError("d must be a positive integer")
     n, order = cover.rank, cover.group_order
-    columns = [_basis_cycle(cover, v, g) for v, g in cover.basis]
-    # Operations of one step, per limb of the largest entry: pushing every
-    # column through Phi_k, building Phi_k, and the step's fixed cost.
-    step = (len(columns) + 1) * order * (n + sum(len(w) for w in f.images)) + 100
-    if d * step > MAX_LIFT_WORK:
-        raise LiftSizeError(f"lifting f^{d} needs at least {d * step} units of "
+    step = (cover.h1_rank + 1) * order * (n + sum(len(w) for w in f.images)) + 100
+    # The translation table and the tree images hold n * |G|^2 entries,
+    # less than one step's charge unless n = 1.
+    charge = max(d * step, n * order * order)
+    if charge > MAX_LIFT_WORK:
+        raise LiftSizeError(f"lifting f^{d} needs at least {charge} units of "
                             f"chain work, above the cap of {MAX_LIFT_WORK}")
     homs = _alpha_chain(f, cover.alpha, d)
     if homs[-1].images != cover.alpha.images:
         raise CompatibilityError(
             "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift")
+    left = _left_translations(cover)
+    inverse = [row.index(0) for row in left]
     index = {x: k for k, x in enumerate(cover.vertices)}
+    # chains[i][l][w]: coefficient of edge (w, l) in the image of edge (1, i)
+    chains = [[[int(l == i and w == 0) for w in range(order)] for l in range(n)]
+              for i in range(n)]
     work = 0
-    for hom in reversed(homs[:-1]):  # Phi_d first: a_(d-1), ..., a_0
-        phi = _chain_map(f, hom, cover.vertices, index)
-        columns = [_push(phi, c) for c in columns]
-        top = max((max(max(c), -min(c)) for c in columns), default=0)
+    for hom in homs[:-1]:  # Phi_1 first: a_0, ..., a_(d-1)
+        images = [index[a] for a in hom.images]
+        chains = [_spell(word, chains, images, left, inverse) for word in f.images]
+        top = max((max(max(c), -min(c)) for chain in chains for c in chain), default=0)
         work += step * (1 + top.bit_length() // 64)
         if work > MAX_LIFT_WORK:
             raise LiftSizeError(f"lifting f^{d}: chain work passed the cap of "
                                 f"{MAX_LIFT_WORK} with entries of "
                                 f"{top.bit_length()} bits")
-    for c in columns:
-        _check_closed(cover, c)
-    return IntMatrix.from_rows([[c[v * n + g] for c in columns] for v, g in cover.basis])
+    return _assemble(cover, left, inverse, chains)
 
 
 def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
@@ -142,67 +160,66 @@ def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
     return chain
 
 
-def _basis_cycle(cover: CoverGraph, v: int, g: int) -> list[int]:
-    """Edge chain tree(v) + e_(v,g) - tree(head) of a basis cycle."""
-    n = cover.rank
-    chain = [0] * (n * cover.group_order)
-    chain[v * n + g] += 1
-    for u, sign in ((v, 1), (cover.edge_target[v][g], -1)):
-        while cover.tree[u] is not None:
-            u, h = cover.tree[u]
-            chain[u * n + h] += sign
-    return chain
+def _left_translations(cover: CoverGraph) -> list[list[int]]:
+    """left[u][w] is the index of u*w: the tree path to w = p*alpha(x_h),
+    read from u instead of the identity, so left[u][w] =
+    edge_target[left[u][p]][h], with no group multiplication."""
+    steps = cover.tree[1:]
+    left = []
+    for u in range(cover.group_order):
+        row = [u]
+        for p, h in steps:
+            row.append(cover.edge_target[row[p]][h])
+        left.append(row)
+    return left
 
 
-def _chain_map(f: FreeEndo, hom: FiniteHom, vertices, index) -> list[tuple]:
-    """Phi for f over hom: for each edge v*n + i, the edges that the path
-    f(x_i) spells from v in the Cayley graph of (G, hom) crosses forwards,
-    and those it crosses backwards."""
-    target = hom.target
-    n = f.rank
-    forward = [[index[target.mul(x, a)] for a in hom.images] for x in vertices]
-    inverses = [target.inv(a) for a in hom.images]
-    backward = [[index[target.mul(x, a)] for a in inverses] for x in vertices]
-    phi = []
-    for v in range(len(vertices)):
-        for word in f.images:
-            plus, minus = [], []
-            u = v
-            for j, e in word.blocks:
-                for _ in range(abs(e)):
-                    if e > 0:
-                        plus.append(u * n + j)
-                        u = forward[u][j]
-                    else:
-                        u = backward[u][j]
-                        minus.append(u * n + j)
-            phi.append((plus, minus))
-    return phi
-
-
-def _push(phi: list[tuple], chain: list[int]) -> list[int]:
-    out = [0] * len(chain)
-    for edge, x in enumerate(chain):
-        if x:
-            plus, minus = phi[edge]
-            for image in plus:
-                out[image] += x
-            for image in minus:
-                out[image] -= x
+def _spell(word, chains, images, left, inverse) -> list[list[int]]:
+    """The image of the edge chain that word spells from the identity in
+    the Cayley graph whose generators have the vertex indices ``images``:
+    each letter x_j^(+-1) crossed at vertex u adds +-u.chains[j], gathered
+    through the left translation by u^-1.  t tracks the index of u^-1."""
+    out = [[0] * len(left) for _ in chains]
+    t = 0
+    for j, e in word.blocks:
+        op = operator.add if e > 0 else operator.sub
+        for _ in range(abs(e)):
+            if e < 0:
+                t = left[images[j]][t]
+            out = [list(map(op, o, map(c.__getitem__, left[t]))) for o, c in zip(out, chains[j])]
+            if e > 0:
+                t = left[inverse[images[j]]][t]
     return out
 
 
-def _check_closed(cover: CoverGraph, chain: list[int]) -> None:
-    """An image of a cycle must be a cycle: zero boundary at every vertex."""
-    n = cover.rank
-    boundary = [0] * cover.group_order
-    for edge, x in enumerate(chain):
-        if x:
-            v, g = divmod(edge, n)
-            boundary[v] -= x
-            boundary[cover.edge_target[v][g]] += x
-    if any(boundary):
-        raise InternalError("image of a basis cycle did not close up at the basepoint")
+def _assemble(cover: CoverGraph, left, inverse, chains) -> IntMatrix:
+    """H from the images c_g of the edges at the identity: tree images
+    T(1) = 0, T(w) = T(p) + p.c_h for tree[w] = (p, h); column (v, g) is
+    T(v) + v.c_g - T(head), which must be a cycle (zero boundary at every
+    vertex), read on the non-tree edges."""
+    order = cover.group_order
+
+    def moved(v, chain):  # v.chain: coefficient at (w, l) is chain[l][v^-1 w]
+        perm = left[inverse[v]]
+        return [list(map(c.__getitem__, perm)) for c in chain]
+
+    tree_images = [[[0] * order for _ in chains]]
+    for p, h in cover.tree[1:]:
+        tree_images.append([list(map(operator.add, x, y))
+                            for x, y in zip(tree_images[p], moved(p, chains[h]))])
+    # sources[l][y] = y*alpha(x_l)^-1, the tail of the edge (., l) into y
+    sources = [[row[inverse[a]] for row in left] for a in cover.edge_target[0]]
+    positions = [l * order + w for w, l in cover.basis]
+    columns = []
+    for v, g in cover.basis:
+        column = [list(map(operator.sub, map(operator.add, x, y), z)) for x, y, z in
+                  zip(tree_images[v], moved(v, chains[g]), tree_images[cover.edge_target[v][g]])]
+        inflow = zip(*(map(c.__getitem__, s) for c, s in zip(column, sources)))
+        if any(map(operator.ne, map(sum, inflow), map(sum, zip(*column)))):
+            raise InternalError("image of a basis cycle did not close up at the basepoint")
+        flat = list(itertools.chain.from_iterable(column))
+        columns.append(map(flat.__getitem__, positions))
+    return IntMatrix.from_rows(zip(*columns))
 
 
 @dataclasses.dataclass(frozen=True)

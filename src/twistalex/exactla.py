@@ -21,18 +21,27 @@ import math
 import operator
 
 from . import laurent
-from .errors import MinorLimitError
-from .laurent import LaurentPoly, _binpow, _crt_lift, _primes
+from .errors import MinorLimitError, SizeLimitError
+from .laurent import LaurentPoly, _binpow, _crt_lift, _crt_primes, _primes
 
 # A desk-scale cap on the maximal minors that maximal_minor_gcd enumerates.
 MAX_MINORS = 100_000
+# Cap on the Hessenberg work of char_poly: each prime's row operations
+# times their length, times the number of primes its CRT bound needs.  No
+# job of the bench pools (seeds 1-3) or selftest spends more than about
+# 1.1e4, nor any test more than 7.6e4 (the figure-eight map at d = 100 over
+# Z/25).  The figure-eight map over A6 at d = 5 (361-square H, 51 primes)
+# reaches the cap within 0.2 s; at the cap a dense run takes about 8 s.
+MAX_CHAR_POLY_WORK = 2 * 10**7
 
 
 class NonUnitError(ValueError):
-    """A matrix to invert whose determinant ``det`` is not +-1."""
+    """A matrix to invert whose determinant ``det`` is not +-1 (None: too
+    large to take under MAX_CHAR_POLY_WORK)."""
 
-    def __init__(self, det: int):
-        super().__init__(f"matrix has determinant {det}, not a unit")
+    def __init__(self, det: int | None):
+        shown = "past the char_poly work cap" if det is None else det
+        super().__init__(f"matrix has determinant {shown}, not a unit")
         self.det = det
 
 
@@ -120,7 +129,8 @@ class IntMatrix:
         and so is every cofactor once det A != 0, each row norm being at
         least 1; when det A = +-1 the entries of A^-1 are cofactors up to
         sign, so all n^2 + 1 values lift under that bound.  A matrix that is
-        no unit raises NonUnitError with its exact determinant.
+        no unit raises NonUnitError with its exact determinant, or with None
+        when char_poly refuses to take it.
         """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
@@ -134,7 +144,11 @@ class IntMatrix:
                      for i, r in enumerate(rows)]
                 pivots, d = _rref_mod(a, p)
                 if pivots != list(range(n)):
-                    raise NonUnitError(self.det())
+                    try:
+                        det = self.det()
+                    except SizeLimitError:
+                        det = None
+                    raise NonUnitError(det)
                 yield p, [d] + [x for r in a for x in r[n:]]
 
         d, *inverse = _crt_lift(bound, n * n + 1, residues())
@@ -318,24 +332,31 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
 
     Modulo each CRT prime of laurent._crt_lift, H is brought to Hessenberg
     form (_char_poly_mod).  No coefficient exceeds prod_i (1 + sum_j |h_ij|)
-    in absolute value (bound the Leibniz expansion term by term).
+    in absolute value (bound the Leibniz expansion term by term).  Each
+    prime may spend MAX_CHAR_POLY_WORK over the number of primes that
+    bound needs; past that a SizeLimitError is raised.
     """
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     rows = h.to_rows()
     bound = math.prod(sum(map(abs, r)) + 1 for r in rows)
-    residues = ((p, _char_poly_mod([[v % p for v in r] for r in rows], p)) for p in _primes())
+    budget = MAX_CHAR_POLY_WORK // _crt_primes(bound)
+    residues = ((p, _char_poly_mod([[v % p for v in r] for r in rows], p, budget))
+                for p in _primes())
     return LaurentPoly(0, _crt_lift(bound, h.rows + 1, residues))
 
 
-def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
+def _char_poly_mod(h: list[list[int]], p: int, budget: int) -> list[int]:
     """det(sI - H) mod p, ascending coefficients; H is overwritten.
 
     H is brought to upper Hessenberg form by similarity transforms, whose
     characteristic polynomials p_0, ..., p_n obey a short recurrence
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    Every row operation of either stage is counted at its length, and a
+    SizeLimitError is raised as soon as the count passes ``budget``.
     """
     n = len(h)
+    work = 0
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -353,6 +374,9 @@ def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
                 h[i] = [(v - u * w) % p for v, w in zip(h[i], rm)]
                 for r in h:
                     r[m] = (r[m] + u * r[i]) % p
+                work += 2 * n
+                if work > budget:
+                    raise _over_cap(n)
     polys = [[1]]
     for m in range(n):
         prev = polys[m]
@@ -368,8 +392,17 @@ def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
             u = t * h[i][m] % p
             for k, c in enumerate(polys[i]):
                 nxt[k] -= u * c
+            work += i + 1
+            if work > budget:
+                raise _over_cap(n)
         polys.append([c % p for c in nxt])
     return polys[n]
+
+
+def _over_cap(n: int) -> SizeLimitError:
+    return SizeLimitError(
+        f"the characteristic polynomial of a {n}-square matrix passes the work cap "
+        f"of {MAX_CHAR_POLY_WORK} (Hessenberg row operations over all CRT primes)")
 
 
 # -- matrices over Z[s, s^-1] --------------------------------------------------

@@ -51,14 +51,6 @@ class Word:
     def __init__(self, blocks: Iterable[tuple[int, int]] = ()):
         object.__setattr__(self, "blocks", _reduce_blocks(blocks))
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return cls(())
-
-    @classmethod
-    def generator(cls, i: int, exp: int = 1) -> "Word":
-        return cls(((i, exp),))
-
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.blocks)
 

@@ -331,6 +331,20 @@ def _primes() -> Iterator[int]:
         k += 1
 
 
+def _crt_primes(bound: int) -> int:
+    """How many primes _crt_lift draws for ``bound`` from _prime(0), ...,
+    found by running it on empty residues."""
+    drawn = []
+
+    def residues():
+        for k in itertools.count():
+            drawn.append(k)
+            yield _prime(k), []
+
+    _crt_lift(bound, 0, residues())
+    return len(drawn)
+
+
 def _crt_lift(bound: int, length: int, residues, inverses: list[int] | None = None) -> list[int]:
     """The ``length`` integers v_i, all |v_i| <= bound, from ``residues``:
     an endless iterator of (prime, [v_i mod prime]) pairs over distinct

@@ -45,8 +45,9 @@ class SeifertMatrix:
         try:
             inverse = a.inverse_unimodular()
         except NonUnitError as e:
+            det = "is past the char_poly work cap" if e.det is None else f"= {e.det}"
             raise InvariantError(
-                f"det(S - S^T) = {e.det}; a knot Seifert matrix needs a unit") from None
+                f"det(S - S^T) {det}; a knot Seifert matrix needs a unit") from None
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "gamma", inverse * matrix)
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from twistalex import (cli, cover, exactla, fixtures, formats, laurent, obstruction,
-                       seifert)
+from twistalex import (cli, cover, exactla, fixtures, formats, grouphom, laurent,
+                       obstruction, seifert)
 from twistalex.cli import main, parse_inputs
 from twistalex.errors import ParseError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
@@ -90,6 +90,17 @@ class TestMonodromyCommand:
         assert payload["h"] == [[2**40]]
         assert payload["delta"] == f"s - {2**40}"
 
+    def test_rank_one_cover_charges_its_translation_table(self, capsys, tmp_path):
+        # One loop over Z/100000: a step is cheap, but the |G|^2 table of
+        # left translations would hold 10^10 entries; it is refused first.
+        mono = tmp_path / "identity.txt"
+        mono.write_text("generators: x\nx -> x\n")
+        code, out, err = run(capsys, "monodromy", "--file", str(mono),
+                             "--d", "1", "--alpha", "Z/100000:x=1")
+        assert (code, out) == (65, "")
+        assert err == ("twist: size limit: lifting f^1 needs at least 10000000000 units "
+                       f"of chain work, above the cap of {cover.MAX_LIFT_WORK}\n")
+
     def test_figure_eight_d16(self, capsys, tmp_path):
         mono = tmp_path / "figure8.txt"
         mono.write_text("generators: x y\nx -> x y\ny -> y x y\n")
@@ -99,6 +110,46 @@ class TestMonodromyCommand:
         assert code == 0 and payload["h1_rank"] == 22
         assert payload["monic"] == "yes" and payload["verdict"] == "consistent-with-fibred"
 
+
+    def test_char_poly_cap_exits_65_on_an_a6_cover(self, capsys, monkeypatch, tmp_path):
+        # The figure-eight map over A6 lifts to a dense 361-square H in a
+        # fraction of a second; its char_poly would need about 50 primes of
+        # 10 s or more each.  The work cap stops it within the first prime.
+        text = "generators: x y\nx -> x y\ny -> y x y\n"
+        figure8, _ = formats.parse_monodromy(text)
+        a6 = grouphom.alternating(6)
+        elements = a6.elements()
+        rng = random.Random(1)
+        period = None
+        while period is None:
+            alpha = grouphom.FiniteHom(2, a6, rng.sample(elements, 2))
+            if grouphom.generated_subgroup_order(alpha) != a6.order:
+                continue
+            beta = alpha
+            for d in range(1, 13):
+                beta = beta.precompose(figure8)
+                if beta.images == alpha.images:
+                    period = d
+                    break
+        mono = tmp_path / "figure8.txt"
+        mono.write_text(text)
+        hom = tmp_path / "a6.txt"
+        hom.write_text("target: A6\nx = {}\ny = {}\n".format(*alpha.images))
+        primes = []
+
+        def counted(h, p, budget):
+            primes.append(p)
+            return char_poly_mod(h, p, budget)
+
+        char_poly_mod = exactla._char_poly_mod
+        monkeypatch.setattr(exactla, "_char_poly_mod", counted)
+        code, out, err = run(capsys, "monodromy", "--file", str(mono), "--d", str(period),
+                             "--alpha", str(hom))
+        assert (code, out) == (65, "")
+        assert err == ("twist: size limit: the characteristic polynomial of a 361-square "
+                       f"matrix passes the work cap of {exactla.MAX_CHAR_POLY_WORK} "
+                       "(Hessenberg row operations over all CRT primes)\n")
+        assert len(primes) == 1
 
     def test_one_pencil_determinant_per_job(self, capsys, monkeypatch, tmp_path):
         calls = []

@@ -16,9 +16,11 @@ from twistalex.exactla import IntMatrix, char_poly, rank_over_fractions
 from twistalex.fixtures import load_fixture
 from twistalex.freegrp import FreeEndo, Word
 from twistalex.grouphom import (FiniteHom, alternating, cyclic,
-                                generated_subgroup_order)
+                                generated_subgroup_order,
+                                perm_from_cycle_text, symmetric)
 from twistalex.laurent import canonicalize, is_monic, parse_laurent
 
+from chain_oracle import chain_map_lift
 from word_oracle import (apply, compatible, identity, inverse, power, product,
                          random_automorphism)
 
@@ -41,7 +43,7 @@ def tree_word(cover, v: int) -> Word:
 def schreier_word(cover, vertex: int, gen: int) -> Word:
     """The loop class of an edge: tree word in, the edge, tree word out."""
     head = cover.edge_target[vertex][gen]
-    return product(tree_word(cover, vertex), Word.generator(gen),
+    return product(tree_word(cover, vertex), Word(((gen, 1),)),
                    inverse(tree_word(cover, head)))
 
 
@@ -203,7 +205,7 @@ class TestBranchedHomologyFromMonodromy:
 
     def test_finite_order_abelianization(self):
         # T^d = I forces a free abelian group of full rank
-        f = FreeEndo(2, [Word.generator(1), Word.generator(0, -1)])  # T order 4
+        f = FreeEndo(2, [Word(((1, 1),)), Word(((0, -1),))])  # T order 4
         inv = branched_cover_homology_from_monodromy(f, 4)
         assert inv.torsion == () and inv.free_rank == 2
 
@@ -318,7 +320,7 @@ class TestChainLiftAgainstWordLift:
                     checked += 1
 
     def test_a_generator_with_trivial_image(self):
-        f = FreeEndo(2, [Word.identity(), Word(((1, 1), (0, -2), (1, 1)))])
+        f = FreeEndo(2, [Word(), Word(((1, 1), (0, -2), (1, 1)))])
         for alpha in compatible_cyclic_alphas(f, 3, 6):
             self.assert_same_lift(f, 3, alpha)
 
@@ -330,6 +332,50 @@ class TestChainLiftAgainstWordLift:
         assert max(abs(x) for x in h.entries).bit_length() > 130
         assert h.det() in (1, -1)
         assert is_monic(inv.delta) and inv.delta.degree == 12
+
+
+class TestLiftAgainstChainMapOracle:
+    """lift_power_matrix against the per-column chain-map lift, at covers
+    and powers where expanding f^d for the word oracle is out of reach."""
+
+    @staticmethod
+    def assert_same_lift(f, d, alpha):
+        cover = build_cover(f.rank, alpha)
+        h = lift_power_matrix(cover, f, d)
+        assert h == chain_map_lift(cover, f, d)
+        return h
+
+    def test_figure_eight_z21_d16(self):
+        h = self.assert_same_lift(figure_eight(), 16, FiniteHom(2, cyclic(21), [0, 1]))
+        assert h.rows == 22
+
+    def test_trefoil_a4_d4(self):
+        alpha = FiniteHom(2, alternating(4), [perm_from_cycle_text("(2 3 4)", 4),
+                                              perm_from_cycle_text("(1 2 4)", 4)])
+        assert self.assert_same_lift(trefoil(), 4, alpha).rows == 13
+
+    def test_figure_eight_a5_at_its_period(self):
+        alpha = FiniteHom(2, alternating(5), [perm_from_cycle_text("(1 2 3 4 5)", 5),
+                                              perm_from_cycle_text("(2 4 5)", 5)])
+        assert not any(compatible(figure_eight(), alpha, d) for d in range(1, 12))
+        h = self.assert_same_lift(figure_eight(), 25, alpha)
+        assert max(abs(x) for x in h.entries) > 2**20  # f^25's images: over 10^10 letters
+
+
+class TestLeftTranslations:
+    @pytest.mark.parametrize("target, images", [
+        (cyclic(7), [3, 5]),
+        (symmetric(3), [perm_from_cycle_text("(12)", 3), perm_from_cycle_text("(123)", 3)]),
+        (alternating(4), [perm_from_cycle_text("(234)", 4), perm_from_cycle_text("(124)", 4)]),
+        (alternating(5), [perm_from_cycle_text("(12345)", 5), perm_from_cycle_text("(123)", 5)]),
+    ], ids=["Z7", "S3", "A4", "A5"])
+    def test_table(self, target, images):
+        # read off the tree and product rows alone, the table is the group law
+        cover = build_cover(len(images), FiniteHom(len(images), target, images))
+        left = cover_module._left_translations(cover)
+        vertices = cover.vertices
+        index = {x: k for k, x in enumerate(vertices)}
+        assert left == [[index[target.mul(u, w)] for w in vertices] for u in vertices]
 
 
 A5 = alternating(5)

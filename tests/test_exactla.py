@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
-from twistalex.errors import InternalError, MinorLimitError
+from twistalex.errors import InternalError, MinorLimitError, SizeLimitError
 from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _maximal_minors,
                                char_poly, maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form)
@@ -538,6 +538,14 @@ class TestInverseUnimodular:
                 IntMatrix.from_rows(rows).inverse_unimodular()
             assert primes == reduced
 
+    def test_a_det_past_the_char_poly_cap_is_left_unnamed(self, monkeypatch):
+        # the matrix is still no unit (a ValueError, not a SizeLimitError)
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
+        with pytest.raises(exactla.NonUnitError) as info:
+            IntMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]]).inverse_unimodular()
+        assert info.value.det is None
+        assert str(info.value) == "matrix has determinant past the char_poly work cap, not a unit"
+
 
 def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
     """A Laurent determinant by the fraction-free oracle alone."""
@@ -580,6 +588,42 @@ class TestCharPoly:
             n = rng.randint(1, 5)
             h = random_matrix(rng, n, n, -4, 4)
             assert char_poly(h).coefficient(0) == (-1) ** n * brute_det(h)
+
+    @pytest.mark.parametrize("bits", [0, 1, 60, 61, 62, 121, 122, 123, 1000])
+    def test_prime_count_is_what_the_crt_lift_draws(self, bits):
+        drawn = []
+
+        def residues():
+            for p in laurent._primes():
+                drawn.append(p)
+                yield p, [0]
+
+        for bound in (2**bits - 1, 2**bits, 2**bits + 1):
+            drawn.clear()
+            laurent._crt_lift(bound, 1, residues())
+            assert laurent._crt_primes(bound) == len(drawn)
+
+    def test_work_cap_fires_within_the_first_prime(self, monkeypatch):
+        budgets = []
+
+        def counted(h, p, budget):
+            budgets.append(budget)
+            return char_poly_mod(h, p, budget)
+
+        char_poly_mod = exactla._char_poly_mod
+        monkeypatch.setattr(exactla, "_char_poly_mod", counted)
+        h = random_matrix(random.Random(5), 12, 12, -2**70, 2**70)
+        expected = bareiss_det(si_minus(h))
+        assert char_poly(h) == expected
+        primes = len(budgets)
+        assert primes == laurent._crt_primes(math.prod(sum(map(abs, r)) + 1 for r in h.to_rows()))
+        assert primes > 1
+        assert budgets == [exactla.MAX_CHAR_POLY_WORK // primes] * primes
+        budgets.clear()
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 100 * primes)
+        with pytest.raises(SizeLimitError, match="12-square matrix passes the work cap of"):
+            char_poly(h)
+        assert budgets == [100]
 
 
 class TestPencilDeterminant:

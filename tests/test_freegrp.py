@@ -70,11 +70,11 @@ class TestWord:
 class TestApply:
     def test_trefoil_on_x(self):
         h = trefoil_monodromy()
-        assert apply(h, Word.generator(0)) == Word(((1, -1),))
+        assert apply(h, Word(((0, 1),))) == Word(((1, -1),))
 
     def test_empty_word(self):
         h = trefoil_monodromy()
-        assert apply(h, Word.identity()) == Word()
+        assert apply(h, Word()) == Word()
 
     def test_trefoil_on_xy(self):
         # substitute: y^-1 * (x y) = y^-1 x y
@@ -96,7 +96,7 @@ class TestApply:
             f = FreeEndo(rank, [Word(random_letters(rng, rank, rng.randint(0, 6)))
                                 for _ in range(rank)])
             w = Word(random_letters(rng, rank, rng.randint(0, 20)))
-            expected = Word.identity()
+            expected = Word()
             for g, e in w.blocks:  # re-reduce the accumulated word at every product
                 image = f.images[g] if e > 0 else inverse(f.images[g])
                 expected = product(expected, *[image] * abs(e))
@@ -104,7 +104,7 @@ class TestApply:
 
     def test_out_of_range_generator(self):
         with pytest.raises(ValueError):
-            FreeEndo(2, [Word.generator(5), Word.generator(1)])
+            FreeEndo(2, [Word(((5, 1),)), Word(((1, 1),))])
 
 
 class TestPower:

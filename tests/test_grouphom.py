@@ -72,7 +72,7 @@ class TestEvaluate:
 
     def test_empty_word(self):
         hom = phi0()
-        assert hom.evaluate(Word.identity()) == Perm.identity(5)
+        assert hom.evaluate(Word()) == Perm.identity(5)
 
     def test_word_times_inverse(self):
         rng = random.Random(3)
@@ -160,4 +160,4 @@ class TestTargets:
 
     def test_presentation_validates_generators(self):
         with pytest.raises(ValueError):
-            Presentation(2, [Word.generator(3)])
+            Presentation(2, [Word(((3, 1),))])

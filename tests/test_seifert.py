@@ -60,6 +60,18 @@ class TestSeifertMatrix:
             assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
             assert len(calls) == count
 
+    def test_non_unit_det_past_the_char_poly_cap_is_still_invalid_input(self, monkeypatch):
+        # a det too large to take is no reason to exit 65: the matrix is
+        # still no unit, which a CRT prime dividing det(S - S^T) shows
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
+        p = _prime(0)
+        with pytest.raises(InvariantError) as info:
+            SeifertMatrix([[0, p], [0, 0]])
+        assert str(info.value) == ("det(S - S^T) is past the char_poly work cap; "
+                                   "a knot Seifert matrix needs a unit")
+        with pytest.raises(SizeLimitError):
+            (IntMatrix.from_rows([[0, p], [-p, 0]])).det()
+
 
 class TestAlexanderPolynomial:
     def test_trefoil(self):

@@ -18,7 +18,7 @@ def inverse(w: Word) -> Word:
 
 
 def identity(rank: int) -> FreeEndo:
-    return FreeEndo(rank, [Word.generator(i) for i in range(rank)])
+    return FreeEndo(rank, [Word(((i, 1),)) for i in range(rank)])
 
 
 def apply(f: FreeEndo, w: Word) -> Word:
@@ -54,13 +54,13 @@ def random_automorphism(rank: int, moves: int, rng: random.Random) -> FreeEndo:
     f = identity(rank)
     for _ in range(moves):
         kind = rng.randrange(3)
-        images = [Word.generator(i) for i in range(rank)]
+        images = [Word(((i, 1),)) for i in range(rank)]
         if kind == 0 and rank >= 2:
             i, j = rng.sample(range(rank), 2)
             images[i], images[j] = images[j], images[i]
         elif kind == 1:
             i = rng.randrange(rank)
-            images[i] = Word.generator(i, -1)
+            images[i] = Word(((i, -1),))
         else:
             if rank < 2:
                 continue
