@@ -14,7 +14,7 @@ import traceback
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
 from .errors import InternalError, SizeLimitError, TwistError
-from .fixtures import FIXTURE_NAMES, HomCheckFixture, MonodromyFixture, load_fixture
+from .fixtures import FIXTURES, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction
@@ -25,7 +25,8 @@ EX_USAGE = 64
 EX_TOOBIG = 65
 EX_SOFTWARE = 70
 
-_INLINE_ALPHA = re.compile(r"Z/\d+:")
+# an --alpha value is inline when it starts with a target and a colon
+_INLINE_ALPHA = re.compile(r"(Z/\d+|[AS]\d+):")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,37 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def parse_inputs(kind: str, *, path: str | None = None, fixture: str | None = None):
-    """Resolve an input either from a built-in fixture or from a file.
-
-    ``kind`` is one of "monodromy" and "seifert", "homcheck" (fixtures
-    only), "presentation" and "lambda-matrix" (files only); the returned
-    payload is typed accordingly.
-    """
-    if (path is None) == (fixture is None):
-        raise ValueError("exactly one of path or fixture must be given")
-    if fixture is not None:
-        payload = load_fixture(fixture)
-        expected = {
-            "monodromy": MonodromyFixture,
-            "seifert": SeifertMatrix,
-            "homcheck": HomCheckFixture,
-        }.get(kind)
-        if expected is None or not isinstance(payload, expected):
-            raise TwistError(f"fixture {fixture!r} is not a {kind} input")
-        return payload
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if kind == "monodromy":
-        endo, names = formats.parse_monodromy(text)
-        return MonodromyFixture(endo=endo, names=names)
-    if kind == "seifert":
-        return formats.parse_seifert(text)
-    if kind == "lambda-matrix":
-        return formats.parse_lambda_matrix(text)
-    if kind == "presentation":
-        return formats.parse_presentation(text)
-    raise ValueError(f"unknown input kind {kind!r}")
+        return fh.read()
+
+
+def _source(args) -> str:
+    """The text of the subcommand's one input: its fixture's or its file's."""
+    return FIXTURES[args.fixture][1] if args.fixture is not None else _read(args.file)
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -100,13 +78,12 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_monodromy(args) -> int:
-    fx = parse_inputs("monodromy", path=args.file, fixture=args.fixture)
+    endo, names = formats.parse_monodromy(_source(args))
     if _INLINE_ALPHA.match(args.alpha):
-        alpha = formats.parse_inline_alpha(args.alpha, fx.names)
+        alpha = formats.parse_inline_alpha(args.alpha, names)
     else:
-        with open(args.alpha, encoding="utf-8") as fh:
-            alpha = formats.parse_hom(fh.read(), fx.names)
-    inv = twisted_invariants(fx.endo, args.d, alpha)
+        alpha = formats.parse_hom(_read(args.alpha), names)
+    inv = twisted_invariants(endo, args.d, alpha)
     report = evaluate_fibred_obstruction(inv.presentation)
     h_rows = inv.h_matrix.to_rows()
     lines = [
@@ -145,7 +122,7 @@ def _order_check(s: SeifertMatrix, d: int) -> tuple[int, int]:
 
 
 def _cmd_seifert(args) -> int:
-    s = parse_inputs("seifert", path=args.file, fixture=args.fixture)
+    s = formats.parse_seifert(_source(args))
     if args.d is None and args.sweep is None:
         raise TwistError("give --d and/or --sweep")
     if args.r is not None and args.d is None:
@@ -195,8 +172,7 @@ def _cmd_resultant(args) -> int:
     if args.poly is not None:
         p = laurent.parse_laurent(args.poly)
     else:
-        s = parse_inputs("seifert", path=args.file, fixture=args.fixture)
-        p = alexander_polynomial(s)
+        p = alexander_polynomial(formats.parse_seifert(_source(args)))
     lines = [f"polynomial = {to_text(p, var='t')}"]
     payload: dict = {"polynomial": to_text(p, var="t")}
     if args.d is not None:
@@ -213,14 +189,15 @@ def _cmd_resultant(args) -> int:
 
 def _cmd_homcheck(args) -> int:
     if args.fixture is not None:
-        fx = parse_inputs("homcheck", fixture=args.fixture)
-        pres, hom = fx.presentation, fx.hom
+        if args.hom is not None:
+            raise TwistError("--hom goes with --presentation, not with --fixture")
+        texts = iter(FIXTURES[args.fixture][1])
+    elif args.hom is None:
+        raise TwistError("--presentation needs --hom")
     else:
-        if not args.presentation or not args.hom:
-            raise TwistError("give --fixture, or both --presentation and --hom")
-        pres, names = parse_inputs("presentation", path=args.presentation)
-        with open(args.hom, encoding="utf-8") as fh:
-            hom = formats.parse_hom(fh.read(), names)
+        texts = map(_read, (args.presentation, args.hom))  # each read when parsed
+    pres, names = formats.parse_presentation(next(texts))
+    hom = formats.parse_hom(next(texts), names)
     failures = verify_homomorphism(hom, pres)
     order = generated_subgroup_order(hom)
     surjective = order == hom.target.order
@@ -242,7 +219,7 @@ def _cmd_homcheck(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    p = parse_inputs("lambda-matrix", path=args.presentation)
+    p = formats.parse_lambda_matrix(_read(args.presentation))
     report = evaluate_fibred_obstruction(p)
     _emit(args, _report_lines(report), _report_payload(report))
     return report.exit_code
@@ -300,10 +277,13 @@ def _cmd_selftest(args) -> int:
     return 0 if ok == len(checks) else 1
 
 
-def _add_source_args(p, with_file=True):
-    p.add_argument("--fixture", choices=FIXTURE_NAMES, help="built-in fixture name")
-    if with_file:
-        p.add_argument("--file", help="input file path")
+def _source_group(p, kind: str):
+    """The subcommand's required input, of which it takes exactly one: a
+    built-in fixture of ``kind``, or one of the options the caller adds."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--fixture", choices=[n for n, (k, _) in FIXTURES.items() if k == kind],
+                       help="built-in fixture name")
+    return group
 
 
 @functools.cache
@@ -313,7 +293,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monodromy", help="twisted invariants from a fibred monodromy")
-    _add_source_args(p)
+    _source_group(p, "monodromy").add_argument("--file", help="input file path")
     p.add_argument("--d", type=int, required=True, help="covering degree")
     p.add_argument("--alpha", required=True,
                    help="surjection: inline Z/r:x=a,y=b or a homomorphism file")
@@ -321,7 +301,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_monodromy)
 
     p = sub.add_parser("seifert", help="branched-cover data from a Seifert matrix")
-    _add_source_args(p)
+    _source_group(p, "seifert").add_argument("--file", help="input file path")
     p.add_argument("--d", type=int, help="covering degree (>= 2)")
     p.add_argument("--r", type=int, help="cyclic character target order")
     p.add_argument("--sweep", type=int, help="print R_d for d = 2..SWEEP")
@@ -329,18 +309,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_seifert)
 
     p = sub.add_parser("resultant", help="resultants against t^d - 1")
-    _add_source_args(p)
-    p.add_argument("--poly", help="polynomial text, e.g. 't^2-3t+1'")
-    p.add_argument("--d", type=int, help="single degree")
-    p.add_argument("--sweep", type=int, nargs="?", const=30,
-                   help="sweep d = 2..SWEEP (default 30)")
+    source = _source_group(p, "seifert")
+    source.add_argument("--file", help="input file path")
+    source.add_argument("--poly", help="polynomial text, e.g. 't^2-3t+1'")
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--d", type=int, help="single degree")
+    # no default: with neither option the sweep runs to 30
+    degree.add_argument("--sweep", type=int, nargs="?", const=30,
+                        help="sweep d = 2..SWEEP (default 30)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_resultant)
 
     p = sub.add_parser("homcheck", help="verify a homomorphism kills a presentation")
-    _add_source_args(p, with_file=False)
-    p.add_argument("--presentation", help="presentation file")
-    p.add_argument("--hom", help="homomorphism file")
+    _source_group(p, "homcheck").add_argument("--presentation", help="presentation file")
+    p.add_argument("--hom", help="homomorphism file (with --presentation)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_homcheck)
 

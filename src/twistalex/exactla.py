@@ -432,9 +432,6 @@ class LambdaMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, [x for r in rows for x in r])
 
-    def at(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[LaurentPoly]]:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 

@@ -80,7 +80,15 @@ class HomCheckFixture:
     names: list[str]
 
 
-FIXTURE_NAMES = ("trefoil-monodromy", "trefoil-seifert", "figure8-seifert", "paper-s5")
+# name -> (kind, text); a homcheck fixture's text is its presentation and
+# its homomorphism
+FIXTURES = {
+    "trefoil-monodromy": ("monodromy", TREFOIL_MONODROMY),
+    "trefoil-seifert": ("seifert", TREFOIL_SEIFERT),
+    "figure8-seifert": ("seifert", FIGURE8_SEIFERT),
+    "paper-s5": ("homcheck", (S5_PRESENTATION, S5_HOM)),
+}
+FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def load_fixture(name: str):
@@ -89,16 +97,13 @@ def load_fixture(name: str):
     Returns a MonodromyFixture, a SeifertMatrix, or a HomCheckFixture
     depending on the fixture kind.
     """
-    if name == "trefoil-monodromy":
-        endo, names = formats.parse_monodromy(TREFOIL_MONODROMY)
-        return MonodromyFixture(endo=endo, names=names)
-    if name == "trefoil-seifert":
-        return formats.parse_seifert(TREFOIL_SEIFERT)
-    if name == "figure8-seifert":
-        return formats.parse_seifert(FIGURE8_SEIFERT)
-    if name == "paper-s5":
-        pres, names = formats.parse_presentation(S5_PRESENTATION)
-        hom = formats.parse_hom(S5_HOM, names)
-        return HomCheckFixture(presentation=pres, hom=hom, names=names)
-    raise UnknownFixtureError(
-        f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    if name not in FIXTURES:
+        raise UnknownFixtureError(
+            f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    kind, text = FIXTURES[name]
+    if kind == "monodromy":
+        return MonodromyFixture(*formats.parse_monodromy(text))
+    if kind == "seifert":
+        return formats.parse_seifert(text)
+    pres, names = formats.parse_presentation(text[0])
+    return HomCheckFixture(pres, formats.parse_hom(text[1], names), names)

@@ -120,28 +120,19 @@ def parse_seifert(text: str) -> SeifertMatrix:
         rows.append(row)
     if len(rows) != size:
         raise ParseError(f"expected {size} rows, got {len(rows)}")
-    if size == 0:
-        return SeifertMatrix(IntMatrix(0, 0, ()))
     return SeifertMatrix(IntMatrix.from_rows(rows))
-
-
-def _parse_shape_header(lines, what: str) -> tuple[int, int]:
-    if not lines:
-        raise ParseError(f"empty {what} file", 1)
-    lineno, first = lines[0]
-    parts = first.split()
-    if len(parts) != 2:
-        raise ParseError("first line must be 'rows cols'", lineno)
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("first line must be 'rows cols'", lineno) from None
 
 
 def parse_lambda_matrix(text: str) -> LambdaMatrix:
     """Same shape header, entries as compact polynomial tokens like ``s^2-s+1``."""
     lines = list(_nonblank_lines(text))
-    rows, cols = _parse_shape_header(lines, "matrix")
+    if not lines:
+        raise ParseError("empty matrix file", 1)
+    lineno, first = lines[0]
+    try:
+        rows, cols = map(int, first.split())
+    except ValueError:
+        raise ParseError("first line must be 'rows cols'", lineno) from None
     entries = []
     for lineno, line in lines[1:]:
         for tok in line.split():
@@ -169,32 +160,35 @@ def _parse_target(text: str, lineno: int | None = None):
     return alternating(degree) if m.group(1) == "A" else symmetric(degree)
 
 
-def parse_hom(text: str, names: list[str]) -> FiniteHom:
-    """Format: a ``target: A5`` line, then ``a = (1 3 2)`` (or ``a = 4`` for
-    cyclic targets) for each generator in ``names``, in any order."""
-    lines = list(_nonblank_lines(text))
-    if not lines or not lines[0][1].startswith("target:"):
-        raise ParseError("homomorphism file must start with a 'target:' line",
-                         lines[0][0] if lines else 1)
-    lineno, header = lines[0]
-    target = _parse_target(header[len("target:"):], lineno)
+def _parse_assignments(target, items, names: list[str]) -> FiniteHom:
+    """The homomorphism onto ``target`` given by ``items``, (line, text)
+    pairs of ``name = value`` assignments, one for each generator in
+    ``names``.  A file's errors name the line; the inline spelling's
+    (line None) name the assignment."""
+
+    def error(message, line, item):
+        if line is None:
+            return ParseError(f"{message} in assignment {item.strip()!r}")
+        return ParseError(message, line)
+
     seen: dict[str, object] = {}
-    for lineno, line in lines[1:]:
-        name, eq, rhs = line.partition("=")
+    for lineno, item in items:
+        name, eq, rhs = item.partition("=")
         if not eq:
-            raise ParseError("expected 'generator = value' line", lineno)
+            raise error("expected 'generator = value'" + ("" if lineno is None else " line"),
+                        lineno, item)
         name = name.strip()
         rhs = rhs.strip()
         if not _NAME_RE.match(name):
-            raise ParseError(f"malformed generator name {name!r}", lineno)
+            raise error(f"malformed generator name {name!r}", lineno, item)
         if name in seen:
-            raise ParseError(f"duplicate value for {name!r}", lineno)
+            raise error(f"duplicate value for {name!r}", lineno, item)
         if isinstance(target, CyclicTarget):
             try:
                 value: object = int(rhs) % target.order
             except ValueError:
-                raise ParseError(f"expected an integer for cyclic target, got {rhs!r}",
-                                 lineno) from None
+                raise error(f"expected an integer for cyclic target, got {rhs!r}",
+                            lineno, item) from None
         else:
             value = perm_from_cycle_text(rhs, target.degree, lineno)
         seen[name] = value
@@ -207,28 +201,28 @@ def parse_hom(text: str, names: list[str]) -> FiniteHom:
     return FiniteHom(len(names), target, [seen[n] for n in names])
 
 
+def parse_hom(text: str, names: list[str]) -> FiniteHom:
+    """Format: a ``target: A5`` line, then ``a = (1 3 2)`` (or ``a = 4`` for
+    cyclic targets) for each generator in ``names``, in any order."""
+    lines = list(_nonblank_lines(text))
+    if not lines or not lines[0][1].startswith("target:"):
+        raise ParseError("homomorphism file must start with a 'target:' line",
+                         lines[0][0] if lines else 1)
+    lineno, header = lines[0]
+    return _parse_assignments(_parse_target(header[len("target:"):], lineno), lines[1:], names)
+
+
 def parse_inline_alpha(text: str, names: list[str]) -> FiniteHom:
-    """Inline cyclic homomorphism, e.g. ``Z/3:x=1,y=1``."""
+    """The homomorphism file format on one line, for cyclic targets:
+    ``Z/3:x=1,y=1`` is the target, a colon, then the assignments separated
+    by commas."""
     head, colon, body = text.partition(":")
     if not colon:
         raise ParseError(f"malformed inline homomorphism {text!r}")
     target = _parse_target(head)
     if not isinstance(target, CyclicTarget):
         raise ParseError("inline homomorphisms support cyclic targets only")
-    values: dict[str, int] = {}
-    for item in body.split(","):
-        name, eq, rhs = item.partition("=")
-        name = name.strip()
-        if not eq or name not in names:
-            raise ParseError(f"malformed assignment {item!r} in inline homomorphism")
-        try:
-            values[name] = int(rhs) % target.order
-        except ValueError:
-            raise ParseError(f"malformed value in {item!r}") from None
-    missing = [n for n in names if n not in values]
-    if missing:
-        raise ParseError(f"missing value for generator(s): {', '.join(missing)}")
-    return FiniteHom(len(names), target, [values[n] for n in names])
+    return _parse_assignments(target, [(None, item) for item in body.split(",")], names)
 
 
 def parse_presentation(text: str) -> tuple[Presentation, list[str]]:

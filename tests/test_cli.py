@@ -5,8 +5,8 @@ import pytest
 
 from twistalex import (cli, cover, exactla, fixtures, formats, grouphom, laurent,
                        obstruction, seifert)
-from twistalex.cli import main, parse_inputs
-from twistalex.errors import ParseError, UnknownFixtureError
+from twistalex.cli import main
+from twistalex.errors import ParseError
 from twistalex.fixtures import load_fixture
 
 
@@ -653,6 +653,11 @@ class TestUsageErrors:
         assert "Traceback" in err
 
 
+    def test_word_parse_error_has_location(self):
+        with pytest.raises(ParseError) as exc:
+            formats.parse_monodromy("generators: x\nx -> x z\n")
+        assert "line 2" in str(exc.value)
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "1")
@@ -665,22 +670,126 @@ class TestSelftest:
         assert code == 0 and payload["ok"] == payload["total"]
 
 
-class TestParseInputs:
-    def test_fixture_kind_mismatch(self):
-        with pytest.raises(Exception):
-            parse_inputs("seifert", fixture="trefoil-monodromy")
+# the options that complete an invocation of each subcommand that takes a fixture
+COMPLETIONS = {
+    "monodromy": ["--d", "2", "--alpha", "Z/3:x=1,y=1"],
+    "seifert": ["--d", "3", "--r", "2", "--sweep", "6"],
+    "resultant": [],
+    "homcheck": [],
+}
 
-    def test_unknown_fixture(self):
-        with pytest.raises(UnknownFixtureError):
-            parse_inputs("seifert", fixture="nope")
 
-    def test_lambda_matrix_file(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2 2\ns-1 0\n0 s^2-1\n")
-        m = parse_inputs("lambda-matrix", path=str(path))
-        assert m.rows == 2 and m.cols == 2
+def fixture_choices() -> dict[str, list[str]]:
+    """Each subcommand's --fixture choices, as its parser declares them."""
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {command: list(a.choices) for command, p in commands.choices.items()
+            for a in p._actions if a.dest == "fixture"}
 
-    def test_word_parse_error_has_location(self):
-        with pytest.raises(ParseError) as exc:
-            formats.parse_monodromy("generators: x\nx -> x z\n")
-        assert "line 2" in str(exc.value)
+
+class TestInputSources:
+    def test_each_subcommand_takes_the_fixtures_of_its_kind(self):
+        assert fixture_choices() == {
+            "monodromy": ["trefoil-monodromy"],
+            "seifert": ["trefoil-seifert", "figure8-seifert"],
+            "resultant": ["trefoil-seifert", "figure8-seifert"],
+            "homcheck": ["paper-s5"],
+        }
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in fixture_choices().items() for name in names])
+    def test_fixture_and_file_agree(self, capsys, tmp_path, command, name, flags):
+        kind, text = fixtures.FIXTURES[name]
+        if kind == "homcheck":
+            (tmp_path / "pres.txt").write_text(text[0])
+            (tmp_path / "hom.txt").write_text(text[1])
+            source = ["--presentation", str(tmp_path / "pres.txt"),
+                      "--hom", str(tmp_path / "hom.txt")]
+        else:
+            (tmp_path / "input.txt").write_text(text)
+            source = ["--file", str(tmp_path / "input.txt")]
+        rest = COMPLETIONS[command] + flags
+        by_fixture = run(capsys, command, "--fixture", name, *rest)
+        assert by_fixture[0] == 0 and by_fixture[1]
+        assert run(capsys, command, *source, *rest) == by_fixture
+
+    @pytest.mark.parametrize("name", ["trefoil-monodromy", "paper-s5", "nope"])
+    def test_a_fixture_of_another_kind_is_a_choice_error(self, capsys, name):
+        code, out, err = run(capsys, "seifert", "--fixture", name, "--d", "2")
+        assert code == 64 and out == ""
+        assert f"twist seifert: error: argument --fixture: invalid choice: {name!r}" in err
+
+
+TREFOIL_ALPHA = ("monodromy", "--fixture", "trefoil-monodromy", "--d", "2", "--alpha")
+
+
+class TestRefusals:
+    """Each invocation exits 64 with a message naming its cause, and none
+    is answered from part of what was given."""
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("Z/3:x=2,x=1,y=1", "duplicate value for 'x' in assignment 'x=1'"),
+        ("Z/3:x=1,y=1,z=1", "unexpected generator(s): z"),
+        ("Z/3:x=1", "missing value for generator(s): y"),
+        ("Z/3:x=1,y=one", "expected an integer for cyclic target, got 'one' in assignment 'y=one'"),
+        ("Z/3:x=1,y", "expected 'generator = value' in assignment 'y'"),
+        ("Z/3:x=1,2y=1", "malformed generator name '2y' in assignment '2y=1'"),
+        ("A5:x=(123),y=(345)", "inline homomorphisms support cyclic targets only"),
+    ], ids=["duplicate", "unknown", "missing", "value", "no-equals", "name", "non-cyclic"])
+    def test_inline_alpha(self, capsys, alpha, message):
+        assert run(capsys, *TREFOIL_ALPHA, alpha) == (64, "", f"twist: error: {message}\n")
+
+    def test_inline_alpha_without_its_colon_names_a_file(self, capsys, tmp_path, monkeypatch):
+        # a value that is not a target and a colon is a homomorphism file path
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *TREFOIL_ALPHA, "Z/3x=1,y=1")
+        assert code == 64 and out == ""
+        assert "No such file or directory: 'Z/3x=1,y=1'" in err
+        with pytest.raises(ParseError, match="malformed inline homomorphism 'Z/3x=1,y=1'"):
+            formats.parse_inline_alpha("Z/3x=1,y=1", ["x", "y"])
+
+    @pytest.mark.parametrize("body, message", [
+        ("x = 2\nx = 1\ny = 1\n", "duplicate value for 'x' (line 3)"),
+        ("x = 1\ny = 1\nz = 1\n", "unexpected generator(s): z"),
+        ("x = 1\n", "missing value for generator(s): y"),
+        ("x = 1\ny = one\n", "expected an integer for cyclic target, got 'one' (line 3)"),
+        ("x = 1\ny\n", "expected 'generator = value' line (line 3)"),
+    ], ids=["duplicate", "unknown", "missing", "value", "no-equals"])
+    def test_hom_file_refuses_as_inline_does(self, capsys, tmp_path, body, message):
+        path = tmp_path / "alpha.txt"
+        path.write_text("target: Z/3\n" + body)
+        assert run(capsys, *TREFOIL_ALPHA, str(path)) == (64, "", f"twist: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["resultant", "--poly", "t-2", "--file", "missing.txt"],
+         "argument --file: not allowed with argument --poly"),
+        (["resultant", "--fixture", "trefoil-seifert", "--poly", "t-2"],
+         "argument --poly: not allowed with argument --fixture"),
+        (["resultant", "--poly", "t-2", "--d", "5", "--sweep", "4"],
+         "argument --sweep: not allowed with argument --d"),
+        (["resultant", "--poly", "t-2", "--d", "5", "--sweep", "30"],
+         "argument --sweep: not allowed with argument --d"),
+        (["resultant", "--poly", "t-2", "--d", "5", "--sweep"],
+         "argument --sweep: not allowed with argument --d"),
+        (["resultant", "--d", "5"],
+         "one of the arguments --fixture --file --poly is required"),
+        (["seifert", "--fixture", "trefoil-seifert", "--file", "s.txt", "--d", "2"],
+         "argument --file: not allowed with argument --fixture"),
+        (["monodromy", "--d", "2", "--alpha", "Z/3:x=1,y=1"],
+         "one of the arguments --fixture --file is required"),
+        (["homcheck", "--fixture", "paper-s5", "--presentation", "p.txt", "--hom", "h.txt"],
+         "argument --presentation: not allowed with argument --fixture"),
+    ], ids=["poly-file", "fixture-poly", "d-sweep", "d-sweep-30", "d-bare-sweep",
+            "resultant-no-source", "fixture-file", "monodromy-no-source", "homcheck-both"])
+    def test_source_and_degree_conflicts(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.endswith(f"twist {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fixture", "paper-s5", "--hom", "h.txt"],
+         "--hom goes with --presentation, not with --fixture"),
+        (["--presentation", "p.txt"], "--presentation needs --hom"),
+    ], ids=["fixture-hom", "presentation-alone"])
+    def test_homcheck_hom_goes_with_presentation(self, capsys, argv, message):
+        assert run(capsys, "homcheck", *argv) == (64, "", f"twist: error: {message}\n")

@@ -399,13 +399,13 @@ def faddeev_leverrier(h: IntMatrix) -> LaurentPoly:
 
 def leibniz_det(m: LambdaMatrix) -> LaurentPoly:
     """Permutation expansion of a Laurent determinant, independent of elimination."""
-    n = m.rows
+    n, rows = m.rows, m.to_rows()
     total = ZERO
     for perm in itertools.permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = LaurentPoly.const(-1 if inversions % 2 else 1)
         for i in range(n):
-            term = term * m.at(i, perm[i])
+            term = term * rows[i][perm[i]]
         total = total + term
     return total
 
