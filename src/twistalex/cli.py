@@ -121,10 +121,17 @@ def _order_check(s: SeifertMatrix, d: int) -> tuple[int, int]:
             resultant_with_cyclotomic(alexander_polynomial(s), d))
 
 
+def _check_sweep(args) -> None:
+    """Refuse a --sweep whose range d = 2..SWEEP is empty."""
+    if args.sweep is not None and args.sweep < 2:
+        raise TwistError("sweep must be an integer >= 2")
+
+
 def _cmd_seifert(args) -> int:
     s = formats.parse_seifert(_source(args))
     if args.d is None and args.sweep is None:
         raise TwistError("give --d and/or --sweep")
+    _check_sweep(args)
     if args.r is not None and args.d is None:
         raise TwistError("--r needs --d: the character lives on the d-fold branched cover")
     alex = alexander_polynomial(s)
@@ -169,6 +176,7 @@ def _cmd_seifert(args) -> int:
 
 
 def _cmd_resultant(args) -> int:
+    _check_sweep(args)
     if args.poly is not None:
         p = laurent.parse_laurent(args.poly)
     else:

@@ -73,9 +73,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -502,6 +499,11 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
     after the unit pivots.  A square matrix has one minor, its
     determinant (a Pencil's kept one); a wide one loses its unit pivots
     (_unit_reduced) and the rest come from one evaluation kernel.
+
+    Each minor of the reduced matrix is +-s^-K times one of P's, K the sum
+    of the pivot exponents, so the kernel is handed P's window: P's
+    lowest exponent minus K, P's D + 1 and P's coefficient bound.  Fill-in
+    can widen the reduced rows' spans past P's, but not the minors'.
     """
     n, m = p.rows, p.cols
     if n > m:
@@ -512,8 +514,10 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
             f"would enumerate {count} minors, above the cap of {MAX_MINORS}")
     if n == m:
         return laurent.canonicalize(p.det())
+    shift, _, bound, points = _normalised(p.to_rows())
+    reduced, k = _unit_reduced(p)
     g = laurent.ZERO
-    for minor in _maximal_minors(_unit_reduced(p)):
+    for minor in _maximal_minors(reduced, (shift - k, points, bound)):
         g = laurent.gcd(g, minor)
     return laurent.canonicalize(g)
 
@@ -522,11 +526,11 @@ def _is_unit(e: LaurentPoly) -> bool:
     return len(e.coeffs) == 1 and e.coeffs[0] in (1, -1)
 
 
-def _unit_reduced(p: LambdaMatrix) -> LambdaMatrix:
-    """P with its unit pivots eliminated, still n' x m' with n' < m'; its
-    maximal minors generate the same ideal as P's (the Fitting ideal of
-    coker P, Eisenbud, Commutative Algebra, section 20), so their gcd is
-    the same.
+def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
+    """(P with its unit pivots eliminated, still n' x m' with n' < m', and
+    K, the sum of the exponents k of the pivots u = +-s^k); its maximal
+    minors generate the same ideal as P's (the Fitting ideal of coker P,
+    Eisenbud, Commutative Algebra, section 20), so their gcd is the same.
 
     While an entry u = +-s^k is left, the one at (i, j) with the least
     (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
@@ -535,10 +539,11 @@ def _unit_reduced(p: LambdaMatrix) -> LambdaMatrix:
     determinant 1, so each maximal minor of the result on columns C is
     +-u^-1 times the minor on C and j; column operations by u, which would
     clear row i without touching the other rows, bring P's other minors
-    into the same ideal.
+    into the same ideal.  Over all pivots, the minor on C is +-s^-K times
+    P's minor on C and the pivot columns.
     """
     rows = p.to_rows()
-    cols = p.cols
+    cols, k = p.cols, 0
     while rows:
         row_nz = [sum(map(bool, row)) - 1 for row in rows]
         col_nz = [sum(map(bool, col)) - 1 for col in zip(*rows)]
@@ -550,40 +555,51 @@ def _unit_reduced(p: LambdaMatrix) -> LambdaMatrix:
         _, i, j = pivot
         top = rows.pop(i)
         u = top.pop(j)
+        k += u.low
         minus_inverse = LaurentPoly(-u.low, (-u.coeffs[0],))  # -(+-s^k)^-1 = -+s^-k
         for row in rows:
             factor = row.pop(j) * minus_inverse
             if factor:
                 row[:] = [e + factor * t if t else e for e, t in zip(row, top)]
         cols -= 1
-    return LambdaMatrix(len(rows), cols, [e for row in rows for e in row])
+    return LambdaMatrix(len(rows), cols, [e for row in rows for e in row]), k
 
 
 # -- maximal minors and rank by evaluation ------------------------------------
 #
 # All C(m, n) maximal minors of an n x m Laurent matrix A at once.  Row i
-# times s^-low_i has polynomial entries of degree <= span_i, so every minor
-# is s^(sum_i low_i) times a polynomial of degree <= D = sum_i span_i.  On
-# the unit circle |a_ij| <= |a_ij|_1, so by Hadamard's inequality no
-# coefficient of any minor exceeds sqrt(prod_i sum_j |a_ij|_1^2), each row
-# factor being at least 1 once zero rows are gone.  Modulo each CRT prime,
-# A is evaluated at s = 0..D and reduced once per point to reduced
-# row-echelon form E = L A.
+# times s^-low_i has polynomial entries of degree <= span_i, so every
+# minor's exponents lie in the window from S = sum_i low_i to
+# S + sum_i span_i.  On the unit circle |a_ij| <= |a_ij|_1, so by
+# Hadamard's inequality no coefficient of any minor exceeds
+# sqrt(prod_i sum_j |a_ij|_1^2), each row factor being at least 1 once zero
+# rows are gone.  A caller may know a second window and bound that hold as
+# well: the minors of a unit-reduced matrix are +-s^-K times the input's
+# (_unit_reduced), so the input's window shifted by -K and the input's bound
+# hold for them, however far fill-in has widened the rows.  The kernel works
+# on the intersection of the windows, s^low..s^(low + D), and the smaller
+# bound.  Modulo each CRT prime, A is evaluated at the nodes s = 1..D + 1
+# and reduced once per node to reduced row-echelon form E = L A.
 # With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
 # C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
 # the rows T whose pivot is not in C to the bottom and the columns C \ P to
 # the right leaves +-det E[T, C \ P]: over all C, exactly the square minors
-# of E's non-pivot columns.  Newton's divided differences on the nodes
-# 0..D interpolate each minor from its D + 1 values in O(D^2), and so does
+# of E's non-pivot columns.  These are the minors of the row-shifted
+# matrix, s^-S times A's; at node c, times c^(S - low), they are the values
+# of s^-low times A's minors, polynomials of degree <= D.  S - low is
+# negative whenever the second window cuts the first from below, so node 0
+# cannot serve.  Newton's divided differences on the nodes 1..D + 1
+# interpolate each minor from its D + 1 values in O(D^2), and so does
 # evaluating A at every node.  A square matrix has one maximal minor, its
-# determinant, and a single row is its own list of minors.
+# determinant, on its own window, and a single row is its own list of
+# minors.
 #
 # The rank over the field of fractions is the largest rank of A, zero rows
-# dropped, modulo a CRT prime at s = 0..D, over primes until their product
-# exceeds the same bound.  No evaluation raises the rank.  If A has rank r,
-# some r x r minor is nonzero, one of its coefficients survives one of
-# those primes, and being of degree <= D it is nonzero at one of the D + 1
-# points.
+# dropped, modulo a CRT prime at s = 0..D, D = sum_i span_i, over primes
+# until their product exceeds A's own bound.  No evaluation raises the
+# rank.  If A has rank r, some r x r minor is nonzero, one of its
+# coefficients survives one of those primes, and being of degree <= D it
+# is nonzero at one of the D + 1 points.
 
 def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
@@ -638,8 +654,9 @@ def _evaluate_mod(polys: list[list[tuple]], c: int, q: int) -> list[list[int]]:
 
 def _interpolate_mod(values, q: int) -> list[int]:
     """Ascending coefficients mod a prime q > len(values) of the polynomial
-    of degree < len(values) with values[c] at s = c, in O(len(values)^2): its
-    Newton form on the nodes 0, 1, ... (forward differences at 0 over k!)."""
+    of degree < len(values) with values[k] at s = k + 1, in
+    O(len(values)^2): its Newton form on the nodes 1, 2, ... (forward
+    differences at 1 over k!)."""
     newton, inv = [], 1
     for k in range(len(values)):
         if k:
@@ -647,28 +664,44 @@ def _interpolate_mod(values, q: int) -> list[int]:
         newton.append(values[0] * inv % q)
         values = [(b - a) % q for a, b in zip(values, values[1:])]
     poly: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):  # poly = poly * (s - k) + newton[k]
-        poly = [(a - k * b) % q for a, b in zip([0] + poly, poly + [0])]
+    for k in range(len(newton) - 1, -1, -1):  # poly = poly * (s - (k + 1)) + newton[k]
+        poly = [(a - (k + 1) * b) % q for a, b in zip([0] + poly, poly + [0])]
         poly[0] = (poly[0] + newton[k]) % q
     return poly
 
 
-def _maximal_minors(p: LambdaMatrix) -> list[LaurentPoly]:
+def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
+                    ) -> list[LaurentPoly]:
     """The n x n minors of an n x m matrix with n <= m, exactly, in the
-    order of itertools.combinations(range(m), n)."""
+    order of itertools.combinations(range(m), n).
+
+    ``window`` = (low, D + 1, bound), if given, must hold for every minor
+    as well: its exponents lie in low..low + D and its coefficients within
+    bound.  It then narrows P's own window and bound.
+    """
     n, m = p.rows, p.cols
     if n == 1:  # a row is its own list of minors
         return p.to_rows()[0]
     count = math.comb(m, n)
     shift, polys, bound, points = _normalised(p.to_rows())
-    if not bound:  # a zero row
+    low = shift
+    if window is not None:
+        other_low, other_points, other_bound = window
+        low = max(shift, other_low)
+        points = min(shift + points, other_low + other_points) - low
+        bound = min(bound, other_bound)
+    if not bound or points <= 0:  # a zero row, or windows that do not meet
         return [laurent.ZERO] * count
     plans: dict[tuple[int, ...], list] = {}  # pivot columns -> _minor_plan
 
     def residues():
         for q in _primes():
-            minors = list(zip(*(_minors_mod(_evaluate_mod(polys, c, q), m, q, plans)
-                                for c in range(points))))
+            values = []
+            for c in range(1, points + 1):  # s^-low times each minor of A, at s = c
+                scale = pow(c, shift - low, q)
+                values.append([v * scale % q
+                               for v in _minors_mod(_evaluate_mod(polys, c, q), m, q, plans)])
+            minors = list(zip(*values))
             if len(minors) <= points:
                 yield q, [v for minor in minors for v in _interpolate_mod(minor, q)]
             else:  # fewer nodes: interpolate the unit vectors, the inverse Vandermonde
@@ -677,7 +710,7 @@ def _maximal_minors(p: LambdaMatrix) -> list[LaurentPoly]:
                 yield q, [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
 
     flat = _crt_lift(bound, count * points, residues())
-    return [LaurentPoly(shift, flat[i:i + points]) for i in range(0, count * points, points)]
+    return [LaurentPoly(low, flat[i:i + points]) for i in range(0, count * points, points)]
 
 
 def _evaluation_rank(p: LambdaMatrix) -> int:

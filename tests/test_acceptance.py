@@ -87,7 +87,7 @@ def test_criterion_3_fibred_property_suite():
             for chi in itertools.product(range(r), repeat=rank):
                 if math.gcd(r, *chi) != 1:
                     continue
-                if any(sum(chi[i] * m.at(i, j) for i in range(rank)) % r
+                if any(sum(chi[i] * m.row(i)[j] for i in range(rank)) % r
                        for j in range(rank)):
                     continue
                 alpha = FiniteHom(rank, cyclic(r), list(chi))
@@ -125,7 +125,7 @@ def test_criterion_4_figure8_monodromy_power():
         for n in range(2, 13):
             hn = mp2.h ** n
             det = monodromy_power_presentation(f8, n).det_power_minus_identity
-            assert det == 2 - hn.at(0, 0) - hn.at(1, 1)
+            assert det == 2 - hn.row(0)[0] - hn.row(1)[1]
             assert det <= -5
 
     _run(4, "figure-eight H = [[2,-1],[-1,1]], det(H^n - I) = 2 - a_n - c_n <= -5"
@@ -174,7 +174,7 @@ def test_criterion_7_character_jump():
                 assert jump is not None, f"no character onto Z/{r} found"
                 flat = [x for row in jump.character for x in row]
                 for j in range(pres.cols):
-                    assert sum(flat[i] * pres.at(i, j)
+                    assert sum(flat[i] * pres.row(i)[j]
                                for i in range(pres.rows)) % r == 0
                 assert jump.order >= 2
             instances += 1

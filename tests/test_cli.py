@@ -641,7 +641,7 @@ class TestUsageErrors:
 
     def test_unexpected_exception_exits_70(self, capsys, tmp_path, monkeypatch):
         # an exception no handler names is a fault in the program
-        def broken(p):
+        def broken(p, window=None):
             raise IndexError("list index out of range")
 
         monkeypatch.setattr(exactla, "_maximal_minors", broken)
@@ -738,6 +738,23 @@ class TestRefusals:
     ], ids=["duplicate", "unknown", "missing", "value", "no-equals", "name", "non-cyclic"])
     def test_inline_alpha(self, capsys, alpha, message):
         assert run(capsys, *TREFOIL_ALPHA, alpha) == (64, "", f"twist: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["resultant", "--poly", "t^2-3t+1", "--sweep", "0"],
+        ["resultant", "--poly", "t^2-3t+1", "--sweep", "-5"],
+        ["resultant", "--poly", "t^2-3t+1", "--sweep", "1"],
+        ["seifert", "--fixture", "trefoil-seifert", "--sweep", "1"],
+        ["seifert", "--fixture", "trefoil-seifert", "--d", "3", "--sweep", "0"],
+    ], ids=["resultant-0", "resultant-negative", "resultant-1", "seifert-1", "seifert-d-0"])
+    def test_empty_sweep(self, capsys, argv):
+        # d = 2..SWEEP is empty, so no R_d line would print
+        assert run(capsys, *argv) == (64, "", "twist: error: sweep must be an integer >= 2\n")
+
+    def test_shortest_sweep_prints_one_line(self, capsys):
+        for argv, key in ((["resultant", "--poly", "t^2-3t+1"], "resultant"),
+                          (["seifert", "--fixture", "trefoil-seifert"], "sweep")):
+            code, raw, _ = run(capsys, *argv, "--sweep", "2", "--json")
+            assert code == 0 and json.loads(raw)[key] == {"2": 5 if key == "resultant" else 3}
 
     def test_inline_alpha_without_its_colon_names_a_file(self, capsys, tmp_path, monkeypatch):
         # a value that is not a target and a colon is a homomorphism file path

@@ -5,7 +5,7 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
@@ -36,7 +36,7 @@ def brute_det(m: IntMatrix) -> int:
                     sign = -sign
         prod = 1
         for i in range(n):
-            prod *= m.at(i, perm[i])
+            prod *= m.row(i)[perm[i]]
         total += sign * prod
     return total
 
@@ -155,7 +155,7 @@ def character_from_transform(d, u: IntMatrix, r: int):
     weights = [(r // math.gcd(dj, r)) % r for dj in diag]
     if math.gcd(r, *weights) != 1:
         return None
-    return tuple(sum(w * u.at(j, i) for j, w in enumerate(weights)) % r
+    return tuple(sum(w * u.row(j)[i] for j, w in enumerate(weights)) % r
                  for i in range(u.rows))
 
 
@@ -333,7 +333,7 @@ class TestCokernel:
 
 def chi_kills_relations(chi, a: IntMatrix, r: int) -> bool:
     for j in range(a.cols):
-        if sum(chi[i] * a.at(i, j) for i in range(a.rows)) % r:
+        if sum(chi[i] * a.row(i)[j] for i in range(a.rows)) % r:
             return False
     return True
 
@@ -389,7 +389,7 @@ def faddeev_leverrier(h: IntMatrix) -> LaurentPoly:
     mk = IntMatrix.identity(n)
     for k in range(1, n + 1):
         am = h * mk
-        ck = -sum(am.at(i, i) for i in range(n)) // k
+        ck = -sum(am.row(i)[i] for i in range(n)) // k
         cs.append(ck)
         mk = IntMatrix.from_rows([[x + ck * (i == j) for j, x in enumerate(am.row(i))]
                                   for i in range(n)])
@@ -558,9 +558,9 @@ def kernel_calls(monkeypatch):
     LambdaMatrix.det for every square matrix but sI - Y."""
     calls = []
 
-    def counted(p):
+    def counted(p, window=None):
         calls.append(p.rows)
-        return maximal_minors(p)
+        return maximal_minors(p, window)
 
     maximal_minors = exactla._maximal_minors
     monkeypatch.setattr(exactla, "_maximal_minors", counted)
@@ -898,9 +898,9 @@ def record_kernel_inputs(monkeypatch) -> list[LambdaMatrix]:
     seen = []
     kernel = exactla._maximal_minors
 
-    def recorded(p):
+    def recorded(p, window=None):
         seen.append(p)
-        return kernel(p)
+        return kernel(p, window)
 
     monkeypatch.setattr(exactla, "_maximal_minors", recorded)
     return seen
@@ -918,6 +918,27 @@ def trefoil_block_presentation() -> LambdaMatrix:
          for row in a])
 
 
+def bench_shaped_presentation(rng: random.Random, n: int = 8, k: int = 3) -> LambdaMatrix:
+    """[A | AQ] with A = sS - S^T for a random n x n Seifert matrix S and a
+    random n x k matrix Q with entries in -2..2, the shape of the bench's
+    random presentations."""
+    s = random_seifert_matrix(n, rng).matrix.to_rows()
+    q = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+    a = [[LaurentPoly(0, (-s[j][i], s[i][j])) for j in range(n)] for i in range(n)]
+    return LambdaMatrix.from_rows(
+        [row + [sum((row[j] * q[j][c] for j in range(n)), ZERO) for c in range(k)]
+         for row in a])
+
+
+def kernel_on_both_windows(m: LambdaMatrix) -> tuple[list, list]:
+    """The minors of m after its unit pivots, from the kernel on the
+    input's window, as maximal_minor_gcd calls it, and on the reduced
+    matrix's own window."""
+    shift, _, bound, points = exactla._normalised(m.to_rows())
+    reduced, k = exactla._unit_reduced(m)
+    return _maximal_minors(reduced, (shift - k, points, bound)), _maximal_minors(reduced)
+
+
 class TestUnitPivots:
     """The unit-pivot reduction ahead of the evaluation kernel, against the
     enumerated gcd of the unreduced matrix."""
@@ -927,10 +948,61 @@ class TestUnitPivots:
     @given(data=st.data())
     def test_against_enumeration(self, n, data):
         m = data.draw(unit_rich_matrices(n))
-        reduced = exactla._unit_reduced(m)
+        reduced, _ = exactla._unit_reduced(m)
         assert reduced.cols - reduced.rows == m.cols - m.rows
         assert not any(map(exactla._is_unit, reduced.entries))
         assert maximal_minor_gcd(m) == enumerated_gcd(m)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 6).flatmap(unit_rich_matrices))
+    def test_input_window_against_own_nodes(self, m):
+        windowed, own = kernel_on_both_windows(m)
+        assert windowed == own
+
+    def test_fill_in_widens_some_draws(self):
+        # a draw whose reduced rows span more than the input's rows do, on
+        # which the input's window still gives every minor
+        def widened(m):
+            reduced, _ = exactla._unit_reduced(m)
+            return (reduced.rows > 1 and exactla._normalised(reduced.to_rows())[3]
+                    > exactla._normalised(m.to_rows())[3])
+
+        m = find(st.integers(2, 6).flatmap(unit_rich_matrices), widened,
+                 settings=settings(max_examples=2000, database=None, derandomize=True,
+                                   phases=[Phase.generate]))
+        windowed, own = kernel_on_both_windows(m)
+        assert windowed == own
+
+    def test_evaluates_at_the_input_nodes(self, monkeypatch):
+        # The evaluations of a bench-shaped 8 x 11 presentation, per prime:
+        # the unit pivots leave it 6 x 9 with spans summing to 18, but its
+        # minors need only the input's D + 1 = 9 nodes, scaled as the input's
+        # window starts 10 above the reduced rows' lowest exponents, and the
+        # input's bound saves a CRT prime.
+        m = bench_shaped_presentation(random.Random(1))
+        shift, _, bound, points = exactla._normalised(m.to_rows())
+        reduced, k = exactla._unit_reduced(m)
+        own_shift, _, own_bound, own_points = exactla._normalised(reduced.to_rows())
+        low = max(own_shift, shift - k)
+        window = min(own_shift + own_points, shift - k + points) - low
+        assert (reduced.rows, reduced.cols, points, own_points, window) == (6, 9, 9, 19, 9)
+        assert low - own_shift == 10
+        calls: dict[int, int] = {}
+        evaluate = exactla._evaluate_mod
+
+        def counted(polys, c, q):
+            calls[q] = calls.get(q, 0) + 1
+            return evaluate(polys, c, q)
+
+        monkeypatch.setattr(exactla, "_evaluate_mod", counted)
+        gcd = maximal_minor_gcd(m)
+        assert list(calls.values()) == [window] * laurent._crt_primes(min(bound, own_bound))
+        assert len(calls) < laurent._crt_primes(own_bound)
+        monkeypatch.undo()
+        own = ZERO
+        for minor in _maximal_minors(reduced):
+            own = laurent.gcd(own, minor)
+        assert gcd == canonicalize(own)
 
     def test_fill_in_unit_reduces_to_no_rows(self, monkeypatch):
         # the only unit is the 1 at (0, 0); clearing its column leaves a
@@ -1298,14 +1370,15 @@ def laurent_matrices(draw, square=False):
 
 class TestHighDegree:
     """Square matrices whose entries have high degree, and the interpolation
-    on the nodes 0..D that their determinants take."""
+    on the nodes 1..D + 1 that their determinants take."""
 
     def test_interpolation_inverts_evaluation(self):
         rng = random.Random(5)
         q = laurent._prime(0)
         for length in (1, 2, 3, 10, 64):
             coeffs = [rng.randrange(q) for _ in range(length)]
-            values = [sum(a * c ** k for k, a in enumerate(coeffs)) % q for c in range(length)]
+            values = [sum(a * c ** k for k, a in enumerate(coeffs)) % q
+                      for c in range(1, length + 1)]
             assert exactla._interpolate_mod(values, q) == coeffs
 
     def test_sparse_entries_of_high_degree(self):

@@ -179,7 +179,7 @@ class TestCompatibility:
             eye = IntMatrix.identity(rank)
             m = t - eye
             algebraic = all(
-                sum(chi[i] * m.at(i, j) for i in range(rank)) % r == 0
+                sum(chi[i] * m.row(i)[j] for i in range(rank)) % r == 0
                 for j in range(rank))
             assert compatible(f, alpha, d) == algebraic
 

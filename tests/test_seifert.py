@@ -92,7 +92,7 @@ class TestAlexanderPolynomial:
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             m = s.matrix
             n = m.rows
-            ents = [LaurentPoly.from_dict({-1: m.at(i, j), 0: -m.at(j, i)})
+            ents = [LaurentPoly.from_dict({-1: m.row(i)[j], 0: -m.row(j)[i]})
                     for i in range(n) for j in range(n)]
             reversed_det = LambdaMatrix(n, n, ents).det().shift(n)
             assert canonicalize(reversed_det) == alexander_polynomial(s)
@@ -113,11 +113,11 @@ class TestBranchedPresentation:
         s = FIG8.matrix
         for i in range(2):
             for j in range(2):
-                sym = s.at(i, j) + s.at(j, i)
-                assert m.at(i, j) == sym  # diagonal block
-                assert m.at(i + 2, j + 2) == sym
-                assert m.at(i, j + 2) == -s.at(j, i)  # superdiagonal: -S^T
-                assert m.at(i + 2, j) == -s.at(i, j)  # subdiagonal: -S
+                sym = s.row(i)[j] + s.row(j)[i]
+                assert m.row(i)[j] == sym  # diagonal block
+                assert m.row(i + 2)[j + 2] == sym
+                assert m.row(i)[j + 2] == -s.row(j)[i]  # superdiagonal: -S^T
+                assert m.row(i + 2)[j] == -s.row(i)[j]  # subdiagonal: -S
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -192,7 +192,7 @@ class TestMonodromyPower:
         h = monodromy_power_presentation(FIG8, 2).h
         for n in range(2, 13):
             hn = h ** n
-            a_n, c_n = hn.at(0, 0), hn.at(1, 1)
+            a_n, c_n = hn.row(0)[0], hn.row(1)[1]
             det = monodromy_power_presentation(FIG8, n).det_power_minus_identity
             assert det == 2 - a_n - c_n
             assert det <= -5
@@ -237,7 +237,7 @@ class TestCharacterJump:
                 pres = branched_presentation(s, d)
                 flat = [x for row in jump.character for x in row]
                 for j in range(pres.cols):
-                    assert sum(flat[i] * pres.at(i, j) for i in range(pres.rows)) % r == 0
+                    assert sum(flat[i] * pres.row(i)[j] for i in range(pres.rows)) % r == 0
                 assert jump.order >= 2
                 i, j = jump.jump
                 left = jump.character[j - 1][i - 1]
@@ -311,7 +311,7 @@ def against_block_oracle(s: SeifertMatrix, d: int, r: int) -> bool:
     chi = [x for row in cover.jump.character for x in row]
     assert all(0 <= x < r for x in chi) and math.gcd(r, *chi) == 1
     for j in range(pres.cols):
-        assert sum(chi[i] * pres.at(i, j) for i in range(pres.rows)) % r == 0
+        assert sum(chi[i] * pres.row(i)[j] for i in range(pres.rows)) % r == 0
     return True
 
 
