@@ -692,7 +692,6 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
         bound = min(bound, other_bound)
     if not bound or points <= 0:  # a zero row, or windows that do not meet
         return [laurent.ZERO] * count
-    plans: dict[tuple[int, ...], list] = {}  # pivot columns -> _minor_plan
 
     def residues():
         for q in _primes():
@@ -700,7 +699,7 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
             for c in range(1, points + 1):  # s^-low times each minor of A, at s = c
                 scale = pow(c, shift - low, q)
                 values.append([v * scale % q
-                               for v in _minors_mod(_evaluate_mod(polys, c, q), m, q, plans)])
+                               for v in _minors_mod(_evaluate_mod(polys, c, q), m, q)])
             minors = list(zip(*values))
             if len(minors) <= points:
                 yield q, [v for minor in minors for v in _interpolate_mod(minor, q)]
@@ -730,26 +729,24 @@ def _evaluation_rank(p: LambdaMatrix) -> int:
             return rank
 
 
-def _minors_mod(a: list[list[int]], m: int, q: int, plans: dict) -> list[int]:
-    """The maximal minors of the n x m matrix A mod q, A overwritten; the
-    plan for each set of pivot columns is kept in ``plans``."""
+def _minors_mod(a: list[list[int]], m: int, q: int) -> list[int]:
+    """The maximal minors of the n x m matrix A mod q, A overwritten."""
     n = len(a)
     pivots, d = _rref_mod(a, q)
     if len(pivots) < n:
         return [0] * math.comb(m, n)
     key = tuple(pivots)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _minor_plan(key, m)
     free = [j for j in range(m) if j not in key]
     small = _square_minors([[row[j] for j in free] for row in a], q)
-    return [sign * d * small[t, k] % q for sign, t, k in plan]
+    return [sign * d * small[t, k] % q for sign, t, k in _minor_plan(key, m)]
 
 
-def _minor_plan(pivots: tuple[int, ...], m: int) -> list[tuple[int, tuple, tuple]]:
+@functools.lru_cache(maxsize=32)
+def _minor_plan(pivots: tuple[int, ...], m: int) -> tuple[tuple[int, tuple, tuple], ...]:
     """For each column set C, in combinations order: (sign, T, K) with the
     minor on C equal to sign * d * det E[T, K], K indexing the non-pivot
-    columns."""
+    columns.  Kept across calls: every matrix of one reduced shape asks for
+    the same few plans."""
     n = len(pivots)
     free = {j: k for k, j in enumerate(j for j in range(m) if j not in pivots)}
     plan = []
@@ -760,7 +757,7 @@ def _minor_plan(pivots: tuple[int, ...], m: int) -> list[tuple[int, tuple, tuple
         moves = (_to_end_parity(t, n)
                  + _to_end_parity([i for i, j in enumerate(cols) if j in free], n))
         plan.append((-1 if moves & 1 else 1, t, k))
-    return plan
+    return tuple(plan)
 
 
 def _to_end_parity(positions, size: int) -> int:

@@ -374,11 +374,13 @@ def _crt_lift(bound: int, length: int, residues, inverses: list[int] | None = No
 
 # -- resultants ---------------------------------------------------------------
 
-# Cap on the bit length of the CRT bound ||p||_1^d of a resultant with
-# t^d - 1.  Every admitted result has at most 2467 decimal digits, so it
-# prints under Python's default 4300-digit limit; the whole sweep of
-# t^2 - 3t + 1 up to the cap (d = 3528, 17 moduli of 8 primes) takes
-# about 1 s on a 2-vCPU x86-64 host with Python 3.11.
+# Cap on the bit length of ||p||_1^d for a resultant with t^d - 1.  Every
+# admitted result has at most 2467 decimal digits, so it prints under
+# Python's default 4300-digit limit; the whole sweep of t^2 - 3t + 1 up to
+# the cap (d = 3528) takes about 0.33 s in process on a 2-vCPU x86-64
+# host with Python 3.11.  The CRT itself lifts under the smaller bound of
+# _resultant_bounds; the cap stays on ||p||_1^d, so it refuses the same
+# inputs with the same message.
 MAX_RESULTANT_BITS = 8192
 
 
@@ -389,6 +391,59 @@ def _check_resultant_bound(norm: int, d: int) -> None:
         raise SizeLimitError(
             f"the resultant with t^{d} - 1 is bounded by ||p||_1^{d}, about "
             f"{math.ceil(bits)} bits, above the cap of {MAX_RESULTANT_BITS} bits")
+
+
+# Graeffe root-squaring steps behind the Mahler-measure bound, and the
+# fraction bits of that bound's fixed-point value.
+_GRAEFFE_STEPS = 3
+_MAHLER_FRACTION_BITS = 32
+
+
+def _mahler_bound(f: list[int]) -> int:
+    """An integer m with m / 2^_MAHLER_FRACTION_BITS >= M(f), the Mahler
+    measure |lc| prod_i max(1, |lambda_i|) of f (ascending, f[0] != 0).
+
+    Graeffe's g_(k+1)(t^2) = +-g_k(t) g_k(-t), g_0 = f, squares every root,
+    so M(g_k) = M(f)^(2^k); Landau's inequality M(g) <= ||g||_2 then gives
+    M(f) <= (||g_k||_2^2)^(1 / 2^(k+1)).  That root is k + 1 integer square
+    roots of the scaled sum of squares, each rounded up, so m is never
+    below it.
+    """
+    g = f
+    for _ in range(_GRAEFFE_STEPS):
+        # g(t) g(-t) = sum (-1)^j g_i g_j t^(i+j): odd terms cancel, and
+        # (-1)^j = (-1)^i on the even ones
+        h = [0] * len(g)
+        for i, a in enumerate(g):
+            a = -a if i % 2 else a
+            for j in range(i % 2, len(g), 2):
+                h[(i + j) // 2] += a * g[j]
+        g = h
+    x = sum(c * c for c in g) << (2 * _MAHLER_FRACTION_BITS << _GRAEFFE_STEPS)
+    for _ in range(_GRAEFFE_STEPS + 1):
+        r = math.isqrt(x)
+        x = r + (r * r < x)  # rounded up
+    return x
+
+
+def _resultant_bounds(f: list[int]) -> Iterator[int]:
+    """B_1, B_2, ... without end: B_d = min(||f||_1^d, 2^n M^d) bounds
+    |Res(f, t^d - 1)| for f of degree n (ascending, f[0] != 0), with M the
+    fixed-point Mahler bound of _mahler_bound.
+
+    |Res(f, t^d - 1)| = |lc|^d prod_i |lambda_i^d - 1|, and each factor is
+    at most 2 max(1, |lambda_i|)^d, so the product is at most 2^n M(f)^d.
+    Each B_d takes one multiplication per term from B_(d-1): the Mahler
+    term is rounded up at every step, so it never drops below 2^n M^d.
+    B_d never decreases in d, since M >= |lc| >= 1.
+    """
+    norm = sum(map(abs, f))
+    m = _mahler_bound(f)
+    l1, mahler = 1, 1 << (len(f) - 1)
+    while True:
+        l1 *= norm
+        mahler = -(-mahler * m >> _MAHLER_FRACTION_BITS)
+        yield min(l1, mahler)
 
 
 def _polymod(a: list[int], f: list[int], p: int) -> list[int]:
@@ -439,9 +494,11 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     Equals the absolute value of the product of p over all d-th roots of
     unity.  Modulo each CRT prime that does not divide the leading
     coefficient, t^d is reduced modulo p^ by square-and-multiply and the
-    resultant is finished by the Euclidean algorithm; the product over roots
-    of unity is at most ||p||_1^d in absolute value.  A bound of more than
-    MAX_RESULTANT_BITS bits raises SizeLimitError before any prime is drawn.
+    resultant is finished by the Euclidean algorithm.  The primes are drawn
+    until they cover B_d = min(||p||_1^d, 2^n M^d) of _resultant_bounds, n
+    the degree of p^ and M a certified bound on its Mahler measure.  A
+    ||p||_1^d of more than MAX_RESULTANT_BITS bits raises SizeLimitError
+    before any prime is drawn.
     """
     if p.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -465,7 +522,8 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
             res = pow(fq[-1], d - len(g) + 1, q) * _resultant_mod(fq, g, q) if g else 0
             yield q, [res % q]
 
-    return abs(_crt_lift(norm ** d, 1, residues())[0])
+    bound = next(itertools.islice(_resultant_bounds(f), d - 1, None))
+    return abs(_crt_lift(bound, 1, residues())[0])
 
 
 # CRT primes multiplied into the one modulus of each pass of
@@ -473,12 +531,23 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
 _SWEEP_PACK = 8
 
 
-def _sweep_moduli(lc: int) -> Iterator[int]:
+def _sweep_moduli(lc: int, bound: int) -> Iterator[int]:
     """Products of _SWEEP_PACK consecutive CRT primes, skipping those that
-    divide lc, without end."""
+    divide lc, until the product of all the primes drawn exceeds 2 * bound.
+
+    The last pack ends at the first prime that passes that product, so it
+    holds only the primes the bound still needs.
+    """
     usable = (q for q in _primes() if lc % q)
-    while True:
-        yield math.prod(itertools.islice(usable, _SWEEP_PACK))
+    drawn = 1
+    while drawn <= 2 * bound:
+        modulus = 1
+        for q in itertools.islice(usable, _SWEEP_PACK):
+            modulus *= q
+            drawn *= q
+            if drawn > 2 * bound:
+                break
+        yield modulus
 
 
 def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
@@ -493,13 +562,14 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     identities on them give E_k = lc^(kd) e_k(lambda^d); then
     Res(p^, t^d - 1) = +-sum_k (-1)^k E_k lc^(d(1 - k)).
 
-    Each pass runs modulo a product of _SWEEP_PACK CRT primes that do not
-    divide lc.  It divides only by lc, which no factor divides, and by
+    Each pass runs modulo a product of CRT primes that do not divide lc
+    (_sweep_moduli).  It divides only by lc, which no factor divides, and by
     k <= n, which every 61-bit factor exceeds, so both are units modulo
-    that product.  Each d draws moduli
-    until its own bound ||p||_1^d is covered, as resultant_with_cyclotomic
-    does, and the bound at dmax is capped as there, with ||p||_1 taken as at
-    least 2: a unit p has bound 1, but a sweep still prints dmax - 1 lines.
+    that product.  Each d draws moduli until its own bound B_d of
+    _resultant_bounds is covered, the bound of resultant_with_cyclotomic;
+    B_d never decreases, so the moduli are cut to cover B_dmax and no more.
+    ||p||_1^dmax is capped as there, with ||p||_1 taken as at least 2: a
+    unit p has bound 1, but a sweep still prints dmax - 1 lines.
     """
     if dmax < 2:
         return {}
@@ -542,7 +612,8 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
             inv_lc_d = inv_lc_d * inv_lc % q
         return out
 
-    moduli = _sweep_moduli(lc)
+    bounds = list(itertools.islice(_resultant_bounds(f), dmax))  # bounds[d - 1] = B_d
+    moduli = _sweep_moduli(lc, bounds[-1])
     swept: list[tuple[int, dict[int, int]]] = []  # (modulus, {d: residue}), shared by every d
     inverses: list[int] = []  # every d lifts over the moduli of swept, in order
 
@@ -556,7 +627,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
             q, rs = swept[k]
             yield q, [rs[d]]
 
-    return {d: abs(_crt_lift(norm ** d, 1, residues(d), inverses)[0])
+    return {d: abs(_crt_lift(bounds[d - 1], 1, residues(d), inverses)[0])
             for d in range(2, dmax + 1)}
 
 

@@ -861,6 +861,18 @@ class TestMaximalMinors:
         assert _maximal_minors(m) == [ZERO] * 3
         assert maximal_minor_gcd(m) == ZERO
 
+    def test_plans_are_kept_across_calls(self):
+        # the plan of a pivot set depends only on it and m, and swapping rows
+        # moves no pivot, so the second gcd builds no plan of its own
+        rng = random.Random(83)
+        rows = [[LaurentPoly(0, (rng.choice((-1, 1)) * rng.randint(2, 5), rng.randint(2, 5)))
+                 for _ in range(6)] for _ in range(3)]
+        first, second = LambdaMatrix.from_rows(rows), LambdaMatrix.from_rows(rows[::-1])
+        maximal_minor_gcd(first)
+        built = exactla._minor_plan.cache_info().misses
+        assert maximal_minor_gcd(second) == enumerated_gcd(second)
+        assert exactla._minor_plan.cache_info().misses == built
+
     def test_no_laurent_determinant_or_elimination(self, monkeypatch):
         rng = random.Random(79)
         cases = []

@@ -1,20 +1,21 @@
 import cmath
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistalex import laurent
 from twistalex.errors import ParseError, SizeLimitError
-from twistalex.exactla import IntMatrix
 from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
                                cyclotomic_resultants, gcd, is_monic,
                                parse_laurent, resultant_with_cyclotomic,
                                to_text)
+from twistalex.seifert import alexander_polynomial, random_seifert_matrix
 
-from bareiss_oracle import divexact, divides
+from bareiss_oracle import bareiss, divexact, divexact_int, divides
 
 
 def P(text):
@@ -128,11 +129,12 @@ class TestIsMonic:
 
 def sylvester(a: list[int], b: list[int]) -> int:
     """Res(a, b) for ascending coefficient lists of degrees m, n >= 1, as
-    the Bareiss determinant of the (m + n)-square Sylvester matrix."""
+    the Bareiss determinant of the (m + n)-square Sylvester matrix: no CRT,
+    so it shares no bound with the routes it checks."""
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    return IntMatrix.from_rows(rows).det()
+    return bareiss(rows, 1, divexact_int)[1]
 
 
 def sylvester_resultant(p: LaurentPoly, d: int) -> int:
@@ -243,6 +245,63 @@ class TestResultantAgainstSylvester:
             assert value <= sum(map(abs, p.coeffs)) ** d
 
 
+def resultant_bound(p: LaurentPoly, d: int) -> int:
+    """B_d, the bound both resultant routes lift under."""
+    return next(itertools.islice(laurent._resultant_bounds(list(p.coeffs)), d - 1, None))
+
+
+class TestResultantBound:
+    """|Res(p^, t^d - 1)| <= B_d <= ||p||_1^d, B_d = min(||p||_1^d, 2^n M^d)
+    with M the rounded-up Mahler bound after Graeffe steps."""
+
+    @staticmethod
+    def check(p: LaurentPoly, d: int) -> int:
+        value = sylvester_resultant(p, d)
+        assert value <= resultant_bound(p, d) <= sum(map(abs, p.coeffs)) ** d
+        return value
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=13), st.integers(1, 60))
+    @example([3, -7, 1], 60)
+    @example([2**70, 1, 2**70], 1)
+    def test_covers_the_resultant(self, coeffs, d):
+        p = LaurentPoly(0, coeffs)
+        assume(not p.is_zero)
+        self.check(p, d)
+
+    def test_cyclotomic_factors(self):
+        # M(c * Phi_3 * Phi_4 * Phi_5) = |c|, and R_d = 0 whenever 3, 4 or 5 divides d
+        cyclotomic = P("t^2 + t + 1") * P("t^2 + 1") * P("t^4 + t^3 + t^2 + t + 1")
+        for c in (1, -1, 2, 97):
+            p = cyclotomic * c
+            for d in range(1, 41):
+                value = self.check(p, d)
+                assert (value == 0) == any(d % k == 0 for k in (3, 4, 5))
+        # M = 5 exactly; three Graeffe steps bound it within 10%
+        one = 2**laurent._MAHLER_FRACTION_BITS
+        assert 5 * one <= laurent._mahler_bound(list((cyclotomic * 5).coeffs)) < 5.5 * one
+
+    def test_leading_coefficient_on_first_prime(self):
+        q = laurent._prime(0)
+        for coeffs in ((5, -3, q), (1, 0, -7, 2 * q), (q, q)):
+            p = LaurentPoly(0, coeffs)
+            for d in (1, 2, 7, 30):
+                self.check(p, d)
+
+    def test_units(self):
+        for p in (LaurentPoly.const(1), LaurentPoly.const(-1), LaurentPoly(5, (-1,))):
+            assert list(itertools.islice(laurent._resultant_bounds(list(p.coeffs)), 60)) == [1] * 60
+
+    def test_near_tight_family(self):
+        # |Res(t + a, t^d - 1)| = a^d + 1 at odd d, against B_d of about 2 a^d
+        for a in (1, 2, 3, 10, 2**20, 2**70):
+            p = LaurentPoly(0, (a, 1))
+            for d in range(1, 61, 2):
+                assert self.check(p, d) == a**d + 1
+            if a >= 2**20:  # rounding costs under a part in 2^30 of 2 a^d
+                assert resultant_bound(p, 59) * 2**30 < 2 * a**59 * (2**30 + 1)
+
+
 def per_degree(p: LaurentPoly, dmax: int) -> dict[int, int]:
     """The sweep as one resultant_with_cyclotomic call per d: the oracle of
     cyclotomic_resultants."""
@@ -277,8 +336,8 @@ class TestCyclotomicResultants:
         drawn = []
         packed = laurent._sweep_moduli
 
-        def recording(lc):
-            for q in packed(lc):
+        def recording(lc, bound):
+            for q in packed(lc, bound):
                 drawn.append(q)
                 yield q
 
@@ -297,12 +356,43 @@ class TestCyclotomicResultants:
             assert all(math.gcd(q, lc) == 1 for q in moduli)
 
     def test_bound_over_several_moduli(self, moduli):
-        # ||p||_1^25 has about 1800 bits: four moduli of about 488 bits
+        # B_25 has about 1800 bits: three full moduli of about 488 bits and
+        # a last one cut to fit
         p = LaurentPoly(-2, (2**70 + 3, -5, 2**70 - 1, 7))
         assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
         assert len(moduli) >= 3
         assert len(set(moduli)) == len(moduli)
-        assert all(q.bit_length() > laurent._SWEEP_PACK * 60 for q in moduli)
+        assert all(q.bit_length() > laurent._SWEEP_PACK * 60 for q in moduli[:-1])
+
+    def test_moduli_cover_the_last_bound_and_no_more(self, moduli):
+        rng = random.Random(131)
+        for _ in range(20):
+            p = LaurentPoly(0, [rng.randint(-2**40, 2**40) for _ in range(rng.randint(2, 7))])
+            dmax = rng.randint(2, 60)
+            moduli.clear()
+            assert cyclotomic_resultants(p, dmax) == per_degree(p, dmax)
+            drawn, k = math.prod(moduli), 0  # no prime divides lc: primes 0..k - 1
+            while drawn % laurent._prime(k) == 0:
+                k += 1
+            assert drawn == math.prod(laurent._prime(j) for j in range(k))
+            assert drawn > 2 * resultant_bound(p, dmax) >= drawn // laurent._prime(k - 1)
+
+    def test_moduli_end_at_the_first_prime_past_twice_the_bound(self):
+        # packs of _SWEEP_PACK primes, the last cut at the first prime past 2 * bound
+        pack = laurent._SWEEP_PACK
+        for k in range(1, 3 * pack + 2):
+            product = math.prod(laurent._prime(j) for j in range(k))
+            for bound, primes in (((product - 1) // 2, k), (product - 1, k + 1)):
+                expected = [math.prod(laurent._prime(j) for j in range(i, min(i + pack, primes)))
+                            for i in range(0, primes, pack)]
+                assert list(laurent._sweep_moduli(3, bound)) == expected
+
+    def test_seifert_sweep_draws_one_modulus(self, moduli):
+        # an 8 x 8 Seifert matrix: ||delta||_1^40 needs a second modulus, B_40 does not
+        delta = alexander_polynomial(random_seifert_matrix(8, random.Random(1)))
+        assert 2 * sum(map(abs, delta.coeffs)) ** 40 > math.prod(laurent._prime(k) for k in range(8))
+        assert cyclotomic_resultants(delta, 40) == per_degree(delta, 40)
+        assert len(moduli) == 1
 
     def test_sweep_up_to_the_cap(self):
         # the largest sweep of t^2 - 3t + 1 under MAX_RESULTANT_BITS
