@@ -17,7 +17,7 @@ from .errors import InternalError, SizeLimitError, TwistError
 from .fixtures import FIXTURES, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
-from .obstruction import evaluate_fibred_obstruction
+from .obstruction import evaluate_fibred_obstruction, fibred_verdict
 from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
                       random_seifert_matrix)
 
@@ -84,7 +84,9 @@ def _cmd_monodromy(args) -> int:
     else:
         alpha = formats.parse_hom(_read(args.alpha), names)
     inv = twisted_invariants(endo, args.d, alpha)
-    report = evaluate_fibred_obstruction(inv.presentation)
+    n = inv.h_matrix.rows
+    # det(sI - H) is monic of degree n, so sI - H has full rank n
+    report = fibred_verdict(n, n, n, inv.delta)
     h_rows = inv.h_matrix.to_rows()
     lines = [
         f"group order = {alpha.target.order}",

@@ -26,7 +26,7 @@ import operator
 from . import laurent
 from .errors import (CompatibilityError, InternalError, LiftSizeError,
                      NonSurjectiveError)
-from .exactla import IntMatrix, CokernelInvariants, Pencil, smith_normal_form
+from .exactla import IntMatrix, CokernelInvariants, char_poly, smith_normal_form
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, _closure
 from .laurent import LaurentPoly
@@ -225,12 +225,11 @@ def _assemble(cover: CoverGraph, left, inverse, chains) -> IntMatrix:
 @dataclasses.dataclass(frozen=True)
 class TwistedInvariants:
     """Twisted Alexander data of a fibred monodromy over a finite cover:
-    the action H of s on the cover's first homology, the square
-    presentation sI - H as an integer pencil, and delta = det(sI - H) in
-    canonical form, from the pencil's one determinant."""
+    the action H of s on the cover's first homology, and delta =
+    det(sI - H) in canonical form, the one maximal minor of the square
+    presentation sI - H."""
 
     h_matrix: IntMatrix
-    presentation: Pencil
     delta: LaurentPoly
 
 
@@ -244,12 +243,7 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom) -> TwistedInvarian
         raise ValueError("d must be a positive integer")
     cover = build_cover(f.rank, alpha)
     h = lift_power_matrix(cover, f, d)
-    presentation = Pencil(h)
-    return TwistedInvariants(
-        h_matrix=h,
-        presentation=presentation,
-        delta=laurent.canonicalize(presentation.det()),
-    )
+    return TwistedInvariants(h_matrix=h, delta=laurent.canonicalize(char_poly(h)))
 
 
 def branched_cover_homology_from_monodromy(f: FreeEndo, d: int) -> CokernelInvariants:

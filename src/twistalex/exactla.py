@@ -3,13 +3,13 @@
 Over Z: Smith normal form (with the left transform's row operations modulo
 r on request), cokernel invariants and characters onto cyclic groups.  A
 modular characteristic polynomial det(sI - H) gives the determinant of an
-integer matrix as well as that of the pencil type sI - H, which keeps it.
-Over Z[s, s^-1], a modular evaluation kernel gives every maximal minor of a
-Laurent matrix at once.  Every other Laurent determinant, the rank over the
-field of fractions and the maximal-minor gcds come from that kernel, the
-gcds after the unit entries +-s^k have been pivoted away.  The kernel's
-Gauss-Jordan step modulo a prime, lifted by the Chinese remainder theorem,
-also inverts a unimodular integer matrix.
+integer matrix, and the maximal-minor gcd of a Laurent matrix of the shape
+sI - H.  Over Z[s, s^-1], a modular evaluation kernel gives every maximal
+minor of a Laurent matrix at once.  Every other maximal-minor gcd, square
+or wide, comes from that kernel after the unit entries +-s^k have been
+pivoted away, and so does the rank over the field of fractions.  The
+kernel's Gauss-Jordan step modulo a prime, lifted by the Chinese remainder
+theorem, also inverts a unimodular integer matrix.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ class NonUnitError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True, init=False)
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary-precision entries."""
+class Matrix:
+    """Immutable matrix, row-major: the storage IntMatrix and LambdaMatrix
+    share."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    entries: tuple
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -62,12 +63,23 @@ class IntMatrix:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
+    def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, [x for r in rows for x in r])
+
+    def to_rows(self) -> list[list]:
+        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+
+class IntMatrix(Matrix):
+    """Immutable integer matrix, row-major, arbitrary-precision entries."""
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -75,13 +87,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -405,90 +410,11 @@ def _over_cap(n: int) -> SizeLimitError:
 # -- matrices over Z[s, s^-1] --------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class LambdaMatrix:
+class LambdaMatrix(Matrix):
     """Immutable matrix with LaurentPoly entries, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[LaurentPoly, ...]
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "LambdaMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    def to_rows(self) -> list[list[LaurentPoly]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def det(self) -> LaurentPoly:
-        """Exact determinant.
-
-        sI - Y (s minus an integer on the diagonal, integers elsewhere) is
-        char_poly(Y); any other matrix is its own one maximal minor, from
-        the evaluation kernel.
-        """
-        if not self.is_square:
-            raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if all(p.low >= 0 and p.degree <= 1 and p.coefficient(1) == (k % (n + 1) == 0)
-               for k, p in enumerate(self.entries)):  # k % (n + 1) == 0 on the diagonal
-            return char_poly(IntMatrix(n, n, [-p.coefficient(0) for p in self.entries]))
-        return _maximal_minors(self)[0]
-
-
-@dataclasses.dataclass(frozen=True)
-class Pencil:
-    """The square pencil sI - H over Z[s, s^-1], kept as the integer matrix H.
-
-    Its determinant, char_poly(H), is taken once and kept; being monic of
-    degree n, it makes the rank n.
-    """
-
-    h: IntMatrix
-
-    def __post_init__(self):
-        if not self.h.is_square:
-            raise ValueError("a pencil sI - H needs a square H")
-
-    @property
-    def rows(self) -> int:
-        return self.h.rows
-
-    cols = rows
-
-    def det(self) -> LaurentPoly:
-        """det(sI - H), exactly."""
-        return self._det
-
-    @functools.cached_property
-    def _det(self) -> LaurentPoly:
-        return char_poly(self.h)
-
-
-def rank_over_fractions(p: LambdaMatrix | Pencil) -> int:
-    """Rank of P over the field of fractions of Z[s, s^-1]."""
-    if isinstance(p, Pencil):  # det(sI - H) is monic of degree n
-        return p.rows
-    return _evaluation_rank(p)
-
-
-def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
+def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     """Gcd of all n x n minors of an n x m matrix with n <= m, in canonical
     form.
 
@@ -496,9 +422,10 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
     relations (n > m) has zero ideal and zero gcd.  The minors are capped
     at MAX_MINORS column choices; beyond that a MinorLimitError is raised
     before any work.  The cap counts the input's minors, not those left
-    after the unit pivots.  A square matrix has one minor, its
-    determinant (a Pencil's kept one); a wide one loses its unit pivots
-    (_unit_reduced) and the rest come from one evaluation kernel.
+    after the unit pivots.  An input of the shape sI - Y (s minus an
+    integer on the diagonal, integers elsewhere) is char_poly(Y); any
+    other loses its unit pivots (_unit_reduced), and the rest come from
+    one evaluation kernel.
 
     Each minor of the reduced matrix is +-s^-K times one of P's, K the sum
     of the pivot exponents, so the kernel is handed P's window: P's
@@ -512,8 +439,12 @@ def maximal_minor_gcd(p: LambdaMatrix | Pencil) -> LaurentPoly:
     if count > MAX_MINORS:
         raise MinorLimitError(
             f"would enumerate {count} minors, above the cap of {MAX_MINORS}")
-    if n == m:
-        return laurent.canonicalize(p.det())
+    # Read off the input, not the reduced matrix: each of sI - Y's unit
+    # pivots would cost a pass over the fill-in that char_poly never makes.
+    if n == m and all(e.low >= 0 and e.degree <= 1 and e.coefficient(1) == (k % (n + 1) == 0)
+                      for k, e in enumerate(p.entries)):  # k % (n + 1) == 0 on the diagonal
+        return laurent.canonicalize(
+            char_poly(IntMatrix(n, n, [-e.coefficient(0) for e in p.entries])))
     shift, _, bound, points = _normalised(p.to_rows())
     reduced, k = _unit_reduced(p)
     g = laurent.ZERO
@@ -527,10 +458,11 @@ def _is_unit(e: LaurentPoly) -> bool:
 
 
 def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
-    """(P with its unit pivots eliminated, still n' x m' with n' < m', and
-    K, the sum of the exponents k of the pivots u = +-s^k); its maximal
+    """(P with its unit pivots eliminated, n' x m' with m' - n' = m - n,
+    and K, the sum of the exponents k of the pivots u = +-s^k); its maximal
     minors generate the same ideal as P's (the Fitting ideal of coker P,
     Eisenbud, Commutative Algebra, section 20), so their gcd is the same.
+    A square P leaves a square matrix, 0 x 0 when every row is a pivot's.
 
     While an entry u = +-s^k is left, the one at (i, j) with the least
     (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
@@ -591,8 +523,8 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # cannot serve.  Newton's divided differences on the nodes 1..D + 1
 # interpolate each minor from its D + 1 values in O(D^2), and so does
 # evaluating A at every node.  A square matrix has one maximal minor, its
-# determinant, on its own window, and a single row is its own list of
-# minors.
+# determinant, and the 0 x 0 one has the minor 1; a single row is its own
+# list of minors.
 #
 # The rank over the field of fractions is the largest rank of A, zero rows
 # dropped, modulo a CRT prime at s = 0..D, D = sum_i span_i, over primes
@@ -712,7 +644,7 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
     return [LaurentPoly(low, flat[i:i + points]) for i in range(0, count * points, points)]
 
 
-def _evaluation_rank(p: LambdaMatrix) -> int:
+def rank_over_fractions(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1], by evaluation;
     it returns as soon as the rank is full."""
     rows = [row for row in p.to_rows() if any(row)]

@@ -133,6 +133,8 @@ def parse_lambda_matrix(text: str) -> LambdaMatrix:
         rows, cols = map(int, first.split())
     except ValueError:
         raise ParseError("first line must be 'rows cols'", lineno) from None
+    if rows < 0 or cols < 0:
+        raise ParseError(f"negative matrix shape {rows} x {cols}", lineno)
     entries = []
     for lineno, line in lines[1:]:
         for tok in line.split():

@@ -100,10 +100,6 @@ class LaurentPoly:
             if c:
                 yield self.low + i, c
 
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by s^n."""
-        return LaurentPoly(self.low + n, self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -160,10 +156,6 @@ class LaurentPoly:
         if n < 0:
             raise ValueError("negative powers of general polynomials are not in the ring")
         return _binpow(self, n, LaurentPoly.__mul__, ONE)
-
-    def evaluate(self, z: complex) -> complex:
-        """Evaluate at a nonzero complex number (numeric cross-checks only)."""
-        return sum(c * z ** e for e, c in self.terms())
 
     def __str__(self) -> str:
         return to_text(self)

@@ -13,7 +13,7 @@ from typing import Literal
 
 from . import laurent
 from .errors import MinorLimitError
-from .exactla import LambdaMatrix, Pencil, maximal_minor_gcd, rank_over_fractions
+from .exactla import LambdaMatrix, maximal_minor_gcd, rank_over_fractions
 from .laurent import LaurentPoly
 
 CONSISTENT = "consistent-with-fibred"
@@ -37,36 +37,43 @@ class ObstructionReport:
         return EXIT_CODES[self.verdict]
 
 
-def evaluate_fibred_obstruction(p: LambdaMatrix | Pencil) -> ObstructionReport:
+def evaluate_fibred_obstruction(p: LambdaMatrix) -> ObstructionReport:
     """Evaluate the three conclusions on a presentation matrix (rows are
     generators, columns relations).
 
     Torsionness is decided by the rank over the fraction field, which is
-    full as soon as delta, the gcd of the maximal minors, is nonzero;
-    principality is only ever asserted for square presentations (the
-    sufficient condition the fibred computation produces), never decided
-    in general.
+    full as soon as delta, the gcd of the maximal minors, is nonzero
+    (n > m and a fired cap both leave delta = 0), so the rank is taken
+    only otherwise.
     """
-    n = p.rows
-    reasons: list[str] = []
-
     cap_error: MinorLimitError | None = None
     try:
         delta = maximal_minor_gcd(p)
     except MinorLimitError as e:
         cap_error = e
         delta = laurent.ZERO
+    rank = p.rows if not delta.is_zero else rank_over_fractions(p)
+    return fibred_verdict(p.rows, p.cols, rank, delta, cap_error)
 
-    # A nonzero maximal minor already proves full rank n (n > m and a
-    # fired cap both leave delta = 0), so the rank is taken only otherwise.
-    rank = n if not delta.is_zero else rank_over_fractions(p)
-    torsion = "yes" if rank == n else "no"
+
+def fibred_verdict(rows: int, cols: int, rank: int, delta: LaurentPoly,
+                   cap_error: MinorLimitError | None = None) -> ObstructionReport:
+    """The three conclusions for a presentation with ``rows`` generators,
+    ``cols`` relations, rank ``rank`` over the fraction field and delta,
+    the gcd of its maximal minors (zero when ``cap_error`` stopped it).
+
+    Principality is only ever asserted for square presentations (the
+    sufficient condition the fibred computation produces), never decided
+    in general.
+    """
+    reasons: list[str] = []
+    torsion = "yes" if rank == rows else "no"
     if torsion == "yes":
-        reasons.append(f"(1) torsion: presentation has full rank {n}")
+        reasons.append(f"(1) torsion: presentation has full rank {rows}")
     else:
-        reasons.append(f"(1) FAILS: rank {rank} < {n} generators, module is not torsion")
+        reasons.append(f"(1) FAILS: rank {rank} < {rows} generators, module is not torsion")
 
-    principal = "yes" if p.rows == p.cols else "unknown"
+    principal = "yes" if rows == cols else "unknown"
     if principal == "yes":
         reasons.append("(2) principal: presentation matrix is square")
     else:

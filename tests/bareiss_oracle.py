@@ -1,11 +1,25 @@
 """Fraction-free elimination over any exact domain, and exact division in
 Z[s, s^-1]: the route by which Laurent determinants and ranks were once
-computed, kept as the test oracle of the evaluation kernel."""
+computed, kept as the test oracle of the evaluation kernel.  Also the
+Laurent expansion of a pencil sX - Y, for the oracle and the kernel alike."""
 
 from __future__ import annotations
 
 from twistalex.errors import InternalError
+from twistalex.exactla import IntMatrix, LambdaMatrix
 from twistalex.laurent import ZERO, LaurentPoly, _trim
+
+
+def pencil(x, y) -> LambdaMatrix:
+    """sX - Y from integer row lists."""
+    return LambdaMatrix.from_rows(
+        [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)])
+
+
+def si_minus(h: IntMatrix) -> LambdaMatrix:
+    """sI - H with Laurent entries, the shape that maximal_minor_gcd reads
+    as char_poly(H)."""
+    return pencil(IntMatrix.identity(h.rows).to_rows(), h.to_rows())
 
 
 def try_div(f: list[int], g: list[int]) -> list[int] | None:

@@ -174,34 +174,36 @@ class TestMonodromyCommand:
         assert calls == [4, 22]
 
     def test_minor_cap_zero_keeps_its_output(self, capsys, monkeypatch):
-        # the cap still fires on the one square minor, and the rank of
-        # sI - H is full with no work by the evaluation kernel
-        def refuse(*args):
-            raise AssertionError("evaluation kernel on sI - H")
-
-        reports = []
-
-        def recorded(p):
-            reports.append(evaluate(p))
-            return reports[-1]
-
-        evaluate = cli.evaluate_fibred_obstruction
-        monkeypatch.setattr(cli, "evaluate_fibred_obstruction", recorded)
-        monkeypatch.setattr(exactla, "_maximal_minors", refuse)
-        monkeypatch.setattr(exactla, "_evaluation_rank", refuse)
+        # the minor cap belongs to maximal_minor_gcd, which the monodromy
+        # route never reaches: delta and the full rank come from char_poly
+        args = ("monodromy", "--fixture", "trefoil-monodromy",
+                "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
+        expected = run(capsys, *args)
         monkeypatch.setattr(exactla, "MAX_MINORS", 0)
+        assert run(capsys, *args) == expected
+        assert expected[0] == 0
+        assert json.loads(expected[1])["verdict"] == "consistent-with-fibred"
+
+    def test_monodromy_takes_one_char_poly_and_no_minors(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
+
+        def refuse(*args):
+            raise AssertionError("the monodromy route took a minor gcd or a rank")
+
+        char_poly = exactla.char_poly
+        for module in (exactla, cover, obstruction, cli):  # every binding the pipeline reaches
+            for name, stand_in in (("char_poly", counted), ("maximal_minor_gcd", refuse),
+                                   ("rank_over_fractions", refuse)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, stand_in)
         code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
                            "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
-        assert code == 0
-        assert raw == (
-            '{"delta": "s^4 - s^3 - s + 1", "group_order": 3, "h": [[1, 0, -1, -1], '
-            '[0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]], "h1_rank": 4, '
-            '"monic": "undefined", "principal": "yes", "torsion": "yes", '
-            '"verdict": "inconclusive"}\n')
-        assert reports[0].reasons == (
-            "(1) torsion: presentation has full rank 4",
-            "(2) principal: presentation matrix is square",
-            "(3) undetermined: would enumerate 1 minors, above the cap of 0")
+        assert code == 0 and json.loads(raw)["delta"] == "s^4 - s^3 - s + 1"
+        assert calls == [4]
 
 
 class TestSeifertCommand:
@@ -564,6 +566,16 @@ class TestReportCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("text", ["-1 -2\n1 1\n", "0 -3\n", "-2 -1\ns 1\n"],
+                             ids=["both-negative", "negative-columns", "negative-rows"])
+    def test_negative_matrix_shape(self, capsys, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "report", "--presentation", str(path))
+        rows, cols = text.split("\n")[0].split()
+        assert (code, out) == (64, "")
+        assert err == f"twist: error: negative matrix shape {rows} x {cols} (line 1)\n"
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "seifert", "--fixture", "nonsense", "--d", "2")
         assert code == 64

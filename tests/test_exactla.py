@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError, SizeLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, Pencil, _maximal_minors,
+from twistalex.exactla import (IntMatrix, LambdaMatrix, _maximal_minors,
                                char_poly, maximal_minor_gcd, rank_over_fractions,
                                smith_normal_form)
 from twistalex.laurent import LaurentPoly, ONE, ZERO, _prime, canonicalize, parse_laurent
+from twistalex.obstruction import evaluate_fibred_obstruction
 from twistalex.seifert import SeifertMatrix, alexander_polynomial, random_seifert_matrix
 
-from bareiss_oracle import bareiss, divexact, divexact_int
+from bareiss_oracle import bareiss, divexact, divexact_int, pencil, si_minus
 from seifert_oracle import branched_presentation
 
 
@@ -410,18 +411,6 @@ def leibniz_det(m: LambdaMatrix) -> LaurentPoly:
     return total
 
 
-def pencil(x, y) -> LambdaMatrix:
-    """sX - Y from integer row lists."""
-    return LambdaMatrix.from_rows(
-        [[LaurentPoly(0, (-b, a)) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)])
-
-
-def si_minus(h: IntMatrix) -> LambdaMatrix:
-    """sI - H with Laurent entries: the expansion that Pencil never builds,
-    kept as its oracle (its det() is char_poly(H) again)."""
-    return pencil(IntMatrix.identity(h.rows).to_rows(), h.to_rows())
-
-
 def unimodular(rng, n):
     """A random integer matrix of determinant +-1, from elementary row moves."""
     x = IntMatrix.identity(n).to_rows()
@@ -555,7 +544,7 @@ def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts, by size, the calls of the evaluation kernel: the route of
-    LambdaMatrix.det for every square matrix but sI - Y."""
+    maximal_minor_gcd for every matrix but sI - Y, after the unit pivots."""
     calls = []
 
     def counted(p, window=None):
@@ -626,16 +615,27 @@ class TestCharPoly:
         assert budgets == [100]
 
 
+def square_gcd(m: LambdaMatrix) -> LaurentPoly:
+    """The determinant of a square m by the evaluation kernel alone, after
+    checking that maximal_minor_gcd is its canonical form."""
+    det = _maximal_minors(m)[0]
+    assert maximal_minor_gcd(m) == canonicalize(det)
+    return det
+
+
 class TestPencilDeterminant:
+    """Square pencils sX - Y: sI - Y goes to char_poly, any other takes the
+    evaluation kernel once, after its unit pivots."""
+
     def test_sizes_zero_and_one(self, kernel_calls):
         assert char_poly(IntMatrix(0, 0, ())) == LaurentPoly.const(1)
-        assert LambdaMatrix(0, 0, ()).det() == LaurentPoly.const(1)
+        assert square_gcd(LambdaMatrix(0, 0, ())) == LaurentPoly.const(1)
         assert char_poly(IntMatrix.from_rows([[7]])) == P("s - 7")
-        assert pencil([[1]], [[7]]).det() == P("s - 7")
+        assert square_gcd(pencil([[1]], [[7]])) == P("s - 7")
         assert kernel_calls == []
         # a 1 x 1 sX - Y with X != 1 is its own one minor
-        assert pencil([[3]], [[5]]).det() == P("3s - 5")
-        assert pencil([[0]], [[0]]).det() == ZERO
+        assert square_gcd(pencil([[3]], [[5]])) == P("3s - 5")
+        assert square_gcd(pencil([[0]], [[0]])) == ZERO
         assert kernel_calls == [1, 1]
 
     def test_identity_x(self, kernel_calls):
@@ -644,7 +644,7 @@ class TestPencilDeterminant:
             n = rng.randint(1, 4)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(IntMatrix.identity(n).to_rows(), y)
-            assert m.det() == leibniz_det(m) == bareiss_det(m)
+            assert square_gcd(m) == leibniz_det(m) == bareiss_det(m)
         assert kernel_calls == []
 
     def test_unimodular_x(self, kernel_calls):
@@ -655,7 +655,7 @@ class TestPencilDeterminant:
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -5, 5).to_rows()
             m = pencil(x, y)
-            assert m.det() == leibniz_det(m) == bareiss_det(m)
+            assert square_gcd(m) == leibniz_det(m) == bareiss_det(m)
             evaluated += x != IntMatrix.identity(n).to_rows()
         assert len(kernel_calls) == evaluated >= 25  # X != I takes the evaluation kernel
 
@@ -667,9 +667,9 @@ class TestPencilDeterminant:
             x = unimodular(rng, n)
             y = random_matrix(rng, n, n, -2**75, 2**75).to_rows()
             m = pencil(x, y)
-            assert m.det() == bareiss_det(m)
+            assert square_gcd(m) == bareiss_det(m)
             h = IntMatrix.from_rows(y)
-            assert si_minus(h).det() == char_poly(h) == bareiss_det(si_minus(h))
+            assert square_gcd(si_minus(h)) == char_poly(h) == bareiss_det(si_minus(h))
             evaluated += x != IntMatrix.identity(n).to_rows()
         assert len(kernel_calls) == evaluated >= 8  # X != I only
 
@@ -680,7 +680,7 @@ class TestPencilDeterminant:
             x = random_matrix(rng, n, n, -4, 4).to_rows()
             y = random_matrix(rng, n, n, -4, 4).to_rows()
             x[1], y[1] = list(x[0]), list(y[0])  # equal rows: det(sX - Y) = 0
-            assert pencil(x, y).det() == ZERO
+            assert square_gcd(pencil(x, y)) == ZERO
         assert len(kernel_calls) == 10
 
     def test_singular_x_with_nonzero_determinant(self, kernel_calls):
@@ -694,7 +694,7 @@ class TestPencilDeterminant:
             expected = leibniz_det(m)
             if expected.is_zero:
                 continue
-            assert m.det() == expected
+            assert square_gcd(m) == expected
             done += 1
         assert len(kernel_calls) == 10
 
@@ -708,13 +708,14 @@ class TestPencilDeterminant:
                 [[p if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]))
             assert abs(x.det()) == p
             m = pencil(x.to_rows(), random_matrix(rng, n, n, -4, 4).to_rows())
-            assert m.det() == leibniz_det(m)
+            assert square_gcd(m) == leibniz_det(m)
         assert len(kernel_calls) == 5
 
     def test_non_pencils_take_the_evaluation_kernel(self, kernel_calls):
+        # every entry is a unit; the first pivot leaves [s - s^-3]
         m = LambdaMatrix.from_rows([[P("s^2"), P("1")], [P("s^-1"), P("s")]])
-        assert m.det() == leibniz_det(m) == bareiss_det(m) == P("s^3 - s^-1")
-        assert kernel_calls == [2]
+        assert square_gcd(m) == leibniz_det(m) == bareiss_det(m) == P("s^3 - s^-1")
+        assert kernel_calls == [1]
 
     def test_prime_sequence(self):
         sieve = [n for n in range(2, 2000) if all(n % q for q in range(2, int(n**0.5) + 1))]
@@ -757,7 +758,7 @@ class TestLambdaMatrix:
                                 [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
                     for _ in range(n * n)]
             m = LambdaMatrix(n, n, ents)
-            assert maximal_minor_gcd(m) == canonicalize(m.det())
+            assert square_gcd(m) == bareiss_det(m)
 
     def test_minor_cap(self, monkeypatch):
         m = LambdaMatrix.from_rows([[P("s"), P("1"), P("s"), P("1")],
@@ -812,12 +813,19 @@ def wide_matrices(draw, n):
 
 
 def refuse_laurent_determinants(monkeypatch):
-    """Makes any Laurent determinant fail."""
+    """Makes any Laurent determinant fail: char_poly, or the evaluation
+    kernel on a square matrix, which is its one determinant."""
     def refuse(*args):
         raise AssertionError("the evaluation kernel took a Laurent determinant")
 
-    monkeypatch.setattr(exactla.LambdaMatrix, "det", refuse)
-    monkeypatch.setattr(exactla.Pencil, "det", refuse)
+    def wide_only(p, window=None):
+        if p.rows == p.cols:
+            refuse()
+        return kernel(p, window)
+
+    kernel = exactla._maximal_minors
+    monkeypatch.setattr(exactla, "_maximal_minors", wide_only)
+    monkeypatch.setattr(exactla, "char_poly", refuse)
 
 
 class TestMaximalMinors:
@@ -1054,6 +1062,78 @@ class TestUnitPivots:
         assert [(p.rows, p.cols) for p in seen] == [(2, 4)]
 
 
+def planted_square(rng: random.Random, n: int, kind: str) -> LambdaMatrix:
+    """An n x n Laurent matrix of one of four kinds: entries +-s^k planted
+    among small general ones and zeros, then mixed by row operations
+    ("units"); a unit lower-triangular matrix with its rows mixed and its
+    columns shuffled, whose pivots can take every row ("triangular"); the
+    first kind with its last row a multiple of its first, so delta is 0
+    ("singular"); or sI - Y ("pencil")."""
+    def unit():
+        return LaurentPoly(rng.randint(-2, 2), (rng.choice((1, -1)),))
+
+    def general():
+        return LaurentPoly(rng.randint(-1, 1), [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))])
+
+    if kind == "pencil":
+        return si_minus(random_matrix(rng, n, n, -4, 4))
+    if kind == "triangular":
+        rows = [[unit() if i == j else general() if j < i else ZERO for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[rng.choice((unit, general, lambda: ZERO))() for _ in range(n)]
+                for _ in range(n)]
+    for _ in range(rng.randint(0, n)):
+        r, i = rng.randrange(n), rng.randrange(n)
+        if r != i:
+            f = general()
+            rows[r] = [a + f * b for a, b in zip(rows[r], rows[i])]
+    if kind == "triangular":
+        order = rng.sample(range(n), n)
+        rows = [[row[j] for j in order] for row in rows]
+    if kind == "singular":
+        f = general()
+        rows[-1] = [f * a for a in rows[0]] if n > 1 else [ZERO]
+    return LambdaMatrix.from_rows(rows) if n else LambdaMatrix(0, 0, ())
+
+
+class TestSquareMinorGcd:
+    """maximal_minor_gcd on square matrices, the unit pivots and the sI - Y
+    shortcut included, against the fraction-free determinant."""
+
+    def test_seeded_sweep_against_bareiss(self, kernel_calls):
+        rng = random.Random(20)
+        seen = {"consumed": 0, "one": 0, "singular": 0, "pencil": 0}
+        for _ in range(1000):
+            n = rng.randint(0, 5)
+            kind = rng.choice(("units", "triangular", "singular", "pencil"))
+            if kind == "singular" and not n:
+                continue
+            m = planted_square(rng, n, kind)
+            rank, det = bareiss(m.to_rows(), ONE, divexact)
+            before = len(kernel_calls)
+            gcd = maximal_minor_gcd(m)
+            assert gcd == canonicalize(det)
+            rows = m.to_rows()
+            if all((e - (i == j) * LaurentPoly.monomial(1)).degree <= 0 <= e.low
+                   for i, row in enumerate(rows) for j, e in enumerate(row)):
+                # sI - Y (the 0 x 0 matrix too): the shortcut, against the kernel
+                assert len(kernel_calls) == before
+                assert gcd == canonicalize(_maximal_minors(m)[0])
+                seen["pencil"] += 1
+                continue
+            assert len(kernel_calls) == before + 1
+            seen["one"] += n == 1
+            seen["consumed"] += n > 0 and exactla._unit_reduced(m)[0].rows == 0
+            if det.is_zero:  # delta 0: the obstruction takes the rank
+                report = evaluate_fibred_obstruction(m)
+                assert (report.delta, report.torsion) == (ZERO, "no")
+                assert report.reasons[0] == (
+                    f"(1) FAILS: rank {rank} < {n} generators, module is not torsion")
+                seen["singular"] += 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestRankOverFractions:
     def test_pencil_is_full_rank(self):
         rng = random.Random(13)
@@ -1124,8 +1204,8 @@ def laurent_pencil(x, y) -> LambdaMatrix:
 
 
 class TestPencil:
-    """Pencils sX - Y as Laurent matrices, and sI - H as a Pencil, against
-    the fraction-free oracle over Z[s, s^-1] on the Laurent expansion."""
+    """Pencils sX - Y as Laurent matrices, sI - Y among them, against the
+    fraction-free oracle over Z[s, s^-1] on the Laurent expansion."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(integer_pencils())
@@ -1133,15 +1213,12 @@ class TestPencil:
         kind, x, y = case
         m = laurent_pencil(x, y)
         rank, det = bareiss(m.to_rows(), ONE, divexact)
-        assert m.det() == det
+        assert _maximal_minors(m)[0] == det
         assert rank_over_fractions(m) == rank
         assert maximal_minor_gcd(m) == canonicalize(det)
-        if x is None:
-            p = Pencil(IntMatrix.from_rows(y))
-            assert (p.rows, p.cols) == (len(y), len(y))
-            assert p.det() == det
-            assert rank_over_fractions(p) == rank == len(y)
-            assert maximal_minor_gcd(p) == canonicalize(det)
+        if x is None:  # the shortcut: char_poly, monic of degree n
+            assert canonicalize(char_poly(IntMatrix.from_rows(y))) == canonicalize(det)
+            assert rank == len(y)
         if kind == "seifert":
             assert alexander_polynomial(SeifertMatrix(x)) == canonicalize(det)
 
@@ -1150,13 +1227,11 @@ class TestPencil:
                                 (None, [[7]], P("s - 7"), 1), ([[3]], [[5]], P("3s - 5"), 1),
                                 ([[0]], [[3]], P("-3"), 1), ([[0]], [[0]], ZERO, 0)):
             m = laurent_pencil(x, y)
-            assert (m.det(), rank_over_fractions(m)) == (det, rank)
+            assert (_maximal_minors(m)[0], rank_over_fractions(m)) == (det, rank)
             assert (rank, det) == bareiss(m.to_rows(), ONE, divexact)
-            if x is None:
-                p = Pencil(IntMatrix.from_rows(y))
-                assert (p.det(), rank_over_fractions(p), p.rows) == (det, rank, len(y))
+            assert maximal_minor_gcd(m) == canonicalize(det)
 
-    def test_determinant_is_taken_once(self, monkeypatch):
+    def test_determinant_is_taken_once(self, monkeypatch, kernel_calls):
         calls = []
 
         def counted(h):
@@ -1165,28 +1240,24 @@ class TestPencil:
 
         monkeypatch.setattr(exactla, "char_poly", counted)
         h = IntMatrix.from_rows([[1, 0, -1, -1], [0, 1, -1, -1], [1, 1, -1, -1], [0, 0, -1, 0]])
-        p = Pencil(h)
-        assert rank_over_fractions(p) == 4 and calls == []  # monic of degree n: full rank
-        assert p.det() == p.det() == P("s^4 - s^3 - s + 1")
-        assert maximal_minor_gcd(p) == p.det()
-        assert calls == [4]
+        assert maximal_minor_gcd(si_minus(h)) == P("s^4 - s^3 - s + 1")
+        assert calls == [4] and kernel_calls == []
 
     def test_evaluation_only_when_x_is_not_the_identity(self, kernel_calls):
-        # sI - Y, as a Pencil or as a Laurent matrix, is char_poly(Y); a
-        # square sX - Y with X != I is one call of the evaluation kernel
+        # sI - Y is char_poly(Y); a square sX - Y with X != I is one call
+        # of the evaluation kernel
         rng = random.Random(127)
         for _ in range(10):
             n = rng.randint(1, 5)
             y = random_matrix(rng, n, n, -5, 5)
-            p = Pencil(y)
-            assert rank_over_fractions(p) == n and not p.det().is_zero
-            assert si_minus(y).det() == p.det()
+            assert maximal_minor_gcd(si_minus(y)) == canonicalize(char_poly(y))
+            assert rank_over_fractions(si_minus(y)) == n
         assert kernel_calls == []
         x = unimodular(rng, 3)
         assert x != IntMatrix.identity(3).to_rows()
         m = pencil(x, random_matrix(rng, 3, 3, -5, 5).to_rows())
-        assert m.det() == bareiss_det(m)
-        assert kernel_calls == [3]
+        assert square_gcd(m) == bareiss_det(m)
+        assert len(kernel_calls) == 1
 
     def test_alexander_polynomial_of_a_singular_seifert_matrix(self, kernel_calls):
         # Gamma = (S - S^T)^-1 S exists whatever det S is: no evaluation
@@ -1196,16 +1267,32 @@ class TestPencil:
             bareiss_det(seifert_pencil(s)))
         assert kernel_calls == []
 
-    def test_shape_checks(self):
-        for h in (IntMatrix.from_rows([[1, 2]]), zeros(2, 1)):
-            with pytest.raises(ValueError, match="square H"):
-                Pencil(h)
+    def test_shape_checks(self, monkeypatch, kernel_calls):
+        # only s minus an integer on the diagonal and integers elsewhere
+        # read as sI - Y; the input's shape decides, not the reduced one's
+        calls = []
+
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
+
+        monkeypatch.setattr(exactla, "char_poly", counted)
+        pencils = [[["s - 7"]], [["s"]], [["s + 1", "-2"], ["0", "s"]], [["s", "1"], ["1", "s"]]]
+        others = [[["2s - 7"]], [["s^-1"]], [["s^2"]], [["s + s^-1"]], [["s", "s"], ["0", "s"]],
+                  [["s", "1"]], [["1", "s"], ["s", "1"]], [["1", "0"], ["0", "s - 3"]]]
+        for rows in pencils + others:
+            m = LambdaMatrix.from_rows([[P(e) for e in row] for row in rows])
+            expected = enumerated_gcd(m)
+            assert maximal_minor_gcd(m) == expected
+        assert calls == [len(rows) for rows in pencils]
+        assert len(kernel_calls) == len(others)
 
     def test_equal_pencils_compare_equal(self):
-        a = Pencil(IntMatrix.from_rows([[1, 2], [3, 4]]))
-        b = Pencil(IntMatrix.from_rows(((1, 2), (3, 4))))
-        a.det()
+        a = si_minus(IntMatrix.from_rows([[1, 2], [3, 4]]))
+        b = si_minus(IntMatrix.from_rows(((1, 2), (3, 4))))
         assert a == b and hash(a) == hash(b)
+        # the shared storage keeps the two matrix types apart
+        assert IntMatrix(1, 1, (1,)) != LambdaMatrix(1, 1, (1,))
 
 
 class TestAlexanderByGamma:
@@ -1395,7 +1482,7 @@ class TestHighDegree:
 
     def test_sparse_entries_of_high_degree(self):
         m = LambdaMatrix.from_rows([[P("s^300-1"), P("s")], [ONE, P("s^300+1")]])
-        assert m.det() == P("s^600-s-1") == bareiss(m.to_rows(), ONE, divexact)[1]
+        assert square_gcd(m) == P("s^600-s-1") == bareiss(m.to_rows(), ONE, divexact)[1]
         wide = LambdaMatrix.from_rows([[P("s^200"), P("1"), P("s^-3+2")],
                                        [P("2"), P("s^150-s"), P("s")]])
         rows = wide.to_rows()
@@ -1406,7 +1493,7 @@ class TestHighDegree:
     def test_a_row_is_its_own_list_of_minors(self):
         row = [P("s^2000-1"), ZERO, P("2s^-3")]
         assert _maximal_minors(LambdaMatrix.from_rows([row])) == row
-        assert LambdaMatrix.from_rows([row[:1]]).det() == row[0]
+        assert square_gcd(LambdaMatrix.from_rows([row[:1]])) == row[0]
 
 
 class TestEvaluationAgainstBareiss:
@@ -1417,13 +1504,13 @@ class TestEvaluationAgainstBareiss:
     @given(laurent_matrices())
     def test_rank(self, m):
         rank = bareiss(m.to_rows(), ONE, divexact)[0]
-        assert rank_over_fractions(m) == exactla._evaluation_rank(m) == rank
+        assert rank_over_fractions(m) == rank
 
     @settings(max_examples=200, deadline=None)
     @given(laurent_matrices(square=True))
     def test_determinant(self, m):
         det = bareiss(m.to_rows(), ONE, divexact)[1]
-        assert m.det() == _maximal_minors(m)[0] == det
+        assert square_gcd(m) == det
 
     @settings(max_examples=150, deadline=None)
     @given(laurent_matrices())
@@ -1441,5 +1528,5 @@ class TestEvaluationAgainstBareiss:
         _, x, y = case
         m = laurent_pencil(x, y)
         rank, det = bareiss(m.to_rows(), ONE, divexact)
-        assert exactla._evaluation_rank(m) == rank
+        assert rank_over_fractions(m) == rank
         assert _maximal_minors(m) == [det]

@@ -22,6 +22,11 @@ def P(text):
     return parse_laurent(text)
 
 
+def evaluate(p: LaurentPoly, z: complex) -> complex:
+    """p at a nonzero number, for the numeric cross-checks."""
+    return sum(c * z ** e for e, c in p.terms())
+
+
 polys = st.builds(LaurentPoly, st.integers(-5, 5),
                   st.lists(st.integers(-9, 9), max_size=7))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
@@ -72,7 +77,7 @@ class TestCanonicalize:
     def test_idempotent_and_unit_invariant(self, p, u, n):
         c = canonicalize(p)
         assert canonicalize(c) == c
-        assert canonicalize(p.shift(n) * u) == c
+        assert canonicalize(LaurentPoly(p.low + n, p.coeffs) * u) == c
 
 
 class TestGcd:
@@ -175,7 +180,7 @@ class TestResultantAgainstSylvester:
         # d = 1: |Res(p, t - 1)| = |p(1)|
         for text in ("t^2 - 3t + 1", "2t^3 - t + 5", "t - 1", "7"):
             p = P(text)
-            assert resultant_with_cyclotomic(p, 1) == sylvester_resultant(p, 1) == abs(p.evaluate(1))
+            assert resultant_with_cyclotomic(p, 1) == sylvester_resultant(p, 1) == abs(evaluate(p, 1))
 
     def test_constant(self):
         for c in (1, -1, 3, -5, 2**40):
@@ -498,7 +503,7 @@ class TestResultant:
             exact = resultant_with_cyclotomic(p, d)
             prod = 1.0 + 0.0j
             for k in range(d):
-                prod *= p.evaluate(cmath.exp(2j * cmath.pi * k / d))
+                prod *= evaluate(p, cmath.exp(2j * cmath.pi * k / d))
             assert math.isclose(exact, abs(prod), rel_tol=1e-6, abs_tol=1e-6)
 
 

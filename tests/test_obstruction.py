@@ -9,7 +9,9 @@ from twistalex.fixtures import load_fixture
 from twistalex.grouphom import FiniteHom, cyclic
 from twistalex.laurent import ZERO, parse_laurent
 from twistalex.obstruction import (CONSISTENT, INCONCLUSIVE, NOT_FIBRED,
-                                   evaluate_fibred_obstruction)
+                                   evaluate_fibred_obstruction, fibred_verdict)
+
+from bareiss_oracle import si_minus
 
 
 def P(text):
@@ -19,7 +21,7 @@ def P(text):
 def trefoil_presentation():
     h = load_fixture("trefoil-monodromy").endo
     alpha = FiniteHom(2, cyclic(3), [1, 1])
-    return twisted_invariants(h, 2, alpha).presentation
+    return si_minus(twisted_invariants(h, 2, alpha).h_matrix)
 
 
 class TestEvaluate:
@@ -153,7 +155,10 @@ class TestFibredInputsAreConsistent:
             if not compatible(f, alpha, d):
                 continue
             inv = twisted_invariants(f, d, alpha)
-            report = evaluate_fibred_obstruction(inv.presentation)
+            report = evaluate_fibred_obstruction(si_minus(inv.h_matrix))
             assert report.verdict == CONSISTENT
             assert report.delta == inv.delta
+            # the monodromy route's verdict, full rank read off det(sI - H)
+            n = inv.h_matrix.rows
+            assert fibred_verdict(n, n, n, inv.delta) == report
             checked += 1
