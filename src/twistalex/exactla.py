@@ -8,8 +8,8 @@ sI - H.  Over Z[s, s^-1], a modular evaluation kernel gives every maximal
 minor of a Laurent matrix at once.  Every other maximal-minor gcd, square
 or wide, comes from that kernel after the unit entries +-s^k have been
 pivoted away, and so does the rank over the field of fractions.  The
-kernel's Gauss-Jordan step modulo a prime, lifted by the Chinese remainder
-theorem, also inverts a unimodular integer matrix.
+kernel's Gauss-Jordan step modulo a pack of CRT primes, lifted by the
+Chinese remainder theorem, also inverts a unimodular integer matrix.
 """
 
 from __future__ import annotations
@@ -22,16 +22,20 @@ import operator
 
 from . import laurent
 from .errors import MinorLimitError, SizeLimitError
-from .laurent import LaurentPoly, _binpow, _crt_lift, _crt_primes, _primes
+from .laurent import LaurentPoly, _binpow, _crt_lift, _crt_primes, _crt_residues, _inverse_pivot
 
 # A desk-scale cap on the maximal minors that maximal_minor_gcd enumerates.
 MAX_MINORS = 100_000
-# Cap on the Hessenberg work of char_poly: each prime's row operations
-# times their length, times the number of primes its CRT bound needs.  No
-# job of the bench pools (seeds 1-3) or selftest spends more than about
-# 1.1e4, nor any test more than 7.6e4 (the figure-eight map at d = 100 over
-# Z/25).  The figure-eight map over A6 at d = 5 (361-square H, 51 primes)
-# reaches the cap within 0.2 s; at the cap a dense run takes about 8 s.
+# Cap on the work of char_poly: each pass's n^2 for the reduction mod q
+# plus its Hessenberg row operations times their length, times the number
+# of primes its CRT bound needs.  A pass runs modulo a pack of up to
+# laurent._CRT_PACK primes with the budget of one prime, so the cap refuses
+# what it refused when each prime took a pass, but for the coincidences
+# that _char_poly_mod names.  No job of the bench pools (seeds 1-3) or
+# selftest spends more than about 1.5e4, nor any test more than 1.2e5 (the
+# figure-eight map at d = 100 over Z/25).  The figure-eight map over A6 at
+# d = 5 (361-square H, 51 primes) reaches the cap within 0.25 s; a dense
+# 100-square H of entries in [-9, 9] (15 primes, 1.7e7) takes about 3 s.
 MAX_CHAR_POLY_WORK = 2 * 10**7
 
 
@@ -124,15 +128,18 @@ class IntMatrix(Matrix):
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1.
 
-        Modulo each CRT prime p, [A | I] is brought to reduced row-echelon
-        form (_rref_mod), which ends at [I | A^-1] with det A alongside; a
-        pivot missing from the left block means p divides det A, so A is no
-        unit.  By Hadamard's inequality |det A| <= sqrt(prod_i ||row_i||^2),
-        and so is every cofactor once det A != 0, each row norm being at
-        least 1; when det A = +-1 the entries of A^-1 are cofactors up to
-        sign, so all n^2 + 1 values lift under that bound.  A matrix that is
-        no unit raises NonUnitError with its exact determinant, or with None
-        when char_poly refuses to take it.
+        Modulo each pack q of CRT primes (laurent._crt_residues), [A | I] is
+        brought to reduced row-echelon form (_rref_mod), which ends at
+        [I | A^-1] with det A alongside; a pivot missing from the left block
+        means every prime of q divides det A, so A is no unit.  A pivot that
+        is no unit modulo q sends the pack back one prime at a time, where a
+        prime that divides det A misses its pivot.  By Hadamard's inequality
+        |det A| <= sqrt(prod_i ||row_i||^2), and so is every cofactor once
+        det A != 0, each row norm being at least 1; when det A = +-1 the
+        entries of A^-1 are cofactors up to sign, so all n^2 + 1 values lift
+        under that bound.  A matrix that is no unit raises NonUnitError with
+        its exact determinant, or with None when char_poly refuses to take
+        it.
         """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
@@ -140,20 +147,19 @@ class IntMatrix(Matrix):
         rows = self.to_rows()
         bound = math.isqrt(math.prod(sum(x * x for x in r) for r in rows)) + 1
 
-        def residues():
-            for p in _primes():
-                a = [[x % p for x in r] + [int(i == j) for j in range(n)]
-                     for i, r in enumerate(rows)]
-                pivots, d = _rref_mod(a, p)
-                if pivots != list(range(n)):
-                    try:
-                        det = self.det()
-                    except SizeLimitError:
-                        det = None
-                    raise NonUnitError(det)
-                yield p, [d] + [x for r in a for x in r[n:]]
+        def kernel(q):
+            a = [[x % q for x in r] + [int(i == j) for j in range(n)]
+                 for i, r in enumerate(rows)]
+            pivots, d = _rref_mod(a, q)
+            if pivots != list(range(n)):
+                try:
+                    det = self.det()
+                except SizeLimitError:
+                    det = None
+                raise NonUnitError(det)
+            return [d] + [x for r in a for x in r[n:]]
 
-        d, *inverse = _crt_lift(bound, n * n + 1, residues())
+        d, *inverse = _crt_lift(bound, n * n + 1, _crt_residues(bound, kernel))
         if d not in (1, -1):
             raise NonUnitError(d)
         return IntMatrix(n, n, inverse)
@@ -332,33 +338,41 @@ class CokernelInvariants:
 def char_poly(h: IntMatrix) -> LaurentPoly:
     """det(sI - H) for an integer matrix, exactly.
 
-    Modulo each CRT prime of laurent._crt_lift, H is brought to Hessenberg
-    form (_char_poly_mod).  No coefficient exceeds prod_i (1 + sum_j |h_ij|)
-    in absolute value (bound the Leibniz expansion term by term).  Each
-    prime may spend MAX_CHAR_POLY_WORK over the number of primes that
-    bound needs; past that a SizeLimitError is raised.
+    Modulo each pack of CRT primes (laurent._crt_residues), H is brought
+    to Hessenberg form (_char_poly_mod).  No coefficient exceeds
+    prod_i (1 + sum_j |h_ij|) in absolute value (bound the Leibniz
+    expansion term by term).  Each pass, over a pack or over a lone prime
+    when a pack falls back, may spend MAX_CHAR_POLY_WORK over the number of
+    primes that bound needs; past that a SizeLimitError is raised.
     """
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     rows = h.to_rows()
     bound = math.prod(sum(map(abs, r)) + 1 for r in rows)
     budget = MAX_CHAR_POLY_WORK // _crt_primes(bound)
-    residues = ((p, _char_poly_mod([[v % p for v in r] for r in rows], p, budget))
-                for p in _primes())
+    residues = _crt_residues(bound, lambda q: _char_poly_mod(rows, q, budget))
     return LaurentPoly(0, _crt_lift(bound, h.rows + 1, residues))
 
 
-def _char_poly_mod(h: list[list[int]], p: int, budget: int) -> list[int]:
-    """det(sI - H) mod p, ascending coefficients; H is overwritten.
+def _char_poly_mod(rows: list[list[int]], q: int, budget: int) -> list[int]:
+    """det(sI - H) mod q for the integer rows of H, ascending coefficients.
 
-    H is brought to upper Hessenberg form by similarity transforms, whose
-    characteristic polynomials p_0, ..., p_n obey a short recurrence
+    H mod q is brought to upper Hessenberg form by similarity transforms,
+    whose characteristic polynomials p_0, ..., p_n obey a short recurrence
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
-    Every row operation of either stage is counted at its length, and a
-    SizeLimitError is raised as soon as the count passes ``budget``.
+    The reduction mod q counts n^2 and every row operation of either stage
+    its length; a SizeLimitError is raised as soon as the count passes
+    ``budget``.  A pivot that is no unit modulo q raises
+    laurent._NonUnitPivot.  Modulo a pack, the count is at least that of
+    each of its primes, and more only where an entry vanishes modulo some
+    of the pack's primes and not others: a row operation or a recurrence
+    step that such a prime skips is then made and counted.
     """
-    n = len(h)
-    work = 0
+    n = len(rows)
+    work = n * n
+    if work > budget:
+        raise _over_cap(n)
+    h = [[v % q for v in r] for r in rows]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -367,15 +381,15 @@ def _char_poly_mod(h: list[list[int]], p: int, budget: int) -> list[int]:
             h[m], h[piv] = h[piv], h[m]
             for r in h:
                 r[m], r[piv] = r[piv], r[m]
-        inv = pow(h[m][m - 1], -1, p)
+        inv = _inverse_pivot(h[m][m - 1], q)
         rm = h[m]
         for i in range(m + 1, n):
-            u = h[i][m - 1] * inv % p
+            u = h[i][m - 1] * inv % q
             if u:
                 # row_i -= u * row_m, then col_m += u * col_i: a similarity
-                h[i] = [(v - u * w) % p for v, w in zip(h[i], rm)]
+                h[i] = [(v - u * w) % q for v, w in zip(h[i], rm)]
                 for r in h:
-                    r[m] = (r[m] + u * r[i]) % p
+                    r[m] = (r[m] + u * r[i]) % q
                 work += 2 * n
                 if work > budget:
                     raise _over_cap(n)
@@ -388,23 +402,23 @@ def _char_poly_mod(h: list[list[int]], p: int, budget: int) -> list[int]:
             nxt[k] -= diag * c
         t = 1
         for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
+            t = t * h[i + 1][i] % q
             if not t:
                 break
-            u = t * h[i][m] % p
+            u = t * h[i][m] % q
             for k, c in enumerate(polys[i]):
                 nxt[k] -= u * c
             work += i + 1
             if work > budget:
                 raise _over_cap(n)
-        polys.append([c % p for c in nxt])
+        polys.append([c % q for c in nxt])
     return polys[n]
 
 
 def _over_cap(n: int) -> SizeLimitError:
     return SizeLimitError(
         f"the characteristic polynomial of a {n}-square matrix passes the work cap "
-        f"of {MAX_CHAR_POLY_WORK} (Hessenberg row operations over all CRT primes)")
+        f"of {MAX_CHAR_POLY_WORK} (reduction and Hessenberg row operations over all CRT primes)")
 
 
 # -- matrices over Z[s, s^-1] --------------------------------------------------
@@ -510,8 +524,11 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # (_unit_reduced), so the input's window shifted by -K and the input's bound
 # hold for them, however far fill-in has widened the rows.  The kernel works
 # on the intersection of the windows, s^low..s^(low + D), and the smaller
-# bound.  Modulo each CRT prime, A is evaluated at the nodes s = 1..D + 1
-# and reduced once per node to reduced row-echelon form E = L A.
+# bound.  Modulo each pack q of CRT primes (laurent._crt_residues), A is
+# evaluated at the nodes s = 1..D + 1 and reduced once per node to reduced
+# row-echelon form E = L A; a pivot that is no unit modulo q sends the
+# pack back one prime at a time.  Every node and every k <= D + 1 that
+# the interpolation divides by is below each 61-bit prime, so a unit.
 # With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
 # C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
 # the rows T whose pivot is not in C to the bottom and the columns C \ P to
@@ -527,11 +544,12 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # list of minors.
 #
 # The rank over the field of fractions is the largest rank of A, zero rows
-# dropped, modulo a CRT prime at s = 0..D, D = sum_i span_i, over primes
-# until their product exceeds A's own bound.  No evaluation raises the
-# rank.  If A has rank r, some r x r minor is nonzero, one of its
-# coefficients survives one of those primes, and being of degree <= D it
-# is nonzero at one of the D + 1 points.
+# dropped, at s = 0..D, D = sum_i span_i, modulo the packs of CRT primes
+# until their product exceeds twice A's own bound.  No evaluation raises
+# the rank, and with unit pivots the rank modulo a pack is the rank modulo
+# each of its primes.  If A has rank r, some r x r minor is nonzero, one
+# of its coefficients survives one of those primes, and being of degree
+# <= D it is nonzero at one of the D + 1 points.
 
 def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
@@ -545,13 +563,14 @@ def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     return sum(lows), polys, bound, points
 
 
-def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
-    """Bring A, entries reduced mod p, to reduced row-echelon form in place
+def _rref_mod(a: list[list[int]], q: int) -> tuple[list[int], int]:
+    """Bring A, entries reduced mod q, to reduced row-echelon form in place
     by Gauss-Jordan elimination; returns (pivot columns, det).
 
     Pivots are taken down each column in row order, and a column with no
-    pivot left is skipped.  When there is a pivot in every row, det is the
-    determinant of the input's pivot columns mod p.
+    pivot left is skipped; a pivot that is no unit modulo q raises
+    laurent._NonUnitPivot.  When there is a pivot in every row, det is the
+    determinant of the input's pivot columns mod q.
     """
     n = len(a)
     pivots, det = [], 1
@@ -565,13 +584,13 @@ def _rref_mod(a: list[list[int]], p: int) -> tuple[list[int], int]:
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             det = -det
-        det = det * a[r][k] % p
-        inv = pow(a[r][k], -1, p)
-        rk = a[r] = [v * inv % p for v in a[r]]
+        inv = _inverse_pivot(a[r][k], q)
+        det = det * a[r][k] % q
+        rk = a[r] = [v * inv % q for v in a[r]]
         for i in range(n):
             u = a[i][k]
             if u and i != r:
-                a[i] = [(v - u * w) % p for v, w in zip(a[i], rk)]
+                a[i] = [(v - u * w) % q for v, w in zip(a[i], rk)]
         pivots.append(k)
     return pivots, det
 
@@ -585,8 +604,8 @@ def _evaluate_mod(polys: list[list[tuple]], c: int, q: int) -> list[list[int]]:
 
 
 def _interpolate_mod(values, q: int) -> list[int]:
-    """Ascending coefficients mod a prime q > len(values) of the polynomial
-    of degree < len(values) with values[k] at s = k + 1, in
+    """Ascending coefficients mod q, each prime factor of q > len(values),
+    of the polynomial of degree < len(values) with values[k] at s = k + 1, in
     O(len(values)^2): its Newton form on the nodes 1, 2, ... (forward
     differences at 1 over k!)."""
     newton, inv = [], 1
@@ -625,22 +644,21 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
     if not bound or points <= 0:  # a zero row, or windows that do not meet
         return [laurent.ZERO] * count
 
-    def residues():
-        for q in _primes():
-            values = []
-            for c in range(1, points + 1):  # s^-low times each minor of A, at s = c
-                scale = pow(c, shift - low, q)
-                values.append([v * scale % q
-                               for v in _minors_mod(_evaluate_mod(polys, c, q), m, q)])
-            minors = list(zip(*values))
-            if len(minors) <= points:
-                yield q, [v for minor in minors for v in _interpolate_mod(minor, q)]
-            else:  # fewer nodes: interpolate the unit vectors, the inverse Vandermonde
-                w = list(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
-                               for k in range(points))))
-                yield q, [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
+    def kernel(q):
+        values = []
+        for c in range(1, points + 1):  # s^-low times each minor of A, at s = c
+            scale = pow(c, shift - low, q)
+            values.append([v * scale % q
+                           for v in _minors_mod(_evaluate_mod(polys, c, q), m, q)])
+        minors = list(zip(*values))
+        if len(minors) <= points:
+            return [v for minor in minors for v in _interpolate_mod(minor, q)]
+        # fewer nodes: interpolate the unit vectors, the inverse Vandermonde
+        w = list(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
+                       for k in range(points))))
+        return [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
 
-    flat = _crt_lift(bound, count * points, residues())
+    flat = _crt_lift(bound, count * points, _crt_residues(bound, kernel))
     return [LaurentPoly(low, flat[i:i + points]) for i in range(0, count * points, points)]
 
 
@@ -650,15 +668,21 @@ def rank_over_fractions(p: LambdaMatrix) -> int:
     rows = [row for row in p.to_rows() if any(row)]
     full = min(len(rows), p.cols)
     _, polys, bound, points = _normalised(rows)
-    rank, modulus = 0, 1
-    for q in _primes():
+
+    def kernel(q):
+        rank = 0
         for c in range(points):
             rank = max(rank, len(_rref_mod(_evaluate_mod(polys, c, q), q)[0]))
             if rank == full:
-                return rank
-        modulus *= q
-        if modulus > bound:
-            return rank
+                break
+        return [rank]
+
+    rank = 0
+    for _, (at_q,) in _crt_residues(bound, kernel):
+        rank = max(rank, at_q)
+        if rank == full:
+            break
+    return rank
 
 
 def _minors_mod(a: list[list[int]], m: int, q: int) -> list[int]:

@@ -275,7 +275,9 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 # found modulo a fixed sequence of word-sized primes and lifted by the Chinese
 # remainder theorem.  _crt_lift is the one CRT loop: it stops as soon as the
 # modulus exceeds twice a bound on the answer, so symmetric residues are the
-# answer itself.
+# answer itself.  A Python operation on a residue of a few hundred bits costs
+# far less than one per 61-bit prime in it, so the kernels run modulo packs:
+# products of up to _CRT_PACK consecutive primes (_crt_packs, _crt_residues).
 
 # Miller-Rabin with these bases is deterministic for every n < 3.3 * 10^24.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -339,13 +341,13 @@ def _crt_primes(bound: int) -> int:
 
 def _crt_lift(bound: int, length: int, residues, inverses: list[int] | None = None) -> list[int]:
     """The ``length`` integers v_i, all |v_i| <= bound, from ``residues``:
-    an endless iterator of (prime, [v_i mod prime]) pairs over distinct
-    primes.
+    an iterator of (q, [v_i mod q]) pairs over pairwise coprime moduli q,
+    single CRT primes or products of them (_crt_residues).
 
-    Draws pairs until the product of their primes exceeds 2 * bound, then
+    Draws pairs until the product of their moduli exceeds 2 * bound, then
     returns the symmetric residues.  Each pair needs the inverse, modulo its
-    prime, of the product of the primes before it; ``inverses`` keeps these
-    for calls whose residues come modulo the same primes in the same order.
+    q, of the product of the moduli before it; ``inverses`` keeps these for
+    calls whose residues come modulo the same moduli in the same order.
     """
     if inverses is None:
         inverses = []
@@ -362,6 +364,66 @@ def _crt_lift(bound: int, length: int, residues, inverses: list[int] | None = No
         modulus *= p
     half = modulus // 2
     return [v - modulus if v > half else v for v in values]
+
+
+# CRT primes multiplied into one modulus: 8 primes of 61 bits make a
+# modulus of about 2^488.
+_CRT_PACK = 8
+
+
+def _crt_packs(lc: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Runs of _CRT_PACK consecutive CRT primes, skipping those that divide
+    lc, until the product of all the primes drawn exceeds 2 * bound.
+
+    The last pack ends at the first prime that passes that product, so it
+    holds only the primes the bound still needs: together the packs hold
+    the _crt_primes(bound) primes that _crt_lift would draw, in order.
+    """
+    usable = (q for q in _primes() if lc % q)
+    drawn = 1
+    while drawn <= 2 * bound:
+        pack = []
+        for q in itertools.islice(usable, _CRT_PACK):
+            pack.append(q)
+            drawn *= q
+            if drawn > 2 * bound:
+                break
+        yield tuple(pack)
+
+
+class _NonUnitPivot(ArithmeticError):
+    """A pivot that is no unit modulo a pack: it vanishes modulo some of the
+    pack's primes and not others.  Modulo one prime every nonzero pivot is
+    a unit, so a lone prime never raises it."""
+
+
+def _crt_residues(bound: int, kernel) -> Iterator[tuple[int, list[int]]]:
+    """(q, kernel(q)) pairs for _crt_lift(bound, ...), q the product of
+    each pack of _crt_packs(1, bound) in turn.
+
+    ``kernel(q)`` returns its residues modulo q.  An elimination kernel
+    takes, in each column, the first candidate that is nonzero modulo q;
+    while every such pivot is a unit, each prime of q would have taken the
+    same pivot, so the residues modulo q reduce to the prime's own.  A
+    kernel that meets a pivot that is no unit raises _NonUnitPivot, and its
+    pack is then run one prime at a time.
+    """
+    for pack in _crt_packs(1, bound):
+        q = math.prod(pack)
+        try:
+            rs = kernel(q)
+        except _NonUnitPivot:
+            yield from ((p, kernel(p)) for p in pack)
+        else:
+            yield q, rs
+
+
+def _inverse_pivot(x: int, q: int) -> int:
+    """x^-1 modulo q for a pivot x != 0 mod q; _NonUnitPivot if it has none."""
+    try:
+        return pow(x, -1, q)
+    except ValueError:
+        raise _NonUnitPivot from None
 
 
 # -- resultants ---------------------------------------------------------------
@@ -486,7 +548,10 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     Equals the absolute value of the product of p over all d-th roots of
     unity.  Modulo each CRT prime that does not divide the leading
     coefficient, t^d is reduced modulo p^ by square-and-multiply and the
-    resultant is finished by the Euclidean algorithm.  The primes are drawn
+    resultant is finished by the Euclidean algorithm.  It takes one prime
+    at a time, not packs (_crt_packs): each Euclidean step divides by the
+    leading coefficient of a remainder, which may vanish modulo some
+    primes of a pack and not others.  The primes are drawn
     until they cover B_d = min(||p||_1^d, 2^n M^d) of _resultant_bounds, n
     the degree of p^ and M a certified bound on its Mahler measure.  A
     ||p||_1^d of more than MAX_RESULTANT_BITS bits raises SizeLimitError
@@ -518,30 +583,6 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     return abs(_crt_lift(bound, 1, residues())[0])
 
 
-# CRT primes multiplied into the one modulus of each pass of
-# cyclotomic_resultants: 8 primes of 61 bits make a modulus of about 2^488.
-_SWEEP_PACK = 8
-
-
-def _sweep_moduli(lc: int, bound: int) -> Iterator[int]:
-    """Products of _SWEEP_PACK consecutive CRT primes, skipping those that
-    divide lc, until the product of all the primes drawn exceeds 2 * bound.
-
-    The last pack ends at the first prime that passes that product, so it
-    holds only the primes the bound still needs.
-    """
-    usable = (q for q in _primes() if lc % q)
-    drawn = 1
-    while drawn <= 2 * bound:
-        modulus = 1
-        for q in itertools.islice(usable, _SWEEP_PACK):
-            modulus *= q
-            drawn *= q
-            if drawn > 2 * bound:
-                break
-        yield modulus
-
-
 def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     """{d: resultant_with_cyclotomic(p, d)} for d = 2..dmax, in one pass.
 
@@ -555,7 +596,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     Res(p^, t^d - 1) = +-sum_k (-1)^k E_k lc^(d(1 - k)).
 
     Each pass runs modulo a product of CRT primes that do not divide lc
-    (_sweep_moduli).  It divides only by lc, which no factor divides, and by
+    (_crt_packs).  It divides only by lc, which no factor divides, and by
     k <= n, which every 61-bit factor exceeds, so both are units modulo
     that product.  Each d draws moduli until its own bound B_d of
     _resultant_bounds is covered, the bound of resultant_with_cyclotomic;
@@ -605,7 +646,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
         return out
 
     bounds = list(itertools.islice(_resultant_bounds(f), dmax))  # bounds[d - 1] = B_d
-    moduli = _sweep_moduli(lc, bounds[-1])
+    moduli = map(math.prod, _crt_packs(lc, bounds[-1]))
     swept: list[tuple[int, dict[int, int]]] = []  # (modulus, {d: residue}), shared by every d
     inverses: list[int] = []  # every d lifts over the moduli of swept, in order
 

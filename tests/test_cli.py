@@ -148,7 +148,7 @@ class TestMonodromyCommand:
         assert (code, out) == (65, "")
         assert err == ("twist: size limit: the characteristic polynomial of a 361-square "
                        f"matrix passes the work cap of {exactla.MAX_CHAR_POLY_WORK} "
-                       "(Hessenberg row operations over all CRT primes)\n")
+                       "(reduction and Hessenberg row operations over all CRT primes)\n")
         assert len(primes) == 1
 
     def test_one_pencil_determinant_per_job(self, capsys, monkeypatch, tmp_path):
@@ -419,9 +419,10 @@ class TestResultantCommand:
     def test_huge_bound_exits_65(self, capsys, monkeypatch):
         # The CRT bound ||p||_1^d = 5^d passes 2^8192 at d = 3529; at
         # d = 10400 the answer, once computed, did not print (exit 64).
-        def refuse():
-            raise AssertionError("a prime was drawn")
+        def refuse(*args):
+            raise AssertionError("a resultant modulus was drawn")
 
+        primes = laurent._primes
         monkeypatch.setattr(laurent, "_primes", refuse)
         for argv in (("--d", "10400"), ("--d", "3529"), ("--sweep", "100000")):
             code, out, err = run(capsys, "resultant", "--poly", "t^2-3t+1", *argv)
@@ -430,6 +431,10 @@ class TestResultantCommand:
             assert err.startswith(f"twist: size limit: the resultant with t^{d} - 1 is bounded "
                                   f"by ||p||_1^{d}, about ")
             assert err.endswith("bits, above the cap of 8192 bits\n")
+        # seifert takes char_poly(Gamma), whose packs draw primes, before
+        # the sweep; every resultant modulus is cut to _resultant_bounds
+        monkeypatch.setattr(laurent, "_primes", primes)
+        monkeypatch.setattr(laurent, "_resultant_bounds", refuse)
         code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                              "--sweep", "3529")
         assert (code, out) == (65, "") and "cap of 8192 bits" in err

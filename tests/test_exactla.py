@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 from typing import NamedTuple
@@ -508,24 +509,26 @@ class TestInverseUnimodular:
             zeros(2, 3).inverse_unimodular()
 
     def test_a_prime_divisor_of_det_exits_at_that_prime(self, monkeypatch):
-        # det A = 0 modulo a CRT prime: that reduction misses a pivot and
-        # raises with the exact det, before any later prime or the lift
-        primes = []
+        # det A = 0 modulo a CRT prime: the pack holding it meets a pivot
+        # that is no unit and falls back, and that prime's reduction misses
+        # a pivot and raises with the exact det, before any later prime or
+        # the lift
+        moduli = []
 
-        def counted(a, p):
-            primes.append(p)
-            return rref(a, p)
+        def counted(a, q):
+            moduli.append(q)
+            return rref(a, q)
 
         rref = exactla._rref_mod
         monkeypatch.setattr(exactla, "_rref_mod", counted)
-        p0, p1 = _prime(0), _prime(1)
-        for rows, det, reduced in (([[p0]], p0, [p0]),
-                                   ([[p0, 0], [0, p1]], p0 * p1, [p0]),
-                                   ([[p1]], p1, [p0, p1])):
-            primes.clear()
+        p0, p1, p2 = _prime(0), _prime(1), _prime(2)
+        for rows, det, reduced in (([[p0]], p0, [p0 * p1, p0]),
+                                   ([[p0, 0], [0, p1]], p0 * p1, [p0 * p1 * p2, p0]),
+                                   ([[p1]], p1, [p0 * p1, p0, p1])):
+            moduli.clear()
             with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
                 IntMatrix.from_rows(rows).inverse_unimodular()
-            assert primes == reduced
+            assert moduli == reduced
 
     def test_a_det_past_the_char_poly_cap_is_left_unnamed(self, monkeypatch):
         # the matrix is still no unit (a ValueError, not a SizeLimitError)
@@ -592,27 +595,43 @@ class TestCharPoly:
             laurent._crt_lift(bound, 1, residues())
             assert laurent._crt_primes(bound) == len(drawn)
 
-    def test_work_cap_fires_within_the_first_prime(self, monkeypatch):
-        budgets = []
+    def test_work_cap_fires_within_the_first_pass(self, monkeypatch):
+        # one pass per pack of primes, each with the budget of one prime
+        calls = []
 
-        def counted(h, p, budget):
-            budgets.append(budget)
-            return char_poly_mod(h, p, budget)
+        def counted(h, q, budget):
+            calls.append((q, budget))
+            return char_poly_mod(h, q, budget)
 
         char_poly_mod = exactla._char_poly_mod
         monkeypatch.setattr(exactla, "_char_poly_mod", counted)
         h = random_matrix(random.Random(5), 12, 12, -2**70, 2**70)
+        bound = math.prod(sum(map(abs, r)) + 1 for r in h.to_rows())
         expected = bareiss_det(si_minus(h))
         assert char_poly(h) == expected
-        primes = len(budgets)
-        assert primes == laurent._crt_primes(math.prod(sum(map(abs, r)) + 1 for r in h.to_rows()))
-        assert primes > 1
-        assert budgets == [exactla.MAX_CHAR_POLY_WORK // primes] * primes
-        budgets.clear()
-        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 100 * primes)
+        primes = laurent._crt_primes(bound)
+        packs = list(laurent._crt_packs(1, bound))
+        assert sum(map(len, packs)) == primes > laurent._CRT_PACK
+        budget = exactla.MAX_CHAR_POLY_WORK // primes
+        assert calls == [(math.prod(pack), budget) for pack in packs]
+        calls.clear()
+        # past the n^2 of the reduction, short of the Hessenberg work
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 1000 * primes)
         with pytest.raises(SizeLimitError, match="12-square matrix passes the work cap of"):
             char_poly(h)
-        assert budgets == [100]
+        assert calls == [(math.prod(packs[0]), 1000)]
+
+    def test_reduction_counts_n_squared(self, monkeypatch):
+        # a diagonal H takes no row operation: its work is the reduction's
+        n = 20
+        h = IntMatrix(n, n, [(i + 2) * (i == j) for i in range(n) for j in range(n)])
+        primes = laurent._crt_primes(math.prod(sum(map(abs, r)) + 1 for r in h.to_rows()))
+        expected = bareiss_det(si_minus(h))
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", n * n * primes)
+        assert char_poly(h) == expected
+        monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", n * n * primes - 1)
+        with pytest.raises(SizeLimitError, match="20-square matrix passes the work cap of"):
+            char_poly(h)
 
 
 def square_gcd(m: LambdaMatrix) -> LaurentPoly:
@@ -1429,15 +1448,15 @@ class TestBareissKernel:
 
 
 @st.composite
-def laurent_matrices(draw, square=False):
+def laurent_matrices(draw, square=False, coeff=st.integers(-3, 3)):
     """An n x m Laurent matrix for the evaluation kernel against the
     oracle: dense, of rank below min(n, m) (a product through a narrower
     middle), with a zero row, a pencil sX - Y with singular X (its last
     row a multiple of the first), or with two-term entries of degree up to
     40.  n runs from 0 to 5 (to 3 for the high degrees) and, unless
-    square, m from 0 to 6, so the empty matrix and n > m both occur."""
+    square, m from 0 to 6, so the empty matrix and n > m both occur.
+    Coefficients are drawn from ``coeff``."""
     kind = draw(st.sampled_from(("dense", "low", "zero-row", "singular-x", "high")))
-    coeff = st.integers(-3, 3)
     n = draw(st.integers(0, 3 if kind == "high" else 5))
     m = n if square or kind == "singular-x" else draw(st.integers(0, 6))
 
@@ -1530,3 +1549,142 @@ class TestEvaluationAgainstBareiss:
         rank, det = bareiss(m.to_rows(), ONE, divexact)
         assert rank_over_fractions(m) == rank
         assert _maximal_minors(m) == [det]
+
+
+# Coefficients up to 2^70, or multiples of the first CRT prime, which make
+# pivots that are no unit modulo any pack that holds it.
+BIG = 2**70
+big_or_planted = st.one_of(st.integers(-BIG, BIG),
+                           st.integers(-3, 3).map(lambda k: k * _prime(0)))
+
+
+@pytest.fixture
+def crt_moduli(monkeypatch):
+    """The moduli that laurent._crt_residues yields to the exactla kernels,
+    in order: pack products, or a fallen-back pack's primes."""
+    moduli = []
+    residues = exactla._crt_residues
+
+    def recorded(bound, kernel):
+        for q, rs in residues(bound, kernel):
+            moduli.append(q)
+            yield q, rs
+
+    monkeypatch.setattr(exactla, "_crt_residues", recorded)
+    return moduli
+
+
+def lambda_constants(rows) -> LambdaMatrix:
+    return LambdaMatrix.from_rows([[LaurentPoly.const(v) for v in r] for r in rows])
+
+
+def minors_by_bareiss(m: LambdaMatrix) -> list[LaurentPoly]:
+    rows = m.to_rows()
+    return [bareiss([[r[j] for j in cols] for r in rows], ONE, divexact)[1]
+            for cols in itertools.combinations(range(m.cols), m.rows)]
+
+
+class TestPackedModuli:
+    """Every pivot kernel runs modulo packs of up to _CRT_PACK CRT primes,
+    and a pack that meets a pivot that is no unit falls back to its primes
+    one at a time.  Each property runs at the packs of 8 and at packs of
+    one prime, the per-prime route, against the fraction-free oracle."""
+
+    @pytest.mark.parametrize("bits", [0, 1, 60, 61, 122, 488, 489, 1000, 3000])
+    def test_packs_hold_the_primes_the_lift_draws_in_order(self, bits):
+        for bound in (2**bits - 1, 2**bits, 2**bits + 1):
+            packs = list(laurent._crt_packs(1, bound))
+            primes = laurent._crt_primes(bound)
+            assert [q for pack in packs for q in pack] == [_prime(k) for k in range(primes)]
+            assert all(len(pack) == laurent._CRT_PACK for pack in packs[:-1])
+            assert all(packs)
+
+    @pytest.mark.parametrize("pack", [8, 1])
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(big_or_planted, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_char_poly(self, pack, rows):
+        h = IntMatrix(len(rows), len(rows), [x for r in rows for x in r])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_CRT_PACK", pack)
+            assert char_poly(h) == bareiss_det(si_minus(h))
+
+    @pytest.mark.parametrize("pack", [8, 1])
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_matrices(coeff=big_or_planted))
+    def test_maximal_minors_and_rank(self, pack, m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_CRT_PACK", pack)
+            assert rank_over_fractions(m) == bareiss(m.to_rows(), ONE, divexact)[0]
+            if m.rows <= m.cols:
+                assert _maximal_minors(m) == minors_by_bareiss(m)
+
+    @pytest.mark.parametrize("pack", [8, 1])
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 2**32), st.sampled_from(("unit", "any", "planted")))
+    def test_inverse_unimodular(self, pack, n, seed, kind):
+        rng = random.Random(seed)
+        if kind == "unit":
+            # lower times upper unitriangular, entries up to 2^35 each
+            lower, upper = (IntMatrix.from_rows(
+                [[rng.randint(-2**35, 2**35) if side(i, j) else int(i == j) for j in range(n)]
+                 for i in range(n)]) for side in (operator.gt, operator.lt))
+            m = IntMatrix.from_rows(unimodular(rng, n)) * lower * upper
+        elif kind == "planted":
+            # [[k, 1], [-1, 0]] beside a unit: a first pivot k that is a
+            # multiple of the first prime
+            k = rng.randint(-3, 3) * _prime(0)
+            rest = unimodular(rng, max(n - 2, 0))
+            block = [[k, 1] + [0] * len(rest), [-1, 0] + [0] * len(rest)]
+            m = IntMatrix.from_rows(block + [[0, 0] + r for r in rest] if n > 1
+                                    else unimodular(rng, n))
+        else:
+            m = random_matrix(rng, n, n, -BIG, BIG)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_CRT_PACK", pack)
+            try:
+                expected = adjugate_inverse(m)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    m.inverse_unimodular()
+                assert str(info.value) == str(exc)
+                assert kind == "any"
+                return
+            assert m.inverse_unimodular() == expected
+
+    def test_planted_non_unit_pivots_fall_back(self, crt_moduli):
+        p0, p1 = _prime(0), _prime(1)
+
+        def fell_back(pack):
+            return len(pack) > 1 and crt_moduli[:len(pack)] == list(pack)
+
+        # char_poly: the first Hessenberg pivot, h_10, is a multiple of p0
+        h = IntMatrix.from_rows([[1, 2, 3, 4], [p0, 5, 6, 7], [2 * p0, 8, 9, 1], [3, 4, 5, 6]])
+        bound = math.prod(sum(map(abs, r)) + 1 for r in h.to_rows())
+        assert char_poly(h) == bareiss_det(si_minus(h)) == faddeev_leverrier(h)
+        assert fell_back(next(laurent._crt_packs(1, bound)))
+        # the minors kernel: entries that are multiples of p0, and a
+        # leading 3 x 3 minor divisible by p1 alone
+        for rows in ([[p0, 1, 2], [3, p0, 5]],
+                     [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, p1, 3]]):
+            crt_moduli.clear()
+            m = lambda_constants(rows)
+            assert _maximal_minors(m) == minors_by_bareiss(m)
+            assert fell_back(next(laurent._crt_packs(1, exactla._normalised(m.to_rows())[2])))
+        # the rank, full and deficient, with a first pivot of p0
+        for rows, rank in (([[p0, 1], [1, 0]], 2), ([[p0, 1], [2 * p0, 2]], 1)):
+            crt_moduli.clear()
+            assert rank_over_fractions(lambda_constants(rows)) == rank
+            assert crt_moduli[0] == p0
+        # the inverse: a unit whose first pivot is p0, and a det of 2 * p1
+        crt_moduli.clear()
+        m = IntMatrix.from_rows([[p0, 1], [-1, 0]])
+        assert m.inverse_unimodular() == IntMatrix.from_rows([[0, -1], [1, p0]])
+        assert crt_moduli[0] == p0
+        crt_moduli.clear()
+        with pytest.raises(exactla.NonUnitError, match=f"determinant {2 * p1}, not a unit"):
+            IntMatrix.from_rows([[p1, 0], [0, 2]]).inverse_unimodular()
+        # the pack fell back: p0 passes, p1 misses its pivot, and char_poly
+        # then takes the det
+        assert crt_moduli[0] == p0 and p1 not in crt_moduli

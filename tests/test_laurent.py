@@ -337,16 +337,16 @@ class TestCyclotomicResultants:
 
     @pytest.fixture
     def moduli(self, monkeypatch):
-        """The moduli the sweep draws, in order."""
+        """The moduli the sweep draws, in order: the products of its packs."""
         drawn = []
-        packed = laurent._sweep_moduli
+        packs = laurent._crt_packs
 
         def recording(lc, bound):
-            for q in packed(lc, bound):
-                drawn.append(q)
-                yield q
+            for pack in packs(lc, bound):
+                drawn.append(math.prod(pack))
+                yield pack
 
-        monkeypatch.setattr(laurent, "_sweep_moduli", recording)
+        monkeypatch.setattr(laurent, "_crt_packs", recording)
         return drawn
 
     def test_moduli_skip_primes_of_the_leading_coefficient(self, moduli):
@@ -367,7 +367,7 @@ class TestCyclotomicResultants:
         assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
         assert len(moduli) >= 3
         assert len(set(moduli)) == len(moduli)
-        assert all(q.bit_length() > laurent._SWEEP_PACK * 60 for q in moduli[:-1])
+        assert all(q.bit_length() > laurent._CRT_PACK * 60 for q in moduli[:-1])
 
     def test_moduli_cover_the_last_bound_and_no_more(self, moduli):
         rng = random.Random(131)
@@ -383,18 +383,19 @@ class TestCyclotomicResultants:
             assert drawn > 2 * resultant_bound(p, dmax) >= drawn // laurent._prime(k - 1)
 
     def test_moduli_end_at_the_first_prime_past_twice_the_bound(self):
-        # packs of _SWEEP_PACK primes, the last cut at the first prime past 2 * bound
-        pack = laurent._SWEEP_PACK
+        # packs of _CRT_PACK primes, the last cut at the first prime past 2 * bound
+        pack = laurent._CRT_PACK
         for k in range(1, 3 * pack + 2):
             product = math.prod(laurent._prime(j) for j in range(k))
             for bound, primes in (((product - 1) // 2, k), (product - 1, k + 1)):
-                expected = [math.prod(laurent._prime(j) for j in range(i, min(i + pack, primes)))
+                expected = [tuple(laurent._prime(j) for j in range(i, min(i + pack, primes)))
                             for i in range(0, primes, pack)]
-                assert list(laurent._sweep_moduli(3, bound)) == expected
+                assert list(laurent._crt_packs(3, bound)) == expected
 
     def test_seifert_sweep_draws_one_modulus(self, moduli):
         # an 8 x 8 Seifert matrix: ||delta||_1^40 needs a second modulus, B_40 does not
         delta = alexander_polynomial(random_seifert_matrix(8, random.Random(1)))
+        moduli.clear()  # those of Gamma and char_poly(Gamma)
         assert 2 * sum(map(abs, delta.coeffs)) ** 40 > math.prod(laurent._prime(k) for k in range(8))
         assert cyclotomic_resultants(delta, 40) == per_degree(delta, 40)
         assert len(moduli) == 1
