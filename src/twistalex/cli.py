@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import re
@@ -46,24 +47,14 @@ def _source(args) -> str:
     return FIXTURES[args.fixture][1] if args.fixture is not None else _read(args.file)
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
+def _emit(args, lines, payload: dict) -> None:
+    """Print payload as one JSON line under --json, else the text lines,
+    which are read (and so, from a generator, built) only then."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
             print(line)
-
-
-def _report_lines(report) -> list[str]:
-    lines = [
-        f"torsion = {report.torsion}",
-        f"principal = {report.principal}",
-        f"monic = {report.monic}",
-        f"delta = {to_text(report.delta)}",
-        f"verdict = {report.verdict}",
-    ]
-    lines.extend(f"  {r}" for r in report.reasons)
-    return lines
 
 
 def _report_payload(report) -> dict:
@@ -87,28 +78,19 @@ def _cmd_monodromy(args) -> int:
     n = inv.h_matrix.rows
     # det(sI - H) is monic of degree n, so sI - H has full rank n
     report = fibred_verdict(n, n, n, inv.delta)
-    h_rows = inv.h_matrix.to_rows()
-    lines = [
-        f"group order = {alpha.target.order}",
-        f"H1 rank = {inv.h_matrix.rows}",
-        f"H = {h_rows}",
-        f"delta = {to_text(inv.delta)}",
-        f"torsion = {report.torsion}",
-        f"principal = {report.principal}",
-        f"monic = {report.monic}",
-        f"verdict = {report.verdict}",
-    ]
     payload = {
         "group_order": alpha.target.order,
-        "h1_rank": inv.h_matrix.rows,
-        "h": h_rows,
+        "h1_rank": n,
+        "h": inv.h_matrix.to_rows(),
         "delta": to_text(inv.delta),
         "torsion": report.torsion,
         "principal": report.principal,
         "monic": report.monic,
         "verdict": report.verdict,
     }
-    _emit(args, lines, payload)
+    labels = ("group order", "H1 rank", "H", "delta", "torsion", "principal", "monic", "verdict")
+    _emit(args, (f"{label} = {value}" for label, value in zip(labels, payload.values())),
+          payload)
     return 0
 
 
@@ -137,8 +119,8 @@ def _cmd_seifert(args) -> int:
     if args.r is not None and args.d is None:
         raise TwistError("--r needs --d: the character lives on the d-fold branched cover")
     alex = alexander_polynomial(s)
-    lines = [f"alexander = {to_text(alex, var='t')}"]
     payload: dict = {"alexander": to_text(alex, var="t")}
+    lines = [f"alexander = {payload['alexander']}"]
     # the cover's argument checks come before the sweep's cap
     cover = None if args.d is None else branched_cover(s, args.d, args.r)
     sweep = {} if args.sweep is None else cyclotomic_resultants(alex, args.sweep)
@@ -148,8 +130,6 @@ def _cmd_seifert(args) -> int:
         # R_d is read from the sweep when d <= SWEEP
         resultant = sweep[args.d] if args.d in sweep else resultant_with_cyclotomic(alex, args.d)
         agree = order == resultant
-        lines.append(
-            f"H1 = {hom.group_text()}; resultant = {resultant}; agree = {_bool_text(agree)}")
         payload.update({
             "d": args.d,
             "h1": hom.group_text(),
@@ -157,6 +137,8 @@ def _cmd_seifert(args) -> int:
             "resultant": resultant,
             "agree": agree,
         })
+        lines.append(
+            f"H1 = {payload['h1']}; resultant = {resultant}; agree = {_bool_text(agree)}")
         if args.r is not None:
             if jump is None:
                 lines.append(f"no surjection onto Z/{args.r}")
@@ -171,9 +153,8 @@ def _cmd_seifert(args) -> int:
                     "order": jump.order,
                 }
     if args.sweep is not None:
-        lines.extend(f"R_{d} = {rd}" for d, rd in sweep.items())
         payload["sweep"] = {str(d): rd for d, rd in sweep.items()}
-    _emit(args, lines, payload)
+    _emit(args, itertools.chain(lines, (f"R_{d} = {rd}" for d, rd in sweep.items())), payload)
     return 0
 
 
@@ -183,16 +164,14 @@ def _cmd_resultant(args) -> int:
         p = laurent.parse_laurent(args.poly)
     else:
         p = alexander_polynomial(formats.parse_seifert(_source(args)))
-    lines = [f"polynomial = {to_text(p, var='t')}"]
-    payload: dict = {"polynomial": to_text(p, var="t")}
     if args.d is not None:
-        rd = resultant_with_cyclotomic(p, args.d)
-        lines.append(f"R_{args.d} = {rd}")
-        payload["resultant"] = {str(args.d): rd}
+        results = {args.d: resultant_with_cyclotomic(p, args.d)}
     else:
-        sweep = cyclotomic_resultants(p, args.sweep if args.sweep is not None else 30)
-        lines.extend(f"R_{d} = {rd}" for d, rd in sweep.items())
-        payload["resultant"] = {str(d): rd for d, rd in sweep.items()}
+        results = cyclotomic_resultants(p, args.sweep if args.sweep is not None else 30)
+    text = to_text(p, var="t")
+    payload = {"polynomial": text, "resultant": {str(d): rd for d, rd in results.items()}}
+    lines = itertools.chain([f"polynomial = {text}"],
+                            (f"R_{d} = {rd}" for d, rd in results.items()))
     _emit(args, lines, payload)
     return 0
 
@@ -231,7 +210,11 @@ def _cmd_homcheck(args) -> int:
 def _cmd_report(args) -> int:
     p = formats.parse_lambda_matrix(_read(args.presentation))
     report = evaluate_fibred_obstruction(p)
-    _emit(args, _report_lines(report), _report_payload(report))
+    payload = _report_payload(report)
+    keys = ("torsion", "principal", "monic", "delta", "verdict")
+    lines = itertools.chain((f"{key} = {payload[key]}" for key in keys),
+                            (f"  {r}" for r in report.reasons))
+    _emit(args, lines, payload)
     return report.exit_code
 
 

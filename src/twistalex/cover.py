@@ -12,9 +12,11 @@ alpha . f^k, k = 0..d, gives the compatibility check (its last member is
 alpha again) and the action on basis cycles, a product of chain maps, one
 per factor of the power, each spelling f's own short images as edge paths.
 The chain maps commute with left translation by G, so only the images of
-the n edges at the identity are pushed through them, as n integer vectors
-of length |G| each (the rows of f^d's Fox matrix over Z[G]); the columns
-of H are assembled from those images by translation along the tree.
+the n edges at the identity are pushed through them (the rows of f^d's Fox
+matrix over Z[G]), each a flat integer list of length n*|G| with edge
+(w, l) at l*|G| + w.  A translate is one gather through a row of one
+table whose rows are composed along the tree, and the columns of H are
+assembled from those images by such translates.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .laurent import LaurentPoly
 # of the pushed chains.  A step pushes only n chains, about n * |G| * (the
 # letters of f's images) operations, so the charge is a conservative bound,
 # kept so that the set of refused inputs does not change with the route.
-# The translation table and the tree images, n * |G|^2 entries, are charged
-# up front too; that refuses more only when n = 1, where a step's charge is
-# linear in |G|.
+# The translation table and the tree images, n * |G|^2 entries each, are
+# charged up front too; that refuses more only when n = 1, where a step's
+# charge is linear in |G|.
 # The figure-eight map at d = 100 over Z/25 spends about 8e5.
 MAX_LIFT_WORK = 2 * 10**7
 
@@ -121,7 +123,7 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
         raise ValueError("d must be a positive integer")
     n, order = cover.rank, cover.group_order
     step = (cover.h1_rank + 1) * order * (n + sum(len(w) for w in f.images)) + 100
-    # The translation table and the tree images hold n * |G|^2 entries,
+    # The translation table and the tree images hold n * |G|^2 entries each,
     # less than one step's charge unless n = 1.
     charge = max(d * step, n * order * order)
     if charge > MAX_LIFT_WORK:
@@ -131,23 +133,21 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     if homs[-1].images != cover.alpha.images:
         raise CompatibilityError(
             "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift")
-    left = _left_translations(cover)
-    inverse = [row.index(0) for row in left]
+    back = _translations(cover)
     index = {x: k for k, x in enumerate(cover.vertices)}
-    # chains[i][l][w]: coefficient of edge (w, l) in the image of edge (1, i)
-    chains = [[[int(l == i and w == 0) for w in range(order)] for l in range(n)]
-              for i in range(n)]
+    # chains[i][l * |G| + w]: coefficient of edge (w, l) in the image of edge (1, i)
+    chains = [[int(k == i * order) for k in range(n * order)] for i in range(n)]
     work = 0
     for hom in homs[:-1]:  # Phi_1 first: a_0, ..., a_(d-1)
         images = [index[a] for a in hom.images]
-        chains = [_spell(word, chains, images, left, inverse) for word in f.images]
-        top = max((max(max(c), -min(c)) for chain in chains for c in chain), default=0)
+        chains = [_spell(word, chains, images, back) for word in f.images]
+        top = max((max(max(c), -min(c)) for c in chains), default=0)
         work += step * (1 + top.bit_length() // 64)
         if work > MAX_LIFT_WORK:
             raise LiftSizeError(f"lifting f^{d}: chain work passed the cap of "
                                 f"{MAX_LIFT_WORK} with entries of "
                                 f"{top.bit_length()} bits")
-    return _assemble(cover, left, inverse, chains)
+    return _assemble(cover, back, chains)
 
 
 def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
@@ -160,66 +160,78 @@ def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
     return chain
 
 
-def _left_translations(cover: CoverGraph) -> list[list[int]]:
-    """left[u][w] is the index of u*w: the tree path to w = p*alpha(x_h),
-    read from u instead of the identity, so left[u][w] =
-    edge_target[left[u][p]][h], with no group multiplication."""
+def _translations(cover: CoverGraph) -> list[list[int]]:
+    """back[v][l*|G| + w] = l*|G| + index(v^-1 w), so the flat chain v.c
+    is c gathered through back[v]; v^-1 is back[v][0] and v*g is
+    back[back[v][0]][g].  The row of each generator's vertex a comes from
+    the tree walk: the path to w = p*alpha(x_h), read from a instead of
+    the identity, ends at a*w = edge_target[a*p][h], with no group
+    multiplication; that permutation is inverted and repeated over the n
+    blocks.  Every other row is one gather, back[p*a_h] = back[a_h] o
+    back[p] for tree[w] = (p, h)."""
+    n, order = cover.rank, cover.group_order
     steps = cover.tree[1:]
-    left = []
-    for u in range(cover.group_order):
-        row = [u]
+    back = [list(range(n * order))] + [None] * (order - 1)
+    for a in set(cover.edge_target[0]):
+        row = [a]  # row[w] = index(a*w)
         for p, h in steps:
             row.append(cover.edge_target[row[p]][h])
-        left.append(row)
-    return left
+        inverse = [0] * order
+        for w, x in enumerate(row):
+            inverse[x] = w
+        back[a] = [l * order + w for l in range(n) for w in inverse]
+    for w, (p, h) in enumerate(steps, 1):
+        if back[w] is None:
+            back[w] = list(map(back[cover.edge_target[0][h]].__getitem__, back[p]))
+    return back
 
 
-def _spell(word, chains, images, left, inverse) -> list[list[int]]:
+def _spell(word, chains, images, back) -> list[int]:
     """The image of the edge chain that word spells from the identity in
     the Cayley graph whose generators have the vertex indices ``images``:
-    each letter x_j^(+-1) crossed at vertex u adds +-u.chains[j], gathered
-    through the left translation by u^-1.  t tracks the index of u^-1."""
-    out = [[0] * len(left) for _ in chains]
-    t = 0
+    each letter x_j^(+-1) crossed at vertex u adds +-u.chains[j], one
+    gather through back[u]."""
+    out = [0] * len(back[0])
+    u = 0
     for j, e in word.blocks:
         op = operator.add if e > 0 else operator.sub
+        a = images[j] if e > 0 else back[images[j]][0]  # u moves to u*a
         for _ in range(abs(e)):
             if e < 0:
-                t = left[images[j]][t]
-            out = [list(map(op, o, map(c.__getitem__, left[t]))) for o, c in zip(out, chains[j])]
+                u = back[back[u][0]][a]
+            out = list(map(op, out, map(chains[j].__getitem__, back[u])))
             if e > 0:
-                t = left[inverse[images[j]]][t]
+                u = back[back[u][0]][a]
     return out
 
 
-def _assemble(cover: CoverGraph, left, inverse, chains) -> IntMatrix:
+def _assemble(cover: CoverGraph, back, chains) -> IntMatrix:
     """H from the images c_g of the edges at the identity: tree images
     T(1) = 0, T(w) = T(p) + p.c_h for tree[w] = (p, h); column (v, g) is
-    T(v) + v.c_g - T(head), which must be a cycle (zero boundary at every
-    vertex), read on the non-tree edges."""
-    order = cover.group_order
-
-    def moved(v, chain):  # v.chain: coefficient at (w, l) is chain[l][v^-1 w]
-        perm = left[inverse[v]]
-        return [list(map(c.__getitem__, perm)) for c in chain]
-
-    tree_images = [[[0] * order for _ in chains]]
+    T(v) + v.c_g - T(head), which must be a cycle (inflow equal to outflow
+    at every vertex), read on the non-tree edges."""
+    order, size = cover.group_order, len(back[0])
+    add, sub = operator.add, operator.sub
+    tree_images = [[0] * size]
     for p, h in cover.tree[1:]:
-        tree_images.append([list(map(operator.add, x, y))
-                            for x, y in zip(tree_images[p], moved(p, chains[h]))])
-    # sources[l][y] = y*alpha(x_l)^-1, the tail of the edge (., l) into y
-    sources = [[row[inverse[a]] for row in left] for a in cover.edge_target[0]]
+        tree_images.append(list(map(add, tree_images[p], map(chains[h].__getitem__, back[p]))))
+    # tails[l*|G| + y] = l*|G| + index(y*alpha(x_l)^-1), the tail of the edge (., l) into y
+    tails = [0] * size
+    for v, heads in enumerate(cover.edge_target):
+        for l, y in enumerate(heads):
+            tails[l * order + y] = l * order + v
     positions = [l * order + w for w, l in cover.basis]
     columns = []
     for v, g in cover.basis:
-        column = [list(map(operator.sub, map(operator.add, x, y), z)) for x, y, z in
-                  zip(tree_images[v], moved(v, chains[g]), tree_images[cover.edge_target[v][g]])]
-        inflow = zip(*(map(c.__getitem__, s) for c, s in zip(column, sources)))
-        if any(map(operator.ne, map(sum, inflow), map(sum, zip(*column)))):
+        column = list(map(sub, map(add, tree_images[v], map(chains[g].__getitem__, back[v])),
+                          tree_images[cover.edge_target[v][g]]))
+        net = list(map(sub, map(column.__getitem__, tails), column))  # inflow minus outflow
+        for k in range(order, size, order):  # summed over the n blocks into the first
+            net[:order] = map(add, net[:order], net[k:k + order])
+        if any(net[:order]):
             raise InternalError("image of a basis cycle did not close up at the basepoint")
-        flat = list(itertools.chain.from_iterable(column))
-        columns.append(map(flat.__getitem__, positions))
-    return IntMatrix.from_rows(zip(*columns))
+        columns.append(list(map(column.__getitem__, positions)))
+    return IntMatrix(len(columns), len(columns), itertools.chain.from_iterable(zip(*columns)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -371,12 +371,18 @@ class TestLeftTranslations:
         (alternating(5), [perm_from_cycle_text("(12345)", 5), perm_from_cycle_text("(123)", 5)]),
     ], ids=["Z7", "S3", "A4", "A5"])
     def test_table(self, target, images):
-        # read off the tree and product rows alone, the table is the group law
+        # built from the tree walk and compositions alone, every block of
+        # the table is the group law: back[v][l|G| + (v w)] = l|G| + w
         cover = build_cover(len(images), FiniteHom(len(images), target, images))
-        left = cover_module._left_translations(cover)
-        vertices = cover.vertices
+        back = cover_module._translations(cover)
+        vertices, order = cover.vertices, cover.group_order
         index = {x: k for k, x in enumerate(vertices)}
-        assert left == [[index[target.mul(u, w)] for w in vertices] for u in vertices]
+        expected = [[None] * (len(images) * order) for _ in vertices]
+        for row, v in zip(expected, vertices):
+            for l in range(len(images)):
+                for k, w in enumerate(vertices):
+                    row[l * order + index[target.mul(v, w)]] = l * order + k
+        assert back == expected
 
 
 A5 = alternating(5)
@@ -442,6 +448,32 @@ class TestLiftChecks:
     def test_figure_eight_d100_is_well_inside_the_cap(self, monkeypatch):
         monkeypatch.setattr(cover_module, "MAX_LIFT_WORK", cover_module.MAX_LIFT_WORK // 20)
         twisted_invariants(figure_eight(), 100, FiniteHom(2, cyclic(25), [0, 1]))
+
+    @pytest.mark.parametrize("block", [0, -1], ids=["block0", "last-block"])
+    @pytest.mark.parametrize("alpha", [
+        FiniteHom(2, cyclic(7), [3, 5]),
+        FiniteHom(2, A5, [perm_from_cycle_text("(12345)", 5), perm_from_cycle_text("(123)", 5)]),
+        FiniteHom(3, cyclic(6), [2, 3, 1]),
+    ], ids=["Z7", "A5", "rank3"])
+    def test_an_entry_off_by_one_does_not_close_up(self, monkeypatch, alpha, block):
+        # one coefficient of the last generator's pushed chain, at edge
+        # (w, l) with w the last vertex, is off by one: that chain is no
+        # chain map's image, and some column of H is no cycle
+        spell, n = cover_module._spell, alpha.rank
+        order = build_cover(n, alpha).group_order
+        pushed = []
+
+        def off_by_one(word, chains, images, back):
+            out = spell(word, chains, images, back)
+            pushed.append(out)
+            if len(pushed) == n:
+                out[block % n * order + order - 1] += 1
+            return out
+
+        monkeypatch.setattr(cover_module, "_spell", off_by_one)
+        with pytest.raises(InternalError, match="did not close up"):
+            lift_power_matrix(build_cover(n, alpha), identity(n), 1)
+        assert len(pushed) == n
 
     def test_open_image_chain_is_an_internal_error(self, monkeypatch):
         # alpha . f != alpha: the basis cycles of the alpha cover are no
