@@ -62,7 +62,7 @@ def _report_payload(report) -> dict:
         "torsion": report.torsion,
         "principal": report.principal,
         "monic": report.monic,
-        "delta": to_text(report.delta),
+        "delta": report.delta_text,
         "verdict": report.verdict,
         "reasons": list(report.reasons),
     }
@@ -82,7 +82,7 @@ def _cmd_monodromy(args) -> int:
         "group_order": alpha.target.order,
         "h1_rank": n,
         "h": inv.h_matrix.to_rows(),
-        "delta": to_text(inv.delta),
+        "delta": report.delta_text,
         "torsion": report.torsion,
         "principal": report.principal,
         "monic": report.monic,

@@ -397,9 +397,9 @@ class _NonUnitPivot(ArithmeticError):
     a unit, so a lone prime never raises it."""
 
 
-def _crt_residues(bound: int, kernel) -> Iterator[tuple[int, list[int]]]:
+def _crt_residues(bound: int, kernel, lc: int = 1) -> Iterator[tuple[int, list[int]]]:
     """(q, kernel(q)) pairs for _crt_lift(bound, ...), q the product of
-    each pack of _crt_packs(1, bound) in turn.
+    each pack of _crt_packs(lc, bound) in turn, so no prime of q divides lc.
 
     ``kernel(q)`` returns its residues modulo q.  An elimination kernel
     takes, in each column, the first candidate that is nonzero modulo q;
@@ -408,7 +408,7 @@ def _crt_residues(bound: int, kernel) -> Iterator[tuple[int, list[int]]]:
     kernel that meets a pivot that is no unit raises _NonUnitPivot, and its
     pack is then run one prime at a time.
     """
-    for pack in _crt_packs(1, bound):
+    for pack in _crt_packs(lc, bound):
         q = math.prod(pack)
         try:
             rs = kernel(q)
@@ -431,10 +431,10 @@ def _inverse_pivot(x: int, q: int) -> int:
 # Cap on the bit length of ||p||_1^d for a resultant with t^d - 1.  Every
 # admitted result has at most 2467 decimal digits, so it prints under
 # Python's default 4300-digit limit; the whole sweep of t^2 - 3t + 1 up to
-# the cap (d = 3528) takes about 0.33 s in process on a 2-vCPU x86-64
-# host with Python 3.11.  The CRT itself lifts under the smaller bound of
-# _resultant_bounds; the cap stays on ||p||_1^d, so it refuses the same
-# inputs with the same message.
+# the cap (d = 3528) takes about 0.25 s in process on a 2-vCPU x86-64
+# host with Python 3.11, and R_3528 alone about 6 ms.  The CRT itself
+# lifts under the smaller bound of _resultant_bounds; the cap stays on
+# ||p||_1^d, so it refuses the same inputs with the same message.
 MAX_RESULTANT_BITS = 8192
 
 
@@ -501,10 +501,11 @@ def _resultant_bounds(f: list[int]) -> Iterator[int]:
 
 
 def _polymod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f over Z/p, ascending coefficients, trimmed; f[-1] is a unit."""
+    """a mod f over Z/p, ascending coefficients, trimmed; _NonUnitPivot if
+    f[-1] is no unit modulo p."""
     a = list(a)
     n = len(f) - 1
-    inv = pow(f[-1], -1, p)
+    inv = _inverse_pivot(f[-1], p)
     low = f[:n]
     for k in range(len(a) - 1, n - 1, -1):
         q = a[k] * inv % p
@@ -524,7 +525,9 @@ def _mulmod(x: list[int], y: list[int], f: list[int], p: int) -> list[int]:
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
     """Res(a, b) mod p by the Euclidean algorithm over Z/p; a and b are
-    trimmed ascending coefficient lists of degree >= 0 with units on top.
+    trimmed ascending coefficient lists of degree >= 0, a with a unit on
+    top.  p is a CRT prime or a pack of them: a remainder whose leading
+    coefficient is no unit modulo p raises _NonUnitPivot when it divides.
 
     Res(a, b) = (-1)^(deg a deg b) Res(b, a), and with a = qb + c,
     Res(b, a) = lc(b)^(deg a - deg c) Res(b, c).
@@ -546,16 +549,24 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     """|Res(p^, t^d - 1)| over Z, where p^ is the polynomial-part associate of p.
 
     Equals the absolute value of the product of p over all d-th roots of
-    unity.  Modulo each CRT prime that does not divide the leading
-    coefficient, t^d is reduced modulo p^ by square-and-multiply and the
-    resultant is finished by the Euclidean algorithm.  It takes one prime
-    at a time, not packs (_crt_packs): each Euclidean step divides by the
-    leading coefficient of a remainder, which may vanish modulo some
-    primes of a pack and not others.  The primes are drawn
-    until they cover B_d = min(||p||_1^d, 2^n M^d) of _resultant_bounds, n
-    the degree of p^ and M a certified bound on its Mahler measure.  A
-    ||p||_1^d of more than MAX_RESULTANT_BITS bits raises SizeLimitError
-    before any prime is drawn.
+    unity.  Modulo each pack q of CRT primes that do not divide the
+    leading coefficient (_crt_residues), t^d is reduced modulo p^ by
+    square-and-multiply and the resultant is finished by the Euclidean
+    algorithm.  That is sound modulo a pack: every division is by a
+    leading coefficient, taken through _inverse_pivot, so it is a unit
+    modulo q and hence nonzero modulo every prime of q; a coefficient that
+    is 0 modulo q is trimmed at every prime as well, so each prime sees the
+    same degrees and the same steps.  A remainder whose leading
+    coefficient is no unit raises _NonUnitPivot, and the pack is run one
+    prime at a time.  Only the last remainder, a constant c, is used
+    without being inverted: it is raised to the degree, at least 1, of the
+    divisor before it (p^ itself when c is (t^d - 1) mod p^).  If c
+    vanishes modulo a prime of q, that prime alone would have stopped at a
+    zero remainder with resultant 0, and that power of c is 0 modulo it
+    too.  The moduli cover B_d = min(||p||_1^d, 2^n M^d) of
+    _resultant_bounds, n the degree of p^ and M a certified bound on its
+    Mahler measure.  A ||p||_1^d of more than MAX_RESULTANT_BITS bits
+    raises SizeLimitError before any prime is drawn.
     """
     if p.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -567,20 +578,33 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     if len(f) == 1:
         return abs(f[0]) ** d
 
-    def residues():
-        for q in _primes():
-            if f[-1] % q == 0:
-                continue
-            fq = [c % q for c in f]
-            h = _binpow(_polymod([0, 1], fq, q), d,
-                        lambda x, y: _mulmod(x, y, fq, q), None) or [0]  # t^d mod f
-            g = _trim([(h[0] - 1) % q] + h[1:])  # (t^d - 1) mod f
-            # Res(f, t^d - 1) = lc(f)^(d - deg g) Res(f, g)
-            res = pow(fq[-1], d - len(g) + 1, q) * _resultant_mod(fq, g, q) if g else 0
-            yield q, [res % q]
+    def kernel(q: int) -> list[int]:
+        fq = [c % q for c in f]
+        h = _binpow(_polymod([0, 1], fq, q), d,
+                    lambda x, y: _mulmod(x, y, fq, q), None) or [0]  # t^d mod f
+        g = _trim([(h[0] - 1) % q] + h[1:])  # (t^d - 1) mod f
+        # Res(f, t^d - 1) = lc(f)^(d - deg g) Res(f, g)
+        res = pow(fq[-1], d - len(g) + 1, q) * _resultant_mod(fq, g, q) if g else 0
+        return [res % q]
 
     bound = next(itertools.islice(_resultant_bounds(f), d - 1, None))
-    return abs(_crt_lift(bound, 1, residues())[0])
+    return abs(_crt_lift(bound, 1, _crt_residues(bound, kernel, f[-1]))[0])
+
+
+def _power_sums(w: list[int], top: int, q: int) -> list[int]:
+    """S_0, ..., S_top modulo q, the scaled power sums of
+    cyclotomic_resultants for a p^ of degree n = len(w), from its weights
+    w[j] = w_(n-j)."""
+    n = len(w)
+    s = [n]  # s[m] = S_m mod q
+    for m in range(1, top + 1):
+        # S_m = -(sum_(k < m, k <= n) w_k S_(m-k) + m w_m if m <= n)
+        if m <= n:
+            acc = sum(map(operator.mul, w[n - m + 1:], s[1:m])) + m * w[n - m]
+        else:
+            acc = sum(map(operator.mul, w, s[m - n:m]))
+        s.append(-acc % q)
+    return s
 
 
 def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
@@ -594,6 +618,15 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     P_i = S_(id) are the scaled power sums of the lambda_i^d, and Newton's
     identities on them give E_k = lc^(kd) e_k(lambda^d); then
     Res(p^, t^d - 1) = +-sum_k (-1)^k E_k lc^(d(1 - k)).
+
+    A palindromic p^ (a_k = a_(n-k)), as every knot's Alexander polynomial
+    is, has its roots closed under lambda -> 1/lambda, and their product is
+    (-1)^n a_0 / a_n = (-1)^n.  So e_(n-k)(lambda^d) = (-1)^(nd)
+    e_k(lambda^d), that is E_(n-k) = (-1)^(nd) lc^((n - 2k)d) E_k.  Newton's
+    identities then run only to h = floor(n/2), from P_1..P_h, so the power
+    sums only to S_(h dmax), and the other E_k are mirrored.  Odd n is no
+    exception: a palindromic p^ of odd degree has the root -1, and the
+    identity holds with it.  Any other p^ runs to h = n.
 
     Each pass runs modulo a product of CRT primes that do not divide lc
     (_crt_packs).  It divides only by lc, which no factor divides, and by
@@ -616,27 +649,29 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     if not n:
         return {d: abs(lc) ** d for d in range(2, dmax + 1)}
     w = [a * lc ** (n - 1 - j) for j, a in enumerate(f[:n])]  # w[j] = w_(n-j)
+    half = n // 2 if f == f[::-1] else n  # Newton's identities run to E_half
 
     def sweep_mod(q: int, dmin: int) -> dict[int, int]:
-        s = [n]  # s[m] = S_m mod q
-        for m in range(1, n * dmax + 1):
-            # S_m = -(sum_(k < m, k <= n) w_k S_(m-k) + m w_m if m <= n)
-            if m <= n:
-                acc = sum(map(operator.mul, w[n - m + 1:], s[1:m])) + m * w[n - m]
-            else:
-                acc = sum(map(operator.mul, w, s[m - n:m]))
-            s.append(-acc % q)
-        inverses = [pow(k, -1, q) for k in range(1, n + 1)]
+        s = _power_sums(w, half * dmax, q)
+        inverses = [pow(k, -1, q) for k in range(1, half + 1)]
         lc_d = pow(lc, dmin, q)
         inv_lc = pow(lc, -1, q)
         inv_lc_d = pow(inv_lc, dmin, q)
         out = {}
         for d in range(dmin, dmax + 1):
             # k E_k = sum_(i <= k) (-1)^(i-1) E_(k-i) P_i
-            signed = [-s[i * d] if i % 2 == 0 else s[i * d] for i in range(1, n + 1)]
+            signed = [-s[i * d] if i % 2 == 0 else s[i * d] for i in range(1, half + 1)]
             e = [1]  # E_k = lc^(kd) e_k(lambda^d)
-            for k in range(1, n + 1):
+            for k in range(1, half + 1):
                 e.append(sum(map(operator.mul, reversed(e), signed)) * inverses[k - 1] % q)
+            if half < n:  # the mirror: E_k = (-1)^(nd) lc^((2k - n)d) E_(n-k)
+                lc_2d = lc_d * lc_d % q
+                scale = lc_d if n % 2 else lc_2d  # lc^((2k - n)d) at k = half + 1
+                if n * d % 2:
+                    scale = -scale
+                for k in range(half + 1, n + 1):
+                    e.append(scale * e[n - k] % q)
+                    scale = scale * lc_2d % q
             total = 0  # sum_(k >= 1) (-1)^k E_k lc^(-d(k-1)), by Horner
             for k in range(n, 0, -1):
                 total = (total * inv_lc_d + (-e[k] if k % 2 else e[k])) % q

@@ -29,6 +29,7 @@ class ObstructionReport:
     principal: Literal["yes", "unknown"]
     monic: Literal["yes", "no", "undefined"]
     delta: LaurentPoly
+    delta_text: str  # laurent.to_text(delta), formatted once for reasons and output
     verdict: Literal["consistent-with-fibred", "NOT-fibred-certificate", "inconclusive"]
     reasons: tuple[str, ...]
 
@@ -67,6 +68,7 @@ def fibred_verdict(rows: int, cols: int, rank: int, delta: LaurentPoly,
     in general.
     """
     reasons: list[str] = []
+    delta_text = laurent.to_text(delta)
     torsion = "yes" if rank == rows else "no"
     if torsion == "yes":
         reasons.append(f"(1) torsion: presentation has full rank {rows}")
@@ -87,10 +89,10 @@ def fibred_verdict(rows: int, cols: int, rank: int, delta: LaurentPoly,
         reasons.append("(3) undefined: delta = 0")
     elif laurent.is_monic(delta):
         monic = "yes"
-        reasons.append(f"(3) monic: delta = {delta}")
+        reasons.append(f"(3) monic: delta = {delta_text}")
     else:
         monic = "no"
-        reasons.append(f"(3) FAILS: delta = {delta} is not monic")
+        reasons.append(f"(3) FAILS: delta = {delta_text} is not monic")
 
     if torsion == "no" or monic == "no":
         verdict = NOT_FIBRED
@@ -104,6 +106,7 @@ def fibred_verdict(rows: int, cols: int, rank: int, delta: LaurentPoly,
         principal=principal,
         monic=monic,
         delta=delta,
+        delta_text=delta_text,
         verdict=verdict,
         reasons=tuple(reasons),
     )

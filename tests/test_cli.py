@@ -205,6 +205,31 @@ class TestMonodromyCommand:
         assert code == 0 and json.loads(raw)["delta"] == "s^4 - s^3 - s + 1"
         assert calls == [4]
 
+    def test_delta_is_formatted_once_per_job(self, capsys, monkeypatch, tmp_path):
+        # the verdict's reasons and the --json payload share one to_text of delta
+        calls = []
+
+        def counted(p, var="s"):
+            calls.append(p)
+            return to_text(p, var)
+
+        to_text = laurent.to_text
+        for module in (laurent, obstruction, cli):  # every binding; str(p) reads laurent's
+            if getattr(module, "to_text", None) is to_text:
+                monkeypatch.setattr(module, "to_text", counted)
+        code, raw, _ = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
+                           "--d", "2", "--alpha", "Z/3:x=1,y=1", "--json")
+        assert code == 0 and json.loads(raw)["delta"] == "s^4 - s^3 - s + 1"
+        assert len(calls) == 1
+        for text, reason in (("1 1\ns^2-s+1\n", "(3) monic: delta = s^2 - s + 1"),
+                             ("1 1\n2s-2\n", "(3) FAILS: delta = 2s - 2 is not monic")):
+            path = tmp_path / "m.txt"
+            path.write_text(text)
+            calls.clear()
+            _, raw, _ = run(capsys, "report", "--presentation", str(path), "--json")
+            assert len(calls) == 1
+            assert json.loads(raw)["reasons"][2] == reason
+
 
 class TestSeifertCommand:
     def test_figure8_fixture(self, capsys):

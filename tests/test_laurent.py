@@ -152,17 +152,32 @@ def sylvester_resultant(p: LaurentPoly, d: int) -> int:
 
 
 @pytest.fixture
-def resultant_primes(monkeypatch):
-    """The primes at which resultant_with_cyclotomic runs a Euclidean resultant."""
+def resultant_moduli(monkeypatch):
+    """The moduli, packs of CRT primes or single primes, at which
+    resultant_with_cyclotomic finishes a Euclidean resultant."""
     used = []
 
-    def recorded(a, b, p):
-        used.append(p)
-        return euclid(a, b, p)
+    def recorded(a, b, q):
+        res = euclid(a, b, q)  # a pack that raises _NonUnitPivot is not recorded
+        used.append(q)
+        return res
 
     euclid = laurent._resultant_mod
     monkeypatch.setattr(laurent, "_resultant_mod", recorded)
     return used
+
+
+def crt_primes(moduli: list[int]) -> list[int]:
+    """The CRT primes whose products the moduli are, in order."""
+    primes = []
+    for q in moduli:
+        for k in itertools.count():
+            if q == 1:
+                break
+            if q % laurent._prime(k) == 0:
+                primes.append(laurent._prime(k))
+                q //= laurent._prime(k)
+    return primes
 
 
 class TestResultantAgainstSylvester:
@@ -208,26 +223,28 @@ class TestResultantAgainstSylvester:
                     == resultant_with_cyclotomic(LaurentPoly(0, coeffs), d)
                     == sylvester_resultant(shifted, d))
 
-    def test_leading_coefficient_divisible_by_first_prime(self, resultant_primes):
+    def test_leading_coefficient_divisible_by_first_prime(self, resultant_moduli):
         q = laurent._prime(0)
         rng = random.Random(103)
         for _ in range(10):
             p = LaurentPoly(0, [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [q])
             d = rng.randint(1, 9)
             assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d)
-        assert resultant_primes and q not in resultant_primes
-        assert laurent._prime(1) in resultant_primes
+        primes = crt_primes(resultant_moduli)
+        assert primes and q not in primes
+        assert laurent._prime(1) in primes
 
-    def test_huge_coefficients_need_many_primes(self, resultant_primes):
+    def test_huge_coefficients_need_many_primes(self, resultant_moduli):
         rng = random.Random(107)
         for _ in range(10):
             coeffs = [rng.randint(2**70 - 2**20, 2**70) * rng.choice((-1, 1))
                       for _ in range(rng.randint(2, 5))]
             d = rng.randint(2, 9)
             p = LaurentPoly(0, coeffs)
-            del resultant_primes[:]
+            del resultant_moduli[:]
             assert resultant_with_cyclotomic(p, d) == sylvester_resultant(p, d)
-            assert len(resultant_primes) > d  # over 70 bits a root of unity, 61 a prime
+            # over 70 bits a root of unity, 61 a prime
+            assert len(crt_primes(resultant_moduli)) > d
 
     def test_euclid_mod_p_keeps_the_sign(self):
         # the CRT lift needs the signed resultant at every prime
@@ -238,6 +255,38 @@ class TestResultantAgainstSylvester:
                 b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)]
                 got = laurent._resultant_mod([c % q for c in a], [c % q for c in b], q)
                 assert got == sylvester(a, b) % q
+
+    def test_non_unit_remainder_falls_back_to_single_primes(self, resultant_moduli):
+        # t^3 mod (t^2 + beta t + beta^2 - p1) = p1 t + ...: the first remainder's
+        # leading coefficient is 0 modulo p1 and a unit modulo p0
+        p0, p1 = laurent._prime(0), laurent._prime(1)
+        q = p0 * p1
+        for beta in (0, 1, 5, 2**40 + 7):
+            a, b = [0, 0, 0, 1], [beta * beta - p1, beta, 1]
+            with pytest.raises(laurent._NonUnitPivot):
+                laurent._resultant_mod(a, [c % q for c in b], q)
+            for p in (p0, p1):
+                assert laurent._resultant_mod(a, [c % p for c in b], p) == sylvester(a, b) % p
+        # t^3 + c t^2 + (p1 - 1) t + e mod t^2 - 1 = p1 t + c + e: the route at
+        # d = 2 meets that pivot in its first pack and reruns it prime by prime
+        for c, e in ((0, 1), (3, -7), (2**50, 5)):
+            p = LaurentPoly(0, (e, p1 - 1, c, 1))
+            del resultant_moduli[:]
+            assert resultant_with_cyclotomic(p, 2) == sylvester_resultant(p, 2)
+            assert p1 in resultant_moduli and crt_primes(resultant_moduli) == resultant_moduli
+
+    def test_last_constant_is_never_inverted(self, resultant_moduli):
+        # the last remainder c is raised to a power, not inverted: where it
+        # vanishes modulo one prime of the pack, so does its power, and the
+        # pack needs no fallback
+        p0, p1 = laurent._prime(0), laurent._prime(1)
+        # f = t^2 + k p1 t - 1 leaves c = f(1) = k p1 after t - 1 at d = 1;
+        # f = t - (1 + p1) leaves c = (1 + p1)^d - 1 = (t^d - 1) mod f itself
+        for p, d in ((LaurentPoly(0, (-1, 3 * p1, 1)), 1), (LaurentPoly(0, (-1 - p1, 1)), 5)):
+            del resultant_moduli[:]
+            value = resultant_with_cyclotomic(p, d)
+            assert value == sylvester_resultant(p, d) and value % p1 == 0 and value % p0
+            assert len(resultant_moduli) == 1 and resultant_moduli[0] % (p0 * p1) == 0
 
     def test_bound_covers_products_over_roots_of_unity(self):
         # the result never exceeds ||p||_1^d, so the prime count always suffices
@@ -364,7 +413,9 @@ class TestCyclotomicResultants:
         # B_25 has about 1800 bits: three full moduli of about 488 bits and
         # a last one cut to fit
         p = LaurentPoly(-2, (2**70 + 3, -5, 2**70 - 1, 7))
-        assert cyclotomic_resultants(p, 25) == per_degree(p, 25)
+        expected = per_degree(p, 25)
+        moduli.clear()  # those of the per-degree oracle
+        assert cyclotomic_resultants(p, 25) == expected
         assert len(moduli) >= 3
         assert len(set(moduli)) == len(moduli)
         assert all(q.bit_length() > laurent._CRT_PACK * 60 for q in moduli[:-1])
@@ -374,8 +425,9 @@ class TestCyclotomicResultants:
         for _ in range(20):
             p = LaurentPoly(0, [rng.randint(-2**40, 2**40) for _ in range(rng.randint(2, 7))])
             dmax = rng.randint(2, 60)
-            moduli.clear()
-            assert cyclotomic_resultants(p, dmax) == per_degree(p, dmax)
+            expected = per_degree(p, dmax)
+            moduli.clear()  # those of the per-degree oracle
+            assert cyclotomic_resultants(p, dmax) == expected
             drawn, k = math.prod(moduli), 0  # no prime divides lc: primes 0..k - 1
             while drawn % laurent._prime(k) == 0:
                 k += 1
@@ -395,9 +447,10 @@ class TestCyclotomicResultants:
     def test_seifert_sweep_draws_one_modulus(self, moduli):
         # an 8 x 8 Seifert matrix: ||delta||_1^40 needs a second modulus, B_40 does not
         delta = alexander_polynomial(random_seifert_matrix(8, random.Random(1)))
-        moduli.clear()  # those of Gamma and char_poly(Gamma)
+        expected = per_degree(delta, 40)
+        moduli.clear()  # those of Gamma, char_poly(Gamma) and the per-degree oracle
         assert 2 * sum(map(abs, delta.coeffs)) ** 40 > math.prod(laurent._prime(k) for k in range(8))
-        assert cyclotomic_resultants(delta, 40) == per_degree(delta, 40)
+        assert cyclotomic_resultants(delta, 40) == expected
         assert len(moduli) == 1
 
     def test_sweep_up_to_the_cap(self):
@@ -416,6 +469,64 @@ class TestCyclotomicResultants:
         # like the per-degree loop, an empty range computes nothing
         for dmax in (-3, 0, 1):
             assert cyclotomic_resultants(ZERO, dmax) == {} == per_degree(ZERO, dmax)
+
+
+def palindromic(rng: random.Random, n: int, bits: int) -> list[int]:
+    """Ascending coefficients a_k = a_(n-k) of degree n, a_0 != 0, |a_k| <= 2^bits."""
+    half = [rng.randint(-2**bits, 2**bits) for _ in range(n // 2 + 1)]
+    half[0] = half[0] or 1
+    return [half[min(k, n - k)] for k in range(n + 1)]
+
+
+class TestPalindromicSweep:
+    """A palindromic p^ runs Newton's identities to E_(n // 2) and mirrors
+    the rest: E_(n-k) = (-1)^(nd) lc^((n - 2k)d) E_k."""
+
+    def test_against_single_d_and_sylvester(self):
+        rng = random.Random(139)
+        first = laurent._prime(0)
+        for n in range(1, 13):  # odd degrees have the root -1
+            for bits, scale in ((3, 1), (62, 1), (8, first)):  # lc a multiple of _prime(0)
+                p = LaurentPoly(rng.randint(-3, 3), [c * scale for c in palindromic(rng, n, bits)])
+                dmax = rng.randint(2, 60)
+                sweep = cyclotomic_resultants(p, dmax)
+                assert sweep == per_degree(p, dmax)
+                for d in {2, rng.randint(2, dmax)}:
+                    assert sweep[d] == sylvester_resultant(p, d)
+
+    def test_other_polynomials_keep_the_full_loop(self):
+        # anti-palindromic (roots closed under inversion, product (-1)^(n+1)),
+        # palindromic but for the leading coefficient, and palindromic up to sign
+        rng = random.Random(149)
+        for n in range(1, 13):
+            f = palindromic(rng, n, 30)
+            anti = [0 if 2 * k == n else c if 2 * k < n else -c for k, c in enumerate(f)]
+            for coeffs in (anti, f[:-1] + [2 * f[-1]], [-c for c in f[:-1]] + f[-1:]):
+                p = LaurentPoly(0, coeffs)
+                assert coeffs != coeffs[::-1]
+                dmax = rng.randint(2, 40)
+                sweep = cyclotomic_resultants(p, dmax)
+                assert sweep == per_degree(p, dmax)
+                assert sweep[dmax] == sylvester_resultant(p, dmax)
+
+    def test_power_sums_run_to_half_of_the_degree(self, monkeypatch):
+        tops = []
+
+        def recording(w, top, q):
+            tops.append(top)
+            return power_sums(w, top, q)
+
+        power_sums = laurent._power_sums
+        monkeypatch.setattr(laurent, "_power_sums", recording)
+        knots = [alexander_polynomial(random_seifert_matrix(size, random.Random(size)))
+                 for size in (2, 4, 6, 8)]
+        cases = [(delta, (len(delta.coeffs) - 1) // 2) for delta in knots]  # every knot's delta
+        cases += [(P("t^3 - 2t^2 - 2t + 1"), 1), (P("2t^3 - 3t + 5"), 3),
+                  (P("t^2 - 1"), 2), (P("3t^5 + t^4 - t - 3"), 5)]
+        for p, half in cases:
+            tops.clear()
+            cyclotomic_resultants(p, 40)
+            assert tops and tops == [half * 40] * len(tops)
 
 
 class TestResultantCap:
