@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 
 from . import laurent
 from .errors import MinorLimitError, SizeLimitError
@@ -462,7 +463,8 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     shift, _, bound, points = _normalised(p.to_rows())
     reduced, k = _unit_reduced(p)
     g = laurent.ZERO
-    for minor in _maximal_minors(reduced, (shift - k, points, bound)):
+    # zero and repeated minors add nothing to the gcd
+    for minor in dict.fromkeys(filter(None, _maximal_minors(reduced, (shift - k, points, bound)))):
         g = laurent.gcd(g, minor)
     return laurent.canonicalize(g)
 
@@ -533,15 +535,21 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
 # the rows T whose pivot is not in C to the bottom and the columns C \ P to
 # the right leaves +-det E[T, C \ P]: over all C, exactly the square minors
-# of E's non-pivot columns.  These are the minors of the row-shifted
-# matrix, s^-S times A's; at node c, times c^(S - low), they are the values
-# of s^-low times A's minors, polynomials of degree <= D.  S - low is
-# negative whenever the second window cuts the first from below, so node 0
-# cannot serve.  Newton's divided differences on the nodes 1..D + 1
-# interpolate each minor from its D + 1 values in O(D^2), and so does
-# evaluating A at every node.  A square matrix has one maximal minor, its
+# of E's non-pivot columns.  The nodes are grouped by their pivot columns,
+# and one Laplace pass per group builds those square minors with each entry
+# a list of its values over the group's nodes; a node with fewer than n
+# pivots keeps every minor at zero.  These are the minors of the
+# row-shifted matrix, s^-S times A's; at node c, times c^(S - low), they
+# are the values of s^-low times A's minors, polynomials of degree <= D.
+# S - low is negative whenever the second window cuts the first from below,
+# so node 0 cannot serve.  Newton's divided differences on the nodes
+# 1..D + 1 interpolate each minor from its D + 1 values in O(D^2), and so
+# does evaluating A at every node.  With more minors than nodes, each minor
+# is instead one product with the inverse Vandermonde matrix, built in
+# O(D^3) once per (D + 1, q) and kept across calls; it is never larger than
+# the values it multiplies.  A square matrix has one maximal minor, its
 # determinant, and the 0 x 0 one has the minor 1; a single row is its own
-# list of minors.
+# list of minors.  The gcd is taken once per distinct nonzero minor.
 #
 # The rank over the field of fractions is the largest rank of A, zero rows
 # dropped, at s = 0..D, D = sum_i span_i, modulo the packs of CRT primes
@@ -645,17 +653,25 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
         return [laurent.ZERO] * count
 
     def kernel(q):
-        values = []
-        for c in range(1, points + 1):  # s^-low times each minor of A, at s = c
-            scale = pow(c, shift - low, q)
-            values.append([v * scale % q
-                           for v in _minors_mod(_evaluate_mod(polys, c, q), m, q)])
-        minors = list(zip(*values))
-        if len(minors) <= points:
+        groups: dict[tuple[int, ...], list] = {}  # pivot columns -> (node, scale, E)
+        for c in range(1, points + 1):
+            e = _evaluate_mod(polys, c, q)
+            pivots, d = _rref_mod(e, q)
+            if len(pivots) == n:  # else every minor vanishes at c
+                groups.setdefault(tuple(pivots), []).append(
+                    (c - 1, d * pow(c, shift - low, q) % q, e))
+        minors = [[0] * points for _ in range(count)]  # s^-low times each minor, at every node
+        for key, nodes in groups.items():
+            at, scale, eliminated = zip(*nodes)
+            free = [j for j in range(m) if j not in key]
+            small = _square_minors([[[e[i][j] for e in eliminated] for j in free]
+                                    for i in range(n)], q)
+            for minor, (sign, t, k) in zip(minors, _minor_plan(key, m)):
+                for c, v in zip(at, map(operator.mul, scale, small[t, k])):
+                    minor[c] = sign * v % q
+        if count <= points:
             return [v for minor in minors for v in _interpolate_mod(minor, q)]
-        # fewer nodes: interpolate the unit vectors, the inverse Vandermonde
-        w = list(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
-                       for k in range(points))))
+        w = _vandermonde_inverse(points, q)
         return [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
 
     flat = _crt_lift(bound, count * points, _crt_residues(bound, kernel))
@@ -685,18 +701,6 @@ def rank_over_fractions(p: LambdaMatrix) -> int:
     return rank
 
 
-def _minors_mod(a: list[list[int]], m: int, q: int) -> list[int]:
-    """The maximal minors of the n x m matrix A mod q, A overwritten."""
-    n = len(a)
-    pivots, d = _rref_mod(a, q)
-    if len(pivots) < n:
-        return [0] * math.comb(m, n)
-    key = tuple(pivots)
-    free = [j for j in range(m) if j not in key]
-    small = _square_minors([[row[j] for j in free] for row in a], q)
-    return [sign * d * small[t, k] % q for sign, t, k in _minor_plan(key, m)]
-
-
 @functools.lru_cache(maxsize=32)
 def _minor_plan(pivots: tuple[int, ...], m: int) -> tuple[tuple[int, tuple, tuple], ...]:
     """For each column set C, in combinations order: (sign, T, K) with the
@@ -723,19 +727,31 @@ def _to_end_parity(positions, size: int) -> int:
     return sum(size - t + i - at for i, at in enumerate(positions)) & 1
 
 
-def _square_minors(f: list[list[int]], q: int) -> dict[tuple[tuple, tuple], int]:
+@functools.lru_cache(maxsize=32)
+def _vandermonde_inverse(points: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The inverse Vandermonde matrix on the nodes s = 1..points mod q, by
+    rows: row k times a polynomial's values there is its coefficient of
+    s^k.  Its columns are the unit vectors interpolated.  Kept across
+    calls: every matrix of one window and bound asks for the same one."""
+    return tuple(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
+                       for k in range(points))))
+
+
+def _square_minors(f: list[list[list[int]]], q: int) -> dict[tuple[tuple, tuple], Iterable[int]]:
     """Every square minor of F mod q, keyed by (rows, columns), each by
-    Laplace expansion along its first row over the minors one size down."""
+    Laplace expansion along its first row over the minors one size down.
+    Each entry of F is a list of its values at a group of nodes, and each
+    minor is a list of its values there; the 0 x 0 minor is an endless
+    run of ones."""
     n, w = len(f), len(f[0]) if f else 0
-    minors = {((), ()): 1}
-    for t in range(1, min(n, w) + 1):
+    minors = {((), ()): itertools.repeat(1)}
+    minors.update((((i,), (j,)), e) for i, row in enumerate(f) for j, e in enumerate(row))
+    negated = [[[-v for v in e] for e in row] for row in f]
+    for t in range(2, min(n, w) + 1):
         for rs in itertools.combinations(range(n), t):
-            top, rest = f[rs[0]], rs[1:]
+            top, minus, rest = f[rs[0]], negated[rs[0]], rs[1:]
             for cs in itertools.combinations(range(w), t):
-                v = 0
-                for k, j in enumerate(cs):
-                    if top[j]:
-                        sub = top[j] * minors[rest, cs[:k] + cs[k + 1:]]
-                        v = v - sub if k & 1 else v + sub
-                minors[rs, cs] = v % q
+                terms = [map(operator.mul, minus[j] if k & 1 else top[j],
+                             minors[rest, cs[:k] + cs[k + 1:]]) for k, j in enumerate(cs)]
+                minors[rs, cs] = [sum(v) % q for v in zip(*terms)]
     return minors

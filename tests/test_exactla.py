@@ -913,6 +913,115 @@ class TestMaximalMinors:
             assert maximal_minor_gcd(m) == gcd
 
 
+def count_passes_and_laplace(monkeypatch) -> dict[str, int]:
+    """Counts the kernel's CRT passes and its _square_minors calls from
+    here on."""
+    seen = {"passes": 0, "laplace": 0}
+    residues, square_minors = exactla._crt_residues, exactla._square_minors
+
+    def counted_residues(*args):
+        for item in residues(*args):
+            seen["passes"] += 1
+            yield item
+
+    def counted_square_minors(f, q):
+        seen["laplace"] += 1
+        return square_minors(f, q)
+
+    monkeypatch.setattr(exactla, "_crt_residues", counted_residues)
+    monkeypatch.setattr(exactla, "_square_minors", counted_square_minors)
+    return seen
+
+
+def vanishing_entry(rng) -> LaurentPoly:
+    """A small entry, often one that vanishes at the first nodes s = 1, 2
+    (s - 1, s^2 - 3s + 2, 2s - 4), times a small factor."""
+    kind = rng.random()
+    if kind < 0.15:
+        return ZERO
+    small = LaurentPoly(0, [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))])
+    if kind < 0.6:
+        return small * P(rng.choice(("s - 1", "s^2 - 3s + 2", "2s - 4")))
+    return small
+
+
+class TestNodeGroups:
+    """The kernel's nodes grouped by pivot columns, one Laplace pass per
+    group, and the inverse Vandermonde kept across calls."""
+
+    # no entry is a unit, so the rows reach the kernel as they are
+    GENERIC = [[P("2s + 3"), P("3s - 2"), P("2"), P("s + 3")],
+               [P("3s + 2"), P("2s^2 + 3"), P("3s"), P("2s - 5")]]
+
+    def test_one_laplace_pass_per_pivot_pattern(self, monkeypatch):
+        seen = count_passes_and_laplace(monkeypatch)
+        m = LambdaMatrix.from_rows(self.GENERIC)
+        assert maximal_minor_gcd(m) == enumerated_gcd(m)
+        assert seen["laplace"] == seen["passes"] >= 1
+        # at s = 1 the first column vanishes, so that node pivots elsewhere
+        rows = [[P("s - 1")] + self.GENERIC[0][1:], [P("2s - 2")] + self.GENERIC[1][1:]]
+        m = LambdaMatrix.from_rows(rows)
+        seen.update(passes=0, laplace=0)
+        assert _maximal_minors(m) == enumerated_minors(m)
+        assert seen["laplace"] == 2 * seen["passes"] >= 2
+
+    def test_node_where_the_rank_drops(self, monkeypatch):
+        # row 2 equals row 1 at s = 2, and the first column vanishes at s = 1
+        first = [P("s - 1"), P("2s"), P("3"), P("2s + 1")]
+        step = [P("2s - 2"), P("3"), P("s + 1"), P("2")]
+        second = [a + P("s - 2") * b for a, b in zip(first, step)]
+        m = LambdaMatrix.from_rows([first, second])
+        seen = count_passes_and_laplace(monkeypatch)
+        assert _maximal_minors(m) == enumerated_minors(m)
+        assert seen["laplace"] == 2 * seen["passes"]
+        assert maximal_minor_gcd(m) == enumerated_gcd(m) == P("s - 2")
+
+    def test_seeded_sweep_with_vanishing_entries(self):
+        rng = random.Random(26)
+        for _ in range(150):
+            n, extra = rng.randint(1, 4), rng.randint(1, 3)
+            m = LambdaMatrix.from_rows(
+                [[vanishing_entry(rng) for _ in range(n + extra)] for _ in range(n)])
+            if n > 1 and rng.random() < 0.3:  # a row that agrees with row 0 at s = 2
+                rows = m.to_rows()
+                rows[-1] = [a + P("s - 2") * vanishing_entry(rng) for a in rows[0]]
+                m = LambdaMatrix.from_rows(rows)
+            assert _maximal_minors(m) == enumerated_minors(m)
+
+    def test_vandermonde_inverse_is_kept_across_calls(self):
+        # 6 minors on 4 nodes, modulo the same prime: the second matrix
+        # builds no inverse of its own
+        first = LambdaMatrix.from_rows(self.GENERIC)
+        second = LambdaMatrix.from_rows(self.GENERIC[::-1])
+        assert _maximal_minors(first) == enumerated_minors(first)
+        info = exactla._vandermonde_inverse.cache_info()
+        assert _maximal_minors(second) == enumerated_minors(second)
+        after = exactla._vandermonde_inverse.cache_info()
+        assert after.misses == info.misses
+        assert after.hits > info.hits
+
+    def test_gcd_once_per_distinct_nonzero_minor(self, monkeypatch):
+        # column 1 repeats column 0: of the 6 minors, one is zero and the
+        # others take 3 values, two of them twice
+        a, b, c = [P("2s + 3"), P("3s + 2")], [P("3s - 2"), P("2s^2 + 3")], [P("2"), P("3s")]
+        cols = [a, a, b, c]
+        m = LambdaMatrix.from_rows([[col[i] for col in cols] for i in range(2)])
+        minors = enumerated_minors(m)
+        distinct = set(filter(None, minors))
+        assert (minors.count(ZERO), len(distinct)) == (1, 3)
+        expected = enumerated_gcd(m)
+        calls = []
+        gcd = laurent.gcd
+
+        def counted(p, q):
+            calls.append(q)
+            return gcd(p, q)
+
+        monkeypatch.setattr(laurent, "gcd", counted)
+        assert maximal_minor_gcd(m) == expected
+        assert sorted(calls, key=str) == sorted(distinct, key=str)
+
+
 @st.composite
 def unit_rich_matrices(draw, n):
     """An n x m Laurent matrix, n < m <= n + 3, with entries +-s^k planted
