@@ -160,7 +160,7 @@ class IntMatrix(Matrix):
                 raise NonUnitError(det)
             return [d] + [x for r in a for x in r[n:]]
 
-        d, *inverse = _crt_lift(bound, n * n + 1, _crt_residues(bound, kernel))
+        d, *inverse = _crt_lift(_crt_residues(bound, kernel))
         if d not in (1, -1):
             raise NonUnitError(d)
         return IntMatrix(n, n, inverse)
@@ -352,7 +352,7 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
     bound = math.prod(sum(map(abs, r)) + 1 for r in rows)
     budget = MAX_CHAR_POLY_WORK // _crt_primes(bound)
     residues = _crt_residues(bound, lambda q: _char_poly_mod(rows, q, budget))
-    return LaurentPoly(0, _crt_lift(bound, h.rows + 1, residues))
+    return LaurentPoly(0, _crt_lift(residues))
 
 
 def _char_poly_mod(rows: list[list[int]], q: int, budget: int) -> list[int]:
@@ -674,7 +674,7 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
         w = _vandermonde_inverse(points, q)
         return [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
 
-    flat = _crt_lift(bound, count * points, _crt_residues(bound, kernel))
+    flat = _crt_lift(_crt_residues(bound, kernel))
     return [LaurentPoly(low, flat[i:i + points]) for i in range(0, count * points, points)]
 
 

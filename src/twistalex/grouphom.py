@@ -4,7 +4,6 @@ presented groups by generator assignment, and relation verification."""
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Iterable, Union
 
@@ -126,7 +125,7 @@ def perm_from_cycle_text(text: str, degree: int, line: int | None = None) -> Per
 # -- target groups ---------------------------------------------------------
 #
 # A target is a small descriptor with a uniform duck-typed surface:
-# order, identity, mul, inv, pow, contains, elements, name.
+# order, identity, mul, pow (pow(a, -1) is the inverse), contains, name.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,17 +149,11 @@ class CyclicTarget:
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.r
 
-    def inv(self, a: int) -> int:
-        return (-a) % self.r
-
     def pow(self, a: int, n: int) -> int:
         return (a * n) % self.r
 
     def contains(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.r
-
-    def elements(self) -> list[int]:
-        return list(range(self.r))
 
     def name(self) -> str:
         return f"Z/{self.r}"
@@ -187,24 +180,12 @@ class PermutationTarget:
     def mul(self, a: Perm, b: Perm) -> Perm:
         return a * b
 
-    def inv(self, a: Perm) -> Perm:
-        return a.inverse()
-
     def pow(self, a: Perm, n: int) -> Perm:
         return a ** n
 
     def contains(self, x) -> bool:
         return (isinstance(x, Perm) and x.degree == self.degree
                 and (not self.even_only or x.is_even))
-
-    def elements(self) -> list[Perm]:
-        """All elements in lexicographic image order (identity first)."""
-        out = []
-        for images in itertools.permutations(range(self.degree)):
-            p = Perm(images)
-            if not self.even_only or p.is_even:
-                out.append(p)
-        return out
 
     def name(self) -> str:
         return ("A" if self.even_only else "S") + str(self.degree)

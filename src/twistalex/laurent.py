@@ -273,11 +273,14 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 #
 # Exact integers too large to compute directly (determinants, resultants) are
 # found modulo a fixed sequence of word-sized primes and lifted by the Chinese
-# remainder theorem.  _crt_lift is the one CRT loop: it stops as soon as the
-# modulus exceeds twice a bound on the answer, so symmetric residues are the
-# answer itself.  A Python operation on a residue of a few hundred bits costs
-# far less than one per 61-bit prime in it, so the kernels run modulo packs:
-# products of up to _CRT_PACK consecutive primes (_crt_packs, _crt_residues).
+# remainder theorem.  A Python operation on a residue of a few hundred bits
+# costs far less than one per 61-bit prime in it, so the kernels run modulo
+# packs: products of up to _CRT_PACK consecutive primes.  _crt_packs is the
+# one place that decides how many primes a bound needs: its packs end at the
+# first prime whose product with those before it exceeds twice the bound, so
+# symmetric residues modulo their product are the answer itself.
+# _crt_residues runs a kernel modulo each pack, and _crt_lift lifts whatever
+# residues it is given.
 
 # Miller-Rabin with these bases is deterministic for every n < 3.3 * 10^24.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -325,43 +328,22 @@ def _primes() -> Iterator[int]:
         k += 1
 
 
-def _crt_primes(bound: int) -> int:
-    """How many primes _crt_lift draws for ``bound`` from _prime(0), ...,
-    found by running it on empty residues."""
-    drawn = []
+def _crt_lift(residues) -> list[int]:
+    """The integers v_i whose residues come in ``residues``: a nonempty
+    iterable of (q, [v_i mod q]) pairs over pairwise coprime moduli q,
+    single CRT primes or products of them, as _crt_residues yields them.
 
-    def residues():
-        for k in itertools.count():
-            drawn.append(k)
-            yield _prime(k), []
-
-    _crt_lift(bound, 0, residues())
-    return len(drawn)
-
-
-def _crt_lift(bound: int, length: int, residues, inverses: list[int] | None = None) -> list[int]:
-    """The ``length`` integers v_i, all |v_i| <= bound, from ``residues``:
-    an iterator of (q, [v_i mod q]) pairs over pairwise coprime moduli q,
-    single CRT primes or products of them (_crt_residues).
-
-    Draws pairs until the product of their moduli exceeds 2 * bound, then
-    returns the symmetric residues.  Each pair needs the inverse, modulo its
-    q, of the product of the moduli before it; ``inverses`` keeps these for
-    calls whose residues come modulo the same moduli in the same order.
+    The residues need not be reduced modulo q.  Returns the symmetric
+    residues modulo the product of all the moduli, which are the v_i
+    themselves once that product exceeds twice every |v_i|.
     """
-    if inverses is None:
-        inverses = []
-    values = [0] * length
-    modulus = 1
-    for k in itertools.count():
-        if modulus > 2 * bound:
-            break
-        p, rs = next(residues)
-        if k == len(inverses):
-            inverses.append(pow(modulus, -1, p))
-        inv = inverses[k]
-        values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, rs)]
-        modulus *= p
+    pairs = iter(residues)
+    modulus, rs = next(pairs)
+    values = [r % modulus for r in rs]
+    for q, rs in pairs:
+        inv = pow(modulus, -1, q)
+        values = [v + modulus * ((r - v) * inv % q) for v, r in zip(values, rs)]
+        modulus *= q
     half = modulus // 2
     return [v - modulus if v > half else v for v in values]
 
@@ -376,8 +358,8 @@ def _crt_packs(lc: int, bound: int) -> Iterator[tuple[int, ...]]:
     lc, until the product of all the primes drawn exceeds 2 * bound.
 
     The last pack ends at the first prime that passes that product, so it
-    holds only the primes the bound still needs: together the packs hold
-    the _crt_primes(bound) primes that _crt_lift would draw, in order.
+    holds only the primes the bound still needs.  Every CRT route takes its
+    moduli from here, and none draws a prime past the last pack.
     """
     usable = (q for q in _primes() if lc % q)
     drawn = 1
@@ -391,6 +373,11 @@ def _crt_packs(lc: int, bound: int) -> Iterator[tuple[int, ...]]:
         yield tuple(pack)
 
 
+def _crt_primes(bound: int) -> int:
+    """How many primes the packs of _crt_packs(1, bound) hold."""
+    return sum(map(len, _crt_packs(1, bound)))
+
+
 class _NonUnitPivot(ArithmeticError):
     """A pivot that is no unit modulo a pack: it vanishes modulo some of the
     pack's primes and not others.  Modulo one prime every nonzero pivot is
@@ -398,8 +385,9 @@ class _NonUnitPivot(ArithmeticError):
 
 
 def _crt_residues(bound: int, kernel, lc: int = 1) -> Iterator[tuple[int, list[int]]]:
-    """(q, kernel(q)) pairs for _crt_lift(bound, ...), q the product of
-    each pack of _crt_packs(lc, bound) in turn, so no prime of q divides lc.
+    """(q, kernel(q)) pairs for _crt_lift, q the product of each pack of
+    _crt_packs(lc, bound) in turn, so no prime of q divides lc and the
+    product of all the moduli exceeds 2 * bound.
 
     ``kernel(q)`` returns its residues modulo q.  An elimination kernel
     takes, in each column, the first candidate that is nonzero modulo q;
@@ -431,8 +419,8 @@ def _inverse_pivot(x: int, q: int) -> int:
 # Cap on the bit length of ||p||_1^d for a resultant with t^d - 1.  Every
 # admitted result has at most 2467 decimal digits, so it prints under
 # Python's default 4300-digit limit; the whole sweep of t^2 - 3t + 1 up to
-# the cap (d = 3528) takes about 0.25 s in process on a 2-vCPU x86-64
-# host with Python 3.11, and R_3528 alone about 6 ms.  The CRT itself
+# the cap (d = 3528, 11 packs) takes about 0.27 s in process on a 2-vCPU
+# x86-64 host with Python 3.11, and R_3528 alone about 6 ms.  The CRT itself
 # lifts under the smaller bound of _resultant_bounds; the cap stays on
 # ||p||_1^d, so it refuses the same inputs with the same message.
 MAX_RESULTANT_BITS = 8192
@@ -588,7 +576,7 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
         return [res % q]
 
     bound = next(itertools.islice(_resultant_bounds(f), d - 1, None))
-    return abs(_crt_lift(bound, 1, _crt_residues(bound, kernel, f[-1]))[0])
+    return abs(_crt_lift(_crt_residues(bound, kernel, f[-1]))[0])
 
 
 def _power_sums(w: list[int], top: int, q: int) -> list[int]:
@@ -628,14 +616,18 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     exception: a palindromic p^ of odd degree has the root -1, and the
     identity holds with it.  Any other p^ runs to h = n.
 
-    Each pass runs modulo a product of CRT primes that do not divide lc
-    (_crt_packs).  It divides only by lc, which no factor divides, and by
-    k <= n, which every 61-bit factor exceeds, so both are units modulo
-    that product.  Each d draws moduli until its own bound B_d of
-    _resultant_bounds is covered, the bound of resultant_with_cyclotomic;
-    B_d never decreases, so the moduli are cut to cover B_dmax and no more.
-    ||p||_1^dmax is capped as there, with ||p||_1 taken as at least 2: a
-    unit p has bound 1, but a sweep still prints dmax - 1 lines.
+    The sweep walks the packs of _crt_packs(lc, B_dmax) once, with B_d the
+    bound of _resultant_bounds that resultant_with_cyclotomic lifts under.
+    Each pass runs modulo a pack's product q.  It divides only by lc, which
+    no prime of q divides, and by k <= n, which every 61-bit prime exceeds,
+    so both are units modulo q.  B_d never decreases in d, so the d whose
+    B_d the earlier packs do not cover yet are those from some dmin on:
+    the pass sweeps only those, and one Garner step adds q to their lift.
+    A d is finished at the first pack whose product M_d with those before
+    it exceeds 2 B_d, and |R_d| = min(v_d, M_d - v_d) for its residue
+    0 <= v_d < M_d.  ||p||_1^dmax is capped as in resultant_with_cyclotomic,
+    with ||p||_1 taken as at least 2: a unit p has bound 1, but a sweep
+    still prints dmax - 1 lines.
     """
     if dmax < 2:
         return {}
@@ -651,13 +643,13 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     w = [a * lc ** (n - 1 - j) for j, a in enumerate(f[:n])]  # w[j] = w_(n-j)
     half = n // 2 if f == f[::-1] else n  # Newton's identities run to E_half
 
-    def sweep_mod(q: int, dmin: int) -> dict[int, int]:
+    def sweep_mod(q: int, dmin: int) -> list[int]:
         s = _power_sums(w, half * dmax, q)
         inverses = [pow(k, -1, q) for k in range(1, half + 1)]
         lc_d = pow(lc, dmin, q)
         inv_lc = pow(lc, -1, q)
         inv_lc_d = pow(inv_lc, dmin, q)
-        out = {}
+        out = []
         for d in range(dmin, dmax + 1):
             # k E_k = sum_(i <= k) (-1)^(i-1) E_(k-i) P_i
             signed = [-s[i * d] if i % 2 == 0 else s[i * d] for i in range(1, half + 1)]
@@ -675,28 +667,24 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
             total = 0  # sum_(k >= 1) (-1)^k E_k lc^(-d(k-1)), by Horner
             for k in range(n, 0, -1):
                 total = (total * inv_lc_d + (-e[k] if k % 2 else e[k])) % q
-            out[d] = (total + lc_d) % q
+            out.append((total + lc_d) % q)
             lc_d = lc_d * lc % q
             inv_lc_d = inv_lc_d * inv_lc % q
         return out
 
-    bounds = list(itertools.islice(_resultant_bounds(f), dmax))  # bounds[d - 1] = B_d
-    moduli = map(math.prod, _crt_packs(lc, bounds[-1]))
-    swept: list[tuple[int, dict[int, int]]] = []  # (modulus, {d: residue}), shared by every d
-    inverses: list[int] = []  # every d lifts over the moduli of swept, in order
-
-    def residues(d: int):
-        # d rises from call to call, so a modulus first drawn for this d
-        # holds the residues of every later d as well.
-        for k in itertools.count():
-            if k == len(swept):
-                q = next(moduli)
-                swept.append((q, sweep_mod(q, d)))
-            q, rs = swept[k]
-            yield q, [rs[d]]
-
-    return {d: abs(_crt_lift(bounds[d - 1], 1, residues(d), inverses)[0])
-            for d in range(2, dmax + 1)}
+    bounds = [0, *itertools.islice(_resultant_bounds(f), dmax)]  # bounds[d] = B_d
+    values = [0] * (dmax + 1)  # values[d] = v_d, lifted over the packs so far
+    modulus, dmin, out = 1, 2, {}
+    for pack in _crt_packs(lc, bounds[dmax]):
+        q = math.prod(pack)
+        inv = pow(modulus, -1, q)
+        for d, r in enumerate(sweep_mod(q, dmin), dmin):
+            values[d] += modulus * ((r - values[d]) * inv % q)
+        modulus *= q
+        while dmin <= dmax and modulus > 2 * bounds[dmin]:  # d = dmin is finished
+            out[dmin] = min(values[dmin], modulus - values[dmin])
+            dmin += 1
+    return out
 
 
 # -- text form ----------------------------------------------------------------

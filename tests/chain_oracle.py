@@ -47,7 +47,7 @@ def chain_map(f, hom, vertices, index) -> list[tuple]:
     target = hom.target
     n = f.rank
     forward = [[index[target.mul(x, a)] for a in hom.images] for x in vertices]
-    inverses = [target.inv(a) for a in hom.images]
+    inverses = [target.pow(a, -1) for a in hom.images]
     backward = [[index[target.mul(x, a)] for a in inverses] for x in vertices]
     phi = []
     for v in range(len(vertices)):

@@ -583,17 +583,13 @@ class TestCharPoly:
 
     @pytest.mark.parametrize("bits", [0, 1, 60, 61, 62, 121, 122, 123, 1000])
     def test_prime_count_is_what_the_crt_lift_draws(self, bits):
-        drawn = []
-
-        def residues():
-            for p in laurent._primes():
-                drawn.append(p)
-                yield p, [0]
-
+        # the fewest leading CRT primes whose product exceeds twice the bound
         for bound in (2**bits - 1, 2**bits, 2**bits + 1):
-            drawn.clear()
-            laurent._crt_lift(bound, 1, residues())
-            assert laurent._crt_primes(bound) == len(drawn)
+            product, count = 1, 0
+            while product <= 2 * bound:
+                product *= _prime(count)
+                count += 1
+            assert laurent._crt_primes(bound) == count
 
     def test_work_cap_fires_within_the_first_pass(self, monkeypatch):
         # one pass per pack of primes, each with the budget of one prime
@@ -1687,12 +1683,6 @@ def lambda_constants(rows) -> LambdaMatrix:
     return LambdaMatrix.from_rows([[LaurentPoly.const(v) for v in r] for r in rows])
 
 
-def minors_by_bareiss(m: LambdaMatrix) -> list[LaurentPoly]:
-    rows = m.to_rows()
-    return [bareiss([[r[j] for j in cols] for r in rows], ONE, divexact)[1]
-            for cols in itertools.combinations(range(m.cols), m.rows)]
-
-
 class TestPackedModuli:
     """Every pivot kernel runs modulo packs of up to _CRT_PACK CRT primes,
     and a pack that meets a pivot that is no unit falls back to its primes
@@ -1727,7 +1717,7 @@ class TestPackedModuli:
             mp.setattr(laurent, "_CRT_PACK", pack)
             assert rank_over_fractions(m) == bareiss(m.to_rows(), ONE, divexact)[0]
             if m.rows <= m.cols:
-                assert _maximal_minors(m) == minors_by_bareiss(m)
+                assert _maximal_minors(m) == enumerated_minors(m)
 
     @pytest.mark.parametrize("pack", [8, 1])
     @settings(max_examples=80, deadline=None)
@@ -1779,7 +1769,7 @@ class TestPackedModuli:
                      [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, p1, 3]]):
             crt_moduli.clear()
             m = lambda_constants(rows)
-            assert _maximal_minors(m) == minors_by_bareiss(m)
+            assert _maximal_minors(m) == enumerated_minors(m)
             assert fell_back(next(laurent._crt_packs(1, exactla._normalised(m.to_rows())[2])))
         # the rank, full and deficient, with a first pivot of p0
         for rows, rank in (([[p0, 1], [1, 0]], 2), ([[p0, 1], [2 * p0, 2]], 1)):

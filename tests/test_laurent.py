@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -178,6 +179,19 @@ def crt_primes(moduli: list[int]) -> list[int]:
                 primes.append(laurent._prime(k))
                 q //= laurent._prime(k)
     return primes
+
+
+class TestCrtLift:
+    def test_residues_need_not_be_reduced(self):
+        # a kernel may return residues below 0 or at q and past it
+        rng = random.Random(173)
+        pack = math.prod(laurent._prime(k) for k in range(3))
+        values = [rng.randint(-2**150, 2**150) for _ in range(20)] + [0, 1, -1]
+        for moduli in ([pack], [pack, laurent._prime(3)]):
+            for shift in (-2, 0, 1):
+                pairs = [(q, [v % q + rng.randint(min(shift, 0), max(shift, 0)) * q
+                              for v in values]) for q in moduli]
+                assert laurent._crt_lift(pairs) == values
 
 
 class TestResultantAgainstSylvester:
@@ -527,6 +541,46 @@ class TestPalindromicSweep:
             tops.clear()
             cyclotomic_resultants(p, 40)
             assert tops and tops == [half * 40] * len(tops)
+
+
+def sweep_cases(name: str) -> list[tuple[LaurentPoly, int]]:
+    rng = random.Random(167)
+    if name == "golden":
+        return [(P("t^2 - 3t + 1"), 1200)]
+    if name == "degree-8":  # an 8 x 8 Seifert matrix's delta
+        return [(P("78t^8 - 638t^7 + 2256t^6 - 4528t^5 + 5665t^4"
+                   " - 4528t^3 + 2256t^2 - 638t + 78"), 200)]
+    if name == "lc-on-first-prime":
+        return [(LaurentPoly(0, (5, -3, 1, 2 * laurent._prime(0))), 40),
+                (LaurentPoly(-1, [c * laurent._prime(0) for c in palindromic(rng, 4, 3)]), 40)]
+    if name == "odd-palindromic":
+        return [(LaurentPoly(0, palindromic(rng, n, 24)), 90) for n in (3, 5, 7)]
+    # not palindromic, with a Mahler measure near 2^40 carried by one root
+    # or by two, so that B_d is within a few bits of |R_d|, of either sign
+    return [(LaurentPoly(0, (-5, 3, -(2**40), 1)), 50),
+            (LaurentPoly(0, (7, 2**40 + 1, rng.randint(-9, 9), -1)), 50)]
+
+
+def finishing_packs(p: LaurentPoly, dmax: int) -> list[int]:
+    """For d = 2..dmax, the index of the pack of the sweep's _crt_packs
+    whose product with the packs before it first exceeds 2 B_d."""
+    bounds = list(itertools.islice(laurent._resultant_bounds(list(p.coeffs)), dmax))
+    packs = laurent._crt_packs(p.coeffs[-1], bounds[-1])
+    products = list(itertools.accumulate(map(math.prod, packs), operator.mul))
+    return [next(k for k, m in enumerate(products) if m > 2 * bound) for bound in bounds[1:]]
+
+
+class TestSweepAcrossPacks:
+    """Sweeps whose bound B_d passes pack boundaries at several d: each pack
+    sweeps only the d that the packs before it do not cover, and each d is
+    finished at its own modulus."""
+
+    @pytest.mark.parametrize("name", ["golden", "degree-8", "lc-on-first-prime",
+                                      "odd-palindromic", "not-palindromic"])
+    def test_every_degree_against_single_d(self, name):
+        for p, dmax in sweep_cases(name):
+            assert len(set(finishing_packs(p, dmax))) >= 4
+            assert cyclotomic_resultants(p, dmax) == per_degree(p, dmax)
 
 
 class TestResultantCap:
