@@ -122,13 +122,7 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     if d < 1:
         raise ValueError("d must be a positive integer")
     n, order = cover.rank, cover.group_order
-    step = (cover.h1_rank + 1) * order * (n + sum(len(w) for w in f.images)) + 100
-    # The translation table and the tree images hold n * |G|^2 entries each,
-    # less than one step's charge unless n = 1.
-    charge = max(d * step, n * order * order)
-    if charge > MAX_LIFT_WORK:
-        raise LiftSizeError(f"lifting f^{d} needs at least {charge} units of "
-                            f"chain work, above the cap of {MAX_LIFT_WORK}")
+    step = _charge_lift(f, order, d)
     homs = _alpha_chain(f, cover.alpha, d)
     if homs[-1].images != cover.alpha.images:
         raise CompatibilityError(
@@ -148,6 +142,19 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
                                 f"{MAX_LIFT_WORK} with entries of "
                                 f"{top.bit_length()} bits")
     return _assemble(cover, back, chains)
+
+
+def _charge_lift(f: FreeEndo, order: int, d: int) -> int:
+    """One step's charge for lifting f^d over a cover of order |G|, whose
+    H1 rank is (n - 1)|G| + 1; a LiftSizeError if the up-front charge
+    passes MAX_LIFT_WORK.  It needs no cover built."""
+    n = f.rank
+    step = ((n - 1) * order + 2) * order * (n + sum(len(w) for w in f.images)) + 100
+    charge = max(d * step, n * order * order)
+    if charge > MAX_LIFT_WORK:
+        raise LiftSizeError(f"lifting f^{d} needs at least {charge} units of "
+                            f"chain work, above the cap of {MAX_LIFT_WORK}")
+    return step
 
 
 def _alpha_chain(f: FreeEndo, alpha: FiniteHom, d: int) -> list[FiniteHom]:
@@ -249,10 +256,12 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom) -> TwistedInvarian
     """Compute the invariants of the d-fold cover data (f, alpha).
 
     Only the d-th power of the monodromy needs to be compatible with
-    alpha; it is lifted as a product of d chain maps.
+    alpha; it is lifted as a product of d chain maps.  A cover too large
+    to lift is refused from the order of alpha's target, before it is built.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
+    _charge_lift(f, alpha.target.order, d)
     cover = build_cover(f.rank, alpha)
     h = lift_power_matrix(cover, f, d)
     return TwistedInvariants(h_matrix=h, delta=laurent.canonicalize(char_poly(h)))

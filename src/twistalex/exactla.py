@@ -7,9 +7,10 @@ integer matrix, and the maximal-minor gcd of a Laurent matrix of the shape
 sI - H.  Over Z[s, s^-1], a modular evaluation kernel gives every maximal
 minor of a Laurent matrix at once.  Every other maximal-minor gcd, square
 or wide, comes from that kernel after the unit entries +-s^k have been
-pivoted away, and so does the rank over the field of fractions.  The
-kernel's Gauss-Jordan step modulo a pack of CRT primes, lifted by the
-Chinese remainder theorem, also inverts a unimodular integer matrix.
+pivoted away, and so does the rank over the field of fractions, plus one
+per pivot.  The kernel's Gauss-Jordan step modulo a pack of CRT primes,
+lifted by the Chinese remainder theorem, also gives det A exactly and,
+for det A = +-1, the solution of A X = B over Z.
 """
 
 from __future__ import annotations
@@ -38,16 +39,6 @@ MAX_MINORS = 100_000
 # d = 5 (361-square H, 51 primes) reaches the cap within 0.25 s; a dense
 # 100-square H of entries in [-9, 9] (15 primes, 1.7e7) takes about 3 s.
 MAX_CHAR_POLY_WORK = 2 * 10**7
-
-
-class NonUnitError(ValueError):
-    """A matrix to invert whose determinant ``det`` is not +-1 (None: too
-    large to take under MAX_CHAR_POLY_WORK)."""
-
-    def __init__(self, det: int | None):
-        shown = "past the char_poly work cap" if det is None else det
-        super().__init__(f"matrix has determinant {shown}, not a unit")
-        self.det = det
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -126,44 +117,38 @@ class IntMatrix(Matrix):
             raise ValueError("determinant needs a square matrix")
         return (-1) ** self.rows * char_poly(self).coefficient(0)
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1.
+    def solve(self, b: "IntMatrix") -> tuple[int, "IntMatrix | None"]:
+        """(det A, A^-1 B), or (det A, None) when det A is not +-1.
 
-        Modulo each pack q of CRT primes (laurent._crt_residues), [A | I] is
-        brought to reduced row-echelon form (_rref_mod), which ends at
-        [I | A^-1] with det A alongside; a pivot missing from the left block
-        means every prime of q divides det A, so A is no unit.  A pivot that
-        is no unit modulo q sends the pack back one prime at a time, where a
-        prime that divides det A misses its pivot.  By Hadamard's inequality
-        |det A| <= sqrt(prod_i ||row_i||^2), and so is every cofactor once
-        det A != 0, each row norm being at least 1; when det A = +-1 the
-        entries of A^-1 are cofactors up to sign, so all n^2 + 1 values lift
-        under that bound.  A matrix that is no unit raises NonUnitError with
-        its exact determinant, or with None when char_poly refuses to take
-        it.
+        Modulo each pack q of CRT primes (laurent._crt_residues), [A | B] is
+        brought to reduced row-echelon form (_rref_mod).  When the pivots
+        are A's columns it ends at [I | A^-1 B], with det A alongside, and
+        the kernel keeps det A and adj(A) B = det A * A^-1 B; a pivot missing
+        from A means every prime of q divides det A, and it keeps zeros.  A
+        pivot that is no unit modulo q sends the pack back one prime at a
+        time.  By Hadamard's inequality |det A| <= h = sqrt(prod_i
+        ||row_i||^2), and so is every cofactor once det A != 0, each row
+        norm being at least 1; so det A, and adj(A) B when det A = +-1, lift
+        under h times the largest column sum of |B|.
         """
-        if not self.is_square:
-            raise ValueError("inverse needs a square matrix")
-        n = self.rows
-        rows = self.to_rows()
-        bound = math.isqrt(math.prod(sum(x * x for x in r) for r in rows)) + 1
+        if not self.is_square or b.rows != self.rows:
+            raise ValueError("solve needs a square matrix and a right side of its rows")
+        n, w = self.rows, b.cols
+        rows = [a + r for a, r in zip(self.to_rows(), b.to_rows())]
+        h = math.isqrt(math.prod(sum(x * x for x in r[:n]) for r in rows)) + 1
+        bound = h * max([1, *(sum(map(abs, b.entries[j::w])) for j in range(w))])
 
         def kernel(q):
-            a = [[x % q for x in r] + [int(i == j) for j in range(n)]
-                 for i, r in enumerate(rows)]
+            a = [[x % q for x in r] for r in rows]
             pivots, d = _rref_mod(a, q)
-            if pivots != list(range(n)):
-                try:
-                    det = self.det()
-                except SizeLimitError:
-                    det = None
-                raise NonUnitError(det)
-            return [d] + [x for r in a for x in r[n:]]
+            if pivots != list(range(n)):  # det A = 0 mod q
+                return [0] * (n * w + 1)
+            return [d] + [d * x % q for r in a for x in r[n:]]
 
-        d, *inverse = _crt_lift(_crt_residues(bound, kernel))
-        if d not in (1, -1):
-            raise NonUnitError(d)
-        return IntMatrix(n, n, inverse)
+        det, *adjoint = _crt_lift(_crt_residues(bound, kernel))
+        if det not in (1, -1):
+            return det, None
+        return det, IntMatrix(n, w, [det * x for x in adjoint])
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -345,6 +330,8 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
     expansion term by term).  Each pass, over a pack or over a lone prime
     when a pack falls back, may spend MAX_CHAR_POLY_WORK over the number of
     primes that bound needs; past that a SizeLimitError is raised.
+    IntMatrix.det is read off it, so that cap holds there too; a det that
+    must be named whatever its size comes from IntMatrix.solve instead.
     """
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -551,13 +538,16 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # determinant, and the 0 x 0 one has the minor 1; a single row is its own
 # list of minors.  The gcd is taken once per distinct nonzero minor.
 #
-# The rank over the field of fractions is the largest rank of A, zero rows
-# dropped, at s = 0..D, D = sum_i span_i, modulo the packs of CRT primes
-# until their product exceeds twice A's own bound.  No evaluation raises
-# the rank, and with unit pivots the rank modulo a pack is the rank modulo
-# each of its primes.  If A has rank r, some r x r minor is nonzero, one
-# of its coefficients survives one of those primes, and being of degree
-# <= D it is nonzero at one of the D + 1 points.
+# The rank over the field of fractions is one per unit pivot +-s^k
+# (_unit_reduced) plus the rank of the matrix A the pivots leave: the
+# largest rank of A, zero rows dropped, at s = 1..D + 1 modulo the packs
+# of CRT primes until their product exceeds twice the bound.  No
+# evaluation raises the rank, and while every pivot of the elimination is
+# a unit modulo a pack, the rank there is that modulo each of its primes.  If A has rank r,
+# some r x r minor is nonzero; as a Schur complement's minor it is a
+# monomial times a minor of the input, so the input's window and bound hold
+# for it as well as A's.  One of its coefficients survives one of those
+# primes, and it is nonzero at one node (the monomial vanishes at s = 0).
 
 def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
@@ -679,15 +669,19 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
 
 
 def rank_over_fractions(p: LambdaMatrix) -> int:
-    """Rank of P over the field of fractions of Z[s, s^-1], by evaluation;
-    it returns as soon as the rank is full."""
-    rows = [row for row in p.to_rows() if any(row)]
-    full = min(len(rows), p.cols)
+    """Rank of P over the field of fractions of Z[s, s^-1]: one per unit
+    pivot (_unit_reduced) plus, by evaluation, the rank of what they leave;
+    it returns as soon as that rank is full."""
+    reduced, _ = _unit_reduced(p)
+    rows = [row for row in reduced.to_rows() if any(row)]
+    full = min(len(rows), reduced.cols)
     _, polys, bound, points = _normalised(rows)
+    _, _, own_bound, own_points = _normalised([row for row in p.to_rows() if any(row)])
+    bound, points = min(bound, own_bound), min(points, own_points)
 
     def kernel(q):
         rank = 0
-        for c in range(points):
+        for c in range(1, points + 1):
             rank = max(rank, len(_rref_mod(_evaluate_mod(polys, c, q), q)[0]))
             if rank == full:
                 break
@@ -698,7 +692,7 @@ def rank_over_fractions(p: LambdaMatrix) -> int:
         rank = max(rank, at_q)
         if rank == full:
             break
-    return rank
+    return p.rows - reduced.rows + rank
 
 
 @functools.lru_cache(maxsize=32)

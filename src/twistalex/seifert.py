@@ -13,8 +13,7 @@ import random
 
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError
-from .exactla import (CokernelInvariants, IntMatrix, NonUnitError, char_poly,
-                      smith_normal_form)
+from .exactla import CokernelInvariants, IntMatrix, char_poly, smith_normal_form
 from .laurent import LaurentPoly
 
 # Rows of the largest block presentation of a branched cover, n(d - 1) for
@@ -28,7 +27,8 @@ class SeifertMatrix:
     """An integer Seifert matrix S; for a knot, A = S - S^T must be
     unimodular.  ``gamma`` is Seifert's Gamma = A^-1 S, so that
     tS - S^T = A (I + (t - 1) Gamma), taken at construction by the one
-    solve of [A | I] that also shows det A = +-1.
+    solve of [A | S] that also gives det A: a det A other than +-1 is
+    named in the InvariantError that refuses S.
 
     The empty 0x0 matrix stands for the unknot.
     """
@@ -41,15 +41,11 @@ class SeifertMatrix:
             matrix = IntMatrix.from_rows(matrix)
         if not matrix.is_square:
             raise InvariantError("Seifert matrix must be square")
-        a = matrix - matrix.transpose()
-        try:
-            inverse = a.inverse_unimodular()
-        except NonUnitError as e:
-            det = "is past the char_poly work cap" if e.det is None else f"= {e.det}"
-            raise InvariantError(
-                f"det(S - S^T) {det}; a knot Seifert matrix needs a unit") from None
+        det, gamma = (matrix - matrix.transpose()).solve(matrix)
+        if gamma is None:
+            raise InvariantError(f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "gamma", inverse * matrix)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def size(self) -> int:

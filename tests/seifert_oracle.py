@@ -57,10 +57,9 @@ def monodromy_power_presentation(s: SeifertMatrix, n: int) -> MonodromyPower:
     if n < 2:
         raise ValueError("needs n >= 2")
     m = s.matrix
-    det = m.det()
-    if det not in (1, -1):
+    det, h = m.solve(m.transpose())
+    if h is None:
         raise InvariantError(f"det(S) = {det}; need a unimodular Seifert matrix")
-    h = m.inverse_unimodular() * m.transpose()
     d = (h ** n - IntMatrix.identity(h.rows)).det()
     return MonodromyPower(h=h, n=n, det_power_minus_identity=d)
 

@@ -438,6 +438,20 @@ class TestLiftChecks:
         with pytest.raises(LiftSizeError, match="above the cap"):
             lift_power_matrix(cover, trefoil(), 10**12)
 
+    def test_an_oversized_cover_is_refused_before_it_is_built(self, monkeypatch):
+        # the trefoil map over Z/999983 at d = 6: the charge, taken from the
+        # target's order, refuses the lift with the message the lift gives,
+        # onto or not, and before the cover's million edges are built
+        def unreachable(rank, alpha):
+            raise AssertionError("the charge must refuse the cover before it is built")
+
+        monkeypatch.setattr(cover_module, "build_cover", unreachable)
+        for images in ([1, 1], [0, 0]):
+            with pytest.raises(LiftSizeError) as info:
+                twisted_invariants(trefoil(), 6, FiniteHom(2, cyclic(999983), images))
+            assert str(info.value) == ("lifting f^6 needs at least 29999040008250 units of "
+                                       "chain work, above the cap of 20000000")
+
     def test_work_cap_on_entry_growth(self):
         doubling = FreeEndo(1, [Word(((0, 2),))])
         cover = build_cover(1, FiniteHom(1, cyclic(1), [0]))

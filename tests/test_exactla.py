@@ -428,7 +428,7 @@ def unimodular(rng, n):
 def adjugate_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant +-1 from its n^2 cofactor
     determinants, all by the fraction-free oracle: the route that
-    IntMatrix.inverse_unimodular replaced, kept as its oracle."""
+    IntMatrix.solve replaced, kept as its oracle."""
     d = bareiss(m.to_rows(), 1, divexact_int)[1]
     if d not in (1, -1):
         raise ValueError(f"matrix has determinant {d}, not a unit")
@@ -466,7 +466,7 @@ class TestIntDeterminant:
 
 
 class TestInverseUnimodular:
-    """The one-solve inverse against the cofactor adjugate."""
+    """A^-1 as the one solve of [A | I], against the cofactor adjugate."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**32), st.sampled_from(("unit", "any", "singular")))
@@ -484,35 +484,36 @@ class TestInverseUnimodular:
                 rows = m.to_rows()
                 rows[-1] = [2 * x for x in rows[0]] if n > 1 else [0]
                 m = IntMatrix.from_rows(rows)
+        det, inv = m.solve(IntMatrix.identity(n))
         try:
             expected = adjugate_inverse(m)
         except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                m.inverse_unimodular()
-            assert str(info.value) == str(exc)
+            assert inv is None
+            assert str(exc) == f"matrix has determinant {det}, not a unit"
             assert kind != "unit"
             return
-        inv = m.inverse_unimodular()
+        assert det == bareiss(m.to_rows(), 1, divexact_int)[1]
         assert inv == expected
         assert inv * m == m * inv == IntMatrix.identity(n)
 
     def test_fixed_cases(self):
-        assert IntMatrix(0, 0, ()).inverse_unimodular() == IntMatrix(0, 0, ())
-        assert IntMatrix.from_rows([[-1]]).inverse_unimodular() == IntMatrix.from_rows([[-1]])
+        assert IntMatrix(0, 0, ()).solve(IntMatrix(0, 0, ())) == (1, IntMatrix(0, 0, ()))
+        assert IntMatrix.from_rows([[-1]]).solve(IntMatrix.identity(1)) == (
+            -1, IntMatrix.from_rows([[-1]]))
         # a zero leading entry forces a row swap
         m = IntMatrix.from_rows([[0, 1], [1, 3]])
-        assert m.inverse_unimodular() == IntMatrix.from_rows([[-3, 1], [1, 0]])
+        assert m.solve(IntMatrix.identity(2)) == (-1, IntMatrix.from_rows([[-3, 1], [1, 0]]))
         for rows, det in (([[2]], 2), ([[1, 2], [2, 4]], 0), ([[0, 0], [0, 0]], 0)):
-            with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
-                IntMatrix.from_rows(rows).inverse_unimodular()
-        with pytest.raises(ValueError):
-            zeros(2, 3).inverse_unimodular()
+            assert IntMatrix.from_rows(rows).solve(IntMatrix.identity(len(rows))) == (det, None)
+        for a, b in ((zeros(2, 3), IntMatrix.identity(2)),
+                     (IntMatrix.identity(2), IntMatrix.identity(3))):
+            with pytest.raises(ValueError, match="solve needs a square matrix"):
+                a.solve(b)
 
-    def test_a_prime_divisor_of_det_exits_at_that_prime(self, monkeypatch):
+    def test_a_prime_divisor_of_det_falls_back_to_that_prime(self, monkeypatch):
         # det A = 0 modulo a CRT prime: the pack holding it meets a pivot
-        # that is no unit and falls back, and that prime's reduction misses
-        # a pivot and raises with the exact det, before any later prime or
-        # the lift
+        # that is no unit and falls back, that prime's reduction misses a
+        # pivot, and the exact det is still lifted from every prime
         moduli = []
 
         def counted(a, q):
@@ -522,21 +523,49 @@ class TestInverseUnimodular:
         rref = exactla._rref_mod
         monkeypatch.setattr(exactla, "_rref_mod", counted)
         p0, p1, p2 = _prime(0), _prime(1), _prime(2)
-        for rows, det, reduced in (([[p0]], p0, [p0 * p1, p0]),
-                                   ([[p0, 0], [0, p1]], p0 * p1, [p0 * p1 * p2, p0]),
+        for rows, det, reduced in (([[p0]], p0, [p0 * p1, p0, p1]),
+                                   ([[p0, 0], [0, p1]], p0 * p1, [p0 * p1 * p2, p0, p1, p2]),
                                    ([[p1]], p1, [p0 * p1, p0, p1])):
             moduli.clear()
-            with pytest.raises(ValueError, match=f"matrix has determinant {det}, not a unit"):
-                IntMatrix.from_rows(rows).inverse_unimodular()
+            assert IntMatrix.from_rows(rows).solve(IntMatrix.identity(len(rows))) == (det, None)
             assert moduli == reduced
 
     def test_a_det_past_the_char_poly_cap_is_left_unnamed(self, monkeypatch):
-        # the matrix is still no unit (a ValueError, not a SizeLimitError)
+        # char_poly leaves the det past its cap unnamed (IntMatrix.det
+        # raises), but solve takes no char_poly work: the matrix is still
+        # no unit, with its exact det, not a SizeLimitError
         monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
-        with pytest.raises(exactla.NonUnitError) as info:
-            IntMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]]).inverse_unimodular()
-        assert info.value.det is None
-        assert str(info.value) == "matrix has determinant past the char_poly work cap, not a unit"
+        m = IntMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]])
+        with pytest.raises(SizeLimitError):
+            m.det()
+        assert m.solve(IntMatrix.identity(3)) == (0, None)
+
+    def test_a_right_side_past_the_hadamard_bound_lifts(self):
+        # the bound is Hadamard's for A times the largest column sum of |B|:
+        # A's bound alone would lift B's 2^200 entries modulo one prime
+        big = [[2**200 - 1, -(2**200) + 3], [5, 2**199]]
+        assert IntMatrix.identity(2).solve(IntMatrix.from_rows(big)) == (
+            1, IntMatrix.from_rows(big))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 2**32),
+           st.sampled_from(("unit", "any", "singular")))
+    def test_against_brute_det_and_the_product(self, n, w, seed, kind):
+        rng = random.Random(seed)
+        b = random_matrix(rng, n, w, -2**70, 2**70)
+        if kind == "unit":
+            m = IntMatrix.from_rows(unimodular(rng, n))
+        else:
+            m = random_matrix(rng, n, n, -9, 9)
+            if kind == "singular" and n:
+                rows = m.to_rows()
+                # a combination of two rows, which are one row when n = 2
+                rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[n - 2])] if n > 1 else [0]
+                m = IntMatrix.from_rows(rows)
+        det, x = m.solve(b)
+        assert det == brute_det(m) == bareiss(m.to_rows(), 1, divexact_int)[1]
+        assert (x is None) == (det not in (1, -1))
+        assert x is None or m * x == b
 
 
 def bareiss_det(m: LambdaMatrix) -> LaurentPoly:
@@ -1280,6 +1309,45 @@ class TestRankOverFractions:
         for rows in ([[ZERO, ONE], [ZERO, ONE]], [[ZERO, P("s")], [ZERO, P("s - 1")]]):
             assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 1
 
+    def test_input_window_skips_the_node_zero(self):
+        # one unit pivot leaves [[2s - 2, 0], [2s^-2, 1 - 2s^-1]], whose rows
+        # shifted to s^0 have the minor 2s(s - 1)(s - 2): the input's window
+        # allows 3 nodes, and on 0, 1, 2 the rank would drop to 2
+        rows = [[P("-2s^-1"), ZERO, P("-1")], [P("2s"), ZERO, P("s")],
+                [ZERO, P("1 - 2s^-1"), P("-s^-1")]]
+        assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 3
+
+    def test_unit_pivots_then_evaluation_against_bareiss(self):
+        # wide, tall and square shapes with units +-s^k planted among small
+        # entries, a dependent row and zero rows: the unit pivots count one
+        # each, and the rest of the rank comes from evaluation, on the
+        # input's nodes where fill-in has widened the rows
+        rng = random.Random(41)
+        seen = {"wide": 0, "tall": 0, "square": 0, "zero-row": 0, "dependent": 0,
+                "all-pivots": 0, "some-left": 0, "narrowed": 0}
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            out = [[LaurentPoly(rng.randint(-2, 2), (rng.choice((1, -1)),))
+                    if rng.random() < 0.25 else random_laurent(rng) for _ in range(cols)]
+                   for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.5:  # a combination of two rows
+                f, g = random_laurent(rng), random_laurent(rng)
+                out[-1] = [f * a + g * b for a, b in zip(out[0], out[rows // 2])]
+                seen["dependent"] += 1
+            if rng.random() < 0.2:
+                out[rng.randrange(rows)] = [ZERO] * cols
+                seen["zero-row"] += 1
+            m = LambdaMatrix.from_rows(out)
+            seen["wide" if rows < cols else "tall" if rows > cols else "square"] += 1
+            reduced, _ = exactla._unit_reduced(m)
+            seen["all-pivots" if not any(reduced.entries) else "some-left"] += 1
+            # fill-in widened the rows past the input's span, which then
+            # bounds the nodes
+            seen["narrowed"] += (exactla._normalised([r for r in out if any(r)])[3]
+                                 < exactla._normalised([r for r in reduced.to_rows() if any(r)])[3])
+            assert rank_over_fractions(m) == bareiss(out, ONE, divexact)[0]
+        assert min(seen.values()) >= 30, seen
+
 
 def seifert_pencil(s: IntMatrix) -> LambdaMatrix:
     """tS - S^T with Laurent entries: the expansion that alexander_polynomial
@@ -1742,15 +1810,15 @@ class TestPackedModuli:
             m = random_matrix(rng, n, n, -BIG, BIG)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laurent, "_CRT_PACK", pack)
+            det, inv = m.solve(IntMatrix.identity(n))
             try:
                 expected = adjugate_inverse(m)
             except ValueError as exc:
-                with pytest.raises(ValueError) as info:
-                    m.inverse_unimodular()
-                assert str(info.value) == str(exc)
+                assert inv is None
+                assert str(exc) == f"matrix has determinant {det}, not a unit"
                 assert kind == "any"
                 return
-            assert m.inverse_unimodular() == expected
+            assert inv == expected
 
     def test_planted_non_unit_pivots_fall_back(self, crt_moduli):
         p0, p1 = _prime(0), _prime(1)
@@ -1771,19 +1839,19 @@ class TestPackedModuli:
             m = lambda_constants(rows)
             assert _maximal_minors(m) == enumerated_minors(m)
             assert fell_back(next(laurent._crt_packs(1, exactla._normalised(m.to_rows())[2])))
-        # the rank, full and deficient, with a first pivot of p0
-        for rows, rank in (([[p0, 1], [1, 0]], 2), ([[p0, 1], [2 * p0, 2]], 1)):
+        # the rank, full and deficient, with a first pivot of p0 and no
+        # unit entry to pivot away first
+        for rows, rank in (([[p0, 2], [3, 0]], 2), ([[p0, 2], [2 * p0, 4]], 1)):
             crt_moduli.clear()
             assert rank_over_fractions(lambda_constants(rows)) == rank
             assert crt_moduli[0] == p0
         # the inverse: a unit whose first pivot is p0, and a det of 2 * p1
         crt_moduli.clear()
         m = IntMatrix.from_rows([[p0, 1], [-1, 0]])
-        assert m.inverse_unimodular() == IntMatrix.from_rows([[0, -1], [1, p0]])
+        assert m.solve(IntMatrix.identity(2)) == (1, IntMatrix.from_rows([[0, -1], [1, p0]]))
         assert crt_moduli[0] == p0
         crt_moduli.clear()
-        with pytest.raises(exactla.NonUnitError, match=f"determinant {2 * p1}, not a unit"):
-            IntMatrix.from_rows([[p1, 0], [0, 2]]).inverse_unimodular()
-        # the pack fell back: p0 passes, p1 misses its pivot, and char_poly
-        # then takes the det
-        assert crt_moduli[0] == p0 and p1 not in crt_moduli
+        assert IntMatrix.from_rows([[p1, 0], [0, 2]]).solve(IntMatrix.identity(2)) == (2 * p1, None)
+        # the pack fell back: p0 passes, p1 misses its pivot, and the det
+        # lifts from both
+        assert crt_moduli == [p0, p1]

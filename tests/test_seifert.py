@@ -42,8 +42,8 @@ class TestSeifertMatrix:
             SeifertMatrix([[1, 2, 3], [0, 1, 2]])
 
     def test_non_unit_det_is_not_taken_twice(self, monkeypatch):
-        # the inverse's error carries det(S - S^T): a det lifted with the
-        # inverse costs no char_poly, one that a CRT prime divides costs one
+        # det(S - S^T) is lifted with Gamma by the one solve, so naming it
+        # costs no char_poly, even where a CRT prime divides it
         calls = []
 
         def counted(h):
@@ -53,24 +53,34 @@ class TestSeifertMatrix:
         char_poly = exactla.char_poly
         monkeypatch.setattr(exactla, "char_poly", counted)
         p = _prime(0)
-        for rows, det, count in (([[1, 2], [0, 1]], 4, 0), ([[0, p], [0, 0]], p * p, 1)):
+        for rows, det in (([[1, 2], [0, 1]], 4), ([[0, p], [0, 0]], p * p)):
             calls.clear()
             with pytest.raises(InvariantError) as info:
                 SeifertMatrix(rows)
             assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
-            assert len(calls) == count
+            assert calls == []
 
     def test_non_unit_det_past_the_char_poly_cap_is_still_invalid_input(self, monkeypatch):
-        # a det too large to take is no reason to exit 65: the matrix is
-        # still no unit, which a CRT prime dividing det(S - S^T) shows
+        # a det too large for char_poly is no reason to exit 65: with no
+        # char_poly work left, every det is still named exactly:
+        # p^2 vanishes modulo the first prime of its pack and not the rest,
+        # and an odd-sized S - S^T has det 0
         monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
         p = _prime(0)
-        with pytest.raises(InvariantError) as info:
-            SeifertMatrix([[0, p], [0, 0]])
-        assert str(info.value) == ("det(S - S^T) is past the char_poly work cap; "
-                                   "a knot Seifert matrix needs a unit")
+        for rows, det in (([[1, 2], [0, 1]], 4), ([[0, p], [0, 0]], p * p),
+                          ([[0, 2, 1], [0, 0, 3], [0, 0, 0]], 0)):
+            with pytest.raises(InvariantError) as info:
+                SeifertMatrix(rows)
+            assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
         with pytest.raises(SizeLimitError):
             (IntMatrix.from_rows([[0, p], [-p, 0]])).det()
+
+    def test_gamma_entries_past_the_hadamard_bound_of_s_minus_st(self):
+        # S - S^T = [[0, 1], [-1, 0]] has Hadamard bound 2: Gamma's entries
+        # lift only under the bound's factor for S's column sums
+        n = 2**200
+        s = SeifertMatrix([[n, 1], [0, n]])
+        assert s.gamma == IntMatrix.from_rows([[0, -n], [n, 1]])
 
 
 class TestAlexanderPolynomial:
@@ -359,7 +369,7 @@ class TestBranchedCoverAgainstBlockOracle:
         # x = (1, 0) is not killed by M = Gamma^2 - (Gamma - I)^2 mod 3
         # for the trefoil, so its push fails the check
         m = TREFOIL.matrix
-        gamma = (m - m.transpose()).inverse_unimodular() * m
+        gamma = (m - m.transpose()).solve(m)[1]
         with pytest.raises(InternalError, match="fails its check mod 3"):
             seifert._push_character(m, gamma, (1, 0), 2, 3)
         x = smith_normal_form((gamma ** 2 - (gamma - IntMatrix.identity(2)) ** 2).transpose(),
