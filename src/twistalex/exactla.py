@@ -2,15 +2,15 @@
 
 Over Z: Smith normal form (with the left transform's row operations modulo
 r on request), cokernel invariants and characters onto cyclic groups.  A
-modular characteristic polynomial det(sI - H) gives the determinant of an
-integer matrix, and the maximal-minor gcd of a Laurent matrix of the shape
-sI - H.  Over Z[s, s^-1], a modular evaluation kernel gives every maximal
-minor of a Laurent matrix at once.  Every other maximal-minor gcd, square
-or wide, comes from that kernel after the unit entries +-s^k have been
-pivoted away, and so does the rank over the field of fractions, plus one
-per pivot.  The kernel's Gauss-Jordan step modulo a pack of CRT primes,
-lifted by the Chinese remainder theorem, also gives det A exactly and,
-for det A = +-1, the solution of A X = B over Z.
+modular characteristic polynomial det(sI - H) gives the maximal-minor gcd
+of a Laurent matrix of the shape sI - H.  Over Z[s, s^-1], a modular
+evaluation kernel gives every maximal minor of a Laurent matrix at once.
+Every other maximal-minor gcd, square or wide, comes from that kernel
+after the unit entries +-s^k have been pivoted away, and so does the rank
+over the field of fractions, plus one per pivot.  The kernel's
+Gauss-Jordan step modulo a pack of CRT primes, lifted by the Chinese
+remainder theorem, also gives det A exactly (IntMatrix.det) and, for
+det A = +-1, the solution of A X = B over Z.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ MAX_MINORS = 100_000
 # laurent._CRT_PACK primes with the budget of one prime, so the cap refuses
 # what it refused when each prime took a pass, but for the coincidences
 # that _char_poly_mod names.  No job of the bench pools (seeds 1-3) or
-# selftest spends more than about 1.5e4, nor any test more than 1.2e5 (the
-# figure-eight map at d = 100 over Z/25).  The figure-eight map over A6 at
-# d = 5 (361-square H, 51 primes) reaches the cap within 0.25 s; a dense
+# selftest delta spends more than about 1.5e4, nor any test more than 1.2e5
+# (the figure-eight map at d = 100 over Z/25); IntMatrix.det, the selftest's
+# det(H) included, spends none.  The figure-eight map over A6 at d = 5
+# (361-square H, 51 primes) reaches the cap within 0.25 s; a dense
 # 100-square H of entries in [-9, 9] (15 primes, 1.7e7) takes about 3 s.
 MAX_CHAR_POLY_WORK = 2 * 10**7
 
@@ -112,10 +113,10 @@ class IntMatrix(Matrix):
         return _binpow(self, n, IntMatrix.__mul__, IntMatrix.identity(self.rows))
 
     def det(self) -> int:
-        """Exact determinant, (-1)^n times the constant term of char_poly."""
+        """Exact determinant: solve's det A for an empty right side."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        return (-1) ** self.rows * char_poly(self).coefficient(0)
+        return self.solve(IntMatrix(self.rows, 0, ()))[0]
 
     def solve(self, b: "IntMatrix") -> tuple[int, "IntMatrix | None"]:
         """(det A, A^-1 B), or (det A, None) when det A is not +-1.
@@ -330,8 +331,6 @@ def char_poly(h: IntMatrix) -> LaurentPoly:
     expansion term by term).  Each pass, over a pack or over a lone prime
     when a pack falls back, may spend MAX_CHAR_POLY_WORK over the number of
     primes that bound needs; past that a SizeLimitError is raised.
-    IntMatrix.det is read off it, so that cap holds there too; a det that
-    must be named whatever its size comes from IntMatrix.solve instead.
     """
     if not h.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -427,12 +426,8 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     after the unit pivots.  An input of the shape sI - Y (s minus an
     integer on the diagonal, integers elsewhere) is char_poly(Y); any
     other loses its unit pivots (_unit_reduced), and the rest come from
-    one evaluation kernel.
-
-    Each minor of the reduced matrix is +-s^-K times one of P's, K the sum
-    of the pivot exponents, so the kernel is handed P's window: P's
-    lowest exponent minus K, P's D + 1 and P's coefficient bound.  Fill-in
-    can widen the reduced rows' spans past P's, but not the minors'.
+    one evaluation kernel, handed the window that _unit_reduced names for
+    the reduced matrix's minors.  laurent.gcd leaves the gcd canonical.
     """
     n, m = p.rows, p.cols
     if n > m:
@@ -447,23 +442,21 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
                       for k, e in enumerate(p.entries)):  # k % (n + 1) == 0 on the diagonal
         return laurent.canonicalize(
             char_poly(IntMatrix(n, n, [-e.coefficient(0) for e in p.entries])))
-    shift, _, bound, points = _normalised(p.to_rows())
-    reduced, k = _unit_reduced(p)
     g = laurent.ZERO
     # zero and repeated minors add nothing to the gcd
-    for minor in dict.fromkeys(filter(None, _maximal_minors(reduced, (shift - k, points, bound)))):
+    for minor in dict.fromkeys(filter(None, _maximal_minors(*_unit_reduced(p)))):
         g = laurent.gcd(g, minor)
-    return laurent.canonicalize(g)
+    return g
 
 
 def _is_unit(e: LaurentPoly) -> bool:
     return len(e.coeffs) == 1 and e.coeffs[0] in (1, -1)
 
 
-def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
+def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, tuple[int, int, int]]:
     """(P with its unit pivots eliminated, n' x m' with m' - n' = m - n,
-    and K, the sum of the exponents k of the pivots u = +-s^k); its maximal
-    minors generate the same ideal as P's (the Fitting ideal of coker P,
+    and the window (low, D + 1, bound) of its maximal minors); those minors
+    generate the same ideal as P's (the Fitting ideal of coker P,
     Eisenbud, Commutative Algebra, section 20), so their gcd is the same.
     A square P leaves a square matrix, 0 x 0 when every row is a pivot's.
 
@@ -475,9 +468,13 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
     +-u^-1 times the minor on C and j; column operations by u, which would
     clear row i without touching the other rows, bring P's other minors
     into the same ideal.  Over all pivots, the minor on C is +-s^-K times
-    P's minor on C and the pivot columns.
+    P's minor on C and the pivot columns, K the sum of the pivot exponents:
+    the window is P's (_normalised on its nonzero rows) shifted by -K,
+    however far fill-in widens the rows.  A zero row of P takes no row
+    update, so it stays zero, and so does every minor.
     """
     rows = p.to_rows()
+    shift, _, bound, points = _normalised([row for row in rows if any(row)])
     cols, k = p.cols, 0
     while rows:
         row_nz = [sum(map(bool, row)) - 1 for row in rows]
@@ -497,7 +494,8 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
             if factor:
                 row[:] = [e + factor * t if t else e for e, t in zip(row, top)]
         cols -= 1
-    return LambdaMatrix(len(rows), cols, [e for row in rows for e in row]), k
+    reduced = LambdaMatrix(len(rows), cols, [e for row in rows for e in row])
+    return reduced, (shift - k, points, bound)
 
 
 # -- maximal minors and rank by evaluation ------------------------------------
@@ -509,15 +507,15 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # Hadamard's inequality no coefficient of any minor exceeds
 # sqrt(prod_i sum_j |a_ij|_1^2), each row factor being at least 1 once zero
 # rows are gone.  A caller may know a second window and bound that hold as
-# well: the minors of a unit-reduced matrix are +-s^-K times the input's
-# (_unit_reduced), so the input's window shifted by -K and the input's bound
-# hold for them, however far fill-in has widened the rows.  The kernel works
-# on the intersection of the windows, s^low..s^(low + D), and the smaller
-# bound.  Modulo each pack q of CRT primes (laurent._crt_residues), A is
-# evaluated at the nodes s = 1..D + 1 and reduced once per node to reduced
-# row-echelon form E = L A; a pivot that is no unit modulo q sends the
-# pack back one prime at a time.  Every node and every k <= D + 1 that
-# the interpolation divides by is below each 61-bit prime, so a unit.
+# well: _unit_reduced returns the input's, shifted by -K, with the matrix it
+# reduces, whose minors are +-s^-K times the input's however far fill-in
+# has widened the rows.  The kernel works on the intersection of the
+# windows, s^low..s^(low + D), and the smaller bound.  Modulo each pack q
+# of CRT primes (laurent._crt_residues), A is evaluated at the nodes
+# s = 1..D + 1 and reduced once per node to reduced row-echelon form
+# E = L A; a pivot that is no unit modulo q sends the pack back one prime
+# at a time.  Every node and every k <= D + 1 that the interpolation
+# divides by is below each 61-bit prime, so a unit.
 # With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
 # C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
 # the rows T whose pivot is not in C to the bottom and the columns C \ P to
@@ -543,11 +541,12 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, int]:
 # largest rank of A, zero rows dropped, at s = 1..D + 1 modulo the packs
 # of CRT primes until their product exceeds twice the bound.  No
 # evaluation raises the rank, and while every pivot of the elimination is
-# a unit modulo a pack, the rank there is that modulo each of its primes.  If A has rank r,
-# some r x r minor is nonzero; as a Schur complement's minor it is a
-# monomial times a minor of the input, so the input's window and bound hold
-# for it as well as A's.  One of its coefficients survives one of those
-# primes, and it is nonzero at one node (the monomial vanishes at s = 0).
+# a unit modulo a pack, the rank there is that modulo each of its primes.
+# If A has rank r, some r x r minor is nonzero; as a Schur complement's
+# minor it is a monomial times a minor of the input, so the D + 1 and bound
+# of the window that _unit_reduced returns hold for it as well as A's.  One
+# of its coefficients survives one of those primes, and it is nonzero at one
+# node (the monomial vanishes at s = 0).
 
 def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
@@ -670,14 +669,14 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
 
 def rank_over_fractions(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]: one per unit
-    pivot (_unit_reduced) plus, by evaluation, the rank of what they leave;
-    it returns as soon as that rank is full."""
-    reduced, _ = _unit_reduced(p)
+    pivot (_unit_reduced) plus, by evaluation, the rank of what they leave,
+    on the fewer nodes and the smaller bound of its own and of the window
+    _unit_reduced returns; it returns as soon as that rank is full."""
+    reduced, (_, input_points, input_bound) = _unit_reduced(p)
     rows = [row for row in reduced.to_rows() if any(row)]
     full = min(len(rows), reduced.cols)
     _, polys, bound, points = _normalised(rows)
-    _, _, own_bound, own_points = _normalised([row for row in p.to_rows() if any(row)])
-    bound, points = min(bound, own_bound), min(points, own_points)
+    bound, points = min(bound, input_bound), min(points, input_points)
 
     def kernel(q):
         rank = 0

@@ -109,6 +109,8 @@ def parse_seifert(text: str) -> SeifertMatrix:
         size = int(first)
     except ValueError:
         raise ParseError("first line must be the matrix size", lineno) from None
+    if size < 0:
+        raise ParseError(f"negative matrix size {size}", lineno)
     rows = []
     for lineno, line in lines[1:]:
         try:

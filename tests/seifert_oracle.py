@@ -1,7 +1,6 @@
 """Seifert-matrix routes that no pipeline takes, kept as test oracles: the
 block presentation of a branched cyclic cover, and the monodromy-power
-presentation H^n - I of a unimodular Seifert matrix; and the two sides of
-the order formula."""
+presentation H^n - I of a unimodular Seifert matrix."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import dataclasses
 from twistalex import seifert
 from twistalex.errors import InvariantError
 from twistalex.exactla import IntMatrix
-from twistalex.laurent import resultant_with_cyclotomic
 from twistalex.seifert import SeifertMatrix
 
 
@@ -62,11 +60,3 @@ def monodromy_power_presentation(s: SeifertMatrix, n: int) -> MonodromyPower:
         raise InvariantError(f"det(S) = {det}; need a unimodular Seifert matrix")
     d = (h ** n - IntMatrix.identity(h.rows)).det()
     return MonodromyPower(h=h, n=n, det_power_minus_identity=d)
-
-
-def order_and_resultant(s: SeifertMatrix, d: int) -> tuple[int, int]:
-    """Both sides of the order formula that ``twist seifert`` checks: the
-    order of H1 of the d-fold branched cover (0 when it is infinite) and
-    R_d = |Res(Delta(t), t^d - 1)|."""
-    return (seifert.branched_cover(s, d).homology.order or 0,
-            resultant_with_cyclotomic(seifert.alexander_polynomial(s), d))

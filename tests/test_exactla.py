@@ -6,7 +6,7 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
@@ -442,23 +442,37 @@ def adjugate_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, [d * x for r in adj for x in r])
 
 
+def assert_det_against_bareiss(n, seed, kind):
+    rng = random.Random(seed)
+    big = 2**72  # several CRT primes
+    m = random_matrix(rng, n, n, -big, big)
+    if kind == "singular" and n:
+        rows = m.to_rows()
+        # a combination of two rows, which are one row when n = 2
+        rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[n - 2])] if n > 1 else [0]
+        m = IntMatrix.from_rows(rows)
+    det = bareiss(m.to_rows(), 1, divexact_int)[1]
+    assert m.det() == det
+    assert kind != "singular" or n == 0 or det == 0
+
+
 class TestIntDeterminant:
-    """IntMatrix.det, from char_poly, against the fraction-free oracle."""
+    """IntMatrix.det, from solve, against the fraction-free oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**32), st.sampled_from(("any", "singular")))
     def test_against_bareiss(self, n, seed, kind):
-        rng = random.Random(seed)
-        big = 2**72  # several CRT primes
-        m = random_matrix(rng, n, n, -big, big)
-        if kind == "singular" and n:
-            rows = m.to_rows()
-            # a combination of two rows, which are one row when n = 2
-            rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[n - 2])] if n > 1 else [0]
-            m = IntMatrix.from_rows(rows)
-        det = bareiss(m.to_rows(), 1, divexact_int)[1]
-        assert m.det() == det
-        assert kind != "singular" or n == 0 or det == 0
+        assert_det_against_bareiss(n, seed, kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**32), st.sampled_from(("any", "singular")))
+    def test_takes_no_char_poly(self, n, seed, kind):
+        def refused(h):
+            raise AssertionError("IntMatrix.det ran char_poly")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactla, "char_poly", refused)
+            assert_det_against_bareiss(n, seed, kind)
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="determinant needs a square matrix"):
@@ -530,14 +544,13 @@ class TestInverseUnimodular:
             assert IntMatrix.from_rows(rows).solve(IntMatrix.identity(len(rows))) == (det, None)
             assert moduli == reduced
 
-    def test_a_det_past_the_char_poly_cap_is_left_unnamed(self, monkeypatch):
-        # char_poly leaves the det past its cap unnamed (IntMatrix.det
-        # raises), but solve takes no char_poly work: the matrix is still
-        # no unit, with its exact det, not a SizeLimitError
+    def test_a_det_past_the_char_poly_cap_is_named(self, monkeypatch):
+        # neither det nor solve takes char_poly work: with none left, det
+        # names the exact det, and the matrix is still no unit, not a
+        # SizeLimitError
         monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
         m = IntMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]])
-        with pytest.raises(SizeLimitError):
-            m.det()
+        assert m.det() == 0
         assert m.solve(IntMatrix.identity(3)) == (0, None)
 
     def test_a_right_side_past_the_hadamard_bound_lifts(self):
@@ -1105,11 +1118,10 @@ def bench_shaped_presentation(rng: random.Random, n: int = 8, k: int = 3) -> Lam
 
 def kernel_on_both_windows(m: LambdaMatrix) -> tuple[list, list]:
     """The minors of m after its unit pivots, from the kernel on the
-    input's window, as maximal_minor_gcd calls it, and on the reduced
-    matrix's own window."""
-    shift, _, bound, points = exactla._normalised(m.to_rows())
-    reduced, k = exactla._unit_reduced(m)
-    return _maximal_minors(reduced, (shift - k, points, bound)), _maximal_minors(reduced)
+    window _unit_reduced returns, as maximal_minor_gcd calls it, and on the
+    reduced matrix's own window."""
+    reduced, window = exactla._unit_reduced(m)
+    return _maximal_minors(reduced, window), _maximal_minors(reduced)
 
 
 class TestUnitPivots:
@@ -1132,13 +1144,31 @@ class TestUnitPivots:
         windowed, own = kernel_on_both_windows(m)
         assert windowed == own
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 6).flatmap(unit_rich_matrices))
+    def test_window_is_the_inputs_shifted_by_the_pivot_exponents(self, m):
+        # K, the sum of the pivot exponents k, read off the inverses s^-k
+        # that the reduction builds, one per pivot
+        assume(all(map(any, m.to_rows())))
+        inverse_lows = []
+
+        def recorded(low, coeffs):
+            inverse_lows.append(low)
+            return LaurentPoly(low, coeffs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactla, "LaurentPoly", recorded)
+            reduced, window = exactla._unit_reduced(m)
+        assert len(inverse_lows) == m.rows - reduced.rows
+        shift, _, bound, points = exactla._normalised(m.to_rows())
+        assert window == (shift + sum(inverse_lows), points, bound)
+
     def test_fill_in_widens_some_draws(self):
         # a draw whose reduced rows span more than the input's rows do, on
         # which the input's window still gives every minor
         def widened(m):
-            reduced, _ = exactla._unit_reduced(m)
-            return (reduced.rows > 1 and exactla._normalised(reduced.to_rows())[3]
-                    > exactla._normalised(m.to_rows())[3])
+            reduced, (_, points, _) = exactla._unit_reduced(m)
+            return reduced.rows > 1 and exactla._normalised(reduced.to_rows())[3] > points
 
         m = find(st.integers(2, 6).flatmap(unit_rich_matrices), widened,
                  settings=settings(max_examples=2000, database=None, derandomize=True,
@@ -1153,11 +1183,10 @@ class TestUnitPivots:
         # window starts 10 above the reduced rows' lowest exponents, and the
         # input's bound saves a CRT prime.
         m = bench_shaped_presentation(random.Random(1))
-        shift, _, bound, points = exactla._normalised(m.to_rows())
-        reduced, k = exactla._unit_reduced(m)
+        reduced, (input_low, points, bound) = exactla._unit_reduced(m)
         own_shift, _, own_bound, own_points = exactla._normalised(reduced.to_rows())
-        low = max(own_shift, shift - k)
-        window = min(own_shift + own_points, shift - k + points) - low
+        low = max(own_shift, input_low)
+        window = min(own_shift + own_points, input_low + points) - low
         assert (reduced.rows, reduced.cols, points, own_points, window) == (6, 9, 9, 19, 9)
         assert low - own_shift == 10
         calls: dict[int, int] = {}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistalex.cli import _order_check
 from twistalex.cover import branched_cover_homology_from_monodromy
 from twistalex import exactla, seifert
 from twistalex.errors import InternalError, InvariantError, SizeLimitError
@@ -15,8 +16,7 @@ from twistalex.laurent import LaurentPoly, _prime, parse_laurent, resultant_with
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
                                random_seifert_matrix)
 
-from seifert_oracle import (branched_presentation, monodromy_power_presentation,
-                            order_and_resultant)
+from seifert_oracle import branched_presentation, monodromy_power_presentation
 
 
 def P(text):
@@ -60,11 +60,12 @@ class TestSeifertMatrix:
             assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
             assert calls == []
 
-    def test_non_unit_det_past_the_char_poly_cap_is_still_invalid_input(self, monkeypatch):
+    def test_non_unit_det_past_the_char_poly_cap_is_named(self, monkeypatch):
         # a det too large for char_poly is no reason to exit 65: with no
-        # char_poly work left, every det is still named exactly:
-        # p^2 vanishes modulo the first prime of its pack and not the rest,
-        # and an odd-sized S - S^T has det 0
+        # char_poly work left, every det is still named exactly, by
+        # SeifertMatrix and by IntMatrix.det alike: p^2 vanishes modulo the
+        # first prime of its pack and not the rest, and an odd-sized
+        # S - S^T has det 0
         monkeypatch.setattr(exactla, "MAX_CHAR_POLY_WORK", 0)
         p = _prime(0)
         for rows, det in (([[1, 2], [0, 1]], 4), ([[0, p], [0, 0]], p * p),
@@ -72,8 +73,7 @@ class TestSeifertMatrix:
             with pytest.raises(InvariantError) as info:
                 SeifertMatrix(rows)
             assert str(info.value) == f"det(S - S^T) = {det}; a knot Seifert matrix needs a unit"
-        with pytest.raises(SizeLimitError):
-            (IntMatrix.from_rows([[0, p], [-p, 0]])).det()
+        assert IntMatrix.from_rows([[0, p], [-p, 0]]).det() == p * p
 
     def test_gamma_entries_past_the_hadamard_bound_of_s_minus_st(self):
         # S - S^T = [[0, 1], [-1, 0]] has Hadamard bound 2: Gamma's entries
@@ -168,26 +168,26 @@ class TestBranchedHomology:
 
 class TestResultantOrderCheck:
     def test_trefoil_double(self):
-        assert order_and_resultant(TREFOIL, 2) == (3, 3)
+        assert _order_check(TREFOIL, 2) == (3, 3)
 
     def test_figure8_triple(self):
-        order, resultant = order_and_resultant(FIG8, 3)
+        order, resultant = _order_check(FIG8, 3)
         assert order == resultant > 0
 
     def test_trivial_alexander(self):
         for d in range(2, 11):
-            assert order_and_resultant(UNKNOT, d) == (1, 1)
+            assert _order_check(UNKNOT, d) == (1, 1)
 
     def test_infinite_homology_encoded_as_zero(self):
         # trefoil 6-fold branched cover has infinite H1; resultant vanishes
-        assert order_and_resultant(TREFOIL, 6) == (0, 0)
+        assert _order_check(TREFOIL, 6) == (0, 0)
 
     def test_random_agreement(self):
         rng = random.Random(2)
         for _ in range(20):
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             for d in range(2, 7):
-                order, resultant = order_and_resultant(s, d)
+                order, resultant = _order_check(s, d)
                 assert order == resultant
 
 
@@ -265,7 +265,7 @@ class TestBranchedCover:
             s = random_seifert_matrix(rng.choice((2, 4)), rng)
             d = rng.randint(2, 5)
             hom = smith_normal_form(branched_presentation(s, d)).cokernel()
-            assert order_and_resultant(s, d) == (hom.order or 0,) * 2
+            assert _order_check(s, d) == (hom.order or 0,) * 2
             for r in (None, 2, 3, 5, 6):
                 cover = branched_cover(s, d, r)
                 assert cover.homology == hom
@@ -289,7 +289,7 @@ class TestBranchedCover:
         assert cover.homology.order == order
         assert cover.jump is not None and cover.jump.order == 3
         with pytest.raises(SizeLimitError, match="about 9760 bits, above the cap"):
-            order_and_resultant(s, d)
+            _order_check(s, d)
 
     def test_rejects_small_d_and_r(self):
         with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
