@@ -463,7 +463,8 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, tuple[int, int, int]]:
     While an entry u = +-s^k is left, the one at (i, j) with the least
     (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
     column, clears its column: every other row r loses a_rj u^-1 times
-    row i.  Row i and column j are then dropped.  These row operations have
+    row i, one LaurentPoly per updated entry (_clear_column).  Row i and
+    column j are then dropped.  These row operations have
     determinant 1, so each maximal minor of the result on columns C is
     +-u^-1 times the minor on C and j; column operations by u, which would
     clear row i without touching the other rows, bring P's other minors
@@ -488,14 +489,44 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, tuple[int, int, int]]:
         top = rows.pop(i)
         u = top.pop(j)
         k += u.low
-        minus_inverse = LaurentPoly(-u.low, (-u.coeffs[0],))  # -(+-s^k)^-1 = -+s^-k
-        for row in rows:
-            factor = row.pop(j) * minus_inverse
-            if factor:
-                row[:] = [e + factor * t if t else e for e, t in zip(row, top)]
+        _clear_column(rows, top, j, u)
         cols -= 1
     reduced = LambdaMatrix(len(rows), cols, [e for row in rows for e in row])
     return reduced, (shift - k, points, bound)
+
+
+def _clear_column(rows: list[list[LaurentPoly]], top: list[LaurentPoly], j: int,
+                  u: LaurentPoly) -> None:
+    """Pop column j of every row, and take a u^-1 times ``top`` from each
+    row whose popped entry a is nonzero, for the unit u = +-s^k.
+
+    u^-1 = +-s^-k, so each entry e - a u^-1 t is e plus one product of the
+    coefficient runs of a, its sign flipped with u's, and t, shifted by
+    a.low - k + t.low: one LaurentPoly per updated entry."""
+    for row in rows:
+        a = row.pop(j)
+        if a:
+            run = [-x for x in a.coeffs] if u.coeffs[0] == 1 else a.coeffs  # -a u^-1 s^k
+            shift = a.low - u.low
+            row[:] = [_plus_product(e, shift + t.low, run, t.coeffs) if t else e
+                      for e, t in zip(row, top)]
+
+
+def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
+    """e + s^low times the product of the coefficient runs a and t."""
+    end = low + len(a) + len(t) - 1
+    if e:
+        start = min(low, e.low)
+        out = [0] * (max(end, e.low + len(e.coeffs)) - start)
+        out[e.low - start:e.low - start + len(e.coeffs)] = e.coeffs
+    else:
+        start = low
+        out = [0] * (end - start)
+    for i, x in enumerate(a, low - start):
+        if x:
+            for at, y in enumerate(t, i):
+                out[at] += x * y
+    return LaurentPoly(start, out)
 
 
 # -- maximal minors and rank by evaluation ------------------------------------
@@ -527,14 +558,22 @@ def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, tuple[int, int, int]]:
 # row-shifted matrix, s^-S times A's; at node c, times c^(S - low), they
 # are the values of s^-low times A's minors, polynomials of degree <= D.
 # S - low is negative whenever the second window cuts the first from below,
-# so node 0 cannot serve.  Newton's divided differences on the nodes
-# 1..D + 1 interpolate each minor from its D + 1 values in O(D^2), and so
-# does evaluating A at every node.  With more minors than nodes, each minor
-# is instead one product with the inverse Vandermonde matrix, built in
-# O(D^3) once per (D + 1, q) and kept across calls; it is never larger than
-# the values it multiplies.  A square matrix has one maximal minor, its
-# determinant, and the 0 x 0 one has the minor 1; a single row is its own
-# list of minors.  The gcd is taken once per distinct nonzero minor.
+# so node 0 cannot serve.  The kernel returns these values, and the minors
+# are keyed by their values over every modulus, a fallen-back pack's primes
+# included.  The key fixes the minor: D + 1 values fix a polynomial of
+# degree <= D modulo each modulus, and the product of the moduli exceeds
+# twice the bound.  A key that vanishes modulo every modulus is the zero
+# minor; one modulus would not do, as two minors may agree modulo one pack
+# and differ.  Newton's divided differences on the nodes 1..D + 1
+# interpolate each distinct nonzero minor once per modulus from its D + 1
+# values in O(D^2), and so does evaluating A at every node.  With more
+# distinct minors than nodes, each is instead one product with the inverse
+# Vandermonde matrix, built in O(D^3) once per (D + 1, q) and kept across
+# calls; it is never larger than the values it multiplies.  Each distinct
+# minor is lifted once and built once, and its repeats share it.  A square
+# matrix has one maximal minor, its determinant, and the 0 x 0 one has the
+# minor 1; a single row is its own list of minors.  The gcd is taken once
+# per distinct nonzero minor.
 #
 # The rank over the field of fractions is one per unit pivot +-s^k
 # (_unit_reduced) plus the rank of the matrix A the pivots leave: the
@@ -621,7 +660,8 @@ def _interpolate_mod(values, q: int) -> list[int]:
 def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
                     ) -> list[LaurentPoly]:
     """The n x n minors of an n x m matrix with n <= m, exactly, in the
-    order of itertools.combinations(range(m), n).
+    order of itertools.combinations(range(m), n); equal minors are one
+    shared LaurentPoly, each interpolated and lifted once.
 
     ``window`` = (low, D + 1, bound), if given, must hold for every minor
     as well: its exponents lie in low..low + D and its coefficients within
@@ -658,13 +698,24 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
             for minor, (sign, t, k) in zip(minors, _minor_plan(key, m)):
                 for c, v in zip(at, map(operator.mul, scale, small[t, k])):
                     minor[c] = sign * v % q
-        if count <= points:
-            return [v for minor in minors for v in _interpolate_mod(minor, q)]
-        w = _vandermonde_inverse(points, q)
-        return [sum(map(operator.mul, r, minor)) % q for minor in minors for r in w]
+        return [tuple(minor) for minor in minors]
 
-    flat = _crt_lift(_crt_residues(bound, kernel))
-    return [LaurentPoly(low, flat[i:i + points]) for i in range(0, count * points, points)]
+    residues = list(_crt_residues(bound, kernel))
+    # a minor's key is its values over every modulus, which fix it exactly
+    keys = list(zip(*(values for _, values in residues)))
+    distinct = dict.fromkeys(keys)
+    distinct.pop(((0,) * points,) * len(residues), None)  # the zero minor
+
+    def interpolated(at, q):  # the distinct minors' coefficients modulo the at-th modulus
+        if len(distinct) <= points:
+            return [v for key in distinct for v in _interpolate_mod(key[at], q)]
+        w = _vandermonde_inverse(points, q)
+        return [sum(map(operator.mul, r, key[at])) % q for key in distinct for r in w]
+
+    flat = _crt_lift((q, interpolated(at, q)) for at, (q, _) in enumerate(residues))
+    for i, key in enumerate(distinct):
+        distinct[key] = LaurentPoly(low, flat[i * points:(i + 1) * points])
+    return [distinct.get(key, laurent.ZERO) for key in keys]
 
 
 def rank_over_fractions(p: LambdaMatrix) -> int:

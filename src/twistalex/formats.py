@@ -126,7 +126,10 @@ def parse_seifert(text: str) -> SeifertMatrix:
 
 
 def parse_lambda_matrix(text: str) -> LambdaMatrix:
-    """Same shape header, entries as compact polynomial tokens like ``s^2-s+1``."""
+    """Same shape header, entries as compact polynomial tokens like ``s^2-s+1``.
+
+    Each distinct token is parsed once and its value, immutable, shared by
+    every entry that repeats it; a bad token raises at its first line."""
     lines = list(_nonblank_lines(text))
     if not lines:
         raise ParseError("empty matrix file", 1)
@@ -137,10 +140,13 @@ def parse_lambda_matrix(text: str) -> LambdaMatrix:
         raise ParseError("first line must be 'rows cols'", lineno) from None
     if rows < 0 or cols < 0:
         raise ParseError(f"negative matrix shape {rows} x {cols}", lineno)
-    entries = []
+    entries, parsed = [], {}
     for lineno, line in lines[1:]:
         for tok in line.split():
-            entries.append(parse_laurent(tok, line=lineno))
+            entry = parsed.get(tok)
+            if entry is None:
+                entry = parsed[tok] = parse_laurent(tok, line=lineno)
+            entries.append(entry)
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
     return LambdaMatrix(rows, cols, entries)

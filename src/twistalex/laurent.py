@@ -48,16 +48,20 @@ class LaurentPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, low: int = 0, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            low += 1
+        coeffs = tuple(coeffs)
+        if coeffs and not (coeffs[0] and coeffs[-1]):  # trim only a zero end
+            end = len(coeffs)
+            while end and not coeffs[end - 1]:
+                end -= 1
+            start = 0
+            while start < end and not coeffs[start]:
+                start += 1
+            coeffs = coeffs[start:end]
+            low += start
         if not coeffs:
             low = 0
         object.__setattr__(self, "low", low)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -729,6 +733,8 @@ def parse_laurent(text: str, line: int | None = None) -> LaurentPoly:
             if text[i] == "-":
                 sign = -1
             i += 1
+            if i == n:
+                raise ParseError(f"dangling {text[i - 1]!r} with no term after it", line, col)
         elif any_term:
             raise ParseError(f"expected '+' or '-' before {text[i]!r}", line, col)
         start = i

@@ -617,6 +617,14 @@ class TestUsageErrors:
         assert (code, out) == (64, "")
         assert err == f"twist: error: negative matrix size {size} (line 1)\n"
 
+    def test_dangling_sign(self, capsys, tmp_path):
+        # named at the sign, not as an empty term after it
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\ns^-3 s+\n")
+        code, out, err = run(capsys, "report", "--presentation", str(path))
+        assert (code, out) == (64, "")
+        assert err == "twist: error: dangling '+' with no term after it (line 2, column 2)\n"
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "seifert", "--fixture", "nonsense", "--d", "2")
         assert code == 64
@@ -737,6 +745,20 @@ def fixture_choices() -> dict[str, list[str]]:
     commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
     return {command: list(a.choices) for command, p in commands.choices.items()
             for a in p._actions if a.dest == "fixture"}
+
+
+class TestLambdaMatrixFile:
+    def test_repeated_tokens_share_one_value(self):
+        m = formats.parse_lambda_matrix("2 3\ns+1 2 s+1\n2 s^-1 s+1\n")
+        assert m == exactla.LambdaMatrix.from_rows(
+            [[laurent.parse_laurent(tok) for tok in row.split()]
+             for row in ("s+1 2 s+1", "2 s^-1 s+1")])
+        first, two, third, again, _, last = m.entries
+        assert first is third is last and two is again
+
+    def test_a_bad_token_raises_at_its_first_line(self):
+        with pytest.raises(ParseError, match=r"\(line 3, column 2\)"):
+            formats.parse_lambda_matrix("2 2\ns 1\n1 s+\ns+ s\n")
 
 
 class TestInputSources:

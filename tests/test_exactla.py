@@ -1060,6 +1060,121 @@ class TestNodeGroups:
         assert sorted(calls, key=str) == sorted(distinct, key=str)
 
 
+# The product of the first pack of CRT primes.
+Q1 = math.prod(_prime(k) for k in range(laurent._CRT_PACK))
+
+
+def count_interpolations(monkeypatch) -> dict[str, dict[int, int]]:
+    """Per modulus, from here on: the minors the kernel interpolates one at
+    a time, and the minors it multiplies by the inverse Vandermonde."""
+    seen: dict[str, dict[int, int]] = {"per_minor": {}, "product": {}}
+    interpolate, inverse = exactla._interpolate_mod, exactla._vandermonde_inverse
+    building = []
+
+    def counted_interpolate(values, q):
+        if not building:  # not a unit vector of an inverse being built
+            seen["per_minor"][q] = seen["per_minor"].get(q, 0) + 1
+        return interpolate(values, q)
+
+    def counted_inverse(points, q):
+        building.append(q)
+        try:
+            rows = inverse(points, q)
+        finally:
+            building.pop()
+
+        class Rows(tuple):
+            def __iter__(self):  # one pass over the rows per minor multiplied
+                seen["product"][q] = seen["product"].get(q, 0) + 1
+                return tuple.__iter__(self)
+
+        return Rows(rows)
+
+    monkeypatch.setattr(exactla, "_interpolate_mod", counted_interpolate)
+    monkeypatch.setattr(exactla, "_vandermonde_inverse", counted_inverse)
+    return seen
+
+
+def columns_to_matrix(cols: list[list[LaurentPoly]]) -> LambdaMatrix:
+    return LambdaMatrix.from_rows([[col[i] for col in cols] for i in range(len(cols[0]))])
+
+
+class TestDistinctMinors:
+    """Minors keyed by their values over every CRT modulus: each distinct
+    nonzero minor is interpolated and lifted once, a key that vanishes
+    modulo every modulus is the zero minor, and minors that agree modulo
+    one pack but not all stay apart."""
+
+    def test_minors_that_agree_modulo_the_first_pack(self, crt_moduli):
+        m = LambdaMatrix.from_rows([[LaurentPoly.const(2), ZERO, ZERO],
+                                    [ZERO, P("s + 5"), P("s + 5") + Q1]])
+        minors = _maximal_minors(m)
+        assert minors == enumerated_minors(m)
+        assert minors[0] != minors[1] and minors[2] == ZERO
+        assert len(crt_moduli) >= 2 and crt_moduli[0] == Q1
+
+    def test_a_minor_that_vanishes_modulo_the_first_pack(self, crt_moduli):
+        # the minors 2 Q1 s, 0 and -Q1 s: two keys vanish modulo Q1 alone
+        m = LambdaMatrix.from_rows([[LaurentPoly.const(2), ZERO, ONE],
+                                    [ZERO, LaurentPoly(1, (Q1,)), ZERO]])
+        assert _maximal_minors(m) == enumerated_minors(m) == [
+            LaurentPoly(1, (2 * Q1,)), ZERO, LaurentPoly(1, (-Q1,))]
+        assert len(crt_moduli) >= 2 and crt_moduli[0] == Q1
+
+    def test_seeded_sweep_with_repeated_negated_and_zero_columns(self):
+        rng = random.Random(30)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            cols = [[random_laurent(rng) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            while len(cols) < n + rng.randint(1, 4):
+                col = rng.choice(cols)
+                kind = rng.choice(("new", "repeat", "negate", "zero", "past-one-pack"))
+                if kind == "new":
+                    col = [random_laurent(rng) for _ in range(n)]
+                elif kind == "negate":
+                    col = [-e for e in col]
+                elif kind == "zero":
+                    col = [ZERO] * n
+                elif kind == "past-one-pack":  # agrees with col modulo Q1
+                    col = [e + Q1 * rng.randint(-2, 2) for e in col]
+                cols.append(col)
+            rng.shuffle(cols)
+            m = columns_to_matrix(cols)
+            assert _maximal_minors(m) == enumerated_minors(m)
+
+    def test_one_interpolation_per_distinct_minor(self, monkeypatch):
+        # column 0 repeats twice: of the 10 minors, 3 are zero and 4 take
+        # distinct values, fewer than the 5 nodes, so each of those is
+        # interpolated on its own, once per modulus
+        a, b = [P("2s + 3"), P("3s^2 + 2")], [P("3s - 2"), P("2s^2 + 3")]
+        c = [P("s^2 + 2"), P("3s")]
+        m = columns_to_matrix([a, a, b, a, c])
+        expected = enumerated_minors(m)
+        distinct = set(filter(None, expected))
+        points = exactla._normalised(m.to_rows())[3]
+        assert (len(expected), expected.count(ZERO), len(distinct), points) == (10, 3, 4, 5)
+        seen = count_interpolations(monkeypatch)
+        minors = _maximal_minors(m)
+        assert minors == expected
+        assert minors[1] is minors[4]  # columns (0, 2) and (1, 2)
+        assert set(seen["per_minor"].values()) == {len(distinct)}
+        assert not seen["product"]
+
+    def test_one_product_row_per_distinct_minor(self, monkeypatch):
+        # one polynomial row, so 2 nodes, and column 1 repeats column 0: of
+        # the 15 minors, one is zero and 10 take distinct values, more than
+        # the nodes, so the inverse Vandermonde multiplies those 10
+        m = LambdaMatrix.from_rows([[P("s + 2"), P("s + 2"), P("2s - 1"), P("3"), P("s"), P("1")],
+                                    [P("2"), P("2"), P("5"), P("-3"), P("7"), P("4")]])
+        expected = enumerated_minors(m)
+        distinct = set(filter(None, expected))
+        assert (len(expected), expected.count(ZERO), len(distinct)) == (15, 1, 10)
+        seen = count_interpolations(monkeypatch)
+        assert _maximal_minors(m) == expected
+        assert set(seen["product"].values()) == {len(distinct)}
+        assert not seen["per_minor"]
+
+
 @st.composite
 def unit_rich_matrices(draw, n):
     """An n x m Laurent matrix, n < m <= n + 3, with entries +-s^k planted
@@ -1147,21 +1262,35 @@ class TestUnitPivots:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(2, 6).flatmap(unit_rich_matrices))
     def test_window_is_the_inputs_shifted_by_the_pivot_exponents(self, m):
-        # K, the sum of the pivot exponents k, read off the inverses s^-k
-        # that the reduction builds, one per pivot
+        # K, the sum of the pivot exponents k, read off the pivots +-s^k
+        # that the reduction clears a column with, one per pivot
         assume(all(map(any, m.to_rows())))
-        inverse_lows = []
+        pivot_lows = []
+        clear = exactla._clear_column
 
-        def recorded(low, coeffs):
-            inverse_lows.append(low)
-            return LaurentPoly(low, coeffs)
+        def recorded(rows, top, j, u):
+            pivot_lows.append(u.low)
+            return clear(rows, top, j, u)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exactla, "LaurentPoly", recorded)
+            patch.setattr(exactla, "_clear_column", recorded)
             reduced, window = exactla._unit_reduced(m)
-        assert len(inverse_lows) == m.rows - reduced.rows
+        assert len(pivot_lows) == m.rows - reduced.rows
         shift, _, bound, points = exactla._normalised(m.to_rows())
-        assert window == (shift + sum(inverse_lows), points, bound)
+        assert window == (shift - sum(pivot_lows), points, bound)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(LaurentPoly, st.integers(-3, 3),
+                              st.lists(st.integers(-4, 4), max_size=4)),
+                    min_size=4, max_size=4),
+           st.builds(LaurentPoly, st.integers(-3, 3), st.sampled_from(((1,), (-1,)))))
+    def test_column_update_is_the_ring_update(self, entries, u):
+        # e - a u^-1 t for each (e, t), a the popped entry, as ring arithmetic
+        a, e1, e2, t = entries
+        rows, top = [[e1, a, e2]], [t, ZERO]
+        exactla._clear_column(rows, top, 1, u)
+        inverse = LaurentPoly(-u.low, u.coeffs)  # (+-s^k)^-1 = +-s^-k
+        assert rows == [[e1 - a * inverse * t, e2]]
 
     def test_fill_in_widens_some_draws(self):
         # a draw whose reduced rows span more than the input's rows do, on

@@ -56,6 +56,15 @@ class TestRingOps:
         assert (p + q) * r == p * r + q * r
         assert p + (-p) == ZERO
 
+    @given(st.integers(-5, 5), st.lists(st.integers(-9, 9), max_size=7),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_padded_run_is_trimmed(self, low, run, before, after):
+        p = LaurentPoly(low - before, [0] * before + run + [0] * after)
+        assert p == LaurentPoly.from_dict({low + i: c for i, c in enumerate(run) if c})
+        assert type(p.coeffs) is tuple
+        if not any(run):
+            assert (p.low, p.coeffs) == (0, ())
+
     @given(polys, polys)
     def test_results_trimmed(self, p, q):
         for result in (p + q, p * q, p - q):
