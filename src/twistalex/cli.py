@@ -1,5 +1,6 @@
 """The ``twist`` command line: monodromy, seifert, resultant, homcheck,
-report and selftest subcommands over the built-in fixtures or input files."""
+report and selftest subcommands over the built-in fixtures, input files or,
+for resultant, a polynomial's text."""
 
 from __future__ import annotations
 
@@ -160,10 +161,7 @@ def _cmd_seifert(args) -> int:
 
 def _cmd_resultant(args) -> int:
     _check_sweep(args)
-    if args.poly is not None:
-        p = laurent.parse_laurent(args.poly)
-    else:
-        p = alexander_polynomial(formats.parse_seifert(_source(args)))
+    p = laurent.parse_laurent(args.poly)
     if args.d is not None:
         results = {args.d: resultant_with_cyclotomic(p, args.d)}
     else:
@@ -302,9 +300,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_seifert)
 
     p = sub.add_parser("resultant", help="resultants against t^d - 1")
-    source = _source_group(p, "seifert")
-    source.add_argument("--file", help="input file path")
-    source.add_argument("--poly", help="polynomial text, e.g. 't^2-3t+1'")
+    p.add_argument("--poly", required=True, help="polynomial text, e.g. 't^2-3t+1'")
     degree = p.add_mutually_exclusive_group()
     degree.add_argument("--d", type=int, help="single degree")
     # no default: with neither option the sweep runs to 30

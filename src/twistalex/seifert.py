@@ -79,7 +79,7 @@ def _check_cover(n: int, d: int, r: int | None = None) -> None:
             f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
             f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
     if r is not None and r < 2:
-        raise ValueError("needs d >= 2 and r >= 2")
+        raise ValueError("a character onto Z/r needs r >= 2")
 
 
 @dataclasses.dataclass(frozen=True)

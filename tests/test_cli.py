@@ -302,7 +302,7 @@ class TestSeifertCommand:
         assert code == 0 and payload["h1_order"] == 16 and payload["character_jump"]
         assert calls == [(2, 2)]
 
-        for argv, message in ((("--d", "2", "--r", "1"), "needs d >= 2 and r >= 2"),
+        for argv, message in ((("--d", "2", "--r", "1"), "a character onto Z/r needs r >= 2"),
                               (("--d", "1", "--r", "2"), "branched presentation needs d >= 2"),
                               (("--d", "1"), "branched presentation needs d >= 2")):
             code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
@@ -326,7 +326,7 @@ class TestSeifertCommand:
                            "--d", "3", "--r", "2", "--sweep", "6", "--json")
         assert code == 0 and json.loads(raw) == expected
         # a sweep over its cap does not hide bad cover arguments
-        for argv, message in ((("--d", "2", "--r", "1"), "needs d >= 2 and r >= 2"),
+        for argv, message in ((("--d", "2", "--r", "1"), "a character onto Z/r needs r >= 2"),
                               (("--d", "1"), "branched presentation needs d >= 2")):
             code, out, err = run(capsys, "seifert", "--fixture", "figure8-seifert",
                                  *argv, "--sweep", "100000")
@@ -735,7 +735,6 @@ class TestSelftest:
 COMPLETIONS = {
     "monodromy": ["--d", "2", "--alpha", "Z/3:x=1,y=1"],
     "seifert": ["--d", "3", "--r", "2", "--sweep", "6"],
-    "resultant": [],
     "homcheck": [],
 }
 
@@ -766,7 +765,6 @@ class TestInputSources:
         assert fixture_choices() == {
             "monodromy": ["trefoil-monodromy"],
             "seifert": ["trefoil-seifert", "figure8-seifert"],
-            "resultant": ["trefoil-seifert", "figure8-seifert"],
             "homcheck": ["paper-s5"],
         }
 
@@ -787,6 +785,28 @@ class TestInputSources:
         by_fixture = run(capsys, command, "--fixture", name, *rest)
         assert by_fixture[0] == 0 and by_fixture[1]
         assert run(capsys, command, *source, *rest) == by_fixture
+
+    @pytest.mark.parametrize("name", ["trefoil-seifert", "figure8-seifert", "random-4x4"])
+    def test_seifert_sweep_is_the_resultant_sweep(self, capsys, tmp_path, name):
+        # a Seifert matrix's R_d are read by `twist seifert` alone; `twist
+        # resultant` of its Alexander polynomial prints the same numbers
+        if name in fixtures.FIXTURES:
+            source = ["--fixture", name]
+        else:
+            rows = seifert.random_seifert_matrix(4, random.Random(5)).matrix.to_rows()
+            path = tmp_path / "s4.txt"
+            path.write_text("4\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+            source = ["--file", str(path)]
+        code, raw, _ = run(capsys, "seifert", *source, "--sweep", "30", "--json")
+        by_seifert = json.loads(raw)
+        assert code == 0
+        code, raw, _ = run(capsys, "resultant", "--poly", by_seifert["alexander"],
+                           "--sweep", "30", "--json")
+        by_resultant = json.loads(raw)
+        assert code == 0
+        assert by_seifert["sweep"] == by_resultant["resultant"]
+        assert by_seifert["alexander"] == by_resultant["polynomial"]
+        assert sorted(map(int, by_seifert["sweep"])) == list(range(2, 31))
 
     @pytest.mark.parametrize("name", ["trefoil-monodromy", "paper-s5", "nope"])
     def test_a_fixture_of_another_kind_is_a_choice_error(self, capsys, name):
@@ -854,9 +874,11 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv, message", [
         (["resultant", "--poly", "t-2", "--file", "missing.txt"],
-         "argument --file: not allowed with argument --poly"),
+         "unrecognized arguments: --file missing.txt"),
         (["resultant", "--fixture", "trefoil-seifert", "--poly", "t-2"],
-         "argument --poly: not allowed with argument --fixture"),
+         "unrecognized arguments: --fixture trefoil-seifert"),
+        (["resultant", "--fixture", "trefoil-seifert"],
+         "the following arguments are required: --poly"),
         (["resultant", "--poly", "t-2", "--d", "5", "--sweep", "4"],
          "argument --sweep: not allowed with argument --d"),
         (["resultant", "--poly", "t-2", "--d", "5", "--sweep", "30"],
@@ -864,19 +886,23 @@ class TestRefusals:
         (["resultant", "--poly", "t-2", "--d", "5", "--sweep"],
          "argument --sweep: not allowed with argument --d"),
         (["resultant", "--d", "5"],
-         "one of the arguments --fixture --file --poly is required"),
+         "the following arguments are required: --poly"),
         (["seifert", "--fixture", "trefoil-seifert", "--file", "s.txt", "--d", "2"],
          "argument --file: not allowed with argument --fixture"),
         (["monodromy", "--d", "2", "--alpha", "Z/3:x=1,y=1"],
          "one of the arguments --fixture --file is required"),
         (["homcheck", "--fixture", "paper-s5", "--presentation", "p.txt", "--hom", "h.txt"],
          "argument --presentation: not allowed with argument --fixture"),
-    ], ids=["poly-file", "fixture-poly", "d-sweep", "d-sweep-30", "d-bare-sweep",
-            "resultant-no-source", "fixture-file", "monodromy-no-source", "homcheck-both"])
+    ], ids=["poly-file", "fixture-poly", "resultant-fixture", "d-sweep", "d-sweep-30",
+            "d-bare-sweep", "resultant-no-source", "fixture-file", "monodromy-no-source",
+            "homcheck-both"])
     def test_source_and_degree_conflicts(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == ""
-        assert err.endswith(f"twist {argv[0]}: error: {message}\n")
+        # an option the subcommand does not know is left over by its parser
+        # and refused by the top-level one
+        prog = "twist" if message.startswith("unrecognized") else f"twist {argv[0]}"
+        assert err.endswith(f"{prog}: error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--fixture", "paper-s5", "--hom", "h.txt"],

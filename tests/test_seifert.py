@@ -294,7 +294,7 @@ class TestBranchedCover:
     def test_rejects_small_d_and_r(self):
         with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
             branched_cover(TREFOIL, 1, 1)
-        with pytest.raises(ValueError, match="needs d >= 2 and r >= 2"):
+        with pytest.raises(ValueError, match="a character onto Z/r needs r >= 2"):
             branched_cover(TREFOIL, 2, 1)
 
 
