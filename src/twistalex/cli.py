@@ -38,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+class _Subcommand(_Parser):
+    """A subcommand's parser refuses the arguments it does not take itself,
+    so that the usage line names the subcommand; argparse would hand them
+    back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -281,7 +293,7 @@ def _source_group(p, kind: str):
 def build_parser() -> _Parser:
     parser = _Parser(prog="twist",
                      description="Twisted Alexander invariants and the fibredness obstruction")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("monodromy", help="twisted invariants from a fibred monodromy")
     _source_group(p, "monodromy").add_argument("--file", help="input file path")

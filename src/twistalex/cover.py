@@ -15,8 +15,10 @@ The chain maps commute with left translation by G, so only the images of
 the n edges at the identity are pushed through them (the rows of f^d's Fox
 matrix over Z[G]), each a flat integer list of length n*|G| with edge
 (w, l) at l*|G| + w.  A translate is one gather through a row of one
-table whose rows are composed along the tree, and the columns of H are
-assembled from those images by such translates.
+table whose rows are composed along the tree.  The columns of H are
+assembled from those images by such translates, on the non-tree positions
+only; that they are images of cycles is certified once, from the n pushed
+chains and the generators' rows of the table, not column by column.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .laurent import LaurentPoly
 # of the pushed chains.  A step pushes only n chains, about n * |G| * (the
 # letters of f's images) operations, so the charge is a conservative bound,
 # kept so that the set of refused inputs does not change with the route.
-# The translation table and the tree images, n * |G|^2 entries each, are
-# charged up front too; that refuses more only when n = 1, where a step's
-# charge is linear in |G|.
+# The translation table, n * |G|^2 entries, is charged up front too (the
+# tree images and the table's gathers at the non-tree positions hold
+# |G| * H1 rank entries each, no more than that); that refuses more only
+# when n = 1, where a step's charge is linear in |G|.
 # The figure-eight map at d = 100 over Z/25 spends about 8e5.
 MAX_LIFT_WORK = 2 * 10**7
 
@@ -213,32 +216,75 @@ def _spell(word, chains, images, back) -> list[int]:
 
 
 def _assemble(cover: CoverGraph, back, chains) -> IntMatrix:
-    """H from the images c_g of the edges at the identity: tree images
-    T(1) = 0, T(w) = T(p) + p.c_h for tree[w] = (p, h); column (v, g) is
-    T(v) + v.c_g - T(head), which must be a cycle (inflow equal to outflow
-    at every vertex), read on the non-tree edges."""
-    order, size = cover.group_order, len(back[0])
+    """H from the images c_g of the edges at the identity, built on the
+    non-tree positions only.  Each row of the table is gathered once at
+    the positions; the tree images are T(1) = 0, T(w) = T(p) + p.c_h for
+    tree[w] = (p, h), and column (v, g) is T(v) + v.c_g - T(head).
+
+    Those sums are linear in the c_g and each translate is a chain
+    isomorphism, so every column is a cycle once ``_closes`` certifies
+    the chains and the table."""
+    if not _closes(cover, back, chains):
+        raise InternalError("image of a basis cycle did not close up at the basepoint")
     add, sub = operator.add, operator.sub
-    tree_images = [[0] * size]
+    positions = [l * cover.group_order + w for w, l in cover.basis]
+    at = [list(map(row.__getitem__, positions)) for row in back]
+    tree_images = [[0] * len(positions)]
     for p, h in cover.tree[1:]:
-        tree_images.append(list(map(add, tree_images[p], map(chains[h].__getitem__, back[p]))))
-    # tails[l*|G| + y] = l*|G| + index(y*alpha(x_l)^-1), the tail of the edge (., l) into y
-    tails = [0] * size
-    for v, heads in enumerate(cover.edge_target):
-        for l, y in enumerate(heads):
-            tails[l * order + y] = l * order + v
-    positions = [l * order + w for w, l in cover.basis]
-    columns = []
-    for v, g in cover.basis:
-        column = list(map(sub, map(add, tree_images[v], map(chains[g].__getitem__, back[v])),
-                          tree_images[cover.edge_target[v][g]]))
-        net = list(map(sub, map(column.__getitem__, tails), column))  # inflow minus outflow
-        for k in range(order, size, order):  # summed over the n blocks into the first
-            net[:order] = map(add, net[:order], net[k:k + order])
-        if any(net[:order]):
-            raise InternalError("image of a basis cycle did not close up at the basepoint")
-        columns.append(list(map(column.__getitem__, positions)))
+        tree_images.append(list(map(add, tree_images[p], map(chains[h].__getitem__, at[p]))))
+    heads = cover.edge_target
+    columns = [list(map(sub, map(add, tree_images[v], map(chains[g].__getitem__, at[v])),
+                        tree_images[heads[v][g]]))
+               for v, g in cover.basis]
+    del at, tree_images  # freed before H's entries are copied out, which sets the peak
     return IntMatrix(len(columns), len(columns), itertools.chain.from_iterable(zip(*columns)))
+
+
+def _closes(cover: CoverGraph, back, chains) -> bool:
+    """The certificate that every image of a basis cycle closes up, in
+    O(n^2 |G|) steps:
+
+    (a) each pushed chain c_i has boundary [a_i] - [1], a_i the vertex of
+        alpha(x_i), read through the edge tails (inflow minus outflow at
+        every vertex, summed over the n blocks);
+    (b) each generator's row of the table is the left translation by
+        a^-1: in block 0 it sends a to the identity and commutes with
+        every edge_target step, and every other block repeats block 0;
+    (c) every edge (v, g), tree or basis, ends where the table says:
+        edge_target[v][g] = back[back[v][0]][a_g].
+
+    By (b) every row composed from the generators' rows is the translation
+    by its vertex's inverse, so v.c has boundary v.[a_g] - v.[1] by (a),
+    the tree images telescope to [w] - [1], and every column's boundary is
+    zero.  The composition and the column sums do not branch on the input
+    and are not re-checked here; (c) reads the composed rows at the
+    entries that name an edge's head."""
+    order, size = cover.group_order, len(back[0])
+    gens = cover.edge_target[0]
+    add, sub = operator.add, operator.sub
+    steps = list(zip(*cover.edge_target))  # steps[l][v]: the head of edge (v, l)
+    # tails[l][y]: the tail of the edge (., l) into y, each step being a permutation
+    tails = [sorted(range(order), key=step.__getitem__) for step in steps]
+    for a, chain in zip(gens, chains):
+        net = [0] * order  # inflow minus outflow, summed over the n blocks
+        for k, tail in zip(range(0, size, order), tails):
+            block = chain[k:k + order]
+            net = list(map(add, net, map(sub, map(block.__getitem__, tail), block)))
+        net[a] -= 1
+        net[0] += 1
+        if any(net):
+            return False
+    for a in set(gens):
+        block = back[a][:order]
+        if block[a] != 0 or any(back[a][k:k + order] != list(map(k.__add__, block))
+                                for k in range(order, size, order)):
+            return False
+        if any(list(map(block.__getitem__, step)) != list(map(step.__getitem__, block))
+               for step in steps):
+            return False
+    inverses = [row[0] for row in back]
+    return all(tuple(map(operator.itemgetter(a), map(back.__getitem__, inverses))) == step
+               for a, step in zip(gens, steps))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,6 +10,8 @@ from twistalex.cli import main
 from twistalex.errors import ParseError
 from twistalex.fixtures import load_fixture
 
+from table_mutations import generator_row_off_in_its_last_block, last_row_is_the_one_before
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -700,6 +702,18 @@ class TestUsageErrors:
         assert code == 70 and out == ""
         assert err.startswith("twist: internal error: ") and "did not close up" in err
 
+    @pytest.mark.parametrize("corruption", [generator_row_off_in_its_last_block,
+                                            last_row_is_the_one_before],
+                             ids=["generator-row", "basis-head"])
+    def test_a_corrupt_translation_table_exits_70(self, capsys, monkeypatch, corruption):
+        args = ("monodromy", "--fixture", "trefoil-monodromy", "--d", "6",
+                "--alpha", "Z/7:x=1,y=1")
+        assert run(capsys, *args)[0] == 0
+        monkeypatch.setattr(cover, "_translations", corruption(cover._translations))
+        code, out, err = run(capsys, *args)
+        assert code == 70 and out == ""
+        assert err.startswith("twist: internal error: ") and "did not close up" in err
+
     def test_unexpected_exception_exits_70(self, capsys, tmp_path, monkeypatch):
         # an exception no handler names is a fault in the program
         def broken(p, window=None):
@@ -899,10 +913,20 @@ class TestRefusals:
     def test_source_and_degree_conflicts(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == ""
-        # an option the subcommand does not know is left over by its parser
-        # and refused by the top-level one
-        prog = "twist" if message.startswith("unrecognized") else f"twist {argv[0]}"
-        assert err.endswith(f"{prog}: error: {message}\n")
+        assert err.endswith(f"twist {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["resultant", "--poly", "t-2", "--file", "F"], "--file F"),
+        (["seifert", "--fixture", "trefoil-seifert", "--d", "2", "--bogus", "1"], "--bogus 1"),
+        (["report", "--presentation", "p.txt", "stray"], "stray"),
+    ], ids=["resultant", "seifert", "report-positional"])
+    def test_unrecognized_arguments_name_the_subcommand(self, capsys, argv, extra):
+        # the subcommand's own parser refuses what it does not take, so the
+        # usage line is the subcommand's, not the top level's
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith(f"usage: twist {argv[0]} [-h]")
+        assert err.endswith(f"twist {argv[0]}: error: unrecognized arguments: {extra}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--fixture", "paper-s5", "--hom", "h.txt"],

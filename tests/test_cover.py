@@ -22,6 +22,8 @@ from twistalex.laurent import canonicalize, is_monic, parse_laurent
 
 from bareiss_oracle import si_minus
 from chain_oracle import chain_map_lift
+from table_mutations import (every_row_translating_the_other_way,
+                             generator_row_off_in_its_last_block, last_row_is_the_one_before)
 from word_oracle import (apply, compatible, identity, inverse, power, product,
                          random_automorphism)
 
@@ -105,6 +107,11 @@ def compatible_cyclic_alphas(f: FreeEndo, d: int, max_order: int):
             if compatible(fd, alpha):
                 out.append(alpha)
     return out
+
+
+A4, A5 = alternating(4), alternating(5)
+A4_ELEMENTS, A5_ELEMENTS = ([p for p in map(Perm, itertools.permutations(range(k))) if p.is_even]
+                            for k in (4, 5))
 
 
 class TestBuildCover:
@@ -362,6 +369,33 @@ class TestLiftAgainstChainMapOracle:
         h = self.assert_same_lift(figure_eight(), 25, alpha)
         assert max(abs(x) for x in h.entries) > 2**20  # f^25's images: over 10^10 letters
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32), st.sampled_from(["cyclic", "A4", "A5"]),
+           st.data())
+    def test_random_automorphisms(self, rank, seed, kind, data):
+        # random automorphisms of rank 2-3 over cyclic targets up to Z/12,
+        # A4 and A5, at a multiple d <= 8 of alpha's period under f
+        rng = random.Random(seed)
+        f = random_automorphism(rank, rng.randint(1, 8), rng)
+        if kind == "cyclic":
+            r = data.draw(st.integers(1, 12))
+            chi = data.draw(st.lists(st.integers(0, r - 1), min_size=rank, max_size=rank))
+            assume(math.gcd(r, *chi) == 1)
+            alpha = FiniteHom(rank, cyclic(r), chi)
+        else:
+            target, elements = (A4, A4_ELEMENTS) if kind == "A4" else (A5, A5_ELEMENTS)
+            images = data.draw(st.lists(st.sampled_from(elements), min_size=rank, max_size=rank))
+            alpha = FiniteHom(rank, target, images)
+            assume(generated_subgroup_order(alpha) == target.order)
+        beta = alpha.precompose(f)
+        period = 1
+        while beta.images != alpha.images and period < 8:
+            beta, period = beta.precompose(f), period + 1
+        assume(beta.images == alpha.images)
+        d = data.draw(st.sampled_from(range(period, 9, period)))
+        event(f"{alpha.target.name()} rank {rank}")
+        self.assert_same_lift(f, d, alpha)
+
 
 class TestLeftTranslations:
     @pytest.mark.parametrize("target, images", [
@@ -383,10 +417,6 @@ class TestLeftTranslations:
                 for k, w in enumerate(vertices):
                     row[l * order + index[target.mul(v, w)]] = l * order + k
         assert back == expected
-
-
-A5 = alternating(5)
-A5_ELEMENTS = [p for p in map(Perm, itertools.permutations(range(5))) if p.is_even]
 
 
 class TestChainLiftFuzz:
@@ -488,6 +518,23 @@ class TestLiftChecks:
         with pytest.raises(InternalError, match="did not close up"):
             lift_power_matrix(build_cover(n, alpha), identity(n), 1)
         assert len(pushed) == n
+
+    @pytest.mark.parametrize("corruption", [generator_row_off_in_its_last_block,
+                                            last_row_is_the_one_before,
+                                            every_row_translating_the_other_way],
+                             ids=["generator-row", "basis-head", "other-way"])
+    @pytest.mark.parametrize("alpha", [
+        FiniteHom(2, cyclic(7), [3, 5]),
+        FiniteHom(2, A5, [perm_from_cycle_text("(12345)", 5), perm_from_cycle_text("(123)", 5)]),
+        FiniteHom(3, cyclic(6), [2, 3, 1]),
+    ], ids=["Z7", "A5", "rank3"])
+    def test_a_corrupt_translation_table_does_not_close_up(self, monkeypatch, alpha,
+                                                           corruption):
+        # the identity map pushes its chains through the identity's row
+        # alone, so they close up and the table's own checks must fire
+        monkeypatch.setattr(cover_module, "_translations", corruption(cover_module._translations))
+        with pytest.raises(InternalError, match="did not close up"):
+            lift_power_matrix(build_cover(alpha.rank, alpha), identity(alpha.rank), 1)
 
     def test_open_image_chain_is_an_internal_error(self, monkeypatch):
         # alpha . f != alpha: the basis cycles of the alpha cover are no
