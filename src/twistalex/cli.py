@@ -15,7 +15,7 @@ import traceback
 
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
-from .errors import InternalError, SizeLimitError, TwistError
+from .errors import SizeLimitError, TwistError
 from .fixtures import FIXTURES, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
@@ -346,15 +346,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EX_USAGE
+    # the exception's class alone decides the exit code
     try:
         return args.func(args)
-    except InternalError as e:
-        print(f"twist: internal error: {e}", file=sys.stderr)
-        return EX_SOFTWARE
     except SizeLimitError as e:
         print(f"twist: size limit: {e}", file=sys.stderr)
         return EX_TOOBIG
-    except (TwistError, ValueError, OSError) as e:
+    except (TwistError, OSError) as e:
         print(f"twist: error: {e}", file=sys.stderr)
         return EX_USAGE
     except Exception as e:  # any other exception is a fault in the program

@@ -28,8 +28,8 @@ import itertools
 import operator
 
 from . import laurent
-from .errors import (CompatibilityError, InternalError, LiftSizeError,
-                     NonSurjectiveError)
+from .errors import (CompatibilityError, InternalError, InvariantError,
+                     LiftSizeError, NonSurjectiveError, number_text)
 from .exactla import IntMatrix, CokernelInvariants, char_poly, smith_normal_form
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, _closure
@@ -155,8 +155,9 @@ def _charge_lift(f: FreeEndo, order: int, d: int) -> int:
     step = ((n - 1) * order + 2) * order * (n + sum(len(w) for w in f.images)) + 100
     charge = max(d * step, n * order * order)
     if charge > MAX_LIFT_WORK:
-        raise LiftSizeError(f"lifting f^{d} needs at least {charge} units of "
-                            f"chain work, above the cap of {MAX_LIFT_WORK}")
+        raise LiftSizeError(f"lifting f^{number_text(d)} needs at least "
+                            f"{number_text(charge)} units of chain work, above the "
+                            f"cap of {MAX_LIFT_WORK}")
     return step
 
 
@@ -306,7 +307,7 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom) -> TwistedInvarian
     to lift is refused from the order of alpha's target, before it is built.
     """
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        raise InvariantError("d must be a positive integer")
     _charge_lift(f, alpha.target.order, d)
     cover = build_cover(f.rank, alpha)
     h = lift_power_matrix(cover, f, d)

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The class of an exception alone says whose fault it is.  A TwistError
+means the input is at fault: ``twist`` exits 65 for a SizeLimitError and
+64 for any other.  Every other exception, InternalError and a builtin
+ValueError included, is a fault in the program, and ``twist`` exits 70.
+"""
 
 
 class TwistError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for the errors that an input causes."""
 
 
 class ParseError(TwistError):
@@ -21,13 +27,15 @@ class UnknownFixtureError(TwistError):
     """Requested fixture name is not built in."""
 
 
-class InvariantError(TwistError):
-    """An input violates a structural invariant (e.g. det(S - S^T) != +-1)."""
+class InvariantError(TwistError, ValueError):
+    """An input violates a structural invariant (e.g. det(S - S^T) != +-1)
+    or an argument check (e.g. a covering degree d < 1).  It is a
+    ValueError too, so callers that catch ValueError keep catching it."""
 
 
-class InternalError(TwistError):
+class InternalError(Exception):
     """An invariant broke inside a computation: a fault in the program, not
-    in its input."""
+    in its input, so not a TwistError."""
 
 
 class SizeLimitError(TwistError):
@@ -53,3 +61,13 @@ class NonSurjectiveError(TwistError):
 
 class CompatibilityError(TwistError):
     """The endomorphism does not descend to the cover (alpha . f != alpha)."""
+
+
+def number_text(n: int) -> str:
+    """A positive n in decimal for a size-limit message, or, when it has
+    more digits than Python converts to text, by its bit length k as
+    ``2^(k-1) or more``."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1} or more"

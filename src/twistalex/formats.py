@@ -12,8 +12,9 @@ import re
 from .errors import ParseError, WordLengthError
 from .exactla import IntMatrix, LambdaMatrix
 from .freegrp import MAX_WORD_LETTERS, FreeEndo, Word
-from .grouphom import (CyclicTarget, FiniteHom, Presentation, alternating,
-                       cyclic, perm_from_cycle_text, symmetric)
+from .grouphom import (CyclicTarget, FiniteHom, PermutationTarget, Presentation,
+                       alternating, check_closure_bound, cyclic,
+                       perm_from_cycle_text, symmetric)
 from .laurent import parse_laurent
 from .seifert import SeifertMatrix
 
@@ -162,11 +163,17 @@ def _parse_target(text: str, lineno: int | None = None):
             r = int(text[2:])
         except ValueError:
             raise ParseError(f"malformed cyclic target {text!r}", lineno) from None
+        if r < 1:
+            raise ParseError("cyclic order must be >= 1", lineno)
         return cyclic(r)
     m = re.match(r"([AS])(\d+)$", text)
     if not m:
         raise ParseError(f"unknown target group {text!r}", lineno)
-    degree = int(m.group(2))
+    try:
+        degree = int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"permutation degree of {len(m.group(2))} digits is too long",
+                         lineno) from None
     return alternating(degree) if m.group(1) == "A" else symmetric(degree)
 
 
@@ -219,7 +226,10 @@ def parse_hom(text: str, names: list[str]) -> FiniteHom:
         raise ParseError("homomorphism file must start with a 'target:' line",
                          lines[0][0] if lines else 1)
     lineno, header = lines[0]
-    return _parse_assignments(_parse_target(header[len("target:"):], lineno), lines[1:], names)
+    target = _parse_target(header[len("target:"):], lineno)
+    if isinstance(target, PermutationTarget):
+        check_closure_bound(target)  # before any assignment builds a list of its points
+    return _parse_assignments(target, lines[1:], names)
 
 
 def parse_inline_alpha(text: str, names: list[str]) -> FiniteHom:

@@ -7,7 +7,7 @@ import dataclasses
 import math
 from typing import Iterable, Union
 
-from .errors import InvariantError, ParseError, SizeLimitError
+from .errors import InvariantError, ParseError, SizeLimitError, number_text
 from .freegrp import Word
 from .laurent import _binpow
 
@@ -106,10 +106,10 @@ def perm_from_cycle_text(text: str, degree: int, line: int | None = None) -> Per
             raise ParseError("unclosed cycle", line, i + 1)
         body = text[i + 1 : j].replace(",", " ").strip()
         if body:
-            if " " in body:
-                points = [int(tok) for tok in body.split()]
-            else:
-                points = [int(ch) for ch in body]
+            try:
+                points = [int(tok) for tok in (body.split() if " " in body else body)]
+            except ValueError:
+                raise ParseError("malformed cycle point", line, i + 1) from None
             if any(not 1 <= x <= degree for x in points):
                 raise ParseError(f"cycle point out of range 1..{degree}", line, i + 1)
             pts0 = [x - 1 for x in points]
@@ -274,6 +274,28 @@ def generated_subgroup_order(hom: FiniteHom) -> int:
     return len(_closure(hom)[0])
 
 
+def check_closure_bound(target: Target) -> None:
+    """Raise SizeLimitError when the order of target passes CLOSURE_BOUND.
+
+    S_k and A_k are refused from the degree alone: the factorial is
+    multiplied up only until it passes the bound, so no degree, however
+    large, costs a full factorial or a list of its points.  This bounds the
+    ambient group, not the subgroup that the images generate; closure of a
+    target given by its generators is to replace it."""
+    if isinstance(target, CyclicTarget):
+        if target.order > CLOSURE_BOUND:
+            raise SizeLimitError(f"target order {number_text(target.order)} exceeds the "
+                                 f"closure bound {CLOSURE_BOUND}")
+        return
+    order = 1
+    for k in range(3, target.degree + 1):  # order of S_k / 2, or of A_k
+        order *= k
+        if order * (1 if target.even_only else 2) > CLOSURE_BOUND:
+            raise SizeLimitError(
+                f"target order of {'A' if target.even_only else 'S'}"
+                f"{number_text(target.degree)} exceeds the closure bound {CLOSURE_BOUND}")
+
+
 def _closure(hom: FiniteHom) -> tuple[list, list, list]:
     """Breadth-first closure of the identity under right multiplication by
     the generator images: the elements in discovery order (identity first),
@@ -281,9 +303,7 @@ def _closure(hom: FiniteHom) -> tuple[list, list, list]:
     reached it (None at the identity), and for each element the indices of
     its products with the images, in generator order."""
     target = hom.target
-    if target.order > CLOSURE_BOUND:
-        raise SizeLimitError(
-            f"target order {target.order} exceeds the closure bound {CLOSURE_BOUND}")
+    check_closure_bound(target)
     elements = [target.identity]
     index = {target.identity: 0}
     parent: list[tuple[int, int] | None] = [None]

@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Iterator
 
-from .errors import ParseError, SizeLimitError
+from .errors import InvariantError, ParseError, SizeLimitError, number_text
 
 
 def _binpow(base, n: int, mul, one):
@@ -431,12 +431,18 @@ MAX_RESULTANT_BITS = 8192
 
 
 def _check_resultant_bound(norm: int, d: int) -> None:
-    """Raise SizeLimitError when norm^d has more than MAX_RESULTANT_BITS bits."""
-    bits = d * math.log2(norm)
-    if bits > MAX_RESULTANT_BITS:
-        raise SizeLimitError(
-            f"the resultant with t^{d} - 1 is bounded by ||p||_1^{d}, about "
-            f"{math.ceil(bits)} bits, above the cap of {MAX_RESULTANT_BITS} bits")
+    """Raise SizeLimitError when norm^d > 2^MAX_RESULTANT_BITS, decided in
+    integers: by the bit length of norm, or, for the few d that it leaves
+    open, by norm^d itself.  The message gives d log2(norm), rounded up."""
+    width = norm.bit_length()
+    if (width - 1) * d <= MAX_RESULTANT_BITS and (
+            width * d <= MAX_RESULTANT_BITS or norm ** d <= 1 << MAX_RESULTANT_BITS):
+        return
+    num, den = math.log2(norm).as_integer_ratio()
+    raise SizeLimitError(
+        f"the resultant with t^{number_text(d)} - 1 is bounded by ||p||_1^{number_text(d)}, "
+        f"about {number_text(-(-d * num // den))} bits, above the cap of "
+        f"{MAX_RESULTANT_BITS} bits")
 
 
 # Graeffe root-squaring steps behind the Mahler-measure bound, and the
@@ -561,9 +567,9 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     raises SizeLimitError before any prime is drawn.
     """
     if p.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
+        raise InvariantError("resultant of the zero polynomial is undefined")
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        raise InvariantError("d must be a positive integer")
     f = list(p.coeffs)  # associate with lowest exponent 0
     norm = sum(map(abs, f))
     _check_resultant_bound(norm, d)
@@ -636,7 +642,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     if dmax < 2:
         return {}
     if p.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
+        raise InvariantError("resultant of the zero polynomial is undefined")
     f = list(p.coeffs)
     n = len(f) - 1
     lc = f[-1]
@@ -712,12 +718,33 @@ def to_text(p: LaurentPoly, var: str = "s") -> str:
     return "".join(parts)
 
 
+# Cap on the exponent span (highest exponent minus lowest) of a parsed
+# polynomial, refused before its dense coefficient run is built: a run of
+# 10^5 coefficients takes under 1 MB, and `twist report` on a 1 x 1
+# presentation of that span takes about 0.2 s (2-vCPU x86-64 host, Python
+# 3.11).  The widest polynomial that the tests, CI and bench pools parse
+# spans 2000; t^(10^20) - 1 would need a run of 10^20.
+MAX_POLY_SPAN = 10**5
+
+
+def _numeral(text: str, start: int, end: int, line: int | None) -> int:
+    """The integer that text[start:end], an optional '-' and decimal
+    digits, spells; a ParseError past the digits that int() converts."""
+    try:
+        return int(text[start:end])
+    except ValueError:
+        raise ParseError(f"numeral of {end - start} characters is too long",
+                         line, start + 1) from None
+
+
 def parse_laurent(text: str, line: int | None = None) -> LaurentPoly:
     """Parse polynomial text such as ``s^4 - s^3 + 2s^-1`` or ``t^2-3t+1``.
 
     Whitespace-insensitive (all whitespace is discarded before parsing, so
     reported columns refer to the compacted text); any one variable letter
-    is allowed, the same throughout.
+    is allowed, the same throughout.  Numerals are runs of decimal digits,
+    in any script.  A polynomial whose exponents span more than
+    MAX_POLY_SPAN raises SizeLimitError.
     """
     text = "".join(text.split())
     terms: dict[int, int] = {}
@@ -738,9 +765,9 @@ def parse_laurent(text: str, line: int | None = None) -> LaurentPoly:
         elif any_term:
             raise ParseError(f"expected '+' or '-' before {text[i]!r}", line, col)
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
-        coeff = int(text[start:i]) if i > start else None
+        coeff = _numeral(text, start, i, line) if i > start else None
         exp = 0
         if i < n and text[i].isalpha():
             letter = text[i]
@@ -755,15 +782,21 @@ def parse_laurent(text: str, line: int | None = None) -> LaurentPoly:
                 estart = i
                 if i < n and text[i] == "-":
                     i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
                 if i == estart or text[estart:i] == "-":
                     raise ParseError("malformed exponent", line, estart + 1)
-                exp = int(text[estart:i])
+                exp = _numeral(text, estart, i, line)
         elif coeff is None:
             raise ParseError(f"malformed polynomial term at {text[start:start+8]!r}", line, col)
         terms[exp] = terms.get(exp, 0) + sign * (1 if coeff is None else coeff)
         any_term = True
     if not any_term:
         raise ParseError("empty polynomial", line, 1)
+    terms = {e: c for e, c in terms.items() if c}
+    span = max(terms) - min(terms) if terms else 0
+    if span > MAX_POLY_SPAN:
+        where = "" if line is None else f" (line {line})"
+        raise SizeLimitError(f"the polynomial's exponents span {number_text(span)}{where}, "
+                             f"above the cap of {MAX_POLY_SPAN}")
     return LaurentPoly.from_dict(terms)

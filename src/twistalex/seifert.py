@@ -12,7 +12,7 @@ import operator
 import random
 
 from . import laurent
-from .errors import InternalError, InvariantError, SizeLimitError
+from .errors import InternalError, InvariantError, SizeLimitError, number_text
 from .exactla import CokernelInvariants, IntMatrix, char_poly, smith_normal_form
 from .laurent import LaurentPoly
 
@@ -72,14 +72,14 @@ def _check_cover(n: int, d: int, r: int | None = None) -> None:
     matrix (with a character onto Z_r, for r) passes first: d >= 2, n(d - 1)
     rows within the cap, and r >= 2."""
     if d < 2:
-        raise ValueError("branched presentation needs d >= 2")
+        raise InvariantError("branched presentation needs d >= 2")
     size = n * (d - 1)
     if size > MAX_PRESENTATION_ROWS:
         raise SizeLimitError(
-            f"the {d}-fold branched presentation of a {n}x{n} Seifert matrix has "
-            f"{size} rows, above the cap of {MAX_PRESENTATION_ROWS}")
+            f"the {number_text(d)}-fold branched presentation of a {n}x{n} Seifert "
+            f"matrix has {number_text(size)} rows, above the cap of {MAX_PRESENTATION_ROWS}")
     if r is not None and r < 2:
-        raise ValueError("a character onto Z/r needs r >= 2")
+        raise InvariantError("a character onto Z/r needs r >= 2")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -935,3 +937,216 @@ class TestRefusals:
     ], ids=["fixture-hom", "presentation-alone"])
     def test_homcheck_hom_goes_with_presentation(self, capsys, argv, message):
         assert run(capsys, "homcheck", *argv) == (64, "", f"twist: error: {message}\n")
+
+
+# -- every refusal the command line can reach ----------------------------------
+
+TREFOIL_MONO = "generators: x y\nx -> y^-1\ny -> x y\n"
+NINES_400 = "9" * 400
+NINES_4299 = "9" * 4299
+NINES_4300 = "9" * 4300
+Z_1E4000 = "Z/1" + "0" * 4000
+# d log2(3) for d = 10^400 - 1, with log2(3) taken as a double, rounded up
+BITS_400 = math.ceil(Fraction(math.log2(3)) * int(NINES_400))
+
+
+def _mono(body):
+    return (["monodromy", "--file", "{m}", "--d", "2", "--alpha", "Z/3:x=1,y=1"],
+            {"m": body})
+
+
+def _seifert(body):
+    return ["seifert", "--file", "{s}", "--d", "2"], {"s": body}
+
+
+def _report(body):
+    return ["report", "--presentation", "{m}"], {"m": body}
+
+
+def _alpha(body):
+    return ["monodromy", "--fixture", "trefoil-monodromy", "--d", "2", "--alpha", "{h}"], {"h": body}
+
+
+def _homcheck(pres, hom):
+    return ["homcheck", "--presentation", "{p}", "--hom", "{h}"], {"p": pres, "h": hom}
+
+
+def _cli(*argv):
+    return list(argv), {}
+
+
+REFUSALS = [
+    # word exponents, the generators line and the monodromy lines
+    ("word-malformed-exponent", _mono("generators: x y\nx -> x^a\ny -> y\n"), 64,
+     "malformed exponent in 'x^a' (line 2)"),
+    ("word-zero-exponent", _mono("generators: x y\nx -> x^0\ny -> y\n"), 64,
+     "zero exponent in 'x^0' (line 2)"),
+    ("no-generators-line", _mono("x -> y\n"), 64,
+     "monodromy file must start with a 'generators:' line (line 1)"),
+    ("empty-monodromy", _mono("# nothing\n"), 64,
+     "monodromy file must start with a 'generators:' line (line 1)"),
+    ("malformed-generator-names", _mono("generators: x 2y\n"), 64,
+     "malformed generator names (line 1)"),
+    ("no-arrow", _mono("generators: x y\nx y\n"), 64,
+     "expected 'generator -> image' line (line 2)"),
+    ("image-of-unknown", _mono("generators: x y\nz -> x\n"), 64,
+     "unknown generator 'z' (line 2)"),
+    ("duplicate-image", _mono("generators: x y\nx -> x\nx -> y\ny -> y\n"), 64,
+     "duplicate image for 'x' (line 3)"),
+    ("missing-image", _mono("generators: x y\nx -> y\n"), 64,
+     "missing image for generator(s): y"),
+    # Seifert matrix files
+    ("empty-seifert", _seifert(""), 64, "empty Seifert matrix file (line 1)"),
+    ("seifert-size-line", _seifert("two\n1 0\n"), 64,
+     "first line must be the matrix size (line 1)"),
+    ("seifert-row", _seifert("2\n-1 x\n0 -1\n"), 64, "malformed integer row (line 2)"),
+    ("seifert-row-length", _seifert("2\n-1 1 0\n0 -1\n"), 64,
+     "expected 2 entries in row (line 2)"),
+    ("seifert-row-count", _seifert("2\n-1 1\n"), 64, "expected 2 rows, got 1"),
+    # Laurent matrix files and polynomial text
+    ("empty-matrix", _report(""), 64, "empty matrix file (line 1)"),
+    ("matrix-shape-line", _report("2\ns 1\n"), 64, "first line must be 'rows cols' (line 1)"),
+    ("matrix-entry-count", _report("1 2\ns\n"), 64, "expected 2 entries, got 1"),
+    ("malformed-term", _report("1 1\ns+*\n"), 64,
+     "malformed polynomial term at '*' (line 2, column 2)"),
+    ("superscript-exponent", _report("1 1\ns^²+1\n"), 64, "malformed exponent (line 2, column 3)"),
+    ("superscript-exponent-poly", _cli("resultant", "--poly", "s^²"), 64, "malformed exponent"),
+    ("superscript-term", _cli("resultant", "--poly", "t+²"), 64,
+     "malformed polynomial term at '²'"),
+    ("numeral-too-long", _report("1 1\ns+" + "7" * 5000 + "\n"), 64,
+     "numeral of 5000 characters is too long (line 2, column 3)"),
+    ("exponent-too-long", _cli("resultant", "--poly", "t^" + "7" * 5000), 64,
+     "numeral of 5000 characters is too long"),
+    # homomorphism targets and files
+    ("malformed-cyclic-target", _alpha("target: Z/x\nx = 1\ny = 1\n"), 64,
+     "malformed cyclic target 'Z/x' (line 1)"),
+    ("unknown-target", _alpha("target: D5\nx = 1\ny = 1\n"), 64,
+     "unknown target group 'D5' (line 1)"),
+    ("no-target-line", _alpha("x = 1\ny = 1\n"), 64,
+     "homomorphism file must start with a 'target:' line (line 1)"),
+    ("zero-cyclic-order", _alpha("target: Z/0\nx = 1\ny = 1\n"), 64,
+     "cyclic order must be >= 1 (line 1)"),
+    ("negative-cyclic-order", _alpha("target: Z/-3\nx = 1\ny = 1\n"), 64,
+     "cyclic order must be >= 1 (line 1)"),
+    ("zero-cyclic-order-inline", _cli(*TREFOIL_ALPHA, "Z/0:x=1,y=1"), 64,
+     "cyclic order must be >= 1"),
+    ("permutation-degree-too-long", _alpha("target: S" + "7" * 5000 + "\nx = ()\ny = ()\n"),
+     64, "permutation degree of 5000 digits is too long (line 1)"),
+    ("no-relator-line", _homcheck("generators: a\na a\n", "target: Z/3\na = 1\n"), 64,
+     "expected 'relator: <word>' line (line 2)"),
+    # cycle notation
+    ("cycle-without-paren", _alpha("target: S3\nx = 1 2\ny = ()\n"), 64,
+     "expected '(' in cycle notation, got '1' (line 2, column 1)"),
+    ("unclosed-cycle", _alpha("target: S3\nx = (1 2\ny = ()\n"), 64,
+     "unclosed cycle (line 2, column 1)"),
+    ("cycle-point-out-of-range", _alpha("target: S3\nx = (1 4)\ny = ()\n"), 64,
+     "cycle point out of range 1..3 (line 2, column 1)"),
+    ("repeated-cycle-point", _alpha("target: S3\nx = (1 2)(2 3)\ny = ()\n"), 64,
+     "repeated point in cycle notation (line 2, column 6)"),
+    ("letter-cycle-point", _alpha("target: S3\nx = (1 a)\ny = ()\n"), 64,
+     "malformed cycle point (line 2, column 1)"),
+    ("slash-cycle-point", _alpha("target: S3\nx = (12/3)\ny = ()\n"), 64,
+     "malformed cycle point (line 2, column 1)"),
+    ("superscript-cycle-point", _alpha("target: S3\nx = (1²)\ny = ()\n"), 64,
+     "malformed cycle point (line 2, column 1)"),
+    # arguments the computations check
+    ("seifert-without-degree", _cli("seifert", "--fixture", "trefoil-seifert"), 64,
+     "give --d and/or --sweep"),
+    ("monodromy-d-0", _cli("monodromy", "--fixture", "trefoil-monodromy", "--d", "0",
+                           "--alpha", "Z/3:x=1,y=1"), 64, "d must be a positive integer"),
+    ("resultant-zero-at-d", _cli("resultant", "--poly", "0", "--d", "3"), 64,
+     "resultant of the zero polynomial is undefined"),
+    ("resultant-d-0", _cli("resultant", "--poly", "t-2", "--d", "0"), 64,
+     "d must be a positive integer"),
+    ("resultant-zero-sweep", _cli("resultant", "--poly", "0"), 64,
+     "resultant of the zero polynomial is undefined"),
+    ("seifert-d-1", _cli("seifert", "--fixture", "trefoil-seifert", "--d", "1"), 64,
+     "branched presentation needs d >= 2"),
+    ("seifert-r-1", _cli("seifert", "--fixture", "trefoil-seifert", "--d", "2", "--r", "1"), 64,
+     "a character onto Z/r needs r >= 2"),
+    # size refusals, whose messages give a number past 4300 digits by its bit length
+    ("resultant-huge-d", _cli("resultant", "--poly", "t-2", "--d", NINES_400), 65,
+     f"the resultant with t^{NINES_400} - 1 is bounded by ||p||_1^{NINES_400}, "
+     f"about {BITS_400} bits, above the cap of 8192 bits"),
+    ("seifert-huge-sweep", _cli("seifert", "--fixture", "trefoil-seifert", "--sweep", NINES_400),
+     65, f"the resultant with t^{NINES_400} - 1 is bounded by ||p||_1^{NINES_400}, "
+         f"about {BITS_400} bits, above the cap of 8192 bits"),
+    ("lift-huge-d", _cli("monodromy", "--fixture", "trefoil-monodromy", "--d", NINES_4299,
+                         "--alpha", "Z/3:x=1,y=1"), 65,
+     f"lifting f^{NINES_4299} needs at least 2^14288 or more units of chain work, "
+     "above the cap of 20000000"),
+    ("lift-huge-cyclic-order", _cli(*TREFOIL_ALPHA, Z_1E4000 + ":x=1,y=1"), 65,
+     "lifting f^2 needs at least 2^26578 or more units of chain work, "
+     "above the cap of 20000000"),
+    ("branched-huge-d", _cli("seifert", "--fixture", "trefoil-seifert", "--d", NINES_4300), 65,
+     f"the {NINES_4300}-fold branched presentation of a 2x2 Seifert matrix has "
+     "2^14285 or more rows, above the cap of 1000"),
+    ("lift-s2000", _alpha("target: S2000\nx = (1 2)\ny = (1 2)\n"), 65,
+     "target order of S2000 exceeds the closure bound 1000000"),
+    ("closure-s10", _homcheck("generators: a\nrelator: a a^-1\n", "target: S10\na = (1 2)\n"),
+     65, "target order of S10 exceeds the closure bound 1000000"),
+    ("closure-a10", _homcheck("generators: a\nrelator: a a^-1\n", "target: A10\na = ()\n"),
+     65, "target order of A10 exceeds the closure bound 1000000"),
+    ("closure-s100000", _homcheck("generators: a\nrelator: a a^-1\n",
+                                  "target: S100000\na = (1 2)\n"),
+     65, "target order of S100000 exceeds the closure bound 1000000"),
+    ("closure-s10000000", _homcheck("generators: a\nrelator: a a^-1\n",
+                                    "target: S10000000\na = (1 2)\n"),
+     65, "target order of S10000000 exceeds the closure bound 1000000"),
+    ("closure-huge-cyclic", _homcheck("generators: a\nrelator: a^3\n",
+                                      "target: Z/1000001\na = 1\n"),
+     65, "target order 1000001 exceeds the closure bound 1000000"),
+    ("exponent-span", _cli("resultant", "--poly", "t^99999999999999999999-1", "--d", "2"), 65,
+     "the polynomial's exponents span 99999999999999999999, above the cap of 100000"),
+    ("exponent-span-in-file", _report("1 1\ns^-50001+s^50000\n"), 65,
+     "the polynomial's exponents span 100001 (line 2), above the cap of 100000"),
+]
+
+
+class TestEveryRefusal:
+    """Each input the command line refuses exits 64 (the input is at fault)
+    or 65 (it is too large), prints nothing, and names its cause in one
+    exact line."""
+
+    @pytest.mark.parametrize("case, code, message", [row[1:] for row in REFUSALS],
+                             ids=[row[0] for row in REFUSALS])
+    def test_refusal(self, capsys, tmp_path, case, code, message):
+        argv, files = case
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text, encoding="utf-8")
+        argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+        prefix = "size limit" if code == 65 else "error"
+        assert run(capsys, *argv) == (code, "", f"twist: {prefix}: {message}\n")
+
+    def test_the_widest_span_parses(self):
+        assert laurent.parse_laurent("s^-50000 + s^50000").degree == 50000
+
+    def test_a_zero_term_does_not_widen_the_span(self):
+        assert laurent.parse_laurent("s^200000 - s^200000 + 1") == laurent.ONE
+
+
+class TestInternalFaults:
+    def test_a_value_error_in_the_program_exits_70(self, capsys, monkeypatch):
+        # a builtin ValueError is a fault in the program, never bad input
+        def broken(matrix):
+            raise ValueError("characteristic polynomial needs a square matrix")
+
+        monkeypatch.setattr(cover, "char_poly", broken)
+        code, out, err = run(capsys, "monodromy", "--fixture", "trefoil-monodromy",
+                             "--d", "2", "--alpha", "Z/3:x=1,y=1")
+        assert (code, out) == (70, "")
+        assert err.startswith("twist: internal error: ValueError: characteristic "
+                              "polynomial needs a square matrix\nTraceback")
+
+
+class TestHomcheckFailures:
+    def test_failed_relators_are_listed(self, capsys, tmp_path):
+        pres = tmp_path / "p.txt"
+        pres.write_text("generators: a b\nrelator: a\nrelator: a b a^-1 b^-1\nrelator: b\n")
+        hom = tmp_path / "h.txt"
+        hom.write_text("target: Z/3\na = 1\nb = 2\n")
+        code, out, _ = run(capsys, "homcheck", "--presentation", str(pres), "--hom", str(hom))
+        assert code == 0
+        assert out == ("relations: 1/3 ok (failed: 1, 3); image order = 3 (surjective)\n")

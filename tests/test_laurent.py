@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistalex import laurent
-from twistalex.errors import ParseError, SizeLimitError
+from twistalex.errors import ParseError, SizeLimitError, number_text
 from twistalex.laurent import (LaurentPoly, S, ZERO, _binpow, canonicalize,
                                cyclotomic_resultants, gcd, is_monic,
                                parse_laurent, resultant_with_cyclotomic,
@@ -734,3 +734,29 @@ class TestBinpow:
             assert p ** n == acc
             acc = acc * p
 
+
+class TestResultantCapInIntegers:
+    def test_the_cap_is_exact_where_a_float_product_rounds(self):
+        # (2^64)^128 is 2^8192, at the cap; (2^64 + 1)^128 is above it,
+        # though 128 * log2(2^64 + 1) rounds to 8192.0 as a double
+        laurent._check_resultant_bound(2**64, 128)
+        with pytest.raises(SizeLimitError, match="about 8192 bits, above the cap of 8192 bits"):
+            laurent._check_resultant_bound(2**64 + 1, 128)
+
+    def test_a_degree_past_the_float_range_is_refused(self):
+        d = 10**400
+        with pytest.raises(SizeLimitError, match=r"^the resultant with t\^1000"):
+            laurent._check_resultant_bound(3, d)
+        with pytest.raises(SizeLimitError, match=r"about 2\^\d+ or more bits"):
+            laurent._check_resultant_bound(2**20000, 10**4299)
+
+    def test_unit_norm_passes_at_any_degree(self):
+        laurent._check_resultant_bound(1, 10**4000)
+
+
+class TestNumberText:
+    def test_decimal_up_to_the_digit_limit(self):
+        assert number_text(12345) == "12345"
+        assert number_text(10**4299) == "1" + "0" * 4299
+        assert number_text(2**20000) == "2^20000 or more"
+        assert number_text(2**20000 - 1) == "2^19999 or more"
