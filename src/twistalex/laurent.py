@@ -429,6 +429,19 @@ def _inverse_pivot(x: int, q: int) -> int:
 # ||p||_1^d, so it refuses the same inputs with the same message.
 MAX_RESULTANT_BITS = 8192
 
+# Cap on the work of a sweep d = 2..dmax (cyclotomic_resultants) for a p^
+# of degree n, charged before any prime is drawn: packs * (n h dmax +
+# dmax h^2), with h = n // 2 for a palindromic p^ and h = n otherwise.  The
+# first term counts the power sums S_1..S_(h dmax), the second Newton's
+# identities.  packs is what B_dmax would need if every prime were just
+# over 2^60; _crt_packs(lc, B_dmax) holds that many packs or one fewer.
+# The sweep of t^2 - 3t + 1 to 3528 charges about 1.2e5, the sweep to 40 of
+# an 8 x 8 Seifert matrix's delta about 2e3.  The sweep of t^400 - t - 1 to
+# 31, just under the cap at 9.9e6, takes about 0.3 s in process on a 2-vCPU
+# x86-64 host with Python 3.11, and the default sweep to 30 of t^2000 - 1
+# (2.4e8) about 6 s.
+MAX_SWEEP_WORK = 10**7
+
 
 def _check_resultant_bound(norm: int, d: int) -> None:
     """Raise SizeLimitError when norm^d > 2^MAX_RESULTANT_BITS, decided in
@@ -488,14 +501,25 @@ def _resultant_bounds(f: list[int]) -> Iterator[int]:
     Each B_d takes one multiplication per term from B_(d-1): the Mahler
     term is rounded up at every step, so it never drops below 2^n M^d.
     B_d never decreases in d, since M >= |lc| >= 1.
+
+    The Mahler term is at least 2^n |lc|^d, so B_d = ||f||_1^d as long as
+    ||f||_1^d <= 2^n |lc|^d; that ratio never decreases in d.  M, whose
+    Graeffe steps take O(n^2) products, is computed only at the first d
+    past that point, and its rounded steps are replayed from d = 1, so
+    every B_d is the same as if M had been taken up front.
     """
-    norm = sum(map(abs, f))
+    norm, lc = sum(map(abs, f)), abs(f[-1])
+    l1, floor, d = norm, lc << (len(f) - 1), 1  # at d: ||f||_1^d, 2^n |lc|^d
+    while l1 <= floor:
+        yield l1
+        l1, floor, d = l1 * norm, floor * lc, d + 1
     m = _mahler_bound(f)
-    l1, mahler = 1, 1 << (len(f) - 1)
-    while True:
-        l1 *= norm
+    mahler = 1 << (len(f) - 1)
+    for k in itertools.count(1):
         mahler = -(-mahler * m >> _MAHLER_FRACTION_BITS)
-        yield min(l1, mahler)
+        if k >= d:
+            yield min(l1, mahler)
+            l1 *= norm
 
 
 def _polymod(a: list[int], f: list[int], p: int) -> list[int]:
@@ -615,16 +639,18 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     step multiplies a weight by a residue, never two residues.  For each d,
     P_i = S_(id) are the scaled power sums of the lambda_i^d, and Newton's
     identities on them give E_k = lc^(kd) e_k(lambda^d); then
-    Res(p^, t^d - 1) = +-sum_k (-1)^k E_k lc^(d(1 - k)).
+    Res(p^, t^d - 1) = +-lc^d sum_k (-1)^k E_k lc^(-dk).
 
     A palindromic p^ (a_k = a_(n-k)), as every knot's Alexander polynomial
     is, has its roots closed under lambda -> 1/lambda, and their product is
-    (-1)^n a_0 / a_n = (-1)^n.  So e_(n-k)(lambda^d) = (-1)^(nd)
-    e_k(lambda^d), that is E_(n-k) = (-1)^(nd) lc^((n - 2k)d) E_k.  Newton's
-    identities then run only to h = floor(n/2), from P_1..P_h, so the power
-    sums only to S_(h dmax), and the other E_k are mirrored.  Odd n is no
-    exception: a palindromic p^ of odd degree has the root -1, and the
-    identity holds with it.  Any other p^ runs to h = n.
+    pi = prod_i lambda_i = (-1)^n a_0 / a_n = (-1)^n.  So e_(n-k)(lambda^d) =
+    pi^d e_k(lambda^d), and term n - k of the sum is (-1)^(n(d+1)) times
+    term k.  Newton's identities then run only to h = floor(n/2), from
+    P_1..P_h, so the power sums only to S_(h dmax), and the sum takes each
+    pair (k, n - k) with 2k < n once, weighted 1 + (-1)^(n(d+1)).  Odd n is
+    no exception: a palindromic p^ of odd degree has the root -1, and at
+    even d its pairs cancel, as R_d = 0 requires.  Any other p^ runs to
+    h = n, each term weighted 1.
 
     The sweep walks the packs of _crt_packs(lc, B_dmax) once, with B_d the
     bound of _resultant_bounds that resultant_with_cyclotomic lifts under.
@@ -637,7 +663,8 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     it exceeds 2 B_d, and |R_d| = min(v_d, M_d - v_d) for its residue
     0 <= v_d < M_d.  ||p||_1^dmax is capped as in resultant_with_cyclotomic,
     with ||p||_1 taken as at least 2: a unit p has bound 1, but a sweep
-    still prints dmax - 1 lines.
+    still prints dmax - 1 lines.  The sweep's work is capped at
+    MAX_SWEEP_WORK before any prime is drawn.
     """
     if dmax < 2:
         return {}
@@ -666,23 +693,24 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
             e = [1]  # E_k = lc^(kd) e_k(lambda^d)
             for k in range(1, half + 1):
                 e.append(sum(map(operator.mul, reversed(e), signed)) * inverses[k - 1] % q)
-            if half < n:  # the mirror: E_k = (-1)^(nd) lc^((2k - n)d) E_(n-k)
-                lc_2d = lc_d * lc_d % q
-                scale = lc_d if n % 2 else lc_2d  # lc^((2k - n)d) at k = half + 1
-                if n * d % 2:
-                    scale = -scale
-                for k in range(half + 1, n + 1):
-                    e.append(scale * e[n - k] % q)
-                    scale = scale * lc_2d % q
-            total = 0  # sum_(k >= 1) (-1)^k E_k lc^(-d(k-1)), by Horner
-            for k in range(n, 0, -1):
-                total = (total * inv_lc_d + (-e[k] if k % 2 else e[k])) % q
-            out.append((total + lc_d) % q)
+            # sum_k (-1)^k E_k lc^(-dk) by Horner, term n - k folded into term k
+            pair = 1 if half == n else 1 + (-1) ** (n * (d + 1))
+            total = 0
+            for k in range(half, -1, -1):
+                term = -e[k] if k % 2 else e[k]
+                total = (total * inv_lc_d + (pair * term if 2 * k < n else term)) % q
+            out.append(lc_d * total % q)
             lc_d = lc_d * lc % q
             inv_lc_d = inv_lc_d * inv_lc % q
         return out
 
     bounds = [0, *itertools.islice(_resultant_bounds(f), dmax)]  # bounds[d] = B_d
+    packs = -(-(2 * bounds[dmax]).bit_length() // (60 * _CRT_PACK))
+    work = packs * (n * half * dmax + dmax * half * half)
+    if work > MAX_SWEEP_WORK:
+        raise SizeLimitError(
+            f"the resultant sweep to d = {dmax} of a polynomial of degree {n} needs "
+            f"{work} units of power-sum and Newton work, above the cap of {MAX_SWEEP_WORK}")
     values = [0] * (dmax + 1)  # values[d] = v_d, lifted over the packs so far
     modulus, dmin, out = 1, 2, {}
     for pack in _crt_packs(lc, bounds[dmax]):

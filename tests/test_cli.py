@@ -1096,6 +1096,15 @@ REFUSALS = [
     ("closure-huge-cyclic", _homcheck("generators: a\nrelator: a^3\n",
                                       "target: Z/1000001\na = 1\n"),
      65, "target order 1000001 exceeds the closure bound 1000000"),
+    ("resultant-sweep-work", _cli("resultant", "--poly", "t^2000-1"), 65,
+     "the resultant sweep to d = 30 of a polynomial of degree 2000 needs 240000000 units "
+     "of power-sum and Newton work, above the cap of 10000000"),
+    ("resultant-sweep-work-8000", _cli("resultant", "--poly", "t^8000-t-1"), 65,
+     "the resultant sweep to d = 30 of a polynomial of degree 8000 needs 3840000000 units "
+     "of power-sum and Newton work, above the cap of 10000000"),
+    ("resultant-sweep-work-over-by-one-d", _cli("resultant", "--poly", "t^400-t-1", "--sweep", "32"),
+     65, "the resultant sweep to d = 32 of a polynomial of degree 400 needs 10240000 units "
+         "of power-sum and Newton work, above the cap of 10000000"),
     ("exponent-span", _cli("resultant", "--poly", "t^99999999999999999999-1", "--d", "2"), 65,
      "the polynomial's exponents span 99999999999999999999, above the cap of 100000"),
     ("exponent-span-in-file", _report("1 1\ns^-50001+s^50000\n"), 65,

@@ -379,6 +379,66 @@ class TestResultantBound:
                 assert resultant_bound(p, 59) * 2**30 < 2 * a**59 * (2**30 + 1)
 
 
+def eager_bounds(f: list[int], dmax: int) -> list[int]:
+    """B_1..B_dmax with the Mahler bound taken up front: the reference that
+    the lazy _resultant_bounds must equal."""
+    norm, m = sum(map(abs, f)), laurent._mahler_bound(f)
+    l1, mahler, out = 1, 1 << (len(f) - 1), []
+    for _ in range(dmax):
+        l1 *= norm
+        mahler = -(-mahler * m >> laurent._MAHLER_FRACTION_BITS)
+        out.append(min(l1, mahler))
+    return out
+
+
+class TestLazyMahlerBound:
+    """_resultant_bounds computes the Mahler bound only at the first d where
+    ||f||_1^d passes 2^n |lc|^d, and every B_d is the eager one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=16),
+           st.sampled_from((1, -1, 2, 7, 2**40)))
+    @example([-1, -1] + [0] * 8 + [1], 1)  # t^10 - t - 1: ||f||_1 wins to d = 10
+    @example([1, -3, 1], 1)
+    def test_against_the_eager_bounds(self, coeffs, lc):
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = (coeffs[-1] or 1) * lc
+        lazy = list(itertools.islice(laurent._resultant_bounds(coeffs), 80))
+        assert lazy == eager_bounds(coeffs, 80)
+
+    def test_the_winner_changes_along_d(self):
+        rng = random.Random(181)
+        both = 0
+        for _ in range(60):
+            n = rng.randint(4, 24)
+            f = [rng.choice((-1, 1))] + [rng.randint(-1, 1) for _ in range(n - 1)] + [1]
+            lazy = list(itertools.islice(laurent._resultant_bounds(f), 120))
+            assert lazy == eager_bounds(f, 120)
+            norm = sum(map(abs, f))
+            wins = [bound == norm ** d for d, bound in enumerate(lazy, 1)]
+            both += wins[0] and not wins[-1]
+        assert both >= 20  # ||f||_1 wins at d = 1 and Mahler at d = 120
+
+    def test_no_mahler_bound_while_the_norm_wins(self, monkeypatch):
+        calls = []
+        mahler_bound = laurent._mahler_bound
+
+        def counting(f):
+            calls.append(len(f))
+            return mahler_bound(f)
+
+        monkeypatch.setattr(laurent, "_mahler_bound", counting)
+        p = P("t^10000 - t - 1")
+        assert resultant_with_cyclotomic(p, 2) == 1
+        assert calls == []
+        # t^10 - t - 1: 3^6 <= 2^10 < 3^7, so the bound is taken at d = 7
+        bounds = laurent._resultant_bounds([-1, -1] + [0] * 8 + [1])
+        assert list(itertools.islice(bounds, 6)) == [3**d for d in range(1, 7)]
+        assert calls == []
+        next(bounds)
+        assert calls == [11]
+
+
 def per_degree(p: LaurentPoly, dmax: int) -> dict[int, int]:
     """The sweep as one resultant_with_cyclotomic call per d: the oracle of
     cyclotomic_resultants."""
@@ -502,8 +562,9 @@ def palindromic(rng: random.Random, n: int, bits: int) -> list[int]:
 
 
 class TestPalindromicSweep:
-    """A palindromic p^ runs Newton's identities to E_(n // 2) and mirrors
-    the rest: E_(n-k) = (-1)^(nd) lc^((n - 2k)d) E_k."""
+    """A palindromic p^ runs Newton's identities to E_(n // 2) and folds the
+    rest into the sum: e_(n-k)(lambda^d) = pi^d e_k(lambda^d) with
+    pi = (-1)^n, so term n - k is (-1)^(n(d+1)) times term k."""
 
     def test_against_single_d_and_sylvester(self):
         rng = random.Random(139)
@@ -594,7 +655,8 @@ class TestSweepAcrossPacks:
 
 class TestResultantCap:
     """The CRT bound ||p||_1^d is capped at MAX_RESULTANT_BITS bits, for one
-    d and for a sweep (at dmax), before any prime is drawn."""
+    d and for a sweep (at dmax), and a sweep's work at MAX_SWEEP_WORK,
+    before any prime is drawn."""
 
     @pytest.fixture
     def no_primes(self, monkeypatch):
@@ -641,6 +703,28 @@ class TestResultantCap:
                 assert str(info.value) == (
                     f"the resultant with t^{dmax} - 1 is bounded by ||p||_1^{dmax}, about "
                     f"{dmax} bits, above the cap of {cap} bits")
+
+    def test_sweep_work_over_the_cap_draws_no_prime(self, no_primes):
+        # packs * (n h dmax + dmax h^2), h = n for these non-palindromic p^
+        cap = laurent.MAX_SWEEP_WORK
+        for text, dmax, work in (("t^2000 - 1", 30, 240_000_000),
+                                 ("t^8000 - t - 1", 30, 3_840_000_000),
+                                 ("t^400 - t - 1", 32, 10_240_000)):
+            with pytest.raises(SizeLimitError) as info:
+                cyclotomic_resultants(P(text), dmax)
+            degree = P(text).degree
+            assert str(info.value) == (
+                f"the resultant sweep to d = {dmax} of a polynomial of degree {degree} needs "
+                f"{work} units of power-sum and Newton work, above the cap of {cap}")
+
+    def test_sweep_work_just_under_the_cap(self):
+        # t^400 - t - 1 to 31 charges 9,920,000 over one pack
+        p = P("t^400 - t - 1")
+        assert 400 * 400 * 31 * 2 <= laurent.MAX_SWEEP_WORK < 400 * 400 * 32 * 2
+        sweep = cyclotomic_resultants(p, 31)
+        assert list(sweep) == list(range(2, 32))
+        for d in (2, 30, 31):
+            assert sweep[d] == resultant_with_cyclotomic(p, d)
 
     def test_units_have_no_cap(self, no_primes):
         for c in (1, -1):
