@@ -243,14 +243,16 @@ def _assemble(cover: CoverGraph, back, chains) -> IntMatrix:
 
 def _closes(cover: CoverGraph, back, chains) -> bool:
     """The certificate that every image of a basis cycle closes up, in
-    O(n^2 |G|) steps:
+    O(n^2 |G|) steps, over heads[l*|G| + w], the head of edge (w, l), in
+    the layout of the chains and the table's rows:
 
     (a) each pushed chain c_i has boundary [a_i] - [1], a_i the vertex of
-        alpha(x_i), read through the edge tails (inflow minus outflow at
-        every vertex, summed over the n blocks);
+        alpha(x_i), read in one pass over its entries: +x at the head and
+        -x at the tail w of each edge (w, l);
     (b) each generator's row of the table is the left translation by
-        a^-1: in block 0 it sends a to the identity and commutes with
-        every edge_target step, and every other block repeats block 0;
+        a^-1: its block 0 sends a to the identity, every other block
+        repeats block 0, and the row commutes with every edge,
+        block[heads[k]] = heads[row[k]];
     (c) every edge (v, g), tree or basis, ends where the table says:
         edge_target[v][g] = back[back[v][0]][a_g].
 
@@ -260,32 +262,26 @@ def _closes(cover: CoverGraph, back, chains) -> bool:
     zero.  The composition and the column sums do not branch on the input
     and are not re-checked here; (c) reads the composed rows at the
     entries that name an edge's head."""
-    order, size = cover.group_order, len(back[0])
+    order = cover.group_order
     gens = cover.edge_target[0]
-    add, sub = operator.add, operator.sub
-    steps = list(zip(*cover.edge_target))  # steps[l][v]: the head of edge (v, l)
-    # tails[l][y]: the tail of the edge (., l) into y, each step being a permutation
-    tails = [sorted(range(order), key=step.__getitem__) for step in steps]
+    heads = [row[l] for l in range(cover.rank) for row in cover.edge_target]
     for a, chain in zip(gens, chains):
-        net = [0] * order  # inflow minus outflow, summed over the n blocks
-        for k, tail in zip(range(0, size, order), tails):
-            block = chain[k:k + order]
-            net = list(map(add, net, map(sub, map(block.__getitem__, tail), block)))
+        net = [0] * order  # inflow minus outflow at every vertex
+        for k, x in enumerate(chain):
+            net[heads[k]] += x
+            net[k % order] -= x
         net[a] -= 1
         net[0] += 1
         if any(net):
             return False
     for a in set(gens):
-        block = back[a][:order]
-        if block[a] != 0 or any(back[a][k:k + order] != list(map(k.__add__, block))
-                                for k in range(order, size, order)):
+        row = back[a]
+        block = row[:order]
+        if (block[a] != 0
+                or row != [k + w for k in range(0, len(row), order) for w in block]
+                or list(map(block.__getitem__, heads)) != list(map(heads.__getitem__, row))):
             return False
-        if any(list(map(block.__getitem__, step)) != list(map(step.__getitem__, block))
-               for step in steps):
-            return False
-    inverses = [row[0] for row in back]
-    return all(tuple(map(operator.itemgetter(a), map(back.__getitem__, inverses))) == step
-               for a, step in zip(gens, steps))
+    return heads == [back[back[v][0]][a_g] for a_g in gens for v in range(order)]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -159,9 +159,13 @@ def parse_lambda_matrix(text: str) -> LambdaMatrix:
 def _parse_target(text: str, lineno: int | None = None):
     text = text.strip()
     if text.startswith("Z/"):
+        digits = text[2:]
         try:
-            r = int(text[2:])
+            r = int(digits)
         except ValueError:
+            if digits.isdecimal():  # more digits than int() converts
+                raise ParseError(f"cyclic order of {len(digits)} digits is too long",
+                                 lineno) from None
             raise ParseError(f"malformed cyclic target {text!r}", lineno) from None
         if r < 1:
             raise ParseError("cyclic order must be >= 1", lineno)

@@ -484,6 +484,14 @@ class TestResultantCommand:
         code, out, err = run(capsys, "seifert", "--file", str(path), "--sweep", "8193")
         assert (code, out) == (65, "") and "cap of 8192 bits" in err
 
+    def test_a_leading_minus_needs_the_equals_form(self, capsys):
+        # argparse reads "-t+1" as an option, so --poly takes it as --poly=-t+1
+        code, out, err = run(capsys, "resultant", "--poly", "-t+1", "--sweep", "4")
+        assert (code, out) == (64, "")
+        assert err.endswith("twist resultant: error: argument --poly: expected one argument\n")
+        code, out, _ = run(capsys, "resultant", "--poly=-t+1", "--sweep", "4")
+        assert (code, out) == (0, "polynomial = -t + 1\nR_2 = 0\nR_3 = 0\nR_4 = 0\n")
+
     def test_largest_admitted_degree_prints(self, capsys):
         code, raw, _ = run(capsys, "resultant", "--poly", "t^2-3t+1", "--d", "3528", "--json")
         assert code == 0
@@ -1032,6 +1040,10 @@ REFUSALS = [
      "cyclic order must be >= 1"),
     ("permutation-degree-too-long", _alpha("target: S" + "7" * 5000 + "\nx = ()\ny = ()\n"),
      64, "permutation degree of 5000 digits is too long (line 1)"),
+    ("cyclic-order-too-long", _alpha("target: Z/1" + "0" * 5000 + "\nx = 1\ny = 1\n"), 64,
+     "cyclic order of 5001 digits is too long (line 1)"),
+    ("cyclic-order-too-long-inline", _cli(*TREFOIL_ALPHA, "Z/1" + "0" * 5000 + ":x=1,y=1"), 64,
+     "cyclic order of 5001 digits is too long"),
     ("no-relator-line", _homcheck("generators: a\na a\n", "target: Z/3\na = 1\n"), 64,
      "expected 'relator: <word>' line (line 2)"),
     # cycle notation

@@ -23,7 +23,9 @@ from twistalex.laurent import canonicalize, is_monic, parse_laurent
 from bareiss_oracle import si_minus
 from chain_oracle import chain_map_lift
 from table_mutations import (every_row_translating_the_other_way,
-                             generator_row_off_in_its_last_block, last_row_is_the_one_before)
+                             generator_row_block_one_reads_block_zero,
+                             generator_row_off_in_block_one, generator_row_off_in_its_last_block,
+                             generator_row_with_two_vertices_swapped, last_row_is_the_one_before)
 from word_oracle import (apply, compatible, identity, inverse, power, product,
                          random_automorphism)
 
@@ -520,9 +522,14 @@ class TestLiftChecks:
         assert len(pushed) == n
 
     @pytest.mark.parametrize("corruption", [generator_row_off_in_its_last_block,
+                                            generator_row_off_in_block_one,
+                                            generator_row_block_one_reads_block_zero,
+                                            generator_row_with_two_vertices_swapped,
                                             last_row_is_the_one_before,
                                             every_row_translating_the_other_way],
-                             ids=["generator-row", "basis-head", "other-way"])
+                             ids=["generator-row", "block1-off-by-one",
+                                  "block1-from-block0", "two-swapped", "basis-head",
+                                  "other-way"])
     @pytest.mark.parametrize("alpha", [
         FiniteHom(2, cyclic(7), [3, 5]),
         FiniteHom(2, A5, [perm_from_cycle_text("(12345)", 5), perm_from_cycle_text("(123)", 5)]),
