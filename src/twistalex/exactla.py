@@ -3,14 +3,16 @@
 Over Z: Smith normal form (with the left transform's row operations modulo
 r on request), cokernel invariants and characters onto cyclic groups.  A
 modular characteristic polynomial det(sI - H) gives the maximal-minor gcd
-of a Laurent matrix of the shape sI - H.  Over Z[s, s^-1], a modular
-evaluation kernel gives every maximal minor of a Laurent matrix at once.
-Every other maximal-minor gcd, square or wide, comes from that kernel
-after the unit entries +-s^k have been pivoted away, and so does the rank
-over the field of fractions, plus one per pivot.  The kernel's
-Gauss-Jordan step modulo a pack of CRT primes, lifted by the Chinese
-remainder theorem, also gives det A exactly (IntMatrix.det) and, for
-det A = +-1, the solution of A X = B over Z.
+of a Laurent matrix of the shape sI - H.  Over Z[s, s^-1], a kernel gives
+every maximal minor of a Laurent matrix at once by Kronecker substitution:
+it evaluates the matrix at one node s = 2^b, takes the minors' values
+there modulo packs of CRT primes, lifts them, and reads each minor off
+its value's balanced base-2^b digits.  Every other maximal-minor gcd,
+square or wide, comes from that kernel after the unit entries +-s^k have
+been pivoted away, and so does the rank over the field of fractions, plus
+one per pivot.  The kernel's Gauss-Jordan step modulo a pack of CRT
+primes, lifted by the Chinese remainder theorem, also gives det A exactly
+(IntMatrix.det) and, for det A = +-1, the solution of A X = B over Z.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable
 
 from . import laurent
 from .errors import MinorLimitError, SizeLimitError
@@ -426,8 +427,9 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     after the unit pivots.  An input of the shape sI - Y (s minus an
     integer on the diagonal, integers elsewhere) is char_poly(Y); any
     other loses its unit pivots (_unit_reduced), and the rest come from
-    one evaluation kernel, handed the window that _unit_reduced names for
-    the reduced matrix's minors.  laurent.gcd leaves the gcd canonical.
+    one kernel (_maximal_minors), handed the window that _unit_reduced
+    names for the reduced matrix's minors.  laurent.gcd leaves the gcd
+    canonical.
     """
     n, m = p.rows, p.cols
     if n > m:
@@ -529,7 +531,7 @@ def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
     return LaurentPoly(start, out)
 
 
-# -- maximal minors and rank by evaluation ------------------------------------
+# -- maximal minors and rank at one node ---------------------------------------
 #
 # All C(m, n) maximal minors of an n x m Laurent matrix A at once.  Row i
 # times s^-low_i has polynomial entries of degree <= span_i, so every
@@ -541,51 +543,45 @@ def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
 # well: _unit_reduced returns the input's, shifted by -K, with the matrix it
 # reduces, whose minors are +-s^-K times the input's however far fill-in
 # has widened the rows.  The kernel works on the intersection of the
-# windows, s^low..s^(low + D), and the smaller bound.  Modulo each pack q
-# of CRT primes (laurent._crt_residues), A is evaluated at the nodes
-# s = 1..D + 1 and reduced once per node to reduced row-echelon form
-# E = L A; a pivot that is no unit modulo q sends the pack back one prime
-# at a time.  Every node and every k <= D + 1 that the interpolation
-# divides by is below each 61-bit prime, so a unit.
-# With pivot columns P and d = det A[:, P] = det L^-1, the minor on columns
-# C is d * det E[:, C].  The columns of C in P are unit vectors, so moving
-# the rows T whose pivot is not in C to the bottom and the columns C \ P to
-# the right leaves +-det E[T, C \ P]: over all C, exactly the square minors
-# of E's non-pivot columns.  The nodes are grouped by their pivot columns,
-# and one Laplace pass per group builds those square minors with each entry
-# a list of its values over the group's nodes; a node with fewer than n
-# pivots keeps every minor at zero.  These are the minors of the
-# row-shifted matrix, s^-S times A's; at node c, times c^(S - low), they
-# are the values of s^-low times A's minors, polynomials of degree <= D.
-# S - low is negative whenever the second window cuts the first from below,
-# so node 0 cannot serve.  The kernel returns these values, and the minors
-# are keyed by their values over every modulus, a fallen-back pack's primes
-# included.  The key fixes the minor: D + 1 values fix a polynomial of
-# degree <= D modulo each modulus, and the product of the moduli exceeds
-# twice the bound.  A key that vanishes modulo every modulus is the zero
-# minor; one modulus would not do, as two minors may agree modulo one pack
-# and differ.  Newton's divided differences on the nodes 1..D + 1
-# interpolate each distinct nonzero minor once per modulus from its D + 1
-# values in O(D^2), and so does evaluating A at every node.  With more
-# distinct minors than nodes, each is instead one product with the inverse
-# Vandermonde matrix, built in O(D^3) once per (D + 1, q) and kept across
-# calls; it is never larger than the values it multiplies.  Each distinct
-# minor is lifted once and built once, and its repeats share it.  A square
-# matrix has one maximal minor, its determinant, and the 0 x 0 one has the
-# minor 1; a single row is its own list of minors.  The gcd is taken once
-# per distinct nonzero minor.
+# windows, s^low..s^(low + D), and the smaller bound.
+#
+# Kronecker substitution reads every minor off its value at one integer
+# node, s = X = 2^b with b = bound.bit_length() + 1, so X > 2 * bound.  The
+# row-shifted matrix is evaluated there once, exactly, and reduced modulo
+# each pack q of CRT primes (laurent._crt_residues) to reduced row-echelon
+# form E = L A; a pivot that is no unit modulo q sends the pack back one
+# prime at a time.  With pivot columns P and d = det A[:, P] = det L^-1, the
+# minor on columns C is d * det E[:, C].  The columns of C in P are unit
+# vectors, so moving the rows T whose pivot is not in C to the bottom and
+# the columns C \ P to the right leaves +-det E[T, C \ P]: over all C,
+# exactly the square minors of E's non-pivot columns, built by one Laplace
+# pass.  Fewer than n pivots mean that every minor vanishes at X modulo q.
+# These are the minors of the row-shifted matrix, s^-S times A's, at X;
+# times X^(S - low), a unit modulo the odd q even when the second window
+# cuts the first from below and S - low < 0, they are M(X) for M = s^-low
+# times a minor, a polynomial of degree <= D whose coefficients lie within
+# the bound.  So |M(X)| <= bound * (X^(D + 1) - 1) / (X - 1), and the
+# moduli lift M(X) exactly.  Its balanced base-X digits, each in
+# (-X/2, X/2), are M's coefficients: M(X) mod X fixes the lowest one, as
+# no two numbers under X/2 in absolute value agree modulo X, and so on up.
+# So M = 0 exactly when M(X) = 0, and equal minors have equal values: the
+# minors are keyed by M(X), and each distinct nonzero one is decoded once
+# and shared by its repeats.  A square matrix has one maximal minor, its
+# determinant, and the 0 x 0 one has the minor 1; a single row is its own
+# list of minors.  The gcd is taken once per distinct nonzero minor.
 #
 # The rank over the field of fractions is one per unit pivot +-s^k
 # (_unit_reduced) plus the rank of the matrix A the pivots leave: the
-# largest rank of A, zero rows dropped, at s = 1..D + 1 modulo the packs
-# of CRT primes until their product exceeds twice the bound.  No
+# largest rank of A, zero rows dropped, at the same node X modulo the packs
+# of CRT primes until their product exceeds twice the value bound.  No
 # evaluation raises the rank, and while every pivot of the elimination is
 # a unit modulo a pack, the rank there is that modulo each of its primes.
-# If A has rank r, some r x r minor is nonzero; as a Schur complement's
+# If A has rank r, some r x r minor N is nonzero; as a Schur complement's
 # minor it is a monomial times a minor of the input, so the D + 1 and bound
-# of the window that _unit_reduced returns hold for it as well as A's.  One
-# of its coefficients survives one of those primes, and it is nonzero at one
-# node (the monomial vanishes at s = 0).
+# of the window that _unit_reduced returns hold for it as well as A's.
+# Then N = s^j M with M(0) != 0, and M(X) != 0: its lowest coefficient is
+# below X/2, so not 0 modulo X.  |M(X)| is within the value bound, so some
+# prime does not divide it, and X^j is a unit modulo every prime.
 
 def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
     """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
@@ -631,37 +627,32 @@ def _rref_mod(a: list[list[int]], q: int) -> tuple[list[int], int]:
     return pivots, det
 
 
-def _evaluate_mod(polys: list[list[tuple]], c: int, q: int) -> list[list[int]]:
-    """The polynomial matrix at s = c mod q."""
-    powers = [1] * max((len(e) for row in polys for e in row), default=0)
-    for k in range(1, len(powers)):
-        powers[k] = powers[k - 1] * c % q
-    return [[sum(map(operator.mul, e, powers)) % q for e in row] for row in polys]
+def _at_node(polys: list[list[tuple]], b: int) -> list[list[int]]:
+    """The polynomial matrix at s = 2^b, exactly."""
+    return [[sum(c << (b * k) for k, c in enumerate(e) if c) for e in row] for row in polys]
 
 
-def _interpolate_mod(values, q: int) -> list[int]:
-    """Ascending coefficients mod q, each prime factor of q > len(values),
-    of the polynomial of degree < len(values) with values[k] at s = k + 1, in
-    O(len(values)^2): its Newton form on the nodes 1, 2, ... (forward
-    differences at 1 over k!)."""
-    newton, inv = [], 1
-    for k in range(len(values)):
-        if k:
-            inv = inv * pow(k, -1, q) % q
-        newton.append(values[0] * inv % q)
-        values = [(b - a) % q for a, b in zip(values, values[1:])]
-    poly: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):  # poly = poly * (s - (k + 1)) + newton[k]
-        poly = [(a - (k + 1) * b) % q for a, b in zip([0] + poly, poly + [0])]
-        poly[0] = (poly[0] + newton[k]) % q
-    return poly
+def _ones(b: int, points: int) -> int:
+    """(X^points - 1) / (X - 1) for X = 2^b: ``points`` base-X digits 1.
+    Times the bound, it bounds |M(X)| for every M of degree < points with
+    coefficients within the bound."""
+    return ((1 << (b * points)) - 1) // ((1 << b) - 1)
+
+
+def _digits(v: int, b: int, points: int) -> list[int]:
+    """The ``points`` balanced base-2^b digits of v, ascending, each in
+    (-2^(b-1), 2^(b-1)).  Adding 2^(b-1) to every digit makes them the
+    plain binary digits of one nonnegative number, read off its bit string."""
+    half = 1 << (b - 1)
+    bits = format(v + _ones(b, points) * half, f"0{b * points}b")
+    return [int(bits[i - b:i], 2) - half for i in range(len(bits), 0, -b)]
 
 
 def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
                     ) -> list[LaurentPoly]:
     """The n x n minors of an n x m matrix with n <= m, exactly, in the
     order of itertools.combinations(range(m), n); equal minors are one
-    shared LaurentPoly, each interpolated and lifted once.
+    shared LaurentPoly, each decoded once.
 
     ``window`` = (low, D + 1, bound), if given, must hold for every minor
     as well: its exponents lie in low..low + D and its coefficients within
@@ -680,65 +671,45 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
         bound = min(bound, other_bound)
     if not bound or points <= 0:  # a zero row, or windows that do not meet
         return [laurent.ZERO] * count
+    b = bound.bit_length() + 1
+    at_x = _at_node(polys, b)
 
-    def kernel(q):
-        groups: dict[tuple[int, ...], list] = {}  # pivot columns -> (node, scale, E)
-        for c in range(1, points + 1):
-            e = _evaluate_mod(polys, c, q)
-            pivots, d = _rref_mod(e, q)
-            if len(pivots) == n:  # else every minor vanishes at c
-                groups.setdefault(tuple(pivots), []).append(
-                    (c - 1, d * pow(c, shift - low, q) % q, e))
-        minors = [[0] * points for _ in range(count)]  # s^-low times each minor, at every node
-        for key, nodes in groups.items():
-            at, scale, eliminated = zip(*nodes)
-            free = [j for j in range(m) if j not in key]
-            small = _square_minors([[[e[i][j] for e in eliminated] for j in free]
-                                    for i in range(n)], q)
-            for minor, (sign, t, k) in zip(minors, _minor_plan(key, m)):
-                for c, v in zip(at, map(operator.mul, scale, small[t, k])):
-                    minor[c] = sign * v % q
-        return [tuple(minor) for minor in minors]
+    def kernel(q):  # M(X) mod q for every minor
+        e = [[v % q for v in row] for row in at_x]
+        pivots, d = _rref_mod(e, q)
+        if len(pivots) < n:
+            return [0] * count
+        d = d * pow(2, b * (shift - low), q) % q
+        free = [j for j in range(m) if j not in pivots]
+        small = _square_minors([[row[j] for j in free] for row in e], q)
+        return [sign * d * small[t, k] for sign, t, k in _minor_plan(tuple(pivots), m)]
 
-    residues = list(_crt_residues(bound, kernel))
-    # a minor's key is its values over every modulus, which fix it exactly
-    keys = list(zip(*(values for _, values in residues)))
-    distinct = dict.fromkeys(keys)
-    distinct.pop(((0,) * points,) * len(residues), None)  # the zero minor
-
-    def interpolated(at, q):  # the distinct minors' coefficients modulo the at-th modulus
-        if len(distinct) <= points:
-            return [v for key in distinct for v in _interpolate_mod(key[at], q)]
-        w = _vandermonde_inverse(points, q)
-        return [sum(map(operator.mul, r, key[at])) % q for key in distinct for r in w]
-
-    flat = _crt_lift((q, interpolated(at, q)) for at, (q, _) in enumerate(residues))
-    for i, key in enumerate(distinct):
-        distinct[key] = LaurentPoly(low, flat[i * points:(i + 1) * points])
-    return [distinct.get(key, laurent.ZERO) for key in keys]
+    values = _crt_lift(_crt_residues(bound * _ones(b, points), kernel))
+    distinct = dict.fromkeys(values)
+    distinct.pop(0, None)  # the zero minor
+    for v in distinct:
+        distinct[v] = LaurentPoly(low, _digits(v, b, points))
+    return [distinct.get(v, laurent.ZERO) for v in values]
 
 
 def rank_over_fractions(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]: one per unit
-    pivot (_unit_reduced) plus, by evaluation, the rank of what they leave,
-    on the fewer nodes and the smaller bound of its own and of the window
+    pivot (_unit_reduced) plus the rank of what they leave at s = 2^b, on
+    the fewer points and the smaller bound of its own and of the window
     _unit_reduced returns; it returns as soon as that rank is full."""
     reduced, (_, input_points, input_bound) = _unit_reduced(p)
     rows = [row for row in reduced.to_rows() if any(row)]
     full = min(len(rows), reduced.cols)
     _, polys, bound, points = _normalised(rows)
     bound, points = min(bound, input_bound), min(points, input_points)
+    b = bound.bit_length() + 1
+    at_x = _at_node(polys, b)
 
     def kernel(q):
-        rank = 0
-        for c in range(1, points + 1):
-            rank = max(rank, len(_rref_mod(_evaluate_mod(polys, c, q), q)[0]))
-            if rank == full:
-                break
-        return [rank]
+        return [len(_rref_mod([[v % q for v in row] for row in at_x], q)[0])]
 
     rank = 0
-    for _, (at_q,) in _crt_residues(bound, kernel):
+    for _, (at_q,) in _crt_residues(bound * _ones(b, points), kernel):
         rank = max(rank, at_q)
         if rank == full:
             break
@@ -771,31 +742,20 @@ def _to_end_parity(positions, size: int) -> int:
     return sum(size - t + i - at for i, at in enumerate(positions)) & 1
 
 
-@functools.lru_cache(maxsize=32)
-def _vandermonde_inverse(points: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The inverse Vandermonde matrix on the nodes s = 1..points mod q, by
-    rows: row k times a polynomial's values there is its coefficient of
-    s^k.  Its columns are the unit vectors interpolated.  Kept across
-    calls: every matrix of one window and bound asks for the same one."""
-    return tuple(zip(*(_interpolate_mod([int(c == k) for c in range(points)], q)
-                       for k in range(points))))
-
-
-def _square_minors(f: list[list[list[int]]], q: int) -> dict[tuple[tuple, tuple], Iterable[int]]:
+def _square_minors(f: list[list[int]], q: int) -> dict[tuple[tuple, tuple], int]:
     """Every square minor of F mod q, keyed by (rows, columns), each by
-    Laplace expansion along its first row over the minors one size down.
-    Each entry of F is a list of its values at a group of nodes, and each
-    minor is a list of its values there; the 0 x 0 minor is an endless
-    run of ones."""
+    Laplace expansion along its first row over the minors one size down;
+    the 0 x 0 minor is 1."""
     n, w = len(f), len(f[0]) if f else 0
-    minors = {((), ()): itertools.repeat(1)}
+    minors = {((), ()): 1}
     minors.update((((i,), (j,)), e) for i, row in enumerate(f) for j, e in enumerate(row))
-    negated = [[[-v for v in e] for e in row] for row in f]
     for t in range(2, min(n, w) + 1):
         for rs in itertools.combinations(range(n), t):
-            top, minus, rest = f[rs[0]], negated[rs[0]], rs[1:]
+            top, rest = f[rs[0]], rs[1:]
             for cs in itertools.combinations(range(w), t):
-                terms = [map(operator.mul, minus[j] if k & 1 else top[j],
-                             minors[rest, cs[:k] + cs[k + 1:]]) for k, j in enumerate(cs)]
-                minors[rs, cs] = [sum(v) % q for v in zip(*terms)]
+                total = 0
+                for k, j in enumerate(cs):
+                    x = top[j] * minors[rest, cs[:k] + cs[k + 1:]]
+                    total += -x if k & 1 else x
+                minors[rs, cs] = total % q
     return minors

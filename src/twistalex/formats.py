@@ -28,6 +28,11 @@ def _nonblank_lines(text: str):
             yield lineno, line
 
 
+def _shown(text: str) -> str:
+    """``text`` as an error message quotes it: cut to 40 characters."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def parse_word(text: str, names: dict[str, int], line: int | None = None) -> Word:
     """A word as whitespace-separated letters ``name``, ``name^-1``, ``name^k``."""
     letters = []
@@ -48,9 +53,7 @@ def parse_word(text: str, names: dict[str, int], line: int | None = None) -> Wor
     try:
         return Word(letters)
     except WordLengthError:
-        shown = " ".join(text.split())
-        if len(shown) > 40:
-            shown = shown[:37] + "..."
+        shown = _shown(" ".join(text.split()))
         where = "" if line is None else f" (line {line})"
         raise WordLengthError(f"the input word {shown!r}{where} has more than "
                               f"{MAX_WORD_LETTERS} letters") from None
@@ -166,13 +169,13 @@ def _parse_target(text: str, lineno: int | None = None):
             if digits.isdecimal():  # more digits than int() converts
                 raise ParseError(f"cyclic order of {len(digits)} digits is too long",
                                  lineno) from None
-            raise ParseError(f"malformed cyclic target {text!r}", lineno) from None
+            raise ParseError(f"malformed cyclic target {_shown(text)!r}", lineno) from None
         if r < 1:
             raise ParseError("cyclic order must be >= 1", lineno)
         return cyclic(r)
     m = re.match(r"([AS])(\d+)$", text)
     if not m:
-        raise ParseError(f"unknown target group {text!r}", lineno)
+        raise ParseError(f"unknown target group {_shown(text)!r}", lineno)
     try:
         degree = int(m.group(2))
     except ValueError:  # more digits than int() converts

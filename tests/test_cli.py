@@ -544,8 +544,8 @@ class TestReportCommand:
         assert code == 0 and "verdict = consistent-with-fibred" in out
 
     def test_high_degree_square_presentations(self, capsys, tmp_path):
-        # a single row is its own minor; a 2 x 2 one is interpolated on
-        # D + 1 = 601 nodes
+        # a single row is its own minor; the 2 x 2 loses its unit 1 and
+        # leaves a 1 x 1 one
         for text, delta in (("1 1\ns^2000-1\n", "s^2000 - 1"),
                             ("2 2\ns^300-1 s\n1 s^300+1\n", "s^600 - s - 1")):
             path = tmp_path / "m.txt"
@@ -1030,6 +1030,10 @@ REFUSALS = [
      "malformed cyclic target 'Z/x' (line 1)"),
     ("unknown-target", _alpha("target: D5\nx = 1\ny = 1\n"), 64,
      "unknown target group 'D5' (line 1)"),
+    ("malformed-cyclic-target-too-long", _alpha("target: Z/1" + "0" * 5000 + "x\nx = 1\ny = 1\n"),
+     64, "malformed cyclic target 'Z/1" + "0" * 34 + "...' (line 1)"),
+    ("unknown-target-too-long", _alpha("target: D" + "0" * 5000 + "\nx = 1\ny = 1\n"), 64,
+     "unknown target group 'D" + "0" * 36 + "...' (line 1)"),
     ("no-target-line", _alpha("x = 1\ny = 1\n"), 64,
      "homomorphism file must start with a 'target:' line (line 1)"),
     ("zero-cyclic-order", _alpha("target: Z/0\nx = 1\ny = 1\n"), 64,

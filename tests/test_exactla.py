@@ -972,8 +972,8 @@ def count_passes_and_laplace(monkeypatch) -> dict[str, int]:
 
 
 def vanishing_entry(rng) -> LaurentPoly:
-    """A small entry, often one that vanishes at the first nodes s = 1, 2
-    (s - 1, s^2 - 3s + 2, 2s - 4), times a small factor."""
+    """A small entry, often one that vanishes at s = 1 or 2 (s - 1,
+    s^2 - 3s + 2, 2s - 4), times a small factor."""
     kind = rng.random()
     if kind < 0.15:
         return ZERO
@@ -984,35 +984,79 @@ def vanishing_entry(rng) -> LaurentPoly:
 
 
 class TestNodeGroups:
-    """The kernel's nodes grouped by pivot columns, one Laplace pass per
-    group, and the inverse Vandermonde kept across calls."""
+    """The kernel at its one node s = 2^b: one elimination and one Laplace
+    pass per CRT modulus, minors at the edge of the bound, and a window
+    that cuts the rows' own from below."""
 
     # no entry is a unit, so the rows reach the kernel as they are
     GENERIC = [[P("2s + 3"), P("3s - 2"), P("2"), P("s + 3")],
                [P("3s + 2"), P("2s^2 + 3"), P("3s"), P("2s - 5")]]
 
-    def test_one_laplace_pass_per_pivot_pattern(self, monkeypatch):
+    def test_one_elimination_and_laplace_pass_per_modulus(self, monkeypatch, crt_moduli):
+        # the first column vanishes at s = 1 in the second matrix, and the
+        # third needs more than one pack
         seen = count_passes_and_laplace(monkeypatch)
-        m = LambdaMatrix.from_rows(self.GENERIC)
-        assert maximal_minor_gcd(m) == enumerated_gcd(m)
-        assert seen["laplace"] == seen["passes"] >= 1
-        # at s = 1 the first column vanishes, so that node pivots elsewhere
-        rows = [[P("s - 1")] + self.GENERIC[0][1:], [P("2s - 2")] + self.GENERIC[1][1:]]
-        m = LambdaMatrix.from_rows(rows)
-        seen.update(passes=0, laplace=0)
-        assert _maximal_minors(m) == enumerated_minors(m)
-        assert seen["laplace"] == 2 * seen["passes"] >= 2
+        eliminations = []
+        rref = exactla._rref_mod
 
-    def test_node_where_the_rank_drops(self, monkeypatch):
-        # row 2 equals row 1 at s = 2, and the first column vanishes at s = 1
-        first = [P("s - 1"), P("2s"), P("3"), P("2s + 1")]
-        step = [P("2s - 2"), P("3"), P("s + 1"), P("2")]
-        second = [a + P("s - 2") * b for a, b in zip(first, step)]
-        m = LambdaMatrix.from_rows([first, second])
-        seen = count_passes_and_laplace(monkeypatch)
-        assert _maximal_minors(m) == enumerated_minors(m)
-        assert seen["laplace"] == 2 * seen["passes"]
-        assert maximal_minor_gcd(m) == enumerated_gcd(m) == P("s - 2")
+        def counted(a, q):
+            eliminations.append(q)
+            return rref(a, q)
+
+        monkeypatch.setattr(exactla, "_rref_mod", counted)
+        vanishing = [[P("s - 1")] + self.GENERIC[0][1:], [P("2s - 2")] + self.GENERIC[1][1:]]
+        large = [[e * 2**300 for e in row] for row in self.GENERIC]
+        for rows in (self.GENERIC, vanishing, large):
+            m = LambdaMatrix.from_rows(rows)
+            crt_moduli.clear()
+            eliminations.clear()
+            seen.update(passes=0, laplace=0)
+            assert _maximal_minors(m) == enumerated_minors(m)
+            assert eliminations == crt_moduli
+            assert seen["laplace"] == seen["passes"] == len(crt_moduli)
+        assert len(crt_moduli) > 1
+
+    def test_minors_at_the_hadamard_bound_with_both_signs(self):
+        # [[c, c], [c, -c]] has det -2c^2 and [[c, c], [-c, c]] det 2c^2:
+        # bound - 1 for the bound 2c^2 + 1, the widest digit the node allows,
+        # also shifted into the middle of a window of three digits
+        c = 3**70
+        for sign in (1, -1):
+            m = lambda_constants([[c, c], [sign * c, -sign * c]])
+            assert exactla._normalised(m.to_rows())[2] == 2 * c * c + 1
+            assert _maximal_minors(m) == [LaurentPoly.const(-2 * sign * c * c)]
+            shifted = LambdaMatrix.from_rows([[P("s^-3") * c, P("s^-2") * c],
+                                              [P("s^5") * sign * c, P("s^6") * -sign * c]])
+            assert _maximal_minors(shifted) == enumerated_minors(shifted) == [
+                LaurentPoly(3, (-2 * sign * c * c,))]
+            # and two digits of c^2 with a zero digit between them
+            spread = LambdaMatrix.from_rows([[P("s^-3") * c, P("s^-2") * c],
+                                             [P("s^5") * sign * c, P("s^4") * -sign * c]])
+            assert _maximal_minors(spread) == enumerated_minors(spread) == [
+                LaurentPoly(1, (-sign * c * c, 0, -sign * c * c))]
+        # a wide matrix with both signs on each side of zero minors
+        m = LambdaMatrix.from_rows([[LaurentPoly.const(c), LaurentPoly.const(c),
+                                     LaurentPoly(1, (c,)), LaurentPoly(1, (c,))],
+                                    [LaurentPoly.const(c), LaurentPoly.const(-c),
+                                     LaurentPoly(1, (-c,)), LaurentPoly(1, (c,))]])
+        k = 2 * c * c
+        assert _maximal_minors(m) == enumerated_minors(m) == [
+            LaurentPoly.const(-k), LaurentPoly(1, (-k,)), ZERO, ZERO,
+            LaurentPoly(1, (k,)), LaurentPoly(2, (k,))]
+
+    def test_a_window_cut_from_below(self):
+        # row 1 plus s^-5 times row 0 keeps every minor and lowers the rows'
+        # own window by 5: the original's window then starts above it, and
+        # the kernel scales by X^(S - low) with S - low = -5
+        first = LambdaMatrix.from_rows(self.GENERIC)
+        top, bottom = self.GENERIC
+        second = LambdaMatrix.from_rows([top, [b + P("s^-5") * a for a, b in zip(top, bottom)]])
+        shift, _, bound, points = exactla._normalised(first.to_rows())
+        assert exactla._normalised(second.to_rows())[0] - shift == -5
+        expected = enumerated_minors(first)
+        assert enumerated_minors(second) == expected
+        assert _maximal_minors(second, (shift, points, bound)) == expected
+        assert _maximal_minors(second) == expected
 
     def test_seeded_sweep_with_vanishing_entries(self):
         rng = random.Random(26)
@@ -1025,18 +1069,6 @@ class TestNodeGroups:
                 rows[-1] = [a + P("s - 2") * vanishing_entry(rng) for a in rows[0]]
                 m = LambdaMatrix.from_rows(rows)
             assert _maximal_minors(m) == enumerated_minors(m)
-
-    def test_vandermonde_inverse_is_kept_across_calls(self):
-        # 6 minors on 4 nodes, modulo the same prime: the second matrix
-        # builds no inverse of its own
-        first = LambdaMatrix.from_rows(self.GENERIC)
-        second = LambdaMatrix.from_rows(self.GENERIC[::-1])
-        assert _maximal_minors(first) == enumerated_minors(first)
-        info = exactla._vandermonde_inverse.cache_info()
-        assert _maximal_minors(second) == enumerated_minors(second)
-        after = exactla._vandermonde_inverse.cache_info()
-        assert after.misses == info.misses
-        assert after.hits > info.hits
 
     def test_gcd_once_per_distinct_nonzero_minor(self, monkeypatch):
         # column 1 repeats column 0: of the 6 minors, one is zero and the
@@ -1064,34 +1096,17 @@ class TestNodeGroups:
 Q1 = math.prod(_prime(k) for k in range(laurent._CRT_PACK))
 
 
-def count_interpolations(monkeypatch) -> dict[str, dict[int, int]]:
-    """Per modulus, from here on: the minors the kernel interpolates one at
-    a time, and the minors it multiplies by the inverse Vandermonde."""
-    seen: dict[str, dict[int, int]] = {"per_minor": {}, "product": {}}
-    interpolate, inverse = exactla._interpolate_mod, exactla._vandermonde_inverse
-    building = []
+def count_decodings(monkeypatch) -> list[int]:
+    """The values at s = 2^b that the kernel decodes into minors, from here
+    on."""
+    seen = []
+    digits = exactla._digits
 
-    def counted_interpolate(values, q):
-        if not building:  # not a unit vector of an inverse being built
-            seen["per_minor"][q] = seen["per_minor"].get(q, 0) + 1
-        return interpolate(values, q)
+    def counted(v, b, points):
+        seen.append(v)
+        return digits(v, b, points)
 
-    def counted_inverse(points, q):
-        building.append(q)
-        try:
-            rows = inverse(points, q)
-        finally:
-            building.pop()
-
-        class Rows(tuple):
-            def __iter__(self):  # one pass over the rows per minor multiplied
-                seen["product"][q] = seen["product"].get(q, 0) + 1
-                return tuple.__iter__(self)
-
-        return Rows(rows)
-
-    monkeypatch.setattr(exactla, "_interpolate_mod", counted_interpolate)
-    monkeypatch.setattr(exactla, "_vandermonde_inverse", counted_inverse)
+    monkeypatch.setattr(exactla, "_digits", counted)
     return seen
 
 
@@ -1100,10 +1115,10 @@ def columns_to_matrix(cols: list[list[LaurentPoly]]) -> LambdaMatrix:
 
 
 class TestDistinctMinors:
-    """Minors keyed by their values over every CRT modulus: each distinct
-    nonzero minor is interpolated and lifted once, a key that vanishes
-    modulo every modulus is the zero minor, and minors that agree modulo
-    one pack but not all stay apart."""
+    """Minors keyed by their values at s = 2^b, lifted over every CRT
+    modulus: each distinct nonzero minor is decoded once, the value 0 is
+    the zero minor, and minors that agree modulo one pack but not all stay
+    apart."""
 
     def test_minors_that_agree_modulo_the_first_pack(self, crt_moduli):
         m = LambdaMatrix.from_rows([[LaurentPoly.const(2), ZERO, ZERO],
@@ -1142,37 +1157,34 @@ class TestDistinctMinors:
             m = columns_to_matrix(cols)
             assert _maximal_minors(m) == enumerated_minors(m)
 
-    def test_one_interpolation_per_distinct_minor(self, monkeypatch):
+    def test_one_decoding_per_distinct_minor(self, monkeypatch):
         # column 0 repeats twice: of the 10 minors, 3 are zero and 4 take
-        # distinct values, fewer than the 5 nodes, so each of those is
-        # interpolated on its own, once per modulus
+        # distinct values, and each of those is decoded once
         a, b = [P("2s + 3"), P("3s^2 + 2")], [P("3s - 2"), P("2s^2 + 3")]
         c = [P("s^2 + 2"), P("3s")]
         m = columns_to_matrix([a, a, b, a, c])
         expected = enumerated_minors(m)
         distinct = set(filter(None, expected))
-        points = exactla._normalised(m.to_rows())[3]
-        assert (len(expected), expected.count(ZERO), len(distinct), points) == (10, 3, 4, 5)
-        seen = count_interpolations(monkeypatch)
+        assert (len(expected), expected.count(ZERO), len(distinct)) == (10, 3, 4)
+        seen = count_decodings(monkeypatch)
         minors = _maximal_minors(m)
         assert minors == expected
         assert minors[1] is minors[4]  # columns (0, 2) and (1, 2)
-        assert set(seen["per_minor"].values()) == {len(distinct)}
-        assert not seen["product"]
+        assert len(seen) == len(set(seen)) == len(distinct) and 0 not in seen
 
-    def test_one_product_row_per_distinct_minor(self, monkeypatch):
-        # one polynomial row, so 2 nodes, and column 1 repeats column 0: of
-        # the 15 minors, one is zero and 10 take distinct values, more than
-        # the nodes, so the inverse Vandermonde multiplies those 10
-        m = LambdaMatrix.from_rows([[P("s + 2"), P("s + 2"), P("2s - 1"), P("3"), P("s"), P("1")],
-                                    [P("2"), P("2"), P("5"), P("-3"), P("7"), P("4")]])
+    def test_a_fallen_back_pack_decodes_each_minor_once(self, monkeypatch, crt_moduli):
+        # the first pivot, p0 * 2^b, is no unit modulo the first pack, which
+        # falls back to its primes; column 1 repeats column 0, so of the 6
+        # minors one is zero and the other 5 take 3 values
+        p0 = _prime(0)
+        m = LambdaMatrix.from_rows([[LaurentPoly(1, (p0,)), LaurentPoly(1, (p0,)), ONE, P("2")],
+                                    [P("3"), P("3"), LaurentPoly.const(p0), P("5s")]])
         expected = enumerated_minors(m)
-        distinct = set(filter(None, expected))
-        assert (len(expected), expected.count(ZERO), len(distinct)) == (15, 1, 10)
-        seen = count_interpolations(monkeypatch)
+        assert (expected.count(ZERO), len(set(filter(None, expected)))) == (1, 3)
+        seen = count_decodings(monkeypatch)
         assert _maximal_minors(m) == expected
-        assert set(seen["product"].values()) == {len(distinct)}
-        assert not seen["per_minor"]
+        assert len(crt_moduli) > 1 and crt_moduli[:2] == [p0, _prime(1)]
+        assert len(seen) == len(set(seen)) == 3
 
 
 @st.composite
@@ -1305,12 +1317,13 @@ class TestUnitPivots:
         windowed, own = kernel_on_both_windows(m)
         assert windowed == own
 
-    def test_evaluates_at_the_input_nodes(self, monkeypatch):
-        # The evaluations of a bench-shaped 8 x 11 presentation, per prime:
-        # the unit pivots leave it 6 x 9 with spans summing to 18, but its
-        # minors need only the input's D + 1 = 9 nodes, scaled as the input's
-        # window starts 10 above the reduced rows' lowest exponents, and the
-        # input's bound saves a CRT prime.
+    def test_evaluates_once_in_the_input_window(self, monkeypatch, crt_moduli):
+        # A bench-shaped 8 x 11 presentation: the unit pivots leave it 6 x 9
+        # with spans summing to 18, but its minors need only the input's
+        # D + 1 = 9 digits, scaled as the input's window starts 10 above the
+        # reduced rows' lowest exponents.  The matrix is evaluated once, at
+        # s = 2^b for the smaller bound, and eliminated once per modulus,
+        # which the input's window makes fewer.
         m = bench_shaped_presentation(random.Random(1))
         reduced, (input_low, points, bound) = exactla._unit_reduced(m)
         own_shift, _, own_bound, own_points = exactla._normalised(reduced.to_rows())
@@ -1318,17 +1331,28 @@ class TestUnitPivots:
         window = min(own_shift + own_points, input_low + points) - low
         assert (reduced.rows, reduced.cols, points, own_points, window) == (6, 9, 9, 19, 9)
         assert low - own_shift == 10
-        calls: dict[int, int] = {}
-        evaluate = exactla._evaluate_mod
+        nodes, eliminations = [], []
+        at_node, rref = exactla._at_node, exactla._rref_mod
 
-        def counted(polys, c, q):
-            calls[q] = calls.get(q, 0) + 1
-            return evaluate(polys, c, q)
+        def counted_at_node(polys, b):
+            nodes.append(b)
+            return at_node(polys, b)
 
-        monkeypatch.setattr(exactla, "_evaluate_mod", counted)
+        def counted_rref(a, q):
+            eliminations.append(q)
+            return rref(a, q)
+
+        monkeypatch.setattr(exactla, "_at_node", counted_at_node)
+        monkeypatch.setattr(exactla, "_rref_mod", counted_rref)
+        crt_moduli.clear()  # drawing the Seifert matrix took a determinant
         gcd = maximal_minor_gcd(m)
-        assert list(calls.values()) == [window] * laurent._crt_primes(min(bound, own_bound))
-        assert len(calls) < laurent._crt_primes(own_bound)
+        b = min(bound, own_bound).bit_length() + 1
+        assert nodes == [b]
+        assert eliminations == crt_moduli
+        values = min(bound, own_bound) * exactla._ones(b, window)
+        own_b = own_bound.bit_length() + 1
+        own_values = own_bound * exactla._ones(own_b, own_points)
+        assert laurent._crt_primes(values) < laurent._crt_primes(own_values)
         monkeypatch.undo()
         own = ZERO
         for minor in _maximal_minors(reduced):
@@ -1467,10 +1491,23 @@ class TestRankOverFractions:
         for rows in ([[ZERO, ONE], [ZERO, ONE]], [[ZERO, P("s")], [ZERO, P("s - 1")]]):
             assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 1
 
+    def test_a_value_at_the_node_that_the_first_primes_divide(self):
+        # e = (q - 2^183) + 2^53 s for q = p0 p1 p2 has its bound between
+        # 2^128 and 2^129, so X = 2^130 and e(X) = q.  Those three primes
+        # alone pass twice the bound, but not twice the value bound, whose
+        # pack holds more primes
+        q = _prime(0) * _prime(1) * _prime(2)
+        e = LaurentPoly(0, (q - 2**183, 2**53))
+        bound = exactla._normalised([[e]])[2]
+        assert bound.bit_length() + 1 == 130 and q > 2 * bound
+        assert rank_over_fractions(LambdaMatrix.from_rows([[e]])) == 1
+        assert _maximal_minors(LambdaMatrix.from_rows([[e, ZERO], [ZERO, ONE]])) == [e]
+
     def test_input_window_skips_the_node_zero(self):
         # one unit pivot leaves [[2s - 2, 0], [2s^-2, 1 - 2s^-1]], whose rows
-        # shifted to s^0 have the minor 2s(s - 1)(s - 2): the input's window
-        # allows 3 nodes, and on 0, 1, 2 the rank would drop to 2
+        # shifted to s^0 have the minor 2s(s - 1)(s - 2): the rank would drop
+        # to 2 at s = 0, 1, 2, but not at s = 2^b, where the minor is read
+        # within the input's window
         rows = [[P("-2s^-1"), ZERO, P("-1")], [P("2s"), ZERO, P("s")],
                 [ZERO, P("1 - 2s^-1"), P("-s^-1")]]
         assert rank_over_fractions(LambdaMatrix.from_rows(rows)) == 3
@@ -1478,8 +1515,8 @@ class TestRankOverFractions:
     def test_unit_pivots_then_evaluation_against_bareiss(self):
         # wide, tall and square shapes with units +-s^k planted among small
         # entries, a dependent row and zero rows: the unit pivots count one
-        # each, and the rest of the rank comes from evaluation, on the
-        # input's nodes where fill-in has widened the rows
+        # each, and the rest of the rank comes from evaluation, in the
+        # input's window where fill-in has widened the rows
         rng = random.Random(41)
         seen = {"wide": 0, "tall": 0, "square": 0, "zero-row": 0, "dependent": 0,
                 "all-pivots": 0, "some-left": 0, "narrowed": 0}
@@ -1500,7 +1537,7 @@ class TestRankOverFractions:
             reduced, _ = exactla._unit_reduced(m)
             seen["all-pivots" if not any(reduced.entries) else "some-left"] += 1
             # fill-in widened the rows past the input's span, which then
-            # bounds the nodes
+            # bounds the digits
             seen["narrowed"] += (exactla._normalised([r for r in out if any(r)])[3]
                                  < exactla._normalised([r for r in reduced.to_rows() if any(r)])[3])
             assert rank_over_fractions(m) == bareiss(out, ONE, divexact)[0]
@@ -1818,17 +1855,28 @@ def laurent_matrices(draw, square=False, coeff=st.integers(-3, 3)):
 
 
 class TestHighDegree:
-    """Square matrices whose entries have high degree, and the interpolation
-    on the nodes 1..D + 1 that their determinants take."""
+    """Matrices whose entries have high degree, and the balanced base-2^b
+    digits that their minors are read from."""
 
-    def test_interpolation_inverts_evaluation(self):
+    def test_balanced_digits_invert_evaluation(self):
+        # random digits, and runs of the widest digits of either sign
         rng = random.Random(5)
-        q = laurent._prime(0)
-        for length in (1, 2, 3, 10, 64):
-            coeffs = [rng.randrange(q) for _ in range(length)]
-            values = [sum(a * c ** k for k, a in enumerate(coeffs)) % q
-                      for c in range(1, length + 1)]
-            assert exactla._interpolate_mod(values, q) == coeffs
+        for b in (2, 3, 8, 61, 200):
+            half = 1 << (b - 1)
+            for length in (1, 2, 3, 10, 64):
+                for coeffs in ([rng.randrange(1 - half, half) for _ in range(length)],
+                               [half - 1] * length, [1 - half] * length,
+                               [(1 - half) * (-1) ** k for k in range(length)]):
+                    value = exactla._at_node([[tuple(coeffs)]], b)[0][0]
+                    assert value == sum(c * 2 ** (b * k) for k, c in enumerate(coeffs))
+                    assert abs(value) <= (half - 1) * exactla._ones(b, length)
+                    assert exactla._digits(value, b, length) == coeffs
+
+    def test_sparse_square_without_unit_entries(self):
+        # no unit to pivot on, so the determinant is read off 4001 digits
+        m = LambdaMatrix.from_rows([[P("2s^2000-1"), P("3s")], [P("5"), P("2s^2000+3")]])
+        assert square_gcd(m) == P("4s^4000 + 4s^2000 - 15s - 3") == bareiss(
+            m.to_rows(), ONE, divexact)[1]
 
     def test_sparse_entries_of_high_degree(self):
         m = LambdaMatrix.from_rows([[P("s^300-1"), P("s")], [ONE, P("s^300+1")]])
