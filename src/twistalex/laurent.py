@@ -1,4 +1,4 @@
-"""Exact arithmetic in the Laurent polynomial ring Z[s, s^-1].
+"""Laurent polynomials in Z[s, s^-1]: values, gcd, resultants, text form.
 
 Values are immutable; all coefficients are arbitrary-precision integers.
 A polynomial is stored as its lowest exponent together with the dense
@@ -40,8 +40,11 @@ class LaurentPoly:
 
     ``coeffs[i]`` is the coefficient of ``s**(low + i)``.
 
-    >>> LaurentPoly(-1, (1, 1)) * LaurentPoly(1, (1,))
-    LaurentPoly('s + 1')
+    >>> p = parse_laurent("s - 1 + 2s^-2")
+    >>> p.low, p.coeffs
+    (-2, (2, 0, -1, 1))
+    >>> p == LaurentPoly(-3, (0, 2, 0, -1, 1, 0))
+    True
     """
 
     low: int
@@ -64,21 +67,9 @@ class LaurentPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls(0, (c,))
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(exp, (coeff,))
-
-    @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPoly":
         if not d:
-            return cls.zero()
+            return cls()
         low = min(d)
         high = max(d)
         return cls(low, [d.get(e, 0) for e in range(low, high + 1)])
@@ -107,60 +98,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        low = min(self.low, other.low)
-        high = max(self.degree, other.degree)
-        out = [0] * (high - low + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.low - low + i] += c
-        return LaurentPoly(low, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return LaurentPoly(self.low + other.low, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of general polynomials are not in the ring")
-        return _binpow(self, n, LaurentPoly.__mul__, ONE)
-
     def __str__(self) -> str:
         return to_text(self)
 
@@ -168,17 +105,7 @@ class LaurentPoly:
         return f"LaurentPoly({to_text(self)!r})"
 
 
-def _coerce(x) -> "LaurentPoly":
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, int):
-        return LaurentPoly.const(x)
-    return NotImplemented
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.const(1)
-S = LaurentPoly.monomial(1)
+ZERO = LaurentPoly()
 
 
 def canonicalize(p: LaurentPoly) -> LaurentPoly:

@@ -5,9 +5,14 @@ Laurent expansion of a pencil sX - Y, for the oracle and the kernel alike."""
 
 from __future__ import annotations
 
+import operator
+from typing import NamedTuple
+
 from twistalex.errors import InternalError
 from twistalex.exactla import IntMatrix, LambdaMatrix
-from twistalex.laurent import ZERO, LaurentPoly, _trim
+from twistalex.laurent import ZERO, LaurentPoly
+
+import laurent_ring
 
 
 def pencil(x, y) -> LambdaMatrix:
@@ -37,9 +42,8 @@ def try_div(f: list[int], g: list[int]) -> list[int] | None:
         q[k] = c
         for i, b in enumerate(g):
             f[k + i] -= c * b
-        _trim(f)
-        if not f:
-            break
+        while f and not f[-1]:
+            f.pop()
     return q if not f else None
 
 
@@ -71,20 +75,36 @@ def divexact_int(a: int, b: int) -> int:
     return q
 
 
-def bareiss(rows: list[list], one, div) -> tuple[int, object]:
+class Ring(NamedTuple):
+    """An exact domain: its zero, unit, sum, difference, product and exact
+    quotient ``div(a, b)``, which raises ValueError when b does not divide a."""
+
+    zero: object
+    one: object
+    add: object
+    sub: object
+    mul: object
+    div: object
+
+
+INTEGERS = Ring(0, 1, operator.add, operator.sub, operator.mul, divexact_int)
+LAURENT = Ring(ZERO, LaurentPoly(0, (1,)), laurent_ring.add, laurent_ring.sub,
+               laurent_ring.mul, divexact)
+
+
+def bareiss(rows: list[list], ring: Ring) -> tuple[int, object]:
     """(rank, det) of a matrix over an exact domain, by fraction-free
     elimination (Bareiss, Math. Comp. 22, 1968).
 
-    ``one`` is the ring's unit and ``div(a, b)`` the exact quotient, which
-    raises ValueError when b does not divide a.  Pivots are taken down each
-    column in row order; a column with no pivot left is skipped.  det is the
-    signed last pivot when the matrix is square and of full rank, and zero
-    otherwise (1 for the empty matrix).  An inexact division raises
-    InternalError.
+    Pivots are taken down each column in row order; a column with no pivot
+    left is skipped.  det is the signed last pivot when the matrix is
+    square and of full rank, and zero otherwise (1 for the empty matrix).
+    An inexact division raises InternalError.
     """
     a = [list(r) for r in rows]
     n = len(a)
     m = len(a[0]) if a else 0
+    zero, one, _, sub, mul, div = ring
     rank, sign, prev = 0, 1, one
     try:
         for k in range(m):
@@ -101,11 +121,11 @@ def bareiss(rows: list[list], one, div) -> tuple[int, object]:
             for row in a[rank + 1:]:
                 x = row[k]
                 for j in range(k + 1, m):
-                    row[j] = div(row[j] * p - x * top[j], prev)
+                    row[j] = div(sub(mul(row[j], p), mul(x, top[j])), prev)
             prev = p
             rank += 1
     except ValueError as exc:
         raise InternalError(f"inexact division in fraction-free elimination: {exc}") from exc
     if rank < n or n != m:
-        return rank, one - one
-    return rank, prev if sign > 0 else -prev
+        return rank, zero
+    return rank, prev if sign > 0 else sub(zero, prev)

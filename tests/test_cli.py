@@ -9,7 +9,7 @@ import pytest
 from twistalex import (cli, cover, exactla, fixtures, formats, grouphom, laurent,
                        obstruction, seifert)
 from twistalex.cli import main
-from twistalex.errors import ParseError
+from twistalex.errors import ParseError, TwistError, UnknownFixtureError
 from twistalex.fixtures import load_fixture
 
 from table_mutations import generator_row_off_in_its_last_block, last_row_is_the_one_before
@@ -744,6 +744,19 @@ class TestUsageErrors:
         assert "line 2" in str(exc.value)
 
 class TestSelftest:
+    def test_an_unknown_fixture_is_bad_input(self, capsys, monkeypatch):
+        # argparse's choices refuse an unknown --fixture first; selftest loads
+        # its fixtures by name, so it reaches the refusal once one is gone
+        available = ", ".join(fixtures.FIXTURE_NAMES)
+        with pytest.raises(UnknownFixtureError) as info:
+            load_fixture("no-such")
+        assert isinstance(info.value, TwistError)
+        assert str(info.value) == f"unknown fixture 'no-such'; available: {available}"
+        monkeypatch.delitem(fixtures.FIXTURES, "paper-s5")
+        code, out, err = run(capsys, "selftest")
+        assert (code, out) == (64, "")
+        assert err == f"twist: error: unknown fixture 'paper-s5'; available: {available}\n"
+
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "1")
         assert code == 0
@@ -1149,7 +1162,7 @@ class TestEveryRefusal:
         assert laurent.parse_laurent("s^-50000 + s^50000").degree == 50000
 
     def test_a_zero_term_does_not_widen_the_span(self):
-        assert laurent.parse_laurent("s^200000 - s^200000 + 1") == laurent.ONE
+        assert laurent.parse_laurent("s^200000 - s^200000 + 1") == laurent.LaurentPoly(0, (1,))
 
 
 class TestInternalFaults:
