@@ -9,10 +9,11 @@ it evaluates the matrix at one node s = 2^b, takes the minors' values
 there modulo packs of CRT primes, lifts them, and reads each minor off
 its value's balanced base-2^b digits.  Every other maximal-minor gcd,
 square or wide, comes from that kernel after the unit entries +-s^k have
-been pivoted away, and so does the rank over the field of fractions, plus
-one per pivot.  The kernel's Gauss-Jordan step modulo a pack of CRT
-primes, lifted by the Chinese remainder theorem, also gives det A exactly
-(IntMatrix.det) and, for det A = +-1, the solution of A X = B over Z.
+been pivoted away on the matrix's exact values at that node, and so does
+the rank over the field of fractions, plus one per pivot.  The kernel's
+Gauss-Jordan step modulo a pack of CRT primes, lifted by the Chinese
+remainder theorem, also gives det A exactly (IntMatrix.det) and, for
+det A = +-1, the solution of A X = B over Z.
 """
 
 from __future__ import annotations
@@ -426,9 +427,9 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     before any work.  The cap counts the input's minors, not those left
     after the unit pivots.  An input of the shape sI - Y (s minus an
     integer on the diagonal, integers elsewhere) is char_poly(Y); any
-    other loses its unit pivots (_unit_reduced), and the rest come from
-    one kernel (_maximal_minors), handed the window that _unit_reduced
-    names for the reduced matrix's minors.  laurent.gcd leaves the gcd
+    other loses its unit pivots at one node (_unit_reduced), and the rest
+    come from one kernel (_maximal_minors), handed the integer rows and
+    the window that _unit_reduced returns.  laurent.gcd leaves the gcd
     canonical.
     """
     n, m = p.rows, p.cols
@@ -451,84 +452,75 @@ def maximal_minor_gcd(p: LambdaMatrix) -> LaurentPoly:
     return g
 
 
-def _is_unit(e: LaurentPoly) -> bool:
-    return len(e.coeffs) == 1 and e.coeffs[0] in (1, -1)
-
-
-def _unit_reduced(p: LambdaMatrix) -> tuple[LambdaMatrix, tuple[int, int, int]]:
-    """(P with its unit pivots eliminated, n' x m' with m' - n' = m - n,
-    and the window (low, D + 1, bound) of its maximal minors); those minors
-    generate the same ideal as P's (the Fitting ideal of coker P,
+def _unit_reduced(p: LambdaMatrix
+                  ) -> tuple[list[list[int]], int, list[int], tuple[int, int, int, int]]:
+    """(the rows of P with its unit pivots eliminated, n' x m' with
+    m' - n' = m - n, as values at s = X = 2^b; m'; the rows' lows; and
+    the window (b, low, D + 1, bound) of their maximal minors).  Those
+    minors generate the same ideal as P's (the Fitting ideal of coker P,
     Eisenbud, Commutative Algebra, section 20), so their gcd is the same.
     A square P leaves a square matrix, 0 x 0 when every row is a pivot's.
 
-    While an entry u = +-s^k is left, the one at (i, j) with the least
+    P's rows are normalised (_normalised) and evaluated once, with
+    b = bound.bit_length() + 1 for P's bound: row i is s^low_i times a
+    polynomial R_i, held as the values R_i(X).  While an entry u = +-s^e
+    of some R_i is left, the one at (i, j) with the least
     (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
-    column, clears its column: every other row r loses a_rj u^-1 times
-    row i, one LaurentPoly per updated entry (_clear_column).  Row i and
-    column j are then dropped.  These row operations have
-    determinant 1, so each maximal minor of the result on columns C is
-    +-u^-1 times the minor on C and j; column operations by u, which would
-    clear row i without touching the other rows, bring P's other minors
-    into the same ideal.  Over all pivots, the minor on C is +-s^-K times
-    P's minor on C and the pivot columns, K the sum of the pivot exponents:
-    the window is P's (_normalised on its nonzero rows) shifted by -K,
-    however far fill-in widens the rows.  A zero row of P takes no row
-    update, so it stays zero, and so does every minor.
+    column, clears its column: every other row R whose entry a there is
+    nonzero becomes R X^e - sign(u) a T, for the pivot row T.  That is
+    s^e (R - a u^-1 T), so the row's low drops by e; then the digits 0
+    that end every value of the row are shifted off, and its low rises by
+    their number.  Row i and column j are dropped.
+
+    The values decide the zero test, the unit test and the lows exactly.
+    Each entry of the reduced rows is a monomial times a minor of P, so
+    its coefficients lie within the bound, below X/2, and they are its
+    value's balanced base-X digits (_digits).  So a value is 0 exactly
+    when its entry is, |v| = X^e exactly when the entry is +-s^e, and as
+    the lowest nonzero digit ends in fewer than b - 1 zero bits, v's
+    trailing zero bits over b count the digits 0 below it.
+
+    The row operations have determinant 1, so each maximal minor of the
+    result on columns C is +-u^-1 times the minor on C and j; column
+    operations by u, which would clear row i without touching the other
+    rows, bring P's other minors into the same ideal.  Over all pivots,
+    the minor on C is +-s^-K times P's minor on C and the pivot columns,
+    K the sum of the pivots' exponents low_i + e: the window is P's
+    shifted by -K, however far fill-in widens the rows.  A zero row of P
+    takes no row update, so it stays zero, and so does every minor.
     """
-    rows = p.to_rows()
-    shift, _, bound, points = _normalised([row for row in rows if any(row)])
+    lows, polys, bound, points = _normalised(p.to_rows())
+    shift = sum(lows)
+    b = bound.bit_length() + 1
+    rows = _at_node(polys, b)
     cols, k = p.cols, 0
     while rows:
         row_nz = [sum(map(bool, row)) - 1 for row in rows]
         col_nz = [sum(map(bool, col)) - 1 for col in zip(*rows)]
+        # |v| = 2^(b e): a single bit, b e + 1 bits long (v = 0 has none)
         pivot = min(((row_nz[i] * col_nz[j], i, j)
-                     for i, row in enumerate(rows) for j, e in enumerate(row) if _is_unit(e)),
+                     for i, row in enumerate(rows) for j, v in enumerate(row)
+                     if (x := abs(v)).bit_length() % b == 1 and not x & (x - 1)),
                     default=None)
         if pivot is None:
             break
         _, i, j = pivot
         top = rows.pop(i)
         u = top.pop(j)
-        k += u.low
-        _clear_column(rows, top, j, u)
+        e = (abs(u).bit_length() - 1) // b
+        k += lows.pop(i) + e
+        for r, row in enumerate(rows):
+            a = row.pop(j)
+            if a:
+                f = -a if u > 0 else a
+                row[:] = [(v << b * e) + f * t for v, t in zip(row, top)]
+                bits = functools.reduce(operator.or_, row, 0)  # the lowest set bit of any value
+                drop = ((bits & -bits).bit_length() - 1) // b if bits else 0
+                if drop:
+                    row[:] = [v >> b * drop for v in row]
+                lows[r] += drop - e
         cols -= 1
-    reduced = LambdaMatrix(len(rows), cols, [e for row in rows for e in row])
-    return reduced, (shift - k, points, bound)
-
-
-def _clear_column(rows: list[list[LaurentPoly]], top: list[LaurentPoly], j: int,
-                  u: LaurentPoly) -> None:
-    """Pop column j of every row, and take a u^-1 times ``top`` from each
-    row whose popped entry a is nonzero, for the unit u = +-s^k.
-
-    u^-1 = +-s^-k, so each entry e - a u^-1 t is e plus one product of the
-    coefficient runs of a, its sign flipped with u's, and t, shifted by
-    a.low - k + t.low: one LaurentPoly per updated entry."""
-    for row in rows:
-        a = row.pop(j)
-        if a:
-            run = [-x for x in a.coeffs] if u.coeffs[0] == 1 else a.coeffs  # -a u^-1 s^k
-            shift = a.low - u.low
-            row[:] = [_plus_product(e, shift + t.low, run, t.coeffs) if t else e
-                      for e, t in zip(row, top)]
-
-
-def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
-    """e + s^low times the product of the coefficient runs a and t."""
-    end = low + len(a) + len(t) - 1
-    if e:
-        start = min(low, e.low)
-        out = [0] * (max(end, e.low + len(e.coeffs)) - start)
-        out[e.low - start:e.low - start + len(e.coeffs)] = e.coeffs
-    else:
-        start = low
-        out = [0] * (end - start)
-    for i, x in enumerate(a, low - start):
-        if x:
-            for at, y in enumerate(t, i):
-                out[at] += x * y
-    return LaurentPoly(start, out)
+    return rows, cols, lows, (b, shift - k, points, bound)
 
 
 # -- maximal minors and rank at one node ---------------------------------------
@@ -537,38 +529,39 @@ def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
 # times s^-low_i has polynomial entries of degree <= span_i, so every
 # minor's exponents lie in the window from S = sum_i low_i to
 # S + sum_i span_i.  On the unit circle |a_ij| <= |a_ij|_1, so by
-# Hadamard's inequality no coefficient of any minor exceeds
-# sqrt(prod_i sum_j |a_ij|_1^2), each row factor being at least 1 once zero
-# rows are gone.  A caller may know a second window and bound that hold as
-# well: _unit_reduced returns the input's, shifted by -K, with the matrix it
-# reduces, whose minors are +-s^-K times the input's however far fill-in
-# has widened the rows.  The kernel works on the intersection of the
-# windows, s^low..s^(low + D), and the smaller bound.
+# Hadamard's inequality no coefficient of any minor, maximal or not,
+# exceeds sqrt(prod_i sum_j |a_ij|_1^2) over the nonzero rows, each row
+# factor being at least 1 (_normalised).  The kernel is handed the rows
+# that _unit_reduced leaves and the input's window shifted by -K,
+# s^low..s^(low + D), with the input's bound: the minors of those rows
+# are +-s^-K times the input's, however far fill-in has widened them.
 #
 # Kronecker substitution reads every minor off its value at one integer
-# node, s = X = 2^b with b = bound.bit_length() + 1, so X > 2 * bound.  The
-# row-shifted matrix is evaluated there once, exactly, and reduced modulo
-# each pack q of CRT primes (laurent._crt_residues) to reduced row-echelon
-# form E = L A; a pivot that is no unit modulo q sends the pack back one
-# prime at a time.  With pivot columns P and d = det A[:, P] = det L^-1, the
+# node, s = X = 2^b with b = bound.bit_length() + 1, so X > 2 * bound.
+# _unit_reduced evaluates the row-shifted input there once, exactly, and
+# its pivots keep the rows at X.  The kernel reduces them modulo each pack
+# q of CRT primes (laurent._crt_residues) to reduced row-echelon form
+# E = L A; a pivot that is no unit modulo q sends the pack back one prime
+# at a time.  With pivot columns P and d = det A[:, P] = det L^-1, the
 # minor on columns C is d * det E[:, C].  The columns of C in P are unit
 # vectors, so moving the rows T whose pivot is not in C to the bottom and
 # the columns C \ P to the right leaves +-det E[T, C \ P]: over all C,
 # exactly the square minors of E's non-pivot columns, built by one Laplace
 # pass.  Fewer than n pivots mean that every minor vanishes at X modulo q.
 # These are the minors of the row-shifted matrix, s^-S times A's, at X;
-# times X^(S - low), a unit modulo the odd q even when the second window
-# cuts the first from below and S - low < 0, they are M(X) for M = s^-low
-# times a minor, a polynomial of degree <= D whose coefficients lie within
-# the bound.  So |M(X)| <= bound * (X^(D + 1) - 1) / (X - 1), and the
-# moduli lift M(X) exactly.  Its balanced base-X digits, each in
-# (-X/2, X/2), are M's coefficients: M(X) mod X fixes the lowest one, as
-# no two numbers under X/2 in absolute value agree modulo X, and so on up.
-# So M = 0 exactly when M(X) = 0, and equal minors have equal values: the
-# minors are keyed by M(X), and each distinct nonzero one is decoded once
-# and shared by its repeats.  A square matrix has one maximal minor, its
+# times X^(S - low), a unit modulo the odd q even when the minors' lowest
+# terms lie above S and S - low < 0, they are M(X) for M = s^-low times a
+# minor, a polynomial of degree <= D whose coefficients lie within the
+# bound.  So |M(X)| <= bound * (X^(D + 1) - 1) / (X - 1), and the moduli
+# lift M(X) exactly.  Its balanced base-X digits, each in (-X/2, X/2), are
+# M's coefficients: M(X) mod X fixes the lowest one, as no two numbers
+# under X/2 in absolute value agree modulo X, and so on up.  So M = 0
+# exactly when M(X) = 0, and equal minors have equal values: the minors
+# are keyed by M(X), and each distinct nonzero one is decoded once and
+# shared by its repeats.  A square matrix has one maximal minor, its
 # determinant, and the 0 x 0 one has the minor 1; a single row is its own
-# list of minors.  The gcd is taken once per distinct nonzero minor.
+# list of minors, whose values are exact without the CRT.  The gcd is
+# taken once per distinct nonzero minor.
 #
 # The rank over the field of fractions is one per unit pivot +-s^k
 # (_unit_reduced) plus the rank of the matrix A the pivots leave: the
@@ -578,21 +571,22 @@ def _plus_product(e: LaurentPoly, low: int, a, t) -> LaurentPoly:
 # a unit modulo a pack, the rank there is that modulo each of its primes.
 # If A has rank r, some r x r minor N is nonzero; as a Schur complement's
 # minor it is a monomial times a minor of the input, so the D + 1 and bound
-# of the window that _unit_reduced returns hold for it as well as A's.
-# Then N = s^j M with M(0) != 0, and M(X) != 0: its lowest coefficient is
-# below X/2, so not 0 modulo X.  |M(X)| is within the value bound, so some
-# prime does not divide it, and X^j is a unit modulo every prime.
+# of the input's window hold for it.  On the row-shifted rows N = s^j M
+# with M(0) != 0, and M(X) != 0: its lowest coefficient is below X/2, so
+# not 0 modulo X.  |M(X)| is within the value bound, so some prime
+# does not divide it, and X^j is a unit modulo every prime.
 
-def _normalised(rows: list[list[LaurentPoly]]) -> tuple[int, list, int, int]:
-    """(sum_i low_i, the coefficient runs of row i times s^-low_i, the bound
-    on every minor's coefficients (0 if a row is zero), D + 1) for A's rows."""
+def _normalised(rows: list[list[LaurentPoly]]) -> tuple[list[int], list, int, int]:
+    """(low_i, the coefficient runs of row i times s^-low_i, the bound on
+    every minor's coefficients, D + 1) for A's rows; a zero row has low 0
+    and adds nothing to the bound or to D."""
     lows = [min((e.low for e in row if e), default=0) for row in rows]
     polys = [[(0,) * (e.low - low) + e.coeffs if e else () for e in row]
              for row, low in zip(rows, lows)]
     norms = [sum(sum(map(abs, e)) ** 2 for e in row) for row in polys]
-    bound = math.isqrt(math.prod(norms)) + 1 if all(norms) else 0
-    points = sum(max(map(len, row)) for row in polys) - len(rows) + 1  # D + 1
-    return sum(lows), polys, bound, points
+    bound = math.isqrt(math.prod(filter(None, norms))) + 1
+    points = sum(max(map(len, row)) - 1 for row in polys if any(row)) + 1  # D + 1
+    return lows, polys, bound, points
 
 
 def _rref_mod(a: list[list[int]], q: int) -> tuple[list[int], int]:
@@ -648,34 +642,22 @@ def _digits(v: int, b: int, points: int) -> list[int]:
     return [int(bits[i - b:i], 2) - half for i in range(len(bits), 0, -b)]
 
 
-def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
-                    ) -> list[LaurentPoly]:
-    """The n x n minors of an n x m matrix with n <= m, exactly, in the
+def _maximal_minors(rows: list[list[int]], m: int, lows: list[int],
+                    window: tuple[int, int, int, int]) -> list[LaurentPoly]:
+    """The n x n minors of the n x m matrix with n <= m whose row i is
+    s^low_i times R_i, from the values R_i(X) at X = 2^b, exactly, in the
     order of itertools.combinations(range(m), n); equal minors are one
     shared LaurentPoly, each decoded once.
 
-    ``window`` = (low, D + 1, bound), if given, must hold for every minor
-    as well: its exponents lie in low..low + D and its coefficients within
-    bound.  It then narrows P's own window and bound.
+    ``window`` = (b, low, D + 1, bound) must hold for every minor: its
+    exponents lie in low..low + D and its coefficients within bound.
     """
-    n, m = p.rows, p.cols
-    if n == 1:  # a row is its own list of minors
-        return p.to_rows()[0]
+    b, low, points, bound = window
+    n, shift = len(rows), sum(lows)
     count = math.comb(m, n)
-    shift, polys, bound, points = _normalised(p.to_rows())
-    low = shift
-    if window is not None:
-        other_low, other_points, other_bound = window
-        low = max(shift, other_low)
-        points = min(shift + points, other_low + other_points) - low
-        bound = min(bound, other_bound)
-    if not bound or points <= 0:  # a zero row, or windows that do not meet
-        return [laurent.ZERO] * count
-    b = bound.bit_length() + 1
-    at_x = _at_node(polys, b)
 
     def kernel(q):  # M(X) mod q for every minor
-        e = [[v % q for v in row] for row in at_x]
+        e = [[v % q for v in row] for row in rows]
         pivots, d = _rref_mod(e, q)
         if len(pivots) < n:
             return [0] * count
@@ -684,7 +666,10 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
         small = _square_minors([[row[j] for j in free] for row in e], q)
         return [sign * d * small[t, k] for sign, t, k in _minor_plan(tuple(pivots), m)]
 
-    values = _crt_lift(_crt_residues(bound * _ones(b, points), kernel))
+    if n == 1:  # a row is its own list of minors, its values M(X) exact
+        values = [v and v << b * (shift - low) for v in rows[0]]
+    else:
+        values = _crt_lift(_crt_residues(bound * _ones(b, points), kernel))
     distinct = dict.fromkeys(values)
     distinct.pop(0, None)  # the zero minor
     for v in distinct:
@@ -694,26 +679,22 @@ def _maximal_minors(p: LambdaMatrix, window: tuple[int, int, int] | None = None
 
 def rank_over_fractions(p: LambdaMatrix) -> int:
     """Rank of P over the field of fractions of Z[s, s^-1]: one per unit
-    pivot (_unit_reduced) plus the rank of what they leave at s = 2^b, on
-    the fewer points and the smaller bound of its own and of the window
-    _unit_reduced returns; it returns as soon as that rank is full."""
-    reduced, (_, input_points, input_bound) = _unit_reduced(p)
-    rows = [row for row in reduced.to_rows() if any(row)]
-    full = min(len(rows), reduced.cols)
-    _, polys, bound, points = _normalised(rows)
-    bound, points = min(bound, input_bound), min(points, input_points)
-    b = bound.bit_length() + 1
-    at_x = _at_node(polys, b)
+    pivot (_unit_reduced) plus the rank of the rows they leave, at the node
+    s = 2^b and under the value bound of the window _unit_reduced returns;
+    it returns as soon as that rank is full."""
+    reduced, cols, _, (b, _, points, bound) = _unit_reduced(p)
+    rows = [row for row in reduced if any(row)]
+    full = min(len(rows), cols)
 
     def kernel(q):
-        return [len(_rref_mod([[v % q for v in row] for row in at_x], q)[0])]
+        return [len(_rref_mod([[v % q for v in row] for row in rows], q)[0])]
 
     rank = 0
     for _, (at_q,) in _crt_residues(bound * _ones(b, points), kernel):
         rank = max(rank, at_q)
         if rank == full:
             break
-    return p.rows - reduced.rows + rank
+    return p.rows - len(reduced) + rank
 
 
 @functools.lru_cache(maxsize=32)

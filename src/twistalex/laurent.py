@@ -75,10 +75,6 @@ class LaurentPoly:
         return cls(low, [d.get(e, 0) for e in range(low, high + 1)])
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         """Highest exponent; -1 stands in for the zero polynomial."""
         return self.low + len(self.coeffs) - 1 if self.coeffs else -1
@@ -117,7 +113,7 @@ def canonicalize(p: LaurentPoly) -> LaurentPoly:
     >>> canonicalize(LaurentPoly(2, (-1, 1)))
     LaurentPoly('s - 1')
     """
-    if p.is_zero:
+    if not p:
         return ZERO
     coeffs = p.coeffs
     if coeffs[-1] < 0:
@@ -183,9 +179,9 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     >>> gcd(LaurentPoly(0, (-2, 2)), LaurentPoly(0, (-4, 4)))
     LaurentPoly('2s - 2')
     """
-    if p.is_zero:
+    if not p:
         return canonicalize(q)
-    if q.is_zero:
+    if not q:
         return canonicalize(p)
     c = math.gcd(_content(list(p.coeffs)), _content(list(q.coeffs)))
     a = _primitive(list(p.coeffs))
@@ -517,7 +513,7 @@ def resultant_with_cyclotomic(p: LaurentPoly, d: int) -> int:
     Mahler measure.  A ||p||_1^d of more than MAX_RESULTANT_BITS bits
     raises SizeLimitError before any prime is drawn.
     """
-    if p.is_zero:
+    if not p:
         raise InvariantError("resultant of the zero polynomial is undefined")
     if d < 1:
         raise InvariantError("d must be a positive integer")
@@ -595,7 +591,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
     """
     if dmax < 2:
         return {}
-    if p.is_zero:
+    if not p:
         raise InvariantError("resultant of the zero polynomial is undefined")
     f = list(p.coeffs)
     n = len(f) - 1
@@ -657,7 +653,7 @@ def cyclotomic_resultants(p: LaurentPoly, dmax: int) -> dict[int, int]:
 
 def to_text(p: LaurentPoly, var: str = "s") -> str:
     """Render with descending exponents, e.g. ``s^4 - s^3 - s + 1``."""
-    if p.is_zero:
+    if not p:
         return "0"
     parts: list[str] = []
     for exp, c in sorted(p.terms(), reverse=True):

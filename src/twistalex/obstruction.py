@@ -53,7 +53,7 @@ def evaluate_fibred_obstruction(p: LambdaMatrix) -> ObstructionReport:
     except MinorLimitError as e:
         cap_error = e
         delta = laurent.ZERO
-    rank = p.rows if not delta.is_zero else rank_over_fractions(p)
+    rank = p.rows if delta else rank_over_fractions(p)
     return fibred_verdict(p.rows, p.cols, rank, delta, cap_error)
 
 
@@ -84,7 +84,7 @@ def fibred_verdict(rows: int, cols: int, rank: int, delta: LaurentPoly,
     if cap_error is not None:
         monic = "undefined"
         reasons.append(f"(3) undetermined: {cap_error}")
-    elif delta.is_zero:
+    elif not delta:
         monic = "undefined"
         reasons.append("(3) undefined: delta = 0")
     elif laurent.is_monic(delta):

@@ -1,7 +1,8 @@
 """Fraction-free elimination over any exact domain, and exact division in
 Z[s, s^-1]: the route by which Laurent determinants and ranks were once
 computed, kept as the test oracle of the evaluation kernel.  Also the
-Laurent expansion of a pencil sX - Y, for the oracle and the kernel alike."""
+Laurent expansion of a pencil sX - Y, for the oracle and the kernel alike,
+and the kernel's entry for a Laurent matrix taken as it is."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import operator
 from typing import NamedTuple
 
 from twistalex.errors import InternalError
-from twistalex.exactla import IntMatrix, LambdaMatrix
+from twistalex import exactla
+from twistalex.exactla import IntMatrix, LambdaMatrix, _maximal_minors
 from twistalex.laurent import ZERO, LaurentPoly
 
 import laurent_ring
@@ -25,6 +27,18 @@ def si_minus(h: IntMatrix) -> LambdaMatrix:
     """sI - H with Laurent entries, the shape that maximal_minor_gcd reads
     as char_poly(H)."""
     return pencil(IntMatrix.identity(h.rows).to_rows(), h.to_rows())
+
+
+def minors_at_node(m: LambdaMatrix) -> list[LaurentPoly]:
+    """Every maximal minor of m by the evaluation kernel alone: m's rows at
+    the node of m's own window, with none of the unit pivots that
+    maximal_minor_gcd takes first.  The kernel is bound at import, so a
+    test that stands in for exactla._maximal_minors does not see these
+    calls."""
+    lows, polys, bound, points = exactla._normalised(m.to_rows())
+    b = bound.bit_length() + 1
+    return _maximal_minors(exactla._at_node(polys, b), m.cols, lows,
+                           (b, sum(lows), points, bound))
 
 
 def try_div(f: list[int], g: list[int]) -> list[int] | None:
@@ -49,18 +63,18 @@ def try_div(f: list[int], g: list[int]) -> list[int] | None:
 
 def divides(g: LaurentPoly, p: LaurentPoly) -> bool:
     """True iff g divides p in Z[s, s^-1]."""
-    if g.is_zero:
-        return p.is_zero
-    if p.is_zero:
+    if not g:
+        return not p
+    if not p:
         return True
     return try_div(list(p.coeffs), list(g.coeffs)) is not None
 
 
 def divexact(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient p / g; raises ValueError if g does not divide p."""
-    if g.is_zero:
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero:
+    if not p:
         return ZERO
     q = try_div(list(p.coeffs), list(g.coeffs))
     if q is None:

@@ -726,7 +726,7 @@ class TestUsageErrors:
 
     def test_unexpected_exception_exits_70(self, capsys, tmp_path, monkeypatch):
         # an exception no handler names is a fault in the program
-        def broken(p, window=None):
+        def broken(*args):
             raise IndexError("list index out of range")
 
         monkeypatch.setattr(exactla, "_maximal_minors", broken)

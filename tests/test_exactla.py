@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from twistalex import exactla, laurent
 from twistalex.errors import InternalError, MinorLimitError, SizeLimitError
-from twistalex.exactla import (IntMatrix, LambdaMatrix, _maximal_minors,
-                               char_poly, maximal_minor_gcd, rank_over_fractions,
-                               smith_normal_form)
+from twistalex.exactla import (IntMatrix, LambdaMatrix, _digits, char_poly, maximal_minor_gcd,
+                               rank_over_fractions, smith_normal_form)
 from twistalex.laurent import LaurentPoly, ZERO, _prime, canonicalize, parse_laurent
 from twistalex.obstruction import evaluate_fibred_obstruction
 from twistalex.seifert import SeifertMatrix, alexander_polynomial, random_seifert_matrix
 
-from bareiss_oracle import INTEGERS, LAURENT, bareiss, divexact_int, pencil, si_minus
+from bareiss_oracle import (INTEGERS, LAURENT, bareiss, divexact_int, minors_at_node, pencil,
+                            si_minus)
 from laurent_ring import add, mul, neg, sub
 from seifert_oracle import branched_presentation
 
@@ -595,9 +595,9 @@ def kernel_calls(monkeypatch):
     maximal_minor_gcd for every matrix but sI - Y, after the unit pivots."""
     calls = []
 
-    def counted(p, window=None):
-        calls.append(p.rows)
-        return maximal_minors(p, window)
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return maximal_minors(rows, *args)
 
     maximal_minors = exactla._maximal_minors
     monkeypatch.setattr(exactla, "_maximal_minors", counted)
@@ -678,7 +678,7 @@ class TestCharPoly:
 def square_gcd(m: LambdaMatrix) -> LaurentPoly:
     """The determinant of a square m by the evaluation kernel alone, after
     checking that maximal_minor_gcd is its canonical form."""
-    det = _maximal_minors(m)[0]
+    det = minors_at_node(m)[0]
     assert maximal_minor_gcd(m) == canonicalize(det)
     return det
 
@@ -752,7 +752,7 @@ class TestPencilDeterminant:
             x[-1] = [0] * n  # det X = 0 over Q
             m = pencil(x, random_matrix(rng, n, n, -4, 4).to_rows())
             expected = leibniz_det(m)
-            if expected.is_zero:
+            if not expected:
                 continue
             assert square_gcd(m) == expected
             done += 1
@@ -878,10 +878,10 @@ def refuse_laurent_determinants(monkeypatch):
     def refuse(*args):
         raise AssertionError("the evaluation kernel took a Laurent determinant")
 
-    def wide_only(p, window=None):
-        if p.rows == p.cols:
+    def wide_only(rows, m, *args):
+        if len(rows) == m:
             refuse()
-        return kernel(p, window)
+        return kernel(rows, m, *args)
 
     kernel = exactla._maximal_minors
     monkeypatch.setattr(exactla, "_maximal_minors", wide_only)
@@ -897,7 +897,7 @@ class TestMaximalMinors:
     @given(data=st.data())
     def test_against_enumeration(self, n, data):
         m = data.draw(wide_matrices(n))
-        assert _maximal_minors(m) == enumerated_minors(m)
+        assert minors_at_node(m) == enumerated_minors(m)
         gcd = enumerated_gcd(m)
         assert maximal_minor_gcd(m) == gcd
         rows = m.to_rows()
@@ -907,26 +907,26 @@ class TestMaximalMinors:
     def test_repeated_row_gives_zero(self):
         row = [P("s - 1"), P("s^-1"), P("2s + 3"), ZERO]
         m = LambdaMatrix.from_rows([row, [P("1"), P("s"), P("s^2"), P("s^-2")], row])
-        assert _maximal_minors(m) == [ZERO] * 4 == enumerated_minors(m)
+        assert minors_at_node(m) == [ZERO] * 4 == enumerated_minors(m)
         assert maximal_minor_gcd(m) == ZERO
 
     def test_pivot_columns_change_between_points(self):
         # at s = 0 the first column vanishes, so the pivots move right
         m = LambdaMatrix.from_rows([[P("s"), P("1"), ZERO, P("s^2 + 1")],
                                     [ZERO, P("s"), P("1"), P("-s")]])
-        assert _maximal_minors(m) == enumerated_minors(m)
+        assert minors_at_node(m) == enumerated_minors(m)
         assert maximal_minor_gcd(m) == enumerated_gcd(m) == ONE
 
     def test_no_rows_has_one_minor(self, monkeypatch):
         refuse_laurent_determinants(monkeypatch)
         for m in (1, 3):
-            assert _maximal_minors(LambdaMatrix(0, m, ())) == [ONE]
+            assert minors_at_node(LambdaMatrix(0, m, ())) == [ONE]
             assert maximal_minor_gcd(LambdaMatrix(0, m, ())) == ONE
 
     def test_zero_row_gives_zero(self, monkeypatch):
         refuse_laurent_determinants(monkeypatch)
         m = LambdaMatrix.from_rows([[P("s - 1"), ONE, P("s")], [ZERO, ZERO, ZERO]])
-        assert _maximal_minors(m) == [ZERO] * 3
+        assert minors_at_node(m) == [ZERO] * 3
         assert maximal_minor_gcd(m) == ZERO
 
     def test_plans_are_kept_across_calls(self):
@@ -1014,7 +1014,7 @@ class TestNodeGroups:
             crt_moduli.clear()
             eliminations.clear()
             seen.update(passes=0, laplace=0)
-            assert _maximal_minors(m) == enumerated_minors(m)
+            assert minors_at_node(m) == enumerated_minors(m)
             assert eliminations == crt_moduli
             assert seen["laplace"] == seen["passes"] == len(crt_moduli)
         assert len(crt_moduli) > 1
@@ -1027,17 +1027,17 @@ class TestNodeGroups:
         for sign in (1, -1):
             m = lambda_constants([[c, c], [sign * c, -sign * c]])
             assert exactla._normalised(m.to_rows())[2] == 2 * c * c + 1
-            assert _maximal_minors(m) == [LaurentPoly(0, (-2 * sign * c * c,))]
+            assert minors_at_node(m) == [LaurentPoly(0, (-2 * sign * c * c,))]
             shifted = LambdaMatrix.from_rows([[LaurentPoly(-3, (c,)), LaurentPoly(-2, (c,))],
                                               [LaurentPoly(5, (sign * c,)),
                                                LaurentPoly(6, (-sign * c,))]])
-            assert _maximal_minors(shifted) == enumerated_minors(shifted) == [
+            assert minors_at_node(shifted) == enumerated_minors(shifted) == [
                 LaurentPoly(3, (-2 * sign * c * c,))]
             # and two digits of c^2 with a zero digit between them
             spread = LambdaMatrix.from_rows([[LaurentPoly(-3, (c,)), LaurentPoly(-2, (c,))],
                                              [LaurentPoly(5, (sign * c,)),
                                               LaurentPoly(4, (-sign * c,))]])
-            assert _maximal_minors(spread) == enumerated_minors(spread) == [
+            assert minors_at_node(spread) == enumerated_minors(spread) == [
                 LaurentPoly(1, (-sign * c * c, 0, -sign * c * c))]
         # a wide matrix with both signs on each side of zero minors
         m = LambdaMatrix.from_rows([[LaurentPoly(0, (c,)), LaurentPoly(0, (c,)),
@@ -1045,7 +1045,7 @@ class TestNodeGroups:
                                     [LaurentPoly(0, (c,)), LaurentPoly(0, (-c,)),
                                      LaurentPoly(1, (-c,)), LaurentPoly(1, (c,))]])
         k = 2 * c * c
-        assert _maximal_minors(m) == enumerated_minors(m) == [
+        assert minors_at_node(m) == enumerated_minors(m) == [
             LaurentPoly(0, (-k,)), LaurentPoly(1, (-k,)), ZERO, ZERO,
             LaurentPoly(1, (k,)), LaurentPoly(2, (k,))]
 
@@ -1057,12 +1057,15 @@ class TestNodeGroups:
         top, bottom = self.GENERIC
         second = LambdaMatrix.from_rows([top, [add(b, mul(P("s^-5"), a))
                                                for a, b in zip(top, bottom)]])
-        shift, _, bound, points = exactla._normalised(first.to_rows())
-        assert exactla._normalised(second.to_rows())[0] - shift == -5
+        lows, _, bound, points = exactla._normalised(first.to_rows())
+        second_lows, polys, _, _ = exactla._normalised(second.to_rows())
+        assert sum(second_lows) - sum(lows) == -5
         expected = enumerated_minors(first)
         assert enumerated_minors(second) == expected
-        assert _maximal_minors(second, (shift, points, bound)) == expected
-        assert _maximal_minors(second) == expected
+        b = bound.bit_length() + 1
+        assert exactla._maximal_minors(exactla._at_node(polys, b), 4, second_lows,
+                                       (b, sum(lows), points, bound)) == expected
+        assert minors_at_node(second) == expected
 
     def test_seeded_sweep_with_vanishing_entries(self):
         rng = random.Random(26)
@@ -1074,7 +1077,7 @@ class TestNodeGroups:
                 rows = m.to_rows()
                 rows[-1] = [add(a, mul(P("s - 2"), vanishing_entry(rng))) for a in rows[0]]
                 m = LambdaMatrix.from_rows(rows)
-            assert _maximal_minors(m) == enumerated_minors(m)
+            assert minors_at_node(m) == enumerated_minors(m)
 
     def test_gcd_once_per_distinct_nonzero_minor(self, monkeypatch):
         # column 1 repeats column 0: of the 6 minors, one is zero and the
@@ -1129,7 +1132,7 @@ class TestDistinctMinors:
     def test_minors_that_agree_modulo_the_first_pack(self, crt_moduli):
         m = LambdaMatrix.from_rows([[LaurentPoly(0, (2,)), ZERO, ZERO],
                                     [ZERO, P("s + 5"), add(P("s + 5"), LaurentPoly(0, (Q1,)))]])
-        minors = _maximal_minors(m)
+        minors = minors_at_node(m)
         assert minors == enumerated_minors(m)
         assert minors[0] != minors[1] and minors[2] == ZERO
         assert len(crt_moduli) >= 2 and crt_moduli[0] == Q1
@@ -1138,7 +1141,7 @@ class TestDistinctMinors:
         # the minors 2 Q1 s, 0 and -Q1 s: two keys vanish modulo Q1 alone
         m = LambdaMatrix.from_rows([[LaurentPoly(0, (2,)), ZERO, ONE],
                                     [ZERO, LaurentPoly(1, (Q1,)), ZERO]])
-        assert _maximal_minors(m) == enumerated_minors(m) == [
+        assert minors_at_node(m) == enumerated_minors(m) == [
             LaurentPoly(1, (2 * Q1,)), ZERO, LaurentPoly(1, (-Q1,))]
         assert len(crt_moduli) >= 2 and crt_moduli[0] == Q1
 
@@ -1161,7 +1164,7 @@ class TestDistinctMinors:
                 cols.append(col)
             rng.shuffle(cols)
             m = columns_to_matrix(cols)
-            assert _maximal_minors(m) == enumerated_minors(m)
+            assert minors_at_node(m) == enumerated_minors(m)
 
     def test_one_decoding_per_distinct_minor(self, monkeypatch):
         # column 0 repeats twice: of the 10 minors, 3 are zero and 4 take
@@ -1173,7 +1176,7 @@ class TestDistinctMinors:
         distinct = set(filter(None, expected))
         assert (len(expected), expected.count(ZERO), len(distinct)) == (10, 3, 4)
         seen = count_decodings(monkeypatch)
-        minors = _maximal_minors(m)
+        minors = minors_at_node(m)
         assert minors == expected
         assert minors[1] is minors[4]  # columns (0, 2) and (1, 2)
         assert len(seen) == len(set(seen)) == len(distinct) and 0 not in seen
@@ -1188,7 +1191,7 @@ class TestDistinctMinors:
         expected = enumerated_minors(m)
         assert (expected.count(ZERO), len(set(filter(None, expected)))) == (1, 3)
         seen = count_decodings(monkeypatch)
-        assert _maximal_minors(m) == expected
+        assert minors_at_node(m) == expected
         assert len(crt_moduli) > 1 and crt_moduli[:2] == [p0, _prime(1)]
         assert len(seen) == len(set(seen)) == 3
 
@@ -1212,14 +1215,86 @@ def unit_rich_matrices(draw, n):
     return LambdaMatrix.from_rows(rows)
 
 
+def unit_dense(rng: random.Random, n: int) -> LambdaMatrix:
+    """An n x m Laurent matrix, n <= m <= n + 3, half of whose entries are
+    +-s^k with |k| <= 3 and the rest short polynomials and zeros, its rows
+    then mixed by row operations row_r += f row_i, so that fill-in makes
+    units and zero rows; sometimes one row is another times a unit, which
+    drops the rank."""
+    def unit():
+        return LaurentPoly(rng.randint(-3, 3), (rng.choice((1, -1)),))
+
+    def short():
+        return LaurentPoly(rng.randint(-2, 2), [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+    m = rng.randint(n, n + 3)
+    rows = [[rng.choice((unit, unit, short, lambda: ZERO))() for _ in range(m)] for _ in range(n)]
+    for _ in range(rng.randint(0, n)):
+        r, i = rng.randrange(n), rng.randrange(n)
+        if r != i:
+            f = short()
+            rows[r] = [add(a, mul(f, b)) for a, b in zip(rows[r], rows[i])]
+    if n > 1 and rng.random() < 0.3:
+        r, i = rng.sample(range(n), 2)
+        u = unit()
+        rows[r] = [mul(u, e) for e in rows[i]]
+    return LambdaMatrix.from_rows(rows)
+
+
+def read_back(rows: list[list[int]], cols: int, lows: list[int], b: int) -> LambdaMatrix:
+    """The Laurent matrix whose row i is s^low_i R_i, from the values
+    R_i(2^b) that the unit pivots leave, each read off its balanced
+    digits."""
+    return LambdaMatrix(len(rows), cols,
+                        [LaurentPoly(low, _digits(v, b, abs(v).bit_length() // b + 2))
+                         for row, low in zip(rows, lows) for v in row])
+
+
+def unit_reduced(m: LambdaMatrix) -> tuple[LambdaMatrix, list[int], tuple[int, int, int, int]]:
+    """exactla._unit_reduced(m) with its rows read back: (the reduced
+    Laurent matrix, the rows' lows, the window (b, low, D + 1, bound))."""
+    rows, cols, lows, window = exactla._unit_reduced(m)
+    return read_back(rows, cols, lows, window[0]), lows, window
+
+
+def schur_complement(m: LambdaMatrix) -> tuple[list[list[LaurentPoly]], int, int]:
+    """The unit-pivot rule on the entries themselves, in the tests' own ring
+    arithmetic: while an entry +-s^k is left, the one with the least
+    (row nonzeros - 1) * (column nonzeros - 1), ties by row and then by
+    column, clears its column, every other row losing a u^-1 times the
+    pivot row.  Returns (the rows left, K the sum of the pivot exponents,
+    the number of pivots that were no unit entry of m)."""
+    entries, rows, k, filled = m.to_rows(), m.to_rows(), 0, 0
+    at = [[(i, j) for j in range(m.cols)] for i in range(m.rows)]  # positions in m
+    while rows:
+        row_nz = [sum(map(bool, row)) - 1 for row in rows]
+        col_nz = [sum(map(bool, col)) - 1 for col in zip(*rows)]
+        pivot = min(((row_nz[i] * col_nz[j], i, j) for i, row in enumerate(rows)
+                     for j, e in enumerate(row) if e.coeffs in ((1,), (-1,))), default=None)
+        if pivot is None:
+            break
+        _, i, j = pivot
+        top, (r, c) = rows.pop(i), at.pop(i)[j]
+        u = top.pop(j)
+        k += u.low
+        filled += entries[r][c] != u
+        inverse = LaurentPoly(-u.low, u.coeffs)
+        for row, where in zip(rows, at):
+            a = row.pop(j)
+            where.pop(j)
+            row[:] = [sub(e, mul(mul(a, inverse), t)) for e, t in zip(row, top)]
+    return rows, k, filled
+
+
 def record_kernel_inputs(monkeypatch) -> list[LambdaMatrix]:
-    """The matrices _maximal_minors receives from here on."""
+    """The matrices _maximal_minors receives from here on, read back from
+    their values at the node."""
     seen = []
     kernel = exactla._maximal_minors
 
-    def recorded(p, window=None):
-        seen.append(p)
-        return kernel(p, window)
+    def recorded(rows, m, lows, window):
+        seen.append(read_back(rows, m, lows, window[0]))
+        return kernel(rows, m, lows, window)
 
     monkeypatch.setattr(exactla, "_maximal_minors", recorded)
     return seen
@@ -1251,10 +1326,10 @@ def bench_shaped_presentation(rng: random.Random, n: int = 8, k: int = 3) -> Lam
 
 def kernel_on_both_windows(m: LambdaMatrix) -> tuple[list, list]:
     """The minors of m after its unit pivots, from the kernel on the
-    window _unit_reduced returns, as maximal_minor_gcd calls it, and on the
-    reduced matrix's own window."""
-    reduced, window = exactla._unit_reduced(m)
-    return _maximal_minors(reduced, window), _maximal_minors(reduced)
+    rows and the window _unit_reduced returns, as maximal_minor_gcd calls
+    it, and on the reduced matrix read back, at its own node."""
+    reduced = unit_reduced(m)[0]
+    return exactla._maximal_minors(*exactla._unit_reduced(m)), minors_at_node(reduced)
 
 
 class TestUnitPivots:
@@ -1266,9 +1341,9 @@ class TestUnitPivots:
     @given(data=st.data())
     def test_against_enumeration(self, n, data):
         m = data.draw(unit_rich_matrices(n))
-        reduced, _ = exactla._unit_reduced(m)
+        reduced = unit_reduced(m)[0]
         assert reduced.cols - reduced.rows == m.cols - m.rows
-        assert not any(map(exactla._is_unit, reduced.entries))
+        assert not any(e.coeffs in ((1,), (-1,)) for e in reduced.entries)
         assert maximal_minor_gcd(m) == enumerated_gcd(m)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1281,40 +1356,65 @@ class TestUnitPivots:
     @given(st.integers(2, 6).flatmap(unit_rich_matrices))
     def test_window_is_the_inputs_shifted_by_the_pivot_exponents(self, m):
         # K, the sum of the pivot exponents k, read off the pivots +-s^k
-        # that the reduction clears a column with, one per pivot
+        # of the reduction in ring arithmetic, one per pivot
         assume(all(map(any, m.to_rows())))
-        pivot_lows = []
-        clear = exactla._clear_column
+        left, k, _ = schur_complement(m)
+        reduced, _, window = unit_reduced(m)
+        assert len(left) == reduced.rows
+        lows, _, bound, points = exactla._normalised(m.to_rows())
+        assert window == (bound.bit_length() + 1, sum(lows) - k, points, bound)
 
-        def recorded(rows, top, j, u):
-            pivot_lows.append(u.low)
-            return clear(rows, top, j, u)
+    def test_reduced_rows_are_the_schur_complement(self):
+        # The rows left at the node, each value read off its digits and
+        # shifted by its row's low, are the Schur complement of the pivots
+        # in ring arithmetic, row for row; each row that is not zero starts
+        # at its low.  The kernel then gives that complement's minors.
+        # Among the draws, fill-in makes units that are then pivots, and
+        # rows that cancel to zero.
+        rng = random.Random(38)
+        seen = {"fill-in unit": 0, "fill-in zero row": 0, "rows left": 0}
+        for _ in range(300):
+            m = unit_dense(rng, rng.randint(1, 5))
+            rows, cols, lows, window = exactla._unit_reduced(m)
+            left, _, filled = schur_complement(m)
+            reduced = read_back(rows, cols, lows, window[0])
+            assert reduced.to_rows() == left
+            assert lows == [min((e.low for e in row if e), default=low)
+                            for row, low in zip(left, lows)]
+            assert exactla._maximal_minors(rows, cols, lows, window) == enumerated_minors(reduced)
+            seen["fill-in unit"] += filled > 0
+            seen["fill-in zero row"] += all(map(any, m.to_rows())) and not all(map(any, left))
+            seen["rows left"] += len(left) > 1
+        assert min(seen.values()) >= 20, seen
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exactla, "_clear_column", recorded)
-            reduced, window = exactla._unit_reduced(m)
-        assert len(pivot_lows) == m.rows - reduced.rows
-        shift, _, bound, points = exactla._normalised(m.to_rows())
-        assert window == (shift - sum(pivot_lows), points, bound)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.builds(LaurentPoly, st.integers(-3, 3),
-                              st.lists(st.integers(-4, 4), max_size=4)),
-                    min_size=4, max_size=4),
-           st.builds(LaurentPoly, st.integers(-3, 3), st.sampled_from(((1,), (-1,)))))
-    def test_column_update_is_the_ring_update(self, entries, u):
-        # e - a u^-1 t for each (e, t), a the popped entry, as ring arithmetic
-        a, e1, e2, t = entries
-        rows, top = [[e1, a, e2]], [t, ZERO]
-        exactla._clear_column(rows, top, 1, u)
-        inverse = LaurentPoly(-u.low, u.coeffs)  # (+-s^k)^-1 = +-s^-k
-        assert rows == [[sub(e1, mul(mul(a, inverse), t)), e2]]
+    def test_unit_dense_sweep_against_bareiss(self):
+        # The gcd and the rank against the fraction-free oracle, also where
+        # a row copied under a unit drops the rank.  [[1, c], [-c, 1]] has
+        # bound c^2 + 2, and its one Schur-complement entry, 1 + c^2, is
+        # bound - 1; for c = 2^k that is above 2^(2k), so it is a balanced
+        # digit only at the node's b = bound.bit_length() + 1.
+        rng = random.Random(39)
+        cases = [unit_dense(rng, rng.randint(1, 5)) for _ in range(300)]
+        for k in (1, 8, 40):
+            c = 2**k
+            edge = lambda_constants([[1, c], [-c, 1]])
+            assert exactla._unit_reduced(edge)[0] == [[c * c + 1]]
+            assert exactla._normalised(edge.to_rows())[2] == c * c + 2
+            cases.append(edge)
+        seen = {"deficient": 0, "full": 0}
+        for m in cases:
+            rank = bareiss(m.to_rows(), LAURENT)[0]
+            assert maximal_minor_gcd(m) == enumerated_gcd(m)
+            assert rank_over_fractions(m) == rank
+            seen["deficient" if rank < m.rows else "full"] += 1
+        assert maximal_minor_gcd(edge) == LaurentPoly(0, (c * c + 1,))
+        assert min(seen.values()) >= 50, seen
 
     def test_fill_in_widens_some_draws(self):
         # a draw whose reduced rows span more than the input's rows do, on
         # which the input's window still gives every minor
         def widened(m):
-            reduced, (_, points, _) = exactla._unit_reduced(m)
+            reduced, _, (_, _, points, _) = unit_reduced(m)
             return reduced.rows > 1 and exactla._normalised(reduced.to_rows())[3] > points
 
         m = find(st.integers(2, 6).flatmap(unit_rich_matrices), widened,
@@ -1327,16 +1427,14 @@ class TestUnitPivots:
         # A bench-shaped 8 x 11 presentation: the unit pivots leave it 6 x 9
         # with spans summing to 18, but its minors need only the input's
         # D + 1 = 9 digits, scaled as the input's window starts 10 above the
-        # reduced rows' lowest exponents.  The matrix is evaluated once, at
-        # s = 2^b for the smaller bound, and eliminated once per modulus,
-        # which the input's window makes fewer.
+        # reduced rows' lowest exponents.  The input is evaluated once, at
+        # s = 2^b for its bound, and the rows its pivots leave are
+        # eliminated once per modulus, which the input's window makes fewer.
         m = bench_shaped_presentation(random.Random(1))
-        reduced, (input_low, points, bound) = exactla._unit_reduced(m)
-        own_shift, _, own_bound, own_points = exactla._normalised(reduced.to_rows())
-        low = max(own_shift, input_low)
-        window = min(own_shift + own_points, input_low + points) - low
-        assert (reduced.rows, reduced.cols, points, own_points, window) == (6, 9, 9, 19, 9)
-        assert low - own_shift == 10
+        reduced, lows, (b, low, points, bound) = unit_reduced(m)
+        own_lows, _, own_bound, own_points = exactla._normalised(reduced.to_rows())
+        assert (reduced.rows, reduced.cols, points, own_points) == (6, 9, 9, 19)
+        assert low - sum(lows) == 10 and own_lows == lows
         nodes, eliminations = [], []
         at_node, rref = exactla._at_node, exactla._rref_mod
 
@@ -1352,16 +1450,15 @@ class TestUnitPivots:
         monkeypatch.setattr(exactla, "_rref_mod", counted_rref)
         crt_moduli.clear()  # drawing the Seifert matrix took a determinant
         gcd = maximal_minor_gcd(m)
-        b = min(bound, own_bound).bit_length() + 1
-        assert nodes == [b]
+        assert nodes == [b] == [bound.bit_length() + 1]
         assert eliminations == crt_moduli
-        values = min(bound, own_bound) * exactla._ones(b, window)
+        values = bound * exactla._ones(b, points)
         own_b = own_bound.bit_length() + 1
         own_values = own_bound * exactla._ones(own_b, own_points)
         assert laurent._crt_primes(values) < laurent._crt_primes(own_values)
         monkeypatch.undo()
         own = ZERO
-        for minor in _maximal_minors(reduced):
+        for minor in minors_at_node(reduced):
             own = laurent.gcd(own, minor)
         assert gcd == canonicalize(own)
 
@@ -1372,7 +1469,7 @@ class TestUnitPivots:
                                     [P("2"), P("2s + 3"), P("3s")]])
         seen = record_kernel_inputs(monkeypatch)
         assert maximal_minor_gcd(m) == ONE == enumerated_gcd(m)
-        assert [(p.rows, p.cols) for p in seen] == [(0, 1)]
+        assert seen == [LambdaMatrix(0, 1, ())]
 
     def test_reduces_to_one_row(self, monkeypatch):
         m = LambdaMatrix.from_rows([[ONE, P("s"), P("2"), P("s + 1")],
@@ -1460,13 +1557,13 @@ class TestSquareMinorGcd:
                    for i, row in enumerate(rows) for j, e in enumerate(row)):
                 # sI - Y (the 0 x 0 matrix too): the shortcut, against the kernel
                 assert len(kernel_calls) == before
-                assert gcd == canonicalize(_maximal_minors(m)[0])
+                assert gcd == canonicalize(minors_at_node(m)[0])
                 seen["pencil"] += 1
                 continue
             assert len(kernel_calls) == before + 1
             seen["one"] += n == 1
-            seen["consumed"] += n > 0 and exactla._unit_reduced(m)[0].rows == 0
-            if det.is_zero:  # delta 0: the obstruction takes the rank
+            seen["consumed"] += n > 0 and not exactla._unit_reduced(m)[0]
+            if not det:  # delta 0: the obstruction takes the rank
                 report = evaluate_fibred_obstruction(m)
                 assert (report.delta, report.torsion) == (ZERO, "no")
                 assert report.reasons[0] == (
@@ -1507,7 +1604,7 @@ class TestRankOverFractions:
         bound = exactla._normalised([[e]])[2]
         assert bound.bit_length() + 1 == 130 and q > 2 * bound
         assert rank_over_fractions(LambdaMatrix.from_rows([[e]])) == 1
-        assert _maximal_minors(LambdaMatrix.from_rows([[e, ZERO], [ZERO, ONE]])) == [e]
+        assert minors_at_node(LambdaMatrix.from_rows([[e, ZERO], [ZERO, ONE]])) == [e]
 
     def test_input_window_skips_the_node_zero(self):
         # one unit pivot leaves [[2s - 2, 0], [2s^-2, 1 - 2s^-1]], whose rows
@@ -1540,7 +1637,7 @@ class TestRankOverFractions:
                 seen["zero-row"] += 1
             m = LambdaMatrix.from_rows(out)
             seen["wide" if rows < cols else "tall" if rows > cols else "square"] += 1
-            reduced, _ = exactla._unit_reduced(m)
+            reduced = unit_reduced(m)[0]
             seen["all-pivots" if not any(reduced.entries) else "some-left"] += 1
             # fill-in widened the rows past the input's span, which then
             # bounds the digits
@@ -1606,7 +1703,7 @@ class TestPencil:
         kind, x, y = case
         m = laurent_pencil(x, y)
         rank, det = bareiss(m.to_rows(), LAURENT)
-        assert _maximal_minors(m)[0] == det
+        assert minors_at_node(m)[0] == det
         assert rank_over_fractions(m) == rank
         assert maximal_minor_gcd(m) == canonicalize(det)
         if x is None:  # the shortcut: char_poly, monic of degree n
@@ -1620,7 +1717,7 @@ class TestPencil:
                                 (None, [[7]], P("s - 7"), 1), ([[3]], [[5]], P("3s - 5"), 1),
                                 ([[0]], [[3]], P("-3"), 1), ([[0]], [[0]], ZERO, 0)):
             m = laurent_pencil(x, y)
-            assert (_maximal_minors(m)[0], rank_over_fractions(m)) == (det, rank)
+            assert (minors_at_node(m)[0], rank_over_fractions(m)) == (det, rank)
             assert (rank, det) == bareiss(m.to_rows(), LAURENT)
             assert maximal_minor_gcd(m) == canonicalize(det)
 
@@ -1891,13 +1988,13 @@ class TestHighDegree:
         wide = LambdaMatrix.from_rows([[P("s^200"), P("1"), P("s^-3+2")],
                                        [P("2"), P("s^150-s"), P("s")]])
         rows = wide.to_rows()
-        assert _maximal_minors(wide) == [
+        assert minors_at_node(wide) == [
             bareiss([[r[i], r[j]] for r in rows], LAURENT)[1]
             for i, j in itertools.combinations(range(3), 2)]
 
     def test_a_row_is_its_own_list_of_minors(self):
         row = [P("s^2000-1"), ZERO, P("2s^-3")]
-        assert _maximal_minors(LambdaMatrix.from_rows([row])) == row
+        assert minors_at_node(LambdaMatrix.from_rows([row])) == row
         assert square_gcd(LambdaMatrix.from_rows([row[:1]])) == row[0]
 
 
@@ -1923,7 +2020,7 @@ class TestEvaluationAgainstBareiss:
         if m.rows > m.cols:
             return
         rows = m.to_rows()
-        assert _maximal_minors(m) == [
+        assert minors_at_node(m) == [
             bareiss([[r[j] for j in cols] for r in rows], LAURENT)[1]
             for cols in itertools.combinations(range(m.cols), m.rows)]
 
@@ -1934,7 +2031,7 @@ class TestEvaluationAgainstBareiss:
         m = laurent_pencil(x, y)
         rank, det = bareiss(m.to_rows(), LAURENT)
         assert rank_over_fractions(m) == rank
-        assert _maximal_minors(m) == [det]
+        assert minors_at_node(m) == [det]
 
 
 # Coefficients up to 2^70, or multiples of the first CRT prime, which make
@@ -1998,7 +2095,7 @@ class TestPackedModuli:
             mp.setattr(laurent, "_CRT_PACK", pack)
             assert rank_over_fractions(m) == bareiss(m.to_rows(), LAURENT)[0]
             if m.rows <= m.cols:
-                assert _maximal_minors(m) == enumerated_minors(m)
+                assert minors_at_node(m) == enumerated_minors(m)
 
     @pytest.mark.parametrize("pack", [8, 1])
     @settings(max_examples=80, deadline=None)
@@ -2050,7 +2147,7 @@ class TestPackedModuli:
                      [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, p1, 3]]):
             crt_moduli.clear()
             m = lambda_constants(rows)
-            assert _maximal_minors(m) == enumerated_minors(m)
+            assert minors_at_node(m) == enumerated_minors(m)
             assert fell_back(next(laurent._crt_packs(1, exactla._normalised(m.to_rows())[2])))
         # the rank, full and deficient, with a first pivot of p0 and no
         # unit entry to pivot away first
