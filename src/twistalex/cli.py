@@ -15,7 +15,7 @@ import traceback
 
 from . import formats, laurent
 from .cover import branched_cover_homology_from_monodromy, twisted_invariants
-from .errors import SizeLimitError, TwistError
+from .errors import InvariantError, SizeLimitError, TwistError
 from .fixtures import FIXTURES, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
@@ -104,7 +104,7 @@ def _cmd_monodromy(args) -> int:
     labels = ("group order", "H1 rank", "H", "delta", "torsion", "principal", "monic", "verdict")
     _emit(args, (f"{label} = {value}" for label, value in zip(labels, payload.values())),
           payload)
-    return 0
+    return report.exit_code
 
 
 def _bool_text(b: bool) -> str:
@@ -121,16 +121,16 @@ def _order_check(s: SeifertMatrix, d: int) -> tuple[int, int]:
 def _check_sweep(args) -> None:
     """Refuse a --sweep whose range d = 2..SWEEP is empty."""
     if args.sweep is not None and args.sweep < 2:
-        raise TwistError("sweep must be an integer >= 2")
+        raise InvariantError("sweep must be an integer >= 2")
 
 
 def _cmd_seifert(args) -> int:
     s = formats.parse_seifert(_source(args))
     if args.d is None and args.sweep is None:
-        raise TwistError("give --d and/or --sweep")
+        raise InvariantError("give --d and/or --sweep")
     _check_sweep(args)
     if args.r is not None and args.d is None:
-        raise TwistError("--r needs --d: the character lives on the d-fold branched cover")
+        raise InvariantError("--r needs --d: the character lives on the d-fold branched cover")
     alex = alexander_polynomial(s)
     payload: dict = {"alexander": to_text(alex, var="t")}
     lines = [f"alexander = {payload['alexander']}"]
@@ -189,10 +189,10 @@ def _cmd_resultant(args) -> int:
 def _cmd_homcheck(args) -> int:
     if args.fixture is not None:
         if args.hom is not None:
-            raise TwistError("--hom goes with --presentation, not with --fixture")
+            raise InvariantError("--hom goes with --presentation, not with --fixture")
         texts = iter(FIXTURES[args.fixture][1])
     elif args.hom is None:
-        raise TwistError("--presentation needs --hom")
+        raise InvariantError("--presentation needs --hom")
     else:
         texts = map(_read, (args.presentation, args.hom))  # each read when parsed
     pres, names = formats.parse_presentation(next(texts))

@@ -28,8 +28,7 @@ import itertools
 import operator
 
 from . import laurent
-from .errors import (CompatibilityError, InternalError, InvariantError,
-                     LiftSizeError, NonSurjectiveError, number_text)
+from .errors import InternalError, InvariantError, SizeLimitError, number_text
 from .exactla import IntMatrix, CokernelInvariants, char_poly, smith_normal_form
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, _closure
@@ -85,7 +84,7 @@ def build_cover(rank: int, alpha: FiniteHom) -> CoverGraph:
     target = alpha.target
     order = len(vertices)
     if order != target.order:
-        raise NonSurjectiveError(
+        raise InvariantError(
             f"images generate a proper subgroup of {target.name()}; cover would be disconnected")
     tree_edges = set(parent[1:])
     basis = tuple(sorted(
@@ -128,7 +127,7 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
     step = _charge_lift(f, order, d)
     homs = _alpha_chain(f, cover.alpha, d)
     if homs[-1].images != cover.alpha.images:
-        raise CompatibilityError(
+        raise InvariantError(
             "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift")
     back = _translations(cover)
     index = {x: k for k, x in enumerate(cover.vertices)}
@@ -141,23 +140,22 @@ def lift_power_matrix(cover: CoverGraph, f: FreeEndo, d: int) -> IntMatrix:
         top = max((max(max(c), -min(c)) for c in chains), default=0)
         work += step * (1 + top.bit_length() // 64)
         if work > MAX_LIFT_WORK:
-            raise LiftSizeError(f"lifting f^{d}: chain work passed the cap of "
-                                f"{MAX_LIFT_WORK} with entries of "
-                                f"{top.bit_length()} bits")
+            raise SizeLimitError(f"lifting f^{d}: chain work passed the cap of "
+                                 f"{MAX_LIFT_WORK} with entries of {top.bit_length()} bits")
     return _assemble(cover, back, chains)
 
 
 def _charge_lift(f: FreeEndo, order: int, d: int) -> int:
     """One step's charge for lifting f^d over a cover of order |G|, whose
-    H1 rank is (n - 1)|G| + 1; a LiftSizeError if the up-front charge
+    H1 rank is (n - 1)|G| + 1; a SizeLimitError if the up-front charge
     passes MAX_LIFT_WORK.  It needs no cover built."""
     n = f.rank
     step = ((n - 1) * order + 2) * order * (n + sum(len(w) for w in f.images)) + 100
     charge = max(d * step, n * order * order)
     if charge > MAX_LIFT_WORK:
-        raise LiftSizeError(f"lifting f^{number_text(d)} needs at least "
-                            f"{number_text(charge)} units of chain work, above the "
-                            f"cap of {MAX_LIFT_WORK}")
+        raise SizeLimitError(f"lifting f^{number_text(d)} needs at least "
+                             f"{number_text(charge)} units of chain work, above the "
+                             f"cap of {MAX_LIFT_WORK}")
     return step
 
 

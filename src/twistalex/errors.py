@@ -12,24 +12,19 @@ class TwistError(Exception):
 
 
 class ParseError(TwistError):
-    """Malformed input text; carries the offending position when known."""
+    """Malformed input text; the message names the position when known."""
 
     def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
         where = ""
         if line is not None:
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + where)
 
 
-class UnknownFixtureError(TwistError):
-    """Requested fixture name is not built in."""
-
-
 class InvariantError(TwistError, ValueError):
-    """An input violates a structural invariant (e.g. det(S - S^T) != +-1)
-    or an argument check (e.g. a covering degree d < 1).  It is a
+    """An input violates a structural invariant (e.g. det(S - S^T) != +-1,
+    or an alpha that is not onto or that f^d does not preserve) or an
+    argument check (e.g. a covering degree d < 1).  It is a
     ValueError too, so callers that catch ValueError keep catching it."""
 
 
@@ -46,21 +41,8 @@ class WordLengthError(SizeLimitError):
     """A free-group word, as parsed, has more letters than the cap."""
 
 
-class LiftSizeError(SizeLimitError):
-    """The chain-map product lifting a monodromy power passed its work cap
-    (a huge power, or entries whose bit length keeps growing)."""
-
-
 class MinorLimitError(SizeLimitError):
     """Maximal-minor enumeration would exceed the combination cap."""
-
-
-class NonSurjectiveError(TwistError):
-    """The given homomorphism does not surject onto its target group."""
-
-
-class CompatibilityError(TwistError):
-    """The endomorphism does not descend to the cover (alpha . f != alpha)."""
 
 
 def number_text(n: int) -> str:

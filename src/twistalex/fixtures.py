@@ -8,7 +8,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import formats
-from .errors import UnknownFixtureError
+from .errors import InvariantError
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, Presentation
 
@@ -98,7 +98,7 @@ def load_fixture(name: str):
     depending on the fixture kind.
     """
     if name not in FIXTURES:
-        raise UnknownFixtureError(
+        raise InvariantError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     kind, text = FIXTURES[name]
     if kind == "monodromy":

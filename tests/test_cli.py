@@ -9,7 +9,7 @@ import pytest
 from twistalex import (cli, cover, exactla, fixtures, formats, grouphom, laurent,
                        obstruction, seifert)
 from twistalex.cli import main
-from twistalex.errors import ParseError, TwistError, UnknownFixtureError
+from twistalex.errors import InvariantError, ParseError, TwistError
 from twistalex.fixtures import load_fixture
 
 from table_mutations import generator_row_off_in_its_last_block, last_row_is_the_one_before
@@ -91,7 +91,8 @@ class TestMonodromyCommand:
         code, raw, _ = run(capsys, "monodromy", "--file", str(mono),
                            "--d", "40", "--alpha", "Z/1:x=0", "--json")
         payload = json.loads(raw)
-        assert code == 0
+        # det(H) = 2^40 is no unit: the verdict is a certificate, and exits 2
+        assert code == 2
         assert payload["h"] == [[2**40]]
         assert payload["delta"] == f"s - {2**40}"
 
@@ -748,7 +749,7 @@ class TestSelftest:
         # argparse's choices refuse an unknown --fixture first; selftest loads
         # its fixtures by name, so it reaches the refusal once one is gone
         available = ", ".join(fixtures.FIXTURE_NAMES)
-        with pytest.raises(UnknownFixtureError) as info:
+        with pytest.raises(InvariantError) as info:
             load_fixture("no-such")
         assert isinstance(info.value, TwistError)
         assert str(info.value) == f"unknown fixture 'no-such'; available: {available}"
@@ -1083,6 +1084,11 @@ REFUSALS = [
      "give --d and/or --sweep"),
     ("monodromy-d-0", _cli("monodromy", "--fixture", "trefoil-monodromy", "--d", "0",
                            "--alpha", "Z/3:x=1,y=1"), 64, "d must be a positive integer"),
+    ("monodromy-not-onto", _cli(*TREFOIL_ALPHA, "Z/6:x=0,y=2"), 64,
+     "images generate a proper subgroup of Z/6; cover would be disconnected"),
+    ("monodromy-no-lift", _cli("monodromy", "--fixture", "trefoil-monodromy", "--d", "1",
+                               "--alpha", "Z/3:x=1,y=1"), 64,
+     "endomorphism does not satisfy alpha(f(x)) = alpha(x); it has no lift"),
     ("resultant-zero-at-d", _cli("resultant", "--poly", "0", "--d", "3"), 64,
      "resultant of the zero polynomial is undefined"),
     ("resultant-d-0", _cli("resultant", "--poly", "t-2", "--d", "0"), 64,
@@ -1107,6 +1113,9 @@ REFUSALS = [
     ("lift-huge-cyclic-order", _cli(*TREFOIL_ALPHA, Z_1E4000 + ":x=1,y=1"), 65,
      "lifting f^2 needs at least 2^26578 or more units of chain work, "
      "above the cap of 20000000"),
+    ("lift-chain-work", (["monodromy", "--file", "{m}", "--d", "30000", "--alpha", "Z/1:x=0"],
+                         {"m": "generators: x\nx -> x x\n"}), 65,
+     "lifting f^30000: chain work passed the cap of 20000000 with entries of 4882 bits"),
     ("branched-huge-d", _cli("seifert", "--fixture", "trefoil-seifert", "--d", NINES_4300), 65,
      f"the {NINES_4300}-fold branched presentation of a 2x2 Seifert matrix has "
      "2^14285 or more rows, above the cap of 1000"),

@@ -482,6 +482,13 @@ class TestIntDeterminant:
             zeros(2, 3).det()
 
 
+class TestIntMatrixProduct:
+    def test_a_non_matrix_operand_is_refused(self):
+        # __mul__ returns NotImplemented, and int has no product with a matrix either
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2) * 2
+
+
 class TestInverseUnimodular:
     """A^-1 as the one solve of [A | I], against the cofactor adjugate."""
 

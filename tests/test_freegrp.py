@@ -41,6 +41,10 @@ class TestWord:
         w = Word([(0, 1), (1, 1), (1, -1), (0, 1)])
         assert w.blocks == ((0, 2),)
 
+    def test_a_zero_exponent_block_is_skipped(self):
+        # y^0 is skipped, so x^2 and x^-2 meet and cancel
+        assert Word([(0, 2), (1, 0), (0, -2)]).blocks == ()
+
     def test_inverse(self):
         w = Word([(0, 1), (1, -2)])
         assert product(w, inverse(w)) == Word()
