@@ -104,8 +104,8 @@ class IntMatrix(Matrix):
             raise ValueError("shape mismatch in product")
         cols = [other.entries[j::other.cols] for j in range(other.cols)]
         return IntMatrix(self.rows, other.cols,
-                         [sum(map(operator.mul, self.row(i), c))
-                          for i in range(self.rows) for c in cols])
+                         [sum(map(operator.mul, row, c))
+                          for row in map(self.row, range(self.rows)) for c in cols])
 
     def __pow__(self, n: int) -> "IntMatrix":
         if not self.is_square:

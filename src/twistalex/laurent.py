@@ -22,7 +22,10 @@ def _binpow(base, n: int, mul, one):
     by square-and-multiply; ``one`` is the answer for n = 0.
 
     Squares only while higher bits of n remain, so no product beyond the
-    answer's own factors is ever formed.
+    answer's own factors is ever formed.  Its users: t^d modulo Delta over
+    Z/q (resultant_with_cyclotomic), t^d and (t - 1)^d modulo
+    char_poly(Gamma) over Z (seifert._cover_matrix), permutation powers
+    (grouphom) and IntMatrix powers (the monodromy-power cover).
     """
     result = None
     while True:

@@ -6,6 +6,7 @@ sheets."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -28,7 +29,9 @@ class SeifertMatrix:
     unimodular.  ``gamma`` is Seifert's Gamma = A^-1 S, so that
     tS - S^T = A (I + (t - 1) Gamma), taken at construction by the one
     solve of [A | S] that also gives det A: a det A other than +-1 is
-    named in the InvariantError that refuses S.
+    named in the InvariantError that refuses S.  ``gamma_char_poly`` is
+    char_poly(Gamma), taken on first use and kept: the Alexander polynomial
+    and every branched cover read it, and a refused S never takes it.
 
     The empty 0x0 matrix stands for the unknot.
     """
@@ -51,6 +54,10 @@ class SeifertMatrix:
     def size(self) -> int:
         return self.matrix.rows
 
+    @functools.cached_property
+    def gamma_char_poly(self) -> LaurentPoly:
+        return char_poly(self.gamma)
+
 
 def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     """Classical Alexander polynomial det(tS - S^T), canonicalized.
@@ -59,7 +66,7 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPoly:
     up to sign, for char_poly(Gamma) = sum_k c_k s^k.  The 0x0 matrix gives
     1 (unknot convention).
     """
-    chi = char_poly(s.gamma)
+    chi = s.gamma_char_poly
     delta: list[int] = []  # ascending coefficients in t
     for k in range(s.size + 1):  # Horner's rule: delta = delta (1 - t) + c_k
         delta = [a - b for a, b in zip(delta + [0], [0] + delta)]
@@ -124,19 +131,80 @@ def branched_cover(s: SeifertMatrix, d: int, r: int | None = None) -> BranchedCo
     Z_r with its jump, from one Smith elimination.
 
     H1 is coker M for the n x n matrix M = Gamma^d - (Gamma - I)^d
-    (H. Seifert, Math. Ann. 110, 1935); coker M^T has the same invariant
+    (H. Seifert, Math. Ann. 110, 1935), built as r(Gamma) from
+    char_poly(Gamma) (_cover_matrix), so a Gamma past char_poly's work cap
+    raises its SizeLimitError here.  coker M^T has the same invariant
     factors, and its Smith form gives a character x with M x = 0 (mod r),
     which is pushed to the sheet meridians (_push_character).
     """
     n = s.size
     _check_cover(n, d, r)
-    gamma = s.gamma
-    shifted = gamma - IntMatrix.identity(n)
-    smith = smith_normal_form((gamma ** d - shifted ** d).transpose(), r)
+    smith = smith_normal_form(_cover_matrix(s, d).transpose(), r)
     x = None if r is None else smith.character()
     jump = None if x is None else _character_jump(
-        _push_character(s.matrix, gamma, x, d, r), n, d, r)
+        _push_character(s.matrix, s.gamma, x, d, r), n, d, r)
     return BranchedCover(homology=smith.cokernel(), jump=jump)
+
+
+def _cover_matrix(s: SeifertMatrix, d: int) -> IntMatrix:
+    """M = Gamma^d - (Gamma - I)^d as r(Gamma), for the remainder
+    r = (t^d - (t - 1)^d) mod chi of degree below n: chi = char_poly(Gamma)
+    is monic and chi(Gamma) = 0 (Cayley-Hamilton), so M = r(Gamma) exactly.
+    Both powers are taken in Z[t]/chi by square-and-multiply, and r(Gamma)
+    by Paterson-Stockmeyer (_evaluate)."""
+    n = s.size
+    # by exponent: a singular Gamma's chi has no constant term, which the
+    # LaurentPoly drops
+    chi = [s.gamma_char_poly.coefficient(k) for k in range(n + 1)]
+
+    def mulmod(x: list[int], y: list[int]) -> list[int]:
+        prod = [0] * (2 * n - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                prod[i : i + n] = [c + xi * yj for c, yj in zip(prod[i : i + n], y)]
+        return _reduce(prod, chi)
+
+    # d >= 2, so _binpow never returns its answer for d = 0
+    powers = [laurent._binpow(_reduce(base, chi), d, mulmod, None) for base in ([0, 1], [-1, 1])]
+    return _evaluate(laurent._trim([a - b for a, b in zip(*powers)]), s.gamma)
+
+
+def _reduce(a: list[int], chi: list[int]) -> list[int]:
+    """a modulo the monic chi of degree n, ascending coefficients: the n
+    coefficients of the remainder, zeros kept."""
+    n = len(chi) - 1
+    a = a + [0] * (n - len(a))
+    for k in range(len(a) - 1, n - 1, -1):
+        q = a[k]
+        if q:  # a -= q t^(k-n) chi, which clears a[k]
+            a[k - n : k] = [x - q * c for x, c in zip(a[k - n : k], chi)]
+    return a[:n]
+
+
+def _evaluate(r: list[int], gamma: IntMatrix) -> IntMatrix:
+    """r(Gamma) for the L ascending coefficients r, trimmed of zeros at the
+    top, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): the powers I,
+    Gamma, ..., Gamma^m for m = ceil(sqrt(L)), then Horner's rule in
+    Gamma^m over r's blocks of m coefficients.  That is at most (m - 1) +
+    (ceil(L / m) - 1) <= 2m - 2 products, and a remainder modulo
+    char_poly(Gamma) has L <= n whatever the degree of the cover."""
+    n = gamma.rows
+    if not r:
+        return IntMatrix(n, n, [0] * (n * n))
+    m = math.isqrt(len(r) - 1) + 1
+    blocks = [r[i : i + m] for i in range(0, len(r), m)]
+    powers = [IntMatrix.identity(n), gamma]
+    while len(powers) <= (m if len(blocks) > 1 else len(r) - 1):
+        powers.append(powers[-1] * gamma)
+    acc = None
+    for block in reversed(blocks):
+        coeffs, terms = list(block), powers[: len(block)]
+        if acc is not None:
+            coeffs.append(1)
+            terms.append(acc * powers[m])
+        acc = IntMatrix(n, n, [sum(map(operator.mul, coeffs, entries))
+                               for entries in zip(*(t.entries for t in terms))])
+    return acc
 
 
 def _push_character(m: IntMatrix, gamma: IntMatrix, x, d: int,

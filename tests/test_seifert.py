@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twistalex.cli import _order_check
 from twistalex.cover import branched_cover_homology_from_monodromy
-from twistalex import exactla, seifert
+from twistalex import cli, exactla, seifert
 from twistalex.errors import InternalError, InvariantError, SizeLimitError
 from twistalex.exactla import IntMatrix, smith_normal_form
 from twistalex.fixtures import load_fixture
@@ -52,6 +52,7 @@ class TestSeifertMatrix:
 
         char_poly = exactla.char_poly
         monkeypatch.setattr(exactla, "char_poly", counted)
+        monkeypatch.setattr(seifert, "char_poly", counted)
         p = _prime(0)
         for rows, det in (([[1, 2], [0, 1]], 4), ([[0, p], [0, 0]], p * p)):
             calls.clear()
@@ -385,6 +386,109 @@ class TestBranchedCoverAgainstBlockOracle:
         with pytest.raises(ValueError, match="branched presentation needs d >= 2"):
             branched_cover(TREFOIL, 1)
         assert branched_cover(UNKNOT, 10**6, 5).homology.is_trivial
+
+
+def _powers_oracle(s: SeifertMatrix, d: int) -> IntMatrix:
+    """Seifert's M = Gamma^d - (Gamma - I)^d by two square-and-multiply powers."""
+    return s.gamma ** d - (s.gamma - IntMatrix.identity(s.size)) ** d
+
+
+def _block_sum(*blocks) -> SeifertMatrix:
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return SeifertMatrix(rows)
+
+
+# S = [[0, 1], [0, 0]] has det S = 0, so Gamma is singular and
+# char_poly(Gamma) has no constant term
+SINGULAR = [[0, 1], [0, 0]]
+SINGULAR_GUARD = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+
+
+class TestBranchedCoverAgainstPowers:
+    """The cover matrix r(Gamma), with r = (t^d - (t - 1)^d) mod char_poly(Gamma),
+    against the two powers it replaces, and branched_cover against the Smith
+    form of the oracle's matrix, character and jump included."""
+
+    @staticmethod
+    def check(s: SeifertMatrix, d: int, r: int) -> None:
+        oracle = _powers_oracle(s, d)
+        assert seifert._cover_matrix(s, d) == oracle
+        smith = smith_normal_form(oracle.transpose(), r)
+        x = smith.character()
+        jump = None if x is None else seifert._character_jump(
+            seifert._push_character(s.matrix, s.gamma, x, d, r), s.size, d, r)
+        assert branched_cover(s, d, r) == seifert.BranchedCover(smith.cokernel(), jump)
+
+    def test_seeded_matrices_every_degree(self):
+        rng = random.Random(41)
+        for size in (0, 2, 4, 6, 8):
+            s = random_seifert_matrix(size, rng)
+            top = min(60, 1 + seifert.MAX_PRESENTATION_ROWS // size) if size else 60
+            for d in range(2, top + 1):
+                self.check(s, d, (2, 3, 4, 5)[d % 4])
+
+    def test_at_the_row_cap(self):
+        self.check(random_seifert_matrix(8, random.Random(7)), 126, 2)
+        self.check(TREFOIL, 501, 2)
+        self.check(FIG8, 501, 5)
+
+    def test_singular_gamma(self):
+        assert SINGULAR_GUARD.gamma_char_poly.coefficient(0) == 0
+        covers = [SINGULAR_GUARD, _block_sum(SINGULAR, SINGULAR),
+                  _block_sum(SINGULAR, TREFOIL.matrix.to_rows()),
+                  _block_sum(FIG8.matrix.to_rows(), SINGULAR, TREFOIL.matrix.to_rows())]
+        for s in covers:
+            for d in range(2, 41):
+                self.check(s, d, (2, 3, 4, 5)[d % 4])
+
+
+class TestCoverMatrixCost:
+    def test_products_bounded_whatever_d(self, monkeypatch):
+        # 2 ceil(sqrt(8)) - 2 = 4 products for an 8 x 8 Gamma, where the two
+        # powers at d = 126 take 22; at d = 2, r = 2t - 1 takes none
+        s = random_seifert_matrix(8, random.Random(7))
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.rows, b.cols))
+            return product(a, b)
+
+        product = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", counted)
+        for d in (2, 3, 11, 60, 126):
+            calls.clear()
+            branched_cover(s, d, 2)
+            assert len(calls) <= 4 and (d > 2 or calls == [])
+        calls.clear()
+        _powers_oracle(s, 126)
+        assert len(calls) == 22
+
+    def test_one_char_poly_per_seifert_matrix(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(h):
+            calls.append(h.rows)
+            return char_poly(h)
+
+        char_poly = seifert.char_poly
+        monkeypatch.setattr(seifert, "char_poly", counted)
+        m = random_seifert_matrix(8, random.Random(7)).matrix
+        path = tmp_path / "seifert8.txt"
+        path.write_text("\n".join([str(m.rows)] + [" ".join(map(str, r)) for r in m.to_rows()]))
+        assert cli.main(["seifert", "--file", str(path), "--d", "11", "--sweep", "40"]) == 0
+        assert "H1 = " in capsys.readouterr().out
+        assert calls == [8]
+        s = SeifertMatrix(m)
+        assert calls == [8]  # taken on first use, not at construction
+        branched_cover(s, 3)
+        alexander_polynomial(s)
+        branched_cover(s, 4, 2)
+        assert calls == [8, 8]
 
 
 def _prime_factors(n: int) -> set[int]:
