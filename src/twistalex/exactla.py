@@ -218,12 +218,11 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
     """Smith normal form diagonal; with r, also the left transform U mod r,
     as its log of row operations.
 
-    Pivots are chosen as the nonzero entry of minimal absolute value in the
-    working submatrix (ties: lowest row, then lowest column), which keeps
-    intermediate entries small and the output reproducible.  Neither the
-    right transform nor U itself is built: U only ever receives row
-    operations, so the operations are logged modulo r and replayed on the
-    one covector that SmithForm.character needs.
+    Each pivot is the least (|x|, row, column) over the nonzero entries of
+    the trailing block, which keeps entries small and the output
+    reproducible.  U only ever receives row operations, so neither it nor
+    the right transform is built: the operations are logged modulo r and
+    replayed on the one covector that SmithForm.character needs.
     """
     rows, cols = a.rows, a.cols
     m = a.to_rows()
@@ -237,22 +236,10 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
         if ops is not None and q % r:  # an operation that is the identity mod r is left out
             ops.append((i, j, q % r))
 
-    def find_pivot(k: int) -> tuple[int, int] | None:
-        best, best_abs = None, 0
-        for i in range(k, rows):
-            row = m[i]
-            low = min(map(abs, filter(None, row[k:])), default=0)
-            if low and (not best_abs or low < best_abs):
-                j = next(j for j in range(k, cols) if abs(row[j]) == low)
-                best, best_abs = (i, j), low
-                if low == 1:  # no later row can beat it: ties go to the lowest row
-                    break
-        return best
-
     for k in range(min(rows, cols)):
-        piv = find_pivot(k)
-        while piv is not None:
-            i, j = piv
+        while piv := min(((abs(x), i, j) for i in range(k, rows)
+                          for j, x in enumerate(m[i][k:], k) if x), default=None):
+            _, i, j = piv
             if i != k:
                 m[k], m[i] = m[i], m[k]
                 if ops is not None:
@@ -261,12 +248,9 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
                 for row in m[k:]:
                     row[k], row[j] = row[j], row[k]
             pivot = m[k][k]
-            clean = True
             for i in range(k + 1, rows):
                 if m[i][k]:
                     row_addmul(i, k, m[i][k] // pivot, k)
-                    if m[i][k]:
-                        clean = False
             # col_j -= q * col_k, on the rows where col_k is nonzero
             touched = [row for row in m[k:] if row[k]]
             for j in range(k + 1, cols):
@@ -274,21 +258,17 @@ def smith_normal_form(a: IntMatrix, r: int | None = None) -> SmithForm:
                     q = m[k][j] // pivot
                     for row in touched:
                         row[j] -= q * row[k]
-                    if m[k][j]:
-                        clean = False
-            if clean:
-                # Ensure the pivot divides every remaining entry before
-                # moving on; a unit pivot divides everything.
-                if pivot in (1, -1):
-                    break
-                bad = next((i for i in range(k + 1, rows)
-                            if any(x % pivot for x in m[i][k + 1:])), None)
-                if bad is None:
-                    break
-                row_addmul(k, bad, -1, k)
-            piv = find_pivot(k)
-        if piv is None:
-            break
+            if any(row[k] for row in m[k + 1:]) or any(m[k][k + 1:]):
+                continue  # not clean: a nonzero remainder is left
+            if pivot in (1, -1):  # a unit divides everything
+                break
+            bad = next((i for i in range(k + 1, rows)
+                        if any(x % pivot for x in m[i][k + 1:])), None)
+            if bad is None:  # the pivot divides every trailing entry
+                break
+            row_addmul(k, bad, -1, k)  # row_k += the first row it does not divide
+        else:
+            break  # the trailing block is zero
 
     diag = [m[k][k] for k in range(min(rows, cols))]
     d = tuple(map(abs, diag))

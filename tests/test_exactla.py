@@ -15,7 +15,8 @@ from twistalex.exactla import (IntMatrix, LambdaMatrix, _digits, char_poly, maxi
                                rank_over_fractions, smith_normal_form)
 from twistalex.laurent import LaurentPoly, ZERO, _prime, canonicalize, parse_laurent
 from twistalex.obstruction import evaluate_fibred_obstruction
-from twistalex.seifert import SeifertMatrix, alexander_polynomial, random_seifert_matrix
+from twistalex.seifert import (SeifertMatrix, _cover_matrix, alexander_polynomial,
+                               random_seifert_matrix)
 
 from bareiss_oracle import (INTEGERS, LAURENT, bareiss, divexact_int, minors_at_node, pencil,
                             si_minus)
@@ -276,6 +277,19 @@ class TestSmithAgainstOracle:
             a = branched_presentation(s, rng.randint(2, 5))
             for r in MODULI:
                 oracle_agrees(a, r)
+
+    def test_cover_matrices(self):
+        # the matrix branched_cover hands to smith_normal_form, M^T, at the
+        # sizes and degrees the pipeline sees: entries of up to 275 bits at
+        # d = 126
+        rng = random.Random(89)
+        singular = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        for s in [random_seifert_matrix(n, rng) for n in (2, 4, 6, 8)] + [singular]:
+            for d in (2, 3, 5, 8, 11, 30):
+                for r in MODULI:
+                    oracle_agrees(_cover_matrix(s, d).transpose(), r)
+        cliff = random_seifert_matrix(8, random.Random(7))
+        oracle_agrees(_cover_matrix(cliff, 126).transpose(), 2)
 
     @pytest.mark.parametrize("r", (2, 3, 6))
     def test_non_unit_pivots(self, r):

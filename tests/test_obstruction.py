@@ -112,6 +112,11 @@ class TestRankShortcut:
             ("(1) torsion: presentation has full rank 2",
              "(2) principal: presentation matrix is square",
              "(3) undetermined: would enumerate 1 minors, above the cap of 0")),
+        "rank-deficient-minor-cap-zero": (
+            [["s", "1", "s+1"], ["2s", "2", "2s+2"]], 0, NOT_FIBRED, 2,
+            ("(1) FAILS: rank 1 < 2 generators, module is not torsion",
+             "(2) undetermined: non-square presentation, principality not decided",
+             "(3) undetermined: would enumerate 3 minors, above the cap of 0")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
