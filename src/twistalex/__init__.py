@@ -12,11 +12,11 @@ from .grouphom import (CyclicTarget, FiniteHom, Perm, PermutationTarget,
                        Presentation, alternating, cyclic,
                        generated_subgroup_order, perm_from_cycle_text,
                        perm_to_cycle_text, symmetric, verify_homomorphism)
-from .cover import (CoverGraph, TwistedInvariants,
-                    branched_cover_homology_from_monodromy, build_cover,
+from .cover import (CoverGraph, TwistedInvariants, build_cover,
                     lift_power_matrix, twisted_invariants)
 from .seifert import (BranchedCover, CharacterJump, SeifertMatrix,
                       alexander_polynomial, branched_cover,
+                      branched_cover_homology_from_monodromy,
                       random_seifert_matrix)
 from .obstruction import (CONSISTENT, INCONCLUSIVE, NOT_FIBRED,
                           ObstructionReport, evaluate_fibred_obstruction,

@@ -14,14 +14,14 @@ import sys
 import traceback
 
 from . import formats, laurent
-from .cover import branched_cover_homology_from_monodromy, twisted_invariants
+from .cover import twisted_invariants
 from .errors import InvariantError, SizeLimitError, TwistError
 from .fixtures import FIXTURES, load_fixture
 from .grouphom import generated_subgroup_order, verify_homomorphism
 from .laurent import cyclotomic_resultants, resultant_with_cyclotomic, to_text
 from .obstruction import evaluate_fibred_obstruction, fibred_verdict
 from .seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
-                      random_seifert_matrix)
+                      branched_cover_homology_from_monodromy, random_seifert_matrix)
 
 EX_USAGE = 64
 EX_TOOBIG = 65

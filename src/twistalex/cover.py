@@ -1,5 +1,6 @@
 """The G-regular cover of a bouquet of circles, lifts of monodromy powers,
-and the induced twisted Alexander data (sI - H presentation, delta).
+and the induced twisted Alexander data (sI - H presentation, delta).  The
+branched covers' homology, coker(T^d - I), is read in seifert.
 
 The cover of the one-vertex graph with n loops attached to a surjection
 alpha onto a finite group G has vertex set G and an edge g -> g*alpha(x_i)
@@ -29,7 +30,7 @@ import operator
 
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError, number_text
-from .exactla import IntMatrix, CokernelInvariants, char_poly, smith_normal_form
+from .exactla import IntMatrix, char_poly
 from .freegrp import FreeEndo
 from .grouphom import FiniteHom, _closure
 from .laurent import LaurentPoly
@@ -307,12 +308,3 @@ def twisted_invariants(f: FreeEndo, d: int, alpha: FiniteHom) -> TwistedInvarian
     h = lift_power_matrix(cover, f, d)
     return TwistedInvariants(h_matrix=h, delta=laurent.canonicalize(char_poly(h)))
 
-
-def branched_cover_homology_from_monodromy(f: FreeEndo, d: int) -> CokernelInvariants:
-    """H1 of the d-fold branched cover: coker(T^d - I) for T the
-    abelianized monodromy."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    t = f.abelianization_matrix()
-    n = t.rows
-    return smith_normal_form(t ** d - IntMatrix.identity(n)).cokernel()

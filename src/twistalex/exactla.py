@@ -26,7 +26,7 @@ import operator
 
 from . import laurent
 from .errors import MinorLimitError, SizeLimitError
-from .laurent import LaurentPoly, _binpow, _crt_lift, _crt_primes, _crt_residues, _inverse_pivot
+from .laurent import LaurentPoly, _crt_lift, _crt_primes, _crt_residues, _inverse_pivot
 
 # A desk-scale cap on the maximal minors that maximal_minor_gcd enumerates.
 MAX_MINORS = 100_000
@@ -106,13 +106,6 @@ class IntMatrix(Matrix):
         return IntMatrix(self.rows, other.cols,
                          [sum(map(operator.mul, row, c))
                           for row in map(self.row, range(self.rows)) for c in cols])
-
-    def __pow__(self, n: int) -> "IntMatrix":
-        if not self.is_square:
-            raise ValueError("powers need a square matrix")
-        if n < 0:
-            raise ValueError("negative matrix powers not supported")
-        return _binpow(self, n, IntMatrix.__mul__, IntMatrix.identity(self.rows))
 
     def det(self) -> int:
         """Exact determinant: solve's det A for an empty right side."""

@@ -23,9 +23,8 @@ def _binpow(base, n: int, mul, one):
 
     Squares only while higher bits of n remain, so no product beyond the
     answer's own factors is ever formed.  Its users: t^d modulo Delta over
-    Z/q (resultant_with_cyclotomic), t^d and (t - 1)^d modulo
-    char_poly(Gamma) over Z (seifert._cover_matrix), permutation powers
-    (grouphom) and IntMatrix powers (the monodromy-power cover).
+    Z/q (resultant_with_cyclotomic), t^d and b(t)^d modulo char_poly(A)
+    over Z (seifert._cover_matrix), and permutation powers (grouphom).
     """
     result = None
     while True:

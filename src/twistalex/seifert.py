@@ -1,7 +1,8 @@
 """Seifert-matrix pipelines, both from Seifert's Gamma = (S - S^T)^-1 S:
 the classical Alexander polynomial, and the homology of the branched cyclic
-covers with, on request, a character onto Z_r and its jump between
-sheets."""
+covers with, on request, a character onto Z_r and its jump between sheets.
+A fibred monodromy's branched covers are read here too, from its
+abelianization T: one helper builds Gamma^d - (Gamma - I)^d and T^d - I."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import random
 from . import laurent
 from .errors import InternalError, InvariantError, SizeLimitError, number_text
 from .exactla import CokernelInvariants, IntMatrix, char_poly, smith_normal_form
+from .freegrp import FreeEndo
 from .laurent import LaurentPoly
 
 # Rows of the largest block presentation of a branched cover, n(d - 1) for
@@ -139,23 +141,34 @@ def branched_cover(s: SeifertMatrix, d: int, r: int | None = None) -> BranchedCo
     """
     n = s.size
     _check_cover(n, d, r)
-    smith = smith_normal_form(_cover_matrix(s, d).transpose(), r)
+    m = _cover_matrix(s.gamma, s.gamma_char_poly, [-1, 1], d)
+    smith = smith_normal_form(m.transpose(), r)
     x = None if r is None else smith.character()
     jump = None if x is None else _character_jump(
         _push_character(s.matrix, s.gamma, x, d, r), n, d, r)
     return BranchedCover(homology=smith.cokernel(), jump=jump)
 
 
-def _cover_matrix(s: SeifertMatrix, d: int) -> IntMatrix:
-    """M = Gamma^d - (Gamma - I)^d as r(Gamma), for the remainder
-    r = (t^d - (t - 1)^d) mod chi of degree below n: chi = char_poly(Gamma)
-    is monic and chi(Gamma) = 0 (Cayley-Hamilton), so M = r(Gamma) exactly.
-    Both powers are taken in Z[t]/chi by square-and-multiply, and r(Gamma)
-    by Paterson-Stockmeyer (_evaluate)."""
-    n = s.size
-    # by exponent: a singular Gamma's chi has no constant term, which the
+def branched_cover_homology_from_monodromy(f: FreeEndo, d: int) -> CokernelInvariants:
+    """H1 of the d-fold branched cover: coker(T^d - I) for T the
+    abelianized monodromy, built by _cover_matrix from char_poly(T), so a
+    T past char_poly's work cap raises its SizeLimitError here."""
+    if d < 1:
+        raise InvariantError("d must be a positive integer")
+    t = f.abelianization_matrix()
+    return smith_normal_form(_cover_matrix(t, char_poly(t), [1], d)).cokernel()
+
+
+def _cover_matrix(a: IntMatrix, chi: LaurentPoly, b: list[int], d: int) -> IntMatrix:
+    """A^d - b(A)^d as r(A), for the remainder r = (t^d - b(t)^d) mod chi of
+    degree below n, b given by its ascending coefficients: chi =
+    char_poly(A) is monic and chi(A) = 0 (Cayley-Hamilton), so the two
+    agree exactly.  Both powers are taken in Z[t]/chi by square-and-multiply,
+    and r(A) by Paterson-Stockmeyer (_evaluate)."""
+    n = a.rows
+    # by exponent: a singular A's chi has no constant term, which the
     # LaurentPoly drops
-    chi = [s.gamma_char_poly.coefficient(k) for k in range(n + 1)]
+    chi = [chi.coefficient(k) for k in range(n + 1)]
 
     def mulmod(x: list[int], y: list[int]) -> list[int]:
         prod = [0] * (2 * n - 1)
@@ -164,9 +177,9 @@ def _cover_matrix(s: SeifertMatrix, d: int) -> IntMatrix:
                 prod[i : i + n] = [c + xi * yj for c, yj in zip(prod[i : i + n], y)]
         return _reduce(prod, chi)
 
-    # d >= 2, so _binpow never returns its answer for d = 0
-    powers = [laurent._binpow(_reduce(base, chi), d, mulmod, None) for base in ([0, 1], [-1, 1])]
-    return _evaluate(laurent._trim([a - b for a, b in zip(*powers)]), s.gamma)
+    # d >= 1, so _binpow never returns its answer for d = 0
+    powers = [laurent._binpow(_reduce(base, chi), d, mulmod, None) for base in ([0, 1], b)]
+    return _evaluate(laurent._trim([x - y for x, y in zip(*powers)]), a)
 
 
 def _reduce(a: list[int], chi: list[int]) -> list[int]:
@@ -181,21 +194,21 @@ def _reduce(a: list[int], chi: list[int]) -> list[int]:
     return a[:n]
 
 
-def _evaluate(r: list[int], gamma: IntMatrix) -> IntMatrix:
-    """r(Gamma) for the L ascending coefficients r, trimmed of zeros at the
+def _evaluate(r: list[int], a: IntMatrix) -> IntMatrix:
+    """r(A) for the L ascending coefficients r, trimmed of zeros at the
     top, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): the powers I,
-    Gamma, ..., Gamma^m for m = ceil(sqrt(L)), then Horner's rule in
-    Gamma^m over r's blocks of m coefficients.  That is at most (m - 1) +
-    (ceil(L / m) - 1) <= 2m - 2 products, and a remainder modulo
-    char_poly(Gamma) has L <= n whatever the degree of the cover."""
-    n = gamma.rows
+    A, ..., A^m for m = ceil(sqrt(L)), then Horner's rule in A^m over r's
+    blocks of m coefficients.  That is at most (m - 1) + (ceil(L / m) - 1)
+    <= 2m - 2 products, and a remainder modulo char_poly(A) has L <= n
+    whatever the degree of the cover."""
+    n = a.rows
     if not r:
         return IntMatrix(n, n, [0] * (n * n))
     m = math.isqrt(len(r) - 1) + 1
     blocks = [r[i : i + m] for i in range(0, len(r), m)]
-    powers = [IntMatrix.identity(n), gamma]
+    powers = [IntMatrix.identity(n), a]
     while len(powers) <= (m if len(blocks) > 1 else len(r) - 1):
-        powers.append(powers[-1] * gamma)
+        powers.append(powers[-1] * a)
     acc = None
     for block in reversed(blocks):
         coeffs, terms = list(block), powers[: len(block)]

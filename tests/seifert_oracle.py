@@ -1,6 +1,8 @@
 """Seifert-matrix routes that no pipeline takes, kept as test oracles: the
 block presentation of a branched cyclic cover, and the monodromy-power
-presentation H^n - I of a unimodular Seifert matrix."""
+presentation H^n - I of a unimodular Seifert matrix.  Matrix powers here
+and in the other tests use the schoolbook product and binary power below,
+which share no arithmetic with IntMatrix's product or laurent._binpow."""
 
 from __future__ import annotations
 
@@ -10,6 +12,28 @@ from twistalex import seifert
 from twistalex.errors import InvariantError
 from twistalex.exactla import IntMatrix
 from twistalex.seifert import SeifertMatrix
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b, each entry a sum over one row of a and one column
+    of b."""
+    cols = b.transpose().to_rows()
+    return IntMatrix(a.rows, b.cols, [sum(x * y for x, y in zip(row, col))
+                                      for row in a.to_rows() for col in cols])
+
+
+def matpow(a: IntMatrix, n: int) -> IntMatrix:
+    """a^n for n >= 0, reading the bits of n from the top: one squaring per
+    bit after the leading one, and one product by a per such bit that is
+    set (n = 126 takes 6 + 5 = 11 products)."""
+    if n == 0:
+        return IntMatrix.identity(a.rows)
+    acc = a
+    for bit in bin(n)[3:]:
+        acc = matmul(acc, acc)
+        if bit == "1":
+            acc = matmul(acc, a)
+    return acc
 
 
 def branched_presentation(s: SeifertMatrix, d: int) -> IntMatrix:
@@ -58,5 +82,5 @@ def monodromy_power_presentation(s: SeifertMatrix, n: int) -> MonodromyPower:
     det, h = m.solve(m.transpose())
     if h is None:
         raise InvariantError(f"det(S) = {det}; need a unimodular Seifert matrix")
-    d = (h ** n - IntMatrix.identity(h.rows)).det()
+    d = (matpow(h, n) - IntMatrix.identity(h.rows)).det()
     return MonodromyPower(h=h, n=n, det_power_minus_identity=d)

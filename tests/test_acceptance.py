@@ -10,8 +10,7 @@ import time
 from conftest import record_acceptance
 
 from twistalex.cli import _order_check, main
-from twistalex.cover import (branched_cover_homology_from_monodromy,
-                             twisted_invariants)
+from twistalex.cover import twisted_invariants
 from twistalex.exactla import (IntMatrix, LambdaMatrix, char_poly,
                                rank_over_fractions)
 from twistalex.fixtures import load_fixture
@@ -19,10 +18,11 @@ from twistalex.grouphom import (FiniteHom, cyclic, generated_subgroup_order,
                                 verify_homomorphism)
 from twistalex.laurent import ZERO, canonicalize, is_monic, parse_laurent
 from twistalex.obstruction import NOT_FIBRED, evaluate_fibred_obstruction
-from twistalex.seifert import branched_cover, random_seifert_matrix
+from twistalex.seifert import (branched_cover, branched_cover_homology_from_monodromy,
+                               random_seifert_matrix)
 
 from bareiss_oracle import si_minus
-from seifert_oracle import branched_presentation, monodromy_power_presentation
+from seifert_oracle import branched_presentation, matpow, monodromy_power_presentation
 from word_oracle import compatible, power, random_automorphism
 
 
@@ -123,7 +123,7 @@ def test_criterion_4_figure8_monodromy_power():
         assert mp2.h == IntMatrix.from_rows([[2, -1], [-1, 1]])
         assert mp2.det_power_minus_identity == -5
         for n in range(2, 13):
-            hn = mp2.h ** n
+            hn = matpow(mp2.h, n)
             det = monodromy_power_presentation(f8, n).det_power_minus_identity
             assert det == 2 - hn.row(0)[0] - hn.row(1)[1]
             assert det <= -5

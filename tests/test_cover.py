@@ -7,20 +7,21 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from twistalex import cover as cover_module
-from twistalex.cover import (branched_cover_homology_from_monodromy,
-                             build_cover, lift_power_matrix,
-                             twisted_invariants)
+from twistalex import seifert
+from twistalex.cover import build_cover, lift_power_matrix, twisted_invariants
 from twistalex.errors import InternalError, InvariantError, SizeLimitError
-from twistalex.exactla import IntMatrix, char_poly, rank_over_fractions
+from twistalex.exactla import IntMatrix, char_poly, rank_over_fractions, smith_normal_form
 from twistalex.fixtures import load_fixture
 from twistalex.freegrp import FreeEndo, Word
 from twistalex.grouphom import (FiniteHom, Perm, alternating, cyclic,
                                 generated_subgroup_order,
                                 perm_from_cycle_text, symmetric)
 from twistalex.laurent import canonicalize, is_monic, parse_laurent
+from twistalex.seifert import branched_cover_homology_from_monodromy
 
 from bareiss_oracle import si_minus
 from chain_oracle import chain_map_lift
+from seifert_oracle import matpow
 from table_mutations import (every_row_translating_the_other_way,
                              generator_row_block_one_reads_block_zero,
                              generator_row_off_in_block_one, generator_row_off_in_its_last_block,
@@ -221,6 +222,50 @@ class TestBranchedHomologyFromMonodromy:
     def test_trefoil_sixfold(self):
         inv = branched_cover_homology_from_monodromy(trefoil(), 6)
         assert inv.torsion == () and inv.free_rank == 2
+
+    @staticmethod
+    def monodromies():
+        # seeded Nielsen automorphisms of ranks 2-4, then two singular
+        # endomorphisms: x -> x^2, and x -> y y, y -> y
+        rng = random.Random(43)
+        for rank in (2, 3, 4):
+            for _ in range(5):
+                yield random_automorphism(rank, rng.randint(1, 8), rng)
+        yield FreeEndo(1, [Word(((0, 2),))])
+        yield FreeEndo(2, [Word(((1, 2),)), Word(((1, 1),))])
+
+    def test_against_powers_every_degree(self):
+        # r(T), with r = (t^d - 1) mod char_poly(T), against the tests' own
+        # T^d - I entry for entry, and the homology against its Smith form
+        for f in self.monodromies():
+            t = f.abelianization_matrix()
+            for d in range(1, 31):
+                oracle = matpow(t, d) - IntMatrix.identity(t.rows)
+                assert seifert._cover_matrix(t, char_poly(t), [1], d) == oracle
+                assert (branched_cover_homology_from_monodromy(f, d)
+                        == smith_normal_form(oracle).cokernel())
+
+    def test_products_bounded_whatever_d(self, monkeypatch):
+        # 2 ceil(sqrt(n)) - 2 = 2 products for ranks 2-4; at d = 1, r = t - 1
+        # takes none
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.rows, b.cols))
+            return multiply(a, b)
+
+        multiply = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", counted)
+        for f in self.monodromies():
+            for d in (1, 2, 3, 11, 30, 500):
+                calls.clear()
+                branched_cover_homology_from_monodromy(f, d)
+                assert len(calls) <= 2 and (d > 1 or calls == [])
+
+    def test_refuses_degree_below_one(self):
+        for d in (0, -1):
+            with pytest.raises(InvariantError, match="d must be a positive integer"):
+                branched_cover_homology_from_monodromy(trefoil(), d)
 
 
 class TestStructuralProperties:

@@ -282,14 +282,17 @@ class TestSmithAgainstOracle:
         # the matrix branched_cover hands to smith_normal_form, M^T, at the
         # sizes and degrees the pipeline sees: entries of up to 275 bits at
         # d = 126
+        def cover_matrix(s, d):
+            return _cover_matrix(s.gamma, s.gamma_char_poly, [-1, 1], d).transpose()
+
         rng = random.Random(89)
         singular = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
         for s in [random_seifert_matrix(n, rng) for n in (2, 4, 6, 8)] + [singular]:
             for d in (2, 3, 5, 8, 11, 30):
                 for r in MODULI:
-                    oracle_agrees(_cover_matrix(s, d).transpose(), r)
+                    oracle_agrees(cover_matrix(s, d), r)
         cliff = random_seifert_matrix(8, random.Random(7))
-        oracle_agrees(_cover_matrix(cliff, 126).transpose(), 2)
+        oracle_agrees(cover_matrix(cliff, 126), 2)
 
     @pytest.mark.parametrize("r", (2, 3, 6))
     def test_non_unit_pivots(self, r):
@@ -501,6 +504,11 @@ class TestIntMatrixProduct:
         # __mul__ returns NotImplemented, and int has no product with a matrix either
         with pytest.raises(TypeError):
             IntMatrix.identity(2) * 2
+
+    def test_no_matrix_power(self):
+        # r(A) by Paterson-Stockmeyer is the one route to a matrix power
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2) ** 2
 
 
 class TestInverseUnimodular:

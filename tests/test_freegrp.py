@@ -10,6 +10,7 @@ from twistalex.exactla import IntMatrix
 from twistalex.freegrp import FreeEndo, Word
 from twistalex.grouphom import FiniteHom, cyclic
 
+from seifert_oracle import matpow
 from word_oracle import (apply, compatible, identity, inverse, power, product,
                          random_automorphism)
 
@@ -144,7 +145,7 @@ class TestAbelianization:
         h = trefoil_monodromy()
         t2 = power(h, 2).abelianization_matrix()
         assert t2 == IntMatrix.from_rows([[-1, 1], [-1, 0]])
-        assert t2 == h.abelianization_matrix() ** 2
+        assert t2 == matpow(h.abelianization_matrix(), 2)
 
     def test_functorial_on_random_powers(self):
         rng = random.Random(4)
@@ -152,7 +153,7 @@ class TestAbelianization:
             f = random_automorphism(rng.choice((2, 3)), rng.randint(1, 6), rng)
             t = f.abelianization_matrix()
             for d in range(1, 6):
-                assert power(f, d).abelianization_matrix() == t ** d
+                assert power(f, d).abelianization_matrix() == matpow(t, d)
 
 
 class TestCompatibility:
@@ -179,7 +180,7 @@ class TestCompatibility:
             r = rng.randint(2, 4)
             chi = [rng.randrange(r) for _ in range(rank)]
             alpha = FiniteHom(rank, cyclic(r), chi)
-            t = f.abelianization_matrix() ** d
+            t = matpow(f.abelianization_matrix(), d)
             eye = IntMatrix.identity(rank)
             m = t - eye
             algebraic = all(

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.cli import _order_check
-from twistalex.cover import branched_cover_homology_from_monodromy
 from twistalex import cli, exactla, seifert
 from twistalex.errors import InternalError, InvariantError, SizeLimitError
 from twistalex.exactla import IntMatrix, smith_normal_form
 from twistalex.fixtures import load_fixture
 from twistalex.laurent import LaurentPoly, _prime, parse_laurent, resultant_with_cyclotomic
 from twistalex.seifert import (SeifertMatrix, alexander_polynomial, branched_cover,
-                               random_seifert_matrix)
+                               branched_cover_homology_from_monodromy, random_seifert_matrix)
 
-from seifert_oracle import branched_presentation, monodromy_power_presentation
+import seifert_oracle
+from seifert_oracle import branched_presentation, matpow, monodromy_power_presentation
 
 
 def P(text):
@@ -204,7 +204,7 @@ class TestMonodromyPower:
     def test_figure8_det_identity_through_n12(self):
         h = monodromy_power_presentation(FIG8, 2).h
         for n in range(2, 13):
-            hn = h ** n
+            hn = matpow(h, n)
             a_n, c_n = hn.row(0)[0], hn.row(1)[1]
             det = monodromy_power_presentation(FIG8, n).det_power_minus_identity
             assert det == 2 - a_n - c_n
@@ -374,8 +374,8 @@ class TestBranchedCoverAgainstBlockOracle:
         gamma = (m - m.transpose()).solve(m)[1]
         with pytest.raises(InternalError, match="fails its check mod 3"):
             seifert._push_character(m, gamma, (1, 0), 2, 3)
-        x = smith_normal_form((gamma ** 2 - (gamma - IntMatrix.identity(2)) ** 2).transpose(),
-                              3).character()
+        x = smith_normal_form((matpow(gamma, 2) - matpow(gamma - IntMatrix.identity(2), 2))
+                              .transpose(), 3).character()
         assert (seifert._push_character(m, gamma, x, 2, 3),) == (
             branched_cover(TREFOIL, 2, 3).jump.character)
 
@@ -389,8 +389,8 @@ class TestBranchedCoverAgainstBlockOracle:
 
 
 def _powers_oracle(s: SeifertMatrix, d: int) -> IntMatrix:
-    """Seifert's M = Gamma^d - (Gamma - I)^d by two square-and-multiply powers."""
-    return s.gamma ** d - (s.gamma - IntMatrix.identity(s.size)) ** d
+    """Seifert's M = Gamma^d - (Gamma - I)^d by the tests' own two binary powers."""
+    return matpow(s.gamma, d) - matpow(s.gamma - IntMatrix.identity(s.size), d)
 
 
 def _block_sum(*blocks) -> SeifertMatrix:
@@ -417,7 +417,7 @@ class TestBranchedCoverAgainstPowers:
     @staticmethod
     def check(s: SeifertMatrix, d: int, r: int) -> None:
         oracle = _powers_oracle(s, d)
-        assert seifert._cover_matrix(s, d) == oracle
+        assert seifert._cover_matrix(s.gamma, s.gamma_char_poly, [-1, 1], d) == oracle
         smith = smith_normal_form(oracle.transpose(), r)
         x = smith.character()
         jump = None if x is None else seifert._character_jump(
@@ -449,17 +449,20 @@ class TestBranchedCoverAgainstPowers:
 
 class TestCoverMatrixCost:
     def test_products_bounded_whatever_d(self, monkeypatch):
-        # 2 ceil(sqrt(8)) - 2 = 4 products for an 8 x 8 Gamma, where the two
-        # powers at d = 126 take 22; at d = 2, r = 2t - 1 takes none
+        # 2 ceil(sqrt(8)) - 2 = 4 products for an 8 x 8 Gamma, where the
+        # oracle's two binary powers at d = 126 take 22; at d = 2, r = 2t - 1
+        # takes none
         s = random_seifert_matrix(8, random.Random(7))
         calls = []
 
-        def counted(a, b):
-            calls.append((a.rows, b.cols))
-            return product(a, b)
+        def counting(product):
+            def counted(a, b):
+                calls.append((a.rows, b.cols))
+                return product(a, b)
+            return counted
 
-        product = IntMatrix.__mul__
-        monkeypatch.setattr(IntMatrix, "__mul__", counted)
+        monkeypatch.setattr(IntMatrix, "__mul__", counting(IntMatrix.__mul__))
+        monkeypatch.setattr(seifert_oracle, "matmul", counting(seifert_oracle.matmul))
         for d in (2, 3, 11, 60, 126):
             calls.clear()
             branched_cover(s, d, 2)
